@@ -454,7 +454,10 @@ def _blowup_points(base, n):
 
 
 def cmd_example_blowup_chi(options, fmt):
-    n = int(options.get("n", 2))
+    text = options.get("n", "2")
+    if not text.isdecimal() or int(text) < 1:
+        raise ParseError(f"n must be a positive integer, got {text!r}")
+    n = int(text)
     fam = blowup_family(QQ, n)
     sheaf = fam.twist(1)
     pushed, report = pushforward_projective(fam, sheaf)

@@ -15,22 +15,23 @@ times each basis vector before calling in.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vec_iadd_scaled(target, vec, coeff, shift, field):
@@ -55,79 +56,107 @@ def leading_term(vec, key):
 
 
 class _Basis:
-    """Growing basis with cached leading data, grouped by position."""
+    """Growing basis with cached leading data, grouped by position.
 
-    __slots__ = ("field", "key", "elements", "lts", "lcs", "by_pos")
+    Elements are stored monic; `tails` holds each element without its
+    leading term, which is what a reduction step subtracts.
+    """
+
+    __slots__ = ("field", "key", "elements", "tails", "lts", "by_pos")
 
     def __init__(self, field, key):
         self.field = field
         self.key = key
         self.elements = []
+        self.tails = []
         self.lts = []
-        self.lcs = []
         self.by_pos = {}
 
     def add(self, vec):
         lt = leading_term(vec, self.key)
         lc = vec[lt]
         if lc != self.field.one:
-            inv = self.field.inv(lc)
-            vec = vec_scale(vec, inv, self.field)
-            lc = self.field.one
+            vec = vec_scale(vec, self.field.inv(lc), self.field)
         idx = len(self.elements)
         self.elements.append(vec)
+        self.tails.append({t: c for t, c in vec.items() if t != lt})
         self.lts.append(lt)
-        self.lcs.append(lc)
         self.by_pos.setdefault(lt[0], []).append(idx)
         return idx
 
 
-def reduce_vector(vec, basis, cofactors=None):
+class _Desc(tuple):
+    """A (key, term) pair that sorts in descending key order.
+
+    heapq is a min-heap; reversing the comparison makes it pop the
+    largest term first while comparing keys exactly as `key` orders
+    them, whatever shape the key tuples have.
+    """
+
+    __slots__ = ()
+    __lt__ = tuple.__gt__
+
+
+def reduce_vector(vec, basis):
     """Full normal form of vec against basis; deterministic.
 
-    If cofactors is a list (one poly-dict per basis element), the
-    reduction quotients are accumulated there, so that
-    vec = sum_i cofactors[i] * basis[i] + remainder.
+    Terms are taken largest first from a heap of (key, term) entries;
+    each term's key is computed once, when the term enters the work
+    dict.  A term that cancels leaves its heap entry behind, and that
+    stale entry is skipped when it comes up.  Every term a reduction
+    step adds is smaller than the term it removes, so the remainder is
+    built in descending term order.
     """
     field, key = basis.field, basis.key
+    fadd, fmul, zero = field.add, field.mul, field.zero
+    by_pos, lts, tails = basis.by_pos, basis.lts, basis.tails
+    heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(vec)
+    heap = [_Desc((key(t), t)) for t in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        term = max(work, key=key)
-        coeff = work[term]
+    while heap:
+        term = heappop(heap)[1]
+        coeff = work.pop(term, None)
+        if coeff is None:
+            continue
         pos, mono = term
-        hit = None
-        for idx in basis.by_pos.get(pos, ()):
-            bpos, bmono = basis.lts[idx]
+        for idx in by_pos.get(pos, ()):
+            bmono = lts[idx][1]
             if mono_divides(bmono, mono):
-                hit = idx
                 break
-        if hit is None:
-            del work[term]
+        else:
             remainder[term] = coeff
             continue
-        shift = mono_div(mono, basis.lts[hit][1])
+        shift = mono_div(mono, bmono)
         q = field.neg(coeff)  # basis elements are monic
-        vec_iadd_scaled(work, basis.elements[hit], q, shift, field)
-        if cofactors is not None:
-            cof = cofactors[hit]
-            new = field.add(cof.get(shift, field.zero), coeff)
-            if new == field.zero:
-                cof.pop(shift, None)
+        for (bpos, m), c in tails[idx].items():
+            t = (bpos, mono_mul(m, shift))
+            old = work.get(t)
+            if old is None:
+                work[t] = fmul(q, c)
+                heappush(heap, _Desc((key(t), t)))
             else:
-                cof[shift] = new
+                new = fadd(old, fmul(q, c))
+                if new == zero:
+                    del work[t]
+                else:
+                    work[t] = new
     return remainder
 
 
 def _spair(basis, i, j):
-    """S-vector of two basis elements with the same leading position."""
+    """S-vector of two basis elements with the same leading position.
+
+    The monic leading terms cancel, so only the tails are combined.
+    """
     field = basis.field
     (_, mi), (_, mj) = basis.lts[i], basis.lts[j]
     lcm = mono_lcm(mi, mj)
     si, sj = mono_div(lcm, mi), mono_div(lcm, mj)
     out = {}
-    vec_iadd_scaled(out, basis.elements[i], field.one, si, field)
-    vec_iadd_scaled(out, basis.elements[j], field.neg(field.one), sj, field)
+    vec_iadd_scaled(out, basis.tails[i], field.one, si, field)
+    vec_iadd_scaled(out, basis.tails[j], field.neg(field.one), sj, field)
     return out
 
 
@@ -136,13 +165,10 @@ def _pure_position(vec):
     return len(positions) == 1
 
 
-def buchberger(gens, field, key, degree_cap=None):
+def buchberger(gens, field, key):
     """Gröbner basis of the submodule generated by gens (list of vecs).
 
     Returns the interreduced, monic, deterministically sorted basis.
-    degree_cap, when given, discards S-pairs whose lcm total degree
-    exceeds it (used only for degree-truncated experiments; the
-    default None computes a full basis).
     """
     basis = _Basis(field, key)
     pairs = []
@@ -154,8 +180,6 @@ def buchberger(gens, field, key, degree_cap=None):
             continue
         (_, mi), (_, mj) = basis.lts[i], basis.lts[j]
         lcm = mono_lcm(mi, mj)
-        if degree_cap is not None and sum(lcm) > degree_cap:
-            continue
         # Product criterion.  Only valid for elements supported in a
         # single position (vectors spanning several components can have
         # nontrivial S-pairs even with coprime leading monomials).
@@ -204,20 +228,19 @@ def _pair_redundant(basis, i, j):
     return False
 
 
-def _monic(vec, field, key):
-    lt = leading_term(vec, key)
-    lc = vec[lt]
-    if lc != field.one:
-        vec = vec_scale(vec, field.inv(lc), field)
-    return vec
-
-
 def interreduce(elements, field, key):
-    """Minimal reduced form of a Gröbner basis: drop leading-term
-    redundant elements (ascending scan, so a divisor is kept first),
-    then tail-reduce survivors to a fixpoint.  Tail reduction cannot
-    kill an element since the kept leading terms are incomparable."""
-    elems = [_monic(dict(e), field, key) for e in elements if e]
+    """Reduced Gröbner basis from a Gröbner basis `elements`.
+
+    Drop leading-term redundant elements (ascending scan, so a divisor
+    is kept first), then replace each survivor by its monic leading
+    term plus the normal form of its tail against the survivors, in one
+    pass against one basis.  The survivors' leading terms are the
+    minimal generators of the leading module and no tail term is
+    divisible by its own leading term, so the result is the unique
+    reduced basis, sorted by ascending leading term.  The input must be
+    a Gröbner basis: only then does the scan keep the module it spans.
+    """
+    elems = [e for e in elements if e]
     elems.sort(key=lambda v: key(leading_term(v, key)))
     kept = []
     kept_lts = []
@@ -227,24 +250,15 @@ def interreduce(elements, field, key):
             continue
         kept.append(e)
         kept_lts.append((pos, mono))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = _Basis(field, key)
-            for j, f in enumerate(kept):
-                if j != i:
-                    others.add(dict(f))
-            r = _monic(reduce_vector(dict(kept[i]), others), field, key)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-    kept.sort(key=lambda v: key(leading_term(v, key)))
-    return kept
-
-
-def groebner(gens, field, key):
-    return buchberger(gens, field, key)
+    basis = _Basis(field, key)
+    for e in kept:
+        basis.add(e)
+    out = []
+    for lt, tail in zip(basis.lts, basis.tails):
+        vec = {lt: field.one}
+        vec.update(reduce_vector(tail, basis))
+        out.append(vec)
+    return out
 
 
 def normal_form(vec, gb, field, key):

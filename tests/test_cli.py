@@ -1,6 +1,10 @@
 """CLI: parsing, round-trips, commands, exit codes and formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,41 @@ def test_cli_blowup_example(capsys):
     assert first[1] == "2" and first[2] == "1"
     for line in lines[2:]:
         assert line.endswith(",1,1")
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "abc"])
+def test_cli_blowup_example_bad_n(capsys, n):
+    code, _out, err = run_cli(capsys, "example", "blowup-chi", f"n={n}")
+    assert code == 2
+    assert "positive integer" in err
+    assert "Traceback" not in err
+
+
+BLOWUP_CHI_N2_CSV = (
+    "point,chi_classical,chi_nice\n"
+    "(0;0),2,1\n"
+    "(1;0),1,1\n"
+    "(0;1),1,1\n"
+    "(1;1),1,1\n"
+    "(2;-3),1,1\n"
+)
+
+
+def test_cli_blowup_example_independent_of_hash_seed():
+    """The README example prints the same bytes under any PYTHONHASHSEED."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "perfx.cli", "example", "blowup-chi", "n=2",
+             "--format", "csv"],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == BLOWUP_CHI_N2_CSV
 
 
 def test_cli_local_cohomology(tmp_path, capsys):

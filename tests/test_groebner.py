@@ -14,9 +14,20 @@ from hypothesis import given, settings, strategies as st
 
 from perfx import linalg
 from perfx.fields import GF, QQ
-from perfx.groebner import mono_divides, mono_mul
+from perfx.groebner import (
+    _Basis,
+    buchberger,
+    elimination_key,
+    interreduce,
+    leading_term,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    reduce_vector,
+    vec_iadd_scaled,
+)
 from perfx.modules import syzygies
-from perfx.orders import LEX
+from perfx.orders import GREVLEX, LEX, BlockOrder, term_over_position
 from perfx.rings import (
     Mat,
     PolyRing,
@@ -279,3 +290,156 @@ def test_mono_helpers():
     assert mono_mul((1, 2), (0, 3)) == (1, 5)
     assert mono_divides((1, 0), (2, 1))
     assert not mono_divides((3, 0), (2, 1))
+
+
+# -- the Gröbner hot path against its former algorithms ------------------------
+#
+# reference_reduce is the max-scan normal form and reference_interreduce the
+# fixpoint interreduction that reduce_vector and interreduce replaced.
+
+
+def reference_monic(vec, field, key):
+    inv = field.inv(vec[max(vec, key=key)])
+    return {t: field.mul(inv, c) for t, c in vec.items()}
+
+
+def reference_reduce(vec, basis, field, key):
+    """Normal form of vec against a list of monic vectors, largest term first.
+
+    Each step rescans the work dict for its largest term and divides by
+    the first basis element, in list order, whose leading term divides it.
+    """
+    lts = [max(b, key=key) for b in basis]
+    work = dict(vec)
+    remainder = {}
+    while work:
+        term = max(work, key=key)
+        coeff = work[term]
+        pos, mono = term
+        hit = next(
+            (i for i, (p, m) in enumerate(lts) if p == pos and mono_divides(m, mono)),
+            None,
+        )
+        if hit is None:
+            del work[term]
+            remainder[term] = coeff
+            continue
+        shift = mono_div(mono, lts[hit][1])
+        vec_iadd_scaled(work, basis[hit], field.neg(coeff), shift, field)
+    return remainder
+
+
+def reference_interreduce(elements, field, key):
+    """Drop leading-term redundant elements, then tail-reduce to a fixpoint."""
+    elems = [reference_monic(e, field, key) for e in elements if e]
+    elems.sort(key=lambda v: key(max(v, key=key)))
+    kept = []
+    kept_lts = []
+    for e in elems:
+        pos, mono = max(e, key=key)
+        if any(p == pos and mono_divides(m, mono) for (p, m) in kept_lts):
+            continue
+        kept.append(e)
+        kept_lts.append((pos, mono))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            others = [f for j, f in enumerate(kept) if j != i]
+            r = reference_monic(reference_reduce(kept[i], others, field, key), field, key)
+            if r != kept[i]:
+                kept[i] = r
+                changed = True
+    return kept
+
+
+ORACLE_FIELDS = [QQ, GF(32003), GF(7)]
+ORACLE_ORDERS = {
+    "grevlex": term_over_position(GREVLEX),
+    "lex": term_over_position(LEX),
+    "block": term_over_position(BlockOrder(1)),
+    # position 0 dominates the rest, as the generators do in syzygy_basis
+    "elimination": elimination_key(1, GREVLEX.key),
+}
+
+
+def random_vector(rng, field, rank, nvars, nterms=3, max_degree=2):
+    vec = {}
+    for _ in range(nterms):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(nvars)] += 1
+        coeff = field.random(rng)
+        if coeff != field.zero:
+            vec[(rng.randrange(rank), tuple(mono))] = coeff
+    return vec
+
+
+def random_member(rng, field, basis, nvars):
+    """A random combination of basis elements with monomial multipliers."""
+    out = {}
+    for g in rng.sample(basis, min(2, len(basis))):
+        shift = tuple(rng.randint(0, 1) for _ in range(nvars))
+        coeff = field.random(rng)
+        if coeff != field.zero:
+            vec_iadd_scaled(out, g, coeff, shift, field)
+    return out
+
+
+def as_set(vectors):
+    return {frozenset(v.items()) for v in vectors}
+
+
+def assert_reduced_gb(basis, field, key):
+    lts = [leading_term(g, key) for g in basis]
+    assert len(set(lts)) == len(lts)
+    for i, g in enumerate(basis):
+        assert g[lts[i]] == field.one
+        for j, (pos, mono) in enumerate(lts):
+            if j != i:
+                assert not any(p == pos and mono_divides(mono, m) for (p, m) in g)
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_interreduce_matches_fixpoint_reference(field, order):
+    rng = random.Random(f"{field!r}-{order}")
+    key = ORACLE_ORDERS[order]
+    nvars = 3
+    for rank in (1, 2, 3):
+        for _ in range(5):
+            gens = [random_vector(rng, field, rank, nvars) for _ in range(4)]
+            gb = buchberger(gens, field, key)
+            assert_reduced_gb(gb, field, key)
+            # a Gröbner basis that is neither minimal, reduced nor monic
+            noisy = [
+                {t: field.mul(field.from_int(3), c) for t, c in g.items()} for g in gb
+            ]
+            noisy += [random_member(rng, field, gb, nvars) for _ in range(3)]
+            rng.shuffle(noisy)
+            got = interreduce(noisy, field, key)
+            assert_reduced_gb(got, field, key)
+            assert as_set(got) == as_set(reference_interreduce(noisy, field, key))
+            assert as_set(got) == as_set(gb)
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_reduce_vector_matches_max_scan_reference(field, order):
+    rng = random.Random(f"{field!r}-{order}-reduce")
+    key = ORACLE_ORDERS[order]
+    nvars = 3
+    for rank in (1, 2, 3):
+        for _ in range(4):
+            # an arbitrary basis, not a Gröbner basis: the choice of divisor
+            # then shows in the remainder
+            vecs = [v for v in (random_vector(rng, field, rank, nvars) for _ in range(3)) if v]
+            basis = _Basis(field, key)
+            for v in vecs:
+                basis.add(dict(v))
+            monic = [reference_monic(v, field, key) for v in vecs]
+            for _ in range(3):
+                vec = random_vector(rng, field, rank, nvars, nterms=6, max_degree=4)
+                got = reduce_vector(dict(vec), basis)
+                want = reference_reduce(vec, monic, field, key)
+                assert list(got.items()) == list(want.items())
