@@ -5,14 +5,13 @@ diagram NAME = EXPR`) and live in a session file passed with --input;
 the command itself names declared objects.  Reports print as text, scan
 tables as CSV with header point,p,dim,audit; --format json mirrors the
 same fields.  Exit codes: 0 all verdicts/audits pass, 1 a verdict
-failed, 2 usage or parse errors.
+failed, 2 usage or parse errors, or an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .complexes import FreeComplex, koszul, unit_complex
@@ -490,10 +489,9 @@ def cmd_example_blowup_chi(options, fmt):
 
 
 def cmd_perfect(session, tokens, args, fmt):
-    # perfect E at p [depth N]
-    name = tokens[0]
-    if tokens[1] != "at":
+    if len(tokens) < 3 or tokens[1] != "at":
         raise ParseError("usage: perfect E at p [depth N]")
+    name = tokens[0]
     point = session.points[tokens[2]]
     depth = args.depth
     if len(tokens) >= 5 and tokens[3] == "depth":
@@ -513,7 +511,8 @@ def cmd_perfect(session, tokens, args, fmt):
 
 
 def cmd_tor(session, tokens, args, fmt):
-    # tor M at p [depth N]
+    if len(tokens) < 3:
+        raise ParseError("usage: tor M at p [depth N]")
     name = tokens[0]
     point = session.points[tokens[2]]
     depth = args.depth
@@ -601,6 +600,8 @@ def cmd_grauert(session, options, args, fmt):
 def cmd_local_cohomology(session, options, args, fmt):
     ring = session.ring_of(options["ring"])
     elements = _split_top(options["t"].strip("()"))
+    if not elements:
+        raise ParseError("usage: local-cohomology ring=R t=(f1, ..) [n=M]: t is empty")
     target_name = options.get("n", "")
     if target_name:
         _, target = session.lookup(target_name, ("module", "complex"))
@@ -632,10 +633,9 @@ def cmd_local_cohomology(session, options, args, fmt):
 
 
 def cmd_relperf(session, tokens, options, args, fmt):
-    # relperf E over f points=... [mode=...]
+    if len(tokens) < 3 or tokens[1] != "over":
+        raise ParseError("usage: relperf E over f points=... [mode=...]")
     name = tokens[0]
-    if tokens[1] != "over":
-        raise ParseError("usage: relperf E over f points=...")
     _, target = session.lookup(name, ("module", "complex"))
     _, ringmap = session.lookup(tokens[2], ("map",))
     points = _points_from_arg(session, options["points"], ringmap.source)
@@ -659,6 +659,8 @@ def cmd_relperf(session, tokens, options, args, fmt):
 
 
 def cmd_verify_axiom(session, tokens, options, args, fmt):
+    if not tokens:
+        raise ParseError("usage: verify-axiom AXIOM diagram=D")
     which = tokens[0]
     _, entry = session.lookup(options["diagram"], ("diagram",))
     results = run_axiom_battery(entry, axioms=(which.upper(),), depth=args.depth)
@@ -709,7 +711,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit:
         return 2
-    os.environ.setdefault("PERFX_THREADS", "1")
+    try:
+        return _run(args)
+    except Exception as exc:  # a crash must not read as a failed verdict (exit 1)
+        print(f"perfx: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args):
     tokens = args.command
     options = {}
     positional = []

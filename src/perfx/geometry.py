@@ -14,9 +14,7 @@ reported anyway.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 from . import linalg
@@ -512,25 +510,13 @@ def classical_chi(fam, e, point, depth=6):
     raise ValueError("classical chi is only defined here for projective families")
 
 
-def _point_map(fn, points):
-    """Map over points, honoring the PERFX_THREADS cap."""
-    workers = int(os.environ.get("PERFX_THREADS", "1") or "1")
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, points))
-    return [fn(y) for y in points]
-
-
 def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
     """Table point -> h^p of the pushforward fiber, with an upper
     semicontinuity audit against two random large-height probes."""
     if pushed is None:
         pushed, _ = push(f_or_fam, e)
     base = pushed.ring
-    dims_at = _point_map(
-        lambda y: pushed.fiber_dims(y, lo=p, hi=p).get(p, 0), points
-    )
-    values = list(zip(points, dims_at))
+    values = [(y, pushed.fiber_dims(y, lo=p, hi=p).get(p, 0)) for y in points]
     rng = random.Random(seed)
     probes = []
     for _ in range(2):

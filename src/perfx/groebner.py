@@ -281,6 +281,19 @@ def elimination_key(rank, ring_key):
     return key
 
 
+def _tagged(gens, rank, nvars, field, extra):
+    """Generator i with the unit tag e_(rank + i) added, then the nonzero
+    `extra` vectors untagged: the input of an elimination GB on R^rank."""
+    unit = (0,) * nvars
+    augmented = []
+    for i, g in enumerate(gens):
+        aug = dict(g)
+        aug[(rank + i, unit)] = field.one
+        augmented.append(aug)
+    augmented.extend(dict(e) for e in extra if e)
+    return augmented
+
+
 def syzygy_basis(gens, rank, nvars, field, ring_key, extra=()):
     """Generators of the syzygy module of gens inside R^rank.
 
@@ -288,18 +301,8 @@ def syzygy_basis(gens, rank, nvars, field, ring_key, extra=()):
     relations are not reported: the result is a list of vectors in
     R^len(gens) with syzygies taken modulo the extra block.
     """
-    n = len(gens)
-    unit = (0,) * nvars
-    augmented = []
-    for i, g in enumerate(gens):
-        aug = {(pos, mono): c for (pos, mono), c in g.items()}
-        aug[(rank + i, unit)] = field.one
-        augmented.append(aug)
-    for e in extra:
-        if e:
-            augmented.append(dict(e))
     key = elimination_key(rank, ring_key)
-    gb = buchberger(augmented, field, key)
+    gb = buchberger(_tagged(gens, rank, nvars, field, extra), field, key)
     out = []
     for g in gb:
         if all(pos >= rank for (pos, _mono) in g):
@@ -320,17 +323,8 @@ class ModuleGB:
         self.field = field
         self.ring_key = ring_key
         self.ngens = len(gens)
-        unit = (0,) * nvars
-        augmented = []
-        for i, g in enumerate(gens):
-            aug = {t: c for t, c in g.items()}
-            aug[(rank + i, unit)] = field.one
-            augmented.append(aug)
-        for e in extra:
-            if e:
-                augmented.append(dict(e))
         self.key = elimination_key(rank, ring_key)
-        self.aug_gb = buchberger(augmented, field, self.key)
+        self.aug_gb = buchberger(_tagged(gens, rank, nvars, field, extra), field, self.key)
         self._aug_basis = _Basis(field, self.key)
         for g in self.aug_gb:
             self._aug_basis.add(dict(g))

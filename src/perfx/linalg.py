@@ -1,35 +1,112 @@
 """Exact linear algebra over the coefficient fields.
 
-The GF(p) elimination and the integer Bareiss rank are the hot kernels
-of the whole engine (every fiber-dimension query, scan and strand
-computation bottoms out here).  A compiled implementation is used when
-available; set PERFX_PURE=1 to force the pure-Python fallback.
-Rational matrices are handled by clearing denominators row by row
-(row scaling changes neither rank nor right kernel).
+Every fiber-dimension query, scan and strand computation bottoms out
+here.  Matrices are lists of row lists.  GF(p) entries are ints in
+[0, p); rational matrices are handled by clearing denominators row by
+row (row scaling changes neither rank nor right kernel) and taking the
+fraction-free Bareiss rank over Python bignums, so nothing is rounded.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 
-from . import _linalg_py
+# Read by perfbench/run.py into every run's environment record.
+BACKEND = "python"
 
-if os.environ.get("PERFX_PURE") == "1":
-    _impl = _linalg_py
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _linalg_py
 
-BACKEND = _impl.BACKEND
+def rref_modp(rows, p):
+    """Row-reduce over GF(p).  Returns (rref_rows, pivot_columns)."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = -1
+        for i in range(r, m):
+            if a[i][c] % p:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        row_r = a[r]
+        for j in range(c, n):
+            row_r[j] = (row_r[j] * inv) % p
+        for i in range(m):
+            if i != r and a[i][c] % p:
+                f = a[i][c] % p
+                row_i = a[i]
+                for j in range(c, n):
+                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
 
-rank_modp = _impl.rank_modp
-rref_modp = _impl.rref_modp
-nullspace_modp = _impl.nullspace_modp
-rank_int = _impl.rank_int
+
+def rank_modp(rows, p):
+    if not rows or not rows[0]:
+        return 0
+    return len(rref_modp(rows, p)[1])
+
+
+def nullspace_modp(rows, p):
+    """Right-kernel basis over GF(p), one vector per free column."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    red, pivots = rref_modp(rows, p)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-red[r][free]) % p
+        basis.append(v)
+    return basis
+
+
+def rank_int(rows):
+    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0 or n == 0:
+        return 0
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(n):
+        pivot = -1
+        for i in range(r, m):
+            if a[i][c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        arc = a[r][c]
+        for i in range(r + 1, m):
+            row_i = a[i]
+            aic = row_i[c]
+            row_r = a[r]
+            for j in range(c, n):
+                row_i[j] = (arc * row_i[j] - aic * row_r[j]) // prev
+        prev = arc
+        rank += 1
+        r += 1
+        if r == m:
+            break
+    return rank
 
 
 def _clear_denominators(rows):

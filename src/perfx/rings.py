@@ -486,23 +486,14 @@ class Mat:
 
     def column_vec(self, j):
         """Column j as a raw Buchberger vector dict."""
-        out = {}
-        for i in range(self.nrows):
-            for m, c in self.rows[i][j].terms.items():
-                out[(i, m)] = c
-        return out
+        return _column_to_vec(self.column(j))
 
     def column_vecs(self):
         return [self.column_vec(j) for j in range(self.ncols)]
 
     @classmethod
     def from_column_vecs(cls, ring, vecs, nrows):
-        cols = []
-        for v in vecs:
-            col = [{} for _ in range(nrows)]
-            for (pos, m), c in v.items():
-                col[pos][m] = c
-            cols.append([ring.reduce_terms(t) for t in col])
+        cols = [[ring.reduce_terms(t) for t in _vec_to_rows(v, nrows)] for v in vecs]
         return cls.from_columns(ring, cols, nrows) if cols else cls.zero(ring, nrows, 0)
 
     def __mul__(self, other):
@@ -669,20 +660,28 @@ def evaluate_matrix(mat, point):
 # -- ring-level Gröbner API --------------------------------------------
 
 
+def _column_to_vec(col):
+    """A column of Polynomials as a raw {(pos, mono): coeff} vector."""
+    return {(i, m): c for i, p in enumerate(col) for m, c in p.terms.items()}
+
+
+def _vec_to_rows(vec, nrows):
+    """A raw vector split into one {mono: coeff} dict per position."""
+    rows = [{} for _ in range(nrows)]
+    for (pos, m), c in vec.items():
+        rows[pos][m] = c
+    return rows
+
+
 def _as_vectors(gens, ring):
     """Accept Polynomials (rank 1) or lists of Polynomials (vectors)."""
     vecs = []
     rank = 1
     for g in gens:
         if isinstance(g, Polynomial):
-            vecs.append({(0, m): c for m, c in g.terms.items()})
-        else:
-            rank = max(rank, len(g))
-            vec = {}
-            for i, p in enumerate(g):
-                for m, c in p.terms.items():
-                    vec[(i, m)] = c
-            vecs.append(vec)
+            g = [g]
+        rank = max(rank, len(g))
+        vecs.append(_column_to_vec(g))
     return vecs, rank
 
 
@@ -703,10 +702,7 @@ def groebner_basis(gens, ring):
     # the quotient; reduce_terms only zeroes out the pure quotient part.
     out = []
     for v in basis:
-        cols = [{} for _ in range(rank)]
-        for (pos, m), c in v.items():
-            cols[pos][m] = c
-        polys = [ring.reduce_terms(t) for t in cols]
+        polys = [ring.reduce_terms(t) for t in _vec_to_rows(v, rank)]
         if all(p.is_zero for p in polys):
             continue
         out.append(polys[0] if rank == 1 else polys)
@@ -715,22 +711,11 @@ def groebner_basis(gens, ring):
 
 def normal_form(element, basis, ring):
     """Unique remainder of element against a Gröbner basis."""
-    if isinstance(element, Polynomial):
-        vecs, rank = _as_vectors(list(basis), ring)
-        vec = {(0, m): c for m, c in element.terms.items()}
-    else:
-        vecs, rank = _as_vectors(list(basis) + [element], ring)
-        vecs = vecs[:-1]
-        vec = {}
-        for i, p in enumerate(element):
-            for m, c in p.terms.items():
-                vec[(i, m)] = c
+    vecs, rank = _as_vectors(list(basis) + [element], ring)
+    vec = vecs.pop()
     extra = ring.quotient_extra_vectors(rank)
     red = gb.normal_form(vec, vecs + extra, ring.field, term_over_position(ring.order))
-    cols = [{} for _ in range(rank)]
-    for (pos, m), c in red.items():
-        cols[pos][m] = c
-    polys = [Polynomial(ring, t) for t in cols]
+    polys = [Polynomial(ring, t) for t in _vec_to_rows(red, rank)]
     return polys[0] if isinstance(element, Polynomial) else polys
 
 
@@ -753,30 +738,15 @@ class MatrixGB:
         )
 
     def contains_column(self, col):
-        vec = {}
-        for i, p in enumerate(col):
-            for m, c in p.terms.items():
-                vec[(i, m)] = c
-        return self._gb.contains(vec)
+        return self._gb.contains(_column_to_vec(col))
 
     def normal_form_column(self, col):
-        vec = {}
-        for i, p in enumerate(col):
-            for m, c in p.terms.items():
-                vec[(i, m)] = c
-        red = self._gb.normal_form(vec)
-        out = [{} for _ in range(self.mat.nrows)]
-        for (pos, m), c in red.items():
-            out[pos][m] = c
-        return [Polynomial(self.ring, t) for t in out]
+        red = self._gb.normal_form(_column_to_vec(col))
+        return [Polynomial(self.ring, t) for t in _vec_to_rows(red, self.mat.nrows)]
 
     def lift_column(self, col):
         """x with mat·x = col (mod quotient), or None."""
-        vec = {}
-        for i, p in enumerate(col):
-            for m, c in p.terms.items():
-                vec[(i, m)] = c
-        coeffs = self._gb.lift(vec)
+        coeffs = self._gb.lift(_column_to_vec(col))
         if coeffs is None:
             return None
         return [self.ring.reduce_terms(dict(c)) for c in coeffs]

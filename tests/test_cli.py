@@ -145,6 +145,32 @@ def test_cli_blowup_example_bad_n(capsys, n):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tokens", [
+    ["perfect", "M", "at"],
+    ["local-cohomology", "ring=A", "t=()"],
+    ["tor", "M"],
+    ["relperf", "M"],
+    ["verify-axiom"],
+])
+def test_cli_malformed_command_usage(tmp_path, capsys, tokens):
+    path = tmp_path / "s.pfx"
+    path.write_text(SESSION)
+    code, _out, err = run_cli(capsys, *tokens, "--input", str(path))
+    assert code == 2
+    assert "usage:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_internal_error_exits_2(capsys, monkeypatch):
+    def crash(session, fmt):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("perfx.cli.cmd_roundtrip", crash)
+    code, _out, err = run_cli(capsys, "roundtrip")
+    assert code == 2
+    assert err == "perfx: internal error: RuntimeError: boom\n"
+
+
 BLOWUP_CHI_N2_CSV = (
     "point,chi_classical,chi_nice\n"
     "(0;0),2,1\n"

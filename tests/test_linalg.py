@@ -1,18 +1,12 @@
-"""Backend agreement and correctness of the exact linear algebra kernels."""
+"""Correctness of the exact linear algebra kernels."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from perfx import _linalg_py
 from perfx import linalg
 from perfx.fields import GF, QQ
-
-try:
-    from perfx import _speedups
-except ImportError:
-    _speedups = None
 
 
 def random_matrix(rng, m, n, p=None):
@@ -30,7 +24,7 @@ def frac_rank(rows):
 def test_rank_int_matches_fraction_rank(seed):
     rng = random.Random(seed)
     a = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-    assert _linalg_py.rank_int(a) == frac_rank(a)
+    assert linalg.rank_int(a) == frac_rank(a)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -38,26 +32,12 @@ def test_rank_modp_by_nullity(seed):
     rng = random.Random(100 + seed)
     p = 10007
     a = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), p)
-    rank = _linalg_py.rank_modp(a, p)
-    kernel = _linalg_py.nullspace_modp(a, p)
+    rank = linalg.rank_modp(a, p)
+    kernel = linalg.nullspace_modp(a, p)
     assert rank + len(kernel) == len(a[0])
     for vec in kernel:
         for row in a:
             assert sum(x * v for x, v in zip(row, vec)) % p == 0
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("seed", range(8))
-def test_backends_agree(seed):
-    rng = random.Random(1000 + seed)
-    m, n = rng.randint(1, 10), rng.randint(1, 10)
-    p = rng.choice([5, 97, 2**31 - 1])
-    a = random_matrix(rng, m, n, p)
-    assert _speedups.rank_modp(a, p) == _linalg_py.rank_modp(a, p)
-    assert _speedups.rref_modp(a, p) == _linalg_py.rref_modp(a, p)
-    assert _speedups.nullspace_modp(a, p) == _linalg_py.nullspace_modp(a, p)
-    b = random_matrix(rng, m, n)
-    assert _speedups.rank_int(b) == _linalg_py.rank_int(b)
 
 
 def test_field_dispatch():
