@@ -398,6 +398,15 @@ def _emit(report, fmt, csv_rows=None, csv_header=None):
                 print(",".join(str(x) for x in row))
 
 
+def _required(options, usage, *names):
+    """Value of the first of `names` given as an option, or a usage error."""
+    for name in names:
+        if options.get(name):
+            return options[name]
+    missing = " or ".join(f"{name}=" for name in names)
+    raise ParseError(f"usage: {usage}: missing {missing}")
+
+
 def _points_from_arg(session, text, ring):
     """points=line(y1=s,y2=0; s={0,1,..}) or {(a,b),(c,d)} or names."""
     text = text.strip()
@@ -525,14 +534,15 @@ def cmd_tor(session, tokens, args, fmt):
 
 
 def cmd_chi_scan(session, options, args, fmt):
-    kind, carrier = _scan_carrier(session, options)
+    usage = "chi-scan family=X|map=f|ring=A [sheaf=O(1)] points=..."
+    kind, carrier = _scan_carrier(session, options, usage)
     base = carrier.base if kind == "family" else carrier.source
     sheaf_txt = options.get("sheaf", "O(1)")
     if isinstance(carrier, ProjectiveFamily) and sheaf_txt.startswith("O("):
         sheaf = carrier.twist(int(sheaf_txt[2:-1]))
     else:
         _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
-    points = _points_from_arg(session, options["points"], base)
+    points = _points_from_arg(session, _required(options, usage, "points"), base)
     pushed, _rep = push(carrier, sheaf)
     rows = []
     values = []
@@ -546,24 +556,32 @@ def cmd_chi_scan(session, options, args, fmt):
     return 0 if constant else 1
 
 
-def _scan_carrier(session, options):
+def _scan_carrier(session, options, usage):
     if options.get("ring"):
         ring = session.ring_of(options["ring"])
         return "map", RingMap.identity(ring)
-    carrier_name = options.get("family") or options.get("map")
+    carrier_name = _required(options, usage, "family", "map", "ring")
     return session.lookup(carrier_name, ("family", "map"))
 
 
-def cmd_hp_scan(session, options, args, fmt):
-    kind, carrier = _scan_carrier(session, options)
+def _scan_inputs(session, options, usage):
+    """(carrier, sheaf, p, points) of an hp-scan or grauert command."""
+    kind, carrier = _scan_carrier(session, options, usage)
     base = carrier.base if kind == "family" else carrier.source
-    sheaf_txt = options.get("sheaf") or options.get("module")
+    sheaf_txt = _required(options, usage, "sheaf", "module")
     if kind == "family" and sheaf_txt.startswith("O("):
         sheaf = carrier.twist(int(sheaf_txt[2:-1]))
     else:
         _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
     p = int(options.get("p", 0))
-    points = _points_from_arg(session, options["points"], base)
+    points = _points_from_arg(session, _required(options, usage, "points"), base)
+    return carrier, sheaf, p, points
+
+
+def cmd_hp_scan(session, options, args, fmt):
+    carrier, sheaf, p, points = _scan_inputs(
+        session, options, "hp-scan family=X|map=f|ring=A sheaf=M [p=N] points=..."
+    )
     result = hp_scan(carrier, sheaf, p, points, seed=args.seed)
     rows = [
         (str(y).replace(", ", ";"), p, v, "pass" if result["audit_pass"] else "fail")
@@ -579,15 +597,9 @@ def cmd_hp_scan(session, options, args, fmt):
 
 
 def cmd_grauert(session, options, args, fmt):
-    kind, carrier = _scan_carrier(session, options)
-    base = carrier.base if kind == "family" else carrier.source
-    sheaf_txt = options.get("sheaf") or options.get("module")
-    if kind == "family" and sheaf_txt.startswith("O("):
-        sheaf = carrier.twist(int(sheaf_txt[2:-1]))
-    else:
-        _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
-    p = int(options.get("p", 0))
-    points = _points_from_arg(session, options["points"], base)
+    carrier, sheaf, p, points = _scan_inputs(
+        session, options, "grauert family=X|map=f|ring=A sheaf=M [p=N] points=..."
+    )
     reduced = options.get("reduced", "yes") != "no"
     result = grauert_check(carrier, sheaf, p, points, reduced=reduced)
     report = {k: str(v) for k, v in result.items() if k != "locally_free_witness"}
@@ -598,10 +610,11 @@ def cmd_grauert(session, options, args, fmt):
 
 
 def cmd_local_cohomology(session, options, args, fmt):
-    ring = session.ring_of(options["ring"])
-    elements = _split_top(options["t"].strip("()"))
+    usage = "local-cohomology ring=R t=(f1, ..) [n=M]"
+    ring = session.ring_of(_required(options, usage, "ring"))
+    elements = _split_top(_required(options, usage, "t").strip("()"))
     if not elements:
-        raise ParseError("usage: local-cohomology ring=R t=(f1, ..) [n=M]: t is empty")
+        raise ParseError(f"usage: {usage}: t is empty")
     target_name = options.get("n", "")
     if target_name:
         _, target = session.lookup(target_name, ("module", "complex"))
@@ -633,12 +646,13 @@ def cmd_local_cohomology(session, options, args, fmt):
 
 
 def cmd_relperf(session, tokens, options, args, fmt):
+    usage = "relperf E over f points=... [mode=...]"
     if len(tokens) < 3 or tokens[1] != "over":
-        raise ParseError("usage: relperf E over f points=... [mode=...]")
+        raise ParseError(f"usage: {usage}")
     name = tokens[0]
     _, target = session.lookup(name, ("module", "complex"))
     _, ringmap = session.lookup(tokens[2], ("map",))
-    points = _points_from_arg(session, options["points"], ringmap.source)
+    points = _points_from_arg(session, _required(options, usage, "points"), ringmap.source)
     mode = options.get("mode", "auto")
     report = is_relatively_perfect(target, ringmap, points, mode=mode, max_depth=args.depth)
     payload = {
@@ -659,10 +673,11 @@ def cmd_relperf(session, tokens, options, args, fmt):
 
 
 def cmd_verify_axiom(session, tokens, options, args, fmt):
+    usage = "verify-axiom AXIOM diagram=D"
     if not tokens:
-        raise ParseError("usage: verify-axiom AXIOM diagram=D")
+        raise ParseError(f"usage: {usage}")
     which = tokens[0]
-    _, entry = session.lookup(options["diagram"], ("diagram",))
+    _, entry = session.lookup(_required(options, usage, "diagram"), ("diagram",))
     results = run_axiom_battery(entry, axioms=(which.upper(),), depth=args.depth)
     report = results[which.upper()]
     payload = {
@@ -677,9 +692,10 @@ def cmd_verify_axiom(session, tokens, options, args, fmt):
 
 
 def cmd_transfer(session, options, args, fmt):
-    ring = session.ring_of(options["ring"])
-    elements = _split_top(options["t"].strip("()"))
-    _, target = session.lookup(options["n"], ("module", "complex"))
+    usage = "transfer-check ring=R t=(f1, ..) n=M [i=N]"
+    ring = session.ring_of(_required(options, usage, "ring"))
+    elements = _split_top(_required(options, usage, "t").strip("()"))
+    _, target = session.lookup(_required(options, usage, "n"), ("module", "complex"))
     index = int(options.get("i", 0))
     result = boundedness_transfer_check(ring, elements, target, index, max_stage=args.max_stage)
     _emit(result, fmt)

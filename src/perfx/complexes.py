@@ -17,8 +17,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .modules import ModulePresentation, _column_degrees
-from .rings import Mat, syzygy_matrix
+from .groebner import mono_divides, mono_mul
+from .rings import Mat
 
 ZERO_BELOW = "zero"
 EXACT_BELOW = "exact"
@@ -159,30 +159,9 @@ class FreeComplex:
 
     def homology(self, i):
         """H^i as a ModulePresentation (quotient-ring aware)."""
-        floor = self.homology_floor()
-        if i < floor:
-            if self.tail == ZERO_BELOW:
-                return ModulePresentation.zero(self.ring)
-            raise ValueError(
-                f"homology at {i} not determined below degree {floor} (tail {self.tail})"
-            )
-        if self.rank(i) == 0:
-            return ModulePresentation.zero(self.ring)
-        d_i = self.diff(i)
-        if self.rank(i + 1) == 0:
-            kernel = Mat.identity(self.ring, self.rank(i))
-        else:
-            kernel = syzygy_matrix(d_i)
-        if kernel.ncols == 0:
-            return ModulePresentation.zero(self.ring)
-        d_prev = self.diff(i - 1)
-        combined = kernel.hstack(d_prev) if d_prev.ncols else kernel
-        rel_all = syzygy_matrix(combined)
-        relations = rel_all.select_rows(range(kernel.ncols))
-        degrees = None
-        if self.degrees is not None:
-            degrees = _column_degrees(kernel, self.degrees[i])
-        return ModulePresentation(self.ring, kernel.ncols, relations, degrees)
+        from .resolutions import homology_data
+
+        return homology_data(self, i)[4]
 
     def fiber_dims(self, point, lo=None, hi=None):
         """Homology dimensions of the complex evaluated at a point.
@@ -650,8 +629,6 @@ class StageTower:
 
 def standard_monomials(ring, degree):
     """Monomial basis of the degree-d piece of the (quotient) ring."""
-    from .groebner import mono_divides
-
     lts = [q.leading_monomial() for q in ring.quotient_gb]
     return [
         m
@@ -696,7 +673,7 @@ def strand(complex_, d):
                     continue
                 prod = ring.reduce_terms(
                     {
-                        _mono_mul(mono, em): ec
+                        mono_mul(mono, em): ec
                         for em, ec in entry.terms.items()
                     }
                 )
@@ -706,10 +683,6 @@ def strand(complex_, d):
                         rows[row][col] = field.add(rows[row][col], pc)
         mats[i] = rows
     return dims, mats
-
-
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def strand_homology_dims(complex_, d, lo=None, hi=None):

@@ -38,7 +38,7 @@ from .resolutions import (
     module_tensor_complex,
     to_free_complex,
 )
-from .rings import Mat, PolyRing, Polynomial, RationalPoint
+from .rings import Mat, PolyRing, Polynomial, RationalPoint, monomials_of_degree
 
 
 # -- derived pullback -------------------------------------------------------
@@ -259,24 +259,6 @@ def _as_ambient_fp(fam, e):
     return FPComplex(t, terms, maps, check=False)
 
 
-def _fiber_monomials(k, d):
-    if d < 0:
-        return []
-    if k == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, k)
-    return out
-
-
 def relative_strand(complex_, base, fiber_count, d=0):
     """Degree-d strand in the fiber variables, as a complex over the base.
 
@@ -291,7 +273,7 @@ def relative_strand(complex_, base, fiber_count, d=0):
         basis = []
         degs = complex_.degrees[i]
         for j in range(complex_.rank(i)):
-            for mono in _fiber_monomials(fiber_count, d - degs[j]):
+            for mono in monomials_of_degree(fiber_count, d - degs[j]):
                 basis.append((j, mono))
         bases[i] = basis
     ranks = {i: len(b) for i, b in bases.items() if b}

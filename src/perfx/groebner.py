@@ -2,11 +2,17 @@
 
 A vector is a dict mapping terms (position, exponent-tuple) to nonzero
 field elements.  The engine is deliberately order-agnostic: callers
-hand in a term key function (see orders.py).  Syzygies are computed by
-the component-elimination trick: tag each generator with a unit vector
-in a trailing block of positions, take a Gröbner basis for an order
-where the leading block dominates, and read off the basis elements
-supported entirely in the trailing block.
+hand in a term key function (see orders.py).  A `_Basis` holds the
+reduction data of a list of vectors and is built once by whoever owns
+the list; `reduce_vector` takes normal forms against it.
+
+Syzygies are computed by the component-elimination trick: tag each
+generator with a unit vector in a trailing block of positions, take a
+Gröbner basis for an order where the leading block dominates, and read
+off the basis elements supported entirely in the trailing block.
+`ModuleGB` answers membership and normal forms from the plain
+term-over-position basis of the generators and builds the tagged basis
+only when `lift` first needs it.
 
 Quotient rings never appear here; rings.py appends the quotient ideal
 times each basis vector before calling in.
@@ -56,24 +62,30 @@ def leading_term(vec, key):
 
 
 class _Basis:
-    """Growing basis with cached leading data, grouped by position.
+    """Reduction data of a list of nonzero vectors, grouped by position.
 
     Elements are stored monic; `tails` holds each element without its
-    leading term, which is what a reduction step subtracts.
+    leading term, which is what a reduction step subtracts.  The basis
+    keeps the vectors it is given (scaled copies where they are not
+    monic); nothing here mutates them.
     """
 
     __slots__ = ("field", "key", "elements", "tails", "lts", "by_pos")
 
-    def __init__(self, field, key):
+    def __init__(self, field, key, elements=()):
         self.field = field
         self.key = key
         self.elements = []
         self.tails = []
         self.lts = []
         self.by_pos = {}
+        for vec in elements:
+            self.add(vec)
 
-    def add(self, vec):
-        lt = leading_term(vec, self.key)
+    def add(self, vec, lt=None):
+        """Append vec; `lt` is its leading term when the caller knows it."""
+        if lt is None:
+            lt = leading_term(vec, self.key)
         lc = vec[lt]
         if lc != self.field.one:
             vec = vec_scale(vec, self.field.inv(lc), self.field)
@@ -105,7 +117,7 @@ def reduce_vector(vec, basis):
     dict.  A term that cancels leaves its heap entry behind, and that
     stale entry is skipped when it comes up.  Every term a reduction
     step adds is smaller than the term it removes, so the remainder is
-    built in descending term order.
+    built in descending term order: its first term is its leading term.
     """
     field, key = basis.field, basis.key
     fadd, fmul, zero = field.add, field.mul, field.zero
@@ -172,8 +184,8 @@ def buchberger(gens, field, key):
     """
     basis = _Basis(field, key)
     pairs = []
-    for g in sorted((g for g in gens if g), key=lambda v: key(leading_term(v, key))):
-        _add_with_pairs(basis, dict(g), pairs)
+    for lt, g in _by_leading_term(gens, key):
+        _add_with_pairs(basis, g, lt, pairs)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         if _pair_redundant(basis, i, j):
@@ -192,12 +204,19 @@ def buchberger(gens, field, key):
         s = _spair(basis, i, j)
         r = reduce_vector(s, basis)
         if r:
-            _add_with_pairs(basis, r, pairs)
+            _add_with_pairs(basis, r, next(iter(r)), pairs)
     return interreduce(basis.elements, field, key)
 
 
-def _add_with_pairs(basis, vec, pairs):
-    idx = basis.add(vec)
+def _by_leading_term(vecs, key):
+    """(leading term, vec) for the nonzero vecs, ascending by leading term."""
+    pairs = [(leading_term(v, key), v) for v in vecs if v]
+    pairs.sort(key=lambda p: key(p[0]))
+    return pairs
+
+
+def _add_with_pairs(basis, vec, lt, pairs):
+    idx = basis.add(vec, lt)
     pos = basis.lts[idx][0]
     for other in basis.by_pos[pos]:
         if other == idx:
@@ -240,32 +259,17 @@ def interreduce(elements, field, key):
     reduced basis, sorted by ascending leading term.  The input must be
     a Gröbner basis: only then does the scan keep the module it spans.
     """
-    elems = [e for e in elements if e]
-    elems.sort(key=lambda v: key(leading_term(v, key)))
-    kept = []
-    kept_lts = []
-    for e in elems:
-        pos, mono = leading_term(e, key)
-        if any(p == pos and mono_divides(m, mono) for (p, m) in kept_lts):
-            continue
-        kept.append(e)
-        kept_lts.append((pos, mono))
     basis = _Basis(field, key)
-    for e in kept:
-        basis.add(e)
+    for lt, e in _by_leading_term(elements, key):
+        pos, mono = lt
+        if not any(mono_divides(basis.lts[i][1], mono) for i in basis.by_pos.get(pos, ())):
+            basis.add(e, lt)
     out = []
     for lt, tail in zip(basis.lts, basis.tails):
         vec = {lt: field.one}
         vec.update(reduce_vector(tail, basis))
         out.append(vec)
     return out
-
-
-def normal_form(vec, gb, field, key):
-    basis = _Basis(field, key)
-    for g in gb:
-        basis.add(dict(g))
-    return reduce_vector(dict(vec), basis)
 
 
 def elimination_key(rank, ring_key):
@@ -313,35 +317,28 @@ def syzygy_basis(gens, rank, nvars, field, ring_key, extra=()):
 class ModuleGB:
     """Gröbner data for a list of generators of a submodule of R^rank.
 
-    Supports canonical normal forms, membership, and lifting vectors to
-    coordinate representations in terms of the tagged generators.
+    Membership and canonical normal forms use the reduced
+    term-over-position basis `plain_gb` of gens + extra, computed
+    directly.  Lifting vectors to coefficients over the generators needs
+    the tagged elimination basis, which the first `lift` call builds.
+    Both bases are reduced, so `plain_gb` is exactly the projection of
+    the tagged one to R^rank, interreduced.
     """
 
     def __init__(self, gens, rank, nvars, field, ring_key, extra=()):
+        self.gens = gens
+        self.extra = extra
         self.rank = rank
         self.nvars = nvars
         self.field = field
         self.ring_key = ring_key
-        self.ngens = len(gens)
-        self.key = elimination_key(rank, ring_key)
-        self.aug_gb = buchberger(_tagged(gens, rank, nvars, field, extra), field, self.key)
-        self._aug_basis = _Basis(field, self.key)
-        for g in self.aug_gb:
-            self._aug_basis.add(dict(g))
-        # plain basis for normal forms in R^rank
-        plain = [
-            {t: c for t, c in g.items() if t[0] < rank}
-            for g in self.aug_gb
-            if any(t[0] < rank for t in g)
-        ]
-        mkey = lambda term: (ring_key(term[1]), -term[0])
-        self.plain_gb = interreduce(plain, field, mkey)
-        self._plain_basis = _Basis(field, mkey)
-        for g in self.plain_gb:
-            self._plain_basis.add(dict(g))
+        key = lambda term: (ring_key(term[1]), -term[0])
+        self.plain_gb = buchberger(list(gens) + list(extra), field, key)
+        self.basis = _Basis(field, key, self.plain_gb)
+        self._tagged_basis = None
 
     def normal_form(self, vec):
-        return reduce_vector(dict(vec), self._plain_basis)
+        return reduce_vector(vec, self.basis)
 
     def contains(self, vec):
         return not self.normal_form(vec)
@@ -352,11 +349,14 @@ class ModuleGB:
         Returns a list of poly-dicts c with vec = sum_i c[i] * gens[i]
         (modulo the extra block).
         """
-        work = {(pos, mono): c for (pos, mono), c in vec.items()}
-        rem = reduce_vector(work, self._aug_basis)
+        if self._tagged_basis is None:
+            key = elimination_key(self.rank, self.ring_key)
+            tagged = _tagged(self.gens, self.rank, self.nvars, self.field, self.extra)
+            self._tagged_basis = _Basis(self.field, key, buchberger(tagged, self.field, key))
+        rem = reduce_vector(vec, self._tagged_basis)
         if any(pos < self.rank for (pos, _m) in rem):
             return None
-        coeffs = [{} for _ in range(self.ngens)]
+        coeffs = [{} for _ in self.gens]
         for (pos, mono), c in rem.items():
             coeffs[pos - self.rank][mono] = self.field.neg(c)
         return coeffs

@@ -121,6 +121,13 @@ class RingMap:
             gens.append(_relift(q, ring, len(tvars)))
         return ring, gens, len(tvars)
 
+    def _combined_gb(self):
+        """The combined ring, the Gröbner basis of its ideal, and the
+        number of target variables."""
+        ring, gens, ntv = self._combined()
+        vecs = [{(0, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero]
+        return ring, gb.buchberger(vecs, ring.field, ring.module_key), ntv
+
     def finiteness(self):
         """(is_finite, basis monomials of the target over the source).
 
@@ -129,12 +136,8 @@ class RingMap:
         """
         if self._finite_cache is not None:
             return self._finite_cache
-        ring, gens, ntv = self._combined()
-        vecs = [{(0, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero]
-        from .orders import term_over_position
-
-        basis = gb.buchberger(vecs, ring.field, term_over_position(ring.order))
-        lms = [max(v, key=lambda t: ring.order.key(t[1]))[1] for v in basis]
+        ring, basis, ntv = self._combined_gb()
+        lms = [gb.leading_term(v, ring.module_key)[1] for v in basis]
         box = [None] * ntv
         tfree_lms = []
         for m in lms:
@@ -171,14 +174,7 @@ class RingMap:
 
     def _rewrite_data(self):
         if self._rewrite_cache is None:
-            ring, gens, ntv = self._combined()
-            vecs = [
-                {(0, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero
-            ]
-            from .orders import term_over_position
-
-            gbasis = gb.buchberger(vecs, ring.field, term_over_position(ring.order))
-            self._rewrite_cache = (ring, gbasis, ntv)
+            self._rewrite_cache = self._combined_gb()
         return self._rewrite_cache
 
     def rewrite_to_source(self, element):
@@ -188,10 +184,8 @@ class RingMap:
         """
         basis = self.module_basis()
         ring, gbasis, ntv = self._rewrite_data()
-        from .orders import term_over_position
-
         lifted = {(0, m + (0,) * (ring.nvars - ntv)): c for m, c in element.terms.items()}
-        red = gb.normal_form(lifted, gbasis, ring.field, term_over_position(ring.order))
+        red = gb.reduce_vector(lifted, gb._Basis(ring.field, ring.module_key, gbasis))
         out = {}
         for (_pos, m), c in red.items():
             u_part, t_part = m[:ntv], m[ntv:]

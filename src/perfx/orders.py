@@ -95,14 +95,3 @@ def term_over_position(ring_order):
 
     return key
 
-
-def position_over_term(ring_order):
-    """Module order: position 0 dominates; used for elimination."""
-
-    rkey = ring_order.key
-
-    def key(term):
-        pos, mono = term
-        return (-pos, rkey(mono))
-
-    return key

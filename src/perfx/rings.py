@@ -2,10 +2,10 @@
 
 Elements of a quotient ring are stored as canonical normal forms in
 the ambient polynomial ring (reduction against the interreduced
-Gröbner basis of the quotient ideal happens on construction and after
-every product), so equality is plain dict comparison.  Matrices are
-dense and small; columns convert to the raw vector dicts the Buchberger
-engine consumes.
+Gröbner basis of the quotient ideal, whose reduction data the ring
+builds once, happens on construction and after every product), so
+equality is plain dict comparison.  Matrices are dense and small;
+columns convert to the raw vector dicts the Buchberger engine consumes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ class PolyRing:
             raise ValueError("one weight per variable")
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._key = order.key
+        # the term-over-position order on free modules over this ring
+        self.module_key = term_over_position(order)
         self.quotient_gb = ()  # set before coercion so parsing sees a plain ring
         if quotient:
             raw = []
@@ -36,7 +38,8 @@ class PolyRing:
                 q = self.ambient_coerce(q)
                 if q.terms:
                     raw.append({(0, m): c for m, c in q.terms.items()})
-            basis = gb.buchberger(raw, field, term_over_position(order))
+            basis = gb.buchberger(raw, field, self.module_key)
+            self._quotient_basis = gb._Basis(field, self.module_key, basis)
             self.quotient_gb = tuple(
                 Polynomial(self.ambient, {m: c for (_p, m), c in v.items()})
                 for v in basis
@@ -100,12 +103,7 @@ class PolyRing:
         if not self.quotient_gb or not terms:
             return Polynomial(self, terms)
         vec = {(0, m): c for m, c in terms.items()}
-        red = gb.normal_form(
-            vec,
-            [{(0, m): c for m, c in q.terms.items()} for q in self.quotient_gb],
-            self.field,
-            term_over_position(self.order),
-        )
+        red = gb.reduce_vector(vec, self._quotient_basis)
         return Polynomial(self, {m: c for (_p, m), c in red.items()})
 
     def parse(self, text):
@@ -174,21 +172,27 @@ class PolyRing:
         """
         if any(w != 1 for w in self.weights):
             raise ValueError("monomial enumeration needs all weights equal to 1")
-        if d < 0:
-            return []
-        if self.nvars == 0:
-            return [()] if d == 0 else []
-        out = []
+        return monomials_of_degree(self.nvars, d)
 
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(prefix + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + (e,), remaining - e, slots - 1)
 
-        rec((), d, self.nvars)
-        return out
+def monomials_of_degree(nvars, d):
+    """All exponent tuples of length nvars and total degree d, in
+    ascending tuple order."""
+    if d < 0:
+        return []
+    if nvars == 0:
+        return [()] if d == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), d, nvars)
+    return out
 
 
 class Polynomial:
@@ -696,8 +700,7 @@ def groebner_basis(gens, ring):
         return []
     vecs, rank = _as_vectors(gens, ring)
     extra = ring.quotient_extra_vectors(rank)
-    key = term_over_position(ring.order)
-    basis = gb.buchberger(vecs + extra, ring.field, key)
+    basis = gb.buchberger(vecs + extra, ring.field, ring.module_key)
     # The interreduced combined basis is already entrywise reduced mod
     # the quotient; reduce_terms only zeroes out the pure quotient part.
     out = []
@@ -714,7 +717,7 @@ def normal_form(element, basis, ring):
     vecs, rank = _as_vectors(list(basis) + [element], ring)
     vec = vecs.pop()
     extra = ring.quotient_extra_vectors(rank)
-    red = gb.normal_form(vec, vecs + extra, ring.field, term_over_position(ring.order))
+    red = gb.reduce_vector(vec, gb._Basis(ring.field, ring.module_key, vecs + extra))
     polys = [Polynomial(ring, t) for t in _vec_to_rows(red, rank)]
     return polys[0] if isinstance(element, Polynomial) else polys
 
@@ -764,8 +767,7 @@ class MatrixGB:
 
     def leading_terms(self):
         """Leading (position, monomial) pairs of the module GB."""
-        key = lambda t: (self.ring.order.key(t[1]), -t[0])
-        return [max(g, key=key) for g in self._gb.plain_gb]
+        return list(self._gb.basis.lts)
 
 
 def syzygy_matrix(mat):

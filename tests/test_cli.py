@@ -151,6 +151,15 @@ def test_cli_blowup_example_bad_n(capsys, n):
     ["tor", "M"],
     ["relperf", "M"],
     ["verify-axiom"],
+    # a required option left out
+    ["hp-scan"],
+    ["chi-scan"],
+    ["grauert"],
+    ["local-cohomology"],
+    ["transfer-check"],
+    ["verify-axiom", "A1"],
+    ["hp-scan", "ring=A", "p=0"],
+    ["relperf", "OB", "over", "f"],
 ])
 def test_cli_malformed_command_usage(tmp_path, capsys, tokens):
     path = tmp_path / "s.pfx"
@@ -159,6 +168,7 @@ def test_cli_malformed_command_usage(tmp_path, capsys, tokens):
     assert code == 2
     assert "usage:" in err
     assert "Traceback" not in err
+    assert "None" not in err
 
 
 def test_cli_internal_error_exits_2(capsys, monkeypatch):
@@ -181,21 +191,54 @@ BLOWUP_CHI_N2_CSV = (
 )
 
 
-def test_cli_blowup_example_independent_of_hash_seed():
-    """The README example prints the same bytes under any PYTHONHASHSEED."""
+def run_under_hash_seeds(*argv):
+    """stdout of `python -m perfx.cli argv` under PYTHONHASHSEED 0 and 1."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "perfx.cli", "example", "blowup-chi", "n=2",
-             "--format", "csv"],
+            [sys.executable, "-m", "perfx.cli", *argv],
             env=env, capture_output=True, timeout=120, check=True,
         )
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_cli_blowup_example_independent_of_hash_seed():
+    """The README example prints the same bytes under any PYTHONHASHSEED."""
+    outputs = run_under_hash_seeds("example", "blowup-chi", "n=2", "--format", "csv")
     assert outputs[0] == outputs[1]
     assert outputs[0].decode() == BLOWUP_CHI_N2_CSV
+
+
+# The README's session file, with the module OB its grauert and relperf
+# examples name.
+README_SESSION = """
+ring A = QQ[t]
+ring B = QQ[t,x] / (x^2 - t)
+map f : A -> B = (t)
+module M on A = coker [[t]]
+module OB on B = free(1)
+complex K on A = koszul(t)
+family X = blowup(QQ, 2)
+point p0 on A = (0)
+diagram D = regression(seed=0, index=3)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["hp-scan", "ring=A", "sheaf=M", "p=0", "points=line(t=s; s={0,1,2,-1,7})",
+     "--format", "csv"],
+    ["relperf", "OB", "over", "f", "points={(0),(1)}", "--format", "json"],
+])
+def test_cli_session_example_independent_of_hash_seed(tmp_path, command):
+    path = tmp_path / "s.pfx"
+    path.write_text(README_SESSION)
+    outputs = run_under_hash_seeds(*command, "--input", str(path))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
 
 
 def test_cli_local_cohomology(tmp_path, capsys):

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from perfx import linalg
 from perfx.fields import GF, QQ
 from perfx.groebner import (
+    ModuleGB,
     _Basis,
+    _tagged,
     buchberger,
     elimination_key,
     interreduce,
@@ -434,12 +436,107 @@ def test_reduce_vector_matches_max_scan_reference(field, order):
             # an arbitrary basis, not a Gröbner basis: the choice of divisor
             # then shows in the remainder
             vecs = [v for v in (random_vector(rng, field, rank, nvars) for _ in range(3)) if v]
-            basis = _Basis(field, key)
-            for v in vecs:
-                basis.add(dict(v))
+            basis = _Basis(field, key, vecs)
             monic = [reference_monic(v, field, key) for v in vecs]
             for _ in range(3):
                 vec = random_vector(rng, field, rank, nvars, nterms=6, max_degree=4)
                 got = reduce_vector(dict(vec), basis)
                 want = reference_reduce(vec, monic, field, key)
                 assert list(got.items()) == list(want.items())
+
+
+# -- ModuleGB and quotient-ring reduction against their former routes ----------
+#
+# reference_eager_module_gb is how ModuleGB used to build its membership basis:
+# the tagged elimination basis, projected to R^rank and interreduced.  The
+# former per-call normal form built a fresh basis for every call and reduced
+# against it, which is what reference_reduce does.
+
+
+def reference_eager_module_gb(gens, rank, nvars, field, ring_key, extra):
+    """(tagged basis, plain basis) by the eager elimination route."""
+    tagged = buchberger(
+        _tagged(gens, rank, nvars, field, extra), field, elimination_key(rank, ring_key)
+    )
+    plain = [
+        {t: c for t, c in g.items() if t[0] < rank}
+        for g in tagged
+        if any(t[0] < rank for t in g)
+    ]
+    key = lambda term: (ring_key(term[1]), -term[0])
+    return tagged, interreduce(plain, field, key)
+
+
+def without_constants(vec):
+    """vec without its degree-0 terms, so that the span is a proper submodule."""
+    return {t: c for t, c in vec.items() if any(t[1])}
+
+
+def reference_lift(vec, tagged, rank, ngens, field, ring_key):
+    rem = reference_reduce(vec, tagged, field, elimination_key(rank, ring_key))
+    if any(pos < rank for (pos, _m) in rem):
+        return None
+    coeffs = [{} for _ in range(ngens)]
+    for (pos, mono), c in rem.items():
+        coeffs[pos - rank][mono] = field.neg(c)
+    return coeffs
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["free", "quotient"])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_module_gb_matches_eager_reference(field, quotient):
+    rng = random.Random(f"{field!r}-{quotient}-module-gb")
+    nvars = 3
+    ring_key = GREVLEX.key
+    key = term_over_position(GREVLEX)
+    for rank in (1, 2, 3):
+        for _ in range(3):
+            gens = [without_constants(random_vector(rng, field, rank, nvars)) for _ in range(3)]
+            extra = []
+            if quotient:
+                ideal = [without_constants(random_vector(rng, field, 1, nvars)) for _ in range(2)]
+                extra = [
+                    {(i, m): c for (_p, m), c in q.items()}
+                    for q in ideal
+                    for i in range(rank)
+                ]
+            mgb = ModuleGB(gens, rank, nvars, field, ring_key, extra)
+            tagged, plain = reference_eager_module_gb(gens, rank, nvars, field, ring_key, extra)
+            assert [list(g.items()) for g in mgb.plain_gb] == [list(g.items()) for g in plain]
+            nonzero = [g for g in gens if g]
+            members = [random_member(rng, field, nonzero, nvars) for _ in range(2)] if nonzero else []
+            others = [
+                random_vector(rng, field, rank, nvars, nterms=5, max_degree=3) for _ in range(3)
+            ]
+            for vec in members + others:
+                got = mgb.normal_form(vec)
+                assert list(got.items()) == list(reference_reduce(vec, plain, field, key).items())
+                assert mgb.lift(vec) == reference_lift(vec, tagged, rank, len(gens), field, ring_key)
+            for vec in members:
+                assert mgb.contains(vec)
+                assert mgb.lift(vec) is not None
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_reduce_terms_matches_per_call_reference(field, order):
+    rng = random.Random(f"{field!r}-{order!r}-quotient-products")
+    names = ["x", "y", "z"]
+    ambient = PolyRing(field, names, order=order)
+    ideal = [ambient.random_poly(rng, nterms=3, homogeneous=2) for _ in range(2)]
+    ring = PolyRing(field, names, order=order, quotient=ideal)
+    qvecs = [{(0, m): c for m, c in q.terms.items()} for q in ring.quotient_gb]
+    key = term_over_position(order)
+    for _ in range(6):
+        a = ring.random_poly(rng, max_degree=3, nterms=4)
+        b = ring.random_poly(rng, max_degree=3, nterms=4)
+        product = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                m = mono_mul(m1, m2)
+                product[m] = field.add(product.get(m, field.zero), field.mul(c1, c2))
+        product = {m: c for m, c in product.items() if c != field.zero}
+        want = reference_reduce({(0, m): c for m, c in product.items()}, qvecs, field, key)
+        got = ring.reduce_terms(product)
+        assert list(got.terms.items()) == [(m, c) for (_p, m), c in want.items()]
+        assert list((a * b).terms.items()) == list(got.terms.items())
