@@ -163,28 +163,35 @@ class FreeComplex:
 
         return homology_data(self, i)[4]
 
+    def fiber_ranks(self, point, lo, hi):
+        """Exact ranks of the differentials d^lo .. d^hi evaluated at a
+        point, as {i: rank}.
+
+        Over QQ, d^(lo-1) and d^(hi+1) are evaluated and ranked too:
+        their modular ranks bound the window's ranks from above (see
+        linalg.complex_ranks), so the window rarely needs elimination
+        over the rationals.  Over GF(p) every rank is exact as it is.
+        """
+        pad = 0 if self.ring.field.char else 1
+        mats = {}
+        for i in range(lo - pad, hi + 1 + pad):
+            m = self.diff(i)
+            mats[i] = m.evaluate(point) if m.nrows and m.ncols else []
+        return linalg.complex_ranks(mats, self.ranks, self.ring.field)
+
     def fiber_dims(self, point, lo=None, hi=None):
         """Homology dimensions of the complex evaluated at a point.
 
         Returns {degree: dim over kappa(point)} on the trustworthy
         window (degrees >= homology floor).
         """
-        field = self.ring.field
         floor = self.homology_floor()
         lo = floor if lo is None else max(lo, floor)
         hi = self.hi if hi is None else hi
-        ranks_of_diff = {}
-        for i in range(lo - 1, hi + 1):
-            m = self.diff(i)
-            if m.nrows == 0 or m.ncols == 0:
-                ranks_of_diff[i] = 0
-            else:
-                ranks_of_diff[i] = linalg.rank(m.evaluate(point), field)
-        out = {}
-        for i in range(lo, hi + 1):
-            h = self.rank(i) - ranks_of_diff.get(i, 0) - ranks_of_diff.get(i - 1, 0)
-            out[i] = h
-        return out
+        if lo > hi:
+            return {}
+        ranks = self.fiber_ranks(point, lo - 1, hi)
+        return {i: self.rank(i) - ranks[i] - ranks[i - 1] for i in range(lo, hi + 1)}
 
     def fiber_euler_characteristic(self, point):
         if not self.is_bounded:
@@ -692,9 +699,7 @@ def strand_homology_dims(complex_, d, lo=None, hi=None):
     floor = complex_.homology_floor()
     lo = floor if lo is None else max(lo, floor)
     hi = complex_.hi if hi is None else hi
-    rk = {}
-    for i, rows in mats.items():
-        rk[i] = linalg.rank(rows, field) if rows and rows[0] else 0
+    rk = linalg.complex_ranks(mats, dims, field)
     out = {}
     for i in range(lo, hi + 1):
         out[i] = dims.get(i, 0) - rk.get(i, 0) - rk.get(i - 1, 0)

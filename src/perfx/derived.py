@@ -26,7 +26,8 @@ from .complexes import (
     unit_complex,
 )
 from .rings import Mat, MatrixGB
-from .linalg import rank as field_rank
+# Unused here; perfbench/test_perfbench.py checks that tracing rebinds this alias.
+from .linalg import rank as field_rank  # noqa: F401
 from .modules import ModulePresentation
 from .resolutions import (
     FPComplex,
@@ -91,17 +92,8 @@ def ext_to_point(module, point, depth):
     """
     resolution = to_free_complex(module, depth + 3)
     d = hom_complex(resolution, unit_complex(resolution.ring))
-    field = resolution.ring.field
-    ranks = {}
-    for i in range(-1, depth + 1):
-        m = d.diff(i)
-        if m.nrows == 0 or m.ncols == 0:
-            ranks[i] = 0
-        else:
-            ranks[i] = field_rank(m.evaluate(point), field)
-    return [
-        d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(depth + 1)
-    ]
+    ranks = d.fiber_ranks(point, -1, depth)
+    return [d.rank(i) - ranks[i] - ranks[i - 1] for i in range(depth + 1)]
 
 
 # -- local cohomology tower -----------------------------------------------
@@ -641,28 +633,20 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
     resolution = to_free_complex(e, max_depth + 3)
     floor_valid = resolution.homology_floor()
     n_start = _min_homology_degree(e) - 2
-    field = ring.field
 
+    tor_dims = resolution.fiber_dims(point)
     if criterion == "tor":
-        dims = resolution.fiber_dims(point)
         def probe(degree):
-            return dims.get(degree, 0)
+            return tor_dims.get(degree, 0)
     elif criterion == "ext":
         d = hom_complex(resolution, unit_complex(ring))
-        ranks = {}
-        for i in range(d.lo, d.hi + 1):
-            m = d.diff(i)
-            if m.nrows == 0 or m.ncols == 0:
-                ranks[i] = 0
-            else:
-                ranks[i] = field_rank(m.evaluate(point), field)
+        ranks = d.fiber_ranks(point, d.lo, d.hi)
         def probe(degree):
             i = -degree  # dim H^{-j}(Hom(V)) = dim H^{j}(V) for field coefficients
             return d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    tor_dims = resolution.fiber_dims(point)
     nonzero = [i for i, v in tor_dims.items() if v]
     amplitude = (min(nonzero), max(nonzero)) if nonzero else None
     global_scope = resolution.tail == ZERO_BELOW

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from . import linalg
 from .complexes import (
     ComplexMap,
     FreeComplex,
@@ -536,21 +535,14 @@ def grauert_check(f_or_fam, e, p, points, reduced=True, pushed=None):
     """
     if pushed is None:
         pushed, _ = push(f_or_fam, e)
-    field = pushed.ring.field
+    in_window = p >= pushed.homology_floor()
     values = {}
     rank_p = {}
     rank_prev = {}
     for y in points:
-        dims = pushed.fiber_dims(y, lo=p, hi=p)
-        values[y] = dims.get(p, 0)
-        for label, store, mat in (
-            ("p", rank_p, pushed.diff(p)),
-            ("prev", rank_prev, pushed.diff(p - 1)),
-        ):
-            if mat.nrows == 0 or mat.ncols == 0:
-                store[y] = 0
-            else:
-                store[y] = linalg.rank(mat.evaluate(y), field)
+        ranks = pushed.fiber_ranks(y, p - 1, p)
+        values[y] = pushed.rank(p) - ranks[p] - ranks[p - 1] if in_window else 0
+        rank_p[y], rank_prev[y] = ranks[p], ranks[p - 1]
     vals = set(values.values())
     if len(vals) > 1:
         breakers = sorted(

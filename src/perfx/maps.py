@@ -131,12 +131,13 @@ class RingMap:
     def finiteness(self):
         """(is_finite, basis monomials of the target over the source).
 
-        Caches the block-order Gröbner computation.  The basis, present
-        only in the finite case, is a spanning set of target monomials.
+        Shares the block-order Gröbner basis with rewrite_to_source.
+        The basis, present only in the finite case, is a spanning set of
+        target monomials.
         """
         if self._finite_cache is not None:
             return self._finite_cache
-        ring, basis, ntv = self._combined_gb()
+        ring, basis, ntv = self._rewrite_data()
         lms = [gb.leading_term(v, ring.module_key)[1] for v in basis]
         box = [None] * ntv
         tfree_lms = []
@@ -173,6 +174,7 @@ class RingMap:
         return basis
 
     def _rewrite_data(self):
+        """`_combined_gb`, computed once per map."""
         if self._rewrite_cache is None:
             self._rewrite_cache = self._combined_gb()
         return self._rewrite_cache

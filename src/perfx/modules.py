@@ -84,9 +84,8 @@ class ModulePresentation:
         if self.ambient_rank == 0:
             return 0
         rows = evaluate_matrix(self.relations, point)
-        if not rows or not rows[0]:
-            return self.ambient_rank
-        return self.ambient_rank - linalg.rank(rows, self.ring.field)
+        dims = {0: self.relations.ncols, 1: self.ambient_rank}
+        return self.ambient_rank - linalg.complex_ranks({0: rows}, dims, self.ring.field)[0]
 
     def graded_dim(self, d):
         """dim over k of the degree-d piece (graded presentations only).

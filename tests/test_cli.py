@@ -241,6 +241,39 @@ def test_cli_session_example_independent_of_hash_seed(tmp_path, command):
     assert outputs[0]
 
 
+# README session commands that rank fibers over QQ, and their output.
+README_SCAN_OUTPUTS = [
+    (["chi-scan", "family=X", "sheaf=O(1)", "points=line(y1=s,y2=0; s={0,1,2,-1,7})"],
+     "values: [1, 1, 1, 1, 1]\n"
+     "constant: True\n"
+     "pass: True\n"
+     "point,p,dim,audit\n"
+     "(0;0),chi,1,constant\n"
+     "(1;0),chi,1,constant\n"
+     "(2;0),chi,1,constant\n"
+     "(-1;0),chi,1,constant\n"
+     "(7;0),chi,1,constant\n"),
+    (["grauert", "map=f", "sheaf=OB", "p=0", "points={(0),(1),(2)}"],
+     "constant: True\n"
+     "value: 2\n"
+     "rank_dp_constant: True\n"
+     "rank_dprev_constant: True\n"
+     "base_change_iso_dims: {(0): 2, (1): 2, (2): 2}\n"
+     "base_change_pass: True\n"
+     "reduced_assumed: True\n"),
+]
+
+
+@pytest.mark.parametrize("command, expected", README_SCAN_OUTPUTS,
+                         ids=[c[0] for c, _ in README_SCAN_OUTPUTS])
+def test_cli_scan_example_pinned_under_hash_seeds(tmp_path, command, expected):
+    path = tmp_path / "s.pfx"
+    path.write_text(README_SESSION)
+    outputs = run_under_hash_seeds(*command, "--input", str(path))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == expected
+
+
 def test_cli_local_cohomology(tmp_path, capsys):
     path = tmp_path / "s.pfx"
     path.write_text("ring R = QQ[x,y]\n")

@@ -2,9 +2,11 @@
 homology presentations and fiber dimensions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from perfx import geometry, linalg
 from perfx.fields import GF, QQ
 from perfx.complexes import (
     ComplexMap,
@@ -22,6 +24,8 @@ from perfx.complexes import (
     two_term,
     unit_complex,
 )
+from perfx.modules import ModulePresentation
+from perfx.resolutions import free_resolution
 from perfx.rings import Mat, PolyRing, RationalPoint
 
 
@@ -212,6 +216,90 @@ def test_fiber_dims_match_koszul_resolution_route(rxy):
             h = t.homology(i)
             via_tensor[i] = h.fiber_dim(pt) if h.ambient_rank else 0
         assert direct == via_tensor
+
+
+# -- fiber dims against per-matrix Bareiss ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def blowup3_pushed():
+    """The pushforward of O(1) on the blow-up of A^3 at the origin, unminimized."""
+    fam = geometry.blowup_family(QQ, 3)
+    pushed, _report = geometry.pushforward_projective(fam, fam.twist(1), minimal=False)
+    return pushed
+
+
+def bareiss_fiber_dims(c, point, lo=None, hi=None):
+    """fiber_dims with every differential ranked by Bareiss on its own."""
+    lo = c.homology_floor() if lo is None else max(lo, c.homology_floor())
+    hi = c.hi if hi is None else hi
+    rk = {i: linalg.rank(c.diff(i).evaluate(point), QQ) for i in range(lo - 1, hi + 1)}
+    return {i: c.rank(i) - rk[i] - rk[i - 1] for i in range(lo, hi + 1)}
+
+
+def large_height_points(ring, rng, count):
+    return [
+        RationalPoint(ring, tuple(Fraction(rng.randint(10**4, 10**6), rng.randint(1, 97))
+                                  for _ in range(ring.nvars)))
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture
+def bareiss_degrees(monkeypatch):
+    """Record the shapes of the matrices ranked by exact elimination."""
+    shapes = []
+    real = linalg.rank
+
+    def counting(rows, field):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return real(rows, field)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fiber_dims_koszul_and_resolutions_match_bareiss(seed):
+    rng = random.Random(70 + seed)
+    rxyz = PolyRing(QQ, ["x", "y", "z"])
+    q = PolyRing(QQ, ["x", "y"], quotient=["x*y"])
+    cases = [
+        (koszul(rxyz, ["x", "y - z^2", "x*z"]),
+         [RationalPoint(rxyz, (0, 0, 0)), RationalPoint(rxyz, (0, 4, 2))]
+         + large_height_points(rxyz, rng, 2)),
+        (free_resolution(ModulePresentation.cyclic(rxyz, ["x^2", "x*y", "z^3"]), 5).complex,
+         [RationalPoint(rxyz, (0, 0, 0)), RationalPoint(rxyz, (0, 3, 0))]
+         + large_height_points(rxyz, rng, 2)),
+        (free_resolution(ModulePresentation.cyclic(q, ["x", "y"]), 4).complex,
+         [RationalPoint(q, (0, 0)),
+          RationalPoint(q, (0, Fraction(rng.randint(10**4, 10**6), 89)))]),
+    ]
+    for c, points in cases:
+        for point in points:
+            assert c.fiber_dims(point) == bareiss_fiber_dims(c, point)
+            assert c.fiber_dims(point, lo=-1, hi=-1) == bareiss_fiber_dims(c, point, -1, -1)
+
+
+def test_fiber_dims_blowup_large_height_points(blowup3_pushed, bareiss_degrees):
+    for point in large_height_points(blowup3_pushed.ring, random.Random(11), 2):
+        dims = blowup3_pushed.fiber_dims(point)
+        assert dims == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+        assert blowup3_pushed.fiber_dims(point, lo=0, hi=0) == {0: 1}
+        assert bareiss_degrees == []
+        assert dims == bareiss_fiber_dims(blowup3_pushed, point)
+        bareiss_degrees.clear()
+
+
+def test_fiber_dims_blowup_origin_falls_back(blowup3_pushed, bareiss_degrees):
+    origin = RationalPoint(blowup3_pushed.ring, (0, 0, 0))
+    dims = blowup3_pushed.fiber_dims(origin)
+    # only d_-2 (60 x 16) and d_-1 (91 x 60) keep homology on both sides
+    assert bareiss_degrees == [(60, 16), (91, 60)]
+    bareiss_degrees.clear()
+    assert dims == {-3: 0, -2: 1, -1: 3, 0: 3, 1: 0, 2: 0}
+    assert dims == bareiss_fiber_dims(blowup3_pushed, origin)
+    assert blowup3_pushed.fiber_dims(origin, lo=0, hi=0) == {0: 3}
 
 
 def test_homology_of_multiplication(rxy):

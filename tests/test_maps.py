@@ -39,6 +39,24 @@ def test_module_basis_and_rewrite(line):
     assert rewrite[(0, 0)] == line.one
 
 
+def test_finiteness_and_rewrite_share_one_combined_gb(line, monkeypatch):
+    calls = []
+    real = RingMap._combined_gb
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RingMap, "_combined_gb", counting)
+    b = PolyRing(QQ, ["t", "x"], quotient=["x^2 - t"])
+    f = RingMap(line, b, ["t"])
+    assert f.is_module_finite()
+    f.rewrite_to_source(b.parse("x^3"))
+    rewrite = f.rewrite_to_source(b.parse("x^3 + x + 1"))
+    assert rewrite[(0, 1)] == line.parse("t + 1")
+    assert len(calls) == 1
+
+
 def test_source_presentation_free_case(line):
     b = PolyRing(QQ, ["t", "x"], quotient=["x^2 - t"])
     f = RingMap(line, b, ["t"])
