@@ -364,8 +364,8 @@ def _ring_literal(ring):
 
 def _matrix_literal(mat):
     rows = []
-    for row in mat.rows:
-        rows.append("[" + ", ".join(str(x) for x in row) + "]")
+    for i in range(mat.nrows):
+        rows.append("[" + ", ".join(str(x) for x in mat.row(i)) + "]")
     return "[" + ", ".join(rows) + "]"
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from . import linalg
 from .groebner import mono_divides, mono_mul
-from .rings import Mat
+from .rings import Mat, dense_rows
 
 ZERO_BELOW = "zero"
 EXACT_BELOW = "exact"
@@ -73,16 +73,12 @@ class FreeComplex:
             for i, m in self.diffs.items():
                 src = self.degrees[i]
                 tgt = self.degrees.get(i + 1, ())
-                for r in range(m.nrows):
-                    for c in range(m.ncols):
-                        p = m.rows[r][c]
-                        if p.is_zero:
-                            continue
-                        d = p.homogeneous_degree()
-                        if d is None or d != src[c] - tgt[r]:
-                            raise ValueError(
-                                f"differential entry at degree {i} not homogeneous"
-                            )
+                for r, c, p in m.entries():
+                    d = p.homogeneous_degree()
+                    if d is None or d != src[c] - tgt[r]:
+                        raise ValueError(
+                            f"differential entry at degree {i} not homogeneous"
+                        )
 
     # -- basic access ----------------------------------------------------
 
@@ -100,21 +96,12 @@ class FreeComplex:
         return self.degrees.get(i, ())
 
     @property
-    def is_graded(self):
-        return self.degrees is not None
-
-    @property
     def is_bounded(self):
         return self.tail == ZERO_BELOW
 
     def homology_floor(self):
         """Lowest degree where homology is determined by the window."""
         return self.lo if self.tail == ZERO_BELOW else self.lo + 1
-
-    def euler_characteristic(self):
-        if not self.is_bounded:
-            raise ValueError("Euler characteristic needs a genuinely bounded complex")
-        return sum((-1 if i % 2 else 1) * r for i, r in self.ranks.items())
 
     def total_rank(self):
         return sum(self.ranks.values())
@@ -220,10 +207,7 @@ class FreeComplex:
             ranks[i] = self.rank(i) + other.rank(i)
         diffs = {}
         for i in set(self.diffs) | set(other.diffs):
-            a, b = self.diff(i), other.diff(i)
-            top = a.hstack(Mat.zero(self.ring, a.nrows, b.ncols))
-            bot = Mat.zero(self.ring, b.nrows, a.ncols).hstack(b)
-            diffs[i] = top.vstack(bot)
+            diffs[i] = self.diff(i).direct_sum(other.diff(i))
         degrees = None
         if self.degrees is not None and other.degrees is not None:
             degrees = {
@@ -275,14 +259,14 @@ def koszul(ring, elements):
     diffs = {}
     for i in range(1, r + 1):
         # d^{-i}: term -i (subsets of size i) -> term -i+1 (size i-1)
-        rows = [[ring.zero] * len(subsets[i]) for _ in range(len(subsets[i - 1]))]
+        entries = []
         for col, s in enumerate(subsets[i]):
             for pos, k in enumerate(s):
-                target = tuple(x for x in s if x != k)
-                row = index[i - 1][target]
-                coeff = elems[k] if pos % 2 == 0 else -elems[k]
-                rows[row][col] = rows[row][col] + coeff
-        diffs[-i] = Mat(ring, rows, ncols=len(subsets[i]))
+                row = index[i - 1][tuple(x for x in s if x != k)]
+                entries.append((row, col, elems[k] if pos % 2 == 0 else -elems[k]))
+        diffs[-i] = Mat.from_entries(
+            ring, len(subsets[i - 1]), len(subsets[i]), entries
+        )
     degrees = None
     degs = [t.homogeneous_degree() for t in elems]
     if all(d is not None for d in degs):
@@ -345,28 +329,21 @@ def tensor(c, d):
         src, tgt = layouts[n], layouts[n + 1]
         if not src or not tgt:
             continue
-        rows = [[ring.zero] * len(src) for _ in range(len(tgt))]
+        entries = []
         for col, (p, q, i, j) in enumerate(src):
             dc = c.diffs.get(p)
             if dc is not None:
-                for r in range(dc.nrows):
-                    entry = dc.rows[r][i]
-                    if entry.is_zero:
-                        continue
+                for r, entry in dc.column_entries(i):
                     row = offsets[n + 1].get((p + 1, q, r, j))
                     if row is not None:
-                        rows[row][col] = rows[row][col] + entry
+                        entries.append((row, col, entry))
             dd = d.diffs.get(q)
             if dd is not None:
-                sign = -1 if p % 2 else 1
-                for s in range(dd.nrows):
-                    entry = dd.rows[s][j]
-                    if entry.is_zero:
-                        continue
+                for s, entry in dd.column_entries(j):
                     row = offsets[n + 1].get((p, q + 1, i, s))
                     if row is not None:
-                        rows[row][col] = rows[row][col] + (entry if sign == 1 else -entry)
-        diffs[n] = Mat(ring, rows, ncols=len(src))
+                        entries.append((row, col, -entry if p % 2 else entry))
+        diffs[n] = Mat.from_entries(ring, len(tgt), len(src), entries)
     degrees = None
     if c.degrees is not None and d.degrees is not None:
         degrees = {
@@ -413,30 +390,22 @@ def hom_complex(c, d):
         src, tgt = layouts[n], layouts.get(n + 1, [])
         if not src or not tgt:
             continue
-        rows = [[ring.zero] * len(src) for _ in range(len(tgt))]
-        sign = -1 if n % 2 else 1
+        entries = []
         for col, (q, i, j) in enumerate(src):
             dd = d.diffs.get(q + n)
             if dd is not None:
-                for s in range(dd.nrows):
-                    entry = dd.rows[s][j]
-                    if entry.is_zero:
-                        continue
+                for s, entry in dd.column_entries(j):
                     row = offsets[n + 1].get((q, i, s))
                     if row is not None:
-                        rows[row][col] = rows[row][col] + entry
+                        entries.append((row, col, entry))
             # precomposition with d_C^{q-1}: lands in Hom(C^{q-1}, D^{q+n})
             dc = c.diffs.get(q - 1)
             if dc is not None:
-                for ip in range(dc.ncols):
-                    entry = dc.rows[i][ip]
-                    if entry.is_zero:
-                        continue
+                for ip, entry in dc.row_entries(i):
                     row = offsets[n + 1].get((q - 1, ip, j))
                     if row is not None:
-                        term = entry if sign == -1 else -entry
-                        rows[row][col] = rows[row][col] + term
-        diffs[n] = Mat(ring, rows, ncols=len(src))
+                        entries.append((row, col, entry if n % 2 else -entry))
+        diffs[n] = Mat.from_entries(ring, len(tgt), len(src), entries)
     degrees = None
     if c.degrees is not None and d.degrees is not None:
         degrees = {
@@ -481,7 +450,7 @@ class ComplexMap:
         for i in range(lo, hi):
             left = self.target.diff(i) * self.component(i)
             right = self.component(i + 1) * self.source.diff(i)
-            if left.rows != right.rows:
+            if left != right:
                 raise ValueError(f"map does not commute with d at degree {i}")
 
     def component(self, i):
@@ -501,14 +470,10 @@ def _map_preserves_grading(phi):
     for i, m in phi.components.items():
         src = c.term_degrees(i)
         tgt = d.term_degrees(i)
-        for r in range(m.nrows):
-            for col in range(m.ncols):
-                p = m.rows[r][col]
-                if p.is_zero:
-                    continue
-                deg = p.homogeneous_degree()
-                if deg is None or deg != src[col] - tgt[r]:
-                    return False
+        for r, col, p in m.entries():
+            deg = p.homogeneous_degree()
+            if deg is None or deg != src[col] - tgt[r]:
+                return False
     return True
 
 
@@ -554,24 +519,18 @@ def tensor_map(phi, psi):
         t_index = {key: idx for idx, key in enumerate(t_layout)}
         if not s_layout or not t_layout:
             continue
-        rows = [[ring.zero] * len(s_layout) for _ in range(len(t_layout))]
+        entries = []
         for col, (p, q, i, j) in enumerate(s_layout):
             mp = phi.component(p)
             mq = psi.component(q)
             if not (mp.nrows and mq.nrows):
                 continue
-            for r in range(mp.nrows):
-                a = mp.rows[r][i]
-                if a.is_zero:
-                    continue
-                for s in range(mq.nrows):
-                    b = mq.rows[s][j]
-                    if b.is_zero:
-                        continue
+            for r, a in mp.column_entries(i):
+                for s, b in mq.column_entries(j):
                     row = t_index.get((p, q, r, s))
                     if row is not None:
-                        rows[row][col] = rows[row][col] + a * b
-        comps[n] = Mat(ring, rows, ncols=len(s_layout))
+                        entries.append((row, col, a * b))
+        comps[n] = Mat.from_entries(ring, len(t_layout), len(s_layout), entries)
     return ComplexMap(src, tgt, comps)
 
 
@@ -670,14 +629,9 @@ def strand(complex_, d):
             continue
         tgt_index = {key: idx for idx, key in enumerate(tgt)}
         m = complex_.diff(i)
-        rows = [[field.zero] * len(src) for _ in range(len(tgt))]
+        acc = {}
         for col, (j, mono) in enumerate(src):
-            if m.ncols == 0:
-                continue
-            for r in range(m.nrows):
-                entry = m.rows[r][j]
-                if entry.is_zero:
-                    continue
+            for r, entry in m.column_entries(j):
                 prod = ring.reduce_terms(
                     {
                         mono_mul(mono, em): ec
@@ -687,8 +641,8 @@ def strand(complex_, d):
                 for pm, pc in prod.terms.items():
                     row = tgt_index.get((r, pm))
                     if row is not None:
-                        rows[row][col] = field.add(rows[row][col], pc)
-        mats[i] = rows
+                        acc[row, col] = field.add(acc.get((row, col), field.zero), pc)
+        mats[i] = dense_rows(len(tgt), len(src), acc.items(), field.zero)
     return dims, mats
 
 
@@ -713,77 +667,90 @@ def minimize(complex_):
     """Split off unit (constant) entries of the differentials.
 
     Gaussian elimination on complexes: homotopy equivalence, preserves
-    homology, fiber dimensions and graded strands.
+    homology, fiber dimensions and graded strands.  The pivot is always
+    the first unit in (degree, row, column) order.  Basis elements keep
+    their original indices as labels until the end, so removing one
+    renumbers nothing and the elimination only visits nonzero entries.
     """
     ring = complex_.ring
     field = ring.field
-    ranks = dict(complex_.ranks)
-    diffs = {
-        i: [list(row) for row in complex_.diff(i).rows] for i in complex_.diffs
-    }
-    degrees = (
-        {i: list(d) for i, d in complex_.degrees.items()}
-        if complex_.degrees is not None
-        else None
-    )
+    # per degree i: cols[i][c] = {r: entry}, rows[i][r] = {c, ...} and
+    # units[i] = {(r, c), ...}, all of d^i's nonzero entries
+    cols, rows, units = {}, {}, {}
+    for i, m in complex_.diffs.items():
+        cols[i], rows[i], units[i] = {}, {}, set()
+        for r, c, p in m.entries():
+            cols[i].setdefault(c, {})[r] = p
+            rows[i].setdefault(r, set()).add(c)
+            if _is_unit(p, field):
+                units[i].add((r, c))
+    removed = {i: set() for i in complex_.ranks}
 
-    def find_pivot():
-        for i in sorted(diffs):
-            m = diffs[i]
-            for r in range(len(m)):
-                for c in range(len(m[0]) if m else 0):
-                    v = m[r][c].constant_value()
-                    if v is not None and v != field.zero:
-                        return i, r, c, v
-        return None
+    def drop_row(i, r):
+        for c in rows.get(i, {}).pop(r, ()):
+            del cols[i][c][r]
+            units[i].discard((r, c))
+
+    def drop_col(i, c):
+        for r in cols.get(i, {}).pop(c, {}):
+            rows[i][r].discard(c)
+            units[i].discard((r, c))
 
     while True:
-        hit = find_pivot()
-        if hit is None:
+        i = next((i for i in sorted(units) if units[i]), None)
+        if i is None:
             break
-        i, r, c, u = hit
-        m = diffs[i]
-        inv = field.inv(u)
-        nrows, ncols = len(m), len(m[0])
-        new = []
-        for a in range(nrows):
-            if a == r:
-                continue
-            row = []
-            for b in range(ncols):
-                if b == c:
-                    continue
-                row.append(m[a][b] - m[a][c].scale(inv) * m[r][b])
-            new.append(row)
-        if new and new[0]:
-            diffs[i] = new
-        else:
-            diffs.pop(i, None)
-        ranks[i] = ranks.get(i, 0) - 1
-        ranks[i + 1] = ranks.get(i + 1, 0) - 1
-        if degrees is not None:
-            degrees[i].pop(c)
-            degrees[i + 1].pop(r)
-        prev = diffs.get(i - 1)
-        if prev is not None:
-            for row_idx in (c,):
-                prev.pop(row_idx)
-            if not prev:
-                diffs.pop(i - 1, None)
-        nxt = diffs.get(i + 1)
-        if nxt is not None:
-            for row in nxt:
-                row.pop(r)
-            if nxt and not nxt[0]:
-                diffs.pop(i + 1, None)
+        r, c = min(units[i])
+        m = cols[i]
+        inv = field.inv(m[c][r].constant_value())
+        pivot_row = {b: m[b][r] for b in rows[i][r] if b != c}
+        scaled = {a: x.scale(inv) for a, x in m[c].items() if a != r}
+        drop_row(i, r)
+        drop_col(i, c)
+        for b, y in pivot_row.items():
+            col = m[b]
+            for a, x in scaled.items():
+                v = col.get(a, ring.zero) - x * y
+                if v.terms:
+                    col[a] = v
+                    rows[i].setdefault(a, set()).add(b)
+                    if _is_unit(v, field):
+                        units[i].add((a, b))
+                    else:
+                        units[i].discard((a, b))
+                elif a in col:
+                    del col[a]
+                    rows[i][a].discard(b)
+                    units[i].discard((a, b))
+        drop_row(i - 1, c)
+        drop_col(i + 1, r)
+        removed[i].add(c)
+        removed[i + 1].add(r)
+    kept = {
+        i: [j for j in range(n) if j not in removed[i]]
+        for i, n in complex_.ranks.items()
+    }
+    final_ranks = {i: len(k) for i, k in kept.items() if k}
     mat_diffs = {}
-    for i, m in diffs.items():
-        if m and m[0]:
-            mat_diffs[i] = Mat(ring, m, ncols=len(m[0]))
-    final_ranks = {i: r for i, r in ranks.items() if r > 0}
+    for i, m in cols.items():
+        if i not in final_ranks or (i + 1) not in final_ranks:
+            continue
+        new_row = {r: k for k, r in enumerate(kept[i + 1])}
+        mat_diffs[i] = Mat.from_entries(ring, len(kept[i + 1]), len(kept[i]), (
+            (new_row[r], k, m[c][r])
+            for k, c in enumerate(kept[i]) if c in m
+            for r in m[c]
+        ))
     final_degrees = None
-    if degrees is not None:
-        final_degrees = {i: tuple(degrees[i]) for i in final_ranks}
+    if complex_.degrees is not None:
+        final_degrees = {
+            i: tuple(complex_.degrees[i][j] for j in kept[i]) for i in final_ranks
+        }
     return FreeComplex(
         ring, final_ranks, mat_diffs, final_degrees, complex_.tail, check=False
     )
+
+
+def _is_unit(p, field):
+    v = p.constant_value()
+    return v is not None and v != field.zero

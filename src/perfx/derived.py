@@ -188,22 +188,10 @@ def _default_sample_points(ring):
 
 def _transition_matrix(ring, transition, n_module, n_complex, i):
     """Ambient matrix of the induced map at complex degree i."""
-    from .complexes import tensor_map, ComplexMap as _CM
-
     if n_module is not None:
-        comp = transition.component(i)
-        amb = n_module.ambient_rank
-        rows = [[ring.zero] * (comp.ncols * amb) for _ in range(comp.nrows * amb)]
-        for r in range(comp.nrows):
-            for c in range(comp.ncols):
-                entry = comp.rows[r][c]
-                if entry.is_zero:
-                    continue
-                for a in range(amb):
-                    rows[r * amb + a][c * amb + a] = entry
-        return Mat(ring, rows, ncols=comp.ncols * amb)
-    identity = _CM.identity(n_complex)
-    return tensor_map(transition, identity).component(i)
+        amb = Mat.identity(ring, n_module.ambient_rank)
+        return transition.component(i).kron(amb)
+    return tensor_map(transition, ComplexMap.identity(n_complex)).component(i)
 
 
 def _in_span(span, column, ring):
@@ -403,17 +391,6 @@ def _presentations_only(stage_data):
         label: {i: d[4] for i, d in stage_data[label].items()}
         for label in ("local", "cech")
     }
-
-
-def _all_statuses(ring, data_a, data_b, n_module, n_complex, idx):
-    out = {}
-    transition = data_a["transition"]
-    for i in idx["local"]:
-        if i not in data_a["local"] or i not in data_b["local"]:
-            continue
-        m_i = _transition_matrix(ring, transition, n_module, n_complex, i)
-        out[i] = _transition_status(ring, data_a["local"][i], data_b["local"][i], m_i)
-    return out
 
 
 def _tower_verdicts(ring, history, n_module, n_complex, idx):

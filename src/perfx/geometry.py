@@ -37,7 +37,14 @@ from .resolutions import (
     module_tensor_complex,
     to_free_complex,
 )
-from .rings import Mat, PolyRing, Polynomial, RationalPoint, monomials_of_degree
+from .rings import (
+    Mat,
+    PolyRing,
+    Polynomial,
+    RationalPoint,
+    embed_poly,
+    monomials_of_degree,
+)
 
 
 # -- derived pullback -------------------------------------------------------
@@ -64,28 +71,19 @@ def restrict_scalars(f, e, check=False):
     terms = {}
     maps = {}
     for i, r in e.ranks.items():
-        block = presentation
-        total = block
-        for _ in range(r - 1):
-            total = total.direct_sum(block)
-        terms[i] = total if r else ModulePresentation.zero(source)
+        # rank 1 shares the presentation, and the Gröbner basis it caches
+        terms[i] = presentation if r == 1 else ModulePresentation(
+            source, r * nb, Mat.identity(source, r).kron(presentation.relations)
+        )
     basis_index = {mono: j for j, mono in enumerate(basis)}
     for i, m in e.diffs.items():
-        r_src, r_tgt = e.rank(i), e.rank(i + 1)
-        rows = [[source.zero] * (r_src * nb) for _ in range(r_tgt * nb)]
-        for s in range(r_tgt):
-            for c in range(r_src):
-                entry = m.rows[s][c]
-                if entry.is_zero:
-                    continue
-                for j, mono in enumerate(basis):
-                    image = entry * e.ring.monomial(mono)
-                    for mono2, coeff in f.rewrite_to_source(image).items():
-                        jj = basis_index[mono2]
-                        rows[s * nb + jj][c * nb + j] = (
-                            rows[s * nb + jj][c * nb + j] + coeff
-                        )
-        maps[i] = Mat(source, rows, ncols=r_src * nb)
+        entries = []
+        for s, c, entry in m.entries():
+            for j, mono in enumerate(basis):
+                image = entry * e.ring.monomial(mono)
+                for mono2, coeff in f.rewrite_to_source(image).items():
+                    entries.append((s * nb + basis_index[mono2], c * nb + j, coeff))
+        maps[i] = Mat.from_entries(source, e.rank(i + 1) * nb, e.rank(i) * nb, entries)
     return FPComplex(source, terms, maps, check=check)
 
 
@@ -134,9 +132,8 @@ class ProjectiveFamily:
         self.fiber_variables = tuple(fiber_variables)
         weights = (0,) * base.nvars + (1,) * len(self.fiber_variables)
         variables = base.variables + self.fiber_variables
-        lifted_quotient = []
-        for q in base.quotient_gb:
-            lifted_quotient.append(_lift_poly(q, variables, base.field, 0, weights, base.order))
+        plain = PolyRing(base.field, variables, base.order, (), weights)
+        lifted_quotient = [embed_poly(q, plain, 0) for q in base.quotient_gb]
         self.ambient = PolyRing(
             base.field, variables, base.order, lifted_quotient, weights
         )
@@ -168,9 +165,6 @@ class ProjectiveFamily:
     def twist(self, d, at=0):
         """The rank-1 free module with a generator of degree -d (O(d))."""
         return FreeComplex.single(self.total, 1, at=at, degrees=(-d,))
-
-    def fiber_vars_in_total(self):
-        return [self.total.var(self.base.nvars + i) for i in range(self.fiber_count)]
 
     def fiber_vars_in_ambient(self):
         return [self.ambient.var(self.base.nvars + i) for i in range(self.fiber_count)]
@@ -208,17 +202,6 @@ def _coerce_into(p, ring):
     return ring.reduce_terms(p.terms)
 
 
-def _lift_poly(p, variables, field, offset, weights, order):
-    terms = {}
-    n = len(variables)
-    for m, c in p.terms.items():
-        mono = [0] * n
-        for i, e in enumerate(m):
-            mono[offset + i] = e
-        terms[tuple(mono)] = c
-    return Polynomial(PolyRing(field, variables, order, (), weights), terms)
-
-
 def blowup_family(base_field, n, name=None):
     """Blow-up of affine n-space at the origin: the Rees family
     Proj A[x_1..x_n] / (y_i x_j - y_j x_i) over A = k[y_1..y_n]."""
@@ -236,25 +219,17 @@ def blowup_family(base_field, n, name=None):
 def _as_ambient_fp(fam, e):
     """A free complex over the total ring as an FPComplex over T."""
     t = fam.ambient
-    rels = [Polynomial(t, r.terms) for r in fam.relations]
+    rels = Mat(t, [[Polynomial(t, r.terms) for r in fam.relations]])
     terms = {}
     maps = {}
     for i, r in e.ranks.items():
         degs = e.degrees[i] if e.degrees is not None else None
-        if not rels:
+        if not rels.ncols:
             terms[i] = ModulePresentation.free(t, r, degs)
             continue
-        rows = [[t.zero] * (r * len(rels)) for _ in range(r)]
-        for j in range(r):
-            for a, rel in enumerate(rels):
-                rows[j][j * len(rels) + a] = rel
-        terms[i] = ModulePresentation(t, r, Mat(t, rows, ncols=r * len(rels)), degs)
+        terms[i] = ModulePresentation(t, r, Mat.identity(t, r).kron(rels), degs)
     for i, m in e.diffs.items():
-        maps[i] = Mat(
-            t,
-            [[Polynomial(t, x.terms) for x in row] for row in m.rows],
-            ncols=m.ncols,
-        )
+        maps[i] = m.map(lambda x: Polynomial(t, x.terms), t)
     return FPComplex(t, terms, maps, check=False)
 
 
@@ -284,14 +259,9 @@ def relative_strand(complex_, base, fiber_count, d=0):
             continue
         tgt_index = {key: idx for idx, key in enumerate(tgt)}
         m = complex_.diff(i)
-        rows = [[base.zero] * len(src) for _ in range(len(tgt))]
+        entries = []
         for col, (j, mono) in enumerate(src):
-            if m.ncols == 0:
-                continue
-            for r in range(m.nrows):
-                entry = m.rows[r][j]
-                if entry.is_zero:
-                    continue
+            for r, entry in m.column_entries(j):
                 acc = {}
                 for em, ec in entry.terms.items():
                     x_part = tuple(em[nb + a] + mono[a] for a in range(fiber_count))
@@ -304,8 +274,8 @@ def relative_strand(complex_, base, fiber_count, d=0):
                         acc[row].get(y_part, base.field.zero), ec
                     )
                 for row, terms in acc.items():
-                    rows[row][col] = rows[row][col] + base.reduce_terms(terms)
-        diffs[i] = Mat(base, rows, ncols=len(src))
+                    entries.append((row, col, base.reduce_terms(terms)))
+        diffs[i] = Mat.from_entries(base, len(tgt), len(src), entries)
     return FreeComplex(base, ranks, diffs, None, complex_.tail)
 
 
@@ -583,17 +553,11 @@ def pushout_ring(f, g):
     variables = b_vars + a2_vars
     field = a.field
     plain = PolyRing(field, variables, a.order)
-
-    def lift_b(p):
-        return _lift_poly(p, variables, field, 0, (1,) * len(variables), a.order)
-
-    def lift_a2(p):
-        return _lift_poly(p, variables, field, len(b_vars), (1,) * len(variables), a.order)
-
-    gens = [lift_b(q) for q in b.quotient_gb]
-    gens += [lift_a2(q) for q in a2.quotient_gb]
+    nb = len(b_vars)
+    gens = [embed_poly(q, plain, 0) for q in b.quotient_gb]
+    gens += [embed_poly(q, plain, nb) for q in a2.quotient_gb]
     for i in range(a.nvars):
-        gens.append(lift_b(f.images[i]) - lift_a2(g.images[i]))
+        gens.append(embed_poly(f.images[i], plain, 0) - embed_poly(g.images[i], plain, nb))
     c = PolyRing(field, variables, a.order, gens)
     to_c_from_b = RingMap(b, c, [c.var(i) for i in range(len(b_vars))])
     to_c_from_a2 = RingMap(a2, c, [c.var(len(b_vars) + i) for i in range(len(a2_vars))])

@@ -12,9 +12,9 @@ the tag component and the target block.
 
 from __future__ import annotations
 
-from .modules import ModulePresentation
+from .modules import ModulePresentation, prune_redundant_columns
 from .orders import BlockOrder, GREVLEX
-from .rings import Mat, PolyRing, Polynomial, RationalPoint
+from .rings import Mat, PolyRing, Polynomial, RationalPoint, embed_poly
 from . import groebner as gb
 
 
@@ -43,11 +43,7 @@ class RingMap:
         return p.substitute(self.images, target=self.target)
 
     def apply_matrix(self, mat):
-        return Mat(
-            self.target,
-            [[self.apply(x) for x in row] for row in mat.rows],
-            ncols=mat.ncols,
-        )
+        return mat.map(self.apply, self.target)
 
     def apply_point(self, point):
         """Image in Spec(source) of a rational point of Spec(target)."""
@@ -114,11 +110,11 @@ class RingMap:
         lift_s = [ring.var(len(tvars) + i) for i in range(len(svars))]
         gens = []
         for q in self.target.quotient_gb:
-            gens.append(_relift(q, ring, 0))
+            gens.append(embed_poly(q, ring, 0))
         for i, im in enumerate(self.images):
-            gens.append(lift_s[i] - _relift(im, ring, 0))
+            gens.append(lift_s[i] - embed_poly(im, ring, 0))
         for q in self.source.quotient_gb:
-            gens.append(_relift(q, ring, len(tvars)))
+            gens.append(embed_poly(q, ring, len(tvars)))
         return ring, gens, len(tvars)
 
     def _combined_gb(self):
@@ -220,25 +216,21 @@ class RingMap:
                 aug.append({(0, m): c for m, c in g.terms.items()})
         key = _restriction_key(ring, ntv)
         basis_gb = gb.buchberger(aug, ring.field, key)
-        rel_cols = []
+        rel_entries = []
+        ncols = 0
         for v in basis_gb:
             if any(pos == 0 for (pos, _m) in v):
                 continue
             if any(any(m[:ntv]) for (_pos, m) in v):
                 continue
-            col = [self.source.zero] * nb
-            for (pos, m), c in v.items():
-                t_mono = m[ntv:]
-                col[pos - 1] = col[pos - 1] + self.source.reduce_terms({t_mono: c})
-            if any(not x.is_zero for x in col):
-                rel_cols.append(col)
-        if rel_cols:
-            rel = Mat.from_columns(self.source, rel_cols, nb)
-            from .modules import prune_redundant_columns
-
+            rel_entries += [
+                (pos - 1, ncols, self.source.reduce_terms({m[ntv:]: c}))
+                for (pos, m), c in v.items()
+            ]
+            ncols += 1
+        rel = Mat.from_entries(self.source, nb, ncols, rel_entries).drop_zero_columns()
+        if rel.ncols:
             rel = prune_redundant_columns(rel)
-        else:
-            rel = Mat.zero(self.source, nb, 0)
         return basis, ModulePresentation(self.source, nb, rel)
 
 
@@ -258,13 +250,3 @@ def _restriction_key(ring, ntv):
 
     return key
 
-
-def _relift(p, ring, offset):
-    """Re-embed a polynomial into the combined ring at a variable offset."""
-    terms = {}
-    for m, c in p.terms.items():
-        mono = [0] * ring.nvars
-        for i, e in enumerate(m):
-            mono[offset + i] = e
-        terms[tuple(mono)] = c
-    return Polynomial(ring, terms)

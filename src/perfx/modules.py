@@ -112,22 +112,13 @@ class ModulePresentation:
     def direct_sum(self, other):
         if other.ring != self.ring:
             raise ValueError("mixed rings")
-        rel = Mat.zero(self.ring, self.ambient_rank + other.ambient_rank,
-                       self.relations.ncols + other.relations.ncols)
-        rows = [list(r) for r in rel.rows]
-        for i in range(self.ambient_rank):
-            for j in range(self.relations.ncols):
-                rows[i][j] = self.relations.rows[i][j]
-        for i in range(other.ambient_rank):
-            for j in range(other.relations.ncols):
-                rows[self.ambient_rank + i][self.relations.ncols + j] = other.relations.rows[i][j]
         degrees = None
         if self.degrees is not None and other.degrees is not None:
             degrees = self.degrees + other.degrees
         return ModulePresentation(
             self.ring,
             self.ambient_rank + other.ambient_rank,
-            Mat(self.ring, rows, ncols=rel.ncols),
+            self.relations.direct_sum(other.relations),
             degrees,
         )
 
@@ -193,10 +184,7 @@ def _column_degrees(mat, row_degrees):
     degs = []
     for j in range(mat.ncols):
         d = None
-        for i in range(mat.nrows):
-            p = mat.rows[i][j]
-            if p.is_zero:
-                continue
+        for i, p in mat.column_entries(j):
             pd = p.homogeneous_degree()
             if pd is None:
                 return None

@@ -75,10 +75,6 @@ class FPComplex:
                         raise ValueError(f"d o d != 0 (mod relations) at {i}")
 
     @classmethod
-    def from_module(cls, module, at=0):
-        return cls(module.ring, {at: module}, {}, check=False)
-
-    @classmethod
     def from_free(cls, complex_):
         terms = {}
         maps = {}
@@ -164,27 +160,11 @@ def free_replacement(fpc, floor, minimal=True):
                     big = big.hstack(b)
             if big is None:
                 # generators: all of C^k gens and all kernel gens
-                xy_cols = []
-                for j in range(g_k):
-                    col = [ring.zero] * (g_k + z.ncols)
-                    col[j] = ring.one
-                    xy_cols.append(col)
-                for j in range(z.ncols):
-                    col = [ring.zero] * (g_k + z.ncols)
-                    col[g_k + j] = ring.one
-                    xy_cols.append(col)
-                sol = (
-                    Mat.from_columns(ring, xy_cols, g_k + z.ncols)
-                    if xy_cols
-                    else Mat.zero(ring, g_k + z.ncols, 0)
-                )
+                sol = Mat.identity(ring, g_k + z.ncols)
             else:
                 syz = syzygy_matrix(big)
-                sol = syz.select_rows(range(g_k + z.ncols))
-            # drop columns with no (x, y) content
-            keep = [j for j in range(sol.ncols) if any(
-                not sol.rows[i][j].is_zero for i in range(sol.nrows))]
-            sol = sol.select_columns(keep)
+                # drop columns with no (x, y) content
+                sol = syz.select_rows(range(g_k + z.ncols)).drop_zero_columns()
             if minimal and sol.ncols > 1:
                 rel_k = fpc.term(k).relations
                 pad = None
@@ -275,13 +255,7 @@ def homology_data(obj, i):
         big = d_i
         if up_rel.ncols:
             big = big.hstack(up_rel)
-        kernel = syzygy_matrix(big).select_rows(range(g))
-        keep = [
-            j
-            for j in range(kernel.ncols)
-            if any(not kernel.rows[r][j].is_zero for r in range(g))
-        ]
-        kernel = kernel.select_columns(keep)
+        kernel = syzygy_matrix(big).select_rows(range(g)).drop_zero_columns()
     if kernel.ncols == 0:
         return g, kernel, d_prev, term_rel, zero_h
     blocks = kernel
@@ -327,28 +301,11 @@ def module_tensor_complex(module, complex_):
                 for b in range(r)
                 for j in range(amb)
             )
-        nrel = module.relations.ncols
-        rel = Mat.zero(ring, r * amb, r * nrel)
-        if nrel:
-            rows = [[ring.zero] * (r * nrel) for _ in range(r * amb)]
-            for b in range(r):
-                for a in range(amb):
-                    for c in range(nrel):
-                        rows[b * amb + a][b * nrel + c] = module.relations.rows[a][c]
-            rel = Mat(ring, rows, ncols=r * nrel)
+        rel = Mat.identity(ring, r).kron(module.relations)
         terms[i] = ModulePresentation(ring, r * amb, rel, degs)
+    ident = Mat.identity(ring, amb)
     for i, m in complex_.diffs.items():
-        r_src = complex_.rank(i)
-        r_tgt = complex_.rank(i + 1)
-        rows = [[ring.zero] * (r_src * amb) for _ in range(r_tgt * amb)]
-        for s in range(r_tgt):
-            for c in range(r_src):
-                entry = m.rows[s][c]
-                if entry.is_zero:
-                    continue
-                for a in range(amb):
-                    rows[s * amb + a][c * amb + a] = entry
-        maps[i] = Mat(ring, rows, ncols=r_src * amb)
+        maps[i] = m.kron(ident)
     return FPComplex(ring, terms, maps, check=False)
 
 

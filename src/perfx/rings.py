@@ -4,8 +4,10 @@ Elements of a quotient ring are stored as canonical normal forms in
 the ambient polynomial ring (reduction against the interreduced
 Gröbner basis of the quotient ideal, whose reduction data the ring
 builds once, happens on construction and after every product), so
-equality is plain dict comparison.  Matrices are dense and small;
-columns convert to the raw vector dicts the Buchberger engine consumes.
+equality is plain dict comparison.  Matrices are sparse: `Mat` keeps
+only the nonzero entries of each column, and this module alone knows
+that layout; columns convert to the raw vector dicts the Buchberger
+engine consumes.
 """
 
 from __future__ import annotations
@@ -135,9 +137,6 @@ class PolyRing:
         gens = list(self.quotient_gb) + [self.ambient_coerce(p) for p in extra]
         return PolyRing(self.field, self.variables, self.order, gens, self.weights)
 
-    def with_order(self, order):
-        return PolyRing(self.field, self.variables, order, self.quotient_gb, self.weights)
-
     def quotient_extra_vectors(self, rank):
         """Quotient ideal times each basis vector, as raw GB vectors."""
         out = []
@@ -173,6 +172,15 @@ class PolyRing:
         if any(w != 1 for w in self.weights):
             raise ValueError("monomial enumeration needs all weights equal to 1")
         return monomials_of_degree(self.nvars, d)
+
+
+def embed_poly(p, ring, offset):
+    """p as an element of `ring`, whose variables from position `offset`
+    on take the place of p's variables."""
+    tail = ring.nvars - offset - p.ring.nvars
+    return Polynomial(ring, {
+        (0,) * offset + m + (0,) * tail: c for m, c in p.terms.items()
+    })
 
 
 def monomials_of_degree(nvars, d):
@@ -278,10 +286,6 @@ class Polynomial:
 
     def weighted_degree(self, mono):
         return sum(e * w for e, w in zip(mono, self.ring.weights))
-
-    def is_homogeneous(self):
-        degs = {self.weighted_degree(m) for m in self.terms}
-        return len(degs) <= 1
 
     def homogeneous_degree(self):
         """Weighted degree if homogeneous and nonzero, else None."""
@@ -446,89 +450,161 @@ def _parse_poly(ring, text):
 
 
 class Mat:
-    """Dense matrix over a PolyRing; rows of Polynomials, immutable."""
+    """Sparse matrix over a PolyRing, immutable.
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    Only nonzero entries are stored: one {row: Polynomial} dict per
+    column, its rows ascending.  No other module reads this layout;
+    they go through the constructors, `entries`, `column_entries` and
+    `row_entries`.  Entries are never mutated after construction, so
+    matrices may share column dicts.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "_cols")
 
     def __init__(self, ring, rows, ncols=None):
-        self.ring = ring
-        coerced = []
-        for row in rows:
-            coerced.append(tuple(_entry(ring, x) for x in row))
-        self.rows = tuple(coerced)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
-        if any(len(r) != self.ncols for r in self.rows):
+        rows = list(rows)
+        ncols = len(rows[0]) if rows else (ncols or 0)
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix")
+        self._init(ring, len(rows), ncols, (
+            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+        ))
+
+    def _init(self, ring, nrows, ncols, entries):
+        cols = [{} for _ in range(ncols)]
+        for i, j, x in entries:
+            col = cols[j]
+            x = _entry(ring, x)
+            col[i] = col[i] + x if i in col else x
+        for j, col in enumerate(cols):
+            keep = {i: col[i] for i in sorted(col) if col[i].terms}
+            if keep and (next(iter(keep)) < 0 or next(reversed(keep)) >= nrows):
+                raise ValueError("row index out of range")
+            cols[j] = keep
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self._cols = cols
+
+    @classmethod
+    def from_entries(cls, ring, nrows, ncols, entries):
+        """Matrix from (row, col, value) triples; values at a repeated
+        position are added in the order given, zero sums are dropped."""
+        mat = cls.__new__(cls)
+        mat._init(ring, nrows, ncols, entries)
+        return mat
+
+    @classmethod
+    def _make(cls, ring, nrows, cols):
+        """Trusted constructor: cols already hold the layout."""
+        mat = cls.__new__(cls)
+        mat.ring = ring
+        mat.nrows = nrows
+        mat.ncols = len(cols)
+        mat._cols = cols
+        return mat
 
     @classmethod
     def zero(cls, ring, nrows, ncols):
-        z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._make(ring, nrows, [{} for _ in range(ncols)])
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(
-            ring,
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-            ncols=n,
-        )
+        one = ring.one
+        return cls._make(ring, n, [{j: one} for j in range(n)])
 
     @classmethod
     def from_columns(cls, ring, cols, nrows):
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-        return cls(ring, rows, ncols=len(cols))
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def column(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def column_vec(self, j):
-        """Column j as a raw Buchberger vector dict."""
-        return _column_to_vec(self.column(j))
-
-    def column_vecs(self):
-        return [self.column_vec(j) for j in range(self.ncols)]
+        """Matrix from dense columns (lists of ring elements)."""
+        if any(len(col) != nrows for col in cols):
+            raise ValueError("ragged matrix")
+        return cls.from_entries(ring, nrows, len(cols), (
+            (i, j, x) for j, col in enumerate(cols) for i, x in enumerate(col)
+        ))
 
     @classmethod
     def from_column_vecs(cls, ring, vecs, nrows):
-        cols = [[ring.reduce_terms(t) for t in _vec_to_rows(v, nrows)] for v in vecs]
-        return cls.from_columns(ring, cols, nrows) if cols else cls.zero(ring, nrows, 0)
+        """Matrix whose columns are raw Buchberger vectors, each
+        position reduced modulo the quotient."""
+        return cls.from_entries(ring, nrows, len(vecs), (
+            (i, j, ring.reduce_terms(t))
+            for j, v in enumerate(vecs)
+            for i, t in _from_vec(v).items()
+        ))
+
+    # -- access --------------------------------------------------------
+
+    @property
+    def rows(self):
+        """Dense read-only view: a tuple of rows of Polynomials."""
+        return tuple(self.row(i) for i in range(self.nrows))
+
+    def row(self, i):
+        z = self.ring.zero
+        return tuple(col.get(i, z) for col in self._cols)
+
+    def column(self, j):
+        col = self._cols[j]
+        z = self.ring.zero
+        return [col.get(i, z) for i in range(self.nrows)]
+
+    def entries(self):
+        """(row, col, entry) for every nonzero entry, column by column."""
+        for j, col in enumerate(self._cols):
+            for i, p in col.items():
+                yield i, j, p
+
+    def column_entries(self, j):
+        """(row, entry) pairs of the nonzero entries of column j."""
+        return self._cols[j].items()
+
+    def row_entries(self, i):
+        """(col, entry) pairs of the nonzero entries of row i."""
+        return [(j, col[i]) for j, col in enumerate(self._cols) if i in col]
+
+    def column_vecs(self):
+        """The columns as raw Buchberger vector dicts."""
+        return [_to_vec(col.items()) for col in self._cols]
+
+    @property
+    def is_zero(self):
+        return not any(self._cols)
+
+    # -- arithmetic and shape ------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            if other.nrows != self.ncols:
-                raise ValueError("shape mismatch")
-            z = self.ring.zero
-            rows = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = z
-                    for k in range(self.ncols):
-                        a = self.rows[i][k]
-                        b = other.rows[k][j]
-                        if a.terms and b.terms:
-                            acc = acc + a * b
-                    row.append(acc)
-                rows.append(row)
-            return Mat(self.ring, rows, ncols=other.ncols)
-        raise TypeError(other)
+        if not isinstance(other, Mat):
+            raise TypeError(other)
+        if other.nrows != self.ncols:
+            raise ValueError("shape mismatch")
+        left = self._cols
+        cols = []
+        for bcol in other._cols:
+            acc = {}
+            for k, b in bcol.items():
+                for i, a in left[k].items():
+                    p = a * b
+                    acc[i] = acc[i] + p if i in acc else p
+            cols.append({i: acc[i] for i in sorted(acc) if acc[i].terms})
+        return Mat._make(self.ring, self.nrows, cols)
 
     def __add__(self, other):
-        return Mat(
-            self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
-        )
+        if (other.nrows, other.ncols) != (self.nrows, self.ncols):
+            raise ValueError("shape mismatch")
+        cols = []
+        for a, b in zip(self._cols, other._cols):
+            col = {}
+            for i in sorted(a.keys() | b.keys()):
+                if i not in b:
+                    col[i] = a[i]
+                elif i not in a:
+                    col[i] = b[i]
+                else:
+                    p = a[i] + b[i]
+                    if p.terms:
+                        col[i] = p
+            cols.append(col)
+        return Mat._make(self.ring, self.nrows, cols)
 
     def __sub__(self, other):
         return self + (-other)
@@ -536,72 +612,110 @@ class Mat:
     def __neg__(self):
         return self.map(lambda p: -p)
 
-    def scale(self, c):
-        return self.map(lambda p: p.scale(c))
-
-    def map(self, fn):
-        return Mat(self.ring, [[fn(x) for x in row] for row in self.rows], ncols=self.ncols)
-
-    def transpose(self):
-        return Mat(
-            self.ring,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
+    def map(self, fn, ring=None):
+        """fn applied to every nonzero entry (fn must send 0 to 0), with
+        the result over `ring` (default: this matrix's ring)."""
+        ring = self.ring if ring is None else ring
+        return Mat.from_entries(
+            ring, self.nrows, self.ncols, ((i, j, fn(p)) for i, j, p in self.entries())
         )
+
+    def kron(self, other):
+        """Kronecker product: entry (i*p + k, j*q + l) is self[i, j] *
+        other[k, l], where other is p x q.  A factor equal to 1 is not
+        multiplied out, so the other factor's entry is kept as it is."""
+        one = self.ring.one
+        p = other.nrows
+        cols = []
+        for a_col in self._cols:
+            for b_col in other._cols:
+                col = {}
+                for i, a in a_col.items():
+                    for k, b in b_col.items():
+                        v = b if a == one else a if b == one else a * b
+                        if v.terms:
+                            col[i * p + k] = v
+                cols.append(col)
+        return Mat._make(self.ring, self.nrows * p, cols)
+
+    def direct_sum(self, other):
+        """Block diagonal matrix [[self, 0], [0, other]]."""
+        n = self.nrows
+        shifted = [{n + i: x for i, x in col.items()} for col in other._cols]
+        return Mat._make(self.ring, n + other.nrows, self._cols + shifted)
 
     def hstack(self, other):
         if other.nrows != self.nrows:
             raise ValueError("row mismatch")
-        return Mat(
-            self.ring,
-            [list(r1) + list(r2) for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
+        return Mat._make(self.ring, self.nrows, self._cols + other._cols)
 
     def vstack(self, other):
         if other.ncols != self.ncols:
             raise ValueError("column mismatch")
-        return Mat(self.ring, list(self.rows) + list(other.rows), ncols=self.ncols)
+        n = self.nrows
+        cols = [
+            {**a, **{n + i: x for i, x in b.items()}}
+            for a, b in zip(self._cols, other._cols)
+        ]
+        return Mat._make(self.ring, n + other.nrows, cols)
 
     def select_columns(self, idxs):
-        return Mat(
-            self.ring,
-            [[row[j] for j in idxs] for row in self.rows],
-            ncols=len(idxs),
-        )
+        return Mat._make(self.ring, self.nrows, [self._cols[j] for j in idxs])
 
     def select_rows(self, idxs):
-        return Mat(self.ring, [self.rows[i] for i in idxs], ncols=self.ncols)
+        idxs = list(idxs)
+        cols = [
+            {k: col[i] for k, i in enumerate(idxs) if i in col} for col in self._cols
+        ]
+        return Mat._make(self.ring, len(idxs), cols)
 
-    @property
-    def is_zero(self):
-        return all(not x.terms for row in self.rows for x in row)
+    def drop_zero_columns(self):
+        """The matrix without its all-zero columns."""
+        if all(self._cols):
+            return self
+        return Mat._make(self.ring, self.nrows, [col for col in self._cols if col])
 
     def evaluate(self, point):
+        """Dense rows of field elements: the entries evaluated at a point."""
         coords = point.coords if isinstance(point, RationalPoint) else point
-        return [[x.evaluate(coords) for x in row] for row in self.rows]
+        return dense_rows(self.nrows, self.ncols, (
+            ((i, j), p.evaluate(coords)) for i, j, p in self.entries()
+        ), self.ring.field.zero)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
-            and self.ring == other.ring
-            and self.rows == other.rows
+            and (self.ring is other.ring or self.ring == other.ring)
+            and self.nrows == other.nrows
             and self.ncols == other.ncols
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.ncols))
+        body = tuple(tuple(col.items()) for col in self._cols)
+        return hash((self.ring, self.nrows, self.ncols, body))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"[{body}]"
 
 
+def dense_rows(nrows, ncols, entries, zero):
+    """Dense rows of a numeric matrix from its ((row, col), value)
+    entries; every other entry is `zero`."""
+    rows = [[zero] * ncols for _ in range(nrows)]
+    for (i, j), v in entries:
+        rows[i][j] = v
+    return rows
+
+
 def _entry(ring, x):
     if isinstance(x, Polynomial):
+        if x.ring is ring:
+            return x
         if x.ring.variables != ring.variables or x.ring.field != ring.field:
             raise ValueError("entry from wrong ring")
-        if x.ring is ring or x.ring == ring:
+        if x.ring == ring:
             return x
         return ring.reduce_terms(x.terms)
     if isinstance(x, str):
@@ -664,17 +778,18 @@ def evaluate_matrix(mat, point):
 # -- ring-level Gröbner API --------------------------------------------
 
 
-def _column_to_vec(col):
-    """A column of Polynomials as a raw {(pos, mono): coeff} vector."""
-    return {(i, m): c for i, p in enumerate(col) for m, c in p.terms.items()}
+def _to_vec(pairs):
+    """(position, Polynomial) pairs as a raw {(pos, mono): coeff} vector."""
+    return {(i, m): c for i, p in pairs for m, c in p.terms.items()}
 
 
-def _vec_to_rows(vec, nrows):
-    """A raw vector split into one {mono: coeff} dict per position."""
-    rows = [{} for _ in range(nrows)]
+def _from_vec(vec):
+    """A raw vector split into {position: {mono: coeff}}, positions
+    ascending; positions without terms are absent."""
+    parts = {}
     for (pos, m), c in vec.items():
-        rows[pos][m] = c
-    return rows
+        parts.setdefault(pos, {})[m] = c
+    return {pos: parts[pos] for pos in sorted(parts)}
 
 
 def _as_vectors(gens, ring):
@@ -685,7 +800,7 @@ def _as_vectors(gens, ring):
         if isinstance(g, Polynomial):
             g = [g]
         rank = max(rank, len(g))
-        vecs.append(_column_to_vec(g))
+        vecs.append(_to_vec(enumerate(g)))
     return vecs, rank
 
 
@@ -705,7 +820,8 @@ def groebner_basis(gens, ring):
     # the quotient; reduce_terms only zeroes out the pure quotient part.
     out = []
     for v in basis:
-        polys = [ring.reduce_terms(t) for t in _vec_to_rows(v, rank)]
+        parts = _from_vec(v)
+        polys = [ring.reduce_terms(parts.get(i, {})) for i in range(rank)]
         if all(p.is_zero for p in polys):
             continue
         out.append(polys[0] if rank == 1 else polys)
@@ -718,7 +834,8 @@ def normal_form(element, basis, ring):
     vec = vecs.pop()
     extra = ring.quotient_extra_vectors(rank)
     red = gb.reduce_vector(vec, gb._Basis(ring.field, ring.module_key, vecs + extra))
-    polys = [Polynomial(ring, t) for t in _vec_to_rows(red, rank)]
+    parts = _from_vec(red)
+    polys = [Polynomial(ring, parts.get(i, {})) for i in range(rank)]
     return polys[0] if isinstance(element, Polynomial) else polys
 
 
@@ -741,15 +858,11 @@ class MatrixGB:
         )
 
     def contains_column(self, col):
-        return self._gb.contains(_column_to_vec(col))
-
-    def normal_form_column(self, col):
-        red = self._gb.normal_form(_column_to_vec(col))
-        return [Polynomial(self.ring, t) for t in _vec_to_rows(red, self.mat.nrows)]
+        return self._gb.contains(_to_vec(enumerate(col)))
 
     def lift_column(self, col):
         """x with mat·x = col (mod quotient), or None."""
-        coeffs = self._gb.lift(_column_to_vec(col))
+        coeffs = self._gb.lift(_to_vec(enumerate(col)))
         if coeffs is None:
             return None
         return [self.ring.reduce_terms(dict(c)) for c in coeffs]
@@ -761,8 +874,6 @@ class MatrixGB:
             if x is None:
                 return None
             cols.append(x)
-        if not cols:
-            return Mat.zero(self.ring, self.mat.ncols, 0)
         return Mat.from_columns(self.ring, cols, self.mat.ncols)
 
     def leading_terms(self):
@@ -781,16 +892,4 @@ def syzygy_matrix(mat):
     syz = gb.syzygy_basis(
         vecs, mat.nrows, ring.nvars, ring.field, ring.order.key, extra=extra
     )
-    out = Mat.from_column_vecs(ring, syz, mat.ncols)
-    keep = [
-        j
-        for j in range(out.ncols)
-        if any(not out.rows[i][j].is_zero for i in range(out.nrows))
-    ]
-    if len(keep) != out.ncols:
-        out = out.select_columns(keep)
-    return out
-
-
-def points_on(ring, coord_lists):
-    return [RationalPoint(ring, c) for c in coord_lists]
+    return Mat.from_column_vecs(ring, syz, mat.ncols).drop_zero_columns()

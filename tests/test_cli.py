@@ -342,3 +342,52 @@ def test_cli_transfer_check(tmp_path, capsys):
         "--input", str(path),
     )
     assert code == 0
+
+
+# The README session plus the ring R and complex U that its
+# local-cohomology and transfer-check examples name.
+README_FULL_SESSION = README_SESSION + "ring R = QQ[x,y]\ncomplex U on A = unit\n"
+
+# The README examples of the remaining commands and the bytes they print.
+README_OUTPUTS = [
+    (["perfect", "M", "at", "p0", "depth", "6"],
+     "verdict: perfect_near_point\n"
+     "witness_degree: -2\n"
+     "tor1_rank: 0\n"
+     "tor_amplitude: (-1, 0)\n"
+     "global: True\n"
+     "point: (0)\n"),
+    (["tor", "M", "at", "p0", "depth", "5"],
+     "point: (0)\n"
+     "tor_dims: [1, 1, 0, 0, 0, 0]\n"),
+    (["local-cohomology", "ring=R", "t=(x,y)", "--window=-6..0", "--format", "csv"],
+     "index,degree,dim,audit\n"
+     + "".join(f"{i},{d},0,pass\n" for i in (0, 1) for d in range(-6, 1))
+     + "".join(f"2,{d},{max(0, -d - 1)},pass\n" for d in range(-6, 1))),
+    (["verify-axiom", "A123", "diagram=D"],
+     "axiom: A123\n"
+     "verdict: equal_evidence\n"
+     "tier: literal\n"
+     "witness: None\n"
+     "tables: {}\n"),
+    (["transfer-check", "ring=A", "t=(t)", "n=U", "i=0"],
+     "hypothesis_holds: True\n"
+     "hom_cohomology_nonzero: False\n"
+     "verified_stages: ["
+     + ", ".join(f"{{'stage': {s}, 'vanishes': True}}" for s in range(1, 9))
+     + "]\n"
+     "pass: True\n"),
+    (["roundtrip"],
+     "roundtrip: True\n"
+     "declarations: 11\n"),
+]
+
+
+@pytest.mark.parametrize("command, expected", README_OUTPUTS,
+                         ids=[c[0] for c, _ in README_OUTPUTS])
+def test_cli_readme_example_pinned_under_hash_seeds(tmp_path, command, expected):
+    path = tmp_path / "s.pfx"
+    path.write_text(README_FULL_SESSION)
+    outputs = run_under_hash_seeds(*command, "--input", str(path))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == expected
