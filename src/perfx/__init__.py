@@ -19,14 +19,12 @@ from .complexes import (
     hom_complex,
     koszul,
     koszul_dual_stage,
-    fiber_homology_dims,
     minimize,
     tensor,
     unit_complex,
 )
 from .resolutions import (
     FPComplex,
-    ResolutionWindow,
     derived_tensor,
     free_replacement,
     free_resolution,

@@ -497,14 +497,19 @@ def cmd_example_blowup_chi(options, fmt):
     return 0 if ok else 1
 
 
+def _name_at_point(session, tokens, usage, default_depth):
+    """(name, point, depth) from exactly `NAME at POINT [depth N]`."""
+    if len(tokens) not in (3, 5) or tokens[1] != "at" or tokens[3:4] not in ([], ["depth"]):
+        raise ParseError(f"usage: {usage}")
+    try:
+        depth = int(tokens[4]) if len(tokens) == 5 else default_depth
+    except ValueError:
+        raise ParseError(f"usage: {usage}") from None
+    return tokens[0], session.points[tokens[2]], depth
+
+
 def cmd_perfect(session, tokens, args, fmt):
-    if len(tokens) < 3 or tokens[1] != "at":
-        raise ParseError("usage: perfect E at p [depth N]")
-    name = tokens[0]
-    point = session.points[tokens[2]]
-    depth = args.depth
-    if len(tokens) >= 5 and tokens[3] == "depth":
-        depth = int(tokens[4])
+    name, point, depth = _name_at_point(session, tokens, "perfect E at p [depth N]", args.depth)
     kind, target = session.lookup(name, ("module", "complex"))
     cert = is_perfect_at(target, point, depth)
     report = {
@@ -520,13 +525,7 @@ def cmd_perfect(session, tokens, args, fmt):
 
 
 def cmd_tor(session, tokens, args, fmt):
-    if len(tokens) < 3:
-        raise ParseError("usage: tor M at p [depth N]")
-    name = tokens[0]
-    point = session.points[tokens[2]]
-    depth = args.depth
-    if len(tokens) >= 5 and tokens[3] == "depth":
-        depth = int(tokens[4])
+    name, point, depth = _name_at_point(session, tokens, "tor M at p [depth N]", args.depth)
     _, module = session.lookup(name, ("module",))
     profile = tor_profile(module, point, depth)
     _emit({"point": str(point), "tor_dims": profile}, fmt)

@@ -230,11 +230,6 @@ def _combine_tails(a, b):
     return ZERO_BELOW
 
 
-def fiber_homology_dims(complex_, point, lo=None, hi=None):
-    """Homology dimensions of the complex evaluated at a rational point."""
-    return complex_.fiber_dims(point, lo=lo, hi=hi)
-
-
 def unit_complex(ring):
     return FreeComplex.single(ring, 1, at=0, degrees=(0,))
 

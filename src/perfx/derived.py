@@ -34,7 +34,6 @@ from .resolutions import (
     fp_homology,
     free_resolution,
     module_tensor_complex,
-    to_free_complex,
 )
 from .rings import RationalPoint
 
@@ -78,7 +77,7 @@ def tor_profile(module, point, depth, method="resolve"):
             h = fp_homology(fpc, -i)
             out.append(h.fiber_dim(point) if h.ambient_rank else 0)
         return out
-    resolution = to_free_complex(module, depth + 3)
+    resolution = free_resolution(module, depth + 3)
     dims = resolution.fiber_dims(point, lo=-depth, hi=0)
     return [dims.get(-i, 0) for i in range(depth + 1)]
 
@@ -90,7 +89,7 @@ def ext_to_point(module, point, depth):
     point; the validity window is handled directly since Hom flips the
     truncation to the top.
     """
-    resolution = to_free_complex(module, depth + 3)
+    resolution = free_resolution(module, depth + 3)
     d = hom_complex(resolution, unit_complex(resolution.ring))
     ranks = d.fiber_ranks(point, -1, depth)
     return [d.rank(i) - ranks[i] - ranks[i - 1] for i in range(depth + 1)]
@@ -261,15 +260,7 @@ def _variable_indices(ring, elements):
     return idx
 
 
-def local_cohomology(
-    ring,
-    elements,
-    n,
-    indices=None,
-    max_stage=8,
-    degree_window=None,
-    sample_points=None,
-):
+def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     """Local cohomology with supports in V(elements) via the stage tower.
 
     Graded coefficients with a degree window get a table {(i, d): dim};
@@ -284,16 +275,13 @@ def local_cohomology(
     """
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     r = len(elements)
-    if indices is None:
-        indices = list(range(0, r + 1))
     n_module = n if isinstance(n, ModulePresentation) else None
     n_complex = n if isinstance(n, FreeComplex) else None
     if n_module is None and n_complex is None:
         raise TypeError("n must be a ModulePresentation or FreeComplex")
-    if sample_points is None:
-        sample_points = _default_sample_points(ring)
+    sample_points = _default_sample_points(ring)
     report = LocalCohomologyReport([str(t) for t in elements], max_stage)
-    idx = {"local": list(indices), "cech": list(range(min(indices), max(indices) + 1))}
+    idx = {"local": list(range(r + 1)), "cech": list(range(r + 1))}
 
     exact_bound = None
     if (
@@ -322,7 +310,6 @@ def local_cohomology(
 
     history = []
     top = exact_bound + 1 if exact_bound is not None else max_stage
-    top = min(top, max_stage) if exact_bound is None else exact_bound + 1
     for s in range(1, top + 1):
         data = _stage_data(ring, elements, s, n_module, n_complex, idx)
         history.append((s, data))
@@ -374,10 +361,8 @@ def local_cohomology(
         }
     audit_source = (
         next(d for s, d in history if s == report.stabilized_at)
-        if report.stable and report.criterion != "transition_maps"
+        if report.stable
         else history[-1][1]
-        if not report.stable
-        else next(d for s, d in history if s == report.stabilized_at)
     )
     report.audit = _triangle_audit(
         _presentations_only(audit_source), n_module, n_complex, idx, degree_window,
@@ -607,7 +592,7 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
     ring = e.ring
     if max_depth is None:
         max_depth = default_depth(ring)
-    resolution = to_free_complex(e, max_depth + 3)
+    resolution = free_resolution(e, max_depth + 3)
     floor_valid = resolution.homology_floor()
     n_start = _min_homology_degree(e) - 2
 
@@ -745,6 +730,23 @@ def _fiber_point(f, base_point):
     return attempt([0] * len(free_idx))
 
 
+def _perfect_at_points(mode, e, points, max_depth):
+    """Absolute perfection of e at each base point.  Global scope needs
+    every certificate global, which is_perfect_at only grants a perfect
+    verdict."""
+    per_point = []
+    for y in points:
+        cert = is_perfect_at(e, y, max_depth)
+        per_point.append((y, {"pass": cert.is_perfect, "certificate": cert}))
+    ok = all(entry["pass"] for _, entry in per_point)
+    return RelativePerfectionReport(
+        mode,
+        "relatively_perfect" if ok else "not_relatively_perfect_within_depth",
+        per_point,
+        global_scope=all(entry["certificate"].global_scope for _, entry in per_point),
+    )
+
+
 def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
     """Relative perfection of E over the base of the ring map f.
 
@@ -759,20 +761,7 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
     if max_depth is None:
         max_depth = default_depth(f.target)
     if f.is_identity():
-        per_point = []
-        ok = True
-        for y in points:
-            cert = is_perfect_at(e, y, max_depth)
-            per_point.append((y, {"pass": cert.is_perfect, "certificate": cert}))
-            ok = ok and cert.is_perfect
-        return RelativePerfectionReport(
-            "identity",
-            "relatively_perfect" if ok else "not_relatively_perfect_within_depth",
-            per_point,
-            global_scope=all(
-                entry["certificate"].global_scope for _, entry in per_point
-            ),
-        )
+        return _perfect_at_points("identity", e, points, max_depth)
     if mode == "auto":
         mode = "finite" if f.is_module_finite() else "pointwise"
     if mode == "finite":
@@ -782,21 +771,7 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
             )
         from .geometry import pushforward_affine
 
-        pushed = pushforward_affine(f, e)
-        per_point = []
-        ok = True
-        global_ok = True
-        for y in points:
-            cert = is_perfect_at(pushed, y, max_depth)
-            per_point.append((y, {"pass": cert.is_perfect, "certificate": cert}))
-            ok = ok and cert.is_perfect
-            global_ok = global_ok and cert.global_scope
-        return RelativePerfectionReport(
-            "finite",
-            "relatively_perfect" if ok else "not_relatively_perfect_within_depth",
-            per_point,
-            global_scope=ok and global_ok,
-        )
+        return _perfect_at_points("finite", pushforward_affine(f, e), points, max_depth)
     if mode != "pointwise":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -808,9 +783,7 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
         "derived fiber is required to be perfect near a fiber point"
     ]
     for y in points:
-        res_y = free_resolution(
-            ModulePresentation.residue_field(f.source, y), max_depth + 2
-        ).complex
+        res_y = free_resolution(ModulePresentation.residue_field(f.source, y), max_depth + 2)
         pulled = f.apply_complex(res_y)
         if isinstance(e, ModulePresentation):
             fiber = module_tensor_complex(e, pulled)

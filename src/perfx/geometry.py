@@ -7,9 +7,9 @@ T = A[x_0..x_m] (fiber variables carry weight 1, base variables weight
 replaced by free T-modules, and the global sections complex is the
 degree-zero strand of the cone over the dual-Koszul stage map.  For a
 free T-complex the stage homology is concentrated in the top spot, so
-the stage index needed is an exact bound computed from the generator
-degrees, not a heuristic; a consecutive-stage agreement check is
-reported anyway.
+the stage index used is the exact bound computed from the generator
+degrees, not a heuristic.  The stage report keeps a `stages_agree`
+field, always None, so that its printed form stays the same.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .resolutions import (
     FPComplex,
     free_replacement,
     free_resolution,
-    module_tensor_complex,
-    to_free_complex,
 )
 from .rings import (
     Mat,
@@ -53,14 +51,14 @@ from .rings import (
 def derived_pullback(f, e, depth=6):
     """Lf* of a module or complex: resolve over the source, apply the
     map entrywise; d o d = 0 is re-verified in the target."""
-    resolution = to_free_complex(e, depth + 2)
+    resolution = free_resolution(e, depth + 2)
     return f.apply_complex(resolution)
 
 
 # -- affine pushforward -----------------------------------------------------
 
 
-def restrict_scalars(f, e, check=False):
+def restrict_scalars(f, e):
     """A free complex (or module) over the target as an FPComplex over
     the source, through the module-finite basis."""
     basis, presentation = f.source_module_presentation()
@@ -84,7 +82,7 @@ def restrict_scalars(f, e, check=False):
                 for mono2, coeff in f.rewrite_to_source(image).items():
                     entries.append((s * nb + basis_index[mono2], c * nb + j, coeff))
         maps[i] = Mat.from_entries(source, e.rank(i + 1) * nb, e.rank(i) * nb, entries)
-    return FPComplex(source, terms, maps, check=check)
+    return FPComplex(source, terms, maps, check=False)
 
 
 def _module_as_free_complex_input(module):
@@ -99,20 +97,19 @@ def _module_as_free_complex_input(module):
     )
 
 
-def pushforward_affine(f, e, minimal=True, depth=1):
+def pushforward_affine(f, e, depth=1):
     """Direct image along a module-finite map: restriction of scalars,
     then a free replacement over the source.  depth controls how far
     below the window the replacement is materialized."""
     if f.is_identity():
-        return to_free_complex(e, 8)
+        return free_resolution(e, 8)
     if not f.is_module_finite():
         raise ValueError(
             "affine pushforward with a presented output needs a module-finite map"
         )
     fpc = restrict_scalars(f, e)
     floor = (fpc.lo if fpc.terms else 0) - depth
-    out = free_replacement(fpc, floor, minimal=minimal)
-    return out
+    return free_replacement(fpc, floor)
 
 
 # -- projective families ----------------------------------------------------
@@ -279,12 +276,13 @@ def relative_strand(complex_, base, fiber_count, d=0):
     return FreeComplex(base, ranks, diffs, None, complex_.tail)
 
 
-def pushforward_projective(fam, e, max_stage=None, strand=0, minimal=True):
+def pushforward_projective(fam, e, minimal=True):
     """Derived direct image to the base, with a stage report.
 
     Returns (complex over the base, report).  The report records the
-    stage used, whether it came from the exact bound for free ambient
-    complexes, and a consecutive-stage agreement audit.
+    stage used, which is the exact bound for free ambient complexes,
+    the floor of the free replacement and whether the result is
+    bounded.
     """
     if not e.ranks:
         return FreeComplex.zero_complex(fam.base), {
@@ -297,50 +295,25 @@ def pushforward_projective(fam, e, max_stage=None, strand=0, minimal=True):
     t = fam.ambient
     fpc = _as_ambient_fp(fam, e)
     floor = fpc.lo - fam.fiber_count - 2
-    lifted = free_replacement(fpc, floor, minimal=True)
+    lifted = free_replacement(fpc, floor)
     m = fam.fiber_count - 1
     max_gen_degree = 0
     for i in lifted.ranks:
         for a in lifted.degrees[i]:
             max_gen_degree = max(max_gen_degree, a)
-    s_exact = max(1, max_gen_degree - m - strand)
-    s_used = s_exact if max_stage is None else min(max_stage, s_exact)
-    exact = s_used >= s_exact
-
-    def strand_at(s):
-        stage, _ = koszul_dual_stage(t, fam.fiber_vars_in_ambient(), s)
-        aug = ComplexMap(stage, unit_complex(t), {0: Mat(t, [[t.one]], ncols=1)})
-        cech_free = cone(aug)
-        total = tensor(cech_free, lifted)
-        return relative_strand(total, fam.base, fam.fiber_count, strand)
-
-    out = strand_at(s_used)
-    agree = None
-    if not exact or max_stage is not None:
-        nxt = strand_at(s_used + 1)
-        agree = _complexes_isomorphic_dims(out, nxt, fam.base)
+    s_exact = max(1, max_gen_degree - m)
+    stage, _ = koszul_dual_stage(t, fam.fiber_vars_in_ambient(), s_exact)
+    aug = ComplexMap(stage, unit_complex(t), {0: Mat(t, [[t.one]], ncols=1)})
+    out = relative_strand(tensor(cone(aug), lifted), fam.base, fam.fiber_count)
     result = minimize(out) if minimal else out
     report = {
-        "stage_used": s_used,
-        "exact_bound": exact,
-        "stages_agree": agree,
+        "stage_used": s_exact,
+        "exact_bound": True,
+        "stages_agree": None,
         "floor": floor,
         "bounded": result.tail == ZERO_BELOW,
     }
     return result, report
-
-
-def _complexes_isomorphic_dims(a, b, base):
-    pts = []
-    for coords in [(0,) * base.nvars, (1,) * base.nvars, tuple(range(2, base.nvars + 2))]:
-        try:
-            pts.append(RationalPoint(base, coords))
-        except ValueError:
-            continue
-    for p in pts:
-        if a.fiber_dims(p) != b.fiber_dims(p):
-            return False
-    return True
 
 
 # -- fibers ------------------------------------------------------------------
@@ -382,22 +355,20 @@ def nice_fiber(f_or_fam, e, point, depth=6):
         f = f_or_fam
         base, total = f.source, f.target
     if base.is_quotient:
-        res = free_resolution(
-            ModulePresentation.residue_field(base, point), depth + 2
-        ).complex
+        res = free_resolution(ModulePresentation.residue_field(base, point), depth + 2)
     else:
         res = koszul_resolution_of_point(base, point)
     pulled = f.apply_complex(res, keep_degrees=False)
     if isinstance(f_or_fam, ProjectiveFamily):
         pulled = _regrade_zero(pulled)
-    e_free = to_free_complex(e, depth + 2)
+    e_free = free_resolution(e, depth + 2)
     fiber = tensor(e_free, pulled)
     return FiberData(point, fiber, kind="derived")
 
 
 def classical_fiber(f_or_fam, e, point, depth=6):
     """Termwise restriction of (a free model of) E to the fiber ring."""
-    e_free = to_free_complex(e, depth + 2)
+    e_free = free_resolution(e, depth + 2)
     if isinstance(f_or_fam, ProjectiveFamily):
         fam = f_or_fam
         _fiber_fam, restriction = fam.fiber_family_at(point)
@@ -416,12 +387,11 @@ def classical_fiber(f_or_fam, e, point, depth=6):
 # -- Euler characteristics and scans ----------------------------------------
 
 
-def push(f_or_fam, e, minimal=True):
+def push(f_or_fam, e):
     """Uniform pushforward: identity / module-finite / projective."""
     if isinstance(f_or_fam, ProjectiveFamily):
-        out, report = pushforward_projective(f_or_fam, e, minimal=minimal)
-        return out, report
-    return pushforward_affine(f_or_fam, e, minimal=minimal), {"mode": "affine"}
+        return pushforward_projective(f_or_fam, e)
+    return pushforward_affine(f_or_fam, e), {"mode": "affine"}
 
 
 def chi(f_or_fam, e, point, pushed=None):
@@ -454,7 +424,7 @@ def classical_chi(fam, e, point, depth=6):
     pushforward of the restricted complex over the residue field)."""
     if isinstance(fam, ProjectiveFamily):
         fiber_fam, restriction = fam.fiber_family_at(point)
-        restricted = restriction.apply_complex(to_free_complex(e, depth + 2), True)
+        restricted = restriction.apply_complex(free_resolution(e, depth + 2), True)
         pushed, _ = pushforward_projective(fiber_fam, restricted)
         empty = RationalPoint(fiber_fam.base, ())
         return pushed.fiber_euler_characteristic(empty)
@@ -581,9 +551,7 @@ def tor_independent(f, g, points, depth=4, test_complex=None):
             "tor_independent needs the base-change leg to be module-finite "
             "(for instance a quotient map)"
         )
-    pushed = pushforward_affine(
-        g, FreeComplex.single(g.target, 1, at=0), minimal=True, depth=depth + 2
-    )
+    pushed = pushforward_affine(g, FreeComplex.single(g.target, 1, at=0), depth=depth + 2)
     pulled = f.apply_complex(pushed)
     homologies = {}
     for i in range(max(pulled.homology_floor(), -depth), 0):
@@ -608,7 +576,7 @@ def tor_independent(f, g, points, depth=4, test_complex=None):
     base_change = None
     if all_ok and test_complex is not None and f.is_module_finite():
         c, b_to_c, f_prime = pushout_ring(f, g)
-        lifted = b_to_c.apply_complex(to_free_complex(test_complex, depth + 2))
+        lifted = b_to_c.apply_complex(free_resolution(test_complex, depth + 2))
         left = pushforward_affine(f_prime, lifted)
         right = g.apply_complex(pushforward_affine(f, test_complex))
         agree = True

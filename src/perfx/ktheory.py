@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .maps import RingMap
 from .modules import ModulePresentation
-from .resolutions import to_free_complex
+from .resolutions import free_resolution
 from .rings import PolyRing, RationalPoint
 
 
@@ -154,7 +154,7 @@ def product(alpha, beta, depth=6):
     terms = []
     for c1, e in alpha.terms:
         for c2, ff in beta.terms:
-            pulled = f.apply_complex(to_free_complex(ff, depth))
+            pulled = f.apply_complex(free_resolution(ff, depth))
             terms.append((c1 * c2, _unit_aware_tensor(e, pulled)))
     return K0Class(composite, terms).simplify()
 

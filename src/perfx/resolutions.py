@@ -1,11 +1,15 @@
 """Free resolutions and free replacements of complexes.
 
-Modules are resolved by iterated syzygies.  A bounded complex of
-finitely presented modules is replaced by a quasi-isomorphic complex of
-free modules built top-down: at each step the new free term covers the
-fiber product of the current term with the kernel of the differential
-one step up, which keeps the comparison map termwise surjective with
-exact kernel.  Truncated tails are recorded honestly via the tail flag
+`free_resolution` is the one entry point from a module or complex to a
+free complex.  Modules are resolved by iterated syzygies.  A bounded
+complex of finitely presented modules is replaced by a quasi-isomorphic
+complex of free modules built top-down: at each step the new free term
+covers the fiber product of the current term with the kernel of the
+differential one step up, which keeps the comparison map termwise
+surjective with exact kernel.  Every resolution of a module and every
+free replacement is minimal: redundant generators are pruned as they
+appear and the result is minimized, so no differential has a unit
+entry.  Truncated tails are recorded honestly via the tail flag
 (homology is only trusted strictly above the floor of a truncated
 window).
 """
@@ -86,7 +90,7 @@ class FPComplex:
         return cls(complex_.ring, terms, maps, check=False)
 
 
-def _kernel_of(mat, ring, nrows=None):
+def _kernel_of(mat, ring):
     if mat.ncols == 0:
         return Mat.zero(ring, 0, 0)
     if mat.nrows == 0:
@@ -94,13 +98,13 @@ def _kernel_of(mat, ring, nrows=None):
     return syzygy_matrix(mat)
 
 
-def free_replacement(fpc, floor, minimal=True):
+def free_replacement(fpc, floor):
     """Free complex quasi-isomorphic to fpc in degrees > floor.
 
     Returns a FreeComplex with window [floor, hi] whose homology agrees
     with fpc in degrees >= floor + 1 (and everywhere when the
     construction terminates by itself, tail 'zero').  A complex whose
-    terms are all free short-circuits to itself.
+    terms are all free short-circuits to its minimization.
     """
     ring = fpc.ring
     if not fpc.terms:
@@ -111,7 +115,7 @@ def free_replacement(fpc, floor, minimal=True):
         if all(t.degrees is not None for t in fpc.terms.values()):
             degrees = {i: t.degrees for i, t in fpc.terms.items()}
         out = FreeComplex(ring, ranks, dict(fpc.maps), degrees, ZERO_BELOW)
-        return minimize(out) if minimal else out
+        return minimize(out)
     hi = fpc.hi
     graded = all(t.degrees is not None for t in fpc.terms.values())
 
@@ -140,7 +144,7 @@ def free_replacement(fpc, floor, minimal=True):
                 z = Mat.identity(ring, rank_up)
             else:
                 z = _kernel_of(diff_up, ring)
-                if minimal and z.ncols > 1:
+                if z.ncols > 1:
                     z = prune_redundant_columns(z)
             phi_z = phi_up * z if (phi_up is not None and phi_up.nrows) else Mat.zero(ring, 0, z.ncols)
             d_map = fpc.map(k)
@@ -165,30 +169,26 @@ def free_replacement(fpc, floor, minimal=True):
                 syz = syzygy_matrix(big)
                 # drop columns with no (x, y) content
                 sol = syz.select_rows(range(g_k + z.ncols)).drop_zero_columns()
-            if minimal and sol.ncols > 1:
+            stacked = None
+            if graded:
+                stacked = (tuple(c_k.degrees) if g_k else ()) + (
+                    _column_degrees(z, degs_up) or ()
+                )
+                if len(stacked) != sol.nrows:
+                    stacked = None
+            if sol.ncols > 1:
                 rel_k = fpc.term(k).relations
                 pad = None
                 if rel_k.ncols:
                     pad = rel_k.vstack(Mat.zero(ring, z.ncols, rel_k.ncols))
-                stacked = None
-                if graded:
-                    stacked = (tuple(c_k.degrees) if g_k else ()) + (
-                        _column_degrees(z, degs_up) or ()
-                    )
-                    if len(stacked) != sol.nrows:
-                        stacked = None
                 sol = prune_redundant_columns(sol, pad, stacked)
             new_rank = sol.ncols
             phi = sol.select_rows(range(g_k)) if g_k else Mat.zero(ring, 0, new_rank)
             y_part = sol.select_rows(range(g_k, g_k + z.ncols))
             d_new = z * y_part if z.ncols else Mat.zero(ring, rank_up, new_rank)
             new_degs = None
-            if graded:
-                stacked_degs = (tuple(c_k.degrees) if g_k else ()) + (
-                    _column_degrees(z, degs_up) or ()
-                )
-                if len(stacked_degs) == sol.nrows:
-                    new_degs = _column_degrees(sol, stacked_degs)
+            if stacked is not None:
+                new_degs = _column_degrees(sol, stacked)
             if graded and new_degs is None:
                 graded = False
                 degrees = None
@@ -212,10 +212,7 @@ def free_replacement(fpc, floor, minimal=True):
             if rank_up == 0
             else EXACT_BELOW
         )
-    out = FreeComplex(ring, ranks, diffs, degrees, tail)
-    if minimal:
-        out = minimize(out)
-    return out
+    return minimize(FreeComplex(ring, ranks, diffs, degrees, tail))
 
 
 def homology_data(obj, i):
@@ -309,36 +306,21 @@ def module_tensor_complex(module, complex_):
     return FPComplex(ring, terms, maps, check=False)
 
 
-class ResolutionWindow:
-    """A free complex quasi-isomorphic to the target within a window."""
+def free_resolution(target, depth):
+    """Free complex quasi-isomorphic to a module or complex.
 
-    __slots__ = ("target", "complex", "depth", "minimal")
-
-    def __init__(self, target, complex_, depth, minimal):
-        self.target = target
-        self.complex = complex_
-        self.depth = depth
-        self.minimal = minimal
-
-    def __repr__(self):
-        flag = "minimal " if self.minimal else ""
-        return f"ResolutionWindow({flag}{self.complex})"
-
-
-def free_resolution(target, depth, minimal=True):
-    """Resolution window of a module or complex by free modules.
-
-    Modules: iterated syzygies, with early stop (tail 'zero') when a
-    syzygy module vanishes -- over a plain polynomial ring with graded
-    input this always happens within the number of variables.
-    Free complexes resolve to themselves; complexes of presented
-    modules go through the free replacement.
+    Free complexes are returned as they are; complexes of presented
+    modules go through the free replacement down to depth below their
+    lowest term.  Modules: iterated syzygies, with early stop (tail
+    'zero') when a syzygy module vanishes -- over a plain polynomial
+    ring with graded input this always happens within the number of
+    variables -- and tail 'exact' after depth steps.  The resolution is
+    minimized.
     """
     if isinstance(target, FreeComplex):
-        return ResolutionWindow(target, target, depth, False)
+        return target
     if isinstance(target, FPComplex):
-        floor = target.lo - depth
-        return ResolutionWindow(target, free_replacement(target, floor, minimal), depth, minimal)
+        return free_replacement(target, target.lo - depth)
     module = target
     ring = module.ring
     ranks = {0: module.ambient_rank}
@@ -365,16 +347,7 @@ def free_resolution(target, depth, minimal=True):
             tail = EXACT_BELOW
             break
         current = syzygy_matrix(current)
-    out = FreeComplex(ring, ranks, diffs, degrees, tail)
-    if minimal:
-        out = minimize(out)
-    return ResolutionWindow(module, out, depth, minimal)
-
-
-def to_free_complex(obj, depth, minimal=True):
-    if isinstance(obj, FreeComplex):
-        return obj
-    return free_resolution(obj, depth, minimal).complex
+    return minimize(FreeComplex(ring, ranks, diffs, degrees, tail))
 
 
 def truncate_below(complex_, new_lo):
@@ -389,7 +362,7 @@ def truncate_below(complex_, new_lo):
     return FreeComplex(complex_.ring, ranks, diffs, degrees, EXACT_BELOW, check=False)
 
 
-def derived_tensor(e, f, depth=6, minimal=True):
+def derived_tensor(e, f, depth=6):
     """E (x)^L F as a free complex with an honest validity window.
 
     Module inputs are resolved to a depth sufficient for the requested
@@ -399,8 +372,8 @@ def derived_tensor(e, f, depth=6, minimal=True):
     """
     e_top = e.hi if isinstance(e, (FreeComplex, FPComplex)) else 0
     f_top = f.hi if isinstance(f, (FreeComplex, FPComplex)) else 0
-    re = to_free_complex(e, depth + max(0, f_top) + 2, minimal)
-    rf = to_free_complex(f, depth + max(0, e_top) + 2, minimal)
+    re = free_resolution(e, depth + max(0, f_top) + 2)
+    rf = free_resolution(f, depth + max(0, e_top) + 2)
     t = tensor(re, rf)
     bounds = []
     if re.tail != ZERO_BELOW:
@@ -413,7 +386,7 @@ def derived_tensor(e, f, depth=6, minimal=True):
     return truncate_below(t, valid_from - 1)
 
 
-def truncate_le(complex_, k, depth=6, minimal=True):
+def truncate_le(complex_, k):
     """Homological truncation: homology equals the input's in degrees
     <= k and vanishes above.  Output is a free complex again."""
     ring = complex_.ring
@@ -449,7 +422,4 @@ def truncate_le(complex_, k, depth=6, minimal=True):
             maps[k - 1] = lift
     fpc = FPComplex(ring, terms, maps, check=False)
     lo_out = min(complex_.lo, k) - 1
-    out = free_replacement(fpc, lo_out, minimal)
-    if complex_.tail == ZERO_BELOW and out.tail == ZERO_BELOW:
-        return out
-    return out
+    return free_replacement(fpc, lo_out)

@@ -160,6 +160,10 @@ def test_cli_blowup_example_bad_n(capsys, n):
     ["verify-axiom", "A1"],
     ["hp-scan", "ring=A", "p=0"],
     ["relperf", "OB", "over", "f"],
+    # `NAME at POINT [depth N]` and nothing else
+    ["tor", "M", "from", "p0"],
+    ["tor", "M", "at", "p0", "deep", "3"],
+    ["perfect", "M", "at", "p0", "depth"],
 ])
 def test_cli_malformed_command_usage(tmp_path, capsys, tokens):
     path = tmp_path / "s.pfx"
@@ -211,6 +215,44 @@ def test_cli_blowup_example_independent_of_hash_seed():
     outputs = run_under_hash_seeds("example", "blowup-chi", "n=2", "--format", "csv")
     assert outputs[0] == outputs[1]
     assert outputs[0].decode() == BLOWUP_CHI_N2_CSV
+
+
+# The text report prints the stage report of the pushforward as a dict.
+BLOWUP_CHI_N2_TEXT = (
+    "family: blow-up of affine 2-space at the origin\n"
+    "sheaf: O(1)\n"
+    "pushforward: FreeComplex(-1:1, 0:2 over QQ[y1,y2])\n"
+    "stage_report: {'stage_used': 1, 'exact_bound': True, 'stages_agree': None, "
+    "'floor': -4, 'bounded': True}\n"
+    "chi_nice_constant: True\n"
+    "pass: True\n"
+) + BLOWUP_CHI_N2_CSV
+
+BLOWUP_CHI_N3_JSON = """{
+  "family": "blow-up of affine 3-space at the origin",
+  "sheaf": "O(1)",
+  "pushforward": "FreeComplex(-2:1, -1:3, 0:3 over QQ[y1,y2,y3])",
+  "stage_report": {
+    "stage_used": 1,
+    "exact_bound": true,
+    "stages_agree": null,
+    "floor": -5,
+    "bounded": true
+  },
+  "chi_nice_constant": true,
+  "pass": true
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["n=2"], BLOWUP_CHI_N2_TEXT),
+    (["n=3", "--format", "json"], BLOWUP_CHI_N3_JSON),
+], ids=["n2-text", "n3-json"])
+def test_cli_blowup_example_report_pinned_under_hash_seeds(argv, expected):
+    outputs = run_under_hash_seeds("example", "blowup-chi", *argv)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == expected
 
 
 # The README's session file, with the module OB its grauert and relperf

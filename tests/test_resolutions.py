@@ -29,16 +29,18 @@ def quotient_xy():
 
 def test_resolution_of_regular_quotient_is_koszul_shaped(rxy):
     m = ModulePresentation.cyclic(rxy, ["x", "y"], degrees=(0,))
-    window = free_resolution(m, 5)
-    res = window.complex
+    res = free_resolution(m, 5)
     assert res.tail == "zero"
     assert {i: res.rank(i) for i in res.ranks} == {0: 1, -1: 2, -2: 1}
-    assert window.minimal
+    # minimal: no differential has a unit (nonzero constant) entry
+    assert all(
+        p.constant_value() is None for d in res.diffs.values() for _r, _c, p in d.entries()
+    )
 
 
 def test_resolution_over_hypersurface_is_periodic(quotient_xy):
     k = ModulePresentation.cyclic(quotient_xy, ["x", "y"], degrees=(0,))
-    res = free_resolution(k, 5).complex
+    res = free_resolution(k, 5)
     assert res.tail == "exact"
     for i in range(-5, 0):
         assert res.rank(i) == 2
@@ -47,7 +49,7 @@ def test_resolution_over_hypersurface_is_periodic(quotient_xy):
 
 def test_resolution_of_free_module_is_itself(rxy):
     f = ModulePresentation.free(rxy, 3)
-    res = free_resolution(f, 4).complex
+    res = free_resolution(f, 4)
     assert dict(res.ranks) == {0: 3}
     assert res.tail == "zero"
 
@@ -109,6 +111,14 @@ def test_free_replacement_shortcuts_free_input(rxy):
     assert dict(rep.ranks) == {0: 1, -1: 2, -2: 1}
 
 
+def test_free_resolution_of_complexes(quotient_xy):
+    k = koszul(quotient_xy, ["x", "y"])
+    assert free_resolution(k, 3) is k
+    m = ModulePresentation.cyclic(quotient_xy, ["x"])
+    fpc = module_tensor_complex(m, koszul(quotient_xy, ["y"]))
+    assert free_resolution(fpc, 3) == free_replacement(fpc, fpc.lo - 3)
+
+
 def test_truncation_keeps_low_kills_high(quotient_xy):
     kq = koszul(quotient_xy, ["x", "y"])
     tr = truncate_le(kq, -1)
@@ -162,5 +172,5 @@ def test_replacement_minimality_graded(rxy):
         Mat(rxy, [["x", "x", "y"]], ncols=3),  # redundant generator set
         degrees=(0,),
     )
-    res = free_resolution(m, 4).complex
+    res = free_resolution(m, 4)
     assert res.rank(-1) == 2  # minimal: duplicates pruned
