@@ -13,7 +13,6 @@ from .modules import ModulePresentation, syzygies
 from .complexes import (
     ComplexMap,
     FreeComplex,
-    StageTower,
     cone,
     dual,
     hom_complex,
@@ -56,7 +55,6 @@ from .geometry import (
     tor_independent,
 )
 from .ktheory import (
-    Diagram,
     IndependentSquare,
     K0Class,
     k0_evidence_equal,

@@ -529,60 +529,45 @@ def tensor_map(phi, psi):
     return ComplexMap(src, tgt, comps)
 
 
-# -- Koszul dual stages and towers ----------------------------------------
+# -- Koszul dual stages and their transitions -----------------------------
 
 
 def koszul_dual_stage(ring, elements, s):
-    """Stage s of the dual tower: tensor of [R -> R] with maps t_i^s.
-
-    Returns (stage_complex, transition map to stage s+1): identity in
-    factor-degree 0, multiplication by t_i in factor-degree 1.
-    """
+    """Stage s of the dual tower: the tensor over i of [R -> R] with map
+    t_i^s.  The map to stage s+1 is koszul_dual_transition."""
     if s < 1:
         raise ValueError("stages start at 1")
-    elems = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     stage = None
-    nxt = None
+    for t in elements:
+        t = ring.parse(t) if isinstance(t, str) else t
+        factor = two_term(ring, t**s)
+        stage = factor if stage is None else tensor(stage, factor)
+    return stage
+
+
+def koszul_dual_transition(ring, elements, s):
+    """The map from stage s to stage s+1 of the dual tower: identity in
+    factor-degree 0, multiplication by t_i in factor-degree 1."""
+    if s < 1:
+        raise ValueError("stages start at 1")
     trans = None
-    for t in elems:
-        f_stage = two_term(ring, t**s)
-        f_next = two_term(ring, t ** (s + 1))
-        f_map = ComplexMap(
-            f_stage,
-            f_next,
+    for t in elements:
+        t = ring.parse(t) if isinstance(t, str) else t
+        factor = ComplexMap(
+            two_term(ring, t**s),
+            two_term(ring, t ** (s + 1)),
             {0: Mat.identity(ring, 1), 1: Mat(ring, [[t]], ncols=1)},
         )
-        if stage is None:
-            stage, nxt, trans = f_stage, f_next, f_map
-        else:
-            stage_new = tensor(stage, f_stage)
-            trans = tensor_map(trans, f_map)
-            stage, nxt = stage_new, tensor(nxt, f_next)
-    return stage, trans
+        trans = factor if trans is None else tensor_map(trans, factor)
+    return trans
 
 
-class StageTower:
-    """Finite stages of the direct system of dual Koszul complexes."""
-
-    __slots__ = ("ring", "elements", "stages", "maps")
-
-    def __init__(self, ring, elements, max_stage):
-        self.ring = ring
-        self.elements = [
-            ring.parse(t) if isinstance(t, str) else t for t in elements
-        ]
-        self.stages = []
-        self.maps = []
-        for s in range(1, max_stage + 1):
-            stage, trans = koszul_dual_stage(ring, self.elements, s)
-            self.stages.append(stage)
-            self.maps.append(trans)
-
-    def stage(self, s):
-        return self.stages[s - 1]
-
-    def transition(self, s):
-        return self.maps[s - 1]
+def cech_cone(stage):
+    """Cone of the augmentation stage -> R, the Cech side of the
+    supports triangle built from that stage."""
+    ring = stage.ring
+    aug = ComplexMap(stage, unit_complex(ring), {0: Mat(ring, [[ring.one]], ncols=1)})
+    return cone(aug)
 
 
 # -- graded strands over the coefficient field ----------------------------

@@ -18,15 +18,13 @@ import random
 from itertools import combinations
 
 from .complexes import (
-    ComplexMap,
     FreeComplex,
     ZERO_BELOW,
-    cone,
+    cech_cone,
     koszul_dual_stage,
     koszul_resolution_of_point,
     minimize,
     tensor,
-    unit_complex,
 )
 from .maps import RingMap
 from .modules import ModulePresentation
@@ -288,7 +286,9 @@ def pushforward_projective(fam, e, minimal=True):
         return FreeComplex.zero_complex(fam.base), {
             "stage_used": 0,
             "exact_bound": True,
-            "stages_agree": True,
+            "stages_agree": None,
+            "floor": -fam.fiber_count - 2,
+            "bounded": True,
         }
     if e.degrees is None:
         raise ValueError("projective pushforward needs a graded complex")
@@ -302,9 +302,8 @@ def pushforward_projective(fam, e, minimal=True):
         for a in lifted.degrees[i]:
             max_gen_degree = max(max_gen_degree, a)
     s_exact = max(1, max_gen_degree - m)
-    stage, _ = koszul_dual_stage(t, fam.fiber_vars_in_ambient(), s_exact)
-    aug = ComplexMap(stage, unit_complex(t), {0: Mat(t, [[t.one]], ncols=1)})
-    out = relative_strand(tensor(cone(aug), lifted), fam.base, fam.fiber_count)
+    stage = koszul_dual_stage(t, fam.fiber_vars_in_ambient(), s_exact)
+    out = relative_strand(tensor(cech_cone(stage), lifted), fam.base, fam.fiber_count)
     result = minimize(out) if minimal else out
     report = {
         "stage_used": s_exact,

@@ -320,44 +320,6 @@ def _term_lists_equal(t1, t2):
     return True
 
 
-# -- diagrams and axiom verification ------------------------------------------
-
-
-class Diagram:
-    """Named rings, scheme-direction morphisms, classes and sample points.
-
-    Morphism entries are (name, RingMap, source_scheme, target_scheme)
-    with ring maps running opposite to the scheme arrows.
-    """
-
-    def __init__(self, name="D"):
-        self.name = name
-        self.rings = {}
-        self.maps = {}
-        self.points = {}
-        self.squares = {}
-        self.classes = {}
-
-    def add_ring(self, label, ring, points=()):
-        self.rings[label] = ring
-        self.points[label] = list(points)
-
-    def add_map(self, label, ringmap, source_scheme, target_scheme):
-        self.maps[label] = (ringmap, source_scheme, target_scheme)
-
-    def add_square(self, label, square):
-        self.squares[label] = square
-
-    def add_class(self, label, k0class):
-        self.classes[label] = k0class
-
-    def ringmap(self, label):
-        return self.maps[label][0]
-
-    def sample_points(self, label, k=5):
-        return self.points[label][:k]
-
-
 # -- seeded regression diagrams ------------------------------------------------
 
 
@@ -505,6 +467,9 @@ def regression_suite(seed=0, count=10):
     return suite
 
 
+# -- axiom verification -------------------------------------------------------
+
+
 def run_axiom_battery(entry, axioms=("A1", "A2", "A12", "A123"), depth=6):
     """Verify the requested axioms on one regression entry."""
     f, g, h = entry["maps"]["f"], entry["maps"]["g"], entry["maps"]["h"]
@@ -514,7 +479,6 @@ def run_axiom_battery(entry, axioms=("A1", "A2", "A12", "A123"), depth=6):
         if axiom == "A1":
             report = verify_axiom(
                 "A1",
-                None,
                 {"alpha": cls["alpha_f"], "beta": cls["beta_g"], "gamma": cls["gamma_h"]},
                 entry["points"]["X"],
                 depth,
@@ -522,7 +486,6 @@ def run_axiom_battery(entry, axioms=("A1", "A2", "A12", "A123"), depth=6):
         elif axiom == "A2":
             report = verify_axiom(
                 "A2",
-                None,
                 {"alpha": cls["alpha_hgf"], "f": f, "g": g, "h": h},
                 entry["points"]["Z"],
                 depth,
@@ -530,7 +493,6 @@ def run_axiom_battery(entry, axioms=("A1", "A2", "A12", "A123"), depth=6):
         elif axiom == "A12":
             report = verify_axiom(
                 "A12",
-                None,
                 {"alpha": cls["alpha_gf"], "beta": cls["beta_h"], "f": f, "g": g},
                 entry["points"]["Y"],
                 depth,
@@ -538,7 +500,6 @@ def run_axiom_battery(entry, axioms=("A1", "A2", "A12", "A123"), depth=6):
         elif axiom == "A123":
             report = verify_axiom(
                 "A123",
-                None,
                 {
                     "alpha": cls["alpha_f"],
                     "beta": cls["beta_hg"],
@@ -565,7 +526,7 @@ def orientation_multiplicativity(entry):
     return _term_lists_equal(prod.terms, composite.terms)
 
 
-def verify_axiom(which, diagram, classes, points, depth=6):
+def verify_axiom(which, classes, points, depth=6):
     """Evaluate both sides of a bivariant axiom and compare.
 
     classes: the greek letters and structural maps/squares the axiom's
@@ -574,12 +535,6 @@ def verify_axiom(which, diagram, classes, points, depth=6):
     sample points of the ring both sides live over.
     """
     which = which.upper()
-    if classes is None and isinstance(diagram, Diagram):
-        classes = dict(diagram.classes)
-        for label, (ringmap, _src, _tgt) in diagram.maps.items():
-            classes.setdefault(label, ringmap)
-        for label, square in diagram.squares.items():
-            classes.setdefault(label, square)
     if which == "A1":
         alpha, beta, gamma = classes["alpha"], classes["beta"], classes["gamma"]
         left = product(product(alpha, beta, depth), gamma, depth)

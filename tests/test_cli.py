@@ -433,3 +433,24 @@ def test_cli_readme_example_pinned_under_hash_seeds(tmp_path, command, expected)
     outputs = run_under_hash_seeds(*command, "--input", str(path))
     assert outputs[0] == outputs[1]
     assert outputs[0].decode() == expected
+
+
+def test_cli_local_cohomology_module_pinned_under_hash_seeds(tmp_path):
+    # no degree window and a module coefficient: the transition-map regime
+    path = tmp_path / "s.pfx"
+    path.write_text(README_FULL_SESSION)
+    outputs = run_under_hash_seeds(
+        "local-cohomology", "ring=A", "t=(t)", "n=M", "--format", "json",
+        "--input", str(path),
+    )
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == (
+        "{\n"
+        '  "stabilized_at": 1,\n'
+        '  "stable": true,\n'
+        '  "caveat": "stabilization is evidence for the colimit value, not a proof, '
+        "unless the exact stage bound applies (plain ring, variable sequence, "
+        'free graded coefficients)",\n'
+        '  "audit_pass": true\n'
+        "}\n"
+    )

@@ -11,12 +11,12 @@ from perfx.fields import GF, QQ
 from perfx.complexes import (
     ComplexMap,
     FreeComplex,
-    StageTower,
     cone,
     dual,
     hom_complex,
     koszul,
     koszul_dual_stage,
+    koszul_dual_transition,
     koszul_resolution_of_point,
     minimize,
     strand_homology_dims,
@@ -88,7 +88,8 @@ def test_tensor_of_koszuls_is_koszul(rxy):
 
 def test_dual_stage_definition():
     r1 = PolyRing(QQ, ["x"])
-    stage, transition = koszul_dual_stage(r1, ["x"], 1)
+    stage = koszul_dual_stage(r1, ["x"], 1)
+    transition = koszul_dual_transition(r1, ["x"], 1)
     assert dict(stage.ranks) == {0: 1, 1: 1}
     assert stage.diff(0).rows[0][0] == r1.var("x")
     assert transition.target.diff(0).rows[0][0] == r1.parse("x^2")
@@ -99,7 +100,7 @@ def test_dual_stage_definition():
 
 def test_dual_stage_matches_dual_of_koszul_power(rxy):
     rng = random.Random(5)
-    stage, _ = koszul_dual_stage(rxy, ["x", "y"], 2)
+    stage = koszul_dual_stage(rxy, ["x", "y"], 2)
     d = dual(koszul(rxy, ["x^2", "y^2"]))
     for pt in random_points(rxy, rng, 3):
         assert stage.fiber_dims(pt) == d.fiber_dims(pt)
@@ -108,7 +109,7 @@ def test_dual_stage_matches_dual_of_koszul_power(rxy):
 def test_dual_stage_socle_dimensions(rxy):
     # stage 2 on (x, y): top homology is R/(x^2, y^2) on a generator of
     # degree -4; total dimension 4, socle 1-dimensional two steps up
-    stage, _ = koszul_dual_stage(rxy, ["x", "y"], 2)
+    stage = koszul_dual_stage(rxy, ["x", "y"], 2)
     h2 = stage.homology(2)
     dims = {d: h2.graded_dim(d) for d in range(-4, 0)}
     assert dims == {-4: 1, -3: 2, -2: 1, -1: 0}
@@ -311,13 +312,23 @@ def test_homology_of_multiplication(rxy):
 
 def test_stage_tower_composition():
     r1 = PolyRing(QQ, ["x"])
-    tower = StageTower(r1, ["x"], 3)
     for s in (1, 2):
-        trans = tower.transition(s)
-        assert trans.source is tower.stage(s)
+        trans = koszul_dual_transition(r1, ["x"], s)
+        assert trans.source == koszul_dual_stage(r1, ["x"], s)
         # composite transition agrees with the two-step degree pattern
         comp = trans.target
+        assert comp == koszul_dual_stage(r1, ["x"], s + 1)
         assert comp.diff(0).rows[0][0] == r1.parse("x^" + str(s + 1))
+
+
+def test_dual_transition_chain_map_on_plane(rxy):
+    # each factor map is the identity in factor-degree 0 and t in
+    # factor-degree 1, so the top component multiplies by x*y
+    trans = koszul_dual_transition(rxy, ["x", "y"], 2)
+    assert trans.source == koszul_dual_stage(rxy, ["x", "y"], 2)
+    assert trans.target == koszul_dual_stage(rxy, ["x", "y"], 3)
+    assert trans.component(0).rows[0][0] == rxy.one
+    assert trans.component(2).rows[0][0] == rxy.parse("x*y")
 
 
 def test_minimize_preserves_invariants(rxy):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from perfx.fields import QQ
-from perfx.complexes import FreeComplex, koszul, unit_complex
+from perfx.complexes import FreeComplex, koszul, koszul_dual_stage, unit_complex
 from perfx.derived import (
     boundedness_transfer_check,
     default_depth,
@@ -129,6 +129,46 @@ def test_local_cohomology_unstable_flag(rxy):
     assert not report.stable
     assert report.stabilized_at is None
     assert "evidence" in report.caveat
+
+
+def test_local_cohomology_window_regime(r1):
+    # x^2 is not a variable, so no exact bound applies: stages run until
+    # two consecutive ones agree on the window
+    report = local_cohomology(
+        r1, ["x^2"], unit_complex(r1), degree_window=range(-4, 1), max_stage=6
+    )
+    assert report.stable and report.stabilized_at == 2
+    assert report.criterion == "window_dims"
+    assert report.required_stage is None
+    assert {d: report.table[(1, d)] for d in range(-4, 1)} == {
+        -4: 1, -3: 1, -2: 1, -1: 1, 0: 0,
+    }
+    assert report.audit["pass"]
+
+
+@pytest.mark.parametrize("names, window", [
+    (["x", "y"], range(-6, 1)),
+    (["x", "y", "z"], range(-7, 0)),
+])
+def test_exact_bound_stage_agrees_with_next_stage(names, window):
+    """The exact bound is stage-stable: the stage after it has the same
+    window dimensions, so only the bound's own stage is built."""
+    ring = PolyRing(QQ, names)
+    report = local_cohomology(
+        ring, names, unit_complex(ring), degree_window=window, max_stage=8
+    )
+    assert report.criterion == "exact_bound" and report.stable
+    bound = report.stabilized_at
+
+    def window_dims(s):
+        stage = koszul_dual_stage(ring, names, s)
+        return {
+            (i, d): stage.homology(i).graded_dim(d)
+            for i in range(len(names) + 1)
+            for d in window
+        }
+
+    assert window_dims(bound) == window_dims(bound + 1) == report.table
 
 
 def test_transfer_check_examples(r1):

@@ -125,6 +125,15 @@ def test_projective_pushforward_zero():
     zero = FreeComplex.zero_complex(p1.total)
     pushed, report = pushforward_projective(p1, zero)
     assert not pushed.ranks
+    # the same five keys as any other call, floor at lo = 0
+    assert report == {
+        "stage_used": 0,
+        "exact_bound": True,
+        "stages_agree": None,
+        "floor": -p1.fiber_count - 2,
+        "bounded": True,
+    }
+    assert report.keys() == pushforward_projective(p1, p1.twist(1))[1].keys()
 
 
 def test_blowup_pushforward_is_ideal():

@@ -185,7 +185,6 @@ def test_axiom_a3_functoriality_of_pullback(line):
     alpha = K0Class.of_complex(f, two_term(b, "x - 1"))
     report = verify_axiom(
         "A3",
-        None,
         {"alpha": alpha, "square_g": square, "square_h": square_h,
          "square_combined": combined},
         [RationalPoint(b1, (1, 1)), RationalPoint(b1, (1, -1))],
@@ -209,7 +208,6 @@ def test_axiom_a13_product_pullback(line):
     beta = K0Class.of_complex(id_line, two_term(line, "t - 1"))
     report = verify_axiom(
         "A13",
-        None,
         {"alpha": alpha, "beta": beta, "square_top": square,
          "square_bottom": square_bottom, "square_combined": combined},
         [RationalPoint(b1, (1, 1)), RationalPoint(b1, (1, -1))],
@@ -231,7 +229,6 @@ def test_axiom_a23_push_pull_commute(line):
     alpha = K0Class.of_complex(f.compose(id_line), two_term(b, "x - 1"))
     report = verify_axiom(
         "A23",
-        None,
         {"alpha": alpha, "f": f, "g": id_line,
          "f_prime": f_prime, "g_prime": RingMap.identity(a1),
          "square_combined": combined, "square_bottom": square_bottom},
