@@ -99,8 +99,8 @@ def _parse_field(token):
     raise ParseError(f"unknown field {token!r} (use QQ or GF(p))")
 
 
-def _split_top(text, sep=","):
-    """Split on sep at parenthesis/bracket depth zero."""
+def _split_top(text):
+    """Split on commas at parenthesis/bracket depth zero."""
     parts = []
     depth = 0
     cur = []
@@ -109,7 +109,7 @@ def _split_top(text, sep=","):
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur).strip())
             cur = []
         else:

@@ -116,10 +116,10 @@ class FreeComplex:
         return cls(ring, {at: rank}, {}, degrees=degs)
 
     @classmethod
-    def from_matrix(cls, ring, mat, at=-1, degrees=None):
+    def from_matrix(cls, ring, mat, at=-1):
         """Two-term complex [source -> target] with the source at `at`."""
         ranks = {at: mat.ncols, at + 1: mat.nrows}
-        return cls(ring, ranks, {at: mat}, degrees=degrees)
+        return cls(ring, ranks, {at: mat})
 
     def __repr__(self):
         if not self.ranks:
@@ -626,16 +626,13 @@ def strand(complex_, d):
     return dims, mats
 
 
-def strand_homology_dims(complex_, d, lo=None, hi=None):
+def strand_homology_dims(complex_, d):
     """Homology dimensions of the degree-d strand over the field."""
     field = complex_.ring.field
     dims, mats = strand(complex_, d)
-    floor = complex_.homology_floor()
-    lo = floor if lo is None else max(lo, floor)
-    hi = complex_.hi if hi is None else hi
     rk = linalg.complex_ranks(mats, dims, field)
     out = {}
-    for i in range(lo, hi + 1):
+    for i in range(complex_.homology_floor(), complex_.hi + 1):
         out[i] = dims.get(i, 0) - rk.get(i, 0) - rk.get(i - 1, 0)
     return out
 

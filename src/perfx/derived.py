@@ -26,7 +26,7 @@ from .complexes import (
     tensor_map,
     unit_complex,
 )
-from .rings import Mat, MatrixGB
+from .rings import Mat, MatrixGB, syzygy_matrix
 # Unused here; perfbench/test_perfbench.py checks that tracing rebinds this alias.
 from .linalg import rank as field_rank  # noqa: F401
 from .modules import ModulePresentation
@@ -172,25 +172,20 @@ def _default_sample_points(ring):
     return pts
 
 
-def _transition_matrix(ring, transition, n, i):
-    """Ambient matrix at complex degree i of the transition with
-    coefficients in n."""
+def _transition_matrices(ring, transition, n, indices):
+    """{i: ambient matrix at complex degree i} of a stage transition with
+    coefficients in n, tensored once."""
     if isinstance(n, ModulePresentation):
-        return transition.component(i).kron(Mat.identity(ring, n.ambient_rank))
-    return tensor_map(transition, ComplexMap.identity(n)).component(i)
-
-
-def _in_span(span, column, ring):
-    if span is None or span.ncols == 0:
-        probe = Mat.zero(ring, len(column), 0)
-        return MatrixGB(probe).contains_column(column)
-    return MatrixGB(span).contains_column(column)
+        eye = Mat.identity(ring, n.ambient_rank)
+        return {i: transition.component(i).kron(eye) for i in indices}
+    transition = tensor_map(transition, ComplexMap.identity(n))
+    return {i: transition.component(i) for i in indices}
 
 
 def _transition_status(ring, data_s, data_s1, m_i):
     """'iso', 'vanishing' or 'other' for the induced map on homology."""
-    g, k_s, d_s, r_s, h_s = data_s
-    g1, k_s1, d_s1, r_s1, h_s1 = data_s1
+    _g, k_s, d_s, r_s, h_s = data_s
+    _g1, k_s1, d_s1, r_s1, h_s1 = data_s1
     zero_s = h_s.ambient_rank == 0 or h_s.is_zero()
     zero_s1 = h_s1.ambient_rank == 0 or h_s1.is_zero()
     if zero_s and zero_s1:
@@ -202,33 +197,28 @@ def _transition_status(ring, data_s, data_s1, m_i):
     span1 = d_s1
     if r_s1 is not None and r_s1.ncols:
         span1 = span1.hstack(r_s1) if span1.ncols else r_s1
-    mapped = m_i * k_s if k_s.ncols else Mat.zero(ring, g1, 0)
-    vanishes = all(
-        _in_span(span1, mapped.column(j), ring) for j in range(mapped.ncols)
-    )
-    if vanishes:
+    # past the returns above both kernels have columns to test
+    mapped = m_i * k_s
+    in_span1 = MatrixGB(span1).contains_column
+    if all(in_span1(mapped.column(j)) for j in range(mapped.ncols)):
         return "vanishing"
-    big = mapped
-    if span1.ncols:
-        big = big.hstack(span1)
-    surj = all(
-        MatrixGB(big).contains_column(k_s1.column(j)) for j in range(k_s1.ncols)
-    )
-    if not surj:
+    big = mapped.hstack(span1) if span1.ncols else mapped
+    in_big = MatrixGB(big).contains_column
+    if not all(in_big(k_s1.column(j)) for j in range(k_s1.ncols)):
         return "other"
     # injectivity: combinations of mapped generators landing in the
     # boundary span must already be boundaries upstairs
-    from .rings import syzygy_matrix as _syz
-
-    rel = _syz(big).select_rows(range(mapped.ncols))
+    rel = syzygy_matrix(big).select_rows(range(mapped.ncols))
+    if not rel.ncols:
+        return "iso"
     span0 = d_s
     if r_s is not None and r_s.ncols:
         span0 = span0.hstack(r_s) if span0.ncols else r_s
-    for j in range(rel.ncols):
-        combo = k_s * rel.select_columns([j])
-        if not _in_span(span0, combo.column(0), ring):
-            return "other"
-    return "iso"
+    in_span0 = MatrixGB(span0).contains_column
+    combos = k_s * rel
+    if all(in_span0(combos.column(j)) for j in range(rel.ncols)):
+        return "iso"
+    return "other"
 
 
 def _distinct_variables(elements):
@@ -284,7 +274,8 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     if not isinstance(n, (ModulePresentation, FreeComplex)):
         raise TypeError("n must be a ModulePresentation or FreeComplex")
-    indices = range(len(elements) + 1)
+    r = len(elements)
+    indices = range(n.lo, n.hi + r + 1) if isinstance(n, FreeComplex) else range(r + 1)
     report = LocalCohomologyReport([str(t) for t in elements], max_stage)
 
     def stage_at(s):
@@ -322,10 +313,12 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
         transitions = []
         for s in range(1, max_stage + 1):
             if history:
-                transitions.append(koszul_dual_transition(ring, elements, s - 1))
+                transitions.append(_transition_matrices(
+                    ring, koszul_dual_transition(ring, elements, s - 1), n, indices
+                ))
             history.append(stage_at(s))
             verdicts = _tower_verdicts(
-                ring, [d for _stage, d in history], transitions, n, indices
+                ring, [d for _stage, d in history], transitions, indices
             )
             if verdicts is not None:
                 report.stable = True
@@ -351,15 +344,16 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     return report
 
 
-def _tower_verdicts(ring, history, transitions, n, indices):
+def _tower_verdicts(ring, history, transitions, indices):
     """Per-index stabilization by transition maps, or None if undecided.
 
     history[k] is the homology data of stage k + 1 and transitions[k]
-    its map to the next stage.  An index settles either through two
-    consecutive isomorphisms on homology (value reached) or through two
-    consecutive vanishing two-step composites (evidence the colimit is
-    zero: nilpotent action like x on R/(x^2) kills every class after
-    finitely many steps even though no single step is the zero map).
+    the matrices, by index, of its map to the next stage.  An index
+    settles either through two consecutive isomorphisms on homology
+    (value reached) or through two consecutive vanishing two-step
+    composites (evidence the colimit is zero: nilpotent action like x on
+    R/(x^2) kills every class after finitely many steps even though no
+    single step is the zero map).
     """
     if len(history) < 3:
         return None
@@ -370,8 +364,8 @@ def _tower_verdicts(ring, history, transitions, n, indices):
             d0, d1, d2 = history[pos : pos + 3]
             if any(i not in d for d in (d0, d1, d2)):
                 continue
-            m_a = _transition_matrix(ring, transitions[pos], n, i)
-            m_b = _transition_matrix(ring, transitions[pos + 1], n, i)
+            m_a = transitions[pos][i]
+            m_b = transitions[pos + 1][i]
             st_a = _transition_status(ring, d0[i], d1[i], m_a)
             st_b = _transition_status(ring, d1[i], d2[i], m_b)
             if st_a == "iso" and st_b == "iso":
@@ -384,10 +378,7 @@ def _tower_verdicts(ring, history, transitions, n, indices):
                 chain = history[pos : pos + length + 2]
                 if any(i not in d for d in chain):
                     continue
-                mats = [
-                    _transition_matrix(ring, t, n, i)
-                    for t in transitions[pos : pos + length + 1]
-                ]
+                mats = [t[i] for t in transitions[pos : pos + length + 1]]
                 comp_a = mats[length - 1]
                 for m in reversed(mats[: length - 1]):
                     comp_a = comp_a * m

@@ -37,7 +37,7 @@ class Field:
     def parse(self, text):
         raise NotImplementedError
 
-    def random(self, rng, height=5):
+    def random(self, rng):
         raise NotImplementedError
 
 
@@ -70,9 +70,9 @@ class RationalField(Field):
     def parse(self, text):
         return Fraction(text)
 
-    def random(self, rng, height=5):
-        num = rng.randint(-height, height)
-        den = rng.randint(1, height)
+    def random(self, rng):
+        num = rng.randint(-5, 5)
+        den = rng.randint(1, 5)
         return Fraction(num, den)
 
     def __repr__(self):
@@ -128,7 +128,7 @@ class PrimeField(Field):
             return self.div(self.from_int(int(num)), self.from_int(int(den)))
         return self.from_int(int(text))
 
-    def random(self, rng, height=None):
+    def random(self, rng):
         return rng.randrange(self.p)
 
     def __repr__(self):

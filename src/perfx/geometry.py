@@ -157,9 +157,9 @@ class ProjectiveFamily:
     def fiber_count(self):
         return len(self.fiber_variables)
 
-    def twist(self, d, at=0):
+    def twist(self, d):
         """The rank-1 free module with a generator of degree -d (O(d))."""
-        return FreeComplex.single(self.total, 1, at=at, degrees=(-d,))
+        return FreeComplex.single(self.total, 1, degrees=(-d,))
 
     def fiber_vars_in_ambient(self):
         return [self.ambient.var(self.base.nvars + i) for i in range(self.fiber_count)]
@@ -197,7 +197,7 @@ def _coerce_into(p, ring):
     return ring.reduce_terms(p.terms)
 
 
-def blowup_family(base_field, n, name=None):
+def blowup_family(base_field, n):
     """Blow-up of affine n-space at the origin: the Rees family
     Proj A[x_1..x_n] / (y_i x_j - y_j x_i) over A = k[y_1..y_n]."""
     base = PolyRing(base_field, [f"y{i+1}" for i in range(n)])
@@ -205,7 +205,7 @@ def blowup_family(base_field, n, name=None):
     rels = []
     for i, j in combinations(range(n), 2):
         rels.append(f"y{i+1}*x{j+1} - y{j+1}*x{i+1}")
-    return ProjectiveFamily(base, fiber, rels, name=name or f"Bl0(A^{n})")
+    return ProjectiveFamily(base, fiber, rels, name=f"Bl0(A^{n})")
 
 
 # -- projective pushforward -------------------------------------------------
@@ -228,12 +228,12 @@ def _as_ambient_fp(fam, e):
     return FPComplex(t, terms, maps, check=False)
 
 
-def relative_strand(complex_, base, fiber_count, d=0):
-    """Degree-d strand in the fiber variables, as a complex over the base.
+def relative_strand(complex_, base, fiber_count):
+    """Degree-0 strand in the fiber variables, as a complex over the base.
 
     Terms of the input are free over T = A[x]; the strand of a free
     T-module with generator degrees a_j has the x-monomials of degree
-    d - a_j as an A-basis.
+    -a_j as an A-basis.
     """
     t_ring = complex_.ring
     nb = base.nvars
@@ -242,7 +242,7 @@ def relative_strand(complex_, base, fiber_count, d=0):
         basis = []
         degs = complex_.degrees[i]
         for j in range(complex_.rank(i)):
-            for mono in monomials_of_degree(fiber_count, d - degs[j]):
+            for mono in monomials_of_degree(fiber_count, -degs[j]):
                 basis.append((j, mono))
         bases[i] = basis
     ranks = {i: len(b) for i, b in bases.items() if b}
@@ -321,16 +321,14 @@ def pushforward_projective(fam, e, minimal=True):
 class FiberData:
     """A derived fiber with its comparison data."""
 
-    __slots__ = ("point", "complex", "classical", "kind")
+    __slots__ = ("point", "complex")
 
-    def __init__(self, point, complex_, classical=None, kind="derived"):
+    def __init__(self, point, complex_):
         self.point = point
         self.complex = complex_
-        self.classical = classical
-        self.kind = kind
 
     def __repr__(self):
-        return f"FiberData({self.kind} at {self.point}: {self.complex})"
+        return f"FiberData(derived at {self.point}: {self.complex})"
 
 
 def _regrade_zero(complex_):
@@ -340,7 +338,7 @@ def _regrade_zero(complex_):
     )
 
 
-def nice_fiber(f_or_fam, e, point, depth=6):
+def nice_fiber(f_or_fam, e, point):
     """E (x)^L (pullback of the resolved residue field of the base point).
 
     The corrected fiber: its hypercohomology is the fiber of the
@@ -354,20 +352,20 @@ def nice_fiber(f_or_fam, e, point, depth=6):
         f = f_or_fam
         base, total = f.source, f.target
     if base.is_quotient:
-        res = free_resolution(ModulePresentation.residue_field(base, point), depth + 2)
+        res = free_resolution(ModulePresentation.residue_field(base, point), 8)
     else:
         res = koszul_resolution_of_point(base, point)
     pulled = f.apply_complex(res, keep_degrees=False)
     if isinstance(f_or_fam, ProjectiveFamily):
         pulled = _regrade_zero(pulled)
-    e_free = free_resolution(e, depth + 2)
+    e_free = free_resolution(e, 8)
     fiber = tensor(e_free, pulled)
-    return FiberData(point, fiber, kind="derived")
+    return FiberData(point, fiber)
 
 
-def classical_fiber(f_or_fam, e, point, depth=6):
+def classical_fiber(f_or_fam, e, point):
     """Termwise restriction of (a free model of) E to the fiber ring."""
-    e_free = free_resolution(e, depth + 2)
+    e_free = free_resolution(e, 8)
     if isinstance(f_or_fam, ProjectiveFamily):
         fam = f_or_fam
         _fiber_fam, restriction = fam.fiber_family_at(point)
@@ -401,11 +399,11 @@ def chi(f_or_fam, e, point, pushed=None):
     return pushed.fiber_euler_characteristic(point)
 
 
-def chi_direct(fam, e, point, depth=6):
+def chi_direct(fam, e, point):
     """chi computed the other way: push the derived fiber itself and
     measure its homology modules (already vector spaces over the
     residue field of the point)."""
-    fiber = nice_fiber(fam, e, point, depth)
+    fiber = nice_fiber(fam, e, point)
     if isinstance(fam, ProjectiveFamily):
         pushed, _ = pushforward_projective(fam, fiber.complex)
     else:
@@ -418,12 +416,12 @@ def chi_direct(fam, e, point, depth=6):
     return total
 
 
-def classical_chi(fam, e, point, depth=6):
+def classical_chi(fam, e, point):
     """Euler characteristic of the classical fiber (projective case:
     pushforward of the restricted complex over the residue field)."""
     if isinstance(fam, ProjectiveFamily):
         fiber_fam, restriction = fam.fiber_family_at(point)
-        restricted = restriction.apply_complex(free_resolution(e, depth + 2), True)
+        restricted = restriction.apply_complex(free_resolution(e, 8), True)
         pushed, _ = pushforward_projective(fiber_fam, restricted)
         empty = RationalPoint(fiber_fam.base, ())
         return pushed.fiber_euler_characteristic(empty)
@@ -464,7 +462,7 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
     }
 
 
-def grauert_check(f_or_fam, e, p, points, reduced=True, pushed=None):
+def grauert_check(f_or_fam, e, p, points, reduced=True):
     """Constancy of h^p forces local freeness and base change.
 
     Requires the base to be reduced (a caller assertion, surfaced in
@@ -472,8 +470,7 @@ def grauert_check(f_or_fam, e, p, points, reduced=True, pushed=None):
     verifies constant ranks of the two neighbouring differentials and
     that H^p of the pushforward has matching fiber dimensions.
     """
-    if pushed is None:
-        pushed, _ = push(f_or_fam, e)
+    pushed, _ = push(f_or_fam, e)
     in_window = p >= pushed.homology_floor()
     values = {}
     rank_p = {}

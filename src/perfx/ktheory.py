@@ -36,21 +36,21 @@ class K0Class:
 
     __slots__ = ("morphism", "terms", "certificates")
 
-    def __init__(self, morphism, terms, certificates=None):
+    def __init__(self, morphism, terms):
         self.morphism = morphism
         self.terms = []
         for coeff, cplx in terms:
             if coeff:
                 self.terms.append((coeff, cplx))
-        self.certificates = certificates or {}
+        self.certificates = {}
 
     @property
     def ring(self):
         return morphism_top_ring(self.morphism)
 
     @classmethod
-    def of_complex(cls, morphism, cplx, coeff=1):
-        return cls(morphism, [(coeff, cplx)])
+    def of_complex(cls, morphism, cplx):
+        return cls(morphism, [(1, cplx)])
 
     @classmethod
     def structure_class(cls, morphism):
@@ -209,12 +209,12 @@ class IndependentSquare:
 
     __slots__ = ("f", "g", "f_prime", "g_prime", "report")
 
-    def __init__(self, f, g, f_prime, g_prime, points, depth=4):
+    def __init__(self, f, g, f_prime, g_prime, points):
         self.f = f
         self.g = g
         self.f_prime = f_prime
         self.g_prime = g_prime
-        self.report = tor_independent(f, g, points, depth=depth)
+        self.report = tor_independent(f, g, points)
 
     @property
     def independent(self):
@@ -323,7 +323,7 @@ def _term_lists_equal(t1, t2):
 # -- seeded regression diagrams ------------------------------------------------
 
 
-def _random_bounded_class(ring, morphism, rng, sample_points=(), allow_sum=True):
+def _random_bounded_class(ring, morphism, rng, sample_points=()):
     """A small random bounded free complex (or short formal sum).
 
     Elements are biased to vanish at a sample point so the fiber
@@ -349,7 +349,7 @@ def _random_bounded_class(ring, morphism, rng, sample_points=(), allow_sum=True)
         return koszul(ring, [element()]).shift(rng.choice([-1, 0, 1]))
 
     terms = [(1, one_complex())]
-    if allow_sum and rng.random() < 0.4:
+    if rng.random() < 0.4:
         terms.append((rng.choice([1, -1]), one_complex()))
     return K0Class(morphism, terms)
 

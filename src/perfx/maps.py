@@ -2,24 +2,25 @@
 
 A RingMap sends each source variable to an element of the target ring;
 well-definedness on the quotient is checked at construction.  The
-module-finiteness test and the A-module presentation of a
-module-finite target both run in a combined ring k[target vars,
-source vars] with a block elimination order: a pure power of every
-target variable among the leading terms certifies finiteness, and the
-kernel of A^(basis) -> B is read off from basis elements free of both
-the tag component and the target block.
+module-finiteness test, rewriting and the A-module presentation of a
+module-finite target all run in one combined quotient ring k[target
+vars, source vars], built once per map, with a block elimination
+order: a pure power of every target variable among the leading terms
+certifies finiteness, and the kernel of A^(basis) -> B is read off
+from basis elements free of both the tag component and the target
+block.
 """
 
 from __future__ import annotations
 
+from .groebner import buchberger, mono_divides
 from .modules import ModulePresentation, prune_redundant_columns
 from .orders import BlockOrder, GREVLEX
 from .rings import Mat, PolyRing, Polynomial, RationalPoint, embed_poly
-from . import groebner as gb
 
 
 class RingMap:
-    __slots__ = ("source", "target", "images", "_finite_cache", "_rewrite_cache")
+    __slots__ = ("source", "target", "images", "_finite_cache", "_ring", "_presentation")
 
     def __init__(self, source, target, images):
         if len(images) != source.nvars:
@@ -35,7 +36,8 @@ class RingMap:
                     f"map not well defined: quotient generator {q} has nonzero image"
                 )
         self._finite_cache = None
-        self._rewrite_cache = None
+        self._ring = None
+        self._presentation = None
 
     def apply(self, p):
         if p.ring.variables != self.source.variables:
@@ -99,45 +101,36 @@ class RingMap:
 
     # -- module finiteness and restriction of scalars --------------------
 
-    def _combined(self):
-        """Combined polynomial ring k[target vars, source vars], block order."""
+    def _combined_ring(self):
+        """k[target vars, source vars] with the block order, modulo the
+        target quotient, src_var - image and the source quotient."""
         tvars = self.target.variables
         svars = tuple(f"{v}__src" if v in tvars else v for v in self.source.variables)
-        ring = PolyRing(
-            self.target.field, tvars + svars, BlockOrder(len(tvars))
-        )
-        lift_t = {v: ring.var(i) for i, v in enumerate(tvars)}
-        lift_s = [ring.var(len(tvars) + i) for i in range(len(svars))]
-        gens = []
-        for q in self.target.quotient_gb:
-            gens.append(embed_poly(q, ring, 0))
-        for i, im in enumerate(self.images):
-            gens.append(lift_s[i] - embed_poly(im, ring, 0))
-        for q in self.source.quotient_gb:
-            gens.append(embed_poly(q, ring, len(tvars)))
-        return ring, gens, len(tvars)
-
-    def _combined_gb(self):
-        """The combined ring, the Gröbner basis of its ideal, and the
-        number of target variables."""
-        ring, gens, ntv = self._combined()
-        vecs = [{(0, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero]
-        return ring, gb.buchberger(vecs, ring.field, ring.module_key), ntv
+        ring = PolyRing(self.target.field, tvars + svars, BlockOrder(len(tvars)))
+        ntv = len(tvars)
+        gens = [embed_poly(q, ring, 0) for q in self.target.quotient_gb]
+        gens += [
+            ring.var(ntv + i) - embed_poly(im, ring, 0)
+            for i, im in enumerate(self.images)
+        ]
+        gens += [embed_poly(q, ring, ntv) for q in self.source.quotient_gb]
+        return ring.quotient_by(gens)
 
     def finiteness(self):
         """(is_finite, basis monomials of the target over the source).
 
-        Shares the block-order Gröbner basis with rewrite_to_source.
-        The basis, present only in the finite case, is a spanning set of
-        target monomials.
+        Builds the combined ring, which rewrite_to_source and
+        source_module_presentation reuse.  The basis, present only in
+        the finite case, is a spanning set of target monomials.
         """
         if self._finite_cache is not None:
             return self._finite_cache
-        ring, basis, ntv = self._rewrite_data()
-        lms = [gb.leading_term(v, ring.module_key)[1] for v in basis]
+        self._ring = self._combined_ring()
+        ntv = self.target.nvars
         box = [None] * ntv
         tfree_lms = []
-        for m in lms:
+        for q in self._ring.quotient_gb:
+            m = q.leading_monomial()
             if any(m[ntv:]):
                 continue
             tfree_lms.append(m[:ntv])
@@ -154,7 +147,7 @@ class RingMap:
             monos = [m + (e,) for m in monos for e in range(box[i])]
         keep = []
         for m in monos:
-            if not any(gb.mono_divides(lm, m) for lm in tfree_lms):
+            if not any(mono_divides(lm, m) for lm in tfree_lms):
                 keep.append(m)
         keep.sort(key=self.target.order.key)
         self._finite_cache = (True, keep)
@@ -169,41 +162,34 @@ class RingMap:
             raise ValueError("target is not module-finite over the source")
         return basis
 
-    def _rewrite_data(self):
-        """`_combined_gb`, computed once per map."""
-        if self._rewrite_cache is None:
-            self._rewrite_cache = self._combined_gb()
-        return self._rewrite_cache
-
     def rewrite_to_source(self, element):
         """Write a target element as sum a_m(source) * basis monomial m.
 
         Returns a dict {basis monomial: source ring element}.
         """
         basis = self.module_basis()
-        ring, gbasis, ntv = self._rewrite_data()
-        lifted = {(0, m + (0,) * (ring.nvars - ntv)): c for m, c in element.terms.items()}
-        red = gb.reduce_vector(lifted, gb._Basis(ring.field, ring.module_key, gbasis))
+        ring, ntv = self._ring, self.target.nvars
+        red = ring.reduce_terms(embed_poly(element, ring, 0).terms)
         out = {}
-        for (_pos, m), c in red.items():
-            u_part, t_part = m[:ntv], m[ntv:]
-            if u_part not in out:
-                out[u_part] = {}
-            out[u_part][t_part] = c
+        for m, c in red.terms.items():
+            out.setdefault(m[:ntv], {})[m[ntv:]] = c
         result = {}
         for u_part, terms in out.items():
             if u_part not in basis:
                 raise AssertionError("normal form left the spanning box")
-            result[u_part] = self.source.reduce_terms(dict(terms))
+            result[u_part] = self.source.reduce_terms(terms)
         return result
 
     def source_module_presentation(self):
         """The target as a finitely presented module over the source.
 
-        Returns (basis monomials, ModulePresentation over the source).
+        Returns (basis monomials, ModulePresentation over the source),
+        built once per map.
         """
+        if self._presentation is not None:
+            return self._presentation
         basis = self.module_basis()
-        ring, gens, ntv = self._combined()
+        ring, ntv = self._ring, self.target.nvars
         nb = len(basis)
         # component 0 carries B; components 1..nb tag the basis monomials.
         aug = []
@@ -211,11 +197,9 @@ class RingMap:
             vec = {(0, m + (0,) * (ring.nvars - ntv)): ring.field.one}
             vec[(1 + j, (0,) * ring.nvars)] = ring.field.neg(ring.field.one)
             aug.append(vec)
-        for g in gens:
-            if not g.is_zero:
-                aug.append({(0, m): c for m, c in g.terms.items()})
+        aug += ring.quotient_extra_vectors(1)
         key = _restriction_key(ring, ntv)
-        basis_gb = gb.buchberger(aug, ring.field, key)
+        basis_gb = buchberger(aug, ring.field, key)
         rel_entries = []
         ncols = 0
         for v in basis_gb:
@@ -231,7 +215,8 @@ class RingMap:
         rel = Mat.from_entries(self.source, nb, ncols, rel_entries).drop_zero_columns()
         if rel.ncols:
             rel = prune_redundant_columns(rel)
-        return basis, ModulePresentation(self.source, nb, rel)
+        self._presentation = (basis, ModulePresentation(self.source, nb, rel))
+        return self._presentation
 
 
 def _restriction_key(ring, ntv):

@@ -95,9 +95,8 @@ class PolyRing:
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def monomial(self, mono, coeff=None):
-        coeff = self.field.one if coeff is None else coeff
-        return self.reduce_terms({tuple(mono): coeff})
+    def monomial(self, mono):
+        return self.reduce_terms({tuple(mono): self.field.one})
 
     def reduce_terms(self, terms):
         """Canonical representative of a term dict modulo the quotient."""

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from perfx.fields import QQ
-from perfx.complexes import FreeComplex, koszul, koszul_dual_stage, unit_complex
+from perfx import derived
+from perfx.complexes import FreeComplex, koszul, koszul_dual_stage, two_term, unit_complex
 from perfx.derived import (
     boundedness_transfer_check,
     default_depth,
@@ -144,6 +145,36 @@ def test_local_cohomology_window_regime(r1):
         -4: 1, -3: 1, -2: 1, -1: 1, 0: 0,
     }
     assert report.audit["pass"]
+
+
+@pytest.mark.parametrize("elements, window, stage", [
+    (["x"], None, 1),
+    (["x^2"], range(-4, 2), 2),
+])
+def test_local_cohomology_complex_coefficient_indices(r1, elements, window, stage):
+    """A complex coefficient in degrees 0..1 widens the homology indices
+    to 0..r + 1; the top one is needed for the triangle audit."""
+    report = local_cohomology(
+        r1, elements, two_term(r1, "x"), max_stage=5, degree_window=window
+    )
+    assert report.stable and report.stabilized_at == stage
+    assert set(report.presentations) == {0, 1, 2}
+    assert report.audit["pass"]
+
+
+def test_no_window_tower_tensors_each_transition_once(rxy, monkeypatch):
+    counts = {"tensor_map": 0, "koszul_dual_transition": 0}
+    for name in counts:
+        real = getattr(derived, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(derived, name, counting)
+    report = local_cohomology(rxy, ["x", "y"], unit_complex(rxy), max_stage=6)
+    assert not report.stable  # H^2 keeps growing, so all 6 stages are built
+    assert counts == {"tensor_map": 5, "koszul_dual_transition": 5}
 
 
 @pytest.mark.parametrize("names, window", [

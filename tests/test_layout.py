@@ -1,0 +1,68 @@
+"""Source layout rules, checked on the parsed modules of src/perfx."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "perfx"
+
+# Gröbner reduction internals: only the engine and the ring layer use them.
+ENGINE_NAMES = {"_Basis", "reduce_vector", "leading_term"}
+ENGINE_MODULES = {"groebner.py", "rings.py"}
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        yield path.name, text, ast.parse(text)
+
+
+def _imported_names(node):
+    """The names an import statement binds."""
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        else:
+            yield alias.name.split(".")[0]
+
+
+def test_no_unused_imports():
+    """Every imported name is read somewhere in its module.  __init__.py
+    is exempt: its imports are the package's public names."""
+    unused = []
+    for name, text, tree in _modules():
+        if name == "__init__.py":
+            continue
+        lines = text.splitlines()
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa" in line for line in span):
+                continue
+            for bound in _imported_names(node):
+                if bound not in used:
+                    unused.append(f"{name}:{node.lineno}: {bound}")
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_only_engine_and_rings_use_reduction_internals():
+    hits = []
+    for name, _text, tree in _modules():
+        if name in ENGINE_MODULES:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named = node.id
+            elif isinstance(node, ast.Attribute):
+                named = node.attr
+            elif isinstance(node, ast.alias):
+                named = node.name
+            else:
+                continue
+            if named in ENGINE_NAMES:
+                hits.append(f"{name}:{node.lineno}: {named}")
+    listing = "\n".join(hits)
+    assert not hits, f"reduction internals outside groebner.py and rings.py:\n{listing}"

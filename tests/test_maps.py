@@ -1,8 +1,11 @@
 """Ring maps: well-definedness, module finiteness, restriction of scalars."""
 
+import random
+
 import pytest
 
 from perfx.fields import QQ
+from perfx.ktheory import regression_suite
 from perfx.maps import RingMap
 from perfx.rings import PolyRing, RationalPoint
 
@@ -39,22 +42,53 @@ def test_module_basis_and_rewrite(line):
     assert rewrite[(0, 0)] == line.one
 
 
-def test_finiteness_and_rewrite_share_one_combined_gb(line, monkeypatch):
+def test_combined_ring_built_once_per_map(line, monkeypatch):
     calls = []
-    real = RingMap._combined_gb
+    real = RingMap._combined_ring
 
     def counting(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(RingMap, "_combined_gb", counting)
+    monkeypatch.setattr(RingMap, "_combined_ring", counting)
     b = PolyRing(QQ, ["t", "x"], quotient=["x^2 - t"])
     f = RingMap(line, b, ["t"])
     assert f.is_module_finite()
     f.rewrite_to_source(b.parse("x^3"))
     rewrite = f.rewrite_to_source(b.parse("x^3 + x + 1"))
     assert rewrite[(0, 1)] == line.parse("t + 1")
+    first = f.source_module_presentation()
+    assert f.source_module_presentation() is first
     assert len(calls) == 1
+
+
+def _regression_maps(seed, count):
+    for entry in regression_suite(seed=seed, count=count):
+        f, g, h = entry["maps"]["f"], entry["maps"]["g"], entry["maps"]["h"]
+        square = entry["square"]
+        yield from (f, g, h, f.compose(g), g.compose(h))
+        yield from (square.g, square.g_prime, square.f_prime)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rewrite_and_presentation_oracles(seed):
+    rng = random.Random(seed)
+    for f in _regression_maps(seed, 2):
+        basis, pres = f.source_module_presentation()
+        target = f.target
+        monos = [target.monomial(m) for m in basis]
+        elements = target.gens() + [target.random_poly(rng) for _ in range(3)]
+        for e in elements:
+            rewrite = f.rewrite_to_source(e)
+            total = target.zero
+            for m, a in rewrite.items():
+                total = total + f.apply(a) * target.monomial(m)
+            assert total == e
+        for c in range(pres.relations.ncols):
+            total = target.zero
+            for j, r in enumerate(pres.relations.column(c)):
+                total = total + f.apply(r) * monos[j]
+            assert total.is_zero
 
 
 def test_source_presentation_free_case(line):
