@@ -385,17 +385,14 @@ def _find_ring_name(session, ring):
 def _emit(report, fmt, csv_rows=None, csv_header=None):
     if fmt == "json":
         print(json.dumps(report, indent=2, default=str))
-    elif fmt == "csv" and csv_rows is not None:
+        return
+    if fmt != "csv" or csv_rows is None:
+        for key, value in report.items():
+            print(f"{key}: {value}")
+    if csv_rows is not None:
         print(",".join(csv_header))
         for row in csv_rows:
             print(",".join(str(x) for x in row))
-    else:
-        for key, value in report.items():
-            print(f"{key}: {value}")
-        if csv_rows is not None:
-            print(",".join(csv_header))
-            for row in csv_rows:
-                print(",".join(str(x) for x in row))
 
 
 def _required(options, usage, *names):
@@ -407,9 +404,10 @@ def _required(options, usage, *names):
     raise ParseError(f"usage: {usage}: missing {missing}")
 
 
-def _points_from_arg(session, text, ring):
-    """points=line(y1=s,y2=0; s={0,1,..}) or {(a,b),(c,d)} or names."""
-    text = text.strip()
+def _points_from_arg(session, options, usage, ring):
+    """The required points= option: line(y1=s,y2=0; s={0,1,..}) or
+    {(a,b),(c,d)} or names; an empty list is a usage error."""
+    text = _required(options, usage, "points").strip()
     if text.startswith("line(") and text.endswith(")"):
         body = text[len("line("):-1]
         assign_part, _, range_part = body.partition(";")
@@ -434,8 +432,7 @@ def _points_from_arg(session, text, ring):
                 else:
                     coords.append(ring.field.parse(expr))
             points.append(RationalPoint(ring, tuple(coords)))
-        return points
-    if text.startswith("{") and text.endswith("}"):
+    elif text.startswith("{") and text.endswith("}"):
         points = []
         for item in _split_top(text[1:-1]):
             item = item.strip()
@@ -444,9 +441,11 @@ def _points_from_arg(session, text, ring):
                 points.append(RationalPoint(ring, tuple(coords)))
             else:
                 points.append(session.points[item])
-        return points
-    # comma list of declared point names
-    return [session.points[name.strip()] for name in text.split(",")]
+    else:  # comma list of declared point names
+        points = [session.points[name.strip()] for name in text.split(",")]
+    if not points:
+        raise ParseError(f"usage: {usage}: points= lists no point")
+    return points
 
 
 def _blowup_points(base, n):
@@ -505,6 +504,8 @@ def _name_at_point(session, tokens, usage, default_depth):
         depth = int(tokens[4]) if len(tokens) == 5 else default_depth
     except ValueError:
         raise ParseError(f"usage: {usage}") from None
+    if depth < 0:
+        raise ParseError(f"usage: {usage}: depth must be at least 0")
     return tokens[0], session.points[tokens[2]], depth
 
 
@@ -541,7 +542,7 @@ def cmd_chi_scan(session, options, args, fmt):
         sheaf = carrier.twist(int(sheaf_txt[2:-1]))
     else:
         _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
-    points = _points_from_arg(session, _required(options, usage, "points"), base)
+    points = _points_from_arg(session, options, usage, base)
     pushed, _rep = push(carrier, sheaf)
     rows = []
     values = []
@@ -573,7 +574,7 @@ def _scan_inputs(session, options, usage):
     else:
         _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
     p = int(options.get("p", 0))
-    points = _points_from_arg(session, _required(options, usage, "points"), base)
+    points = _points_from_arg(session, options, usage, base)
     return carrier, sheaf, p, points
 
 
@@ -619,10 +620,7 @@ def cmd_local_cohomology(session, options, args, fmt):
         _, target = session.lookup(target_name, ("module", "complex"))
     else:
         target = unit_complex(ring)
-    window = None
-    if args.window:
-        lo, hi = args.window.split("..")
-        window = range(int(lo), int(hi) + 1)
+    window = args.window
     report = local_cohomology(
         ring, elements, target, max_stage=args.max_stage, degree_window=window
     )
@@ -651,7 +649,7 @@ def cmd_relperf(session, tokens, options, args, fmt):
     name = tokens[0]
     _, target = session.lookup(name, ("module", "complex"))
     _, ringmap = session.lookup(tokens[2], ("map",))
-    points = _points_from_arg(session, _required(options, usage, "points"), ringmap.source)
+    points = _points_from_arg(session, options, usage, ringmap.source)
     mode = options.get("mode", "auto")
     report = is_relatively_perfect(target, ringmap, points, mode=mode, max_depth=args.depth)
     payload = {
@@ -733,6 +731,23 @@ def main(argv=None):
         return 2
 
 
+def _check_options(args):
+    """Range-check --depth and --max-stage; parse --window A..B into a range."""
+    if args.depth < 0:
+        raise ParseError("usage: --depth N: N must be at least 0")
+    if args.max_stage < 1:
+        raise ParseError("usage: --max-stage N: N must be at least 1")
+    if args.window is not None:
+        text = args.window
+        lo, _, hi = text.partition("..")
+        try:
+            args.window = range(int(lo), int(hi) + 1)
+        except ValueError:
+            args.window = None
+        if not args.window:
+            raise ParseError(f"usage: --window A..B: integers A <= B, got {text!r}")
+
+
 def _run(args):
     tokens = args.command
     options = {}
@@ -756,6 +771,7 @@ def _run(args):
             return 2
     cmd = tokens[0]
     try:
+        _check_options(args)
         if cmd == "example":
             if positional and positional[0] == "blowup-chi":
                 return cmd_example_blowup_chi(options, args.fmt)

@@ -2,10 +2,18 @@
 
 Cohomological indexing: the differential d^i maps term i to term i+1
 and is stored as a matrix with rank(i+1) rows and rank(i) columns.
-d o d = 0 is checked at construction.  Sign conventions are fixed once
-(see docs/conventions.md): Koszul d(e_S) contracts with alternating
-signs, tensor differentials carry (-1)^p on the right factor, Hom uses
-d(f) = d o f - (-1)^n f o d, shifts negate odd differentials.
+
+FreeComplex(...) and ComplexMap(...) check shapes, rings, grading,
+d o d = 0 and commuting squares.  Builders whose output is a complex by
+an identity on complexes and maps already built (tensor, hom_complex,
+cone, shift, direct_sum, minimize, tensor_map, identity maps,
+geometry.relative_strand, resolutions.truncate_below) use the trusted
+`_make` constructors instead, which still enforce RANK_CAP.
+
+Sign conventions are fixed once (see docs/conventions.md): Koszul
+d(e_S) contracts with alternating signs, tensor differentials carry
+(-1)^p on the right factor, Hom uses d(f) = d o f - (-1)^n f o d,
+shifts negate odd differentials.
 
 The tail flag describes degrees below the window: 'zero' (the complex
 really stops), 'exact' (a truncated resolution: homology below and at
@@ -30,7 +38,19 @@ RANK_CAP = 20000
 class FreeComplex:
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "degrees", "tail")
 
-    def __init__(self, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW, check=True):
+    def __init__(self, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW):
+        self._init(ring, ranks, diffs, degrees, tail)
+        self._validate()
+
+    @classmethod
+    def _make(cls, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW):
+        """Trusted constructor: normalises and enforces RANK_CAP, skips
+        _validate."""
+        c = cls.__new__(cls)
+        c._init(ring, ranks, diffs, degrees, tail)
+        return c
+
+    def _init(self, ring, ranks, diffs, degrees, tail):
         self.ring = ring
         self.ranks = {i: r for i, r in ranks.items() if r}
         if self.ranks:
@@ -55,8 +75,6 @@ class FreeComplex:
             if set(self.degrees) != set(self.ranks):
                 raise ValueError("graded complex needs degrees for every term")
         self.tail = tail
-        if check:
-            self._validate()
 
     def _validate(self):
         for i, m in self.diffs.items():
@@ -198,7 +216,7 @@ class FreeComplex:
         degrees = None
         if self.degrees is not None:
             degrees = {i - n: d for i, d in self.degrees.items()}
-        return FreeComplex(self.ring, ranks, diffs, degrees, self.tail, check=False)
+        return FreeComplex._make(self.ring, ranks, diffs, degrees, self.tail)
 
     def direct_sum(self, other):
         _same_ring(self, other)
@@ -215,7 +233,7 @@ class FreeComplex:
                 for i in ranks
             }
         tail = _combine_tails(self.tail, other.tail)
-        return FreeComplex(self.ring, ranks, diffs, degrees, tail, check=False)
+        return FreeComplex._make(self.ring, ranks, diffs, degrees, tail)
 
 
 def _same_ring(c, d):
@@ -348,7 +366,7 @@ def tensor(c, d):
             for n in ranks
         }
     tail = _combine_tails(c.tail, d.tail)
-    return FreeComplex(ring, ranks, diffs, degrees, tail)
+    return FreeComplex._make(ring, ranks, diffs, degrees, tail)
 
 
 def _hom_layout(c, d, n):
@@ -410,7 +428,7 @@ def hom_complex(c, d):
             for n in ranks
         }
     tail = UNKNOWN_BELOW if (c.tail != ZERO_BELOW or d.tail != ZERO_BELOW) else ZERO_BELOW
-    return FreeComplex(ring, ranks, diffs, degrees, tail)
+    return FreeComplex._make(ring, ranks, diffs, degrees, tail)
 
 
 def dual(c):
@@ -426,15 +444,24 @@ class ComplexMap:
 
     __slots__ = ("source", "target", "components")
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
+        self._init(source, target, components)
+        self._validate()
+
+    @classmethod
+    def _make(cls, source, target, components):
+        """Trusted constructor: skips _validate."""
+        phi = cls.__new__(cls)
+        phi._init(source, target, components)
+        return phi
+
+    def _init(self, source, target, components):
         _same_ring(source, target)
         self.source = source
         self.target = target
         self.components = {
             i: m for i, m in components.items() if m.nrows and m.ncols
         }
-        if check:
-            self._validate()
 
     def _validate(self):
         for i, m in self.components.items():
@@ -455,7 +482,7 @@ class ComplexMap:
 
     @classmethod
     def identity(cls, c):
-        return cls(c, c, {i: Mat.identity(c.ring, r) for i, r in c.ranks.items()}, check=False)
+        return cls._make(c, c, {i: Mat.identity(c.ring, r) for i, r in c.ranks.items()})
 
 
 def _map_preserves_grading(phi):
@@ -497,7 +524,7 @@ def cone(phi):
             for i in ranks
         }
     tail = _combine_tails(c.tail, d.tail)
-    return FreeComplex(ring, ranks, diffs, degrees, tail)
+    return FreeComplex._make(ring, ranks, diffs, degrees, tail)
 
 
 def tensor_map(phi, psi):
@@ -526,7 +553,7 @@ def tensor_map(phi, psi):
                     if row is not None:
                         entries.append((row, col, a * b))
         comps[n] = Mat.from_entries(ring, len(t_layout), len(s_layout), entries)
-    return ComplexMap(src, tgt, comps)
+    return ComplexMap._make(src, tgt, comps)
 
 
 # -- Koszul dual stages and their transitions -----------------------------
@@ -723,9 +750,7 @@ def minimize(complex_):
         final_degrees = {
             i: tuple(complex_.degrees[i][j] for j in kept[i]) for i in final_ranks
         }
-    return FreeComplex(
-        ring, final_ranks, mat_diffs, final_degrees, complex_.tail, check=False
-    )
+    return FreeComplex._make(ring, final_ranks, mat_diffs, final_degrees, complex_.tail)
 
 
 def _is_unit(p, field):

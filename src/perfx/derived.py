@@ -271,6 +271,8 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     bookkeeping on the reported stage, the only stage whose Cech cone
     is built.
     """
+    if max_stage < 1:
+        raise ValueError("max_stage must be at least 1")
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     if not isinstance(n, (ModulePresentation, FreeComplex)):
         raise TypeError("n must be a ModulePresentation or FreeComplex")
@@ -311,6 +313,7 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     else:
         history = []
         transitions = []
+        statuses = {}
         for s in range(1, max_stage + 1):
             if history:
                 transitions.append(_transition_matrices(
@@ -318,7 +321,7 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
                 ))
             history.append(stage_at(s))
             verdicts = _tower_verdicts(
-                ring, [d for _stage, d in history], transitions, indices
+                ring, [d for _stage, d in history], transitions, indices, statuses
             )
             if verdicts is not None:
                 report.stable = True
@@ -344,7 +347,7 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     return report
 
 
-def _tower_verdicts(ring, history, transitions, indices):
+def _tower_verdicts(ring, history, transitions, indices, statuses):
     """Per-index stabilization by transition maps, or None if undecided.
 
     history[k] is the homology data of stage k + 1 and transitions[k]
@@ -354,42 +357,42 @@ def _tower_verdicts(ring, history, transitions, indices):
     composites (evidence the colimit is zero: nilpotent action like x on
     R/(x^2) kills every class after finitely many steps even though no
     single step is the zero map).
+
+    Each index takes the first window that decides, by position, then
+    the iso pair, then composites by length.  statuses keeps each status
+    by (index, from, to) across the calls of one tower, so after a new
+    stage only windows no earlier call reached are evaluated.
     """
     if len(history) < 3:
         return None
+
+    def status(i, a, b):
+        if (i, a, b) not in statuses:
+            m = transitions[a][i]
+            for t in transitions[a + 1 : b]:
+                m = t[i] * m
+            statuses[i, a, b] = _transition_status(ring, history[a][i], history[b][i], m)
+        return statuses[i, a, b]
+
     verdicts = {}
     for i in indices:
         found = None
         for pos in range(len(history) - 2):
-            d0, d1, d2 = history[pos : pos + 3]
-            if any(i not in d for d in (d0, d1, d2)):
+            if any(i not in d for d in history[pos : pos + 3]):
                 continue
-            m_a = transitions[pos][i]
-            m_b = transitions[pos + 1][i]
-            st_a = _transition_status(ring, d0[i], d1[i], m_a)
-            st_b = _transition_status(ring, d1[i], d2[i], m_b)
-            if st_a == "iso" and st_b == "iso":
-                found = (pos + 1, d0[i][4])
+            if status(i, pos, pos + 1) == "iso" and status(i, pos + 1, pos + 2) == "iso":
+                found = (pos + 1, history[pos][i][4])
                 break
             # vanishing of an L-step composite at two consecutive base
             # points: catches nilpotent transitions of any order the
             # stage budget can see
             for length in range(2, len(history) - pos - 1):
-                chain = history[pos : pos + length + 2]
-                if any(i not in d for d in chain):
+                if any(i not in d for d in history[pos : pos + length + 2]):
                     continue
-                mats = [t[i] for t in transitions[pos : pos + length + 1]]
-                comp_a = mats[length - 1]
-                for m in reversed(mats[: length - 1]):
-                    comp_a = comp_a * m
-                comp_b = mats[length]
-                for m in reversed(mats[1:length]):
-                    comp_b = comp_b * m
-                st_comp_a = _transition_status(ring, chain[0][i], chain[length][i], comp_a)
-                st_comp_b = _transition_status(
-                    ring, chain[1][i], chain[length + 1][i], comp_b
-                )
-                if st_comp_a == "vanishing" and st_comp_b == "vanishing":
+                if (
+                    status(i, pos, pos + length) == "vanishing"
+                    and status(i, pos + 1, pos + length + 1) == "vanishing"
+                ):
                     found = (pos + 1, ModulePresentation.zero(ring))
                     break
             if found is not None:
@@ -432,6 +435,8 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
     assumed.  If the hypothesis fails, the check reports that it does
     not apply.
     """
+    if max_stage < 1:
+        raise ValueError("max_stage must be at least 1")
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     hom = _with_coefficients(n, dual(koszul(ring, elements)))
     if not homology_data(hom, index)[4].is_zero():

@@ -63,7 +63,8 @@ def restrict_scalars(f, e):
     nb = len(basis)
     source = f.source
     if isinstance(e, ModulePresentation):
-        e = _module_as_free_complex_input(e)
+        # the presentation as a two-term complex
+        e = FreeComplex.from_matrix(e.ring, e.relations)
     terms = {}
     maps = {}
     for i, r in e.ranks.items():
@@ -80,19 +81,7 @@ def restrict_scalars(f, e):
                 for mono2, coeff in f.rewrite_to_source(image).items():
                     entries.append((s * nb + basis_index[mono2], c * nb + j, coeff))
         maps[i] = Mat.from_entries(source, e.rank(i + 1) * nb, e.rank(i) * nb, entries)
-    return FPComplex(source, terms, maps, check=False)
-
-
-def _module_as_free_complex_input(module):
-    """Module over the target: use its presentation as a 2-term complex."""
-    ring = module.ring
-    if module.relations.ncols == 0:
-        return FreeComplex.single(ring, module.ambient_rank, at=0)
-    return FreeComplex(
-        ring,
-        {-1: module.relations.ncols, 0: module.ambient_rank},
-        {-1: module.relations},
-    )
+    return FPComplex(source, terms, maps)
 
 
 def pushforward_affine(f, e, depth=1):
@@ -225,7 +214,7 @@ def _as_ambient_fp(fam, e):
         terms[i] = ModulePresentation(t, r, Mat.identity(t, r).kron(rels), degs)
     for i, m in e.diffs.items():
         maps[i] = m.map(lambda x: Polynomial(t, x.terms), t)
-    return FPComplex(t, terms, maps, check=False)
+    return FPComplex(t, terms, maps)
 
 
 def relative_strand(complex_, base, fiber_count):
@@ -271,7 +260,7 @@ def relative_strand(complex_, base, fiber_count):
                 for row, terms in acc.items():
                     entries.append((row, col, base.reduce_terms(terms)))
         diffs[i] = Mat.from_entries(base, len(tgt), len(src), entries)
-    return FreeComplex(base, ranks, diffs, None, complex_.tail)
+    return FreeComplex._make(base, ranks, diffs, None, complex_.tail)
 
 
 def pushforward_projective(fam, e, minimal=True):

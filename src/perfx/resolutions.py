@@ -31,11 +31,13 @@ class FPComplex:
     """Bounded complex of finitely presented modules.
 
     maps[i] sends generators of terms[i] to columns over generators of
-    terms[i+1]; well-definedness (relations map into relations) and
-    d o d = 0 are checked modulo relations.
+    terms[i+1].  The constructor checks nothing: in every FPComplex
+    perfx builds (from_free, module_tensor_complex, truncate_le and the
+    pushforwards in geometry.py) the maps respect the relations and
+    compose to zero by construction.
     """
 
-    def __init__(self, ring, terms, maps, check=True):
+    def __init__(self, ring, terms, maps):
         self.ring = ring
         self.terms = {i: t for i, t in terms.items() if t.ambient_rank}
         self.maps = {
@@ -48,8 +50,6 @@ class FPComplex:
             self.hi = max(self.terms)
         else:
             self.lo, self.hi = 0, -1
-        if check:
-            self._validate()
 
     def term(self, i):
         return self.terms.get(i) or ModulePresentation.zero(self.ring)
@@ -58,25 +58,6 @@ class FPComplex:
         if i in self.maps:
             return self.maps[i]
         return Mat.zero(self.ring, self.term(i + 1).ambient_rank, self.term(i).ambient_rank)
-
-    def _validate(self):
-        for i, m in self.maps.items():
-            src, tgt = self.term(i), self.term(i + 1)
-            if m.nrows != tgt.ambient_rank or m.ncols != src.ambient_rank:
-                raise ValueError(f"map at {i} has wrong shape")
-            rel = src.relations
-            if rel.ncols:
-                image = m * rel
-                for j in range(image.ncols):
-                    if not tgt.contains(image.column(j)):
-                        raise ValueError(f"map at {i} not well defined on relations")
-        for i in self.maps:
-            if (i + 1) in self.maps:
-                comp = self.maps[i + 1] * self.maps[i]
-                tgt = self.term(i + 2)
-                for j in range(comp.ncols):
-                    if not tgt.contains(comp.column(j)):
-                        raise ValueError(f"d o d != 0 (mod relations) at {i}")
 
     @classmethod
     def from_free(cls, complex_):
@@ -87,7 +68,7 @@ class FPComplex:
             terms[i] = ModulePresentation.free(complex_.ring, r, degs)
         for i, m in complex_.diffs.items():
             maps[i] = m
-        return cls(complex_.ring, terms, maps, check=False)
+        return cls(complex_.ring, terms, maps)
 
 
 def _kernel_of(mat, ring):
@@ -147,28 +128,15 @@ def free_replacement(fpc, floor):
                 if z.ncols > 1:
                     z = prune_redundant_columns(z)
             phi_z = phi_up * z if (phi_up is not None and phi_up.nrows) else Mat.zero(ring, 0, z.ncols)
-            d_map = fpc.map(k)
-            rel_up = fpc.term(k + 1).relations
-            blocks = []
-            if g_k:
-                blocks.append(d_map)
-            blocks.append(-phi_z)
-            if rel_up.ncols:
-                blocks.append(rel_up)
             if phi_z.nrows == 0:
-                # target is the zero module: every pair works
-                big = None
-            else:
-                big = blocks[0]
-                for b in blocks[1:]:
-                    big = big.hstack(b)
-            if big is None:
-                # generators: all of C^k gens and all kernel gens
+                # target is the zero module: every pair of C^k gens and
+                # kernel gens works
                 sol = Mat.identity(ring, g_k + z.ncols)
             else:
-                syz = syzygy_matrix(big)
+                # [d_k | -phi_z | relations of C^(k+1)]; empty blocks add nothing
+                big = fpc.map(k).hstack(-phi_z).hstack(fpc.term(k + 1).relations)
                 # drop columns with no (x, y) content
-                sol = syz.select_rows(range(g_k + z.ncols)).drop_zero_columns()
+                sol = syzygy_matrix(big).select_rows(range(g_k + z.ncols)).drop_zero_columns()
             stacked = None
             if graded:
                 stacked = (tuple(c_k.degrees) if g_k else ()) + (
@@ -303,7 +271,7 @@ def module_tensor_complex(module, complex_):
     ident = Mat.identity(ring, amb)
     for i, m in complex_.diffs.items():
         maps[i] = m.kron(ident)
-    return FPComplex(ring, terms, maps, check=False)
+    return FPComplex(ring, terms, maps)
 
 
 def free_resolution(target, depth):
@@ -359,7 +327,7 @@ def truncate_below(complex_, new_lo):
     degrees = None
     if complex_.degrees is not None:
         degrees = {i: d for i, d in complex_.degrees.items() if i >= new_lo}
-    return FreeComplex(complex_.ring, ranks, diffs, degrees, EXACT_BELOW, check=False)
+    return FreeComplex._make(complex_.ring, ranks, diffs, degrees, EXACT_BELOW)
 
 
 def derived_tensor(e, f, depth=6):
@@ -395,13 +363,7 @@ def truncate_le(complex_, k):
     floor = complex_.homology_floor()
     if k + 1 < floor:
         raise ValueError("truncation level below the trustworthy window")
-    d_k = complex_.diff(k)
-    if complex_.rank(k) == 0:
-        kernel = Mat.zero(ring, 0, 0)
-    elif complex_.rank(k + 1) == 0:
-        kernel = Mat.identity(ring, complex_.rank(k))
-    else:
-        kernel = syzygy_matrix(d_k)
+    kernel = _kernel_of(complex_.diff(k), ring)
     terms = {}
     maps = {}
     for i in range(complex_.lo, k):
@@ -420,6 +382,6 @@ def truncate_le(complex_, k):
             if lift is None:
                 raise ValueError("image does not land in the kernel")
             maps[k - 1] = lift
-    fpc = FPComplex(ring, terms, maps, check=False)
+    fpc = FPComplex(ring, terms, maps)
     lo_out = min(complex_.lo, k) - 1
     return free_replacement(fpc, lo_out)

@@ -164,6 +164,20 @@ def test_cli_blowup_example_bad_n(capsys, n):
     ["tor", "M", "from", "p0"],
     ["tor", "M", "at", "p0", "deep", "3"],
     ["perfect", "M", "at", "p0", "depth"],
+    # out-of-range options and tokens
+    ["perfect", "M", "at", "p0", "--depth", "-3"],
+    ["relperf", "OB", "over", "f", "points={(0),(1)}", "--depth", "-1"],
+    ["tor", "M", "at", "p0", "depth", "-2"],
+    ["local-cohomology", "ring=A", "t=(t)", "--max-stage", "0"],
+    ["transfer-check", "ring=A", "t=(t)", "n=M", "--max-stage", "0"],
+    ["local-cohomology", "ring=A", "t=(t)", "--window=-3"],
+    ["local-cohomology", "ring=A", "t=(t)", "--window=a..b"],
+    ["local-cohomology", "ring=A", "t=(t)", "--window=0..-3"],
+    # a points= option that lists no point
+    ["grauert", "map=f", "module=OB", "points={}"],
+    ["hp-scan", "map=f", "sheaf=OB", "points={}"],
+    ["hp-scan", "map=f", "sheaf=OB", "points=line(t=s; s={})"],
+    ["chi-scan", "map=f", "sheaf=OB", "points={}"],
 ])
 def test_cli_malformed_command_usage(tmp_path, capsys, tokens):
     path = tmp_path / "s.pfx"

@@ -11,6 +11,7 @@ from perfx.fields import GF, QQ
 from perfx.complexes import (
     ComplexMap,
     FreeComplex,
+    cech_cone,
     cone,
     dual,
     hom_complex,
@@ -21,11 +22,12 @@ from perfx.complexes import (
     minimize,
     strand_homology_dims,
     tensor,
+    tensor_map,
     two_term,
     unit_complex,
 )
 from perfx.modules import ModulePresentation
-from perfx.resolutions import free_resolution
+from perfx.resolutions import free_resolution, truncate_below
 from perfx.rings import Mat, PolyRing, RationalPoint
 
 
@@ -364,6 +366,96 @@ def test_dd_zero_enforced(rxy):
 def test_rank_cap(rxy):
     with pytest.raises(ValueError, match="cap"):
         FreeComplex(rxy, {0: 30000}, {})
+    # the trusted constructors keep the cap: 150 * 151 > RANK_CAP
+    with pytest.raises(ValueError, match="cap"):
+        tensor(FreeComplex.single(rxy, 150), FreeComplex.single(rxy, 151))
+
+
+def test_caller_maps_and_gradings_are_checked(rxy):
+    k = koszul(rxy, ["x", "y"])
+    u = unit_complex(rxy)
+    # multiplication by x in degree 0 only: the square at degree -1 fails
+    with pytest.raises(ValueError, match="does not commute"):
+        ComplexMap(k, u, {0: Mat(rxy, [["x"]], ncols=1)})
+    with pytest.raises(ValueError, match="wrong shape"):
+        ComplexMap(k, u, {0: Mat(rxy, [["x", "y"]], ncols=2)})
+    with pytest.raises(ValueError, match="wrong shape"):
+        FreeComplex(rxy, {0: 1, 1: 2}, {0: Mat(rxy, [["x"]], ncols=1)})
+    with pytest.raises(ValueError, match="not homogeneous"):
+        FreeComplex(
+            rxy, {0: 1, 1: 1}, {0: Mat(rxy, [["x + 1"]], ncols=1)},
+            degrees={0: (0,), 1: (-1,)},
+        )
+
+
+# -- builders that skip the checks ---------------------------------------------
+
+TRUSTED_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y"]),
+    "GF32003": PolyRing(GF(32003), ["x", "y"]),
+    "QQ/(x^2-y,xy)": PolyRing(QQ, ["x", "y"], quotient=["x^2 - y", "x*y"]),
+}
+
+
+def revalidate(built):
+    """Pass a trusted builder's output through the public constructor,
+    which checks shapes, grading, d o d = 0 and commuting squares."""
+    if isinstance(built, ComplexMap):
+        revalidate(built.source)
+        revalidate(built.target)
+        ComplexMap(built.source, built.target, built.components)
+    else:
+        FreeComplex(built.ring, built.ranks, built.diffs, built.degrees, built.tail)
+
+
+def scalar_map(c, p):
+    """Multiplication by p on every term: a chain map c -> c."""
+    return ComplexMap(c, c, {i: Mat.identity(c.ring, r).kron(Mat(c.ring, [[p]]))
+                             for i, r in c.ranks.items()})
+
+
+@pytest.mark.parametrize("name", list(TRUSTED_RINGS))
+@pytest.mark.parametrize("seed", range(3))
+def test_trusted_builders_pass_the_public_checks(name, seed):
+    ring = TRUSTED_RINGS[name]
+    rng = random.Random(300 + seed)
+
+    def polys(count):
+        return [ring.random_poly(rng, max_degree=2, nterms=2) for _ in range(count)]
+
+    k2 = koszul(ring, polys(2))
+    k3 = koszul(ring, polys(3))
+    t = two_term(ring, polys(1)[0])
+    phi = scalar_map(k2, polys(1)[0])
+    psi = scalar_map(t, polys(1)[0])
+    phi_t = tensor_map(phi, psi)
+    built = [
+        tensor(k2, k3),
+        tensor(k3, t),
+        hom_complex(k2, k3),
+        hom_complex(k3, t),
+        cone(phi),
+        cone(phi_t),
+        phi_t,
+        ComplexMap.identity(k3),
+        k3.shift(1),
+        k2.direct_sum(t.shift(-1)),
+        minimize(tensor(k2, k3)),
+        truncate_below(tensor(k2, k3), -3),
+        koszul_dual_transition(ring, ["x", "y"], 1 + seed),
+        cech_cone(koszul_dual_stage(ring, ["x", "y"], 1 + seed)),
+    ]
+    for b in built:
+        revalidate(b)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_relative_strand_passes_the_public_checks(n):
+    """minimal=False returns relative_strand's output as it is."""
+    fam = geometry.blowup_family(QQ, n)
+    pushed, _report = geometry.pushforward_projective(fam, fam.twist(1), minimal=False)
+    assert pushed.diffs
+    revalidate(pushed)
 
 
 def test_homology_guard_below_window(rxy):

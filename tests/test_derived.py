@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from perfx.fields import QQ
+from perfx.fields import GF, QQ
 from perfx import derived
 from perfx.complexes import FreeComplex, koszul, koszul_dual_stage, two_term, unit_complex
 from perfx.derived import (
@@ -364,3 +364,126 @@ def test_local_cohomology_nilpotent_transitions(r1):
         assert h0.fiber_dim(RationalPoint(r1, (0,))) == 1
         assert sum(h0.graded_dim(d) for d in range(0, power + 2)) == power if h0.degrees else True
         assert h1.ambient_rank == 0 or h1.is_zero()
+
+
+# -- the transition-map tower against the restarting scan ----------------------
+
+
+def _restarting_tower_verdicts(ring, history, transitions, indices):
+    """Reference: the scan that restarted from stage 1 at every stage and
+    evaluated both statuses of every window it visited."""
+    if len(history) < 3:
+        return None
+    verdicts = {}
+    for i in indices:
+        found = None
+        for pos in range(len(history) - 2):
+            d0, d1, d2 = history[pos : pos + 3]
+            if any(i not in d for d in (d0, d1, d2)):
+                continue
+            st_a = derived._transition_status(ring, d0[i], d1[i], transitions[pos][i])
+            st_b = derived._transition_status(ring, d1[i], d2[i], transitions[pos + 1][i])
+            if st_a == "iso" and st_b == "iso":
+                found = (pos + 1, d0[i][4])
+                break
+            for length in range(2, len(history) - pos - 1):
+                chain = history[pos : pos + length + 2]
+                if any(i not in d for d in chain):
+                    continue
+                mats = [t[i] for t in transitions[pos : pos + length + 1]]
+                comp_a = mats[length - 1]
+                for m in reversed(mats[: length - 1]):
+                    comp_a = comp_a * m
+                comp_b = mats[length]
+                for m in reversed(mats[1:length]):
+                    comp_b = comp_b * m
+                st_comp_a = derived._transition_status(ring, chain[0][i], chain[length][i], comp_a)
+                st_comp_b = derived._transition_status(
+                    ring, chain[1][i], chain[length + 1][i], comp_b
+                )
+                if st_comp_a == "vanishing" and st_comp_b == "vanishing":
+                    found = (pos + 1, ModulePresentation.zero(ring))
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return None
+        verdicts[i] = found
+    return verdicts
+
+
+def _tower_case(case):
+    qx = PolyRing(QQ, ["x"])
+    qxy = PolyRing(QQ, ["x", "y"])
+    if case == "QQ[x] unit":
+        return qx, ["x"], unit_complex(qx), 8
+    if case == "QQ[x,y] unit":
+        return qxy, ["x", "y"], unit_complex(qxy), 6
+    if case == "QQ[x]/(x^2) unit":
+        q = PolyRing(QQ, ["x"], quotient=["x^2"])
+        return q, ["x"], unit_complex(q), 6
+    if case == "R/(x^2)":
+        return qx, ["x"], ModulePresentation.cyclic(qx, ["x^2"]), 8
+    if case == "GF(5)[x,y] R/(x^2)":
+        g5 = PolyRing(GF(5), ["x", "y"])
+        return g5, ["x"], ModulePresentation.cyclic(g5, ["x^2"]), 5
+    if case == "GF(5)[x,y] unit":
+        g5 = PolyRing(GF(5), ["x", "y"])
+        return g5, ["x", "y"], unit_complex(g5), 5
+    assert case == "two_term"
+    return qx, ["x^2"], two_term(qx, "x"), 6
+
+
+def _tower_report(case, monkeypatch, reference):
+    calls = []
+    real = derived._transition_status
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(derived, "_transition_status", counting)
+        if reference:
+            m.setattr(
+                derived, "_tower_verdicts",
+                lambda ring, history, transitions, indices, _statuses:
+                    _restarting_tower_verdicts(ring, history, transitions, indices),
+            )
+        ring, elements, n, max_stage = _tower_case(case)
+        rep = local_cohomology(ring, elements, n, max_stage=max_stage)
+    pres = {
+        i: (p.ambient_rank, p.relations, p.degrees) for i, p in rep.presentations.items()
+    }
+    return (rep.stable, rep.stabilized_at, rep.criterion, pres, rep.audit), len(calls)
+
+
+@pytest.mark.parametrize("case, restarting, kept", [
+    ("QQ[x] unit", 124, 23),
+    ("QQ[x,y] unit", 56, 14),
+    ("QQ[x]/(x^2) unit", 12, 7),
+    ("R/(x^2)", 12, 7),
+    ("GF(5)[x,y] R/(x^2)", 12, 7),
+    ("GF(5)[x,y] unit", 32, 10),
+    ("two_term", 14, 7),
+])
+def test_tower_verdicts_keep_statuses_across_stages(monkeypatch, case, restarting, kept):
+    """Keeping each evaluated status across stages gives the restarting
+    scan's verdicts, stabilization stage, presentations and audit, with
+    fewer _transition_status calls."""
+    want, want_calls = _tower_report(case, monkeypatch, reference=True)
+    got, got_calls = _tower_report(case, monkeypatch, reference=False)
+    assert got == want
+    assert (want_calls, got_calls) == (restarting, kept)
+
+
+def test_tower_needs_a_stage(r1):
+    with pytest.raises(ValueError, match="max_stage must be at least 1"):
+        local_cohomology(r1, ["x"], unit_complex(r1), max_stage=0)
+    with pytest.raises(ValueError, match="max_stage must be at least 1"):
+        local_cohomology(
+            r1, ["x"], ModulePresentation.cyclic(r1, ["x^2"]), max_stage=0,
+            degree_window=range(-2, 1),
+        )
+    with pytest.raises(ValueError, match="max_stage must be at least 1"):
+        boundedness_transfer_check(r1, ["x"], unit_complex(r1), 0, max_stage=0)

@@ -66,3 +66,20 @@ def test_only_engine_and_rings_use_reduction_internals():
                 hits.append(f"{name}:{node.lineno}: {named}")
     listing = "\n".join(hits)
     assert not hits, f"reduction internals outside groebner.py and rings.py:\n{listing}"
+
+
+def test_no_check_switch():
+    """Validation is decided by which constructor a builder calls (the
+    public one or the trusted `_make`), never by a `check` argument."""
+    hits = []
+    for name, _text, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                if any(p.arg == "check" for p in params):
+                    hits.append(f"{name}:{node.lineno}: parameter check")
+            elif isinstance(node, ast.Call):
+                if any(k.arg == "check" for k in node.keywords):
+                    hits.append(f"{name}:{node.lineno}: call passes check=")
+    assert not hits, "check switches in src/perfx:\n" + "\n".join(hits)

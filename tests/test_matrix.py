@@ -251,7 +251,7 @@ def dense_minimize(complex_):
     final_degrees = None
     if degrees is not None:
         final_degrees = {i: tuple(degrees[i]) for i in final_ranks}
-    return FreeComplex(ring, final_ranks, mat_diffs, final_degrees, complex_.tail, check=False)
+    return FreeComplex(ring, final_ranks, mat_diffs, final_degrees, complex_.tail)
 
 
 def assert_minimize_matches(c):
