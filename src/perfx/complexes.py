@@ -9,6 +9,8 @@ an identity on complexes and maps already built (tensor, hom_complex,
 cone, shift, direct_sum, minimize, tensor_map, identity maps,
 geometry.relative_strand, resolutions.truncate_below) use the trusted
 `_make` constructors instead, which still enforce RANK_CAP.
+RingMap.apply_complex does too, and then checks only the grading it
+keeps, the one claim a ring map can break.
 
 Sign conventions are fixed once (see docs/conventions.md): Koszul
 d(e_S) contracts with alternating signs, tensor differentials carry
@@ -25,8 +27,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .groebner import mono_divides, mono_mul
-from .rings import Mat, dense_rows
+from .rings import Mat
 
 ZERO_BELOW = "zero"
 EXACT_BELOW = "exact"
@@ -87,16 +88,22 @@ class FreeComplex:
                 prod = self.diffs[i + 1] * self.diffs[i]
                 if not prod.is_zero:
                     raise ValueError(f"d o d != 0 between degrees {i} and {i + 2}")
-        if self.degrees is not None:
-            for i, m in self.diffs.items():
-                src = self.degrees[i]
-                tgt = self.degrees.get(i + 1, ())
-                for r, c, p in m.entries():
-                    d = p.homogeneous_degree()
-                    if d is None or d != src[c] - tgt[r]:
-                        raise ValueError(
-                            f"differential entry at degree {i} not homogeneous"
-                        )
+        self._check_grading()
+
+    def _check_grading(self):
+        """Every entry of a graded complex's differentials is homogeneous
+        of the degree its grading asks for."""
+        if self.degrees is None:
+            return
+        for i, m in self.diffs.items():
+            src = self.degrees[i]
+            tgt = self.degrees.get(i + 1, ())
+            for r, c, p in m.entries():
+                d = p.homogeneous_degree()
+                if d is None or d != src[c] - tgt[r]:
+                    raise ValueError(
+                        f"differential entry at degree {i} not homogeneous"
+                    )
 
     # -- basic access ----------------------------------------------------
 
@@ -178,10 +185,7 @@ class FreeComplex:
         over the rationals.  Over GF(p) every rank is exact as it is.
         """
         pad = 0 if self.ring.field.char else 1
-        mats = {}
-        for i in range(lo - pad, hi + 1 + pad):
-            m = self.diff(i)
-            mats[i] = m.evaluate(point) if m.nrows and m.ncols else []
+        mats = {i: self.diff(i).evaluate(point) for i in range(lo - pad, hi + 1 + pad)}
         return linalg.complex_ranks(mats, self.ranks, self.ring.field)
 
     def fiber_dims(self, point, lo=None, hi=None):
@@ -595,73 +599,6 @@ def cech_cone(stage):
     ring = stage.ring
     aug = ComplexMap(stage, unit_complex(ring), {0: Mat(ring, [[ring.one]], ncols=1)})
     return cone(aug)
-
-
-# -- graded strands over the coefficient field ----------------------------
-
-
-def standard_monomials(ring, degree):
-    """Monomial basis of the degree-d piece of the (quotient) ring."""
-    lts = [q.leading_monomial() for q in ring.quotient_gb]
-    return [
-        m
-        for m in ring.monomials_of_degree(degree)
-        if not any(mono_divides(lt, m) for lt in lts)
-    ]
-
-
-def strand(complex_, d):
-    """Degree-d strand of a graded complex as field matrices.
-
-    Returns (dims, mats): dims[i] = dim of the strand of term i, and
-    mats[i] the matrix of d^i on the strand (entries in the field).
-    """
-    if complex_.degrees is None:
-        raise ValueError("strand extraction needs a graded complex")
-    ring = complex_.ring
-    field = ring.field
-    bases = {}
-    for i in range(complex_.lo, complex_.hi + 1):
-        basis = []
-        for j in range(complex_.rank(i)):
-            for mono in standard_monomials(ring, d - complex_.degrees[i][j]):
-                basis.append((j, mono))
-        bases[i] = basis
-    dims = {i: len(b) for i, b in bases.items()}
-    mats = {}
-    for i in range(complex_.lo, complex_.hi + 1):
-        src = bases.get(i, [])
-        tgt = bases.get(i + 1, [])
-        if not src or not tgt:
-            continue
-        tgt_index = {key: idx for idx, key in enumerate(tgt)}
-        m = complex_.diff(i)
-        acc = {}
-        for col, (j, mono) in enumerate(src):
-            for r, entry in m.column_entries(j):
-                prod = ring.reduce_terms(
-                    {
-                        mono_mul(mono, em): ec
-                        for em, ec in entry.terms.items()
-                    }
-                )
-                for pm, pc in prod.terms.items():
-                    row = tgt_index.get((r, pm))
-                    if row is not None:
-                        acc[row, col] = field.add(acc.get((row, col), field.zero), pc)
-        mats[i] = dense_rows(len(tgt), len(src), acc.items(), field.zero)
-    return dims, mats
-
-
-def strand_homology_dims(complex_, d):
-    """Homology dimensions of the degree-d strand over the field."""
-    field = complex_.ring.field
-    dims, mats = strand(complex_, d)
-    rk = linalg.complex_ranks(mats, dims, field)
-    out = {}
-    for i in range(complex_.homology_floor(), complex_.hi + 1):
-        out[i] = dims.get(i, 0) - rk.get(i, 0) - rk.get(i - 1, 0)
-    return out
 
 
 # -- minimization ---------------------------------------------------------

@@ -388,23 +388,6 @@ def chi(f_or_fam, e, point, pushed=None):
     return pushed.fiber_euler_characteristic(point)
 
 
-def chi_direct(fam, e, point):
-    """chi computed the other way: push the derived fiber itself and
-    measure its homology modules (already vector spaces over the
-    residue field of the point)."""
-    fiber = nice_fiber(fam, e, point)
-    if isinstance(fam, ProjectiveFamily):
-        pushed, _ = pushforward_projective(fam, fiber.complex)
-    else:
-        pushed = pushforward_affine(fam, fiber.complex)
-    total = 0
-    for i in range(pushed.homology_floor(), pushed.hi + 1):
-        h = pushed.homology(i)
-        if h.ambient_rank:
-            total += (-1 if i % 2 else 1) * h.fiber_dim(point)
-    return total
-
-
 def classical_chi(fam, e, point):
     """Euler characteristic of the classical fiber (projective case:
     pushforward of the restricted complex over the residue field)."""

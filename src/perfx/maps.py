@@ -53,7 +53,8 @@ class RingMap:
         return RationalPoint(self.source, coords)
 
     def apply_complex(self, complex_, keep_degrees=None):
-        """Entrywise image of a free complex; d o d = 0 re-verified."""
+        """Entrywise image of a free complex.  A ring map keeps d o d = 0,
+        so only the grading, when it is kept, is checked again."""
         from .complexes import FreeComplex
 
         diffs = {i: self.apply_matrix(m) for i, m in complex_.diffs.items()}
@@ -63,9 +64,11 @@ class RingMap:
                 keep_degrees = self.preserves_grading()
             if keep_degrees:
                 degrees = dict(complex_.degrees)
-        return FreeComplex(
+        image = FreeComplex._make(
             self.target, dict(complex_.ranks), diffs, degrees, complex_.tail
         )
+        image._check_grading()
+        return image
 
     def preserves_grading(self):
         """True when each image is homogeneous of its variable's weight."""

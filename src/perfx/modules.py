@@ -133,14 +133,6 @@ class ModulePresentation:
             tuple(d + shift for d in self.degrees),
         )
 
-    def syzygy_module(self):
-        """Presentation of the relation module of this module's relations."""
-        syz = syzygy_matrix(self.relations)
-        degrees = None
-        if self.degrees is not None:
-            degrees = _column_degrees(self.relations, self.degrees)
-        return ModulePresentation(self.ring, self.relations.ncols, syz, degrees)
-
     def __repr__(self):
         grading = f", degrees={self.degrees}" if self.degrees is not None else ""
         return (

@@ -277,12 +277,6 @@ class Polynomial:
     def leading_monomial(self):
         return max(self.terms, key=self.ring._key)
 
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
-
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
     def weighted_degree(self, mono):
         return sum(e * w for e, w in zip(mono, self.ring.weights))
 
@@ -675,11 +669,16 @@ class Mat:
         return Mat._make(self.ring, self.nrows, [col for col in self._cols if col])
 
     def evaluate(self, point):
-        """Dense rows of field elements: the entries evaluated at a point."""
+        """The entries evaluated at a point, as one sparse row per matrix
+        row: a {col: value} dict of the values that are nonzero."""
         coords = point.coords if isinstance(point, RationalPoint) else point
-        return dense_rows(self.nrows, self.ncols, (
-            ((i, j), p.evaluate(coords)) for i, j, p in self.entries()
-        ), self.ring.field.zero)
+        rows = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._cols):
+            for i, p in col.items():
+                v = p.evaluate(coords)
+                if v:
+                    rows[i][j] = v
+        return rows
 
     def __eq__(self, other):
         return (
@@ -697,15 +696,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"[{body}]"
-
-
-def dense_rows(nrows, ncols, entries, zero):
-    """Dense rows of a numeric matrix from its ((row, col), value)
-    entries; every other entry is `zero`."""
-    rows = [[zero] * ncols for _ in range(nrows)]
-    for (i, j), v in entries:
-        rows[i][j] = v
-    return rows
 
 
 def _entry(ring, x):

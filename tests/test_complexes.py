@@ -20,12 +20,12 @@ from perfx.complexes import (
     koszul_dual_transition,
     koszul_resolution_of_point,
     minimize,
-    strand_homology_dims,
     tensor,
     tensor_map,
     two_term,
     unit_complex,
 )
+from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import free_resolution, truncate_below
 from perfx.rings import Mat, PolyRing, RationalPoint
@@ -250,16 +250,16 @@ def large_height_points(ring, rng, count):
 
 @pytest.fixture
 def bareiss_degrees(monkeypatch):
-    """Record the shapes of the matrices ranked by exact elimination."""
-    shapes = []
+    """Record the matrices ranked by exact elimination over QQ."""
+    ranked = []
     real = linalg.rank
 
     def counting(rows, field):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        ranked.append(rows)
         return real(rows, field)
 
     monkeypatch.setattr(linalg, "rank", counting)
-    return shapes
+    return ranked
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -285,7 +285,7 @@ def test_fiber_dims_koszul_and_resolutions_match_bareiss(seed):
 
 
 def test_fiber_dims_blowup_large_height_points(blowup3_pushed, bareiss_degrees):
-    for point in large_height_points(blowup3_pushed.ring, random.Random(11), 2):
+    for point in large_height_points(blowup3_pushed.ring, random.Random(11), 3):
         dims = blowup3_pushed.fiber_dims(point)
         assert dims == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
         assert blowup3_pushed.fiber_dims(point, lo=0, hi=0) == {0: 1}
@@ -298,7 +298,9 @@ def test_fiber_dims_blowup_origin_falls_back(blowup3_pushed, bareiss_degrees):
     origin = RationalPoint(blowup3_pushed.ring, (0, 0, 0))
     dims = blowup3_pushed.fiber_dims(origin)
     # only d_-2 (60 x 16) and d_-1 (91 x 60) keep homology on both sides
-    assert bareiss_degrees == [(60, 16), (91, 60)]
+    d = blowup3_pushed.diff
+    assert [(d(i).nrows, d(i).ncols) for i in (-2, -1)] == [(60, 16), (91, 60)]
+    assert bareiss_degrees == [d(-2).evaluate(origin), d(-1).evaluate(origin)]
     bareiss_degrees.clear()
     assert dims == {-3: 0, -2: 1, -1: 3, 0: 3, 1: 0, 2: 0}
     assert dims == bareiss_fiber_dims(blowup3_pushed, origin)
@@ -344,13 +346,12 @@ def test_minimize_preserves_invariants(rxy):
 
 
 def test_strand_dims(rxy):
-    u = unit_complex(rxy)
-    assert strand_homology_dims(u, 3) == {0: 4}
+    """The degree-d strand of the unit complex is the degree-d piece of
+    the ring."""
+    assert ModulePresentation.free(rxy, 1, degrees=(0,)).graded_dim(3) == 4
     q = PolyRing(QQ, ["x", "y"], quotient=["x^2", "y^2"])
-    uq = unit_complex(q)
-    assert strand_homology_dims(uq, 0) == {0: 1}
-    assert strand_homology_dims(uq, 2) == {0: 1}
-    assert strand_homology_dims(uq, 3) == {0: 0}
+    unit = ModulePresentation.free(q, 1, degrees=(0,))
+    assert [unit.graded_dim(d) for d in (0, 2, 3)] == [1, 1, 0]
 
 
 def test_dd_zero_enforced(rxy):
@@ -444,6 +445,8 @@ def test_trusted_builders_pass_the_public_checks(name, seed):
         truncate_below(tensor(k2, k3), -3),
         koszul_dual_transition(ring, ["x", "y"], 1 + seed),
         cech_cone(koszul_dual_stage(ring, ["x", "y"], 1 + seed)),
+        RingMap(ring, ring, ["2*x", "4*y"]).apply_complex(koszul(ring, ["x", "y"])),
+        RingMap(ring, ring, ["2*x", "4*y"]).apply_complex(k3),
     ]
     for b in built:
         revalidate(b)

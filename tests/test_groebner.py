@@ -144,7 +144,7 @@ def computed_syzygy_span_dim(mat, syz, degree):
     vectors = []
     for col in range(syz.ncols):
         col_deg = max(
-            (syz.rows[i][col].total_degree() for i in range(syz.nrows)), default=0
+            (sum(m) for i in range(syz.nrows) for m in syz.rows[i][col].terms), default=0
         )
         for m in monos:
             if sum(m) + max(col_deg, 0) > degree:
@@ -222,8 +222,8 @@ def test_buchberger_criterion_on_outputs():
                 lcm = tuple(max(x, y) for x, y in zip(ma, mb))
                 sa = ring.monomial(tuple(l - m for l, m in zip(lcm, ma)))
                 sb = ring.monomial(tuple(l - m for l, m in zip(lcm, mb)))
-                spair = sa * a.scale(ring.field.inv(a.leading_coeff())) - sb * b.scale(
-                    ring.field.inv(b.leading_coeff())
+                spair = sa * a.scale(ring.field.inv(a.terms[ma])) - sb * b.scale(
+                    ring.field.inv(b.terms[mb])
                 )
                 assert normal_form(spair, basis, ring).is_zero
 
@@ -254,16 +254,17 @@ def test_quotient_ring_canonical_forms():
 def test_evaluate_examples_and_errors():
     ring = PolyRing(QQ, ["x", "y"])
     mat = Mat(ring, [["x", "y"]], ncols=2)
-    assert evaluate_matrix(mat, RationalPoint(ring, (0, 0))) == [
-        [Fraction(0), Fraction(0)]
-    ]
+    # one sparse row per matrix row, holding only the nonzero values
+    assert evaluate_matrix(mat, RationalPoint(ring, (0, 0))) == [{}]
+    assert evaluate_matrix(mat, RationalPoint(ring, (0, 3))) == [{1: Fraction(3)}]
     r1 = PolyRing(QQ, ["x"])
-    assert evaluate_matrix(Mat(r1, [["x - 1"]], ncols=1), RationalPoint(r1, (1,))) == [
-        [Fraction(0)]
-    ]
+    assert evaluate_matrix(Mat(r1, [["x - 1"]], ncols=1), RationalPoint(r1, (1,))) == [{}]
+    assert evaluate_matrix(Mat.zero(r1, 2, 0), RationalPoint(r1, (1,))) == [{}, {}]
+    assert evaluate_matrix(Mat.zero(r1, 0, 2), RationalPoint(r1, (1,))) == []
     m2 = Mat(ring, [["x", "y"], ["y", "x"]], ncols=2)
     rows = evaluate_matrix(m2, RationalPoint(ring, (1, 2)))
-    assert rows == [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
+    assert rows == [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(1)}]
+    assert all(isinstance(x, Fraction) for row in rows for x in row.values())
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     assert det == -3
     quotient = PolyRing(QQ, ["x", "y"], quotient=["x*y - 1"])
@@ -282,7 +283,8 @@ def test_evaluate_is_multiplicative(seed):
     left = evaluate_matrix(a * b, point)
     ea, eb = evaluate_matrix(a, point), evaluate_matrix(b, point)
     right = [
-        [sum(ea[i][k] * eb[k][j] for k in range(2)) for j in range(2)]
+        {j: x for j in range(2)
+         if (x := sum(ea[i].get(k, 0) * eb[k].get(j, 0) for k in range(2)))}
         for i in range(2)
     ]
     assert left == right

@@ -83,3 +83,46 @@ def test_no_check_switch():
                 if any(k.arg == "check" for k in node.keywords):
                     hits.append(f"{name}:{node.lineno}: call passes check=")
     assert not hits, "check switches in src/perfx:\n" + "\n".join(hits)
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Definitions that nothing in src/perfx names, kept for readers outside it.
+UNREFERENCED_ALLOWED = {
+    "total_rank": "perfbench's minimize counter reads it",
+    "orientation_multiplicativity": "a perfbench workload checks it",
+    "cyclic": "the README's library quick start builds modules with it",
+    "of_complex": "K0 API: the class of a free complex",
+    "negate": "K0 API: the additive inverse of a class",
+}
+
+
+def test_no_unreferenced_definitions():
+    """Every top-level function or class and every method that is not a
+    dunder is named somewhere in src/perfx besides its own def."""
+    defined = []
+    named = set()
+    for name, _text, tree in _modules():
+        for node in tree.body:
+            defs = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+            for d in defs:
+                if isinstance(d, DEFINITIONS) and not (
+                    d.name.startswith("__") and d.name.endswith("__")
+                ):
+                    defined.append((name, d.lineno, d.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                ident = node.id
+            elif isinstance(node, ast.Attribute):
+                ident = node.attr
+            elif isinstance(node, ast.alias):
+                ident = node.name
+            else:
+                continue
+            named.add(ident)
+    unused = [
+        f"{module}:{line}: {ident}"
+        for module, line, ident in defined
+        if ident not in named and ident not in UNREFERENCED_ALLOWED
+    ]
+    assert not unused, "definitions nothing in src/perfx names:\n" + "\n".join(unused)

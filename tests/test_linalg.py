@@ -1,9 +1,11 @@
-"""Correctness of the exact linear algebra kernels."""
+"""Correctness of the exact rank computations."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perfx import linalg
 from perfx.complexes import koszul
@@ -19,9 +21,38 @@ def random_matrix(rng, m, n, p=None):
     return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
 
 
+def dense(rows):
+    """Sparse {col: value} rows as dense lists, as wide as the widest."""
+    n = 1 + max((j for row in rows for j in row), default=-1)
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def gauss(rows, field):
+    """Reference Gauss-Jordan on dense rows, over QQ in Fractions or
+    over GF(p) in residues.  Returns (reduced rows, pivot columns)."""
+    p = field.char
+    norm = (lambda x: x % p) if p else Fraction
+    a = [[norm(x) for x in row] for row in rows]
+    n = len(a[0]) if a else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], -1, p) if p else 1 / a[r][c]
+        a[r] = [norm(x * inv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def frac_rank(rows):
-    red, pivots = linalg.rref_frac([[Fraction(x) for x in r] for r in rows])
-    return len(pivots)
+    return len(gauss(rows, QQ)[1])
 
 
 def reference_rank_int(rows):
@@ -59,13 +90,19 @@ def reference_rank_int(rows):
 
 
 def reference_rank_qq(rows):
-    """Per-matrix Bareiss over QQ, no modular shortcut."""
-    return reference_rank_int(linalg._clear_denominators(rows))
+    """Bareiss over QQ on dense rows with denominators cleared row by
+    row, no modular shortcut."""
+    rows = dense(rows) if rows and isinstance(rows[0], dict) else rows
+    cleared = []
+    for row in rows:
+        denom = lcm(*(Fraction(x).denominator for x in row))
+        cleared.append([int(x * denom) for x in row])
+    return reference_rank_int(cleared)
 
 
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """Record the matrices that complex_ranks sends to exact elimination."""
+    """Record the ranks that complex_ranks takes by exact elimination."""
     calls = []
     real = linalg.rank
 
@@ -78,11 +115,16 @@ def bareiss_calls(monkeypatch):
     return calls
 
 
+def as_dicts(rows):
+    """Dense rows as sparse {col: value} rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_int_matches_fraction_rank(seed):
     rng = random.Random(seed)
     a = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-    assert linalg.rank_int(a) == frac_rank(a)
+    assert linalg.rank(a, QQ) == frac_rank(a)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -94,20 +136,28 @@ def test_rank_int_matches_reference(seed):
     a = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
     if m > 2:
         a[-1] = [x - 5 * y for x, y in zip(a[0], a[1])]
-    assert linalg.rank_int(a) == reference_rank_int(a)
+    assert linalg.rank(a, QQ) == reference_rank_int(a)
+    assert linalg.rank(as_dicts(a), QQ) == reference_rank_int(a)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_modp_by_nullity(seed):
     rng = random.Random(100 + seed)
-    p = 10007
-    a = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), p)
-    rank = linalg.rank_modp(a, p)
-    kernel = linalg.nullspace_modp(a, p)
-    assert rank + len(kernel) == len(a[0])
+    f = GF(10007)
+    a = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), f.p)
+    n = len(a[0])
+    red, pivots = gauss(a, f)
+    kernel = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free] % f.p
+        kernel.append(v)
+    assert linalg.rank(a, f) + len(kernel) == n
     for vec in kernel:
         for row in a:
-            assert sum(x * v for x, v in zip(row, vec)) % p == 0
+            assert sum(x * v for x, v in zip(row, vec)) % f.p == 0
 
 
 @pytest.mark.parametrize("p", [2, 7, 32003, P])
@@ -118,7 +168,8 @@ def test_rank_modp_matches_rref_pivots(p, seed):
     a = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(m)]
     if m > 2:
         a[-1] = [(x + 3 * y) % p for x, y in zip(a[0], a[1])]
-    assert linalg.rank_modp(a, p) == len(linalg.rref_modp(a, p)[1])
+    assert linalg.rank(a, GF(p)) == len(gauss(a, GF(p))[1])
+    assert linalg.rank(as_dicts(a), GF(p)) == len(gauss(a, GF(p))[1])
 
 
 def test_field_dispatch():
@@ -127,15 +178,73 @@ def test_field_dispatch():
     assert linalg.rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], QQ) == 1
     f5 = GF(5)
     assert linalg.rank([[1, 2], [2, 4]], f5) == 1
-    ns = linalg.nullspace([[1, 2], [2, 4]], f5)
-    assert len(ns) == 1 and (ns[0][0] + 2 * ns[0][1]) % 5 == 0
+    assert linalg.rank([[1, 2], [2, 9]], f5) == 1
+    assert linalg.rank([[1, 2], [2, 9]], QQ) == 2
+    # entries are reduced mod p first: 5 and 10 are zero in GF(5)
+    assert linalg.rank([{0: 5, 3: 10}, {1: -4}], f5) == 1
 
 
-def test_solve():
-    f5 = GF(5)
-    x = linalg.solve([[1, 1], [0, 1]], [3, 2], f5)
-    assert x == [1, 2]
-    assert linalg.solve([[1, 0], [1, 0]], [0, 1], f5) is None
+def test_rank_of_empty_and_zero_rows():
+    for field in (QQ, GF(32003)):
+        assert linalg.rank([], field) == 0
+        assert linalg.rank([{}], field) == 0
+        assert linalg.rank([[]], field) == 0
+        assert linalg.rank([[0, 0, 0], {}, [0, 0, 0]], field) == 0
+        assert linalg.rank([{}, {2: 3}, [0, 0, 0], {2: -6}], field) == 1
+
+
+def test_rank_leaves_its_input_unchanged():
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 5}, {1: Fraction(1, 3)}]
+    copy = [dict(row) for row in rows]
+    assert linalg.rank(rows, QQ) == 2
+    assert linalg.rank(rows[:2], GF(7)) == 2
+    assert linalg.complex_ranks({0: rows}, {0: 2, 1: 3}, QQ) == {0: 2}
+    assert rows == copy
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense rows of rationals: sparse or dense, of small or large
+    height, with rows that are combinations of earlier rows."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    height = draw(st.sampled_from([1, 9, 10**6, 10**30]))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() < zero_share:
+            return Fraction(0)
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        a, b = rng.choice(rows), rng.choice(rows)
+        s, t = Fraction(rng.randint(-height, height)), Fraction(rng.randint(1, 9), 7)
+        rows.insert(rng.randrange(len(rows) + 1), [s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rank_matches_references_over_qq(rows):
+    expected = reference_rank_qq(rows)
+    assert linalg.rank(rows, QQ) == expected
+    assert linalg.rank(as_dicts(rows), QQ) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rank_matches_references_over_gfp(rows):
+    f = GF(32003)
+    residues = [[x.numerator * pow(x.denominator, -1, f.p) % f.p for x in row]
+                for row in rows if all(x.denominator % f.p for x in row)]
+    expected = len(gauss(residues, f)[1])
+    assert linalg.rank(residues, f) == expected
+    assert linalg.rank(as_dicts(residues), f) == expected
+    # the integer matrices reduced mod p against the integer reference
+    ints = [[x.numerator for x in row] for row in rows]
+    assert linalg.rank(ints, QQ) == reference_rank_int(ints)
+    assert linalg.rank(ints, f) == len(gauss(ints, f)[1])
 
 
 # -- ranks of a complex -------------------------------------------------------
@@ -173,7 +282,7 @@ def test_complex_ranks_gfp_match_rank():
     point = RationalPoint(ring, (5, 0))
     mats, dims = evaluated(k, point)
     assert linalg.complex_ranks(mats, dims, f) == {
-        i: linalg.rank_modp(rows, f.p) for i, rows in mats.items()
+        i: len(gauss(dense(rows), f)[1]) for i, rows in mats.items()
     }
 
 
@@ -211,7 +320,7 @@ def test_complex_ranks_vanishing_mod_prime_falls_back(bareiss_calls):
     ring = PolyRing(QQ, ["x", "y"])
     k = koszul(ring, ["x", "y"])
     mats, dims = evaluated(k, RationalPoint(ring, (P, 0)))
-    assert linalg.rank_modp(mats[-2], P) == 0
+    assert all(x % P == 0 for row in mats[-2] for x in row.values())
     assert linalg.complex_ranks(mats, dims, QQ) == {-3: 0, -2: 1, -1: 1, 0: 0}
     assert bareiss_calls == [1, 1]
 

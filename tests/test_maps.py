@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from perfx.complexes import FreeComplex, koszul
 from perfx.fields import QQ
 from perfx.ktheory import regression_suite
 from perfx.maps import RingMap
-from perfx.rings import PolyRing, RationalPoint
+from perfx.rings import Mat, PolyRing, RationalPoint
 
 
 @pytest.fixture
@@ -132,3 +133,21 @@ def test_preserves_grading_weighted():
     assert f.preserves_grading()
     g = RingMap(t, fiber, ["x1", "0", "x1", "x2"])  # weight-0 var to weight-1 image
     assert not g.preserves_grading()
+
+
+def test_apply_complex_checks_only_the_kept_grading(monkeypatch):
+    rxy = PolyRing(QQ, ["x", "y"])
+    k = koszul(rxy, ["x", "y^2"])
+    shift = RingMap(rxy, rxy, ["x + 1", "y"])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        shift.apply_complex(k, keep_degrees=True)
+    assert shift.apply_complex(k).degrees is None
+    # a ring map keeps d o d = 0, so no product of differentials is formed
+    products = []
+    real = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    images = [RingMap(rxy, rxy, ["y", "x"]).apply_complex(k), shift.apply_complex(k)]
+    assert products == []
+    assert images[0].degrees == k.degrees
+    for image in images:
+        FreeComplex(image.ring, image.ranks, image.diffs, image.degrees, image.tail)

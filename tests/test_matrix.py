@@ -90,6 +90,11 @@ class DenseMat:
         return [[x.evaluate(coords) for x in row] for row in self.rows]
 
 
+def densify(sparse_rows, ncols, zero):
+    """Sparse {col: value} rows as dense lists of ncols entries."""
+    return [[row.get(j, zero) for j in range(ncols)] for row in sparse_rows]
+
+
 def layout(rows):
     """Every entry as its ordered list of terms."""
     return [[list(p.terms.items()) for p in row] for row in rows]
@@ -147,7 +152,9 @@ def test_mat_operations_match_dense(name, seed):
     same(a.direct_sum(c), da.hstack(DenseMat.of(Mat.zero(ring, n, c.ncols))).vstack(
         DenseMat.of(Mat.zero(ring, c.nrows, k)).hstack(dc)))
     coords = (ring.field.from_int(rng.randint(-5, 5)), ring.field.from_int(rng.randint(-5, 5)))
-    assert a.evaluate(coords) == da.evaluate(coords)
+    values = a.evaluate(coords)
+    assert densify(values, k, ring.field.zero) == da.evaluate(coords)
+    assert all(x != ring.field.zero for row in values for x in row.values())
     assert a.is_zero == all(not p.terms for row in da.rows for p in row)
     assert [a.column(j) for j in range(k)] == [[row[j] for row in da.rows] for j in range(k)]
 
@@ -182,10 +189,12 @@ def test_mat_equality_hash_and_rows_view(name):
         Mat(ring, [[x], [x, x]])
 
 
-def test_evaluate_matrix_dense_rows():
+def test_evaluate_matrix_sparse_rows():
     ring = RINGS["QQ"]
     m = Mat(ring, [["x", 0], [0, "y - 1"]], ncols=2)
-    assert evaluate_matrix(m, RationalPoint(ring, (2, 1))) == [[2, 0], [0, 0]]
+    rows = evaluate_matrix(m, RationalPoint(ring, (2, 1)))
+    assert rows == [{0: 2}, {}]
+    assert densify(rows, 2, ring.field.zero) == [[2, 0], [0, 0]]
 
 
 # -- minimize ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from perfx.fields import QQ
 from perfx.modules import ModulePresentation, prune_redundant_columns, syzygies
-from perfx.rings import Mat, PolyRing, RationalPoint
+from perfx.rings import Mat, PolyRing, RationalPoint, syzygy_matrix
 
 
 @pytest.fixture
@@ -55,8 +55,10 @@ def test_direct_sum_and_syzygy_module(rxy):
     assert s.ambient_rank == 2
     assert s.degrees == (0, 1)
     assert s.graded_dim(0) == 1
-    syz = ModulePresentation.cyclic(rxy, ["x", "y"]).syzygy_module()
+    relations = ModulePresentation.cyclic(rxy, ["x", "y"]).relations
+    syz = ModulePresentation(rxy, relations.ncols, syzygy_matrix(relations))
     assert syz.ambient_rank == 2
+    assert syz.relations.ncols == 1
 
 
 def test_residue_field_presentation(rxy):
