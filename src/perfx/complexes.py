@@ -179,14 +179,18 @@ class FreeComplex:
         """Exact ranks of the differentials d^lo .. d^hi evaluated at a
         point, as {i: rank}.
 
-        Over QQ, d^(lo-1) and d^(hi+1) are evaluated and ranked too:
-        their modular ranks bound the window's ranks from above (see
-        linalg.complex_ranks), so the window rarely needs elimination
-        over the rationals.  Over GF(p) every rank is exact as it is.
+        Every differential is evaluated modulo a prime (see
+        linalg.complex_ranks).  Over QQ, d^(lo-1) and d^(hi+1) are
+        evaluated and ranked too: their modular ranks bound the window's
+        ranks from above, so the window is rarely evaluated over the
+        rationals.  Over GF(p) every rank is exact as it is.
         """
-        pad = 0 if self.ring.field.char else 1
-        mats = {i: self.diff(i).evaluate(point) for i in range(lo - pad, hi + 1 + pad)}
-        return linalg.complex_ranks(mats, self.ranks, self.ring.field)
+        field = self.ring.field
+        pad = 0 if field.char else 1
+        p = linalg.modulus(field)
+        residues = {i: self.diff(i).residues(point, p) for i in range(lo - pad, hi + 1 + pad)}
+        return linalg.complex_ranks(
+            residues, lambda i: self.diff(i).evaluate(point), self.ranks, field)
 
     def fiber_dims(self, point, lo=None, hi=None):
         """Homology dimensions of the complex evaluated at a point.

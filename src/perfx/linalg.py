@@ -2,16 +2,16 @@
 
 Every fiber dimension, scan and Grauert check takes its ranks from here.
 A row is a sparse {col: value} dict of its nonzero entries (what
-`Mat.evaluate` returns) or a dense list; GF(p) entries are ints, QQ
-entries Fractions or ints.  One elimination, `_eliminate`, ranks sparse
-integer rows modulo a prime or over QQ.
+`Mat.evaluate` and `Mat.residues` return) or a dense list; GF(p)
+entries are ints, QQ entries Fractions or ints.  One elimination,
+`_eliminate`, ranks sparse integer rows modulo a prime or over QQ.
 
-`complex_ranks` ranks the differentials of a complex.  Over QQ a rank
-modulo one fixed prime is a lower bound (reduction mod p is a
-specialization, and rank can only drop under it), and d o d = 0 turns
-the neighbouring lower bounds into upper bounds.  Where they meet, the
-modular rank is exact; the rest are ranked over QQ on primitive integer
-rows, so nothing is rounded.
+`complex_ranks` ranks the differentials of a complex from their
+residues modulo one prime.  Over QQ such a rank is a lower bound
+(reduction mod p is a specialization, and rank can only drop under it),
+and d o d = 0 turns the neighbouring lower bounds into upper bounds.
+Where they meet, the modular rank is exact; only the rest are evaluated
+over QQ and ranked on primitive integer rows, so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def _primitive(row):
 
 def _eliminate(rows, p):
     """Rank of sparse integer rows: modulo the prime p, or over QQ if p
-    is 0.  The rows are consumed.
+    is 0.  The rows are consumed, sparsest first: the rank does not
+    depend on their order, and sparse pivots cause less fill-in.
 
     Each row is reduced against the pivot rows kept so far.  While its
     first nonzero column c is a pivot's, the row becomes a*row - b*pivot,
@@ -54,7 +55,7 @@ def _eliminate(rows, p):
     do.
     """
     pivots = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         while row:
             c = min(row)
             pivot = pivots.get(c)
@@ -95,56 +96,41 @@ def rank(rows, field):
     return _eliminate([_primitive(row) for row in rows], 0)
 
 
-def _reduce_mod(rows, p):
-    """The nonzero residues modulo p of rational rows, as sparse rows,
-    or None if p divides a denominator."""
-    inverses = {1: 1}
-    out = []
-    for row in rows:
-        reduced = {}
-        for j, x in _entries(row):
-            d = x.denominator
-            inv = inverses.get(d)
-            if inv is None:
-                if d % p == 0:
-                    return None
-                inv = inverses[d] = pow(d, -1, p)
-            v = x.numerator * inv % p
-            if v:
-                reduced[j] = v
-        out.append(reduced)
-    return out
+def modulus(field):
+    """The prime that `complex_ranks` takes residues modulo: the
+    characteristic of GF(p), CERT_PRIME for QQ."""
+    return field.char or CERT_PRIME
 
 
-def complex_ranks(mats, dims, field):
+def complex_ranks(residues, exact, dims, field):
     """Exact ranks of the differentials of a complex of vector spaces.
 
-    mats[i] holds the rows of d_i : k^dims[i] -> k^dims[i+1], sparse or
-    dense; a degree missing from dims has dimension 0.  Returns
-    {i: rank d_i} for every i in mats.  Over QQ the result is exact only
-    because the matrices form a complex: d_(i+1) o d_i = 0 gives
-    rank d_i + rank d_(i+1) <= dims[i+1].
+    residues[i] holds the sparse rows of d_i : k^dims[i] -> k^dims[i+1]
+    modulo `modulus(field)` (consumed), or None if that prime divides a
+    denominator; a degree missing from dims has dimension 0.  Returns
+    {i: rank d_i} for every i in residues.  Over GF(p) the residues are
+    the matrices themselves.  Over QQ, exact(i) returns the rows of d_i
+    over QQ, and is called only for the degrees the residues leave open;
+    the result is exact only because the matrices form a complex:
+    d_(i+1) o d_i = 0 gives rank d_i + rank d_(i+1) <= dims[i+1].
 
-    Over QQ each matrix is ranked modulo CERT_PRIME, which gives a lower
-    bound l_i (0 if the prime divides a denominator).  By the inequality
-    above, dims[i+1] - l_(i+1) and dims[i] - l_(i-1) bound rank d_i from
-    above, so l_i is the rank if l_i + l_(i+1) = dims[i+1] or
-    l_(i-1) + l_i = dims[i].  An absent neighbour counts as l = 0, so a
-    full-rank l_i is always certified.  The remaining matrices go
-    through `rank` over QQ, in increasing degree, and each exact rank
-    found that way is a bound for the next.
+    Over QQ each rank modulo CERT_PRIME is a lower bound l_i (0 where
+    the residues are None).  By the inequality above, dims[i+1] - l_(i+1)
+    and dims[i] - l_(i-1) bound rank d_i from above, so l_i is the rank
+    if l_i + l_(i+1) = dims[i+1] or l_(i-1) + l_i = dims[i].  An absent
+    neighbour counts as l = 0, so a full-rank l_i is always certified.
+    The remaining matrices go through `rank` over QQ, in increasing
+    degree, and each exact rank found that way is a bound for the next.
     """
+    p = modulus(field)
+    low = {i: 0 if rows is None else _eliminate(rows, p) for i, rows in residues.items()}
     if field.char:
-        return {i: rank(rows, field) for i, rows in mats.items()}
-    low = {}
-    for i, rows in mats.items():
-        reduced = _reduce_mod(rows, CERT_PRIME)
-        low[i] = 0 if reduced is None else _eliminate(reduced, CERT_PRIME)
+        return low
     out = {}
-    for i in sorted(mats):
+    for i in sorted(residues):
         ell = low[i]
         if (ell + low.get(i + 1, 0) != dims.get(i + 1, 0)
                 and low.get(i - 1, 0) + ell != dims.get(i, 0)):
-            ell = low[i] = rank(mats[i], field)
+            ell = low[i] = rank(exact(i), field)
         out[i] = ell
     return out

@@ -10,7 +10,7 @@ columns together with the quotient ideal block.
 from __future__ import annotations
 
 from . import linalg
-from .rings import Mat, MatrixGB, RationalPoint, evaluate_matrix, syzygy_matrix
+from .rings import Mat, MatrixGB, RationalPoint, point_of, syzygy_matrix
 
 
 class ModulePresentation:
@@ -83,9 +83,13 @@ class ModulePresentation:
         """dim over kappa(point) of the fiber M (x) kappa(point)."""
         if self.ambient_rank == 0:
             return 0
-        rows = evaluate_matrix(self.relations, point)
-        dims = {0: self.relations.ncols, 1: self.ambient_rank}
-        return self.ambient_rank - linalg.complex_ranks({0: rows}, dims, self.ring.field)[0]
+        rel = self.relations
+        point = point_of(rel.ring, point)  # rejects other rings and off-locus points
+        field = self.ring.field
+        residues = {0: rel.residues(point, linalg.modulus(field))}
+        dims = {0: rel.ncols, 1: self.ambient_rank}
+        rank = linalg.complex_ranks(residues, lambda i: rel.evaluate(point), dims, field)[0]
+        return self.ambient_rank - rank
 
     def graded_dim(self, d):
         """dim over k of the degree-d piece (graded presentations only).

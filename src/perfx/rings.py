@@ -13,6 +13,7 @@ engine consumes.
 from __future__ import annotations
 
 import re
+from math import prod
 
 from . import groebner as gb
 from .orders import GREVLEX, term_over_position
@@ -287,13 +288,13 @@ class Polynomial:
 
     def evaluate(self, coords):
         field = self.ring.field
+        p = field.char
         out = field.zero
         for m, c in self.terms.items():
-            v = c
             for e, a in zip(m, coords):
-                for _ in range(e):
-                    v = field.mul(v, a)
-            out = field.add(out, v)
+                if e:
+                    c = field.mul(c, pow(a, e, p) if p else a**e)
+            out = field.add(out, c)
         return out
 
     def substitute(self, images, target=None):
@@ -670,13 +671,50 @@ class Mat:
 
     def evaluate(self, point):
         """The entries evaluated at a point, as one sparse row per matrix
-        row: a {col: value} dict of the values that are nonzero."""
+        row: a {col: value} dict of the values that are nonzero.  Over
+        GF(p) these are the residues mod p; over QQ the exact Fractions."""
+        if p := self.ring.field.char:
+            return self.residues(point, p)
         coords = point.coords if isinstance(point, RationalPoint) else point
         rows = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self._cols):
-            for i, p in col.items():
-                v = p.evaluate(coords)
+            for i, q in col.items():
+                v = q.evaluate(coords)
                 if v:
+                    rows[i][j] = v
+        return rows
+
+    def residues(self, point, p):
+        """The entries at a point modulo the prime p, as one sparse
+        {col: residue} row per matrix row, or None if p divides the
+        denominator of a coordinate or of a coefficient.
+
+        The coordinates are reduced once, each monomial is evaluated
+        once, and each coefficient is reduced with the inverse of its
+        denominator, computed once per denominator.
+        """
+        coords = point.coords if isinstance(point, RationalPoint) else point
+        if any(a.denominator % p == 0 for a in coords):
+            return None
+        xs = [a.numerator * pow(a.denominator, -1, p) % p for a in coords]
+        inverses = {1: 1}  # denominator -> its inverse mod p
+        monos = {}  # monomial -> its residue at the point
+        rows = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._cols):
+            for i, q in col.items():
+                v = 0
+                for m, c in q.terms.items():
+                    mv = monos.get(m)
+                    if mv is None:
+                        mv = monos[m] = prod(pow(x, e, p) for x, e in zip(xs, m)) % p
+                    d = c.denominator
+                    inv = inverses.get(d)
+                    if inv is None:
+                        if d % p == 0:
+                            return None
+                        inv = inverses[d] = pow(d, -1, p)
+                    v += c.numerator * inv * mv
+                if v := v % p:
                     rows[i][j] = v
         return rows
 
@@ -753,15 +791,16 @@ class RationalPoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def evaluate_matrix(mat, point):
-    """Entry-wise evaluation; rejects points off the ring's locus."""
+def point_of(ring, point):
+    """A point (or a tuple of coordinates) as a RationalPoint of ring;
+    rejects points of another ring and points off the ring's locus."""
     if isinstance(point, RationalPoint):
-        if point.ring.variables != mat.ring.variables:
+        if point.ring.variables != ring.variables:
             raise ValueError("point from a different ring")
-        if point.ring != mat.ring:
-            point = RationalPoint(mat.ring, point.coords)  # re-validate locus
-        return mat.evaluate(point)
-    return mat.evaluate(RationalPoint(mat.ring, point))
+        if point.ring == ring:
+            return point
+        point = point.coords  # re-validate the locus
+    return RationalPoint(ring, point)
 
 
 # -- ring-level Gröbner API --------------------------------------------

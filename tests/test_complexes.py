@@ -294,6 +294,43 @@ def test_fiber_dims_blowup_large_height_points(blowup3_pushed, bareiss_degrees):
         bareiss_degrees.clear()
 
 
+@pytest.fixture
+def exact_evaluations(monkeypatch):
+    """Record the shape of every nonempty matrix evaluated exactly."""
+    shapes = []
+    real = Mat.evaluate
+
+    def counting(mat, point):
+        if mat.nrows and mat.ncols:
+            shapes.append((mat.nrows, mat.ncols))
+        return real(mat, point)
+
+    monkeypatch.setattr(Mat, "evaluate", counting)
+    return shapes
+
+
+def test_fiber_dims_blowup_large_height_points_take_residues_only(
+        blowup3_pushed, exact_evaluations):
+    for point in large_height_points(blowup3_pushed.ring, random.Random(11), 3):
+        assert blowup3_pushed.fiber_dims(point) == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+        assert blowup3_pushed.fiber_dims(point, lo=0, hi=0) == {0: 1}
+    assert exact_evaluations == []
+
+
+def test_fiber_dims_blowup_prime_in_denominator_evaluates_exactly(
+        blowup3_pushed, exact_evaluations):
+    # no residues modulo CERT_PRIME exist at this point: every nonempty
+    # differential is evaluated over QQ, with the same dims as before
+    P = linalg.CERT_PRIME
+    point = RationalPoint(blowup3_pushed.ring, (Fraction(1, P), 2, Fraction(-3, 7)))
+    dims = blowup3_pushed.fiber_dims(point)
+    d = blowup3_pushed.diff
+    assert exact_evaluations == [(d(i).nrows, d(i).ncols) for i in range(-3, 2)]
+    assert dims == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+    assert dims == bareiss_fiber_dims(blowup3_pushed, point)
+    assert blowup3_pushed.fiber_euler_characteristic(point) == 1
+
+
 def test_fiber_dims_blowup_origin_falls_back(blowup3_pushed, bareiss_degrees):
     origin = RationalPoint(blowup3_pushed.ring, (0, 0, 0))
     dims = blowup3_pushed.fiber_dims(origin)

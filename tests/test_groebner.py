@@ -34,9 +34,9 @@ from perfx.rings import (
     Mat,
     PolyRing,
     RationalPoint,
-    evaluate_matrix,
     groebner_basis,
     normal_form,
+    point_of,
     syzygy_matrix,
 )
 
@@ -255,14 +255,14 @@ def test_evaluate_examples_and_errors():
     ring = PolyRing(QQ, ["x", "y"])
     mat = Mat(ring, [["x", "y"]], ncols=2)
     # one sparse row per matrix row, holding only the nonzero values
-    assert evaluate_matrix(mat, RationalPoint(ring, (0, 0))) == [{}]
-    assert evaluate_matrix(mat, RationalPoint(ring, (0, 3))) == [{1: Fraction(3)}]
+    assert mat.evaluate(RationalPoint(ring, (0, 0))) == [{}]
+    assert mat.evaluate(RationalPoint(ring, (0, 3))) == [{1: Fraction(3)}]
     r1 = PolyRing(QQ, ["x"])
-    assert evaluate_matrix(Mat(r1, [["x - 1"]], ncols=1), RationalPoint(r1, (1,))) == [{}]
-    assert evaluate_matrix(Mat.zero(r1, 2, 0), RationalPoint(r1, (1,))) == [{}, {}]
-    assert evaluate_matrix(Mat.zero(r1, 0, 2), RationalPoint(r1, (1,))) == []
+    assert Mat(r1, [["x - 1"]], ncols=1).evaluate(RationalPoint(r1, (1,))) == [{}]
+    assert Mat.zero(r1, 2, 0).evaluate(RationalPoint(r1, (1,))) == [{}, {}]
+    assert Mat.zero(r1, 0, 2).evaluate(RationalPoint(r1, (1,))) == []
     m2 = Mat(ring, [["x", "y"], ["y", "x"]], ncols=2)
-    rows = evaluate_matrix(m2, RationalPoint(ring, (1, 2)))
+    rows = m2.evaluate(RationalPoint(ring, (1, 2)))
     assert rows == [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(1)}]
     assert all(isinstance(x, Fraction) for row in rows for x in row.values())
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
@@ -270,6 +270,13 @@ def test_evaluate_examples_and_errors():
     quotient = PolyRing(QQ, ["x", "y"], quotient=["x*y - 1"])
     with pytest.raises(ValueError, match="vanishing locus"):
         RationalPoint(quotient, (0, 0))
+    # point_of checks a point against the matrix's ring
+    with pytest.raises(ValueError, match="vanishing locus"):
+        point_of(quotient, RationalPoint(ring, (0, 0)))
+    with pytest.raises(ValueError, match="different ring"):
+        point_of(r1, RationalPoint(ring, (0, 0)))
+    assert point_of(quotient, RationalPoint(ring, (2, Fraction(1, 2)))).ring is quotient
+    assert point_of(ring, (1, 2)) == RationalPoint(ring, (1, 2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -280,8 +287,8 @@ def test_evaluate_is_multiplicative(seed):
     a = Mat(ring, [[ring.random_poly(rng, 2, 2) for _ in range(2)] for _ in range(2)], ncols=2)
     b = Mat(ring, [[ring.random_poly(rng, 2, 2) for _ in range(2)] for _ in range(2)], ncols=2)
     point = RationalPoint(ring, (QQ.random(rng), QQ.random(rng)))
-    left = evaluate_matrix(a * b, point)
-    ea, eb = evaluate_matrix(a, point), evaluate_matrix(b, point)
+    left = (a * b).evaluate(point)
+    ea, eb = a.evaluate(point), b.evaluate(point)
     right = [
         {j: x for j in range(2)
          if (x := sum(ea[i].get(k, 0) * eb[k].get(j, 0) for k in range(2)))}

@@ -198,7 +198,7 @@ def test_rank_leaves_its_input_unchanged():
     copy = [dict(row) for row in rows]
     assert linalg.rank(rows, QQ) == 2
     assert linalg.rank(rows[:2], GF(7)) == 2
-    assert linalg.complex_ranks({0: rows}, {0: 2, 1: 3}, QQ) == {0: 2}
+    assert certified_ranks({0: rows}, {0: 2, 1: 3}) == {0: 2}
     assert rows == copy
 
 
@@ -247,7 +247,43 @@ def test_rank_matches_references_over_gfp(rows):
     assert linalg.rank(ints, f) == len(gauss(ints, f)[1])
 
 
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_eliminate_rank_ignores_row_order(rows, data):
+    """_eliminate takes its rows sparsest first; any order of the same
+    rows gives the same rank, modulo p and over QQ."""
+    order = data.draw(st.permutations(range(len(rows))))
+    expected = reference_rank_qq(rows)
+    ints = [linalg._primitive(row) for row in rows]
+    assert linalg._eliminate([dict(ints[k]) for k in order], 0) == expected
+    assert linalg._eliminate([dict(row) for row in ints], 0) == expected
+    p = 32003
+    residues = residues_of(rows, p)
+    if residues is not None:
+        expected = len(gauss(dense(residues), GF(p))[1])
+        assert linalg._eliminate([dict(residues[k]) for k in order], p) == expected
+        assert linalg._eliminate(residues, p) == expected
+
+
 # -- ranks of a complex -------------------------------------------------------
+
+
+def residues_of(rows, p):
+    """Rational rows modulo p as sparse rows, or None if p divides a
+    denominator (reference for `Mat.residues`)."""
+    values = [[(j, Fraction(x)) for j, x in linalg._entries(row)] for row in rows]
+    if any(x.denominator % p == 0 for row in values for _j, x in row):
+        return None
+    return [{j: v for j, x in row if (v := x.numerator * pow(x.denominator, -1, p) % p)}
+            for row in values]
+
+
+def certified_ranks(mats, dims, field=QQ):
+    """complex_ranks on exact rows: their residues give the modular
+    ranks, and the rows themselves are the exact fallback."""
+    p = linalg.modulus(field)
+    residues = {i: residues_of(rows, p) for i, rows in mats.items()}
+    return linalg.complex_ranks(residues, mats.__getitem__, dims, field)
 
 
 def evaluated(complex_, point):
@@ -271,7 +307,7 @@ def test_complex_ranks_koszul_match_bareiss(seed):
     for point in (large_height_point(ring, rng), RationalPoint(ring, (0, 0, 0)),
                   RationalPoint(ring, (0, Fraction(rng.randint(1, 9), 7), 1))):
         mats, dims = evaluated(k, point)
-        ranks = linalg.complex_ranks(mats, dims, QQ)
+        ranks = certified_ranks(mats, dims)
         assert ranks == {i: reference_rank_qq(rows) for i, rows in mats.items()}
 
 
@@ -281,7 +317,7 @@ def test_complex_ranks_gfp_match_rank():
     k = koszul(ring, ["x", "y", "x*y"])
     point = RationalPoint(ring, (5, 0))
     mats, dims = evaluated(k, point)
-    assert linalg.complex_ranks(mats, dims, f) == {
+    assert certified_ranks(mats, dims, f) == {
         i: len(gauss(dense(rows), f)[1]) for i, rows in mats.items()
     }
 
@@ -290,8 +326,15 @@ def test_complex_ranks_generic_point_needs_no_bareiss(bareiss_calls):
     ring = PolyRing(QQ, ["x", "y", "z"])
     k = koszul(ring, ["x", "y", "z"])
     mats, dims = evaluated(k, large_height_point(ring, random.Random(5)))
-    assert linalg.complex_ranks(mats, dims, QQ) == {-4: 0, -3: 1, -2: 2, -1: 1, 0: 0}
+    assert certified_ranks(mats, dims) == {-4: 0, -3: 1, -2: 2, -1: 1, 0: 0}
     assert bareiss_calls == []
+
+    def no_exact_rows(i):
+        raise AssertionError(f"d_{i} evaluated over QQ")
+
+    residues = {i: residues_of(rows, P) for i, rows in mats.items()}
+    ranks = linalg.complex_ranks(residues, no_exact_rows, dims, QQ)
+    assert ranks == {-4: 0, -3: 1, -2: 2, -1: 1, 0: 0}
 
 
 def test_complex_ranks_each_certificate_alone(bareiss_calls):
@@ -300,11 +343,11 @@ def test_complex_ranks_each_certificate_alone(bareiss_calls):
     k = koszul(ring, ["x", "y", "z"])
     mats, dims = evaluated(k, RationalPoint(ring, (2, Fraction(-3, 5), 7)))
     # rank d_-2 = 2 < min(3, 3): only the rank of d_-1 after it bounds it
-    assert linalg.complex_ranks({-2: mats[-2], -1: mats[-1]}, dims, QQ) == {-2: 2, -1: 1}
+    assert certified_ranks({-2: mats[-2], -1: mats[-1]}, dims) == {-2: 2, -1: 1}
     # ... and here only the rank of d_-3 before it
-    assert linalg.complex_ranks({-3: mats[-3], -2: mats[-2]}, dims, QQ) == {-3: 1, -2: 2}
+    assert certified_ranks({-3: mats[-3], -2: mats[-2]}, dims) == {-3: 1, -2: 2}
     # a lone full-rank matrix is certified by its shape
-    assert linalg.complex_ranks({0: [[1, 2, 3], [0, 1, P]]}, {0: 3, 1: 2}, QQ) == {0: 2}
+    assert certified_ranks({0: [[1, 2, 3], [0, 1, P]]}, {0: 3, 1: 2}) == {0: 2}
     assert bareiss_calls == []
 
 
@@ -312,7 +355,7 @@ def test_complex_ranks_prime_in_denominator_falls_back(bareiss_calls):
     ring = PolyRing(QQ, ["x", "y"])
     k = koszul(ring, ["x", "y"])
     mats, dims = evaluated(k, RationalPoint(ring, (Fraction(1, P), 3)))
-    assert linalg.complex_ranks(mats, dims, QQ) == {-3: 0, -2: 1, -1: 1, 0: 0}
+    assert certified_ranks(mats, dims) == {-3: 0, -2: 1, -1: 1, 0: 0}
     assert bareiss_calls == [1, 1]
 
 
@@ -321,12 +364,12 @@ def test_complex_ranks_vanishing_mod_prime_falls_back(bareiss_calls):
     k = koszul(ring, ["x", "y"])
     mats, dims = evaluated(k, RationalPoint(ring, (P, 0)))
     assert all(x % P == 0 for row in mats[-2] for x in row.values())
-    assert linalg.complex_ranks(mats, dims, QQ) == {-3: 0, -2: 1, -1: 1, 0: 0}
+    assert certified_ranks(mats, dims) == {-3: 0, -2: 1, -1: 1, 0: 0}
     assert bareiss_calls == [1, 1]
 
 
 def test_complex_ranks_exact_fallback_bounds_the_next(bareiss_calls):
     # d_0 has no modular bound; its exact rank 1 certifies rank d_1 = 1
     mats = {0: [[Fraction(1, P)], [0]], 1: [[0, 1], [0, 0]]}
-    assert linalg.complex_ranks(mats, {0: 1, 1: 2, 2: 2}, QQ) == {0: 1, 1: 1}
+    assert certified_ranks(mats, {0: 1, 1: 2, 2: 2}) == {0: 1, 1: 1}
     assert bareiss_calls == [1]

@@ -8,11 +8,13 @@ iterate those dicts.
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perfx import geometry
+from perfx import geometry, linalg
 from perfx.complexes import (
     ComplexMap,
     FreeComplex,
@@ -24,7 +26,7 @@ from perfx.complexes import (
     unit_complex,
 )
 from perfx.fields import GF, QQ
-from perfx.rings import Mat, PolyRing, RationalPoint, evaluate_matrix
+from perfx.rings import Mat, PolyRing, Polynomial, RationalPoint
 
 
 class DenseMat:
@@ -192,9 +194,78 @@ def test_mat_equality_hash_and_rows_view(name):
 def test_evaluate_matrix_sparse_rows():
     ring = RINGS["QQ"]
     m = Mat(ring, [["x", 0], [0, "y - 1"]], ncols=2)
-    rows = evaluate_matrix(m, RationalPoint(ring, (2, 1)))
+    rows = m.evaluate(RationalPoint(ring, (2, 1)))
     assert rows == [{0: 2}, {}]
     assert densify(rows, 2, ring.field.zero) == [[2, 0], [0, 0]]
+
+
+# -- residues ------------------------------------------------------------------
+
+
+def exact_rows(mat, coords):
+    """Entry-wise Polynomial.evaluate, as sparse rows (the reference)."""
+    return [{j: v for j, q in mat.row_entries(i) if (v := q.evaluate(coords))}
+            for i in range(mat.nrows)]
+
+
+def residue(x, p):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5, 7, 32003, linalg.CERT_PRIME]),
+       st.booleans())
+def test_residues_are_the_exact_values_mod_p(seed, p, over_gfp):
+    """Mat.residues(point, p) is Mat.evaluate reduced entrywise mod p,
+    or None where p divides a denominator of a coordinate or of a
+    coefficient; over GF(p) the residues are the values themselves."""
+    rng = random.Random(seed)
+    field = GF(32003) if over_gfp else QQ
+    p = field.char or p
+    ring = PolyRing(field, ["x", "y", "z"])
+    height = rng.choice([1, 9, 10**12])
+    spoil = 0 if field.char else rng.choice([0, 0.05, 0.2])  # share of denominators p*k
+
+    def number():
+        num = rng.randint(-height, height)
+        if field.char:
+            return num % p
+        if rng.random() < spoil:
+            return Fraction(num, p * rng.randint(1, 3))
+        return Fraction(num, rng.choice([1, 1, 11, 13, 10**9 + 7]))
+
+    def entry():
+        if rng.random() < 0.4:
+            return ring.zero
+        terms = {tuple(rng.randint(0, 3) for _ in range(3)): number()
+                 for _ in range(rng.randint(1, 3))}
+        return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+    nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+    mat = Mat(ring, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
+    point = RationalPoint(ring, tuple(number() for _ in range(3)))
+    exact = mat.evaluate(point)
+    assert exact == exact_rows(mat, point.coords)
+    denominators = [c.denominator for c in point.coords] + [
+        c.denominator for _i, _j, q in mat.entries() for c in q.terms.values()]
+    got = mat.residues(point, p)
+    if any(d % p == 0 for d in denominators):
+        assert got is None
+    else:
+        assert got == [{j: r for j, x in row.items() if (r := residue(x, p))} for row in exact]
+    if field.char:
+        assert got == exact
+
+
+def test_residues_none_where_p_divides_a_denominator():
+    ring = PolyRing(QQ, ["x", "y"])
+    p = linalg.CERT_PRIME
+    for mat in (Mat(ring, [["x + y", 1]]), Mat(ring, [["y"]]), Mat.zero(ring, 2, 0)):
+        assert mat.residues(RationalPoint(ring, (Fraction(1, 3 * p), 1)), p) is None
+        assert mat.residues(RationalPoint(ring, (Fraction(1, 3), 1)), p) is not None
+    # a coefficient's denominator counts even where its entry vanishes
+    assert Mat(ring, [["x/7", "y"]]).residues(RationalPoint(ring, (0, 2)), 7) is None
+    assert Mat(ring, [["x/7", "y"]]).residues(RationalPoint(ring, (0, 2)), 5) == [{1: 2}]
 
 
 # -- minimize ------------------------------------------------------------------
