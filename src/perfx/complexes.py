@@ -173,7 +173,7 @@ class FreeComplex:
         """H^i as a ModulePresentation (quotient-ring aware)."""
         from .resolutions import homology_data
 
-        return homology_data(self, i)[4]
+        return homology_data(self, i)[2]
 
     def fiber_ranks(self, point, lo, hi):
         """Exact ranks of the differentials d^lo .. d^hi evaluated at a
@@ -207,10 +207,11 @@ class FreeComplex:
         return {i: self.rank(i) - ranks[i] - ranks[i - 1] for i in range(lo, hi + 1)}
 
     def fiber_euler_characteristic(self, point):
+        """Alternating sum of the fiber dims at point: over the whole of a
+        bounded complex it telescopes to that of the term ranks."""
         if not self.is_bounded:
             raise ValueError("chi needs a bounded complex")
-        dims = self.fiber_dims(point)
-        return sum((-1 if i % 2 else 1) * d for i, d in dims.items())
+        return sum((-1 if i % 2 else 1) * r for i, r in self.ranks.items())
 
     # -- constructions -----------------------------------------------------
 

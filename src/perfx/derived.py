@@ -159,7 +159,7 @@ def _homology(carrier, indices):
 
 
 def _presentations(datas):
-    return {i: d[4] for i, d in datas.items()}
+    return {i: d[2] for i, d in datas.items()}
 
 
 def _default_sample_points(ring):
@@ -182,10 +182,10 @@ def _transition_matrices(ring, transition, n, indices):
     return {i: transition.component(i) for i in indices}
 
 
-def _transition_status(ring, data_s, data_s1, m_i):
+def _transition_status(data_s, data_s1, m_i):
     """'iso', 'vanishing' or 'other' for the induced map on homology."""
-    _g, k_s, d_s, r_s, h_s = data_s
-    _g1, k_s1, d_s1, r_s1, h_s1 = data_s1
+    k_s, span0, h_s = data_s
+    k_s1, span1, h_s1 = data_s1
     zero_s = h_s.ambient_rank == 0 or h_s.is_zero()
     zero_s1 = h_s1.ambient_rank == 0 or h_s1.is_zero()
     if zero_s and zero_s1:
@@ -194,26 +194,19 @@ def _transition_status(ring, data_s, data_s1, m_i):
         return "vanishing"  # everything dies into a zero target
     if zero_s:
         return "other"  # new classes appear downstream
-    span1 = d_s1
-    if r_s1 is not None and r_s1.ncols:
-        span1 = span1.hstack(r_s1) if span1.ncols else r_s1
     # past the returns above both kernels have columns to test
     mapped = m_i * k_s
     in_span1 = MatrixGB(span1).contains_column
     if all(in_span1(mapped.column(j)) for j in range(mapped.ncols)):
         return "vanishing"
-    big = mapped.hstack(span1) if span1.ncols else mapped
-    in_big = MatrixGB(big).contains_column
+    in_big = MatrixGB(mapped.hstack(span1)).contains_column
     if not all(in_big(k_s1.column(j)) for j in range(k_s1.ncols)):
         return "other"
     # injectivity: combinations of mapped generators landing in the
     # boundary span must already be boundaries upstairs
-    rel = syzygy_matrix(big).select_rows(range(mapped.ncols))
+    rel = syzygy_matrix(mapped, modulo=span1)
     if not rel.ncols:
         return "iso"
-    span0 = d_s
-    if r_s is not None and r_s.ncols:
-        span0 = span0.hstack(r_s) if span0.ncols else r_s
     in_span0 = MatrixGB(span0).contains_column
     combos = k_s * rel
     if all(in_span0(combos.column(j)) for j in range(rel.ncols)):
@@ -299,7 +292,7 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
         for s in range(1, max_stage + 1):
             stage, datas = stage_at(s)
             summary = {
-                i: tuple(d[4].graded_dim(k) for k in degree_window)
+                i: tuple(d[2].graded_dim(k) for k in degree_window)
                 for i, d in datas.items()
             }
             if prev is not None and prev[2] == summary:
@@ -371,7 +364,7 @@ def _tower_verdicts(ring, history, transitions, indices, statuses):
             m = transitions[a][i]
             for t in transitions[a + 1 : b]:
                 m = t[i] * m
-            statuses[i, a, b] = _transition_status(ring, history[a][i], history[b][i], m)
+            statuses[i, a, b] = _transition_status(history[a][i], history[b][i], m)
         return statuses[i, a, b]
 
     verdicts = {}
@@ -381,7 +374,7 @@ def _tower_verdicts(ring, history, transitions, indices, statuses):
             if any(i not in d for d in history[pos : pos + 3]):
                 continue
             if status(i, pos, pos + 1) == "iso" and status(i, pos + 1, pos + 2) == "iso":
-                found = (pos + 1, history[pos][i][4])
+                found = (pos + 1, history[pos][i][2])
                 break
             # vanishing of an L-step composite at two consecutive base
             # points: catches nilpotent transitions of any order the
@@ -439,7 +432,7 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
         raise ValueError("max_stage must be at least 1")
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     hom = _with_coefficients(n, dual(koszul(ring, elements)))
-    if not homology_data(hom, index)[4].is_zero():
+    if not homology_data(hom, index)[2].is_zero():
         return {
             "hypothesis_holds": False,
             "hom_cohomology_nonzero": True,
@@ -450,7 +443,7 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
     verified = []
     for s in range(1, max_stage + 1):
         stage = _with_coefficients(n, koszul_dual_stage(ring, elements, s))
-        verified.append({"stage": s, "vanishes": homology_data(stage, index)[4].is_zero()})
+        verified.append({"stage": s, "vanishes": homology_data(stage, index)[2].is_zero()})
     return {
         "hypothesis_holds": True,
         "hom_cohomology_nonzero": False,

@@ -301,9 +301,10 @@ def _tagged(gens, rank, nvars, field, extra):
 def syzygy_basis(gens, rank, nvars, field, ring_key, extra=()):
     """Generators of the syzygy module of gens inside R^rank.
 
-    `extra` holds untagged vectors (quotient-ideal multiples) whose
-    relations are not reported: the result is a list of vectors in
-    R^len(gens) with syzygies taken modulo the extra block.
+    `extra` holds untagged vectors (quotient-ideal multiples and any
+    span to work modulo) whose relations are not reported: the result
+    is a list of vectors in R^len(gens) with syzygies taken modulo the
+    extra block.
     """
     key = elimination_key(rank, ring_key)
     gb = buchberger(_tagged(gens, rank, nvars, field, extra), field, key)

@@ -71,11 +71,11 @@ class FPComplex:
         return cls(complex_.ring, terms, maps)
 
 
-def _kernel_of(mat, ring):
+def _kernel_of(mat):
     if mat.ncols == 0:
-        return Mat.zero(ring, 0, 0)
+        return Mat.zero(mat.ring, 0, 0)
     if mat.nrows == 0:
-        return Mat.identity(ring, mat.ncols)
+        return Mat.identity(mat.ring, mat.ncols)
     return syzygy_matrix(mat)
 
 
@@ -124,7 +124,7 @@ def free_replacement(fpc, floor):
             if diff_up is None:
                 z = Mat.identity(ring, rank_up)
             else:
-                z = _kernel_of(diff_up, ring)
+                z = _kernel_of(diff_up)
                 if z.ncols > 1:
                     z = prune_redundant_columns(z)
             phi_z = phi_up * z if (phi_up is not None and phi_up.nrows) else Mat.zero(ring, 0, z.ncols)
@@ -133,10 +133,10 @@ def free_replacement(fpc, floor):
                 # kernel gens works
                 sol = Mat.identity(ring, g_k + z.ncols)
             else:
-                # [d_k | -phi_z | relations of C^(k+1)]; empty blocks add nothing
-                big = fpc.map(k).hstack(-phi_z).hstack(fpc.term(k + 1).relations)
-                # drop columns with no (x, y) content
-                sol = syzygy_matrix(big).select_rows(range(g_k + z.ncols)).drop_zero_columns()
+                # pairs (x, y) with d_k x - phi_z y among the relations of C^(k+1)
+                sol = syzygy_matrix(
+                    fpc.map(k).hstack(-phi_z), modulo=fpc.term(k + 1).relations
+                )
             stacked = None
             if graded:
                 stacked = (tuple(c_k.degrees) if g_k else ()) + (
@@ -186,10 +186,11 @@ def free_replacement(fpc, floor):
 def homology_data(obj, i):
     """Raw homology data at degree i of a free or presented complex.
 
-    Returns (ambient rank, kernel matrix, boundary matrix, term
-    relations, presentation of H^i); the matrices live in the ambient
-    free cover of the term, which is what induced-map computations on
-    towers consume.
+    Returns (kernel, boundaries, presentation of H^i).  Both matrices
+    live in the ambient free cover of the term: the kernel's columns
+    generate the cycles, and the boundaries' columns (the incoming
+    differential followed by the term's relations) span what counts as
+    zero there.  Induced-map computations on towers consume them.
     """
     ring = obj.ring
     if isinstance(obj, FreeComplex):
@@ -197,43 +198,33 @@ def homology_data(obj, i):
         if i < floor and obj.tail != ZERO_BELOW:
             raise ValueError(f"homology at {i} not determined (tail {obj.tail})")
         g = obj.rank(i)
-        term_rel = Mat.zero(ring, g, 0)
         term_degs = obj.degrees[i] if (obj.degrees is not None and g) else None
         d_i = obj.diff(i)
-        d_prev = obj.diff(i - 1)
-        up_rel = Mat.zero(ring, obj.rank(i + 1), 0)
+        boundaries = obj.diff(i - 1)
+        up_rel = None
     else:
         term = obj.term(i)
         g = term.ambient_rank
-        term_rel = term.relations
         term_degs = term.degrees
         d_i = obj.map(i)
-        d_prev = obj.map(i - 1)
+        boundaries = obj.map(i - 1).hstack(term.relations)
         up_rel = obj.term(i + 1).relations
     zero_h = ModulePresentation.zero(ring)
     if g == 0:
         z = Mat.zero(ring, 0, 0)
-        return 0, z, z, z, zero_h
+        return z, z, zero_h
     if d_i.nrows == 0:
         kernel = Mat.identity(ring, g)
     else:
-        big = d_i
-        if up_rel.ncols:
-            big = big.hstack(up_rel)
-        kernel = syzygy_matrix(big).select_rows(range(g)).drop_zero_columns()
+        kernel = syzygy_matrix(d_i, modulo=up_rel)
     if kernel.ncols == 0:
-        return g, kernel, d_prev, term_rel, zero_h
-    blocks = kernel
-    if d_prev.ncols:
-        blocks = blocks.hstack(d_prev)
-    if term_rel.ncols:
-        blocks = blocks.hstack(term_rel)
-    relations = syzygy_matrix(blocks).select_rows(range(kernel.ncols))
+        return kernel, boundaries, zero_h
+    relations = syzygy_matrix(kernel, modulo=boundaries)
     degrees = None
     if term_degs is not None:
         degrees = _column_degrees(kernel, term_degs)
     pres = ModulePresentation(ring, kernel.ncols, relations, degrees)
-    return g, kernel, d_prev, term_rel, pres
+    return kernel, boundaries, pres
 
 
 def fp_homology(fpc, i):
@@ -243,7 +234,7 @@ def fp_homology(fpc, i):
     replacement is involved, so this is an independent route from
     resolving and taking homology of the free replacement.
     """
-    return homology_data(fpc, i)[4]
+    return homology_data(fpc, i)[2]
 
 
 def module_tensor_complex(module, complex_):
@@ -363,7 +354,7 @@ def truncate_le(complex_, k):
     floor = complex_.homology_floor()
     if k + 1 < floor:
         raise ValueError("truncation level below the trustworthy window")
-    kernel = _kernel_of(complex_.diff(k), ring)
+    kernel = _kernel_of(complex_.diff(k))
     terms = {}
     maps = {}
     for i in range(complex_.lo, k):

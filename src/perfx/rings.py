@@ -909,15 +909,19 @@ class MatrixGB:
         return list(self._gb.basis.lts)
 
 
-def syzygy_matrix(mat):
-    """Matrix whose columns generate ker(mat : R^c -> R^r); quotient-aware.
+def syzygy_matrix(mat, modulo=None):
+    """Matrix whose columns generate {x : mat·x ∈ span(modulo) + quotient}.
 
-    Columns that reduce to zero in a quotient ring are dropped.
+    The columns of `modulo` join the quotient-ideal multiples untagged,
+    so they get no coefficient positions.  Zero columns are dropped.
     """
     ring = mat.ring
-    vecs = mat.column_vecs()
     extra = ring.quotient_extra_vectors(mat.nrows)
+    if modulo is not None:
+        if modulo.nrows != mat.nrows:
+            raise ValueError("row mismatch")
+        extra = modulo.column_vecs() + extra
     syz = gb.syzygy_basis(
-        vecs, mat.nrows, ring.nvars, ring.field, ring.order.key, extra=extra
+        mat.column_vecs(), mat.nrows, ring.nvars, ring.field, ring.order.key, extra=extra
     )
     return Mat.from_column_vecs(ring, syz, mat.ncols).drop_zero_columns()

@@ -25,6 +25,7 @@ from perfx.complexes import (
     two_term,
     unit_complex,
 )
+from perfx.ktheory import regression_suite
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import free_resolution, truncate_below
@@ -342,6 +343,46 @@ def test_fiber_dims_blowup_origin_falls_back(blowup3_pushed, bareiss_degrees):
     assert dims == {-3: 0, -2: 1, -1: 3, 0: 3, 1: 0, 2: 0}
     assert dims == bareiss_fiber_dims(blowup3_pushed, origin)
     assert blowup3_pushed.fiber_dims(origin, lo=0, hi=0) == {0: 3}
+
+
+def _alternating_fiber_dims(c, point):
+    return sum((-1 if i % 2 else 1) * d for i, d in c.fiber_dims(point).items())
+
+
+def _in_field(field, q):
+    return field.div(field.from_int(q.numerator), field.from_int(q.denominator))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_characteristic_is_the_alternating_fiber_dims_blowup(
+        n, field, blowup3_pushed):
+    """chi from the term ranks agrees with the fiber dims at the origin and
+    at the pinned large-height points."""
+    if (n, field) == (3, QQ):
+        pushed = blowup3_pushed
+    else:
+        fam = geometry.blowup_family(field, n)
+        pushed, _report = geometry.pushforward_projective(fam, fam.twist(1), minimal=False)
+    ring = pushed.ring
+    points = [RationalPoint(ring, (0,) * n)] + [
+        RationalPoint(ring, tuple(_in_field(field, q) for q in pt.coords))
+        for pt in large_height_points(PolyRing(QQ, ring.variables), random.Random(11), 3)
+    ]
+    for point in points:
+        assert pushed.fiber_euler_characteristic(point) == _alternating_fiber_dims(pushed, point)
+
+
+def test_euler_characteristic_is_the_alternating_fiber_dims_k0_classes():
+    checked = 0
+    for entry in regression_suite(seed=0):
+        points = [pt for pts in entry["points"].values() for pt in pts]
+        for cls in entry["classes"].values():
+            for _coeff, c in cls.terms:
+                for point in (pt for pt in points if pt.ring == c.ring):
+                    assert c.fiber_euler_characteristic(point) == _alternating_fiber_dims(c, point)
+                    checked += 1
+    assert checked
 
 
 def test_homology_of_multiplication(rxy):

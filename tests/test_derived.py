@@ -381,10 +381,10 @@ def _restarting_tower_verdicts(ring, history, transitions, indices):
             d0, d1, d2 = history[pos : pos + 3]
             if any(i not in d for d in (d0, d1, d2)):
                 continue
-            st_a = derived._transition_status(ring, d0[i], d1[i], transitions[pos][i])
-            st_b = derived._transition_status(ring, d1[i], d2[i], transitions[pos + 1][i])
+            st_a = derived._transition_status(d0[i], d1[i], transitions[pos][i])
+            st_b = derived._transition_status(d1[i], d2[i], transitions[pos + 1][i])
             if st_a == "iso" and st_b == "iso":
-                found = (pos + 1, d0[i][4])
+                found = (pos + 1, d0[i][2])
                 break
             for length in range(2, len(history) - pos - 1):
                 chain = history[pos : pos + length + 2]
@@ -397,10 +397,8 @@ def _restarting_tower_verdicts(ring, history, transitions, indices):
                 comp_b = mats[length]
                 for m in reversed(mats[1:length]):
                     comp_b = comp_b * m
-                st_comp_a = derived._transition_status(ring, chain[0][i], chain[length][i], comp_a)
-                st_comp_b = derived._transition_status(
-                    ring, chain[1][i], chain[length + 1][i], comp_b
-                )
+                st_comp_a = derived._transition_status(chain[0][i], chain[length][i], comp_a)
+                st_comp_b = derived._transition_status(chain[1][i], chain[length + 1][i], comp_b)
                 if st_comp_a == "vanishing" and st_comp_b == "vanishing":
                     found = (pos + 1, ModulePresentation.zero(ring))
                     break

@@ -32,6 +32,7 @@ from perfx.modules import syzygies
 from perfx.orders import GREVLEX, LEX, BlockOrder, term_over_position
 from perfx.rings import (
     Mat,
+    MatrixGB,
     PolyRing,
     RationalPoint,
     groebner_basis,
@@ -185,6 +186,69 @@ def test_syzygy_soundness_and_completeness(seed):
     expected = brute_force_syzygy_dim(mat, degree)
     got = computed_syzygy_span_dim(mat, syz, degree)
     assert got == expected
+
+
+# -- syzygies modulo a span against the projection of the full syzygies ------
+
+MODULO_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y"]),
+    "GF32003": PolyRing(GF(32003), ["x", "y"]),
+    "QQ_quotient": PolyRing(QQ, ["x", "y"], quotient=["x^2 - y"]),
+}
+
+
+def projected_syzygies(a, b):
+    """Reference: the syzygies of [a | b], projected to the rows of a."""
+    return syzygy_matrix(a.hstack(b)).select_rows(range(a.ncols)).drop_zero_columns()
+
+
+def spans_columns(mat, cols):
+    contains = MatrixGB(mat).contains_column
+    return all(contains(cols.column(j)) for j in range(cols.ncols))
+
+
+def random_mat(ring, rng, nrows, ncols):
+    return Mat(ring, [[ring.random_poly(rng, 2, 2) for _ in range(ncols)]
+                      for _ in range(nrows)], ncols=ncols)
+
+
+def check_modulo(a, b):
+    got = syzygy_matrix(a, modulo=b)
+    want = projected_syzygies(a, b)
+    assert got.nrows == a.ncols
+    assert spans_columns(got, want) and spans_columns(want, got)
+    assert spans_columns(b, a * got)
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(MODULO_RINGS)), st.integers(0, 10**6))
+def test_syzygies_modulo_match_the_projected_syzygies(name, seed):
+    ring = MODULO_RINGS[name]
+    rng = random.Random(seed)
+    nrows = rng.randint(1, 2)
+    a = random_mat(ring, rng, nrows, rng.randint(1, 3))
+    b = random_mat(ring, rng, nrows, rng.randint(0, 2))
+    check_modulo(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(MODULO_RINGS))
+def test_syzygies_modulo_edge_cases(name):
+    ring = MODULO_RINGS[name]
+    rng = random.Random(5)
+    a = random_mat(ring, rng, 2, 3)
+    b = random_mat(ring, rng, 2, 2)
+    # no columns to work modulo: the plain kernel
+    none = check_modulo(a, Mat.zero(ring, 2, 0))
+    assert spans_columns(none, syzygy_matrix(a)) and spans_columns(syzygy_matrix(a), none)
+    # every column of a in the span of b: every x qualifies
+    inside = check_modulo(b * random_mat(ring, rng, 2, 3), b)
+    assert spans_columns(inside, Mat.identity(ring, 3))
+    # a zero column of a is a syzygy on its own
+    zero_col = check_modulo(a.hstack(Mat.zero(ring, 2, 1)), b)
+    assert MatrixGB(zero_col).contains_column([ring.zero] * 3 + [ring.one])
+    with pytest.raises(ValueError, match="row mismatch"):
+        syzygy_matrix(a, modulo=Mat.zero(ring, 3, 1))
 
 
 def test_syzygies_examples():

@@ -126,3 +126,25 @@ def test_no_unreferenced_definitions():
         if ident not in named and ident not in UNREFERENCED_ALLOWED
     ]
     assert not unused, "definitions nothing in src/perfx names:\n" + "\n".join(unused)
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_no_projected_syzygies():
+    """Syzygies modulo a span come from `syzygy_matrix(mat, modulo=...)`,
+    never from projecting the syzygies of a wider matrix to some rows."""
+    hits = []
+    for name, _text, tree in _modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "select_rows"
+                and isinstance(node.func.value, ast.Call)
+                and _called_name(node.func.value) == "syzygy_matrix"
+            ):
+                hits.append(f"{name}:{node.lineno}")
+    assert not hits, "projected syzygies in src/perfx:\n" + "\n".join(hits)

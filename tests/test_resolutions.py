@@ -2,8 +2,9 @@
 
 import pytest
 
+from perfx import geometry, groebner
 from perfx.fields import QQ
-from perfx.complexes import koszul
+from perfx.complexes import koszul, koszul_resolution_of_point
 from perfx.modules import ModulePresentation
 from perfx.resolutions import (
     FPComplex,
@@ -11,6 +12,7 @@ from perfx.resolutions import (
     fp_homology,
     free_replacement,
     free_resolution,
+    homology_data,
     module_tensor_complex,
     truncate_le,
 )
@@ -174,3 +176,50 @@ def test_replacement_minimality_graded(rxy):
     )
     res = free_resolution(m, 4)
     assert res.rank(-1) == 2  # minimal: duplicates pruned
+
+
+# -- the spans syzygies are taken modulo stay out of the tagged generators ----
+
+
+@pytest.fixture
+def syzygy_calls(monkeypatch):
+    """Record (gens, extra) of every syzygy_basis call."""
+    calls = []
+    real = groebner.syzygy_basis
+
+    def recording(gens, rank, nvars, field, ring_key, extra=()):
+        calls.append((list(gens), list(extra)))
+        return real(gens, rank, nvars, field, ring_key, extra=extra)
+
+    monkeypatch.setattr(groebner, "syzygy_basis", recording)
+    return calls
+
+
+def test_homology_data_tags_only_kernel_and_cycles(rxy, syzygy_calls):
+    """The kernel takes the next term's relations, and the relations of H^i
+    the boundaries, as untagged vectors."""
+    module = ModulePresentation(rxy, 2, Mat(rxy, [["x", "y", "0"], ["0", "x", "y^2"]]))
+    origin = RationalPoint(rxy, (0, 0))
+    fpc = module_tensor_complex(module, koszul_resolution_of_point(rxy, origin))
+    for i in (0, -1, -2):
+        syzygy_calls.clear()
+        kernel, boundaries, _pres = homology_data(fpc, i)
+        assert kernel.ncols and boundaries.ncols
+        want = [(kernel.column_vecs(), boundaries.column_vecs())]
+        d_i = fpc.map(i)
+        if d_i.nrows:
+            want.insert(0, (d_i.column_vecs(), fpc.term(i + 1).relations.column_vecs()))
+        assert syzygy_calls == want
+
+
+def test_free_replacement_keeps_relations_untagged(syzygy_calls):
+    """Free replacement of the n=2 blow-up: the relation of the term above
+    is an untagged vector, never a generator."""
+    fam = geometry.blowup_family(QQ, 2)
+    fpc = geometry._as_ambient_fp(fam, fam.twist(1))
+    relations = [v for t in fpc.terms.values() for v in t.relations.column_vecs()]
+    assert relations
+    free_replacement(fpc, fpc.lo - fam.fiber_count - 2)
+    assert [(len(gens), len(extra)) for gens, extra in syzygy_calls] == [(1, 1), (1, 0)]
+    assert syzygy_calls[0][1] == relations
+    assert not any(v in gens for v in relations for gens, _extra in syzygy_calls)
