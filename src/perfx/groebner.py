@@ -1,10 +1,28 @@
 """Buchberger engine on free-module elements over an exact field.
 
-A vector is a dict mapping terms (position, exponent-tuple) to nonzero
-field elements.  The engine is deliberately order-agnostic: callers
-hand in a term key function (see orders.py).  A `_Basis` holds the
-reduction data of a list of vectors and is built once by whoever owns
-the list; `reduce_vector` takes normal forms against it.
+A vector is a dict {packed term: coefficient} of nonzero coefficients.
+A `TermOrder` (orders.py) packs each term (position, exponent tuple)
+into one int, and comparing two ints orders them as the module order
+does: the leading term of a vector is `max(vec)`, multiplying a term by
+a monomial adds the monomial's packed value, and within one position a
+term divides another when their difference clears the order's
+`divmask`.  Only the module-level helpers `syzygy_basis` and `ModuleGB`
+take and return vectors of (position, exponent tuple) terms; they pack
+with the order they need.
+
+Coefficients are ints in [0, p) over GF(p) and Fractions over QQ.
+Inside `buchberger` and `interreduce` the vectors over QQ are primitive
+integer vectors: an S-pair scales each tail by the cofactor of the other
+leading coefficient, a reduction step scales the work vector by an
+integer instead of dividing by a leading coefficient, and a remainder
+loses its content when it joins the basis.  `interreduce` returns monic
+Fraction vectors, and `reduce_vector` returns exact normal forms, so the
+reduced basis (which is unique) and every normal form are the same as
+with Fraction arithmetic throughout.
+
+A `_Basis` holds the reduction data of a list of vectors and is built
+once by whoever owns the list; `reduce_vector` takes normal forms
+against it.
 
 Syzygies are computed by the component-elimination trick: tag each
 generator with a unit vector in a trailing block of positions, take a
@@ -21,15 +39,15 @@ times each basis vector before calling in.
 from __future__ import annotations
 
 import heapq
-from operator import add, le, sub
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add, itemgetter, le
+
+from .orders import cap_error
 
 
 def mono_mul(a, b):
     return tuple(map(add, a, b))
-
-
-def mono_div(a, b):
-    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
@@ -40,44 +58,44 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def vec_iadd_scaled(target, vec, coeff, shift, field):
-    """target += coeff * x^shift * vec, in place."""
-    for (pos, mono), c in vec.items():
-        term = (pos, mono_mul(mono, shift))
-        new = field.add(target.get(term, field.zero), field.mul(coeff, c))
-        if new == field.zero:
-            target.pop(term, None)
-        else:
-            target[term] = new
-
-
-def vec_scale(vec, coeff, field):
-    if coeff == field.zero:
-        return {}
-    return {t: field.mul(coeff, c) for t, c in vec.items()}
-
-
-def leading_term(vec, key):
-    return max(vec, key=key)
+def _primitive(vec, lt):
+    """A vector over QQ as a primitive integer vector whose leading
+    coefficient, at `lt`, is positive; vec itself if it is one."""
+    if all(type(c) is int for c in vec.values()):
+        ints = vec
+    else:
+        den = lcm(*[c.denominator for c in vec.values()])
+        ints = {t: c.numerator * (den // c.denominator) for t, c in vec.items()}
+    g = gcd(*ints.values())
+    if ints[lt] < 0:
+        g = -g
+    if g != 1:
+        ints = {t: c // g for t, c in ints.items()}
+    return ints
 
 
 class _Basis:
     """Reduction data of a list of nonzero vectors, grouped by position.
 
-    Elements are stored monic; `tails` holds each element without its
-    leading term, which is what a reduction step subtracts.  The basis
-    keeps the vectors it is given (scaled copies where they are not
-    monic); nothing here mutates them.
+    Over GF(p), and over QQ unless `integral`, elements are stored
+    monic.  An integral basis over QQ (the one `buchberger` and
+    `interreduce` build) stores primitive integer vectors instead, with
+    their leading coefficients in `lcs`.  `tails` holds each element
+    without its leading term, which is what a reduction step subtracts.
+    The basis keeps the vectors it is given (scaled copies where needed);
+    nothing here mutates them.
     """
 
-    __slots__ = ("field", "key", "elements", "tails", "lts", "by_pos")
+    __slots__ = ("field", "order", "integral", "elements", "tails", "lts", "lcs", "by_pos")
 
-    def __init__(self, field, key, elements=()):
+    def __init__(self, field, order, elements=(), integral=False):
         self.field = field
-        self.key = key
+        self.order = order
+        self.integral = integral and not field.char
         self.elements = []
         self.tails = []
         self.lts = []
+        self.lcs = []
         self.by_pos = {}
         for vec in elements:
             self.add(vec)
@@ -85,169 +103,200 @@ class _Basis:
     def add(self, vec, lt=None):
         """Append vec; `lt` is its leading term when the caller knows it."""
         if lt is None:
-            lt = leading_term(vec, self.key)
-        lc = vec[lt]
-        if lc != self.field.one:
-            vec = vec_scale(vec, self.field.inv(lc), self.field)
+            lt = max(vec)
+        field = self.field
+        if self.integral:
+            vec = _primitive(vec, lt)
+        elif vec[lt] != field.one:
+            inv = field.inv(vec[lt])
+            vec = {t: field.mul(inv, c) for t, c in vec.items()}
         idx = len(self.elements)
+        tail = dict(vec)
+        del tail[lt]
         self.elements.append(vec)
-        self.tails.append({t: c for t, c in vec.items() if t != lt})
+        self.tails.append(tail)
         self.lts.append(lt)
-        self.by_pos.setdefault(lt[0], []).append(idx)
+        self.lcs.append(vec[lt] if self.integral else 1)
+        self.by_pos.setdefault(lt & self.order.posmask, []).append(idx)
         return idx
-
-
-class _Desc(tuple):
-    """A (key, term) pair that sorts in descending key order.
-
-    heapq is a min-heap; reversing the comparison makes it pop the
-    largest term first while comparing keys exactly as `key` orders
-    them, whatever shape the key tuples have.
-    """
-
-    __slots__ = ()
-    __lt__ = tuple.__gt__
 
 
 def reduce_vector(vec, basis):
     """Full normal form of vec against basis; deterministic.
 
-    Terms are taken largest first from a heap of (key, term) entries;
-    each term's key is computed once, when the term enters the work
-    dict.  A term that cancels leaves its heap entry behind, and that
-    stale entry is skipped when it comes up.  Every term a reduction
-    step adds is smaller than the term it removes, so the remainder is
-    built in descending term order: its first term is its leading term.
+    Terms are taken largest first from a heap of negated terms.  A term
+    that cancels leaves its heap entry behind, and that stale entry is
+    skipped when it comes up.  Every term a reduction step adds is
+    smaller than the term it removes, so the remainder is built in
+    descending term order: its first term is its leading term.
+
+    Against an element with leading coefficient lc != 1 (an integral
+    basis over QQ), the step for a term with coefficient c is
+    w <- (lc/g)·w - (c/g)·x^s·tail with g = gcd(lc, c): the remainder
+    collected so far is scaled with w.  The scales multiply to M, and the
+    remainder is divided by M at the end, so the result is exact.  A
+    term whose packed fields left the cap raises ValueError.
     """
-    field, key = basis.field, basis.key
-    fadd, fmul, zero = field.add, field.mul, field.zero
-    by_pos, lts, tails = basis.by_pos, basis.lts, basis.tails
+    p = basis.field.char
+    order = basis.order
+    posmask, divmask, guardmask = order.posmask, order.divmask, order.guardmask
+    by_pos, lts, lcs, tails = basis.by_pos, basis.lts, basis.lcs, basis.tails
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(vec)
-    heap = [_Desc((key(t), t)) for t in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
     remainder = {}
+    scale = 1
     while heap:
-        term = heappop(heap)[1]
+        term = -heappop(heap)
         coeff = work.pop(term, None)
         if coeff is None:
             continue
-        pos, mono = term
-        for idx in by_pos.get(pos, ()):
-            bmono = lts[idx][1]
-            if mono_divides(bmono, mono):
+        if term & guardmask:
+            raise cap_error("a field of a term")
+        for idx in by_pos.get(term & posmask, ()):
+            shift = term - lts[idx]
+            if not shift & divmask:
                 break
         else:
             remainder[term] = coeff
             continue
-        shift = mono_div(mono, bmono)
-        q = field.neg(coeff)  # basis elements are monic
-        for (bpos, m), c in tails[idx].items():
-            t = (bpos, mono_mul(m, shift))
+        lc = lcs[idx]
+        if lc == 1:
+            q = -coeff
+        else:
+            g = gcd(lc, coeff)
+            q = -(coeff // g)
+            a = lc // g
+            if a != 1:
+                scale *= a
+                for t in work:
+                    work[t] *= a
+                for t in remainder:
+                    remainder[t] *= a
+        for t, c in tails[idx].items():
+            t += shift
             old = work.get(t)
             if old is None:
-                work[t] = fmul(q, c)
-                heappush(heap, _Desc((key(t), t)))
+                work[t] = q * c % p if p else q * c
+                heappush(heap, -t)
+            elif new := (old + q * c) % p if p else old + q * c:
+                work[t] = new
             else:
-                new = fadd(old, fmul(q, c))
-                if new == zero:
-                    del work[t]
-                else:
-                    work[t] = new
+                del work[t]
+    if scale != 1:
+        return {t: Fraction(c, scale) for t, c in remainder.items()}
     return remainder
 
 
-def _spair(basis, i, j):
+def _spair(basis, i, j, lcm_term):
     """S-vector of two basis elements with the same leading position.
 
-    The monic leading terms cancel, so only the tails are combined.
+    Each tail is shifted up to the lcm and scaled by the cofactor of the
+    other leading coefficient; the leading terms cancel, so only the
+    tails are combined.
     """
-    field = basis.field
-    (_, mi), (_, mj) = basis.lts[i], basis.lts[j]
-    lcm = mono_lcm(mi, mj)
-    si, sj = mono_div(lcm, mi), mono_div(lcm, mj)
-    out = {}
-    vec_iadd_scaled(out, basis.tails[i], field.one, si, field)
-    vec_iadd_scaled(out, basis.tails[j], field.neg(field.one), sj, field)
+    p = basis.field.char
+    ci, cj = basis.lcs[j], basis.lcs[i]
+    if ci != 1 or cj != 1:
+        g = gcd(ci, cj)
+        ci, cj = ci // g, cj // g
+    si, sj = lcm_term - basis.lts[i], lcm_term - basis.lts[j]
+    out = {t + si: ci * c for t, c in basis.tails[i].items()}
+    for t, c in basis.tails[j].items():
+        t += sj
+        new = out.get(t, 0) - cj * c
+        if p:
+            new %= p
+        if new:
+            out[t] = new
+        else:
+            out.pop(t, None)
     return out
 
 
-def _pure_position(vec):
-    positions = {pos for (pos, _m) in vec}
-    return len(positions) == 1
+def _pure_position(vec, posmask):
+    return len({t & posmask for t in vec}) == 1
 
 
-def buchberger(gens, field, key):
+def buchberger(gens, field, order):
     """Gröbner basis of the submodule generated by gens (list of vecs).
 
     Returns the interreduced, monic, deterministically sorted basis.
+    Pairs are treated in the order (total degree of the lcm, term order
+    of the lcm, i, j).
     """
-    basis = _Basis(field, key)
+    basis = _Basis(field, order, integral=True)
+    posmask = order.posmask
+    monos = []  # the exponent tuple of each element's leading term
     pairs = []
-    for lt, g in _by_leading_term(gens, key):
-        _add_with_pairs(basis, g, lt, pairs)
+    for lt, g in _by_leading_term(gens):
+        _add_with_pairs(basis, monos, g, lt, pairs)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        if _pair_redundant(basis, i, j):
+        _, lcm_term, i, j = heapq.heappop(pairs)
+        if _pair_redundant(basis, monos, i, j):
             continue
-        (_, mi), (_, mj) = basis.lts[i], basis.lts[j]
-        lcm = mono_lcm(mi, mj)
+        mi, mj = monos[i], monos[j]
         # Product criterion.  Only valid for elements supported in a
         # single position (vectors spanning several components can have
         # nontrivial S-pairs even with coprime leading monomials).
         if (
-            mono_mul(mi, mj) == lcm
-            and _pure_position(basis.elements[i])
-            and _pure_position(basis.elements[j])
+            mono_mul(mi, mj) == mono_lcm(mi, mj)
+            and _pure_position(basis.elements[i], posmask)
+            and _pure_position(basis.elements[j], posmask)
         ):
             continue
-        s = _spair(basis, i, j)
+        s = _spair(basis, i, j, lcm_term)
         r = reduce_vector(s, basis)
         if r:
-            _add_with_pairs(basis, r, next(iter(r)), pairs)
-    return interreduce(basis.elements, field, key)
+            _add_with_pairs(basis, monos, r, next(iter(r)), pairs)
+    return interreduce(basis.elements, field, order)
 
 
-def _by_leading_term(vecs, key):
+def _by_leading_term(vecs):
     """(leading term, vec) for the nonzero vecs, ascending by leading term."""
-    pairs = [(leading_term(v, key), v) for v in vecs if v]
-    pairs.sort(key=lambda p: key(p[0]))
+    pairs = [(max(v), v) for v in vecs if v]
+    pairs.sort(key=itemgetter(0))
     return pairs
 
 
-def _add_with_pairs(basis, vec, lt, pairs):
+def _add_with_pairs(basis, monos, vec, lt, pairs):
     idx = basis.add(vec, lt)
-    pos = basis.lts[idx][0]
+    order = basis.order
+    pos, mono = order.unpack(lt)
+    monos.append(mono)
+    base, monomial = order.base(pos), order.monomial
     for other in basis.by_pos[pos]:
         if other == idx:
             continue
-        lcm = mono_lcm(basis.lts[other][1], basis.lts[idx][1])
-        heapq.heappush(pairs, (sum(lcm), basis.key((pos, lcm)), other, idx))
-    return idx
+        lcm_mono = mono_lcm(monos[other], mono)
+        heapq.heappush(pairs, (sum(lcm_mono), base + monomial(lcm_mono), other, idx))
 
 
-def _pair_redundant(basis, i, j):
-    """Chain criterion: some k with LT(k) | lcm and both mixed pairs done.
+def _pair_redundant(basis, monos, i, j):
+    """Chain criterion: skip the pair (i, j) when some k in the same
+    position has a leading monomial m_k dividing lcm(m_i, m_j) with
+    lcm(m_i, m_k) and lcm(m_j, m_k) both strictly dividing it.
 
-    Conservative version: only skip when LT(k) strictly divides the lcm
-    and k > max(i, j) was already inserted (its pairs with i and j were
-    enqueued after and will be or were processed).  Keeping this weak
-    preserves correctness without bookkeeping processed-pair sets.
+    This is sound because pairs pop in order of lcm degree first.  All
+    three elements are in the basis, so the pairs (i, k) and (j, k) are
+    or were in the queue, and their lcms strictly divide lcm(m_i, m_j),
+    so they have smaller degree: both were treated before (i, j) comes
+    up.
     """
-    (_, mi), (_, mj) = basis.lts[i], basis.lts[j]
-    pos = basis.lts[i][0]
-    lcm = mono_lcm(mi, mj)
-    for k in basis.by_pos.get(pos, ()):
+    mi, mj = monos[i], monos[j]
+    lcm_mono = mono_lcm(mi, mj)
+    for k in basis.by_pos[basis.lts[i] & basis.order.posmask]:
         if k == i or k == j:
             continue
-        mk = basis.lts[k][1]
-        if mono_divides(mk, lcm) and mk != mi and mk != mj:
-            if mono_lcm(mk, mi) != lcm and mono_lcm(mk, mj) != lcm:
+        mk = monos[k]
+        if mono_divides(mk, lcm_mono) and mk != mi and mk != mj:
+            if mono_lcm(mk, mi) != lcm_mono and mono_lcm(mk, mj) != lcm_mono:
                 return True
     return False
 
 
-def interreduce(elements, field, key):
+def interreduce(elements, field, order):
     """Reduced Gröbner basis from a Gröbner basis `elements`.
 
     Drop leading-term redundant elements (ascending scan, so a divisor
@@ -259,65 +308,61 @@ def interreduce(elements, field, key):
     reduced basis, sorted by ascending leading term.  The input must be
     a Gröbner basis: only then does the scan keep the module it spans.
     """
-    basis = _Basis(field, key)
-    for lt, e in _by_leading_term(elements, key):
-        pos, mono = lt
-        if not any(mono_divides(basis.lts[i][1], mono) for i in basis.by_pos.get(pos, ())):
+    basis = _Basis(field, order, integral=True)
+    posmask, divmask = order.posmask, order.divmask
+    for lt, e in _by_leading_term(elements):
+        if all((lt - basis.lts[i]) & divmask for i in basis.by_pos.get(lt & posmask, ())):
             basis.add(e, lt)
     out = []
-    for lt, tail in zip(basis.lts, basis.tails):
+    for lt, lc, tail in zip(basis.lts, basis.lcs, basis.tails):
         vec = {lt: field.one}
-        vec.update(reduce_vector(tail, basis))
+        nf = reduce_vector(tail, basis)
+        if basis.integral:
+            nf = {t: Fraction(c, lc) for t, c in nf.items()}
+        vec.update(nf)
         out.append(vec)
     return out
 
 
-def elimination_key(rank, ring_key):
-    """Order on R^(rank + n) where the first `rank` positions dominate.
-
-    Within each block: term over position.
-    """
-
-    def key(term):
-        pos, mono = term
-        return (1 if pos < rank else 0, ring_key(mono), -pos)
-
-    return key
-
-
-def _tagged(gens, rank, nvars, field, extra):
+def _tagged(gens, rank, order, field, extra):
     """Generator i with the unit tag e_(rank + i) added, then the nonzero
-    `extra` vectors untagged: the input of an elimination GB on R^rank."""
-    unit = (0,) * nvars
+    `extra` vectors untagged, packed in `order`: the input of an
+    elimination GB on R^rank."""
+    unit = (0,) * order.nvars
     augmented = []
     for i, g in enumerate(gens):
-        aug = dict(g)
-        aug[(rank + i, unit)] = field.one
+        aug = order.pack_vector(g)
+        aug[order.pack(rank + i, unit)] = field.one
         augmented.append(aug)
-    augmented.extend(dict(e) for e in extra if e)
+    augmented.extend(order.pack_vector(e) for e in extra if e)
     return augmented
 
 
-def syzygy_basis(gens, rank, nvars, field, ring_key, extra=()):
+def syzygy_basis(gens, rank, nvars, field, ring_order, extra=()):
     """Generators of the syzygy module of gens inside R^rank.
 
-    `extra` holds untagged vectors (quotient-ideal multiples and any
-    span to work modulo) whose relations are not reported: the result
-    is a list of vectors in R^len(gens) with syzygies taken modulo the
-    extra block.
+    gens and `extra` are vectors of (position, exponent tuple) terms
+    over a ring in nvars variables ordered by `ring_order`.  `extra`
+    holds untagged vectors (quotient-ideal multiples and any span to
+    work modulo) whose relations are not reported: the result is a list
+    of vectors in R^len(gens) with syzygies taken modulo the extra block.
     """
-    key = elimination_key(rank, ring_key)
-    gb = buchberger(_tagged(gens, rank, nvars, field, extra), field, key)
+    order = ring_order.elimination(nvars, rank)
+    gb = buchberger(_tagged(gens, rank, order, field, extra), field, order)
     out = []
     for g in gb:
-        if all(pos >= rank for (pos, _mono) in g):
-            out.append({(pos - rank, mono): c for (pos, mono), c in g.items()})
+        # the leading term is in the tag block only if every term is
+        if next(iter(g)) & order.posmask >= rank:
+            out.append({
+                (pos - rank, mono): c for (pos, mono), c in order.unpack_vector(g).items()
+            })
     return out
 
 
 class ModuleGB:
     """Gröbner data for a list of generators of a submodule of R^rank.
 
+    Vectors in and out have (position, exponent tuple) terms.
     Membership and canonical normal forms use the reduced
     term-over-position basis `plain_gb` of gens + extra, computed
     directly.  Lifting vectors to coefficients over the generators needs
@@ -326,23 +371,28 @@ class ModuleGB:
     the tagged one to R^rank, interreduced.
     """
 
-    def __init__(self, gens, rank, nvars, field, ring_key, extra=()):
+    def __init__(self, gens, rank, nvars, field, ring_order, extra=()):
         self.gens = gens
         self.extra = extra
         self.rank = rank
         self.nvars = nvars
         self.field = field
-        self.ring_key = ring_key
-        key = lambda term: (ring_key(term[1]), -term[0])
-        self.plain_gb = buchberger(list(gens) + list(extra), field, key)
-        self.basis = _Basis(field, key, self.plain_gb)
+        self.ring_order = ring_order
+        self.order = ring_order.module(nvars)
+        pack = self.order.pack_vector
+        self.plain_gb = buchberger([pack(v) for v in (*gens, *extra)], field, self.order)
+        self.basis = _Basis(field, self.order, self.plain_gb)
         self._tagged_basis = None
 
     def normal_form(self, vec):
-        return reduce_vector(vec, self.basis)
+        return self.order.unpack_vector(reduce_vector(self.order.pack_vector(vec), self.basis))
 
     def contains(self, vec):
         return not self.normal_form(vec)
+
+    def leading_terms(self):
+        """Leading (position, monomial) pairs of the plain basis."""
+        return [self.order.unpack(t) for t in self.basis.lts]
 
     def lift(self, vec):
         """Coefficients expressing vec over the generators, or None.
@@ -350,11 +400,11 @@ class ModuleGB:
         Returns a list of poly-dicts c with vec = sum_i c[i] * gens[i]
         (modulo the extra block).
         """
+        order = self.ring_order.elimination(self.nvars, self.rank)
         if self._tagged_basis is None:
-            key = elimination_key(self.rank, self.ring_key)
-            tagged = _tagged(self.gens, self.rank, self.nvars, self.field, self.extra)
-            self._tagged_basis = _Basis(self.field, key, buchberger(tagged, self.field, key))
-        rem = reduce_vector(vec, self._tagged_basis)
+            tagged = _tagged(self.gens, self.rank, order, self.field, self.extra)
+            self._tagged_basis = _Basis(self.field, order, buchberger(tagged, self.field, order))
+        rem = order.unpack_vector(reduce_vector(order.pack_vector(vec), self._tagged_basis))
         if any(pos < self.rank for (pos, _m) in rem):
             return None
         coeffs = [{} for _ in self.gens]

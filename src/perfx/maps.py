@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .groebner import buchberger, mono_divides
 from .modules import ModulePresentation, prune_redundant_columns
-from .orders import BlockOrder, GREVLEX
+from .orders import BlockOrder, restriction_order
 from .rings import Mat, PolyRing, Polynomial, RationalPoint, embed_poly
 
 
@@ -201,11 +201,11 @@ class RingMap:
             vec[(1 + j, (0,) * ring.nvars)] = ring.field.neg(ring.field.one)
             aug.append(vec)
         aug += ring.quotient_extra_vectors(1)
-        key = _restriction_key(ring, ntv)
-        basis_gb = buchberger(aug, ring.field, key)
+        order = restriction_order(ntv, ring.nvars)
+        basis_gb = buchberger([order.pack_vector(v) for v in aug], ring.field, order)
         rel_entries = []
         ncols = 0
-        for v in basis_gb:
+        for v in map(order.unpack_vector, basis_gb):
             if any(pos == 0 for (pos, _m) in v):
                 continue
             if any(any(m[:ntv]) for (_pos, m) in v):
@@ -220,21 +220,4 @@ class RingMap:
             rel = prune_redundant_columns(rel)
         self._presentation = (basis, ModulePresentation(self.source, nb, rel))
         return self._presentation
-
-
-def _restriction_key(ring, ntv):
-    """Order: component 0 dominates, then target-block content, then rest."""
-    okey = GREVLEX.key
-
-    def key(term):
-        pos, mono = term
-        u_part, t_part = mono[:ntv], mono[ntv:]
-        return (
-            1 if pos == 0 else 0,
-            okey(u_part),
-            -pos,
-            okey(t_part),
-        )
-
-    return key
 

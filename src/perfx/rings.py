@@ -4,10 +4,12 @@ Elements of a quotient ring are stored as canonical normal forms in
 the ambient polynomial ring (reduction against the interreduced
 Gröbner basis of the quotient ideal, whose reduction data the ring
 builds once, happens on construction and after every product), so
-equality is plain dict comparison.  Matrices are sparse: `Mat` keeps
-only the nonzero entries of each column, and this module alone knows
-that layout; columns convert to the raw vector dicts the Buchberger
-engine consumes.
+equality is plain dict comparison.  Polynomials keep exponent tuples;
+this module packs them into the engine's int terms with the ring's
+term-over-position order (`module_order`) at each call into the engine
+and unpacks the results.  Matrices are sparse: `Mat` keeps only the
+nonzero entries of each column, and this module alone knows that
+layout; columns convert to vectors of (position, exponent tuple) terms.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 from math import prod
 
 from . import groebner as gb
-from .orders import GREVLEX, term_over_position
+from .orders import GREVLEX
 
 
 class PolyRing:
@@ -33,19 +35,19 @@ class PolyRing:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._key = order.key
         # the term-over-position order on free modules over this ring
-        self.module_key = term_over_position(order)
+        self.module_order = order.module(self.nvars)
         self.quotient_gb = ()  # set before coercion so parsing sees a plain ring
         if quotient:
+            pack = self.module_order.pack_poly
             raw = []
             for q in quotient:
                 q = self.ambient_coerce(q)
                 if q.terms:
-                    raw.append({(0, m): c for m, c in q.terms.items()})
-            basis = gb.buchberger(raw, field, self.module_key)
-            self._quotient_basis = gb._Basis(field, self.module_key, basis)
+                    raw.append(pack(q.terms))
+            basis = gb.buchberger(raw, field, self.module_order)
+            self._quotient_basis = gb._Basis(field, self.module_order, basis)
             self.quotient_gb = tuple(
-                Polynomial(self.ambient, {m: c for (_p, m), c in v.items()})
-                for v in basis
+                Polynomial(self.ambient, self.module_order.unpack_poly(v)) for v in basis
             )
         self.quotient = self.quotient_gb
 
@@ -101,12 +103,12 @@ class PolyRing:
 
     def reduce_terms(self, terms):
         """Canonical representative of a term dict modulo the quotient."""
-        terms = {m: c for m, c in terms.items() if c != self.field.zero}
+        terms = {m: c for m, c in terms.items() if c}
         if not self.quotient_gb or not terms:
             return Polynomial(self, terms)
-        vec = {(0, m): c for m, c in terms.items()}
-        red = gb.reduce_vector(vec, self._quotient_basis)
-        return Polynomial(self, {m: c for (_p, m), c in red.items()})
+        order = self.module_order
+        red = gb.reduce_vector(order.pack_poly(terms), self._quotient_basis)
+        return Polynomial(self, order.unpack_poly(red))
 
     def parse(self, text):
         return _parse_poly(self, text)
@@ -138,7 +140,8 @@ class PolyRing:
         return PolyRing(self.field, self.variables, self.order, gens, self.weights)
 
     def quotient_extra_vectors(self, rank):
-        """Quotient ideal times each basis vector, as raw GB vectors."""
+        """Quotient ideal times each basis vector, as vectors of
+        (position, exponent tuple) terms."""
         out = []
         for q in self.quotient_gb:
             for i in range(rank):
@@ -518,8 +521,8 @@ class Mat:
 
     @classmethod
     def from_column_vecs(cls, ring, vecs, nrows):
-        """Matrix whose columns are raw Buchberger vectors, each
-        position reduced modulo the quotient."""
+        """Matrix whose columns are vectors of (position, exponent tuple)
+        terms, each position reduced modulo the quotient."""
         return cls.from_entries(ring, nrows, len(vecs), (
             (i, j, ring.reduce_terms(t))
             for j, v in enumerate(vecs)
@@ -557,7 +560,7 @@ class Mat:
         return [(j, col[i]) for j, col in enumerate(self._cols) if i in col]
 
     def column_vecs(self):
-        """The columns as raw Buchberger vector dicts."""
+        """The columns as vectors of (position, exponent tuple) terms."""
         return [_to_vec(col.items()) for col in self._cols]
 
     @property
@@ -807,7 +810,7 @@ def point_of(ring, point):
 
 
 def _to_vec(pairs):
-    """(position, Polynomial) pairs as a raw {(pos, mono): coeff} vector."""
+    """(position, Polynomial) pairs as a {(pos, mono): coeff} vector."""
     return {(i, m): c for i, p in pairs for m, c in p.terms.items()}
 
 
@@ -843,12 +846,13 @@ def groebner_basis(gens, ring):
         return []
     vecs, rank = _as_vectors(gens, ring)
     extra = ring.quotient_extra_vectors(rank)
-    basis = gb.buchberger(vecs + extra, ring.field, ring.module_key)
+    order = ring.module_order
+    basis = gb.buchberger([order.pack_vector(v) for v in vecs + extra], ring.field, order)
     # The interreduced combined basis is already entrywise reduced mod
     # the quotient; reduce_terms only zeroes out the pure quotient part.
     out = []
     for v in basis:
-        parts = _from_vec(v)
+        parts = _from_vec(order.unpack_vector(v))
         polys = [ring.reduce_terms(parts.get(i, {})) for i in range(rank)]
         if all(p.is_zero for p in polys):
             continue
@@ -861,8 +865,9 @@ def normal_form(element, basis, ring):
     vecs, rank = _as_vectors(list(basis) + [element], ring)
     vec = vecs.pop()
     extra = ring.quotient_extra_vectors(rank)
-    red = gb.reduce_vector(vec, gb._Basis(ring.field, ring.module_key, vecs + extra))
-    parts = _from_vec(red)
+    order = ring.module_order
+    basis = gb._Basis(ring.field, order, [order.pack_vector(v) for v in vecs + extra])
+    parts = _from_vec(order.unpack_vector(gb.reduce_vector(order.pack_vector(vec), basis)))
     polys = [Polynomial(ring, parts.get(i, {})) for i in range(rank)]
     return polys[0] if isinstance(element, Polynomial) else polys
 
@@ -881,7 +886,7 @@ class MatrixGB:
             mat.nrows,
             ring.nvars,
             ring.field,
-            ring.order.key,
+            ring.order,
             extra=extra,
         )
 
@@ -906,7 +911,7 @@ class MatrixGB:
 
     def leading_terms(self):
         """Leading (position, monomial) pairs of the module GB."""
-        return list(self._gb.basis.lts)
+        return self._gb.leading_terms()
 
 
 def syzygy_matrix(mat, modulo=None):
@@ -922,6 +927,6 @@ def syzygy_matrix(mat, modulo=None):
             raise ValueError("row mismatch")
         extra = modulo.column_vecs() + extra
     syz = gb.syzygy_basis(
-        mat.column_vecs(), mat.nrows, ring.nvars, ring.field, ring.order.key, extra=extra
+        mat.column_vecs(), mat.nrows, ring.nvars, ring.field, ring.order, extra=extra
     )
     return Mat.from_column_vecs(ring, syz, mat.ncols).drop_zero_columns()

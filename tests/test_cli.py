@@ -468,3 +468,32 @@ def test_cli_local_cohomology_module_pinned_under_hash_seeds(tmp_path):
         '  "audit_pass": true\n'
         "}\n"
     )
+
+
+# -- the packed-term cap: a large exponent works, one past the cap exits 2 ----
+
+CAP_SESSION = """
+ring R = QQ[x]
+module M on R = coker [[{power}]]
+point p on R = (0)
+"""
+
+
+def test_cli_tor_of_a_large_power(tmp_path, capsys):
+    """x^100000 fits the packed fields; the output is the one perfx gave
+    before terms were packed."""
+    path = tmp_path / "s.pfx"
+    path.write_text(CAP_SESSION.format(power="x^100000"))
+    code, out, err = run_cli(capsys, "tor", "M", "at", "p", "depth", "3", "--input", str(path))
+    assert (code, out, err) == (0, "point: (0)\ntor_dims: [1, 1, 0, 0]\n", "")
+
+
+def test_cli_exponent_past_the_cap_exits_2(tmp_path, capsys):
+    """(x^1024)^1025 = x^1049600 is past the cap 2^20 - 1: one message
+    line naming the cap, exit 2, no traceback."""
+    path = tmp_path / "s.pfx"
+    path.write_text(CAP_SESSION.format(power="(x^1024)^1025"))
+    code, out, err = run_cli(capsys, "tor", "M", "at", "p", "depth", "3", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "exceeds the packed-term cap 1048575" in err

@@ -8,6 +8,7 @@ degree-bounded kernel search over the coefficient field.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,21 +20,18 @@ from perfx.groebner import (
     _Basis,
     _tagged,
     buchberger,
-    elimination_key,
     interreduce,
-    leading_term,
-    mono_div,
     mono_divides,
     mono_mul,
     reduce_vector,
-    vec_iadd_scaled,
 )
 from perfx.modules import syzygies
-from perfx.orders import GREVLEX, LEX, BlockOrder, term_over_position
+from perfx.orders import CAP, GREVLEX, LEX, BlockOrder, restriction_order
 from perfx.rings import (
     Mat,
     MatrixGB,
     PolyRing,
+    Polynomial,
     RationalPoint,
     groebner_basis,
     normal_form,
@@ -370,7 +368,68 @@ def test_mono_helpers():
 # -- the Gröbner hot path against its former algorithms ------------------------
 #
 # reference_reduce is the max-scan normal form and reference_interreduce the
-# fixpoint interreduction that reduce_vector and interreduce replaced.
+# fixpoint interreduction that reduce_vector and interreduce replaced.  Both
+# work on (position, exponent tuple) terms ordered by the tuple keys below,
+# which are how the module orders were written before terms were packed into
+# ints; the engine's packed vectors are converted with the TermOrder.
+
+
+def grevlex_key(mono):
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def lex_key(mono):
+    return tuple(mono)
+
+
+def block_key(split):
+    def key(mono):
+        return grevlex_key(mono[:split]) + grevlex_key(mono[split:])
+
+    return key
+
+
+def reference_top_key(ring_key):
+    """Term over position: monomials first, then low positions."""
+
+    def key(term):
+        pos, mono = term
+        return (ring_key(mono), -pos)
+
+    return key
+
+
+def reference_elimination_key(rank, ring_key):
+    """Positions below rank dominate; term over position in each block."""
+
+    def key(term):
+        pos, mono = term
+        return (1 if pos < rank else 0, ring_key(mono), -pos)
+
+    return key
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_iadd_scaled(target, vec, coeff, shift, field):
+    """target += coeff * x^shift * vec, in place."""
+    for (pos, mono), c in vec.items():
+        term = (pos, mono_mul(mono, shift))
+        new = field.add(target.get(term, field.zero), field.mul(coeff, c))
+        if new == field.zero:
+            target.pop(term, None)
+        else:
+            target[term] = new
+
+
+def packed(order, vecs):
+    return [order.pack_vector(v) for v in vecs]
+
+
+def unpacked(order, vecs):
+    return [order.unpack_vector(v) for v in vecs]
 
 
 def reference_monic(vec, field, key):
@@ -429,12 +488,13 @@ def reference_interreduce(elements, field, key):
 
 
 ORACLE_FIELDS = [QQ, GF(32003), GF(7)]
+# (packed order on 3 variables, the same order as a tuple key)
 ORACLE_ORDERS = {
-    "grevlex": term_over_position(GREVLEX),
-    "lex": term_over_position(LEX),
-    "block": term_over_position(BlockOrder(1)),
+    "grevlex": (GREVLEX.module(3), reference_top_key(grevlex_key)),
+    "lex": (LEX.module(3), reference_top_key(lex_key)),
+    "block": (BlockOrder(1).module(3), reference_top_key(block_key(1))),
     # position 0 dominates the rest, as the generators do in syzygy_basis
-    "elimination": elimination_key(1, GREVLEX.key),
+    "elimination": (GREVLEX.elimination(3, 1), reference_elimination_key(1, grevlex_key)),
 }
 
 
@@ -466,7 +526,7 @@ def as_set(vectors):
 
 
 def assert_reduced_gb(basis, field, key):
-    lts = [leading_term(g, key) for g in basis]
+    lts = [max(g, key=key) for g in basis]
     assert len(set(lts)) == len(lts)
     for i, g in enumerate(basis):
         assert g[lts[i]] == field.one
@@ -479,12 +539,12 @@ def assert_reduced_gb(basis, field, key):
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_interreduce_matches_fixpoint_reference(field, order):
     rng = random.Random(f"{field!r}-{order}")
-    key = ORACLE_ORDERS[order]
+    order, key = ORACLE_ORDERS[order]
     nvars = 3
     for rank in (1, 2, 3):
         for _ in range(5):
             gens = [random_vector(rng, field, rank, nvars) for _ in range(4)]
-            gb = buchberger(gens, field, key)
+            gb = unpacked(order, buchberger(packed(order, gens), field, order))
             assert_reduced_gb(gb, field, key)
             # a Gröbner basis that is neither minimal, reduced nor monic
             noisy = [
@@ -492,7 +552,7 @@ def test_interreduce_matches_fixpoint_reference(field, order):
             ]
             noisy += [random_member(rng, field, gb, nvars) for _ in range(3)]
             rng.shuffle(noisy)
-            got = interreduce(noisy, field, key)
+            got = unpacked(order, interreduce(packed(order, noisy), field, order))
             assert_reduced_gb(got, field, key)
             assert as_set(got) == as_set(reference_interreduce(noisy, field, key))
             assert as_set(got) == as_set(gb)
@@ -502,18 +562,18 @@ def test_interreduce_matches_fixpoint_reference(field, order):
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_reduce_vector_matches_max_scan_reference(field, order):
     rng = random.Random(f"{field!r}-{order}-reduce")
-    key = ORACLE_ORDERS[order]
+    order, key = ORACLE_ORDERS[order]
     nvars = 3
     for rank in (1, 2, 3):
         for _ in range(4):
             # an arbitrary basis, not a Gröbner basis: the choice of divisor
             # then shows in the remainder
             vecs = [v for v in (random_vector(rng, field, rank, nvars) for _ in range(3)) if v]
-            basis = _Basis(field, key, vecs)
+            basis = _Basis(field, order, packed(order, vecs))
             monic = [reference_monic(v, field, key) for v in vecs]
             for _ in range(3):
                 vec = random_vector(rng, field, rank, nvars, nterms=6, max_degree=4)
-                got = reduce_vector(dict(vec), basis)
+                got = order.unpack_vector(reduce_vector(order.pack_vector(vec), basis))
                 want = reference_reduce(vec, monic, field, key)
                 assert list(got.items()) == list(want.items())
 
@@ -526,18 +586,19 @@ def test_reduce_vector_matches_max_scan_reference(field, order):
 # against it, which is what reference_reduce does.
 
 
-def reference_eager_module_gb(gens, rank, nvars, field, ring_key, extra):
+def reference_eager_module_gb(gens, rank, nvars, field, ring_order, extra):
     """(tagged basis, plain basis) by the eager elimination route."""
-    tagged = buchberger(
-        _tagged(gens, rank, nvars, field, extra), field, elimination_key(rank, ring_key)
-    )
+    eliminate = ring_order.elimination(nvars, rank)
+    tagged = unpacked(eliminate, buchberger(
+        _tagged(gens, rank, eliminate, field, extra), field, eliminate
+    ))
     plain = [
         {t: c for t, c in g.items() if t[0] < rank}
         for g in tagged
         if any(t[0] < rank for t in g)
     ]
-    key = lambda term: (ring_key(term[1]), -term[0])
-    return tagged, interreduce(plain, field, key)
+    order = ring_order.module(nvars)
+    return tagged, unpacked(order, interreduce(packed(order, plain), field, order))
 
 
 def without_constants(vec):
@@ -546,7 +607,7 @@ def without_constants(vec):
 
 
 def reference_lift(vec, tagged, rank, ngens, field, ring_key):
-    rem = reference_reduce(vec, tagged, field, elimination_key(rank, ring_key))
+    rem = reference_reduce(vec, tagged, field, reference_elimination_key(rank, ring_key))
     if any(pos < rank for (pos, _m) in rem):
         return None
     coeffs = [{} for _ in range(ngens)]
@@ -560,8 +621,8 @@ def reference_lift(vec, tagged, rank, ngens, field, ring_key):
 def test_module_gb_matches_eager_reference(field, quotient):
     rng = random.Random(f"{field!r}-{quotient}-module-gb")
     nvars = 3
-    ring_key = GREVLEX.key
-    key = term_over_position(GREVLEX)
+    ring_key = grevlex_key
+    key = reference_top_key(grevlex_key)
     for rank in (1, 2, 3):
         for _ in range(3):
             gens = [without_constants(random_vector(rng, field, rank, nvars)) for _ in range(3)]
@@ -573,9 +634,10 @@ def test_module_gb_matches_eager_reference(field, quotient):
                     for q in ideal
                     for i in range(rank)
                 ]
-            mgb = ModuleGB(gens, rank, nvars, field, ring_key, extra)
-            tagged, plain = reference_eager_module_gb(gens, rank, nvars, field, ring_key, extra)
-            assert [list(g.items()) for g in mgb.plain_gb] == [list(g.items()) for g in plain]
+            mgb = ModuleGB(gens, rank, nvars, field, GREVLEX, extra)
+            tagged, plain = reference_eager_module_gb(gens, rank, nvars, field, GREVLEX, extra)
+            plain_gb = unpacked(mgb.order, mgb.plain_gb)
+            assert [list(g.items()) for g in plain_gb] == [list(g.items()) for g in plain]
             nonzero = [g for g in gens if g]
             members = [random_member(rng, field, nonzero, nvars) for _ in range(2)] if nonzero else []
             others = [
@@ -593,13 +655,14 @@ def test_module_gb_matches_eager_reference(field, quotient):
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_reduce_terms_matches_per_call_reference(field, order):
+    ring_key = {GREVLEX: grevlex_key, LEX: lex_key}[order]
     rng = random.Random(f"{field!r}-{order!r}-quotient-products")
     names = ["x", "y", "z"]
     ambient = PolyRing(field, names, order=order)
     ideal = [ambient.random_poly(rng, nterms=3, homogeneous=2) for _ in range(2)]
     ring = PolyRing(field, names, order=order, quotient=ideal)
     qvecs = [{(0, m): c for m, c in q.terms.items()} for q in ring.quotient_gb]
-    key = term_over_position(order)
+    key = reference_top_key(ring_key)
     for _ in range(6):
         a = ring.random_poly(rng, max_degree=3, nterms=4)
         b = ring.random_poly(rng, max_degree=3, nterms=4)
@@ -613,3 +676,201 @@ def test_reduce_terms_matches_per_call_reference(field, order):
         got = ring.reduce_terms(product)
         assert list(got.terms.items()) == [(m, c) for (_p, m), c in want.items()]
         assert list((a * b).terms.items()) == list(got.terms.items())
+
+
+# -- packed terms: the int order is the term order -----------------------------
+
+
+def reference_restriction_key(ntv):
+    """Position 0 first, then grevlex of the first ntv variables, then low
+    positions, then grevlex of the rest."""
+
+    def key(term):
+        pos, mono = term
+        return (pos == 0, grevlex_key(mono[:ntv]), -pos, grevlex_key(mono[ntv:]))
+
+    return key
+
+
+# (packed order on 3 variables, the same order as a tuple key, positions)
+CERTIFY_ORDERS = {
+    "grevlex": (GREVLEX.module(3), reference_top_key(grevlex_key), 2),
+    "lex": (LEX.module(3), reference_top_key(lex_key), 2),
+    "block": (BlockOrder(1).module(3), reference_top_key(block_key(1)), 2),
+    "elimination": (GREVLEX.elimination(3, 1), reference_elimination_key(1, grevlex_key), 3),
+    "restriction": (restriction_order(1, 3), reference_restriction_key(1), 3),
+}
+
+exponents = st.tuples(*[st.integers(0, 12)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CERTIFY_ORDERS)),
+       st.lists(st.tuples(st.integers(0, 2), exponents), min_size=2, max_size=6),
+       exponents)
+def test_packed_order_is_the_term_order(name, terms, shift):
+    order, key, _npos = CERTIFY_ORDERS[name]
+    packs = [order.pack(pos, mono) for pos, mono in terms]
+    assert [order.unpack(t) for t in packs] == terms
+    assert sorted(terms, key=key) == [order.unpack(t) for t in sorted(packs)]
+    for (pos, mono), t in zip(terms, packs):
+        # multiplying by a monomial adds its packed value
+        assert t + order.monomial(shift) == order.pack(pos, mono_mul(mono, shift))
+        # within a position, divisibility is a subtraction and a mask
+        for (pos2, mono2), t2 in zip(terms, packs):
+            if pos2 == pos:
+                assert (not (t2 - t) & order.divmask) == mono_divides(mono, mono2)
+
+
+def test_packed_fields_past_the_cap_raise():
+    ring = PolyRing(QQ, ["x", "y"])
+    with pytest.raises(ValueError, match=f"cap {CAP}"):
+        groebner_basis([Polynomial(ring, {(CAP + 1, 0): QQ.one})], ring)
+    # every exponent fits, but the degree field does not
+    half = (CAP + 1) // 2
+    with pytest.raises(ValueError, match=f"cap {CAP}"):
+        groebner_basis([Polynomial(ring, {(half, half): QQ.one})], ring)
+    assert groebner_basis([Polynomial(ring, {(CAP, 0): QQ.one})], ring)
+    # a reduction that leaves the cap: x^2 -> y^(2 half) modulo x - y^half
+    lex = PolyRing(QQ, ["x", "y"], order=LEX)
+    basis = groebner_basis([lex.parse("x") - Polynomial(lex, {(0, half): QQ.one})], lex)
+    with pytest.raises(ValueError, match=f"cap {CAP}"):
+        normal_form(lex.parse("x^2"), basis, lex)
+    with pytest.raises(ValueError, match=f"position {CAP + 1} exceeds the packed-term cap"):
+        GREVLEX.module(2).pack(CAP + 1, (0, 0))
+
+
+# -- the certifier oracle: a returned basis checked from first principles -----
+
+
+def reference_spair(f, g, field, key):
+    """S-vector of two monic vectors with the same leading position."""
+    (_, mf), (_, mg) = max(f, key=key), max(g, key=key)
+    lcm = tuple(map(max, mf, mg))
+    out = {}
+    vec_iadd_scaled(out, f, field.one, mono_div(lcm, mf), field)
+    vec_iadd_scaled(out, g, field.neg(field.one), mono_div(lcm, mg), field)
+    return out
+
+
+def certify(gens, basis, field, key):
+    """Assert that basis is a reduced Gröbner basis containing gens,
+    without the engine: every input reduces to 0, every same-position
+    S-pair of the basis reduces to 0 (Buchberger's criterion, with no
+    chain or product shortcut), and the basis is reduced, monic and
+    sorted by ascending leading term."""
+    lts = [max(g, key=key) for g in basis]
+    assert lts == sorted(lts, key=key) and len(set(lts)) == len(lts)
+    assert_reduced_gb(basis, field, key)
+    for vec in gens:
+        assert not reference_reduce(vec, basis, field, key)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if lts[i][0] == lts[j][0]:
+                spair = reference_spair(basis[i], basis[j], field, key)
+                assert not reference_reduce(spair, basis, field, key)
+
+
+def large_height(rng):
+    """A rational a/b with 10^4 <= |a| <= 10^6 and b <= 97."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(10**4, 10**6), rng.randint(1, 97))
+
+
+CERTIFY_FIELDS = {"QQ": QQ, "QQ-height": QQ, "GF32003": GF(32003), "GF5": GF(5)}
+
+
+def certify_vector(rng, field_name, npos, nterms):
+    field = CERTIFY_FIELDS[field_name]
+    vec = {}
+    for _ in range(nterms):
+        mono = [0] * 3
+        for _ in range(rng.randint(0, 2)):
+            mono[rng.randrange(3)] += 1
+        coeff = large_height(rng) if field_name == "QQ-height" else field.random(rng)
+        if coeff != field.zero:
+            vec[(rng.randrange(npos), tuple(mono))] = coeff
+    return vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CERTIFY_FIELDS)), st.sampled_from(sorted(CERTIFY_ORDERS)),
+       st.integers(0, 10**6))
+def test_buchberger_output_certifies(field_name, order_name, seed):
+    rng = random.Random(seed)
+    field = CERTIFY_FIELDS[field_name]
+    order, key, npos = CERTIFY_ORDERS[order_name]
+    gens = [certify_vector(rng, field_name, npos, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))]
+    basis = unpacked(order, buchberger(packed(order, gens), field, order))
+    certify(gens, basis, field, key)
+
+
+CERTIFY_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y", "z"]),
+    "GF32003": PolyRing(GF(32003), ["x", "y", "z"]),
+    "GF5": PolyRing(GF(5), ["x", "y", "z"]),
+    "QQ-quotient": PolyRing(QQ, ["x", "y", "z"], quotient=["x*y - z^2"]),
+    "GF5-quotient": PolyRing(GF(5), ["x", "y", "z"], quotient=["x*y - z^2"]),
+}
+
+
+def height_mat(ring, rng, nrows, ncols):
+    """A random matrix; over QQ without a quotient, with large-height
+    coefficients (modulo the quotient those make single examples take
+    minutes)."""
+    def entry():
+        p = ring.random_poly(rng, max_degree=2, nterms=2)
+        if ring.field is QQ and not ring.is_quotient:
+            p = p.scale(large_height(rng))
+        return p
+
+    return Mat(ring, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CERTIFY_RINGS)), st.integers(0, 10**6))
+def test_lift_round_trips_and_syzygies_vanish(name, seed):
+    ring = CERTIFY_RINGS[name]
+    rng = random.Random(seed)
+    nrows = rng.randint(1, 2)
+    mat = height_mat(ring, rng, nrows, rng.randint(1, 3))
+    # a column in the span lifts to x with mat·x = column (modulo the quotient)
+    x = height_mat(ring, rng, mat.ncols, 1)
+    target = mat * x
+    lifted = MatrixGB(mat).lift_column(target.column(0))
+    assert lifted is not None
+    assert mat * Mat.from_columns(ring, [lifted], mat.ncols) == target
+    # every syzygy maps to 0 modulo the quotient
+    syz = syzygy_matrix(mat)
+    assert syz.nrows == mat.ncols and (mat * syz).is_zero
+
+
+# -- the Hilbert-function oracle: standard monomials against Macaulay ranks ---
+
+
+def macaulay_rank(gens, ring, d):
+    """Rank of the degree-d Macaulay matrix of homogeneous gens: one row
+    per x^a * g with deg(x^a) + deg(g) = d, one column per monomial."""
+    column = {m: j for j, m in enumerate(ring.monomials_of_degree(d))}
+    rows = []
+    for g in gens:
+        for a in ring.monomials_of_degree(d - g.homogeneous_degree()):
+            rows.append({column[mono_mul(a, m)]: c for m, c in g.terms.items()})
+    return linalg.rank(rows, ring.field) if rows else 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=repr)
+def test_hilbert_function_matches_macaulay_ranks(field, nvars, seed):
+    ring = PolyRing(field, ["x", "y", "z"][:nvars])
+    rng = random.Random(f"hilbert-{field!r}-{nvars}-{seed}")
+    gens = [ring.random_poly(rng, nterms=3, homogeneous=rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))]
+    gens = [g for g in gens if not g.is_zero]
+    lms = [g.leading_monomial() for g in groebner_basis(gens, ring)]
+    for d in range(7):
+        standard = sum(
+            1 for m in ring.monomials_of_degree(d) if not any(mono_divides(l, m) for l in lms)
+        )
+        assert standard == comb(nvars - 1 + d, nvars - 1) - macaulay_rank(gens, ring, d)

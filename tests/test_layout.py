@@ -5,9 +5,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "perfx"
 
-# Gröbner reduction internals: only the engine and the ring layer use them.
-ENGINE_NAMES = {"_Basis", "reduce_vector", "leading_term"}
-ENGINE_MODULES = {"groebner.py", "rings.py"}
+# Gröbner reduction and term-packing internals: only the engine, the ring
+# layer and the orders that define the packing use them.
+ENGINE_NAMES = {"_Basis", "reduce_vector", "leading_term", "posmask", "divmask", "guardmask"}
+ENGINE_MODULES = {"groebner.py", "rings.py", "orders.py"}
+# Engine entry points take a packed order object, never a key callable.
+ENGINE_ENTRY_POINTS = {"buchberger", "_Basis", "syzygy_basis", "ModuleGB"}
+# The term-key callables and heap wrapper that packed terms replaced.
+RETIRED_NAMES = {"_Desc", "leading_term", "elimination_key", "term_over_position"}
 
 
 def _modules():
@@ -65,7 +70,58 @@ def test_only_engine_and_rings_use_reduction_internals():
             if named in ENGINE_NAMES:
                 hits.append(f"{name}:{node.lineno}: {named}")
     listing = "\n".join(hits)
-    assert not hits, f"reduction internals outside groebner.py and rings.py:\n{listing}"
+    assert not hits, f"engine internals outside {sorted(ENGINE_MODULES)}:\n{listing}"
+
+
+def _callables_in(function):
+    """Names a function binds to a nested def or to a lambda."""
+    names = set()
+    for node in ast.walk(function):
+        if node is function:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_engine_entry_points_take_no_callables():
+    """Orders reach the engine as packed `TermOrder`s: no entry point is
+    passed a lambda or a function defined inside the caller."""
+    hits = []
+    for name, _text, tree in _modules():
+        scopes = [tree] + [
+            n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for scope in scopes:
+            local = _callables_in(scope) if scope is not tree else set()
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call) and _called_name(node) in ENGINE_ENTRY_POINTS):
+                    continue
+                for arg in [*node.args, *(k.value for k in node.keywords)]:
+                    if isinstance(arg, ast.Lambda) or (
+                        isinstance(arg, ast.Name) and arg.id in local
+                    ):
+                        hits.append(f"{name}:{node.lineno}: {_called_name(node)}")
+    assert not hits, "callables passed to the engine:\n" + "\n".join(sorted(set(hits)))
+
+
+def test_retired_term_keys_stay_gone():
+    """Terms are packed ints compared as ints; the key callables and the
+    heap wrapper they needed are defined nowhere in src/perfx."""
+    hits = []
+    for name, _text, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            hits += [f"{name}:{node.lineno}: {b}" for b in bound if b in RETIRED_NAMES]
+    assert not hits, "retired term keys defined again:\n" + "\n".join(hits)
 
 
 def test_no_check_switch():
