@@ -246,6 +246,8 @@ def parse_session(text):
         if not rhs:
             raise ParseError("missing right-hand side", line_no)
         fields = head.split()
+        if not fields:
+            raise ParseError("missing declaration kind", line_no)
         kind = fields[0]
         try:
             if kind == "ring":

@@ -6,9 +6,10 @@ into one int, and comparing two ints orders them as the module order
 does: the leading term of a vector is `max(vec)`, multiplying a term by
 a monomial adds the monomial's packed value, and within one position a
 term divides another when their difference clears the order's
-`divmask`.  Only the module-level helpers `syzygy_basis` and `ModuleGB`
-take and return vectors of (position, exponent tuple) terms; they pack
-with the order they need.
+`divmask`.  Every vector in and out is packed: `syzygy_basis` and
+`ModuleGB` take and return vectors of the term-over-position order
+they are given, and move them to and from its elimination order with
+`TermOrder.repack`.
 
 Coefficients are ints in [0, p) over GF(p) and Fractions over QQ.
 Inside `buchberger` and `interreduce` the vectors over QQ are primitive
@@ -326,66 +327,59 @@ def interreduce(elements, field, order):
 
 def _tagged(gens, rank, order, field, extra):
     """Generator i with the unit tag e_(rank + i) added, then the nonzero
-    `extra` vectors untagged, packed in `order`: the input of an
-    elimination GB on R^rank."""
-    unit = (0,) * order.nvars
+    `extra` vectors untagged, moved from `order` to its elimination
+    order at `rank`: the input of an elimination GB on R^rank."""
+    eliminate = order.elimination(rank)
     augmented = []
     for i, g in enumerate(gens):
-        aug = order.pack_vector(g)
-        aug[order.pack(rank + i, unit)] = field.one
+        aug = eliminate.repack(g, order)
+        aug[eliminate.base(rank + i)] = field.one
         augmented.append(aug)
-    augmented.extend(order.pack_vector(e) for e in extra if e)
+    augmented.extend(eliminate.repack(e, order) for e in extra if e)
     return augmented
 
 
-def syzygy_basis(gens, rank, nvars, field, ring_order, extra=()):
+def syzygy_basis(gens, rank, field, order, extra=()):
     """Generators of the syzygy module of gens inside R^rank.
 
-    gens and `extra` are vectors of (position, exponent tuple) terms
-    over a ring in nvars variables ordered by `ring_order`.  `extra`
-    holds untagged vectors (quotient-ideal multiples and any span to
-    work modulo) whose relations are not reported: the result is a list
-    of vectors in R^len(gens) with syzygies taken modulo the extra block.
+    gens and `extra` are vectors of the term-over-position order
+    `order`.  `extra` holds untagged vectors (quotient-ideal multiples
+    and any span to work modulo) whose relations are not reported: the
+    result is a list of vectors of `order` in R^len(gens), with syzygies
+    taken modulo the extra block.
     """
-    order = ring_order.elimination(nvars, rank)
-    gb = buchberger(_tagged(gens, rank, order, field, extra), field, order)
-    out = []
-    for g in gb:
-        # the leading term is in the tag block only if every term is
-        if next(iter(g)) & order.posmask >= rank:
-            out.append({
-                (pos - rank, mono): c for (pos, mono), c in order.unpack_vector(g).items()
-            })
-    return out
+    eliminate = order.elimination(rank)
+    gb = buchberger(_tagged(gens, rank, order, field, extra), field, eliminate)
+    # the leading term is in the tag block only if every term is
+    return [
+        order.repack(g, eliminate, -rank) for g in gb if next(iter(g)) & order.posmask >= rank
+    ]
 
 
 class ModuleGB:
     """Gröbner data for a list of generators of a submodule of R^rank.
 
-    Vectors in and out have (position, exponent tuple) terms.
-    Membership and canonical normal forms use the reduced
-    term-over-position basis `plain_gb` of gens + extra, computed
-    directly.  Lifting vectors to coefficients over the generators needs
-    the tagged elimination basis, which the first `lift` call builds.
-    Both bases are reduced, so `plain_gb` is exactly the projection of
-    the tagged one to R^rank, interreduced.
+    Vectors in and out are vectors of the term-over-position order
+    `order`.  Membership and canonical normal forms use the reduced
+    basis `plain_gb` of gens + extra, computed directly.  Lifting
+    vectors to coefficients over the generators needs the tagged
+    elimination basis, which the first `lift` call builds.  Both bases
+    are reduced, so `plain_gb` is exactly the projection of the tagged
+    one to R^rank, interreduced.
     """
 
-    def __init__(self, gens, rank, nvars, field, ring_order, extra=()):
+    def __init__(self, gens, rank, field, order, extra=()):
         self.gens = gens
         self.extra = extra
         self.rank = rank
-        self.nvars = nvars
         self.field = field
-        self.ring_order = ring_order
-        self.order = ring_order.module(nvars)
-        pack = self.order.pack_vector
-        self.plain_gb = buchberger([pack(v) for v in (*gens, *extra)], field, self.order)
-        self.basis = _Basis(field, self.order, self.plain_gb)
+        self.order = order
+        self.plain_gb = buchberger([*gens, *extra], field, order)
+        self.basis = _Basis(field, order, self.plain_gb)
         self._tagged_basis = None
 
     def normal_form(self, vec):
-        return self.order.unpack_vector(reduce_vector(self.order.pack_vector(vec), self.basis))
+        return reduce_vector(vec, self.basis)
 
     def contains(self, vec):
         return not self.normal_form(vec)
@@ -397,17 +391,17 @@ class ModuleGB:
     def lift(self, vec):
         """Coefficients expressing vec over the generators, or None.
 
-        Returns a list of poly-dicts c with vec = sum_i c[i] * gens[i]
-        (modulo the extra block).
+        Returns a vector c in R^len(gens), position i holding the
+        coefficient of gens[i], with vec = sum_i c[i] * gens[i] (modulo
+        the extra block).
         """
-        order = self.ring_order.elimination(self.nvars, self.rank)
+        eliminate = self.order.elimination(self.rank)
         if self._tagged_basis is None:
-            tagged = _tagged(self.gens, self.rank, order, self.field, self.extra)
-            self._tagged_basis = _Basis(self.field, order, buchberger(tagged, self.field, order))
-        rem = order.unpack_vector(reduce_vector(order.pack_vector(vec), self._tagged_basis))
-        if any(pos < self.rank for (pos, _m) in rem):
+            tagged = _tagged(self.gens, self.rank, self.order, self.field, self.extra)
+            basis = buchberger(tagged, self.field, eliminate)
+            self._tagged_basis = _Basis(self.field, eliminate, basis)
+        rem = reduce_vector(eliminate.repack(vec, self.order), self._tagged_basis)
+        if any(t & eliminate.posmask < self.rank for t in rem):
             return None
-        coeffs = [{} for _ in self.gens]
-        for (pos, mono), c in rem.items():
-            coeffs[pos - self.rank][mono] = self.field.neg(c)
-        return coeffs
+        neg = self.field.neg
+        return self.order.repack({t: neg(c) for t, c in rem.items()}, eliminate, -self.rank)

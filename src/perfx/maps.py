@@ -152,7 +152,7 @@ class RingMap:
         for m in monos:
             if not any(mono_divides(lm, m) for lm in tfree_lms):
                 keep.append(m)
-        keep.sort(key=self.target.order.key)
+        keep.sort(key=self.target.module_order.monomial)
         self._finite_cache = (True, keep)
         return self._finite_cache
 
@@ -194,25 +194,24 @@ class RingMap:
         basis = self.module_basis()
         ring, ntv = self._ring, self.target.nvars
         nb = len(basis)
-        # component 0 carries B; components 1..nb tag the basis monomials.
-        aug = []
-        for j, m in enumerate(basis):
-            vec = {(0, m + (0,) * (ring.nvars - ntv)): ring.field.one}
-            vec[(1 + j, (0,) * ring.nvars)] = ring.field.neg(ring.field.one)
-            aug.append(vec)
-        aug += ring.quotient_extra_vectors(1)
         order = restriction_order(ntv, ring.nvars)
-        basis_gb = buchberger([order.pack_vector(v) for v in aug], ring.field, order)
+        one, minus_one = ring.field.one, ring.field.neg(ring.field.one)
+        pad, unit = (0,) * (ring.nvars - ntv), (0,) * ring.nvars
+        # component 0 carries B; components 1..nb tag the basis monomials.
+        aug = [
+            {order.pack(0, m + pad): one, order.pack(1 + j, unit): minus_one}
+            for j, m in enumerate(basis)
+        ]
+        aug += [{order.pack(0, m): c for m, c in q.terms.items()} for q in ring.quotient_gb]
         rel_entries = []
         ncols = 0
-        for v in map(order.unpack_vector, basis_gb):
-            if any(pos == 0 for (pos, _m) in v):
-                continue
-            if any(any(m[:ntv]) for (_pos, m) in v):
+        for v in buchberger(aug, ring.field, order):
+            terms = [(order.unpack(t), c) for t, c in v.items()]
+            if any(pos == 0 or any(m[:ntv]) for (pos, m), _c in terms):
                 continue
             rel_entries += [
                 (pos - 1, ncols, self.source.reduce_terms({m[ntv:]: c}))
-                for (pos, m), c in v.items()
+                for (pos, m), c in terms
             ]
             ncols += 1
         rel = Mat.from_entries(self.source, nb, ncols, rel_entries).drop_zero_columns()

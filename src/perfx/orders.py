@@ -12,15 +12,16 @@ position of a module term:
 - `BlockOrder(split)`: the grevlex fields of the front block, then
   those of the back block
 
-A ring order gives its linear forms with `forms(nvars)`; `key(mono)` is
-the tuple of their values, which is what polynomials sort by.  Module
-orders on terms (position, mono) are `TermOrder`s, built from a ring
-order's forms and the position fields `POSITION` (CAP - pos: lower
+A ring order gives its linear forms with `forms(nvars)`.  Every order's
+forms determine the monomial, so a monomial's packed value in the
+ring's module order (`module_order.monomial`) is its one sort key.
+Module orders on terms (position, mono) are `TermOrder`s, built from a
+ring order's forms and the position fields `POSITION` (CAP - pos: lower
 positions win ties) and `Below(r)` (1 for pos < r, else 0):
 
 - term over position, `order.module(nvars)`: the ring's fields, POSITION
-- elimination, `order.elimination(nvars, rank)`: Below(rank), the
-  ring's fields, POSITION
+- elimination, `module.elimination(rank)` of a module order: Below(rank),
+  the ring's fields, POSITION
 - restriction, `restriction_order(ntv, nvars)`: Below(1), grevlex of the
   first ntv variables, POSITION, grevlex of the others
 
@@ -35,11 +36,15 @@ difference has no exponent guard bit set (Monagan & Pearce, CASC 2007).
 Packing a monomial of degree above CAP, or a position above CAP,
 raises ValueError, and so does a reduction that makes any field of a
 term exceed CAP.
+
+A module order and its elimination orders pack every monomial to the
+same int; they differ only by the Below bit on low positions.  So
+`repack` moves a vector between them, and shifts its positions, by
+adding to each term an int that depends only on its position.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import mul
 
 FIELD_BITS = 20
@@ -70,42 +75,22 @@ def _grevlex_forms(nvars, start, width):
 
 
 class MonomialOrder:
-    """A ring order: its forms, and the term orders built on them, kept
+    """A ring order: its forms, and the module orders built on them, kept
     (with their monomial tables) for the order's lifetime."""
 
     name = None
 
     def __init__(self):
-        self._form_cache = {}  # nvars -> forms
-        self._term_orders = {}  # (nvars, elimination rank or None) -> TermOrder
+        self._modules = {}  # nvars -> TermOrder
 
     def forms(self, nvars):
         raise NotImplementedError
 
-    def key(self, mono):
-        return tuple(sum(compress(mono, f)) for f in self._forms(len(mono)))
-
-    def _forms(self, nvars):
-        if nvars not in self._form_cache:
-            self._form_cache[nvars] = self.forms(nvars)
-        return self._form_cache[nvars]
-
-    def _term_order(self, nvars, rank):
-        if (nvars, rank) not in self._term_orders:
-            fields = self._forms(nvars) + [POSITION]
-            if rank is not None:
-                fields.insert(0, Below(rank))
-            self._term_orders[nvars, rank] = TermOrder(nvars, fields)
-        return self._term_orders[nvars, rank]
-
     def module(self, nvars):
         """Term over position on free modules of a ring in nvars variables."""
-        return self._term_order(nvars, None)
-
-    def elimination(self, nvars, rank):
-        """Positions below `rank` dominate; term over position within
-        each block."""
-        return self._term_order(nvars, rank)
+        if nvars not in self._modules:
+            self._modules[nvars] = TermOrder(nvars, self.forms(nvars) + [POSITION])
+        return self._modules[nvars]
 
     def __repr__(self):
         return self.name
@@ -191,6 +176,9 @@ class TermOrder:
     def __init__(self, nvars, fields):
         slot = FIELD_BITS + 1
         self.nvars = nvars
+        self.fields = fields
+        self._eliminations = {}  # rank -> TermOrder
+        self._deltas = {}  # (source order, shift) -> {position: what its terms gain}
         self.posmask = CAP
         off = FIELD_BITS
         self._exp_offsets = []
@@ -258,32 +246,30 @@ class TermOrder:
             self._monos[m] = mono
         return pos, mono
 
-    def pack_vector(self, vec):
-        """{(pos, mono): c} as {packed term: c}."""
-        bases, ints = self._bases, self._ints
-        out = {}
-        for (pos, mono), c in vec.items():
-            b = bases.get(pos)
-            m = ints.get(mono)
-            if b is None or m is None:
-                b, m = self.base(pos), self.monomial(mono)
-            out[b + m] = c
-        return out
+    def elimination(self, rank):
+        """Positions below `rank` dominate; this order within each block.
+        It packs every monomial as this order does."""
+        if rank not in self._eliminations:
+            self._eliminations[rank] = TermOrder(self.nvars, [Below(rank), *self.fields])
+        return self._eliminations[rank]
 
-    def unpack_vector(self, vec):
-        """{packed term: c} as {(pos, mono): c}."""
-        bases, monos = self._bases, self._monos
+    def repack(self, vec, source, shift=0):
+        """A vector of `source`, an order that packs monomials as this one
+        does, as a vector of this order with each position moved by
+        `shift`."""
+        deltas = self._deltas.setdefault((source, shift), {})
         out = {}
         for t, c in vec.items():
             pos = t & CAP
-            b = bases.get(pos)
-            mono = None if b is None else monos.get(t - b)
-            out[(pos, mono) if mono is not None else self.unpack(t)] = c
+            d = deltas.get(pos)
+            if d is None:
+                d = deltas[pos] = self.base(pos + shift) - source.base(pos)
+            out[t + d] = c
         return out
 
-    def pack_poly(self, terms):
-        """{mono: c} as a vector in position 0."""
-        b = self._base0
+    def pack_terms(self, terms, pos=0):
+        """{mono: c} as a vector in position `pos`."""
+        b = self.base(pos)
         ints = self._ints
         out = {}
         for m, c in terms.items():
@@ -292,6 +278,20 @@ class TermOrder:
                 i = self.monomial(m)
             out[b + i] = c
         return out
+
+    def split(self, vec):
+        """A vector as {pos: {mono: c}}, positions ascending; positions
+        without terms are absent."""
+        bases, monos = self._bases, self._monos
+        parts = {}
+        for t, c in vec.items():
+            pos = t & CAP
+            b = bases.get(pos)
+            mono = None if b is None else monos.get(t - b)
+            if mono is None:
+                pos, mono = self.unpack(t)
+            parts.setdefault(pos, {})[mono] = c
+        return {pos: parts[pos] for pos in sorted(parts)}
 
     def unpack_poly(self, vec):
         """A vector in position 0 as {mono: c}."""

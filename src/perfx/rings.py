@@ -4,12 +4,13 @@ Elements of a quotient ring are stored as canonical normal forms in
 the ambient polynomial ring (reduction against the interreduced
 Gröbner basis of the quotient ideal, whose reduction data the ring
 builds once, happens on construction and after every product), so
-equality is plain dict comparison.  Polynomials keep exponent tuples;
-this module packs them into the engine's int terms with the ring's
-term-over-position order (`module_order`) at each call into the engine
-and unpacks the results.  Matrices are sparse: `Mat` keeps only the
-nonzero entries of each column, and this module alone knows that
-layout; columns convert to vectors of (position, exponent tuple) terms.
+equality is plain dict comparison.  Polynomials keep exponent tuples
+and sort by their packed value in the ring's term-over-position order
+(`module_order`); this module packs them into the engine's int terms
+with that order at each call into the engine and unpacks the results.
+Matrices are sparse: `Mat` keeps only the nonzero entries of each
+column, and this module alone knows that layout; a column packs
+straight to an engine vector, its row index as the position.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ class PolyRing:
         if len(self.weights) != self.nvars:
             raise ValueError("one weight per variable")
         self._var_index = {v: i for i, v in enumerate(self.variables)}
-        self._key = order.key
         # the term-over-position order on free modules over this ring
         self.module_order = order.module(self.nvars)
         self.quotient_gb = ()  # set before coercion so parsing sees a plain ring
         if quotient:
-            pack = self.module_order.pack_poly
+            pack = self.module_order.pack_terms
             raw = []
             for q in quotient:
                 q = self.ambient_coerce(q)
@@ -107,7 +107,7 @@ class PolyRing:
         if not self.quotient_gb or not terms:
             return Polynomial(self, terms)
         order = self.module_order
-        red = gb.reduce_vector(order.pack_poly(terms), self._quotient_basis)
+        red = gb.reduce_vector(order.pack_terms(terms), self._quotient_basis)
         return Polynomial(self, order.unpack_poly(red))
 
     def parse(self, text):
@@ -140,13 +140,9 @@ class PolyRing:
         return PolyRing(self.field, self.variables, self.order, gens, self.weights)
 
     def quotient_extra_vectors(self, rank):
-        """Quotient ideal times each basis vector, as vectors of
-        (position, exponent tuple) terms."""
-        out = []
-        for q in self.quotient_gb:
-            for i in range(rank):
-                out.append({(i, m): c for m, c in q.terms.items()})
-        return out
+        """Quotient ideal times each basis vector, as engine vectors."""
+        pack = self.module_order.pack_terms
+        return [pack(q.terms, i) for q in self.quotient_gb for i in range(rank)]
 
     def _signature(self):
         quot = tuple(
@@ -218,8 +214,6 @@ class Polynomial:
             if other.ring.variables != self.ring.variables:
                 raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
             return other
-        if isinstance(other, int):
-            return self.ring.const(other)
         return self.ring.const(other)
 
     def __add__(self, other):
@@ -263,10 +257,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = self.ring.one
-        for _ in range(n):
-            out = out * self
-        return out
+        """self^n by repeated squaring: at most 2 log2(n) products."""
+        if not n:
+            return self.ring.one
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def scale(self, c):
         field = self.ring.field
@@ -279,7 +280,7 @@ class Polynomial:
         return not self.terms
 
     def leading_monomial(self):
-        return max(self.terms, key=self.ring._key)
+        return max(self.terms, key=self.ring.module_order.monomial)
 
     def weighted_degree(self, mono):
         return sum(e * w for e, w in zip(mono, self.ring.weights))
@@ -310,8 +311,8 @@ class Polynomial:
         for m, c in sorted(self.terms.items()):
             term = target.const(c)
             for e, g in zip(m, images):
-                for _ in range(e):
-                    term = term * g
+                if e:
+                    term = term * g**e
             out = out + term
         return out
 
@@ -337,7 +338,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=self.ring._key, reverse=True):
+        for m in sorted(self.terms, key=self.ring.module_order.monomial, reverse=True):
             c = self.terms[m]
             factors = [
                 f"{v}^{e}" if e > 1 else v
@@ -384,6 +385,8 @@ def _parse_poly(ring, text):
 
     def take():
         nonlocal idx
+        if idx == len(tokens):
+            raise ValueError("unexpected end of input")
         tok = tokens[idx]
         idx += 1
         return tok
@@ -521,12 +524,13 @@ class Mat:
 
     @classmethod
     def from_column_vecs(cls, ring, vecs, nrows):
-        """Matrix whose columns are vectors of (position, exponent tuple)
-        terms, each position reduced modulo the quotient."""
+        """Matrix whose columns are engine vectors of the ring's module
+        order, each position reduced modulo the quotient."""
+        split = ring.module_order.split
         return cls.from_entries(ring, nrows, len(vecs), (
             (i, j, ring.reduce_terms(t))
             for j, v in enumerate(vecs)
-            for i, t in _from_vec(v).items()
+            for i, t in split(v).items()
         ))
 
     # -- access --------------------------------------------------------
@@ -560,8 +564,8 @@ class Mat:
         return [(j, col[i]) for j, col in enumerate(self._cols) if i in col]
 
     def column_vecs(self):
-        """The columns as vectors of (position, exponent tuple) terms."""
-        return [_to_vec(col.items()) for col in self._cols]
+        """The columns as engine vectors of the ring's module order."""
+        return [_pack(self.ring, col.items()) for col in self._cols]
 
     @property
     def is_zero(self):
@@ -750,8 +754,6 @@ def _entry(ring, x):
         return ring.reduce_terms(x.terms)
     if isinstance(x, str):
         return ring.parse(x)
-    if isinstance(x, int):
-        return ring.const(x)
     return ring.const(x)
 
 
@@ -809,18 +811,14 @@ def point_of(ring, point):
 # -- ring-level Gröbner API --------------------------------------------
 
 
-def _to_vec(pairs):
-    """(position, Polynomial) pairs as a {(pos, mono): coeff} vector."""
-    return {(i, m): c for i, p in pairs for m, c in p.terms.items()}
-
-
-def _from_vec(vec):
-    """A raw vector split into {position: {mono: coeff}}, positions
-    ascending; positions without terms are absent."""
-    parts = {}
-    for (pos, m), c in vec.items():
-        parts.setdefault(pos, {})[m] = c
-    return {pos: parts[pos] for pos in sorted(parts)}
+def _pack(ring, pairs):
+    """(position, Polynomial) pairs as one engine vector of the ring's
+    module order."""
+    pack = ring.module_order.pack_terms
+    vec = {}
+    for i, p in pairs:
+        vec.update(pack(p.terms, i))
+    return vec
 
 
 def _as_vectors(gens, ring):
@@ -831,7 +829,7 @@ def _as_vectors(gens, ring):
         if isinstance(g, Polynomial):
             g = [g]
         rank = max(rank, len(g))
-        vecs.append(_to_vec(enumerate(g)))
+        vecs.append(_pack(ring, enumerate(g)))
     return vecs, rank
 
 
@@ -847,12 +845,12 @@ def groebner_basis(gens, ring):
     vecs, rank = _as_vectors(gens, ring)
     extra = ring.quotient_extra_vectors(rank)
     order = ring.module_order
-    basis = gb.buchberger([order.pack_vector(v) for v in vecs + extra], ring.field, order)
+    basis = gb.buchberger(vecs + extra, ring.field, order)
     # The interreduced combined basis is already entrywise reduced mod
     # the quotient; reduce_terms only zeroes out the pure quotient part.
     out = []
     for v in basis:
-        parts = _from_vec(order.unpack_vector(v))
+        parts = order.split(v)
         polys = [ring.reduce_terms(parts.get(i, {})) for i in range(rank)]
         if all(p.is_zero for p in polys):
             continue
@@ -866,8 +864,8 @@ def normal_form(element, basis, ring):
     vec = vecs.pop()
     extra = ring.quotient_extra_vectors(rank)
     order = ring.module_order
-    basis = gb._Basis(ring.field, order, [order.pack_vector(v) for v in vecs + extra])
-    parts = _from_vec(order.unpack_vector(gb.reduce_vector(order.pack_vector(vec), basis)))
+    basis = gb._Basis(ring.field, order, vecs + extra)
+    parts = order.split(gb.reduce_vector(vec, basis))
     polys = [Polynomial(ring, parts.get(i, {})) for i in range(rank)]
     return polys[0] if isinstance(element, Polynomial) else polys
 
@@ -881,24 +879,19 @@ class MatrixGB:
         self.ring = ring
         vecs = mat.column_vecs()
         extra = ring.quotient_extra_vectors(mat.nrows)
-        self._gb = gb.ModuleGB(
-            vecs,
-            mat.nrows,
-            ring.nvars,
-            ring.field,
-            ring.order,
-            extra=extra,
-        )
+        self._gb = gb.ModuleGB(vecs, mat.nrows, ring.field, ring.module_order, extra=extra)
 
     def contains_column(self, col):
-        return self._gb.contains(_to_vec(enumerate(col)))
+        return self._gb.contains(_pack(self.ring, enumerate(col)))
 
     def lift_column(self, col):
         """x with mat·x = col (mod quotient), or None."""
-        coeffs = self._gb.lift(_to_vec(enumerate(col)))
+        ring = self.ring
+        coeffs = self._gb.lift(_pack(ring, enumerate(col)))
         if coeffs is None:
             return None
-        return [self.ring.reduce_terms(dict(c)) for c in coeffs]
+        parts = ring.module_order.split(coeffs)
+        return [ring.reduce_terms(parts.get(j, {})) for j in range(self.mat.ncols)]
 
     def lift_matrix(self, target):
         cols = []
@@ -926,7 +919,5 @@ def syzygy_matrix(mat, modulo=None):
         if modulo.nrows != mat.nrows:
             raise ValueError("row mismatch")
         extra = modulo.column_vecs() + extra
-    syz = gb.syzygy_basis(
-        mat.column_vecs(), mat.nrows, ring.nvars, ring.field, ring.order, extra=extra
-    )
+    syz = gb.syzygy_basis(mat.column_vecs(), mat.nrows, ring.field, ring.module_order, extra=extra)
     return Mat.from_column_vecs(ring, syz, mat.ncols).drop_zero_columns()

@@ -2,11 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from perfx.cli import ParseError, main, parse_session, print_session
 
@@ -197,6 +200,55 @@ def test_cli_internal_error_exits_2(capsys, monkeypatch):
     code, _out, err = run_cli(capsys, "roundtrip")
     assert code == 2
     assert err == "perfx: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("line", [
+    "ring B = QQ[t,x] / (x^2 - t*)",  # a polynomial that ends early
+    "=ring B = QQ[t,x] / (x^2 - t)",  # a declaration without its kind
+])
+def test_cli_truncated_session_line_is_a_parse_error(tmp_path, capsys, line):
+    path = tmp_path / "s.pfx"
+    path.write_text(SESSION.replace("ring B = QQ[t,x] / (x^2 - t)", line))
+    code, out, err = run_cli(capsys, "roundtrip", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("perfx: parse error: line 3: ") and err.count("\n") == 1
+    assert "internal error" not in err
+
+
+# Session edits: 1-4 inserts, deletes or replacements of characters or of
+# tokens (words, numbers, runs of blanks, single symbols), drawing new
+# units from the session's own characters and tokens.
+SESSION_UNITS = {"char": list(SESSION), "token": re.findall(r"\w+|\s+|.", SESSION)}
+SESSION_POOL = sorted(set(SESSION_UNITS["char"]) | set(SESSION_UNITS["token"]))
+
+
+@st.composite
+def edited_sessions(draw):
+    units = list(SESSION_UNITS[draw(st.sampled_from(sorted(SESSION_UNITS)))])
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        i = draw(st.integers(0, len(units) - (op != "insert")))
+        if op != "insert":
+            del units[i]
+        if op != "delete":
+            units.insert(i, draw(st.sampled_from(SESSION_POOL)))
+    return "".join(units)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edited_sessions())
+def test_cli_edited_sessions_keep_the_exit_code_contract(tmp_path, capsys, text):
+    """Whatever the input, exit 0, 1 or 2; a usage or parse error (2)
+    prints nothing on stdout, and nothing ends in a traceback or reads
+    as an internal error."""
+    path = tmp_path / "s.pfx"
+    path.write_text(text)
+    for command in (["roundtrip"], ["tor", "M", "at", "p0"]):
+        code, out, err = run_cli(capsys, *command, "--input", str(path))
+        assert code in (0, 1, 2)
+        assert code != 2 or out == ""
+        assert "Traceback" not in err and "internal error" not in err
 
 
 BLOWUP_CHI_N2_CSV = (
@@ -497,3 +549,15 @@ def test_cli_exponent_past_the_cap_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "exceeds the packed-term cap 1048575" in err
+
+
+def test_cli_roundtrip_past_the_cap_exits_2(tmp_path, capsys):
+    """Printing x^1049600 orders its terms by packed value, which raises
+    the same cap error as the engine: exit 2, one line."""
+    path = tmp_path / "s.pfx"
+    path.write_text(CAP_SESSION.format(power="(x^1024)^1025"))
+    code, out, err = run_cli(capsys, "roundtrip", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "perfx: degree 1049600 of monomial (1049600,) exceeds the packed-term cap 1048575\n"
+    )

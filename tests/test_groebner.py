@@ -359,6 +359,26 @@ def test_evaluate_is_multiplicative(seed):
     assert left == right
 
 
+@pytest.mark.parametrize("text", ["x^2 -", "x^", "(x", "x*", ""])
+def test_parse_at_end_of_input_raises_value_error(text):
+    with pytest.raises(ValueError, match="unexpected end of input"):
+        PolyRing(QQ, ["x", "t"]).parse(text)
+
+
+def test_powers_take_logarithmically_many_products(monkeypatch):
+    ring = PolyRing(QQ, ["x", "y"])
+    products = []
+    real = Polynomial.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert ring.parse("x^100000") == Polynomial(ring, {(100000, 0): QQ.one})
+    assert len(products) <= 40
+
+
 def test_mono_helpers():
     assert mono_mul((1, 2), (0, 3)) == (1, 5)
     assert mono_divides((1, 0), (2, 1))
@@ -425,11 +445,11 @@ def vec_iadd_scaled(target, vec, coeff, shift, field):
 
 
 def packed(order, vecs):
-    return [order.pack_vector(v) for v in vecs]
+    return [{order.pack(pos, mono): c for (pos, mono), c in v.items()} for v in vecs]
 
 
 def unpacked(order, vecs):
-    return [order.unpack_vector(v) for v in vecs]
+    return [{order.unpack(t): c for t, c in v.items()} for v in vecs]
 
 
 def reference_monic(vec, field, key):
@@ -494,7 +514,7 @@ ORACLE_ORDERS = {
     "lex": (LEX.module(3), reference_top_key(lex_key)),
     "block": (BlockOrder(1).module(3), reference_top_key(block_key(1))),
     # position 0 dominates the rest, as the generators do in syzygy_basis
-    "elimination": (GREVLEX.elimination(3, 1), reference_elimination_key(1, grevlex_key)),
+    "elimination": (GREVLEX.module(3).elimination(1), reference_elimination_key(1, grevlex_key)),
 }
 
 
@@ -573,7 +593,7 @@ def test_reduce_vector_matches_max_scan_reference(field, order):
             monic = [reference_monic(v, field, key) for v in vecs]
             for _ in range(3):
                 vec = random_vector(rng, field, rank, nvars, nterms=6, max_degree=4)
-                got = order.unpack_vector(reduce_vector(order.pack_vector(vec), basis))
+                [got] = unpacked(order, [reduce_vector(packed(order, [vec])[0], basis)])
                 want = reference_reduce(vec, monic, field, key)
                 assert list(got.items()) == list(want.items())
 
@@ -588,22 +608,32 @@ def test_reduce_vector_matches_max_scan_reference(field, order):
 
 def reference_eager_module_gb(gens, rank, nvars, field, ring_order, extra):
     """(tagged basis, plain basis) by the eager elimination route."""
-    eliminate = ring_order.elimination(nvars, rank)
+    order = ring_order.module(nvars)
+    eliminate = order.elimination(rank)
     tagged = unpacked(eliminate, buchberger(
-        _tagged(gens, rank, eliminate, field, extra), field, eliminate
+        _tagged(packed(order, gens), rank, order, field, packed(order, extra)), field, eliminate
     ))
     plain = [
         {t: c for t, c in g.items() if t[0] < rank}
         for g in tagged
         if any(t[0] < rank for t in g)
     ]
-    order = ring_order.module(nvars)
     return tagged, unpacked(order, interreduce(packed(order, plain), field, order))
 
 
 def without_constants(vec):
     """vec without its degree-0 terms, so that the span is a proper submodule."""
     return {t: c for t, c in vec.items() if any(t[1])}
+
+
+def lifted(order, coeffs, ngens):
+    """ModuleGB.lift's packed vector as one poly-dict per generator."""
+    if coeffs is None:
+        return None
+    out = [{} for _ in range(ngens)]
+    for (pos, mono), c in unpacked(order, [coeffs])[0].items():
+        out[pos][mono] = c
+    return out
 
 
 def reference_lift(vec, tagged, rank, ngens, field, ring_key):
@@ -634,7 +664,8 @@ def test_module_gb_matches_eager_reference(field, quotient):
                     for q in ideal
                     for i in range(rank)
                 ]
-            mgb = ModuleGB(gens, rank, nvars, field, GREVLEX, extra)
+            order = GREVLEX.module(nvars)
+            mgb = ModuleGB(packed(order, gens), rank, field, order, packed(order, extra))
             tagged, plain = reference_eager_module_gb(gens, rank, nvars, field, GREVLEX, extra)
             plain_gb = unpacked(mgb.order, mgb.plain_gb)
             assert [list(g.items()) for g in plain_gb] == [list(g.items()) for g in plain]
@@ -644,12 +675,16 @@ def test_module_gb_matches_eager_reference(field, quotient):
                 random_vector(rng, field, rank, nvars, nterms=5, max_degree=3) for _ in range(3)
             ]
             for vec in members + others:
-                got = mgb.normal_form(vec)
+                [pvec] = packed(order, [vec])
+                [got] = unpacked(order, [mgb.normal_form(pvec)])
                 assert list(got.items()) == list(reference_reduce(vec, plain, field, key).items())
-                assert mgb.lift(vec) == reference_lift(vec, tagged, rank, len(gens), field, ring_key)
+                assert lifted(order, mgb.lift(pvec), len(gens)) == reference_lift(
+                    vec, tagged, rank, len(gens), field, ring_key
+                )
             for vec in members:
-                assert mgb.contains(vec)
-                assert mgb.lift(vec) is not None
+                [pvec] = packed(order, [vec])
+                assert mgb.contains(pvec)
+                assert mgb.lift(pvec) is not None
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
@@ -697,7 +732,9 @@ CERTIFY_ORDERS = {
     "grevlex": (GREVLEX.module(3), reference_top_key(grevlex_key), 2),
     "lex": (LEX.module(3), reference_top_key(lex_key), 2),
     "block": (BlockOrder(1).module(3), reference_top_key(block_key(1)), 2),
-    "elimination": (GREVLEX.elimination(3, 1), reference_elimination_key(1, grevlex_key), 3),
+    "elimination": (
+        GREVLEX.module(3).elimination(1), reference_elimination_key(1, grevlex_key), 3
+    ),
     "restriction": (restriction_order(1, 3), reference_restriction_key(1), 3),
 }
 

@@ -11,8 +11,12 @@ ENGINE_NAMES = {"_Basis", "reduce_vector", "leading_term", "posmask", "divmask",
 ENGINE_MODULES = {"groebner.py", "rings.py", "orders.py"}
 # Engine entry points take a packed order object, never a key callable.
 ENGINE_ENTRY_POINTS = {"buchberger", "_Basis", "syzygy_basis", "ModuleGB"}
-# The term-key callables and heap wrapper that packed terms replaced.
-RETIRED_NAMES = {"_Desc", "leading_term", "elimination_key", "term_over_position"}
+# The term-key callables and heap wrapper that packed terms replaced, and
+# the tuple-term vector converters that packed engine vectors replaced.
+RETIRED_NAMES = {
+    "_Desc", "leading_term", "elimination_key", "term_over_position",
+    "pack_vector", "unpack_vector", "_to_vec", "_from_vec",
+}
 
 
 def _modules():
@@ -122,6 +126,34 @@ def test_retired_term_keys_stay_gone():
                 continue
             hits += [f"{name}:{node.lineno}: {b}" for b in bound if b in RETIRED_NAMES]
     assert not hits, "retired term keys defined again:\n" + "\n".join(hits)
+
+
+def test_monomial_orders_define_no_key_or_elimination():
+    """A ring order sorts monomials by their packed value in its module
+    order, and elimination orders come from `TermOrder.elimination`: no
+    `MonomialOrder` in orders.py defines `key` or `elimination`."""
+    tree = ast.parse((SRC / "orders.py").read_text())
+    classes = {"MonomialOrder"}
+    hits = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (
+            node.name in classes
+            or any(isinstance(b, ast.Name) and b.id in classes for b in node.bases)
+        ):
+            classes.add(node.name)
+            for d in node.body:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    bound = [d.name]
+                elif isinstance(d, ast.Assign):
+                    bound = [t.id for t in d.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                hits += [
+                    f"orders.py:{d.lineno}: {node.name}.{b}"
+                    for b in bound
+                    if b in ("key", "elimination")
+                ]
+    assert "GrevLex" in classes and not hits, "\n".join(hits)
 
 
 def test_no_check_switch():

@@ -187,9 +187,9 @@ def syzygy_calls(monkeypatch):
     calls = []
     real = groebner.syzygy_basis
 
-    def recording(gens, rank, nvars, field, ring_key, extra=()):
+    def recording(gens, rank, field, order, extra=()):
         calls.append((list(gens), list(extra)))
-        return real(gens, rank, nvars, field, ring_key, extra=extra)
+        return real(gens, rank, field, order, extra=extra)
 
     monkeypatch.setattr(groebner, "syzygy_basis", recording)
     return calls
