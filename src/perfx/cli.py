@@ -575,7 +575,11 @@ def _scan_inputs(session, options, usage):
         sheaf = carrier.twist(int(sheaf_txt[2:-1]))
     else:
         _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
-    p = int(options.get("p", 0))
+    p_txt = options.get("p", "0")
+    try:
+        p = int(p_txt)
+    except ValueError:
+        raise ParseError(f"usage: p=N: N must be an integer, got {p_txt!r}") from None
     points = _points_from_arg(session, options, usage, base)
     return carrier, sheaf, p, points
 
@@ -592,6 +596,7 @@ def cmd_hp_scan(session, options, args, fmt):
     report = {
         "p": p,
         "generic_value": result["generic_value"],
+        "generic_certified": result["generic_certified"],
         "audit_pass": result["audit_pass"],
     }
     _emit(report, fmt, csv_rows=rows, csv_header=["point", "p", "dim", "audit"])

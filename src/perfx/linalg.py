@@ -10,8 +10,10 @@ entries are ints, QQ entries Fractions or ints.  One elimination,
 residues modulo one prime.  Over QQ such a rank is a lower bound
 (reduction mod p is a specialization, and rank can only drop under it),
 and d o d = 0 turns the neighbouring lower bounds into upper bounds.
-Where they meet, the modular rank is exact; only the rest are evaluated
-over QQ and ranked on primitive integer rows, so nothing is rounded.
+Where they meet (`certified`), the modular rank is exact; only the rest
+are evaluated over QQ and ranked on primitive integer rows, so nothing
+is rounded.  `FreeComplex.generic_ranks` applies the same certificate to
+the ranks over the fraction field of a polynomial ring.
 """
 
 from __future__ import annotations
@@ -102,6 +104,28 @@ def modulus(field):
     return field.char or CERT_PRIME
 
 
+def residue_ranks(residues, p):
+    """{i: rank of residues[i] modulo the prime p} (the rows are
+    consumed); 0 where residues[i] is None."""
+    return {i: 0 if rows is None else _eliminate(rows, p) for i, rows in residues.items()}
+
+
+def certified(low, dims, i):
+    """Whether low[i], a lower bound on the rank of d_i, is that rank.
+
+    low holds lower bounds on the ranks of the differentials of a
+    complex, d_i : k^dims[i] -> k^dims[i+1]; a degree missing from low
+    or dims counts as 0.  d_(i+1) o d_i = 0 gives rank d_i +
+    rank d_(i+1) <= dims[i+1], so dims[i+1] - low[i+1] and
+    dims[i] - low[i-1] bound rank d_i from above, and low[i] is the rank
+    if low[i] + low[i+1] = dims[i+1] or low[i-1] + low[i] = dims[i].  A
+    full-rank low[i] is always certified.
+    """
+    ell = low[i]
+    return (ell + low.get(i + 1, 0) == dims.get(i + 1, 0)
+            or low.get(i - 1, 0) + ell == dims.get(i, 0))
+
+
 def complex_ranks(residues, exact, dims, field):
     """Exact ranks of the differentials of a complex of vector spaces.
 
@@ -110,27 +134,17 @@ def complex_ranks(residues, exact, dims, field):
     denominator; a degree missing from dims has dimension 0.  Returns
     {i: rank d_i} for every i in residues.  Over GF(p) the residues are
     the matrices themselves.  Over QQ, exact(i) returns the rows of d_i
-    over QQ, and is called only for the degrees the residues leave open;
-    the result is exact only because the matrices form a complex:
-    d_(i+1) o d_i = 0 gives rank d_i + rank d_(i+1) <= dims[i+1].
+    over QQ, and is called only for the degrees the residues leave open.
 
-    Over QQ each rank modulo CERT_PRIME is a lower bound l_i (0 where
-    the residues are None).  By the inequality above, dims[i+1] - l_(i+1)
-    and dims[i] - l_(i-1) bound rank d_i from above, so l_i is the rank
-    if l_i + l_(i+1) = dims[i+1] or l_(i-1) + l_i = dims[i].  An absent
-    neighbour counts as l = 0, so a full-rank l_i is always certified.
-    The remaining matrices go through `rank` over QQ, in increasing
-    degree, and each exact rank found that way is a bound for the next.
+    Over QQ each rank modulo CERT_PRIME is a lower bound (0 where the
+    residues are None), and `certified` says where d o d = 0 makes it
+    exact.  The remaining matrices go through `rank` over QQ, in
+    increasing degree, and each exact rank found that way is a bound for
+    the next.
     """
-    p = modulus(field)
-    low = {i: 0 if rows is None else _eliminate(rows, p) for i, rows in residues.items()}
-    if field.char:
-        return low
-    out = {}
-    for i in sorted(residues):
-        ell = low[i]
-        if (ell + low.get(i + 1, 0) != dims.get(i + 1, 0)
-                and low.get(i - 1, 0) + ell != dims.get(i, 0)):
-            ell = low[i] = rank(exact(i), field)
-        out[i] = ell
-    return out
+    low = residue_ranks(residues, modulus(field))
+    if not field.char:
+        for i in sorted(low):
+            if not certified(low, dims, i):
+                low[i] = rank(exact(i), field)
+    return low

@@ -679,14 +679,23 @@ class Mat:
     def evaluate(self, point):
         """The entries evaluated at a point, as one sparse row per matrix
         row: a {col: value} dict of the values that are nonzero.  Over
-        GF(p) these are the residues mod p; over QQ the exact Fractions."""
+        GF(p) these are the residues mod p; over QQ the exact Fractions.
+        Each monomial is evaluated once, and the terms of monomials that
+        vanish at the point are skipped."""
         if p := self.ring.field.char:
             return self.residues(point, p)
         coords = point.coords if isinstance(point, RationalPoint) else point
+        monos = {}  # monomial -> its value at the point
         rows = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self._cols):
             for i, q in col.items():
-                v = q.evaluate(coords)
+                v = 0
+                for m, c in q.terms.items():
+                    mv = monos.get(m)
+                    if mv is None:
+                        mv = monos[m] = prod(a**e for a, e in zip(coords, m) if e)
+                    if mv:
+                        v += c * mv
                 if v:
                     rows[i][j] = v
         return rows

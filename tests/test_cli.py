@@ -94,6 +94,50 @@ def test_cli_hp_scan_csv(tmp_path, capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+HP_SCAN_JSON = """{
+  "p": 0,
+  "generic_value": 0,
+  "generic_certified": true,
+  "audit_pass": true
+}
+"""
+
+
+def test_cli_hp_scan_json_pinned_under_hash_seeds(tmp_path):
+    path = tmp_path / "s.pfx"
+    path.write_text(SESSION)
+    outputs = run_under_hash_seeds(
+        "hp-scan", "ring=A", "sheaf=M", "p=0", "points=line(t=s; s={0,1,2,-1,7})",
+        "--format", "json", "--input", str(path),
+    )
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == HP_SCAN_JSON
+
+
+def test_cli_hp_scan_without_a_generic_point_fails(tmp_path, capsys):
+    """A random probe misses the cusp x^2 = t^3, so there is no generic
+    value, and the audit fails."""
+    path = tmp_path / "s.pfx"
+    path.write_text(SESSION + "ring C = QQ[t,x] / (x^2 - t^3)\nmodule N on C = coker [[t]]\n")
+    code, out, _ = run_cli(
+        capsys, "hp-scan", "ring=C", "sheaf=N", "p=0", "points={(0,0),(1,1)}",
+        "--input", str(path),
+    )
+    assert code == 1
+    assert "generic_value: None\ngeneric_certified: False\naudit_pass: False\n" in out
+
+
+@pytest.mark.parametrize("command", ["hp-scan", "grauert"])
+def test_cli_scan_degree_must_be_an_integer(tmp_path, capsys, command):
+    path = tmp_path / "s.pfx"
+    path.write_text(SESSION)
+    code, out, err = run_cli(
+        capsys, command, "ring=A", "sheaf=M", "p=x", "points={(0),(1)}", "--input", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "perfx: usage: p=N: N must be an integer, got 'x'\n"
+
+
 def test_cli_grauert_flat(tmp_path, capsys):
     path = tmp_path / "s.pfx"
     path.write_text(SESSION)

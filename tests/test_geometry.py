@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from perfx import linalg
-from perfx.fields import QQ
+from perfx import linalg, rings
+from perfx.fields import GF, QQ
 from perfx.complexes import FreeComplex, koszul, two_term
 from perfx.derived import is_relatively_perfect
 from perfx.geometry import (
@@ -25,6 +25,8 @@ from perfx.geometry import (
 )
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
+from perfx.orders import LEX
+from perfx.resolutions import free_resolution
 from perfx.groebner import mono_divides
 from perfx.rings import Mat, PolyRing, RationalPoint
 
@@ -281,6 +283,113 @@ def test_hp_scan_free_pushforward_constant(double_cover, line):
     result = hp_scan(double_cover, e, 0, base_points(line, [0, 1, -2]))
     assert {v for _, v in result["values"]} == {2}
     assert result["audit_pass"]
+
+
+def test_hp_scan_quotient_base_is_not_certified():
+    """Spec GF(2)[t]/(t^2 + t) is two points with different h^0, so it
+    has no one generic value: each probe reports its own, uncertified."""
+    ring = PolyRing(GF(2), ["t"], quotient=["t^2 + t"])
+    m = ModulePresentation.cyclic(ring, ["t"])
+    scans = [
+        hp_scan(RingMap.identity(ring), m, 0, base_points(ring, [0, 1]), seed=seed)
+        for seed in range(4)
+    ]
+    assert {scan["generic_value"] for scan in scans} == {0, 1}
+    assert not any(scan["generic_certified"] for scan in scans)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("variables, d, points", [
+    (["y"], [["y", 0], [0, 0]], [0, 1, 5]),
+    (["x", "y"], [["x", "y"], [0, 0]], [(0, 0), (1, 0), (5, 2)]),
+], ids=["diag(y,0)", "[x,y;0,0]"])
+def test_generic_value_from_the_gb_fallback(monkeypatch, field, variables, d, points):
+    """d : A^2 -> A^2 has rank 1 at every probe, which d o d = 0 cannot
+    certify (1 + 0 < 2), so the rank comes from a Gröbner basis: one
+    position carries its leading terms, (y) or (x, y)."""
+    ring = PolyRing(field, variables)
+    c = FreeComplex(ring, {0: 2, 1: 2}, {0: Mat(ring, d)})
+    builds = []
+    build = rings.MatrixGB.__init__
+
+    def counted(self, mat):
+        builds.append(mat)
+        build(self, mat)
+
+    monkeypatch.setattr(rings.MatrixGB, "__init__", counted)
+    for p in (0, 1):
+        result = hp_scan(RingMap.identity(ring), c, p, base_points(ring, points))
+        assert [v for _, v in result["values"]] == [2, 1, 1]
+        assert result["generic_value"] == 1 and result["generic_certified"]
+        assert result["audit_pass"]
+    assert builds
+
+
+def test_generic_value_under_lex_is_not_certified():
+    """Under lex the leading module need not keep the rank, so an open
+    degree falls back to the probe's value, reported as not certified."""
+    ring = PolyRing(QQ, ["x", "y"], order=LEX)
+    c = FreeComplex(ring, {0: 2, 1: 2}, {0: Mat(ring, [["x", "y"], [0, 0]])})
+    result = hp_scan(RingMap.identity(ring), c, 0, base_points(ring, [(0, 0), (1, 0)]))
+    assert (result["generic_value"], result["generic_certified"]) == (1, False)
+    assert result["audit_pass"]
+
+
+def gb_rank(mat):
+    """Rank over the fraction field: positions of the leading module."""
+    return len({pos for pos, _mono in rings.MatrixGB(mat).leading_terms()})
+
+
+def oracle_complex(kind, k):
+    """The n=2 blow-up pushforward of O(k), or the free resolution of the
+    k-th seeded random module over QQ[x,y]."""
+    if kind == "blowup":
+        fam = blowup_family(QQ, 2)
+        return pushforward_projective(fam, fam.twist(k), minimal=False)[0]
+    ring = PolyRing(QQ, ["x", "y"])
+    rng = random.Random(11 + k)
+    rels = Mat(
+        ring, [[ring.random_poly(rng, 2, 2, homogeneous=2) for _ in range(3)] for _ in range(2)],
+        ncols=3,
+    )
+    return free_resolution(ModulePresentation(ring, 2, rels), 4)
+
+
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in ("blowup", "module") for k in range(3)])
+def test_generic_ranks_match_leading_positions(kind, k):
+    c = oracle_complex(kind, k)
+    coords = tuple(QQ.parse(f"{9973 + 17 * i}/{31 + i}") for i in range(c.ring.nvars))
+    probe = RationalPoint(c.ring, coords)
+    ranks = c.generic_ranks(probe, c.lo, c.hi)
+    assert ranks == {i: gb_rank(c.diff(i)) for i in range(c.lo, c.hi + 1)}
+
+
+@pytest.mark.parametrize("n, twist, minimal", [
+    (2, 0, True), (2, 1, True), (3, 0, True), (3, 1, True), (3, 1, False),
+])
+def test_blowup_scan_certified_without_gb(monkeypatch, n, twist, minimal):
+    """On the blow-up pushforwards the probe's ranks close the d o d = 0
+    bound, and only the scanned points are ranked by fiber_dims."""
+    fam = blowup_family(QQ, n)
+    pushed, _ = pushforward_projective(fam, fam.twist(twist), minimal=minimal)
+
+    def no_gb(self, mat):
+        raise AssertionError("generic value needed a Gröbner basis")
+
+    monkeypatch.setattr(rings.MatrixGB, "__init__", no_gb)
+    fiber_dims = FreeComplex.fiber_dims
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return fiber_dims(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeComplex, "fiber_dims", counted)
+    points = base_points(fam.base, [(0,) * n, (1,) * n, tuple(range(2, n + 2))])
+    result = hp_scan(fam, None, 0, points, pushed=pushed)
+    assert result["generic_certified"] and result["audit_pass"]
+    assert result["generic_value"] == min(v for _, v in result["values"])
+    assert calls == points
 
 
 def test_grauert_flat_family(double_cover, line):
