@@ -206,54 +206,44 @@ class FreeComplex:
         ranks = self.fiber_ranks(point, lo - 1, hi)
         return {i: self.rank(i) - ranks[i] - ranks[i - 1] for i in range(lo, hi + 1)}
 
-    def generic_ranks(self, probe, lo, hi):
-        """Ranks of d^lo .. d^hi over the fraction field of the ring, as
-        {i: rank}, or None if they are not all certified.
-
-        The ranks of the differentials at the probe modulo
-        `linalg.modulus` bound these ranks from below: evaluating at the
-        probe and reducing modulo the prime are specializations, and
-        rank can only drop under them.  d^(lo-1) and d^(hi+1) are ranked
-        too, and `linalg.certified` says where d o d = 0 makes a bound
-        exact.  The probe is never evaluated exactly: its exact ranks
-        need not be the generic ones.
-
-        A degree left open is ranked from a Gröbner basis of the columns
-        of its differential.  Under an order that compares total degree
-        first, the leading module has the Hilbert function of the column
-        module (Macaulay), hence its rank: the number of positions that
-        carry a leading term.  Over a quotient ring, which need not have
-        one generic point, or under another order, an open degree gives
-        None.
-        """
-        ring = self.ring
-        if ring.is_quotient:
-            return None
-        p = linalg.modulus(ring.field)
-        low = linalg.residue_ranks(
-            {i: self.diff(i).residues(probe, p) for i in range(lo - 1, hi + 2)}, p)
-        for i in range(lo, hi + 1):
-            if not linalg.certified(low, self.ranks, i):
-                if not ring.order.degree_compatible(ring.nvars):
-                    return None
-                leading = rings.MatrixGB(self.diff(i)).leading_terms()
-                low[i] = len({pos for pos, _mono in leading})
-        return {i: low[i] for i in range(lo, hi + 1)}
-
     def generic_dim(self, probe, i):
         """(h^i over the fraction field of the ring, certified).
 
-        The value comes from `generic_ranks` at the probe.  Where those
-        are not certified, it is the fiber dimension at the probe, which
-        by semicontinuity bounds the generic value from above.  Below the
-        homology floor it is 0, as in `fiber_dims`.
+        d^(i-2) .. d^(i+1) are ranked at the probe modulo
+        `linalg.modulus`.  These ranks bound the ranks over the fraction
+        field from below: evaluating at the probe and reducing modulo the
+        prime are specializations, and rank can only drop under them.
+        `linalg.certified` says where d o d = 0 makes a bound exact.  The
+        probe is never evaluated exactly: its exact ranks need not be the
+        generic ones.
+
+        A rank left open is the number of positions that carry a leading
+        term in a Gröbner basis of the column module of the differential,
+        under any module order.  An element of the module that lives only
+        on the other positions would have its leading term there, so it
+        is 0, and the module embeds in the free module on the leading
+        positions.  One basis element per leading position gives
+        independent elements: in a relation among them the largest
+        product of leading terms sits at its own position and cannot
+        cancel.
+
+        A quotient ring need not have one generic point: there the value
+        is the fiber dimension at the probe, which by semicontinuity
+        bounds the generic value from above, reported as not certified.
+        Below the homology floor it is 0, as in `fiber_dims`.
         """
         if i < self.homology_floor():
             return 0, True
-        ranks = self.generic_ranks(probe, i - 1, i)
-        if ranks is None:
+        if self.ring.is_quotient:
             return self.fiber_dims(probe, lo=i, hi=i)[i], False
-        return self.rank(i) - ranks[i] - ranks[i - 1], True
+        p = linalg.modulus(self.ring.field)
+        low = linalg.residue_ranks(
+            {j: self.diff(j).residues(probe, p) for j in range(i - 2, i + 2)}, p)
+        for j in (i - 1, i):
+            if not linalg.certified(low, self.ranks, j):
+                leading = rings.MatrixGB(self.diff(j)).leading_terms()
+                low[j] = len({pos for pos, _mono in leading})
+        return self.rank(i) - low[i] - low[i - 1], True
 
     def fiber_euler_characteristic(self, point):
         """Alternating sum of the fiber dims at point: over the whole of a

@@ -406,10 +406,9 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
 
     The generic value, h^p over the fraction field of the base, comes
     from one random large-height probe (`FreeComplex.generic_dim`), and
-    "generic_certified" says whether it is exact.  It is exact on a plain
-    base whose order compares total degree first, such as grevlex.  On a
-    quotient base it is h^p at the probe.  A probe off the base's locus
-    gives no generic value, and the audit fails.
+    "generic_certified" says whether it is exact.  It is exact on every
+    plain base.  On a quotient base it is h^p at the probe.  A probe off
+    the base's locus gives no generic value, and the audit fails.
     """
     if pushed is None:
         pushed, _ = push(f_or_fam, e)

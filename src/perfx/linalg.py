@@ -12,7 +12,7 @@ residues modulo one prime.  Over QQ such a rank is a lower bound
 and d o d = 0 turns the neighbouring lower bounds into upper bounds.
 Where they meet (`certified`), the modular rank is exact; only the rest
 are evaluated over QQ and ranked on primitive integer rows, so nothing
-is rounded.  `FreeComplex.generic_ranks` applies the same certificate to
+is rounded.  `FreeComplex.generic_dim` applies the same certificate to
 the ranks over the fraction field of a polynomial ring.
 """
 

@@ -86,12 +86,6 @@ class MonomialOrder:
     def forms(self, nvars):
         raise NotImplementedError
 
-    def degree_compatible(self, nvars):
-        """Whether the order compares total degree first, so that the
-        leading term of a polynomial has its largest total degree."""
-        forms = self.forms(nvars)
-        return not forms or forms[0] == (1,) * nvars
-
     def module(self, nvars):
         """Term over position on free modules of a ring in nvars variables."""
         if nvars not in self._modules:

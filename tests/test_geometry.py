@@ -322,16 +322,18 @@ def test_generic_value_from_the_gb_fallback(monkeypatch, field, variables, d, po
         assert [v for _, v in result["values"]] == [2, 1, 1]
         assert result["generic_value"] == 1 and result["generic_certified"]
         assert result["audit_pass"]
+        # The origin, where d vanishes, still gives the generic value.
+        assert c.generic_dim(base_points(ring, points[:1])[0], p) == (1, True)
     assert builds
 
 
-def test_generic_value_under_lex_is_not_certified():
-    """Under lex the leading module need not keep the rank, so an open
-    degree falls back to the probe's value, reported as not certified."""
+def test_generic_value_under_lex_is_certified():
+    """Leading positions give the rank under any module order, lex too:
+    the open degree of [x, y; 0, 0] is ranked by a Gröbner basis."""
     ring = PolyRing(QQ, ["x", "y"], order=LEX)
     c = FreeComplex(ring, {0: 2, 1: 2}, {0: Mat(ring, [["x", "y"], [0, 0]])})
     result = hp_scan(RingMap.identity(ring), c, 0, base_points(ring, [(0, 0), (1, 0)]))
-    assert (result["generic_value"], result["generic_certified"]) == (1, False)
+    assert (result["generic_value"], result["generic_certified"]) == (1, True)
     assert result["audit_pass"]
 
 
@@ -356,12 +358,13 @@ def oracle_complex(kind, k):
 
 
 @pytest.mark.parametrize("kind, k", [(kind, k) for kind in ("blowup", "module") for k in range(3)])
-def test_generic_ranks_match_leading_positions(kind, k):
+def test_generic_dims_match_leading_positions(kind, k):
     c = oracle_complex(kind, k)
     coords = tuple(QQ.parse(f"{9973 + 17 * i}/{31 + i}") for i in range(c.ring.nvars))
     probe = RationalPoint(c.ring, coords)
-    ranks = c.generic_ranks(probe, c.lo, c.hi)
-    assert ranks == {i: gb_rank(c.diff(i)) for i in range(c.lo, c.hi + 1)}
+    ranks = {i: gb_rank(c.diff(i)) for i in range(c.lo - 1, c.hi + 1)}
+    for i in range(c.homology_floor(), c.hi + 1):
+        assert c.generic_dim(probe, i) == (c.rank(i) - ranks[i] - ranks[i - 1], True)
 
 
 @pytest.mark.parametrize("n, twist, minimal", [
