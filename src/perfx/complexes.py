@@ -36,6 +36,13 @@ UNKNOWN_BELOW = "unknown"
 RANK_CAP = 20000
 
 
+def check_total_rank(ranks):
+    """Raise ValueError if the ranks {degree: rank} add up past RANK_CAP."""
+    total = sum(ranks.values())
+    if total > RANK_CAP:
+        raise ValueError(f"complex too large: total rank {total} exceeds cap {RANK_CAP}")
+
+
 class FreeComplex:
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "degrees", "tail")
 
@@ -59,11 +66,7 @@ class FreeComplex:
             self.hi = max(self.ranks)
         else:
             self.lo, self.hi = 0, -1
-        total = sum(self.ranks.values())
-        if total > RANK_CAP:
-            raise ValueError(
-                f"complex too large: total rank {total} exceeds cap {RANK_CAP}"
-            )
+        check_total_rank(self.ranks)
         self.diffs = {}
         for i, m in diffs.items():
             if self.rank(i) and self.rank(i + 1) and not m.is_zero:

@@ -220,7 +220,7 @@ def _distinct_variables(elements):
     for t in elements:
         if len(t.terms) != 1:
             return False
-        (mono, _c), = t.terms.items()
+        mono = t.ring.exponents(t.leading_monomial())
         if sum(mono) != 1 or mono in seen:
             return False
         seen.add(mono)
@@ -619,9 +619,9 @@ def _fiber_point(f, base_point):
     target = f.target
     fixed = {}
     for i, im in enumerate(f.images):
-        terms = im.terms
-        if len(terms) == 1:
-            (mono, coeff), = terms.items()
+        if len(im.terms) == 1:
+            (t, coeff), = im.terms.items()
+            mono = target.exponents(t)
             if coeff == target.field.one and sum(mono) == 1:
                 j = mono.index(1)
                 fixed[j] = base_point.coords[i]

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import add
 
 from .complexes import (
     FreeComplex,
     ZERO_BELOW,
     cech_cone,
+    check_total_rank,
     koszul_dual_stage,
     koszul_resolution_of_point,
     minimize,
@@ -36,10 +38,10 @@ from .resolutions import (
 from .rings import (
     Mat,
     PolyRing,
-    Polynomial,
     RationalPoint,
     embed_poly,
     monomials_of_degree,
+    recast,
 )
 
 
@@ -122,7 +124,7 @@ class ProjectiveFamily:
             base.field, variables, base.order, lifted_quotient, weights
         )
         self.relations = tuple(
-            self.ambient.parse(r) if isinstance(r, str) else _coerce_into(r, self.ambient)
+            self.ambient.parse(r) if isinstance(r, str) else recast(r, self.ambient)
             for r in relations
         )
         for r in self.relations:
@@ -182,10 +184,6 @@ def images_into(total_target, point, fam):
     return imgs
 
 
-def _coerce_into(p, ring):
-    return ring.reduce_terms(p.terms)
-
-
 def blowup_family(base_field, n):
     """Blow-up of affine n-space at the origin: the Rees family
     Proj A[x_1..x_n] / (y_i x_j - y_j x_i) over A = k[y_1..y_n]."""
@@ -203,7 +201,7 @@ def blowup_family(base_field, n):
 def _as_ambient_fp(fam, e):
     """A free complex over the total ring as an FPComplex over T."""
     t = fam.ambient
-    rels = Mat(t, [[Polynomial(t, r.terms) for r in fam.relations]])
+    rels = Mat(t, [list(fam.relations)])
     terms = {}
     maps = {}
     for i, r in e.ranks.items():
@@ -213,7 +211,7 @@ def _as_ambient_fp(fam, e):
             continue
         terms[i] = ModulePresentation(t, r, Mat.identity(t, r).kron(rels), degs)
     for i, m in e.diffs.items():
-        maps[i] = m.map(lambda x: Polynomial(t, x.terms), t)
+        maps[i] = m.map(lambda x: recast(x, t), t)
     return FPComplex(t, terms, maps)
 
 
@@ -222,19 +220,23 @@ def relative_strand(complex_, base, fiber_count):
 
     Terms of the input are free over T = A[x]; the strand of a free
     T-module with generator degrees a_j has the x-monomials of degree
-    -a_j as an A-basis.
+    -a_j as an A-basis.  The strand's ranks are checked against the
+    complex size cap before any entry is built.
     """
-    t_ring = complex_.ring
     nb = base.nvars
+    field = base.field
     bases = {}
     for i in range(complex_.lo, complex_.hi + 1):
-        basis = []
         degs = complex_.degrees[i]
-        for j in range(complex_.rank(i)):
-            for mono in monomials_of_degree(fiber_count, -degs[j]):
-                basis.append((j, mono))
-        bases[i] = basis
+        bases[i] = [
+            (j, mono)
+            for j in range(complex_.rank(i))
+            for mono in monomials_of_degree(fiber_count, -degs[j])
+        ]
     ranks = {i: len(b) for i, b in bases.items() if b}
+    check_total_rank(ranks)
+    exps = complex_.ring.exponents
+    parts = {}  # term of T -> (its base exponents, its fiber exponents)
     diffs = {}
     for i in sorted(bases):
         src = bases.get(i, [])
@@ -247,18 +249,19 @@ def relative_strand(complex_, base, fiber_count):
         for col, (j, mono) in enumerate(src):
             for r, entry in m.column_entries(j):
                 acc = {}
-                for em, ec in entry.terms.items():
-                    x_part = tuple(em[nb + a] + mono[a] for a in range(fiber_count))
-                    y_part = em[:nb]
-                    row = tgt_index.get((r, x_part))
+                for t, c in entry.terms.items():
+                    split = parts.get(t)
+                    if split is None:
+                        e = exps(t)
+                        split = parts[t] = (e[:nb], e[nb:])
+                    y_part, x_part = split
+                    row = tgt_index.get((r, tuple(map(add, x_part, mono))))
                     if row is None:
                         continue
-                    acc.setdefault(row, {})
-                    acc[row][y_part] = base.field.add(
-                        acc[row].get(y_part, base.field.zero), ec
-                    )
+                    terms = acc.setdefault(row, {})
+                    terms[y_part] = field.add(terms.get(y_part, field.zero), c)
                 for row, terms in acc.items():
-                    entries.append((row, col, base.reduce_terms(terms)))
+                    entries.append((row, col, base.from_exponents(terms)))
         diffs[i] = Mat.from_entries(base, len(tgt), len(src), entries)
     return FreeComplex._make(base, ranks, diffs, None, complex_.tail)
 
@@ -362,7 +365,7 @@ def classical_fiber(f_or_fam, e, point):
     f = f_or_fam
     target = f.target
     cut = [
-        Polynomial(target.ambient, f.images[i].terms) - target.ambient.const(point.coords[i])
+        recast(f.images[i], target.ambient) - target.ambient.const(point.coords[i])
         for i in range(f.source.nvars)
     ]
     fiber_ring = target.quotient_by(cut)

@@ -6,10 +6,11 @@ into one int, and comparing two ints orders them as the module order
 does: the leading term of a vector is `max(vec)`, multiplying a term by
 a monomial adds the monomial's packed value, and within one position a
 term divides another when their difference clears the order's
-`divmask`.  Every vector in and out is packed: `syzygy_basis` and
-`ModuleGB` take and return vectors of the term-over-position order
-they are given, and move them to and from its elimination order with
-`TermOrder.repack`.
+`divmask`.  A polynomial's terms (rings.py) are these ints at position
+0.  Every vector in and out is packed: `syzygy_basis` and `ModuleGB`
+take and return vectors of the term-over-position order they are given,
+and move them to and from its elimination order with
+`TermOrder.repack`.  Only `buchberger`'s pair bookkeeping unpacks.
 
 Coefficients are ints in [0, p) over GF(p) and Fractions over QQ.
 Inside `buchberger` and `interreduce` the vectors over QQ are primitive

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .groebner import buchberger, mono_divides
 from .modules import ModulePresentation, prune_redundant_columns
 from .orders import BlockOrder, restriction_order
-from .rings import Mat, PolyRing, Polynomial, RationalPoint, embed_poly
+from .rings import Mat, PolyRing, RationalPoint, embed_poly
 
 
 class RingMap:
@@ -89,7 +89,7 @@ class RingMap:
         """self o other: other's source ring, mapped through both."""
         if other.target.variables != self.source.variables:
             raise ValueError("maps do not compose")
-        images = [self.apply(Polynomial(self.source, im.terms)) for im in other.images]
+        images = [self.apply(im) for im in other.images]
         return RingMap(other.source, self.target, images)
 
     @classmethod
@@ -133,7 +133,7 @@ class RingMap:
         box = [None] * ntv
         tfree_lms = []
         for q in self._ring.quotient_gb:
-            m = q.leading_monomial()
+            m = q.ring.exponents(q.leading_monomial())
             if any(m[ntv:]):
                 continue
             tfree_lms.append(m[:ntv])
@@ -172,15 +172,16 @@ class RingMap:
         """
         basis = self.module_basis()
         ring, ntv = self._ring, self.target.nvars
-        red = ring.reduce_terms(embed_poly(element, ring, 0).terms)
+        red = embed_poly(element, ring, 0)
         out = {}
-        for m, c in red.terms.items():
+        for t, c in red.terms.items():
+            m = ring.exponents(t)
             out.setdefault(m[:ntv], {})[m[ntv:]] = c
         result = {}
         for u_part, terms in out.items():
             if u_part not in basis:
                 raise AssertionError("normal form left the spanning box")
-            result[u_part] = self.source.reduce_terms(terms)
+            result[u_part] = self.source.from_exponents(terms)
         return result
 
     def source_module_presentation(self):
@@ -202,7 +203,8 @@ class RingMap:
             {order.pack(0, m + pad): one, order.pack(1 + j, unit): minus_one}
             for j, m in enumerate(basis)
         ]
-        aug += [{order.pack(0, m): c for m, c in q.terms.items()} for q in ring.quotient_gb]
+        exps = ring.exponents
+        aug += [{order.pack(0, exps(t)): c for t, c in q.terms.items()} for q in ring.quotient_gb]
         rel_entries = []
         ncols = 0
         for v in buchberger(aug, ring.field, order):
@@ -210,7 +212,7 @@ class RingMap:
             if any(pos == 0 or any(m[:ntv]) for (pos, m), _c in terms):
                 continue
             rel_entries += [
-                (pos - 1, ncols, self.source.reduce_terms({m[ntv:]: c}))
+                (pos - 1, ncols, self.source.from_exponents({m[ntv:]: c}))
                 for (pos, m), c in terms
             ]
             ncols += 1

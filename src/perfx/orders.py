@@ -14,7 +14,8 @@ position of a module term:
 
 A ring order gives its linear forms with `forms(nvars)`.  Every order's
 forms determine the monomial, so a monomial's packed value in the
-ring's module order (`module_order.monomial`) is its one sort key.
+ring's module order (`module_order.monomial`) is its one sort key, and
+a polynomial keeps each term as that value at position 0 (rings.py).
 Module orders on terms (position, mono) are `TermOrder`s, built from a
 ring order's forms and the position fields `POSITION` (CAP - pos: lower
 positions win ties) and `Below(r)` (1 for pos < r, else 0):
@@ -40,7 +41,8 @@ term exceed CAP.
 A module order and its elimination orders pack every monomial to the
 same int; they differ only by the Below bit on low positions.  So
 `repack` moves a vector between them, and shifts its positions, by
-adding to each term an int that depends only on its position.
+adding to each term an int that depends only on its position, and
+`split` cuts a vector into its positions, each moved to position 0.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def restriction_order(ntv, nvars):
 class TermOrder:
     """A module order whose terms (pos, mono) pack into ints.
 
-    `pack` and `unpack` convert at the boundary, with tables of the
+    `pack` and `unpack` convert between the two, with tables of the
     monomials seen so far.  The engine reads three masks: `posmask`
     (the raw position), `divmask` (the exponent guard bits) and
     `guardmask` (every guard bit).
@@ -204,7 +206,6 @@ class TermOrder:
         self._bases = {}  # position -> packed value of the monomial 1 there
         self._ints = {}  # monomial -> its packed value at position 0, less the base
         self._monos = {}  # the inverse table
-        self._base0 = self.base(0)
 
     def base(self, pos):
         b = self._bases.get(pos)
@@ -232,6 +233,14 @@ class TermOrder:
 
     def pack(self, pos, mono):
         return self.base(pos) + self.monomial(mono)
+
+    def check_products(self, terms):
+        """Raise the cap error if a term, a product of two terms, left the
+        cap.  Each exponent of a product is below 2 CAP: it fits its slot."""
+        for t in terms:
+            if t & self.guardmask:
+                mono = tuple((t >> off) & (2 * CAP + 1) for off in self._exp_offsets)
+                raise cap_error(f"degree {sum(mono)} of monomial {mono}")
 
     def unpack(self, t):
         """(pos, mono) of a packed term."""
@@ -267,40 +276,11 @@ class TermOrder:
             out[t + d] = c
         return out
 
-    def pack_terms(self, terms, pos=0):
-        """{mono: c} as a vector in position `pos`."""
-        b = self.base(pos)
-        ints = self._ints
-        out = {}
-        for m, c in terms.items():
-            i = ints.get(m)
-            if i is None:
-                i = self.monomial(m)
-            out[b + i] = c
-        return out
-
     def split(self, vec):
-        """A vector as {pos: {mono: c}}, positions ascending; positions
-        without terms are absent."""
-        bases, monos = self._bases, self._monos
+        """A vector as {pos: terms}, positions ascending, each part moved
+        to position 0, where a polynomial of the order's ring keeps its
+        terms; positions without terms are absent."""
         parts = {}
         for t, c in vec.items():
-            pos = t & CAP
-            b = bases.get(pos)
-            mono = None if b is None else monos.get(t - b)
-            if mono is None:
-                pos, mono = self.unpack(t)
-            parts.setdefault(pos, {})[mono] = c
-        return {pos: parts[pos] for pos in sorted(parts)}
-
-    def unpack_poly(self, vec):
-        """A vector in position 0 as {mono: c}."""
-        b = self._base0
-        monos = self._monos
-        out = {}
-        for t, c in vec.items():
-            m = monos.get(t - b)
-            if m is None:
-                m = self.unpack(t)[1]
-            out[m] = c
-        return out
+            parts.setdefault(t & CAP, {})[t] = c
+        return {pos: self.repack(parts[pos], self, -pos) for pos in sorted(parts)}

@@ -4,19 +4,21 @@ Elements of a quotient ring are stored as canonical normal forms in
 the ambient polynomial ring (reduction against the interreduced
 Gröbner basis of the quotient ideal, whose reduction data the ring
 builds once, happens on construction and after every product), so
-equality is plain dict comparison.  Polynomials keep exponent tuples
-and sort by their packed value in the ring's term-over-position order
-(`module_order`); this module packs them into the engine's int terms
-with that order at each call into the engine and unpacks the results.
-Matrices are sparse: `Mat` keeps only the nonzero entries of each
-column, and this module alone knows that layout; a column packs
-straight to an engine vector, its row index as the position.
+equality is plain dict comparison.  A polynomial's terms are the
+engine's: packed ints of the ring's `module_order` at position 0, so a
+product term and a move to position i of an engine vector are int adds.
+Exponent tuples appear only at `PolyRing.exponents` and
+`PolyRing.from_exponents`.  Matrices are sparse: `Mat` keeps only the
+nonzero entries of each column, and this module alone knows that
+layout; a column becomes an engine vector, its row index the position.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from math import prod
+from operator import mul
 
 from . import groebner as gb
 from .orders import GREVLEX
@@ -36,31 +38,15 @@ class PolyRing:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         # the term-over-position order on free modules over this ring
         self.module_order = order.module(self.nvars)
-        self.quotient_gb = ()  # set before coercion so parsing sees a plain ring
+        self._base0 = self.module_order.base(0)  # the term of the monomial 1
+        self.quotient_gb = ()
+        self.ambient = self  # the plain ring over the same variables
         if quotient:
-            pack = self.module_order.pack_terms
-            raw = []
-            for q in quotient:
-                q = self.ambient_coerce(q)
-                if q.terms:
-                    raw.append(pack(q.terms))
+            self.ambient = PolyRing(field, self.variables, order, weights=self.weights)
+            raw = [q.terms for q in map(self.ambient_coerce, quotient) if q.terms]
             basis = gb.buchberger(raw, field, self.module_order)
             self._quotient_basis = gb._Basis(field, self.module_order, basis)
-            self.quotient_gb = tuple(
-                Polynomial(self.ambient, self.module_order.unpack_poly(v)) for v in basis
-            )
-        self.quotient = self.quotient_gb
-
-    @property
-    def ambient(self):
-        if not getattr(self, "quotient_gb", ()):
-            return self
-        if not hasattr(self, "_ambient"):
-            self._ambient = PolyRing(
-                self.field, self.variables, self.order,
-                weights=getattr(self, "weights", None),
-            )
-        return self._ambient
+            self.quotient_gb = tuple(Polynomial(self.ambient, v) for v in basis)
 
     @property
     def is_quotient(self):
@@ -68,7 +54,7 @@ class PolyRing:
 
     def ambient_coerce(self, p):
         if isinstance(p, Polynomial):
-            return Polynomial(self.ambient, p.terms)
+            return recast(p, self.ambient)
         if isinstance(p, str):
             return self.ambient.parse(p)
         return self.ambient.const(self.field.from_int(p))
@@ -80,7 +66,7 @@ class PolyRing:
             c = self.field.from_int(c)
         if c == self.field.zero:
             return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {self._base0: c})
 
     @property
     def zero(self):
@@ -92,23 +78,40 @@ class PolyRing:
 
     def var(self, v):
         i = self._var_index[v] if isinstance(v, str) else v
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.reduce_terms({mono: self.field.one})
+        return self.monomial(int(j == i) for j in range(self.nvars))
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
     def monomial(self, mono):
-        return self.reduce_terms({tuple(mono): self.field.one})
+        return self.from_exponents({tuple(mono): self.field.one})
 
     def reduce_terms(self, terms):
         """Canonical representative of a term dict modulo the quotient."""
-        terms = {m: c for m, c in terms.items() if c}
+        terms = {t: c for t, c in terms.items() if c}
         if not self.quotient_gb or not terms:
             return Polynomial(self, terms)
-        order = self.module_order
-        red = gb.reduce_vector(order.pack_terms(terms), self._quotient_basis)
-        return Polynomial(self, order.unpack_poly(red))
+        return Polynomial(self, gb.reduce_vector(terms, self._quotient_basis))
+
+    def from_exponents(self, terms):
+        """The element with terms {exponent tuple: coefficient}; a
+        monomial past the packed-term cap raises ValueError here."""
+        mono, b0 = self.module_order.monomial, self._base0
+        return self.reduce_terms({b0 + mono(m): c for m, c in terms.items()})
+
+    def exponents(self, t):
+        """The exponent tuple of a term of this ring's polynomials."""
+        return self.module_order.unpack(t)[1]
+
+    def vector(self, entries):
+        """(position, Polynomial) pairs as one engine vector of the module
+        order: a term moves from position 0 to i by one int add."""
+        base, b0 = self.module_order.base, self._base0
+        vec = {}
+        for i, p in entries:
+            d = base(i) - b0
+            vec.update({t + d: c for t, c in p.terms.items()})
+        return vec
 
     def parse(self, text):
         return _parse_poly(self, text)
@@ -130,7 +133,7 @@ class PolyRing:
                 c = self.field.one
             mono = tuple(mono)
             terms[mono] = self.field.add(terms.get(mono, self.field.zero), c)
-        return self.reduce_terms(terms)
+        return self.from_exponents(terms)
 
     # -- structure -----------------------------------------------------
 
@@ -141,13 +144,10 @@ class PolyRing:
 
     def quotient_extra_vectors(self, rank):
         """Quotient ideal times each basis vector, as engine vectors."""
-        pack = self.module_order.pack_terms
-        return [pack(q.terms, i) for q in self.quotient_gb for i in range(rank)]
+        return [self.vector([(i, q)]) for q in self.quotient_gb for i in range(rank)]
 
     def _signature(self):
-        quot = tuple(
-            tuple(sorted(q.terms.items())) for q in getattr(self, "quotient_gb", ())
-        )
+        quot = tuple(tuple(sorted(q.terms.items())) for q in self.quotient_gb)
         return (self.field, self.variables, self.order, quot, self.weights)
 
     def __eq__(self, other):
@@ -175,31 +175,36 @@ class PolyRing:
 
 def embed_poly(p, ring, offset):
     """p as an element of `ring`, whose variables from position `offset`
-    on take the place of p's variables."""
-    tail = ring.nvars - offset - p.ring.nvars
-    return Polynomial(ring, {
-        (0,) * offset + m + (0,) * tail: c for m, c in p.terms.items()
-    })
+    on take the place of p's variables, reduced modulo ring's quotient."""
+    head, tail = (0,) * offset, (0,) * (ring.nvars - offset - p.ring.nvars)
+    exps = p.ring.exponents
+    return ring.from_exponents({head + exps(t) + tail: c for t, c in p.terms.items()})
+
+
+def recast(p, ring):
+    """p in `ring`, a ring over the same variables: the same terms if the
+    two orders are equal, else rebuilt through exponents; reduced."""
+    src = p.ring
+    if src is ring:
+        return p
+    if src.order != ring.order:
+        return embed_poly(p, ring, 0)
+    if ring.quotient_gb and src != ring:
+        return ring.reduce_terms(p.terms)
+    return Polynomial(ring, p.terms)
 
 
 def monomials_of_degree(nvars, d):
     """All exponent tuples of length nvars and total degree d, in
-    ascending tuple order."""
-    if d < 0:
-        return []
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, nvars)
-    return out
+    ascending tuple order: the gaps left by nvars - 1 bars placed in
+    d + nvars - 1 slots."""
+    if d < 0 or not nvars:
+        return [()] if d == 0 == nvars else []
+    slots = d + nvars - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+        for bars in combinations(range(slots), nvars - 1)
+    ]
 
 
 class Polynomial:
@@ -211,8 +216,11 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring.variables != self.ring.variables:
-                raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
+            ring = other.ring
+            if ring.variables != self.ring.variables:
+                raise ValueError(f"mixed rings: {self.ring} vs {ring}")
+            if ring.module_order is not self.ring.module_order and ring.order != self.ring.order:
+                return recast(other, self.ring)
             return other
         return self.ring.const(other)
 
@@ -241,18 +249,25 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        """A product term is t1 + t2 - base(0); past the cap it raises."""
         other = self._coerce(other)
-        field = self.ring.field
+        ring = self.ring
+        field = ring.field
+        b0 = ring._base0
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = gb.mono_mul(m1, m2)
-                s = field.add(terms.get(m, field.zero), field.mul(c1, c2))
+        for t1, c1 in self.terms.items():
+            shift = t1 - b0
+            for t2, c2 in other.terms.items():
+                t = t2 + shift
+                s = field.add(terms.get(t, field.zero), field.mul(c1, c2))
                 if s == field.zero:
-                    terms.pop(m, None)
+                    terms.pop(t, None)
                 else:
-                    terms[m] = s
-        return self.ring.reduce_terms(terms)
+                    terms[t] = s
+        ring.module_order.check_products(terms)
+        if ring.quotient_gb and terms:
+            terms = gb.reduce_vector(terms, ring._quotient_basis)
+        return Polynomial(ring, terms)
 
     __rmul__ = __mul__
 
@@ -280,22 +295,22 @@ class Polynomial:
         return not self.terms
 
     def leading_monomial(self):
-        return max(self.terms, key=self.ring.module_order.monomial)
-
-    def weighted_degree(self, mono):
-        return sum(e * w for e, w in zip(mono, self.ring.weights))
+        """The leading term; `ring.exponents` gives its exponents."""
+        return max(self.terms)
 
     def homogeneous_degree(self):
         """Weighted degree if homogeneous and nonzero, else None."""
-        degs = {self.weighted_degree(m) for m in self.terms}
+        exps, weights = self.ring.exponents, self.ring.weights
+        degs = {sum(map(mul, exps(t), weights)) for t in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def evaluate(self, coords):
         field = self.ring.field
+        exps = self.ring.exponents
         p = field.char
         out = field.zero
-        for m, c in self.terms.items():
-            for e, a in zip(m, coords):
+        for t, c in self.terms.items():
+            for e, a in zip(exps(t), coords):
                 if e:
                     c = field.mul(c, pow(a, e, p) if p else a**e)
             out = field.add(out, c)
@@ -308,9 +323,9 @@ class Polynomial:
                 raise ValueError("target ring required when there are no images")
             target = images[0].ring
         out = target.zero
-        for m, c in sorted(self.terms.items()):
+        for t, c in sorted(self.terms.items()):
             term = target.const(c)
-            for e, g in zip(m, images):
+            for e, g in zip(self.ring.exponents(t), images):
                 if e:
                     term = term * g**e
             out = out + term
@@ -321,9 +336,7 @@ class Polynomial:
         if not self.terms:
             return self.ring.field.zero
         if len(self.terms) == 1:
-            (m, c), = self.terms.items()
-            if not any(m):
-                return c
+            return self.terms.get(self.ring._base0)
         return None
 
     def __eq__(self, other):
@@ -338,11 +351,11 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=self.ring.module_order.monomial, reverse=True):
-            c = self.terms[m]
+        for t in sorted(self.terms, reverse=True):
+            c = self.terms[t]
             factors = [
                 f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.ring.variables, m)
+                for v, e in zip(self.ring.variables, self.ring.exponents(t))
                 if e
             ]
             body = "*".join(factors)
@@ -565,7 +578,7 @@ class Mat:
 
     def column_vecs(self):
         """The columns as engine vectors of the ring's module order."""
-        return [_pack(self.ring, col.items()) for col in self._cols]
+        return [self.ring.vector(col.items()) for col in self._cols]
 
     @property
     def is_zero(self):
@@ -685,15 +698,16 @@ class Mat:
         if p := self.ring.field.char:
             return self.residues(point, p)
         coords = point.coords if isinstance(point, RationalPoint) else point
-        monos = {}  # monomial -> its value at the point
+        exps = self.ring.exponents
+        monos = {}  # term -> the value of its monomial at the point
         rows = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self._cols):
             for i, q in col.items():
                 v = 0
-                for m, c in q.terms.items():
-                    mv = monos.get(m)
+                for t, c in q.terms.items():
+                    mv = monos.get(t)
                     if mv is None:
-                        mv = monos[m] = prod(a**e for a, e in zip(coords, m) if e)
+                        mv = monos[t] = prod(a**e for a, e in zip(coords, exps(t)) if e)
                     if mv:
                         v += c * mv
                 if v:
@@ -714,15 +728,16 @@ class Mat:
             return None
         xs = [a.numerator * pow(a.denominator, -1, p) % p for a in coords]
         inverses = {1: 1}  # denominator -> its inverse mod p
-        monos = {}  # monomial -> its residue at the point
+        exps = self.ring.exponents
+        monos = {}  # term -> the residue of its monomial at the point
         rows = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self._cols):
             for i, q in col.items():
                 v = 0
-                for m, c in q.terms.items():
-                    mv = monos.get(m)
+                for t, c in q.terms.items():
+                    mv = monos.get(t)
                     if mv is None:
-                        mv = monos[m] = prod(pow(x, e, p) for x, e in zip(xs, m)) % p
+                        mv = monos[t] = prod(pow(x, e, p) for x, e in zip(xs, exps(t))) % p
                     d = c.denominator
                     inv = inverses.get(d)
                     if inv is None:
@@ -758,9 +773,7 @@ def _entry(ring, x):
             return x
         if x.ring.variables != ring.variables or x.ring.field != ring.field:
             raise ValueError("entry from wrong ring")
-        if x.ring == ring:
-            return x
-        return ring.reduce_terms(x.terms)
+        return recast(x, ring)
     if isinstance(x, str):
         return ring.parse(x)
     return ring.const(x)
@@ -820,16 +833,6 @@ def point_of(ring, point):
 # -- ring-level Gröbner API --------------------------------------------
 
 
-def _pack(ring, pairs):
-    """(position, Polynomial) pairs as one engine vector of the ring's
-    module order."""
-    pack = ring.module_order.pack_terms
-    vec = {}
-    for i, p in pairs:
-        vec.update(pack(p.terms, i))
-    return vec
-
-
 def _as_vectors(gens, ring):
     """Accept Polynomials (rank 1) or lists of Polynomials (vectors)."""
     vecs = []
@@ -838,7 +841,7 @@ def _as_vectors(gens, ring):
         if isinstance(g, Polynomial):
             g = [g]
         rank = max(rank, len(g))
-        vecs.append(_pack(ring, enumerate(g)))
+        vecs.append(ring.vector(enumerate(g)))
     return vecs, rank
 
 
@@ -891,12 +894,12 @@ class MatrixGB:
         self._gb = gb.ModuleGB(vecs, mat.nrows, ring.field, ring.module_order, extra=extra)
 
     def contains_column(self, col):
-        return self._gb.contains(_pack(self.ring, enumerate(col)))
+        return self._gb.contains(self.ring.vector(enumerate(col)))
 
     def lift_column(self, col):
         """x with mat·x = col (mod quotient), or None."""
         ring = self.ring
-        coeffs = self._gb.lift(_pack(ring, enumerate(col)))
+        coeffs = self._gb.lift(ring.vector(enumerate(col)))
         if coeffs is None:
             return None
         parts = ring.module_order.split(coeffs)

@@ -284,7 +284,7 @@ def test_criterion_8_projection_formula(capsys):
         monic = xvar ** degree
         for i, coeff in enumerate(lower):
             lifted = sum(
-                (b.const(c) * tvar ** m[0] for m, c in coeff.terms.items()),
+                (b.const(c) * tvar ** line.exponents(t)[0] for t, c in coeff.terms.items()),
                 b.zero,
             )
             monic = monic + lifted * xvar ** i

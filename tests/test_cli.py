@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -190,6 +191,16 @@ def test_cli_blowup_example_bad_n(capsys, n):
     assert code == 2
     assert "positive integer" in err
     assert "Traceback" not in err
+
+
+def test_cli_blowup_example_too_large_exits_2_early(capsys):
+    """n=6 asks for a strand of total rank 436519: its ranks are checked
+    before any entry is built, so the size error comes at once."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "example", "blowup-chi", "n=6")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "perfx: complex too large: total rank 436519 exceeds cap 20000\n"
 
 
 @pytest.mark.parametrize("tokens", [
@@ -595,13 +606,24 @@ def test_cli_exponent_past_the_cap_exits_2(tmp_path, capsys):
     assert "exceeds the packed-term cap 1048575" in err
 
 
+def test_cli_product_past_the_cap_exits_2(tmp_path, capsys):
+    """x^600000 * x^600000 leaves the cap where the product is built."""
+    path = tmp_path / "s.pfx"
+    path.write_text(CAP_SESSION.format(power="x^600000 * x^600000"))
+    code, out, err = run_cli(capsys, "tor", "M", "at", "p", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "degree 1200000 of monomial (1200000,) exceeds the packed-term cap 1048575" in err
+
+
 def test_cli_roundtrip_past_the_cap_exits_2(tmp_path, capsys):
-    """Printing x^1049600 orders its terms by packed value, which raises
-    the same cap error as the engine: exit 2, one line."""
+    """Building (x^1024)^1025 squares x^524288, and that product x^1048576
+    is past the cap: the session fails to parse, exit 2, one line."""
     path = tmp_path / "s.pfx"
     path.write_text(CAP_SESSION.format(power="(x^1024)^1025"))
     code, out, err = run_cli(capsys, "roundtrip", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == (
-        "perfx: degree 1049600 of monomial (1049600,) exceeds the packed-term cap 1048575\n"
+        "perfx: parse error: line 3: malformed polynomial: "
+        "degree 1048576 of monomial (1048576,) exceeds the packed-term cap 1048575\n"
     )

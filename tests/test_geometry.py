@@ -33,7 +33,7 @@ from perfx.rings import Mat, PolyRing, RationalPoint
 
 def standard_monomials(ring, degree):
     """Monomial basis of the degree-d piece of the (quotient) ring."""
-    lts = [q.leading_monomial() for q in ring.quotient_gb]
+    lts = [ring.exponents(q.leading_monomial()) for q in ring.quotient_gb]
     return [
         m
         for m in ring.monomials_of_degree(degree)

@@ -33,9 +33,11 @@ from perfx.rings import (
     PolyRing,
     Polynomial,
     RationalPoint,
+    embed_poly,
     groebner_basis,
     normal_form,
     point_of,
+    recast,
     syzygy_matrix,
 )
 
@@ -117,8 +119,8 @@ def brute_force_syzygy_dim(mat, degree):
     for col, (j, m) in enumerate(unknowns):
         for i in range(mat.nrows):
             entry = mat.rows[i][j]
-            for em, ec in entry.terms.items():
-                key = (i, mono_mul(em, m))
+            for t, ec in entry.terms.items():
+                key = (i, mono_mul(ring.exponents(t), m))
                 equations.setdefault(key, {})[col] = equations.setdefault(
                     key, {}
                 ).get(col, ring.field.zero) + ec
@@ -143,7 +145,8 @@ def computed_syzygy_span_dim(mat, syz, degree):
     vectors = []
     for col in range(syz.ncols):
         col_deg = max(
-            (sum(m) for i in range(syz.nrows) for m in syz.rows[i][col].terms), default=0
+            (sum(ring.exponents(t)) for i in range(syz.nrows) for t in syz.rows[i][col].terms),
+            default=0,
         )
         for m in monos:
             if sum(m) + max(col_deg, 0) > degree:
@@ -151,8 +154,8 @@ def computed_syzygy_span_dim(mat, syz, degree):
             vec = [ring.field.zero] * len(unknowns)
             fits = True
             for i in range(syz.nrows):
-                for em, ec in syz.rows[i][col].terms.items():
-                    key = (i, mono_mul(em, m))
+                for t, ec in syz.rows[i][col].terms.items():
+                    key = (i, mono_mul(ring.exponents(t), m))
                     if key not in unknowns:
                         fits = False
                         break
@@ -281,9 +284,10 @@ def test_buchberger_criterion_on_outputs():
                 if a.is_zero or b.is_zero:
                     continue
                 ma, mb = a.leading_monomial(), b.leading_monomial()
-                lcm = tuple(max(x, y) for x, y in zip(ma, mb))
-                sa = ring.monomial(tuple(l - m for l, m in zip(lcm, ma)))
-                sb = ring.monomial(tuple(l - m for l, m in zip(lcm, mb)))
+                ea, eb = ring.exponents(ma), ring.exponents(mb)
+                lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+                sa = ring.monomial(tuple(l - m for l, m in zip(lcm, ea)))
+                sb = ring.monomial(tuple(l - m for l, m in zip(lcm, eb)))
                 spair = sa * a.scale(ring.field.inv(a.terms[ma])) - sb * b.scale(
                     ring.field.inv(b.terms[mb])
                 )
@@ -375,7 +379,7 @@ def test_powers_take_logarithmically_many_products(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
-    assert ring.parse("x^100000") == Polynomial(ring, {(100000, 0): QQ.one})
+    assert ring.parse("x^100000") == ring.from_exponents({(100000, 0): QQ.one})
     assert len(products) <= 40
 
 
@@ -696,21 +700,181 @@ def test_reduce_terms_matches_per_call_reference(field, order):
     ambient = PolyRing(field, names, order=order)
     ideal = [ambient.random_poly(rng, nterms=3, homogeneous=2) for _ in range(2)]
     ring = PolyRing(field, names, order=order, quotient=ideal)
-    qvecs = [{(0, m): c for m, c in q.terms.items()} for q in ring.quotient_gb]
+    exps = ring.exponents
+    qvecs = [{(0, exps(t)): c for t, c in q.terms.items()} for q in ring.quotient_gb]
     key = reference_top_key(ring_key)
     for _ in range(6):
         a = ring.random_poly(rng, max_degree=3, nterms=4)
         b = ring.random_poly(rng, max_degree=3, nterms=4)
         product = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = mono_mul(m1, m2)
+        for t1, c1 in a.terms.items():
+            for t2, c2 in b.terms.items():
+                m = mono_mul(exps(t1), exps(t2))
                 product[m] = field.add(product.get(m, field.zero), field.mul(c1, c2))
         product = {m: c for m, c in product.items() if c != field.zero}
         want = reference_reduce({(0, m): c for m, c in product.items()}, qvecs, field, key)
-        got = ring.reduce_terms(product)
-        assert list(got.terms.items()) == [(m, c) for (_p, m), c in want.items()]
+        got = ring.from_exponents(product)
+        assert [(exps(t), c) for t, c in got.terms.items()] == [
+            (m, c) for (_p, m), c in want.items()
+        ]
         assert list((a * b).terms.items()) == list(got.terms.items())
+
+
+# -- the packed polynomial against its tuple-dict reference --------------------
+#
+# Polynomial.terms keeps packed ints.  The ref_* functions keep the
+# {exponent tuple: coeff} dicts polynomials held before, ordered by the tuple
+# keys above; each packed result is read back through `ring.exponents`.
+
+
+def ref_terms(p):
+    return {p.ring.exponents(t): c for t, c in p.terms.items()}
+
+
+def ref_add(a, b, field):
+    out = dict(a)
+    for m, c in b.items():
+        s = field.add(out.get(m, field.zero), c)
+        if s == field.zero:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def ref_neg(a, field):
+    return {m: field.neg(c) for m, c in a.items()}
+
+
+def ref_mul(a, b, field, quotient=(), key=None):
+    """The product; with `quotient`, a monic Gröbner basis as tuple dicts
+    ordered by the ring key `key`, its normal form."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out = ref_add(out, {mono_mul(m1, m2): field.mul(c1, c2)}, field)
+    if quotient:
+        qvecs = [{(0, m): c for m, c in q.items()} for q in quotient]
+        vec = {(0, m): c for m, c in out.items()}
+        out = {m: c for (_p, m), c in reference_reduce(
+            vec, qvecs, field, reference_top_key(key)).items()}
+    return out
+
+
+def ref_evaluate(a, coords, field):
+    out = field.zero
+    for m, c in a.items():
+        for e, x in zip(m, coords):
+            for _ in range(e):
+                c = field.mul(c, x)
+        out = field.add(out, c)
+    return out
+
+
+def ref_substitute(a, images, field, nvars):
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * nvars: c}
+        for e, g in zip(m, images):
+            for _ in range(e):
+                term = ref_mul(term, g, field)
+        out = ref_add(out, term, field)
+    return out
+
+
+def ref_repr(a, variables, key, field):
+    if not a:
+        return "0"
+    parts = []
+    for m in sorted(a, key=key, reverse=True):
+        c = a[m]
+        factors = [f"{v}^{e}" if e > 1 else v for v, e in zip(variables, m) if e]
+        body = "*".join(factors)
+        if not factors:
+            parts.append(str(c))
+        elif c == field.one:
+            parts.append(body)
+        elif c == field.neg(field.one):
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+PACKED_ORDERS = {
+    "grevlex": (GREVLEX, grevlex_key),
+    "lex": (LEX, lex_key),
+    "block": (BlockOrder(1), block_key(1)),
+}
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["plain", "quotient"])
+@pytest.mark.parametrize("order_name", sorted(PACKED_ORDERS))
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_packed_polynomial_matches_tuple_reference(field, order_name, quotient):
+    order, key = PACKED_ORDERS[order_name]
+    rng = random.Random(f"packed-{field!r}-{order_name}-{quotient}")
+    names = ["x", "y", "z"]
+    ring = PolyRing(field, names, order=order)
+    if quotient:
+        ideal = [ring.random_poly(rng, nterms=3, homogeneous=2) for _ in range(2)]
+        ring = PolyRing(field, names, order=order, quotient=ideal)
+        assert ring.is_quotient
+    qref = [ref_terms(q) for q in ring.quotient_gb]
+    target = PolyRing(field, ["s", "t"])
+    for _ in range(5):
+        a = ring.random_poly(rng, max_degree=3, nterms=4)
+        b = ring.random_poly(rng, max_degree=3, nterms=4)
+        ra, rb = ref_terms(a), ref_terms(b)
+        assert ref_terms(a + b) == ref_add(ra, rb, field)
+        assert ref_terms(a - b) == ref_add(ra, ref_neg(rb, field), field)
+        assert ref_terms(a * b) == ref_mul(ra, rb, field, qref, key)
+        cube = ref_mul(ref_mul(ra, ra, field, qref, key), ra, field, qref, key)
+        assert ref_terms(a**3) == cube
+        images = [target.random_poly(rng, max_degree=2, nterms=2) for _ in names]
+        assert ref_terms(a.substitute(images, target)) == ref_substitute(
+            ra, [ref_terms(g) for g in images], field, target.nvars
+        )
+        coords = tuple(field.from_int(rng.randint(-3, 3)) for _ in names)
+        assert a.evaluate(coords) == ref_evaluate(ra, coords, field)
+        if ra:
+            assert ring.exponents(a.leading_monomial()) == max(ra, key=key)
+        assert repr(a) == ref_repr(ra, names, key, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_recast_and_embed_match_the_tuple_reference(field):
+    """recast keeps a polynomial's exponents between a grevlex and a block
+    ring over the same variables, and reduces into a quotient ring;
+    embed_poly pads the exponents into a longer variable list."""
+    rng = random.Random(f"recast-{field!r}")
+    names = ["x", "y", "z"]
+    grevlex = PolyRing(field, names)
+    block = PolyRing(field, names, order=BlockOrder(1))
+    quotient = PolyRing(field, names, quotient=["x^2 - y*z"])
+    longer = PolyRing(field, ["u", *names, "v"], order=BlockOrder(2))
+    for _ in range(5):
+        a = grevlex.random_poly(rng, max_degree=3, nterms=4)
+        ra = ref_terms(a)
+        b = recast(a, block)
+        assert b.ring is block and ref_terms(b) == ra
+        assert repr(b) == ref_repr(ra, names, block_key(1), field)
+        assert recast(b, grevlex) == a
+        assert recast(b, quotient) == quotient.from_exponents(ra)
+        # mixed orders in one product: the other factor is recast
+        assert ref_terms(a * b) == ref_mul(ra, ra, field)
+        assert ref_terms(embed_poly(a, longer, 1)) == {
+            (0, *m, 0): c for m, c in ra.items()
+        }
+
+
+def test_the_cap_is_checked_where_a_polynomial_is_built():
+    ring = PolyRing(QQ, ["x", "y"])
+    with pytest.raises(ValueError, match=f"cap {CAP}"):
+        ring.parse(f"x^{CAP + 1}")
+    big = ring.parse("x^600000")
+    with pytest.raises(ValueError, match=rf"degree 1200000 of monomial \(1200000, 0\) .* cap {CAP}"):
+        big * big
 
 
 # -- packed terms: the int order is the term order -----------------------------
@@ -762,15 +926,15 @@ def test_packed_order_is_the_term_order(name, terms, shift):
 def test_packed_fields_past_the_cap_raise():
     ring = PolyRing(QQ, ["x", "y"])
     with pytest.raises(ValueError, match=f"cap {CAP}"):
-        groebner_basis([Polynomial(ring, {(CAP + 1, 0): QQ.one})], ring)
+        ring.from_exponents({(CAP + 1, 0): QQ.one})
     # every exponent fits, but the degree field does not
     half = (CAP + 1) // 2
     with pytest.raises(ValueError, match=f"cap {CAP}"):
-        groebner_basis([Polynomial(ring, {(half, half): QQ.one})], ring)
-    assert groebner_basis([Polynomial(ring, {(CAP, 0): QQ.one})], ring)
+        ring.from_exponents({(half, half): QQ.one})
+    assert groebner_basis([ring.from_exponents({(CAP, 0): QQ.one})], ring)
     # a reduction that leaves the cap: x^2 -> y^(2 half) modulo x - y^half
     lex = PolyRing(QQ, ["x", "y"], order=LEX)
-    basis = groebner_basis([lex.parse("x") - Polynomial(lex, {(0, half): QQ.one})], lex)
+    basis = groebner_basis([lex.parse("x") - lex.from_exponents({(0, half): QQ.one})], lex)
     with pytest.raises(ValueError, match=f"cap {CAP}"):
         normal_form(lex.parse("x^2"), basis, lex)
     with pytest.raises(ValueError, match=f"position {CAP + 1} exceeds the packed-term cap"):
@@ -892,7 +1056,7 @@ def macaulay_rank(gens, ring, d):
     rows = []
     for g in gens:
         for a in ring.monomials_of_degree(d - g.homogeneous_degree()):
-            rows.append({column[mono_mul(a, m)]: c for m, c in g.terms.items()})
+            rows.append({column[mono_mul(a, ring.exponents(t))]: c for t, c in g.terms.items()})
     return linalg.rank(rows, ring.field) if rows else 0
 
 
@@ -905,7 +1069,7 @@ def test_hilbert_function_matches_macaulay_ranks(field, nvars, seed):
     gens = [ring.random_poly(rng, nterms=3, homogeneous=rng.randint(1, 3))
             for _ in range(rng.randint(1, 3))]
     gens = [g for g in gens if not g.is_zero]
-    lms = [g.leading_monomial() for g in groebner_basis(gens, ring)]
+    lms = [ring.exponents(g.leading_monomial()) for g in groebner_basis(gens, ring)]
     for d in range(7):
         standard = sum(
             1 for m in ring.monomials_of_degree(d) if not any(mono_divides(l, m) for l in lms)

@@ -11,11 +11,13 @@ ENGINE_NAMES = {"_Basis", "reduce_vector", "leading_term", "posmask", "divmask",
 ENGINE_MODULES = {"groebner.py", "rings.py", "orders.py"}
 # Engine entry points take a packed order object, never a key callable.
 ENGINE_ENTRY_POINTS = {"buchberger", "_Basis", "syzygy_basis", "ModuleGB"}
-# The term-key callables and heap wrapper that packed terms replaced, and
-# the tuple-term vector converters that packed engine vectors replaced.
+# The term-key callables and heap wrapper that packed terms replaced, the
+# tuple-term vector converters that packed engine vectors replaced, and the
+# polynomial term converters that packed polynomial terms replaced.
 RETIRED_NAMES = {
     "_Desc", "leading_term", "elimination_key", "term_over_position",
     "pack_vector", "unpack_vector", "_to_vec", "_from_vec",
+    "pack_terms", "unpack_poly", "_pack",
 }
 
 
@@ -126,6 +128,24 @@ def test_retired_term_keys_stay_gone():
                 continue
             hits += [f"{name}:{node.lineno}: {b}" for b in bound if b in RETIRED_NAMES]
     assert not hits, "retired term keys defined again:\n" + "\n".join(hits)
+
+
+def test_only_rings_rebuilds_a_polynomial_from_terms():
+    """A polynomial's terms are packed in its own ring's order, so moving
+    one to another ring goes through `rings.recast`: no module but
+    rings.py calls `Polynomial(<ring>, <expr>.terms)`."""
+    hits = []
+    for name, _text, tree in _modules():
+        if name == "rings.py":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and _called_name(node) == "Polynomial"
+                and any(isinstance(a, ast.Attribute) and a.attr == "terms" for a in node.args)
+            ):
+                hits.append(f"{name}:{node.lineno}")
+    assert not hits, "polynomials rebuilt from terms outside rings.py:\n" + "\n".join(hits)
 
 
 def test_monomial_orders_define_no_key_or_elimination():

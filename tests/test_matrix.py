@@ -26,7 +26,7 @@ from perfx.complexes import (
     unit_complex,
 )
 from perfx.fields import GF, QQ
-from perfx.rings import Mat, PolyRing, Polynomial, RationalPoint
+from perfx.rings import Mat, PolyRing, RationalPoint
 
 
 class DenseMat:
@@ -239,7 +239,7 @@ def test_residues_are_the_exact_values_mod_p(seed, p, over_gfp):
             return ring.zero
         terms = {tuple(rng.randint(0, 3) for _ in range(3)): number()
                  for _ in range(rng.randint(1, 3))}
-        return Polynomial(ring, {m: c for m, c in terms.items() if c})
+        return ring.from_exponents(terms)
 
     nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
     mat = Mat(ring, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
