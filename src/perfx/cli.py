@@ -386,6 +386,8 @@ def _find_ring_name(session, ring):
 
 def _emit(report, fmt, csv_rows=None, csv_header=None):
     if fmt == "json":
+        if csv_rows is not None:
+            report = {**report, "rows": [dict(zip(csv_header, row)) for row in csv_rows]}
         print(json.dumps(report, indent=2, default=str))
         return
     if fmt != "csv" or csv_rows is None:

@@ -99,7 +99,39 @@ HP_SCAN_JSON = """{
   "p": 0,
   "generic_value": 0,
   "generic_certified": true,
-  "audit_pass": true
+  "audit_pass": true,
+  "rows": [
+    {
+      "point": "(0)",
+      "p": 0,
+      "dim": 1,
+      "audit": "pass"
+    },
+    {
+      "point": "(1)",
+      "p": 0,
+      "dim": 0,
+      "audit": "pass"
+    },
+    {
+      "point": "(2)",
+      "p": 0,
+      "dim": 0,
+      "audit": "pass"
+    },
+    {
+      "point": "(-1)",
+      "p": 0,
+      "dim": 0,
+      "audit": "pass"
+    },
+    {
+      "point": "(7)",
+      "p": 0,
+      "dim": 0,
+      "audit": "pass"
+    }
+  ]
 }
 """
 
@@ -361,7 +393,34 @@ BLOWUP_CHI_N3_JSON = """{
     "bounded": true
   },
   "chi_nice_constant": true,
-  "pass": true
+  "pass": true,
+  "rows": [
+    {
+      "point": "(0;0;0)",
+      "chi_classical": 3,
+      "chi_nice": 1
+    },
+    {
+      "point": "(1;0;0)",
+      "chi_classical": 1,
+      "chi_nice": 1
+    },
+    {
+      "point": "(0;0;1)",
+      "chi_classical": 1,
+      "chi_nice": 1
+    },
+    {
+      "point": "(1;1;1)",
+      "chi_classical": 1,
+      "chi_nice": 1
+    },
+    {
+      "point": "(2;-3;4)",
+      "chi_classical": 1,
+      "chi_nice": 1
+    }
+  ]
 }
 """
 
@@ -575,6 +634,22 @@ def test_cli_local_cohomology_module_pinned_under_hash_seeds(tmp_path):
         '  "audit_pass": true\n'
         "}\n"
     )
+
+
+@pytest.mark.parametrize("command", [
+    ["chi-scan", "family=X", "sheaf=O(1)", "points=line(y1=s,y2=0; s={0,1,2,-1,7})"],
+    ["hp-scan", "ring=A", "sheaf=M", "p=0", "points=line(t=s; s={0,1,2,-1,7})"],
+    ["local-cohomology", "ring=R", "t=(x,y)", "--window=-2..0"],
+], ids=["chi-scan", "hp-scan", "local-cohomology"])
+def test_cli_json_rows_mirror_the_csv_rows(tmp_path, capsys, command):
+    path = tmp_path / "s.pfx"
+    path.write_text(README_FULL_SESSION)
+    _, csv_out, _ = run_cli(capsys, *command, "--format", "csv", "--input", str(path))
+    _, json_out, _ = run_cli(capsys, *command, "--format", "json", "--input", str(path))
+    header, *lines = csv_out.strip().splitlines()
+    rows = json.loads(json_out)["rows"]
+    assert all(list(row) == header.split(",") for row in rows)
+    assert [",".join(str(v) for v in row.values()) for row in rows] == lines
 
 
 # -- the packed-term cap: a large exponent works, one past the cap exits 2 ----
