@@ -169,19 +169,14 @@ class ProjectiveFamily:
             if not img.is_zero:
                 rels.append(img)
         fam = ProjectiveFamily(kappa, self.fiber_variables, rels, name=f"{self.name}|{point}")
-        restriction = RingMap(self.total, fam.total, images_into(fam.total, point, self))
+        restriction = RingMap(
+            self.total, fam.total, [fam.total.const(c) for c in point.coords] + fam.total.gens()
+        )
         return fam, restriction
 
     def __repr__(self):
         rels = ", ".join(str(r) for r in self.relations)
         return f"ProjectiveFamily({self.name}: Proj {self.base}[{','.join(self.fiber_variables)}]/({rels}))"
-
-
-def images_into(total_target, point, fam):
-    """Variable images for restricting the total ring to a fiber."""
-    imgs = [total_target.const(c) for c in point.coords]
-    imgs += [total_target.var(i) for i in range(fam.fiber_count)]
-    return imgs
 
 
 def blowup_family(base_field, n):
@@ -236,7 +231,7 @@ def relative_strand(complex_, base, fiber_count):
     ranks = {i: len(b) for i, b in bases.items() if b}
     check_total_rank(ranks)
     exps = complex_.ring.exponents
-    parts = {}  # term of T -> (its base exponents, its fiber exponents)
+    parts = {}  # term of T -> (the term of its base monomial, its fiber exponents)
     diffs = {}
     for i in sorted(bases):
         src = bases.get(i, [])
@@ -253,15 +248,16 @@ def relative_strand(complex_, base, fiber_count):
                     split = parts.get(t)
                     if split is None:
                         e = exps(t)
-                        split = parts[t] = (e[:nb], e[nb:])
-                    y_part, x_part = split
+                        (y,) = base.ambient.from_exponents({e[:nb]: field.one}).terms
+                        split = parts[t] = (y, e[nb:])
+                    y, x_part = split
                     row = tgt_index.get((r, tuple(map(add, x_part, mono))))
                     if row is None:
                         continue
                     terms = acc.setdefault(row, {})
-                    terms[y_part] = field.add(terms.get(y_part, field.zero), c)
+                    terms[y] = field.add(terms.get(y, field.zero), c)
                 for row, terms in acc.items():
-                    entries.append((row, col, base.from_exponents(terms)))
+                    entries.append((row, col, base.reduce_terms(terms)))
         diffs[i] = Mat.from_entries(base, len(tgt), len(src), entries)
     return FreeComplex._make(base, ranks, diffs, None, complex_.tail)
 

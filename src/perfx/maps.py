@@ -44,9 +44,6 @@ class RingMap:
             raise ValueError("element not from the source ring")
         return p.substitute(self.images, target=self.target)
 
-    def apply_matrix(self, mat):
-        return mat.map(self.apply, self.target)
-
     def apply_point(self, point):
         """Image in Spec(source) of a rational point of Spec(target)."""
         coords = tuple(im.evaluate(point.coords) for im in self.images)
@@ -57,7 +54,7 @@ class RingMap:
         so only the grading, when it is kept, is checked again."""
         from .complexes import FreeComplex
 
-        diffs = {i: self.apply_matrix(m) for i, m in complex_.diffs.items()}
+        diffs = {i: m.map(self.apply, self.target) for i, m in complex_.diffs.items()}
         degrees = None
         if complex_.degrees is not None:
             if keep_degrees is None:

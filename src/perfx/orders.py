@@ -280,7 +280,13 @@ class TermOrder:
         """A vector as {pos: terms}, positions ascending, each part moved
         to position 0, where a polynomial of the order's ring keeps its
         terms; positions without terms are absent."""
+        b0 = self.base(0)
+        shifts = {}  # position -> what its terms gain
         parts = {}
         for t, c in vec.items():
-            parts.setdefault(t & CAP, {})[t] = c
-        return {pos: self.repack(parts[pos], self, -pos) for pos in sorted(parts)}
+            pos = t & CAP
+            d = shifts.get(pos)
+            if d is None:
+                d = shifts[pos] = b0 - self.base(pos)
+            parts.setdefault(pos, {})[t + d] = c
+        return {pos: parts[pos] for pos in sorted(parts)}

@@ -16,7 +16,6 @@ layout; a column becomes an engine vector, its row index the position.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from math import prod
 from operator import mul
 
@@ -119,18 +118,11 @@ class PolyRing:
     def random_poly(self, rng, max_degree=2, nterms=3, homogeneous=None):
         terms = {}
         for _ in range(nterms):
-            if homogeneous is None:
-                d = rng.randint(0, max_degree)
-            else:
-                d = homogeneous
+            d = rng.randint(0, max_degree) if homogeneous is None else homogeneous
             mono = [0] * self.nvars
-            for _ in range(d):
-                if self.nvars == 0:
-                    break
+            for _ in range(d if self.nvars else 0):
                 mono[rng.randrange(self.nvars)] += 1
-            c = self.field.random(rng)
-            if c == self.field.zero:
-                c = self.field.one
+            c = self.field.random(rng) or self.field.one
             mono = tuple(mono)
             terms[mono] = self.field.add(terms.get(mono, self.field.zero), c)
         return self.from_exponents(terms)
@@ -196,15 +188,22 @@ def recast(p, ring):
 
 def monomials_of_degree(nvars, d):
     """All exponent tuples of length nvars and total degree d, in
-    ascending tuple order: the gaps left by nvars - 1 bars placed in
-    d + nvars - 1 slots."""
-    if d < 0 or not nvars:
-        return [()] if d == 0 == nvars else []
-    slots = d + nvars - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
-        for bars in combinations(range(slots), nvars - 1)
-    ]
+    ascending tuple order."""
+    if d < 0:
+        return []
+    if nvars == 0:
+        return [()] if d == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), d, nvars)
+    return out
 
 
 class Polynomial:
