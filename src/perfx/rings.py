@@ -218,7 +218,7 @@ class Polynomial:
             ring = other.ring
             if ring.variables != self.ring.variables:
                 raise ValueError(f"mixed rings: {self.ring} vs {ring}")
-            if ring.module_order is not self.ring.module_order and ring.order != self.ring.order:
+            if ring.module_order is not self.ring.module_order:
                 return recast(other, self.ring)
             return other
         return self.ring.const(other)
