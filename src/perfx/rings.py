@@ -93,8 +93,8 @@ class PolyRing:
         return Polynomial(self, gb.reduce_vector(terms, self._quotient_basis))
 
     def from_exponents(self, terms):
-        """The element with terms {exponent tuple: coefficient}; a
-        monomial past the packed-term cap raises ValueError here."""
+        """The element with terms {exponent tuple: coefficient}, reduced;
+        a monomial past the packed-term cap raises ValueError here."""
         mono, b0 = self.module_order.monomial, self._base0
         return self.reduce_terms({b0 + mono(m): c for m, c in terms.items()})
 
