@@ -37,7 +37,7 @@ from .resolutions import (
     homology_data,
     module_tensor_complex,
 )
-from .rings import RationalPoint
+from .rings import RationalPoint, point_of
 
 
 def default_depth(ring):
@@ -54,8 +54,10 @@ def tor_profile(module, point, depth, method="resolve"):
     method 'resolve' resolves the module and evaluates; 'koszul'
     tensors the module presentation with the Koszul resolution of the
     point (plain rings only) and measures the homology presentations.
-    'both' computes the two and insists they agree.
+    'both' computes the two and insists they agree.  A point of
+    another ring raises ValueError before anything is computed.
     """
+    point = point_of(module.ring, point)
     if method == "both":
         a = tor_profile(module, point, depth, "resolve")
         b = tor_profile(module, point, depth, "koszul")
@@ -513,9 +515,11 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
     Tor_1 of the kernel (equivalently vanishing fiber homology one step
     below) certifies a strictly perfect chop near the point.  Over a
     plain polynomial ring a terminating (graded) resolution upgrades
-    the verdict to a global one.
+    the verdict to a global one.  A point of another ring raises
+    ValueError before anything is computed.
     """
     ring = e.ring
+    point = point_of(ring, point)
     if max_depth is None:
         max_depth = default_depth(ring)
     resolution = free_resolution(e, max_depth + 3)

@@ -60,7 +60,15 @@ def derived_pullback(f, e, depth=6):
 
 def restrict_scalars(f, e):
     """A free complex (or module) over the target as an FPComplex over
-    the source, through the module-finite basis."""
+    the source, through the module-finite basis m_0..m_(nb-1).
+
+    An entry at (s, c) becomes the nb x nb block whose entry (k, j) is
+    the coefficient of m_k in entry * m_j.  That block comes from the
+    map's rewrite table (`RingMap.basis_products`): each term t of the
+    entry contributes its coefficient times the row of the monomial
+    t * m_j, with no product formed or reduced in the target.  The rows
+    are exact for monomials outside the target's normal form, since the
+    combined ring's ideal contains the target quotient."""
     basis, presentation = f.source_module_presentation()
     nb = len(basis)
     source = f.source
@@ -74,14 +82,12 @@ def restrict_scalars(f, e):
         terms[i] = presentation if r == 1 else ModulePresentation(
             source, r * nb, Mat.identity(source, r).kron(presentation.relations)
         )
-    basis_index = {mono: j for j, mono in enumerate(basis)}
     for i, m in e.diffs.items():
         entries = []
         for s, c, entry in m.entries():
-            for j, mono in enumerate(basis):
-                image = entry * e.ring.monomial(mono)
-                for mono2, coeff in f.rewrite_to_source(image).items():
-                    entries.append((s * nb + basis_index[mono2], c * nb + j, coeff))
+            entries += [
+                (s * nb + k, c * nb + j, a) for (k, j), a in f.basis_products(entry).items()
+            ]
         maps[i] = Mat.from_entries(source, e.rank(i + 1) * nb, e.rank(i) * nb, entries)
     return FPComplex(source, terms, maps)
 

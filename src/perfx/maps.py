@@ -9,6 +9,19 @@ order: a pure power of every target variable among the leading terms
 certifies finiteness, and the kernel of A^(basis) -> B is read off
 from basis elements free of both the tag component and the target
 block.
+
+Rewriting a target element over the source basis is linear, so a map
+keeps one table, filled as monomials come up and kept for the map's
+lifetime: a target monomial's row is its normal form in the combined
+ring, split as {basis index: source terms}.  A rewrite is a sum of
+coefficient times row over the element's terms, and restriction of
+scalars reads the row of each product t * m_j of an entry term and a
+basis monomial without forming the product in the target.  The rows
+are exact for any monomial, reduced in the target or not: the combined
+ideal contains the target quotient, so a monomial and its target
+normal form have one normal form in the combined ring.  (This is the
+multiplication-table view of a finite algebra: Cox, Little and O'Shea,
+Using Algebraic Geometry, ch. 2.)
 """
 
 from __future__ import annotations
@@ -16,11 +29,13 @@ from __future__ import annotations
 from .groebner import buchberger, mono_divides
 from .modules import ModulePresentation, prune_redundant_columns
 from .orders import BlockOrder, restriction_order
-from .rings import Mat, PolyRing, RationalPoint, embed_poly
+from .rings import Mat, PolyRing, RationalPoint, embed_poly, recast
 
 
 class RingMap:
-    __slots__ = ("source", "target", "images", "_finite_cache", "_ring", "_presentation")
+    __slots__ = (
+        "source", "target", "images", "_finite_cache", "_ring", "_presentation", "_rows",
+    )
 
     def __init__(self, source, target, images):
         if len(images) != source.nvars:
@@ -38,6 +53,7 @@ class RingMap:
         self._finite_cache = None
         self._ring = None
         self._presentation = None
+        self._rows = {}  # packed target monomial -> ((basis index, source terms), ...)
 
     def apply(self, p):
         if p.ring.variables != self.source.variables:
@@ -162,24 +178,53 @@ class RingMap:
             raise ValueError("target is not module-finite over the source")
         return basis
 
+    def _row(self, t):
+        """The table row of the target monomial packed as t: its normal
+        form in the combined ring as ((basis index, source terms), ...)."""
+        row = self._rows.get(t)
+        if row is None:
+            basis = self.module_basis()
+            ring, ntv = self._ring, self.target.nvars
+            pad = (0,) * (ring.nvars - ntv)
+            parts = {}
+            for u, c in ring.monomial(self.target.exponents(t) + pad).terms.items():
+                m = ring.exponents(u)
+                parts.setdefault(m[:ntv], {})[m[ntv:]] = c
+            if any(u_part not in basis for u_part in parts):
+                raise AssertionError("normal form left the spanning box")
+            row = self._rows[t] = tuple(
+                (basis.index(u_part), self.source.from_exponents(terms).terms)
+                for u_part, terms in parts.items()
+            )
+        return row
+
+    def _rewrite(self, element, shifts):
+        """{(k, j): a} with element * m_j = sum over k of a * basis[k],
+        where shifts[j] is the packed target monomial m_j."""
+        row = self._row
+        terms = recast(element, self.target).terms.items()
+        return self.source.combine(
+            ((k, j), c, a)
+            for j, shift in enumerate(shifts)
+            for t, c in terms
+            for k, a in row(t + shift)
+        )
+
     def rewrite_to_source(self, element):
         """Write a target element as sum a_m(source) * basis monomial m.
 
-        Returns a dict {basis monomial: source ring element}.
+        Returns a dict {basis monomial: source ring element}, nonzero
+        elements only.
         """
         basis = self.module_basis()
-        ring, ntv = self._ring, self.target.nvars
-        red = embed_poly(element, ring, 0)
-        out = {}
-        for t, c in red.terms.items():
-            m = ring.exponents(t)
-            out.setdefault(m[:ntv], {})[m[ntv:]] = c
-        result = {}
-        for u_part, terms in out.items():
-            if u_part not in basis:
-                raise AssertionError("normal form left the spanning box")
-            result[u_part] = self.source.from_exponents(terms)
-        return result
+        # 0 is the packed value of the monomial 1
+        return {basis[k]: a for (k, _j), a in self._rewrite(element, [0]).items()}
+
+    def basis_products(self, element):
+        """{(k, j): a} with element * m_j = sum over k of a * m_k, for
+        the basis monomials m_j: restriction of scalars of one entry."""
+        mono = self.target.module_order.monomial
+        return self._rewrite(element, [mono(m) for m in self.module_basis()])
 
     def source_module_presentation(self):
         """The target as a finitely presented module over the source.

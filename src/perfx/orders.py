@@ -34,9 +34,11 @@ sits in FIELD_BITS bits under a guard bit that stays clear, so
 multiplying a term by a monomial adds the monomial's packed value, and
 within one position a term divides another exactly when their
 difference has no exponent guard bit set (Monagan & Pearce, CASC 2007).
-Packing a monomial of degree above CAP, or a position above CAP,
-raises ValueError, and so does a reduction that makes any field of a
-term exceed CAP.
+Packing a monomial with an exponent or a field above CAP, or a
+position above CAP, raises ValueError, and so does a product or a
+reduction that makes any field of a term exceed CAP.  So `monomial`,
+a product and `unpack` accept the same monomials, whichever of them
+meets a monomial first.
 
 A module order and its elimination orders pack every monomial to the
 same int; they differ only by the Below bit on low positions.  So
@@ -192,6 +194,7 @@ class TermOrder:
             guards |= 1 << (off + FIELD_BITS)
             off += slot
         self.divmask = guards
+        self._forms = [field for field in fields if isinstance(field, tuple)]
         self._pos_fields = []  # (offset, field)
         for field in reversed(fields):
             if isinstance(field, tuple):
@@ -222,11 +225,18 @@ class TermOrder:
         return b
 
     def monomial(self, mono):
-        """Packed value of a monomial: what multiplying a term by it adds."""
+        """Packed value of a monomial: what multiplying a term by it adds.
+        Raises the cap error when one of its fields or exponents passes
+        CAP, the same test a product of terms meets in check_products."""
         m = self._ints.get(mono)
         if m is None:
-            if sum(mono) > CAP:
-                raise cap_error(f"degree {sum(mono)} of monomial {mono}")
+            for form in self._forms:
+                value = sum(map(mul, mono, form))
+                if value > CAP:
+                    what = "degree" if all(form) else "field"
+                    raise cap_error(f"{what} {value} of monomial {mono}")
+            if max(mono, default=0) > CAP:
+                raise cap_error(f"exponent {max(mono)} of monomial {mono}")
             m = self._ints[mono] = sum(map(mul, mono, self._units))
             self._monos[m] = mono
         return m

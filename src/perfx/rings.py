@@ -92,6 +92,27 @@ class PolyRing:
             return Polynomial(self, terms)
         return Polynomial(self, gb.reduce_vector(terms, self._quotient_basis))
 
+    def combine(self, triples):
+        """{key: sum of c * terms} over (key, c, terms) triples, each
+        `terms` the terms of an element of this ring; keys whose sum is 0
+        are absent.  A linear combination of normal forms is a normal
+        form, so nothing is reduced."""
+        p = self.field.char
+        sums = {}
+        for key, c, terms in triples:
+            out = sums.get(key)
+            if out is None:
+                out = sums[key] = {}
+            for t, a in terms.items():
+                v = out.get(t)
+                v = c * a if v is None else v + c * a
+                out[t] = v % p if p else v
+        result = {}
+        for key, out in sums.items():
+            if out := {t: v for t, v in out.items() if v}:
+                result[key] = Polynomial(self, out)
+        return result
+
     def from_exponents(self, terms):
         """The element with terms {exponent tuple: coefficient}, reduced;
         a monomial past the packed-term cap raises ValueError here."""
@@ -819,10 +840,11 @@ class RationalPoint:
 
 def point_of(ring, point):
     """A point (or a tuple of coordinates) as a RationalPoint of ring;
-    rejects points of another ring and points off the ring's locus."""
+    rejects points of another ring, naming both rings, and points off
+    the ring's locus."""
     if isinstance(point, RationalPoint):
         if point.ring.variables != ring.variables:
-            raise ValueError("point from a different ring")
+            raise ValueError(f"point {point} is from a different ring: {point.ring}, not {ring}")
         if point.ring == ring:
             return point
         point = point.coords  # re-validate the locus

@@ -235,6 +235,29 @@ def test_cli_blowup_example_too_large_exits_2_early(capsys):
     assert err == "perfx: complex too large: total rank 436519 exceeds cap 20000\n"
 
 
+OTHER_RING_POINT = """
+ring A = QQ[t]
+ring C = {ring}
+module N on C = coker [[x - t, y^2 + 3*t*x - 1/2]]
+point p0 on A = (0)
+"""
+
+
+@pytest.mark.parametrize("ring", ["QQ[t,x,y]", "QQ[t,x,y] / (x^3 - t*y + 2, y^2 - x*t)"])
+@pytest.mark.parametrize("command", [["tor", "N", "at", "p0", "depth", "3"], ["perfect", "N", "at", "p0"]])
+def test_cli_point_of_another_ring_exits_2(tmp_path, capsys, ring, command):
+    """A point declared on A is refused for a module on C before anything
+    is computed: one line naming both rings, exit 2."""
+    path = tmp_path / "s.pfx"
+    path.write_text(OTHER_RING_POINT.format(ring=ring))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("perfx: point (0) is from a different ring: QQ[t], not QQ[t,x,y]")
+    assert err.count("\n") == 1 and "internal error" not in err
+
+
 @pytest.mark.parametrize("tokens", [
     ["perfect", "M", "at"],
     ["local-cohomology", "ring=A", "t=()"],

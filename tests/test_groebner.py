@@ -26,7 +26,7 @@ from perfx.groebner import (
     reduce_vector,
 )
 from perfx.modules import syzygies
-from perfx.orders import CAP, GREVLEX, LEX, BlockOrder, restriction_order
+from perfx.orders import CAP, GREVLEX, LEX, BlockOrder, GrevLex, Lex, restriction_order
 from perfx.rings import (
     Mat,
     MatrixGB,
@@ -939,6 +939,35 @@ def test_packed_fields_past_the_cap_raise():
         normal_form(lex.parse("x^2"), basis, lex)
     with pytest.raises(ValueError, match=f"position {CAP + 1} exceeds the packed-term cap"):
         GREVLEX.module(2).pack(CAP + 1, (0, 0))
+
+
+@pytest.mark.parametrize("make_order", [GrevLex, Lex, lambda: BlockOrder(1)],
+                         ids=["grevlex", "lex", "block"])
+@pytest.mark.parametrize("parse_first", [False, True])
+def test_every_edge_agrees_on_the_cap_in_any_order(make_order, parse_first):
+    """x^600000*y^600000 packs where every field of the order fits: in
+    lex and block(1) each field is one exponent, in grevlex the degree
+    field is 1200000.  `monomial`, `from_exponents` and `parse` agree,
+    whichever runs first; a fresh order object starts with empty tables."""
+    order = make_order()
+    ring = PolyRing(QQ, ["x", "y"], order=order)
+    mono = (600000, 600000)
+    edges = {
+        "monomial": lambda: ring.monomial(mono),
+        "from_exponents": lambda: ring.from_exponents({mono: QQ.one}),
+        "parse": lambda: ring.parse("x^600000*y^600000"),
+    }
+    calls = ["monomial", "parse", "monomial", "from_exponents"]
+    if parse_first:
+        calls = ["parse", "monomial", "from_exponents", "parse"]
+    for name in calls:
+        if order.name == "grevlex":
+            with pytest.raises(ValueError, match=f"degree 1200000 .* cap {CAP}"):
+                edges[name]()
+        else:
+            p = edges[name]()
+            assert str(p) == "x^600000*y^600000"
+            assert ring.exponents(p.leading_monomial()) == mono
 
 
 # -- the certifier oracle: a returned basis checked from first principles -----

@@ -131,19 +131,16 @@ def test_retired_term_keys_stay_gone():
 
 
 def test_only_rings_rebuilds_a_polynomial_from_terms():
-    """A polynomial's terms are packed in its own ring's order, so moving
-    one to another ring goes through `rings.recast`: no module but
-    rings.py calls `Polynomial(<ring>, <expr>.terms)`."""
+    """A polynomial's terms are packed in its own ring's order and kept
+    reduced, so only rings.py builds one from terms: moving one to another
+    ring goes through `rings.recast`, and a sum of rewrite-table rows
+    through `PolyRing.combine`.  No other module calls `Polynomial(`."""
     hits = []
     for name, _text, tree in _modules():
         if name == "rings.py":
             continue
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and _called_name(node) == "Polynomial"
-                and any(isinstance(a, ast.Attribute) and a.attr == "terms" for a in node.args)
-            ):
+            if isinstance(node, ast.Call) and _called_name(node) == "Polynomial":
                 hits.append(f"{name}:{node.lineno}")
     assert not hits, "polynomials rebuilt from terms outside rings.py:\n" + "\n".join(hits)
 
@@ -202,6 +199,7 @@ UNREFERENCED_ALLOWED = {
     "cyclic": "the README's library quick start builds modules with it",
     "of_complex": "K0 API: the class of a free complex",
     "negate": "K0 API: the additive inverse of a class",
+    "rewrite_to_source": "RingMap API: a target element over the source basis",
 }
 
 

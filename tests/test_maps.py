@@ -5,10 +5,12 @@ import random
 import pytest
 
 from perfx.complexes import FreeComplex, koszul
-from perfx.fields import QQ
+from perfx.fields import GF, QQ
+from perfx.geometry import restrict_scalars
+from perfx.groebner import mono_divides, mono_mul
 from perfx.ktheory import regression_suite
 from perfx.maps import RingMap
-from perfx.rings import Mat, PolyRing, RationalPoint
+from perfx.rings import Mat, PolyRing, RationalPoint, embed_poly
 
 
 @pytest.fixture
@@ -90,6 +92,77 @@ def test_rewrite_and_presentation_oracles(seed):
             for j, r in enumerate(pres.relations.column(c)):
                 total = total + f.apply(r) * monos[j]
             assert total.is_zero
+
+
+def _product_then_rewrite(f, mat):
+    """Restriction of scalars of one matrix by the route the rewrite table
+    replaced: form entry * m_j in the target, reduce it in the combined
+    ring and split the normal form by target monomial."""
+    ring, ntv = f._ring, f.target.nvars
+    basis = f.module_basis()
+    nb = len(basis)
+    entries = []
+    for s, c, entry in mat.entries():
+        for j, mono in enumerate(basis):
+            image = entry * f.target.monomial(mono)
+            parts = {}
+            for t, coeff in embed_poly(image, ring, 0).terms.items():
+                m = ring.exponents(t)
+                parts.setdefault(m[:ntv], {})[m[ntv:]] = coeff
+            entries += [
+                (s * nb + basis.index(u), c * nb + j, f.source.from_exponents(terms))
+                for u, terms in parts.items()
+            ]
+    return Mat.from_entries(f.source, mat.nrows * nb, mat.ncols * nb, entries)
+
+
+def _quotient_target_maps(field, rng):
+    """Module-finite maps whose targets have a quotient, so that products
+    of entry terms and basis monomials leave the target's normal form;
+    the last one has a source quotient as well."""
+    c, d = (rng.randint(-3, 3) for _ in range(2))
+    line, plane = PolyRing(field, ["t"]), PolyRing(field, ["s"])
+    cover = PolyRing(field, ["t", "x"], quotient=[f"x^2 - {c}*t*x - t - ({d})"])
+    yield RingMap(line, cover, ["t"])
+    cubic = PolyRing(field, ["t", "x"], quotient=[f"x^3 - t*x^2 - ({c})"])
+    yield RingMap(plane, cubic, [f"t^2 + {d}*t"])
+    hyperbola = PolyRing(field, ["s", "t"], quotient=[f"s*t - ({c})"])
+    over = PolyRing(field, ["s", "t", "x"], quotient=[f"s*t - ({c})", f"x^2 - s - {d}*t*x"])
+    yield RingMap(hyperbola, over, ["s", "t"])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_restrict_scalars_matches_product_then_rewrite(field, seed):
+    """Each block entry read off the rewrite table equals the one the
+    target product and its rewrite give, though t * m_j is not reduced."""
+    rng = random.Random(seed)
+    unreduced = 0
+    for f in _quotient_target_maps(field, rng):
+        b = f.target
+        lts = [b.exponents(q.leading_monomial()) for q in b.quotient_gb]
+        elements = [b.random_poly(rng, max_degree=3, nterms=4) for _ in range(4)]
+        complexes = [
+            koszul(b, elements[:2]),
+            FreeComplex.from_matrix(b, Mat(b, [elements[1:3], elements[3:] + elements[:1]])),
+        ]
+        for e in complexes:
+            fpc = restrict_scalars(f, e)
+            for i, m in e.diffs.items():
+                want = _product_then_rewrite(f, m)
+                assert fpc.maps.get(i, Mat.zero(f.source, want.nrows, want.ncols)) == want
+                unreduced += sum(
+                    any(mono_divides(lt, mono_mul(b.exponents(t), u)) for lt in lts)
+                    for _s, _c, entry in m.entries()
+                    for t in entry.terms
+                    for u in f.module_basis()
+                )
+        basis = f.module_basis()
+        one = basis.index((0,) * b.nvars)
+        for e in elements:
+            old = _product_then_rewrite(f, Mat(b, [[e]]))
+            assert f.rewrite_to_source(e) == {basis[k]: a for k, a in old.column_entries(one)}
+    assert unreduced
 
 
 def test_source_presentation_free_case(line):
