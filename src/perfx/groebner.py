@@ -26,10 +26,19 @@ A `_Basis` holds the reduction data of a list of vectors and is built
 once by whoever owns the list; `reduce_vector` takes normal forms
 against it.
 
+`buchberger` treats S-pairs by sugar degree (Giovini, Mora, Niesi,
+Robbiano & Traverso, ISSAC 1991), and as each element joins, `_Pairs`
+drops the pairs that Gebauer and Möller's criteria B, M and F and the
+product criterion show redundant (JSC 1988).  Each criterion is sound
+under any selection order; `_Pairs` gives the argument.
+
 Syzygies are computed by the component-elimination trick: tag each
 generator with a unit vector in a trailing block of positions, take a
 Gröbner basis for an order where the leading block dominates, and read
-off the basis elements supported entirely in the trailing block.
+off the basis elements supported entirely in the trailing block.  Only
+those are interreduced: every term of such an element lies in the
+trailing block, so reducing it against the rest of the basis changes
+nothing.
 `ModuleGB` answers membership and normal forms from the plain
 term-over-position basis of the generators and builds the tagged basis
 only when `lift` first needs it.
@@ -42,22 +51,15 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
-from operator import add, itemgetter, le
+from operator import itemgetter, le
 
 from .orders import cap_error
 
 
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
 def mono_divides(a, b):
     return all(map(le, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def _primitive(vec, lt):
@@ -221,38 +223,45 @@ def _pure_position(vec, posmask):
     return len({t & posmask for t in vec}) == 1
 
 
-def buchberger(gens, field, order):
+def buchberger(gens, field, order, drop_below=0):
     """Gröbner basis of the submodule generated by gens (list of vecs).
 
-    Returns the interreduced, monic, deterministically sorted basis.
-    Pairs are treated in the order (total degree of the lcm, term order
-    of the lcm, i, j).
+    Returns the interreduced, monic basis sorted by ascending leading
+    term.  Elements whose leading position is below `drop_below` are
+    dropped before interreduction: under `order.elimination(drop_below)`
+    the others are a Gröbner basis of the submodule's intersection with
+    the trailing positions, and the result is its reduced basis.
+
+    Each element carries a sugar degree: an input's is the largest total
+    degree of its terms, a pair's is max(s_i - deg m_i, s_j - deg m_j) +
+    deg lcm(m_i, m_j) for leading monomials m_i, m_j, and a remainder
+    keeps the sugar of its pair.  Pairs pop by (sugar, lcm term, i, j).
+    When an element joins, `_Pairs` drops the pairs that Gebauer and
+    Möller's criteria B, M and F or the product criterion show
+    redundant.  Each dropped pair is covered by a chain of pairs whose
+    lcms divide its lcm; that argument uses divisibility alone, so each
+    criterion is sound under sugar selection or any other order.
     """
-    basis = _Basis(field, order, integral=True)
-    posmask = order.posmask
-    monos = []  # the exponent tuple of each element's leading term
-    pairs = []
+    pairs = _Pairs(field, order)
+    unpack = order.unpack
     for lt, g in _by_leading_term(gens):
-        _add_with_pairs(basis, monos, g, lt, pairs)
-    while pairs:
-        _, lcm_term, i, j = heapq.heappop(pairs)
-        if _pair_redundant(basis, monos, i, j):
+        pairs.add(g, lt, max([sum(unpack(t)[1]) for t in g]))
+    basis, heap, pending = pairs.basis, pairs.heap, pairs.pending
+    posmask = order.posmask
+    while heap:
+        sugar, lcm_term, i, j = heapq.heappop(heap)
+        if pending[lcm_term & posmask].pop((i, j), None) is None:
             continue
-        mi, mj = monos[i], monos[j]
-        # Product criterion.  Only valid for elements supported in a
-        # single position (vectors spanning several components can have
-        # nontrivial S-pairs even with coprime leading monomials).
-        if (
-            mono_mul(mi, mj) == mono_lcm(mi, mj)
-            and _pure_position(basis.elements[i], posmask)
-            and _pure_position(basis.elements[j], posmask)
-        ):
-            continue
-        s = _spair(basis, i, j, lcm_term)
-        r = reduce_vector(s, basis)
+        r = reduce_vector(_spair(basis, i, j, lcm_term), basis)
         if r:
-            _add_with_pairs(basis, monos, r, next(iter(r)), pairs)
-    return interreduce(basis.elements, field, order)
+            pairs.add(r, next(iter(r)), sugar)
+    kept = [
+        basis.elements[k]
+        for pos, active in pairs.active.items()
+        if pos >= drop_below
+        for k in active
+    ]
+    return interreduce(kept, field, order)
 
 
 def _by_leading_term(vecs):
@@ -262,40 +271,100 @@ def _by_leading_term(vecs):
     return pairs
 
 
-def _add_with_pairs(basis, monos, vec, lt, pairs):
-    idx = basis.add(vec, lt)
-    order = basis.order
-    pos, mono = order.unpack(lt)
-    monos.append(mono)
-    base, monomial = order.base(pos), order.monomial
-    for other in basis.by_pos[pos]:
-        if other == idx:
-            continue
-        lcm_mono = mono_lcm(monos[other], mono)
-        heapq.heappush(pairs, (sum(lcm_mono), base + monomial(lcm_mono), other, idx))
+class _Pairs:
+    """The pair queue of one `buchberger` run, with Gebauer and Möller's
+    update (JSC 1988, as in Becker & Weispfenning, *Gröbner Bases*, 5.5).
 
+    `add(h)` appends h to the basis and then, within h's position:
 
-def _pair_redundant(basis, monos, i, j):
-    """Chain criterion: skip the pair (i, j) when some k in the same
-    position has a leading monomial m_k dividing lcm(m_i, m_j) with
-    lcm(m_i, m_k) and lcm(m_j, m_k) both strictly dividing it.
+    - criterion B: drops each pending pair (i, j) with m_h | lcm(m_i, m_j)
+      whose lcm differs from both lcm(m_i, m_h) and lcm(m_j, m_h);
+    - criterion M: drops the new pair (k, h) when another new pair's lcm
+      divides lcm(m_k, m_h), and of new pairs with one lcm (criterion F)
+      keeps one, or none when one of them meets the product criterion;
+    - the product criterion: drops (k, h) when m_k and m_h are coprime and
+      both vectors lie in one position (a vector spanning several
+      positions can have a nonzero S-pair reduction even then);
+    - deactivates each older element whose leading monomial m_h divides:
+      it stays in the basis for reduction and its queued pairs stay, but
+      it forms no new pairs and is left out of the final interreduction.
 
-    This is sound because pairs pop in order of lcm degree first.  All
-    three elements are in the basis, so the pairs (i, k) and (j, k) are
-    or were in the queue, and their lcms strictly divide lcm(m_i, m_j),
-    so they have smaller degree: both were treated before (i, j) comes
-    up.
+    Why this is sound under any selection order: a pair (i, j) that
+    criterion B, M or F or a deactivation drops has a third element k
+    with m_k | lcm(m_i, m_j) whose pairs (i, k) and (j, k) have lcms
+    dividing lcm(m_i, m_j), strictly where the criterion asks for it,
+    and each of those pairs is kept, treated, met by the product
+    criterion or dropped on the same grounds.  By Buchberger's chain
+    criterion the S-vector of (i, j) has a standard representation once
+    theirs do, and induction on the lcm under divisibility gives one to
+    every pair.  The induction never uses the order in which pairs are
+    treated.
+
+    `pending` holds the queued pairs of each position as {(i, j): lcm
+    term}; the heap entry of a pair that criterion B drops stays and is
+    skipped when it comes up.
     """
-    mi, mj = monos[i], monos[j]
-    lcm_mono = mono_lcm(mi, mj)
-    for k in basis.by_pos[basis.lts[i] & basis.order.posmask]:
-        if k == i or k == j:
-            continue
-        mk = monos[k]
-        if mono_divides(mk, lcm_mono) and mk != mi and mk != mj:
-            if mono_lcm(mk, mi) != lcm_mono and mono_lcm(mk, mj) != lcm_mono:
-                return True
-    return False
+
+    __slots__ = ("basis", "order", "monos", "excess", "pure", "active", "pending", "heap")
+
+    def __init__(self, field, order):
+        self.basis = _Basis(field, order, integral=True)
+        self.order = order
+        self.monos = []  # the exponent tuple of each element's leading term
+        self.excess = []  # each element's sugar less the degree of its leading term
+        self.pure = []  # whether each element lies in one position
+        self.active = {}  # position -> elements that still form pairs
+        self.pending = {}  # position -> {(i, j): lcm term}
+        self.heap = []  # (sugar, lcm term, i, j)
+
+    def add(self, vec, lt, sugar):
+        basis, order, monos, excess, pure = (
+            self.basis, self.order, self.monos, self.excess, self.pure
+        )
+        h = basis.add(vec, lt)
+        pos, mono = order.unpack(lt)
+        monos.append(mono)
+        excess.append(sugar - sum(mono))
+        pure.append(_pure_position(vec, order.posmask))
+        active = self.active.get(pos)
+        if active is None:
+            self.active[pos] = [h]
+            return
+        divmask, lts = order.divmask, basis.lts
+        base, monomial = order.base(pos), order.monomial
+        lcms = {}  # k -> lcm term of m_k and m_h
+        new = []  # (lcm term, k, degree of the lcm)
+        for k in active:
+            lcm_mono = tuple(map(max, monos[k], mono))
+            lcms[k] = l = base + monomial(lcm_mono)
+            new.append((l, k, sum(lcm_mono)))
+        pending = self.pending.setdefault(pos, {})
+        dropped = []
+        for key, l in pending.items():
+            if not (l - lt) & divmask:
+                for k in key:
+                    if k not in lcms:
+                        lcms[k] = base + monomial(tuple(map(max, monos[k], mono)))
+                if lcms[key[0]] != l and lcms[key[1]] != l:
+                    dropped.append(key)
+        for key in dropped:
+            del pending[key]
+        # a proper divisor of an lcm is a smaller term, so it comes first
+        new.sort()
+        smaller = []
+        for l, group in groupby(new, itemgetter(0)):
+            group = list(group)
+            if not any(not (l - d) & divmask for d in smaller):
+                # F: queue the group's last pair unless one meets the product criterion
+                for _, k, degree in group:
+                    if l + base == lts[k] + lt and pure[k] and pure[h]:
+                        break
+                else:
+                    pending[(k, h)] = l
+                    heapq.heappush(self.heap, (max(excess[k], excess[h]) + degree, l, k, h))
+            smaller.append(l)
+        active[:] = [k for k in active if (lts[k] - lt) & divmask]
+        active.append(h)
 
 
 def interreduce(elements, field, order):
@@ -350,11 +419,9 @@ def syzygy_basis(gens, rank, field, order, extra=()):
     taken modulo the extra block.
     """
     eliminate = order.elimination(rank)
-    gb = buchberger(_tagged(gens, rank, order, field, extra), field, eliminate)
-    # the leading term is in the tag block only if every term is
-    return [
-        order.repack(g, eliminate, -rank) for g in gb if next(iter(g)) & order.posmask >= rank
-    ]
+    tagged = _tagged(gens, rank, order, field, extra)
+    gb = buchberger(tagged, field, eliminate, drop_below=rank)
+    return [order.repack(g, eliminate, -rank) for g in gb]
 
 
 class ModuleGB:

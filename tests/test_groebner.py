@@ -7,13 +7,16 @@ degree-bounded kernel search over the coefficient field.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfx import linalg
+from perfx import groebner, linalg
+from perfx.derived import tor_profile
 from perfx.fields import GF, QQ
 from perfx.groebner import (
     ModuleGB,
@@ -22,10 +25,10 @@ from perfx.groebner import (
     buchberger,
     interreduce,
     mono_divides,
-    mono_mul,
     reduce_vector,
+    syzygy_basis,
 )
-from perfx.modules import syzygies
+from perfx.modules import ModulePresentation, syzygies
 from perfx.orders import CAP, GREVLEX, LEX, BlockOrder, GrevLex, Lex, restriction_order
 from perfx.rings import (
     Mat,
@@ -40,6 +43,10 @@ from perfx.rings import (
     recast,
     syzygy_matrix,
 )
+
+
+def mono_mul(a, b):
+    return tuple(map(add, a, b))
 
 
 def poly_gcd_univariate(a, b):
@@ -384,7 +391,6 @@ def test_powers_take_logarithmically_many_products(monkeypatch):
 
 
 def test_mono_helpers():
-    assert mono_mul((1, 2), (0, 3)) == (1, 5)
     assert mono_divides((1, 0), (2, 1))
     assert not mono_divides((3, 0), (2, 1))
 
@@ -1035,12 +1041,18 @@ def test_buchberger_output_certifies(field_name, order_name, seed):
     certify(gens, basis, field, key)
 
 
+# x^2 = y*z with y nilpotent: an inhomogeneous elimination over this
+# quotient was the normal strategy's worst case (see the syzygy tests below)
+NILPOTENT = ["x^2 - y*z", "y^3"]
+
 CERTIFY_RINGS = {
     "QQ": PolyRing(QQ, ["x", "y", "z"]),
     "GF32003": PolyRing(GF(32003), ["x", "y", "z"]),
     "GF5": PolyRing(GF(5), ["x", "y", "z"]),
     "QQ-quotient": PolyRing(QQ, ["x", "y", "z"], quotient=["x*y - z^2"]),
     "GF5-quotient": PolyRing(GF(5), ["x", "y", "z"], quotient=["x*y - z^2"]),
+    "QQ-nilpotent": PolyRing(QQ, ["x", "y", "z"], quotient=NILPOTENT),
+    "GF32003-nilpotent": PolyRing(GF(32003), ["x", "y", "z"], quotient=NILPOTENT),
 }
 
 
@@ -1073,6 +1085,98 @@ def test_lift_round_trips_and_syzygies_vanish(name, seed):
     # every syzygy maps to 0 modulo the quotient
     syz = syzygy_matrix(mat)
     assert syz.nrows == mat.ncols and (mat * syz).is_zero
+
+
+# -- sugar selection, Gebauer–Möller and the syzygy block ---------------------
+
+
+def seeded_mat(ring, rng, nrows, ncols):
+    """A matrix of `random_poly(rng, 2, 2)` entries, filled row by row."""
+    rows = [[ring.random_poly(rng, max_degree=2, nterms=2) for _ in range(ncols)]
+            for _ in range(nrows)]
+    return Mat(ring, rows, ncols=ncols)
+
+
+@pytest.mark.parametrize("field, seed", [(GF(32003), 13), (QQ, 9), (QQ, 11), (QQ, 24)],
+                         ids=["GF32003-13", "QQ-9", "QQ-11", "QQ-24"])
+def test_syzygies_and_lifts_over_a_nilpotent_quotient_finish(field, seed):
+    """Each case took 10 s or more when pairs popped by lcm degree (the
+    GF(32003) syzygies about 20 s); with sugar and Gebauer–Möller each
+    takes well under a second.  The bound is 5 s per case."""
+    ring = PolyRing(field, ["x", "y", "z"], quotient=NILPOTENT)
+    rng = random.Random(seed)
+    mat = seeded_mat(ring, rng, 2, 3)
+    start = time.perf_counter()
+    syz = syzygy_matrix(mat)
+    target = mat * seeded_mat(ring, rng, 3, 1)
+    lifted = MatrixGB(mat).lift_column(target.column(0))
+    assert time.perf_counter() - start < 5
+    assert syz.nrows == 3 and syz.ncols and (mat * syz).is_zero
+    assert lifted is not None
+    assert mat * Mat.from_columns(ring, [lifted], 3) == target
+
+
+def reference_syzygy_basis(gens, rank, field, order, extra):
+    """The former route: the whole reduced tagged basis, then the
+    elements whose leading term lies in the tag block."""
+    eliminate = order.elimination(rank)
+    basis = buchberger(_tagged(gens, rank, order, field, extra), field, eliminate)
+    return [
+        order.repack(g, eliminate, -rank) for g in basis if next(iter(g)) & order.posmask >= rank
+    ]
+
+
+SYZYGY_BLOCK_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y", "z"]),
+    "GF32003": PolyRing(GF(32003), ["x", "y", "z"]),
+    "QQ-quotient": PolyRing(QQ, ["x", "y", "z"], quotient=["x*y - z^2"]),
+    "GF32003-nilpotent": CERTIFY_RINGS["GF32003-nilpotent"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYZYGY_BLOCK_RINGS))
+def test_syzygy_block_matches_the_whole_tagged_basis(name):
+    """Interreducing only the tag block gives the tag-block elements of the
+    whole reduced tagged basis, term for term and in the same order."""
+    ring = SYZYGY_BLOCK_RINGS[name]
+    rng = random.Random(f"syzygy-block-{name}")
+    for _ in range(8):
+        nrows = rng.randint(1, 2)
+        gens = seeded_mat(ring, rng, nrows, rng.randint(1, 3)).column_vecs()
+        extra = seeded_mat(ring, rng, nrows, rng.randint(0, 1)).column_vecs()
+        extra += ring.quotient_extra_vectors(nrows)
+        args = (gens, nrows, ring.field, ring.module_order, extra)
+        got = syzygy_basis(*args[:4], extra=extra)
+        assert [list(g.items()) for g in got] == [
+            list(g.items()) for g in reference_syzygy_basis(*args)
+        ]
+
+
+# S-pairs `buchberger` reduces over the Koszul-route Tor profiles below.
+# Popping pairs by lcm degree with the chain criterion at pop time took
+# 512, and this loop with criteria B, M and F and the deactivation of
+# divisible elements switched off takes 581.
+KOSZUL_SPAIRS = 355
+
+
+def test_koszul_route_spair_count(monkeypatch):
+    count = 0
+    spair = groebner._spair
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return spair(*args)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(field, ["x", "y"])
+        origin = RationalPoint(ring, (0, 0))
+        rng = random.Random(f"koszul-work-{field!r}")
+        for gens, rels in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            module = ModulePresentation(ring, gens, seeded_mat(ring, rng, gens, rels))
+            tor_profile(module, origin, 5, "koszul")
+    assert count <= KOSZUL_SPAIRS
 
 
 # -- the Hilbert-function oracle: standard monomials against Macaulay ranks ---
