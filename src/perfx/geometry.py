@@ -274,7 +274,10 @@ def pushforward_projective(fam, e, minimal=True):
     Returns (complex over the base, report).  The report records the
     stage used, which is the exact bound for free ambient complexes,
     the floor of the free replacement and whether the result is
-    bounded.
+    bounded.  With `minimal=False` the complex is `relative_strand`'s
+    output as it is: homotopy equivalent to the minimized one, with the
+    same fiber dims and Euler characteristic, but its differentials may
+    still have unit entries.
     """
     if not e.ranks:
         return FreeComplex.zero_complex(fam.base), {
@@ -395,11 +398,17 @@ def chi(f_or_fam, e, point, pushed=None):
 
 def classical_chi(fam, e, point):
     """Euler characteristic of the classical fiber (projective case:
-    pushforward of the restricted complex over the residue field)."""
+    pushforward of the restricted complex over the residue field).
+
+    It reads the unminimized strand: the Euler characteristic depends
+    only on the term ranks, which minimization lowers in adjacent pairs,
+    and `relative_strand` checks the rank cap before minimization
+    either way.
+    """
     if isinstance(fam, ProjectiveFamily):
         fiber_fam, restriction = fam.fiber_family_at(point)
         restricted = restriction.apply_complex(free_resolution(e, 8), True)
-        pushed, _ = pushforward_projective(fiber_fam, restricted)
+        pushed, _ = pushforward_projective(fiber_fam, restricted, minimal=False)
         empty = RationalPoint(fiber_fam.base, ())
         return pushed.fiber_euler_characteristic(empty)
     raise ValueError("classical chi is only defined here for projective families")

@@ -243,9 +243,9 @@ def buchberger(gens, field, order, drop_below=0):
     criterion is sound under sugar selection or any other order.
     """
     pairs = _Pairs(field, order)
-    unpack = order.unpack
+    degree = order.degree
     for lt, g in _by_leading_term(gens):
-        pairs.add(g, lt, max([sum(unpack(t)[1]) for t in g]))
+        pairs.add(g, lt, max(map(degree, g)))
     basis, heap, pending = pairs.basis, pairs.heap, pairs.pending
     posmask = order.posmask
     while heap:

@@ -172,9 +172,10 @@ class TermOrder:
     """A module order whose terms (pos, mono) pack into ints.
 
     `pack` and `unpack` convert between the two, with tables of the
-    monomials seen so far.  The engine reads three masks: `posmask`
-    (the raw position), `divmask` (the exponent guard bits) and
-    `guardmask` (every guard bit).
+    monomials seen so far and of their total degrees, which `degree`
+    reads.  The engine reads three masks: `posmask` (the raw position),
+    `divmask` (the exponent guard bits) and `guardmask` (every guard
+    bit).
     """
 
     def __init__(self, nvars, fields):
@@ -209,6 +210,7 @@ class TermOrder:
         self._bases = {}  # position -> packed value of the monomial 1 there
         self._ints = {}  # monomial -> its packed value at position 0, less the base
         self._monos = {}  # the inverse table
+        self._degrees = {}  # packed value -> total degree of its monomial
 
     def base(self, pos):
         b = self._bases.get(pos)
@@ -239,6 +241,7 @@ class TermOrder:
                 raise cap_error(f"exponent {max(mono)} of monomial {mono}")
             m = self._ints[mono] = sum(map(mul, mono, self._units))
             self._monos[m] = mono
+            self._degrees[m] = sum(mono)
         return m
 
     def pack(self, pos, mono):
@@ -263,7 +266,13 @@ class TermOrder:
             mono = tuple((m >> off) & CAP for off in self._exp_offsets)
             self._ints[mono] = m
             self._monos[m] = mono
+            self._degrees[m] = sum(mono)
         return pos, mono
+
+    def degree(self, t):
+        """Total degree of a packed term's monomial."""
+        d = self._degrees.get(t - self.base(t & CAP))
+        return sum(self.unpack(t)[1]) if d is None else d
 
     def elimination(self, rank):
         """Positions below `rank` dominate; this order within each block.

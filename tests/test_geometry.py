@@ -1,10 +1,11 @@
 """Families, pushforwards, fibers, Euler characteristics and scans."""
 
 import random
+from math import factorial, prod
 
 import pytest
 
-from perfx import linalg, rings
+from perfx import geometry, linalg, rings
 from perfx.fields import GF, QQ
 from perfx.complexes import FreeComplex, koszul, two_term
 from perfx.derived import is_relatively_perfect
@@ -221,6 +222,50 @@ def test_blowup_chi_table_n2():
     classical = [classical_chi(fam, sheaf, p) for p in pts]
     assert nice == [1, 1, 1, 1, 1]
     assert classical == [2, 1, 1, 1, 1]
+
+
+def classical_chi_minimized(fam, e, point):
+    """classical_chi by its former route: the Euler characteristic of the
+    minimized pushforward of the restricted complex."""
+    fiber_fam, restriction = fam.fiber_family_at(point)
+    restricted = restriction.apply_complex(free_resolution(e, 8), True)
+    pushed, _ = pushforward_projective(fiber_fam, restricted, minimal=True)
+    return pushed.fiber_euler_characteristic(RationalPoint(fiber_fam.base, ()))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [-1, 0, 1, 2])
+def test_classical_chi_blowup_closed_form(field, n, d):
+    """chi(O(d)) on the fiber of the blow-up: P^(n-1) over the origin,
+    where it is C(n-1+d, n-1), and a point elsewhere."""
+    fam = blowup_family(field, n)
+    sheaf = fam.twist(d)
+    pts = base_points(fam.base, [(0,) * n, (1,) * n, tuple(range(2, n + 2))])
+    classical = [classical_chi(fam, sheaf, p) for p in pts]
+    at_origin = prod(d + k for k in range(1, n)) // factorial(n - 1)
+    assert classical == [at_origin, 1, 1]
+    assert classical == [classical_chi_minimized(fam, sheaf, p) for p in pts]
+
+
+def test_classical_chi_skips_minimize(monkeypatch):
+    """classical_chi reads the unminimized strand; the pushforward itself
+    still minimizes once."""
+    calls = []
+    minimize = geometry.minimize
+
+    def counted(complex_):
+        calls.append(complex_)
+        return minimize(complex_)
+
+    monkeypatch.setattr(geometry, "minimize", counted)
+    fam = blowup_family(QQ, 2)
+    sheaf = fam.twist(1)
+    pts = base_points(fam.base, [(0, 0), (1, 2)])
+    assert [classical_chi(fam, sheaf, p) for p in pts] == [2, 1]
+    assert calls == []
+    pushforward_projective(fam, sheaf, minimal=True)
+    assert len(calls) == 1
 
 
 def test_chi_two_paths_agree(double_cover, line):
