@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 from operator import add
 
 from .complexes import (
@@ -40,6 +41,7 @@ from .rings import (
     PolyRing,
     RationalPoint,
     embed_poly,
+    hilbert_numerator,
     monomials_of_degree,
     recast,
 )
@@ -397,21 +399,45 @@ def chi(f_or_fam, e, point, pushed=None):
 
 
 def classical_chi(fam, e, point):
-    """Euler characteristic of the classical fiber (projective case:
-    pushforward of the restricted complex over the residue field).
+    """Euler characteristic of the classical fiber (projective case).
 
-    It reads the unminimized strand: the Euler characteristic depends
-    only on the term ranks, which minimization lowers in adjacent pairs,
-    and `relative_strand` checks the rank cap before minimization
-    either way.
+    The restricted complex lives on the fiber X = Proj k[x_1..x_n]/I.  A
+    generator of degree a in its term i is O_X(-a); chi is additive on a
+    bounded complex, and chi(O_X(d)) = P(d), the Hilbert polynomial of
+    k[x]/I.  So chi is the sum over i of (-1)^i P(-a_ij) over the
+    generator degrees a_ij of term i.  I and its initial ideal share a
+    Hilbert series, so P comes from the leading monomials of the fiber
+    ring's Gröbner basis: P(d) = sum_k q_k C(d - k + n - 1, n - 1), q the
+    Hilbert numerator (`hilbert_numerator`), read as a polynomial in d.
     """
-    if isinstance(fam, ProjectiveFamily):
-        fiber_fam, restriction = fam.fiber_family_at(point)
-        restricted = restriction.apply_complex(free_resolution(e, 8), True)
-        pushed, _ = pushforward_projective(fiber_fam, restricted, minimal=False)
-        empty = RationalPoint(fiber_fam.base, ())
-        return pushed.fiber_euler_characteristic(empty)
-    raise ValueError("classical chi is only defined here for projective families")
+    if not isinstance(fam, ProjectiveFamily):
+        raise ValueError("classical chi is only defined here for projective families")
+    fiber_fam, restriction = fam.fiber_family_at(point)
+    restricted = restriction.apply_complex(free_resolution(e, 8), True)
+    if not restricted.is_bounded:
+        raise ValueError("chi needs a bounded complex")
+    if restricted.ranks and restricted.degrees is None:
+        raise ValueError("classical chi needs a graded complex")
+    ring = fiber_fam.total
+    n = fiber_fam.fiber_count
+    leading = [ring.exponents(g.leading_monomial()) for g in ring.quotient_gb]
+    q = hilbert_numerator(leading, n)
+
+    def hilbert_polynomial(d):
+        return sum(c * _binomial(d - k + n - 1, n - 1) for k, c in q.items())
+
+    return sum(
+        (-1 if i % 2 else 1) * sum(hilbert_polynomial(-a) for a in restricted.degrees[i])
+        for i in restricted.ranks
+    )
+
+
+def _binomial(x, r):
+    """C(x, r) as the polynomial x (x - 1) ... (x - r + 1) / r! in x, at
+    any integer x; 0 when r < 0."""
+    if r < 0:
+        return 0
+    return comb(x, r) if x >= 0 else (-1) ** r * comb(r - x - 1, r)
 
 
 def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):

@@ -9,8 +9,10 @@ columns together with the quotient ideal block.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import linalg
-from .rings import Mat, MatrixGB, RationalPoint, point_of, syzygy_matrix
+from .rings import Mat, MatrixGB, RationalPoint, hilbert_numerator, point_of, syzygy_matrix
 
 
 class ModulePresentation:
@@ -94,23 +96,31 @@ class ModulePresentation:
     def graded_dim(self, d):
         """dim over k of the degree-d piece (graded presentations only).
 
-        Counts standard monomials: basis elements (i, mono) of the free
-        cover not divisible by any leading term of the relation module
-        (quotient ideal included).
+        The relation module (quotient ideal included) and the monomial
+        module of its Gröbner basis's leading terms have the same Hilbert
+        function, so generator i contributes HF_i(d - deg_i), HF_i that of
+        k[x]/(the leading monomials at position i).  With q the Hilbert
+        numerator of that ring (`hilbert_numerator`) and n variables,
+        HF(e) = sum over k <= e of q_k C(e - k + n - 1, n - 1), and
+        HF(e) = q_e when n = 0.  Every weight must be 1.
         """
         if self.degrees is None:
             raise ValueError("presentation is not graded")
-        from .groebner import mono_divides
-
+        ring = self.ring
+        if any(w != 1 for w in ring.weights):
+            raise ValueError("graded dimensions need all weights equal to 1")
+        n = ring.nvars
         lt_by_pos = {}
         for pos, mono in self.gb.leading_terms():
             lt_by_pos.setdefault(pos, []).append(mono)
         total = 0
-        for i in range(self.ambient_rank):
-            want = d - self.degrees[i]
-            for mono in self.ring.monomials_of_degree(want):
-                if not any(mono_divides(lt, mono) for lt in lt_by_pos.get(i, ())):
-                    total += 1
+        for i, deg in enumerate(self.degrees):
+            e = d - deg
+            q = hilbert_numerator(lt_by_pos.get(i, ()), n)
+            if n == 0:
+                total += q.get(e, 0)
+            else:
+                total += sum(c * comb(e - k + n - 1, n - 1) for k, c in q.items() if k <= e)
         return total
 
     def direct_sum(self, other):

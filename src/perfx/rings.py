@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from math import prod
-from operator import mul
+from operator import le, mul
 
 from . import groebner as gb
 from .orders import GREVLEX
@@ -224,6 +224,48 @@ def monomials_of_degree(nvars, d):
             rec(prefix + (e,), remaining - e, slots - 1)
 
     rec((), d, nvars)
+    return out
+
+
+def hilbert_numerator(monos, nvars):
+    """Numerator {k: q_k} of the Hilbert series of k[x_1..x_nvars]/(monos)
+    over (1 - t)^nvars; zero coefficients are absent.
+
+    monos are exponent tuples.  The input is first cut to its minimal
+    generators; then HN(J + (m)) = HN(J) - t^deg(m) HN(J : m), where
+    J : m is generated by the m_i / gcd(m_i, m).  When m is coprime to
+    every generator of J that colon is J itself, and the rule reduces to
+    HN(J) (1 - t^deg(m)).  An ideal shares its Hilbert series with its
+    initial ideal, so the leading monomials of a Gröbner basis of a
+    homogeneous ideal (weights 1) give the series of the quotient."""
+    num = _hilbert_numerator(_minimal_monomials(monos, nvars))
+    return {k: q for k, q in sorted(num.items()) if q}
+
+
+def _minimal_monomials(monos, nvars):
+    """The minimal generators of the monomial ideal (monos), sorted by
+    degree, then exponents."""
+    kept = []
+    for m in sorted(set(map(tuple, monos)), key=lambda m: (sum(m), m)):
+        if len(m) != nvars:
+            raise ValueError(f"monomial {m} does not have {nvars} exponents")
+        if not any(all(map(le, g, m)) for g in kept):
+            kept.append(m)
+    return kept
+
+
+def _hilbert_numerator(gens):
+    """HN of a monomial ideal given by its minimal generators."""
+    if not gens:
+        return {0: 1}
+    *rest, m = gens
+    d = sum(m)
+    colon = _minimal_monomials([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest], len(m))
+    num = _hilbert_numerator(rest)
+    sub = num if colon == rest else _hilbert_numerator(colon)
+    out = dict(num)
+    for k, q in sub.items():
+        out[k + d] = out.get(k + d, 0) - q
     return out
 
 

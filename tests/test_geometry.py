@@ -1,13 +1,14 @@
 """Families, pushforwards, fibers, Euler characteristics and scans."""
 
 import random
+import sys
 from math import factorial, prod
 
 import pytest
 
-from perfx import geometry, linalg, rings
+from perfx import complexes, geometry, linalg, resolutions, rings
 from perfx.fields import GF, QQ
-from perfx.complexes import FreeComplex, koszul, two_term
+from perfx.complexes import EXACT_BELOW, FreeComplex, koszul, two_term
 from perfx.derived import is_relatively_perfect
 from perfx.geometry import (
     ProjectiveFamily,
@@ -224,12 +225,13 @@ def test_blowup_chi_table_n2():
     assert classical == [2, 1, 1, 1, 1]
 
 
-def classical_chi_minimized(fam, e, point):
+def classical_chi_by_strand(fam, e, point, minimal=False):
     """classical_chi by its former route: the Euler characteristic of the
-    minimized pushforward of the restricted complex."""
+    pushforward of the restricted complex over the residue field, read
+    from the degree-0 strand (minimized or not)."""
     fiber_fam, restriction = fam.fiber_family_at(point)
     restricted = restriction.apply_complex(free_resolution(e, 8), True)
-    pushed, _ = pushforward_projective(fiber_fam, restricted, minimal=True)
+    pushed, _ = pushforward_projective(fiber_fam, restricted, minimal=minimal)
     return pushed.fiber_euler_characteristic(RationalPoint(fiber_fam.base, ()))
 
 
@@ -245,27 +247,89 @@ def test_classical_chi_blowup_closed_form(field, n, d):
     classical = [classical_chi(fam, sheaf, p) for p in pts]
     at_origin = prod(d + k for k in range(1, n)) // factorial(n - 1)
     assert classical == [at_origin, 1, 1]
-    assert classical == [classical_chi_minimized(fam, sheaf, p) for p in pts]
+    assert classical == [classical_chi_by_strand(fam, sheaf, p, minimal=True) for p in pts]
+
+
+def _line_map(ring, element):
+    """O(-1) --element--> O in degrees -1, 0, for an element of degree 1."""
+    entry = ring.parse(element)
+    return FreeComplex(ring, {-1: 1, 0: 1}, {-1: Mat(ring, [[entry]], ncols=1)}, {-1: (1,), 0: (0,)})
+
+
+NON_FREE = {
+    "x1": lambda ring: _line_map(ring, "x1"),
+    "koszul_x1_x2": lambda ring: koszul(ring, ["x1", "x2"]),
+    "y1x1_plus_x2": lambda ring: _line_map(ring, "y1*x1 + x2"),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(NON_FREE))
+def test_classical_chi_matches_strand_on_non_free_complexes(field, n, name):
+    """The Hilbert-polynomial chi against the unminimized strand on
+    complexes with more than one term, at the origin and off it."""
+    fam = blowup_family(field, n)
+    e = NON_FREE[name](fam.total)
+    coords = [(0,) * n, (1,) * n, tuple(range(2, n + 2)), (0,) + (1,) * (n - 1)]
+    pts = base_points(fam.base, coords)
+    classical = [classical_chi(fam, e, p) for p in pts]
+    assert classical == [classical_chi_by_strand(fam, e, p) for p in pts]
+    # off the origin the fiber is a point, where chi alternates the ranks
+    assert classical[1:] == [0, 0, 0]
+
+
+def _count_calls(monkeypatch, functions):
+    """Wrap each named function wherever a perfx module binds it; return
+    the {name: call count} dict the wrappers fill."""
+    counts = dict.fromkeys(functions, 0)
+    for name, original in functions.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("perfx") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def test_classical_chi_skips_minimize(monkeypatch):
-    """classical_chi reads the unminimized strand; the pushforward itself
-    still minimizes once."""
-    calls = []
-    minimize = geometry.minimize
-
-    def counted(complex_):
-        calls.append(complex_)
-        return minimize(complex_)
-
-    monkeypatch.setattr(geometry, "minimize", counted)
+    """classical_chi reads the Hilbert polynomial of the fiber ring: it
+    builds no pushforward, strand, free replacement or minimization.  The
+    pushforward itself meets every counter."""
+    counts = _count_calls(
+        monkeypatch,
+        {
+            "pushforward_projective": geometry.pushforward_projective,
+            "relative_strand": geometry.relative_strand,
+            "free_replacement": resolutions.free_replacement,
+            "minimize": complexes.minimize,
+        },
+    )
     fam = blowup_family(QQ, 2)
-    sheaf = fam.twist(1)
     pts = base_points(fam.base, [(0, 0), (1, 2)])
-    assert [classical_chi(fam, sheaf, p) for p in pts] == [2, 1]
-    assert calls == []
-    pushforward_projective(fam, sheaf, minimal=True)
-    assert len(calls) == 1
+    assert [classical_chi(fam, fam.twist(1), p) for p in pts] == [2, 1]
+    assert [classical_chi(fam, koszul(fam.total, ["x1", "x2"]), p) for p in pts] == [0, 0]
+    assert counts == dict.fromkeys(counts, 0)
+    geometry.pushforward_projective(fam, fam.twist(1), minimal=True)
+    assert all(counts.values()), counts
+
+
+def test_classical_chi_rejects_an_unbounded_complex():
+    """A restricted complex that does not stop below has no chi."""
+    fam = blowup_family(QQ, 2)
+    e = FreeComplex(fam.total, {0: 1}, {}, {0: (0,)}, tail=EXACT_BELOW)
+    with pytest.raises(ValueError, match="chi needs a bounded complex"):
+        classical_chi(fam, e, RationalPoint(fam.base, (0, 0)))
+
+
+def test_classical_chi_needs_a_graded_complex():
+    fam = blowup_family(QQ, 2)
+    e = FreeComplex(fam.total, {0: 1}, {})
+    with pytest.raises(ValueError, match="graded"):
+        classical_chi(fam, e, RationalPoint(fam.base, (0, 0)))
 
 
 def test_chi_two_paths_agree(double_cover, line):

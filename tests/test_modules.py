@@ -1,10 +1,15 @@
 """Finitely presented modules: dimensions, gradings, constructions."""
 
+import random
+from fractions import Fraction
+from math import prod
+
 import pytest
 
-from perfx.fields import QQ
+from perfx.fields import GF, QQ
+from perfx.groebner import mono_divides
 from perfx.modules import ModulePresentation, prune_redundant_columns, syzygies
-from perfx.rings import Mat, PolyRing, RationalPoint, syzygy_matrix
+from perfx.rings import Mat, PolyRing, RationalPoint, hilbert_numerator, syzygy_matrix
 
 
 @pytest.fixture
@@ -30,6 +35,125 @@ def test_graded_dim_respects_ring_quotient():
     m = ModulePresentation.free(ring, 1, degrees=(0,))
     # monomials of degree d avoiding xy: x^d and y^d only
     assert [m.graded_dim(d) for d in range(1, 4)] == [2, 2, 2]
+
+
+def hilbert_polynomial(ring):
+    """The Hilbert polynomial of a weight-1 (quotient) ring as a function
+    of d: sum_k q_k C(d - k + n - 1, n - 1), each binomial expanded as
+    a product so that it holds at every integer d."""
+    leading = [ring.exponents(g.leading_monomial()) for g in ring.quotient_gb]
+    q = hilbert_numerator(leading, ring.nvars)
+    r = ring.nvars - 1
+
+    def value(d):
+        return sum(
+            c * Fraction(prod(d - k + r - j for j in range(r)), prod(range(1, r + 1)))
+            for k, c in q.items()
+        )
+
+    return value
+
+
+@pytest.mark.parametrize(
+    "variables, ideal, expected",
+    [
+        (["x0", "x1", "x2", "x3"], ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"],
+         lambda d: 3 * d + 1),  # the twisted cubic
+        (["x", "y", "z"], ["x*z - y^2"], lambda d: 2 * d + 1),  # a plane conic
+        (["x", "y", "z"], ["x^2 + y^2 - z^2"], lambda d: 2 * d + 1),
+        (["x", "y", "z"], [], lambda d: Fraction((d + 2) * (d + 1), 2)),  # zero ideal
+        (["x", "y", "z", "w"], [], lambda d: Fraction((d + 3) * (d + 2) * (d + 1), 6)),
+        (["x", "y"], ["x - y", "x + y"], lambda d: 0),  # (x, y): empty Proj
+        (["x", "y"], ["x - 1", "x"], lambda d: 0),  # the unit ideal
+    ],
+    ids=["twisted_cubic", "conic", "conic2", "zero3", "zero4", "empty", "unit"],
+)
+def test_hilbert_numerator_gives_known_hilbert_polynomials(variables, ideal, expected):
+    """Leading monomials of a Gröbner basis give the Hilbert polynomial,
+    read at negative d too."""
+    ring = PolyRing(QQ, variables, quotient=ideal) if ideal else PolyRing(QQ, variables)
+    value = hilbert_polynomial(ring)
+    assert [value(d) for d in range(-4, 8)] == [expected(d) for d in range(-4, 8)]
+
+
+def test_hilbert_numerator_small_cases():
+    assert hilbert_numerator([], 3) == {0: 1}
+    assert hilbert_numerator([(0, 0, 0)], 3) == {}  # the unit ideal
+    assert hilbert_numerator([(2, 0), (0, 2)], 2) == {0: 1, 2: -2, 4: 1}
+    assert hilbert_numerator([(1, 1)], 2) == {0: 1, 2: -1}
+    # zero variables: k itself, or 0
+    assert hilbert_numerator([], 0) == {0: 1}
+    assert hilbert_numerator([()], 0) == {}
+    with pytest.raises(ValueError):
+        hilbert_numerator([(1, 0)], 3)
+
+
+def test_hilbert_numerator_ignores_redundant_and_repeated_generators():
+    minimal = hilbert_numerator([(2, 0, 0), (0, 1, 1), (0, 0, 3)], 3)
+    padded = [(0, 0, 3), (2, 0, 0), (2, 1, 0), (0, 1, 1), (2, 0, 0), (1, 2, 2), (0, 0, 3)]
+    assert hilbert_numerator(padded, 3) == minimal
+    assert hilbert_numerator(padded[::-1], 3) == minimal
+
+
+def graded_dim_by_enumeration(pres, d):
+    """graded_dim by its former route: count the basis elements (i, mono)
+    of the free cover that no leading term of the relation module
+    (quotient ideal included) divides."""
+    lt_by_pos = {}
+    for pos, mono in pres.gb.leading_terms():
+        lt_by_pos.setdefault(pos, []).append(mono)
+    return sum(
+        1
+        for i in range(pres.ambient_rank)
+        for mono in pres.ring.monomials_of_degree(d - pres.degrees[i])
+        if not any(mono_divides(lt, mono) for lt in lt_by_pos.get(i, ()))
+    )
+
+
+def random_graded_presentation(ring, rng):
+    """A seeded homogeneous presentation: generator degrees in 0..2 and
+    columns of degree up to 3, each entry of the degree its row needs."""
+    rank = rng.randint(1, 3)
+    degrees = tuple(rng.randint(0, 2) for _ in range(rank))
+    cols = []
+    for _ in range(rng.randint(0, 4)):
+        c = rng.randint(max(degrees), 3)
+        cols.append([
+            ring.random_poly(rng, nterms=2, homogeneous=c - deg) if rng.random() < 0.7 else ring.zero
+            for deg in degrees
+        ])
+    return ModulePresentation(ring, rank, Mat.from_columns(ring, cols, rank), degrees)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "variables, quotient",
+    [(["x", "y"], []), (["x", "y", "z"], []), (["x", "y", "z", "w"], []),
+     (["x", "y", "z"], ["x*y - z^2"])],
+    ids=["n2", "n3", "n4", "n3_quotient"],
+)
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_graded_dim_matches_enumeration(field, variables, quotient, seed):
+    ring = PolyRing(field, variables, quotient=quotient)
+    rng = random.Random(f"graded-dim-{field!r}-{len(variables)}-{bool(quotient)}-{seed}")
+    pres = random_graded_presentation(ring, rng)
+    assert [pres.graded_dim(d) for d in range(-1, 7)] == [
+        graded_dim_by_enumeration(pres, d) for d in range(-1, 7)
+    ]
+
+
+def test_graded_dim_over_no_variables():
+    k = PolyRing(QQ, ())
+    m = ModulePresentation.free(k, 3, degrees=(0, 2, 2))
+    assert [m.graded_dim(d) for d in range(-1, 4)] == [0, 1, 0, 2, 0]
+    assert ModulePresentation.cyclic(k, ["1"], degrees=(0,)).graded_dim(0) == 0
+
+
+def test_graded_dim_rejects_weighted_rings():
+    ring = PolyRing(QQ, ["x", "y"], weights=(1, 2))
+    m = ModulePresentation.free(ring, 1, degrees=(0,))
+    with pytest.raises(ValueError, match="weights"):
+        m.graded_dim(2)
 
 
 def test_homogeneity_validation(rxy):
