@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import comb
 from operator import add
 
 from .complexes import (
@@ -42,6 +41,7 @@ from .rings import (
     RationalPoint,
     embed_poly,
     hilbert_numerator,
+    hilbert_value,
     monomials_of_degree,
     recast,
 )
@@ -408,7 +408,8 @@ def classical_chi(fam, e, point):
     generator degrees a_ij of term i.  I and its initial ideal share a
     Hilbert series, so P comes from the leading monomials of the fiber
     ring's Gröbner basis: P(d) = sum_k q_k C(d - k + n - 1, n - 1), q the
-    Hilbert numerator (`hilbert_numerator`), read as a polynomial in d.
+    Hilbert numerator (`hilbert_numerator`), read as a polynomial in d
+    (`hilbert_value`).
     """
     if not isinstance(fam, ProjectiveFamily):
         raise ValueError("classical chi is only defined here for projective families")
@@ -422,22 +423,11 @@ def classical_chi(fam, e, point):
     n = fiber_fam.fiber_count
     leading = [ring.exponents(g.leading_monomial()) for g in ring.quotient_gb]
     q = hilbert_numerator(leading, n)
-
-    def hilbert_polynomial(d):
-        return sum(c * _binomial(d - k + n - 1, n - 1) for k, c in q.items())
-
     return sum(
-        (-1 if i % 2 else 1) * sum(hilbert_polynomial(-a) for a in restricted.degrees[i])
+        (-1 if i % 2 else 1)
+        * sum(hilbert_value(q, n, -a, polynomial=True) for a in restricted.degrees[i])
         for i in restricted.ranks
     )
-
-
-def _binomial(x, r):
-    """C(x, r) as the polynomial x (x - 1) ... (x - r + 1) / r! in x, at
-    any integer x; 0 when r < 0."""
-    if r < 0:
-        return 0
-    return comb(x, r) if x >= 0 else (-1) ** r * comb(r - x - 1, r)
 
 
 def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):

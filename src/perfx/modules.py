@@ -9,10 +9,16 @@ columns together with the quotient ideal block.
 
 from __future__ import annotations
 
-from math import comb
-
 from . import linalg
-from .rings import Mat, MatrixGB, RationalPoint, hilbert_numerator, point_of, syzygy_matrix
+from .rings import (
+    Mat,
+    MatrixGB,
+    RationalPoint,
+    hilbert_numerator,
+    hilbert_value,
+    point_of,
+    syzygy_matrix,
+)
 
 
 class ModulePresentation:
@@ -99,29 +105,23 @@ class ModulePresentation:
         The relation module (quotient ideal included) and the monomial
         module of its Gröbner basis's leading terms have the same Hilbert
         function, so generator i contributes HF_i(d - deg_i), HF_i that of
-        k[x]/(the leading monomials at position i).  With q the Hilbert
-        numerator of that ring (`hilbert_numerator`) and n variables,
-        HF(e) = sum over k <= e of q_k C(e - k + n - 1, n - 1), and
-        HF(e) = q_e when n = 0.  Every weight must be 1.
+        k[x]/(the leading monomials at position i), read from its Hilbert
+        numerator (`hilbert_numerator`, `hilbert_value`).  Every weight
+        must be 1 unless there are no generators.
         """
         if self.degrees is None:
             raise ValueError("presentation is not graded")
+        if not self.degrees:
+            return 0
         ring = self.ring
-        if any(w != 1 for w in ring.weights):
-            raise ValueError("graded dimensions need all weights equal to 1")
-        n = ring.nvars
+        ring.require_unit_weights()
         lt_by_pos = {}
         for pos, mono in self.gb.leading_terms():
             lt_by_pos.setdefault(pos, []).append(mono)
-        total = 0
-        for i, deg in enumerate(self.degrees):
-            e = d - deg
-            q = hilbert_numerator(lt_by_pos.get(i, ()), n)
-            if n == 0:
-                total += q.get(e, 0)
-            else:
-                total += sum(c * comb(e - k + n - 1, n - 1) for k, c in q.items() if k <= e)
-        return total
+        return sum(
+            hilbert_value(hilbert_numerator(lt_by_pos.get(i, ()), ring.nvars), ring.nvars, d - deg)
+            for i, deg in enumerate(self.degrees)
+        )
 
     def direct_sum(self, other):
         if other.ring != self.ring:

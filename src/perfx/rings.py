@@ -16,7 +16,7 @@ layout; a column becomes an engine vector, its row index the position.
 from __future__ import annotations
 
 import re
-from math import prod
+from math import comb, prod
 from operator import le, mul
 
 from . import groebner as gb
@@ -181,9 +181,14 @@ class PolyRing:
         Only supported for weight-1 variables; weighted rings with a
         zero weight have infinitely many monomials per degree.
         """
-        if any(w != 1 for w in self.weights):
-            raise ValueError("monomial enumeration needs all weights equal to 1")
+        self.require_unit_weights()
         return monomials_of_degree(self.nvars, d)
+
+    def require_unit_weights(self):
+        """Raise unless every variable has weight 1: counting by degree
+        (monomials, Hilbert functions) assumes the standard grading."""
+        if any(w != 1 for w in self.weights):
+            raise ValueError(f"degree counts need all weights equal to 1, not {self.weights}")
 
 
 def embed_poly(p, ring, offset):
@@ -240,6 +245,28 @@ def hilbert_numerator(monos, nvars):
     homogeneous ideal (weights 1) give the series of the quotient."""
     num = _hilbert_numerator(_minimal_monomials(monos, nvars))
     return {k: q for k, q in sorted(num.items()) if q}
+
+
+def hilbert_value(q, n, e, polynomial=False):
+    """Value at e of the Hilbert function of the ring whose Hilbert
+    numerator over (1 - t)^n is q, or with polynomial=True of its Hilbert
+    polynomial.
+
+    HF(e) = sum_k q_k C(e - k + n - 1, n - 1), a binomial C(x, r) with
+    x < 0 counting 0, and HF(e) = q_e when n = 0.  The polynomial reads
+    every C(x, r) as x (x - 1) ... (x - r + 1) / r!, so it holds at every
+    integer e; it is 0 when n = 0."""
+    if n == 0:
+        return 0 if polynomial else q.get(e, 0)
+    r = n - 1
+    total = 0
+    for k, c in q.items():
+        x = e - k + r
+        if x >= 0:
+            total += c * comb(x, r)
+        elif polynomial:
+            total += c * (-1) ** r * comb(r - x - 1, r)
+    return total
 
 
 def _minimal_monomials(monos, nvars):

@@ -298,7 +298,8 @@ def _count_calls(monkeypatch, functions):
 def test_classical_chi_skips_minimize(monkeypatch):
     """classical_chi reads the Hilbert polynomial of the fiber ring: it
     builds no pushforward, strand, free replacement or minimization.  The
-    pushforward itself meets every counter."""
+    pushforward itself meets every counter, and minimizes once more when
+    minimal=True."""
     counts = _count_calls(
         monkeypatch,
         {
@@ -313,8 +314,15 @@ def test_classical_chi_skips_minimize(monkeypatch):
     assert [classical_chi(fam, fam.twist(1), p) for p in pts] == [2, 1]
     assert [classical_chi(fam, koszul(fam.total, ["x1", "x2"]), p) for p in pts] == [0, 0]
     assert counts == dict.fromkeys(counts, 0)
+    # one minimization inside free_replacement, one for minimal=True
     geometry.pushforward_projective(fam, fam.twist(1), minimal=True)
-    assert all(counts.values()), counts
+    assert counts == {
+        "pushforward_projective": 1, "relative_strand": 1, "free_replacement": 1, "minimize": 2
+    }
+    geometry.pushforward_projective(fam, fam.twist(1), minimal=False)
+    assert counts == {
+        "pushforward_projective": 2, "relative_strand": 2, "free_replacement": 2, "minimize": 3
+    }
 
 
 def test_classical_chi_rejects_an_unbounded_complex():

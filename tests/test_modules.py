@@ -2,14 +2,20 @@
 
 import random
 from fractions import Fraction
-from math import prod
 
 import pytest
 
 from perfx.fields import GF, QQ
 from perfx.groebner import mono_divides
 from perfx.modules import ModulePresentation, prune_redundant_columns, syzygies
-from perfx.rings import Mat, PolyRing, RationalPoint, hilbert_numerator, syzygy_matrix
+from perfx.rings import (
+    Mat,
+    PolyRing,
+    RationalPoint,
+    hilbert_numerator,
+    hilbert_value,
+    syzygy_matrix,
+)
 
 
 @pytest.fixture
@@ -39,19 +45,10 @@ def test_graded_dim_respects_ring_quotient():
 
 def hilbert_polynomial(ring):
     """The Hilbert polynomial of a weight-1 (quotient) ring as a function
-    of d: sum_k q_k C(d - k + n - 1, n - 1), each binomial expanded as
-    a product so that it holds at every integer d."""
+    of d, read from the leading monomials of its Gröbner basis."""
     leading = [ring.exponents(g.leading_monomial()) for g in ring.quotient_gb]
     q = hilbert_numerator(leading, ring.nvars)
-    r = ring.nvars - 1
-
-    def value(d):
-        return sum(
-            c * Fraction(prod(d - k + r - j for j in range(r)), prod(range(1, r + 1)))
-            for k, c in q.items()
-        )
-
-    return value
+    return lambda d: hilbert_value(q, ring.nvars, d, polynomial=True)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +83,23 @@ def test_hilbert_numerator_small_cases():
     assert hilbert_numerator([()], 0) == {}
     with pytest.raises(ValueError):
         hilbert_numerator([(1, 0)], 3)
+
+
+def test_hilbert_value_function_and_polynomial():
+    """k[x, y]/(x^2): HF is 1, 2, 2, ... and P(d) = 2 for every d; the
+    binomial of P at d = -1 is C(-1 + 1, 1) - C(-3 + 1, 1) = 0 + 2."""
+    q = hilbert_numerator([(2, 0)], 2)
+    assert [hilbert_value(q, 2, e) for e in range(-3, 4)] == [0, 0, 0, 1, 2, 2, 2]
+    assert [hilbert_value(q, 2, e, polynomial=True) for e in range(-3, 4)] == [2] * 7
+    # the twisted cubic's series, (1 + 2t) / (1 - t)^2: P(d) = 3d + 1
+    cubic = {0: 1, 1: 2}
+    assert [hilbert_value(cubic, 2, e, polynomial=True) for e in range(-3, 3)] == [
+        3 * e + 1 for e in range(-3, 3)
+    ]
+    assert [hilbert_value(cubic, 2, e) for e in range(-3, 3)] == [0, 0, 0, 1, 4, 7]
+    # no variables: HF is the numerator itself, P is 0
+    assert [hilbert_value({0: 1, 2: 3}, 0, e) for e in range(-1, 4)] == [0, 1, 0, 3, 0]
+    assert hilbert_value({0: 1, 2: 3}, 0, 2, polynomial=True) == 0
 
 
 def test_hilbert_numerator_ignores_redundant_and_repeated_generators():
@@ -154,6 +168,8 @@ def test_graded_dim_rejects_weighted_rings():
     m = ModulePresentation.free(ring, 1, degrees=(0,))
     with pytest.raises(ValueError, match="weights"):
         m.graded_dim(2)
+    # without generators there is nothing to count, on any grading
+    assert ModulePresentation.free(ring, 0, degrees=()).graded_dim(2) == 0
 
 
 def test_homogeneity_validation(rxy):
