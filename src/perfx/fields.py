@@ -34,7 +34,14 @@ class Field:
     def from_int(self, n):
         raise NotImplementedError
 
+    def coerce(self, c):
+        """An int or a Fraction as an element of the field; ValueError
+        for anything else."""
+        raise NotImplementedError
+
     def parse(self, text):
+        """The element an integer or a fraction a/b spells; ValueError
+        for a malformed text or a zero denominator."""
         raise NotImplementedError
 
     def random(self, rng):
@@ -67,8 +74,18 @@ class RationalField(Field):
     def from_int(self, n):
         return Fraction(n)
 
+    def coerce(self, c):
+        if isinstance(c, Fraction):
+            return c
+        if isinstance(c, int):
+            return Fraction(c)
+        raise ValueError(f"not a rational number: {c!r}")
+
     def parse(self, text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def random(self, rng):
         num = rng.randint(-5, 5)
@@ -122,11 +139,24 @@ class PrimeField(Field):
     def from_int(self, n):
         return n % self.p
 
+    def coerce(self, c):
+        """a/b becomes a * b^-1; a denominator that p divides is an error."""
+        if isinstance(c, int):
+            return c % self.p
+        if isinstance(c, Fraction):
+            return self._quotient(c.numerator, c.denominator, str(c))
+        raise ValueError(f"not an element of {self.name}: {c!r}")
+
     def parse(self, text):
         if "/" in text:
             num, den = text.split("/")
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
+            return self._quotient(int(num), int(den), text)
         return self.from_int(int(text))
+
+    def _quotient(self, num, den, shown):
+        if den % self.p == 0:
+            raise ValueError(f"denominator of {shown!r} is 0 in {self.name}")
+        return self.div(self.from_int(num), self.from_int(den))
 
     def random(self, rng):
         return rng.randrange(self.p)

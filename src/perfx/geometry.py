@@ -94,10 +94,17 @@ def restrict_scalars(f, e):
     return FPComplex(source, terms, maps)
 
 
+def _check_ring(e, ring):
+    """Raise unless the module or complex e lives over ring."""
+    if e.ring is not ring and e.ring != ring:
+        raise ValueError(f"input is over {e.ring}, not over {ring}")
+
+
 def pushforward_affine(f, e, depth=1):
     """Direct image along a module-finite map: restriction of scalars,
     then a free replacement over the source.  depth controls how far
     below the window the replacement is materialized."""
+    _check_ring(e, f.target)
     if f.is_identity():
         return free_resolution(e, 8)
     if not f.is_module_finite():
@@ -163,24 +170,14 @@ class ProjectiveFamily:
     def fiber_vars_in_ambient(self):
         return [self.ambient.var(self.base.nvars + i) for i in range(self.fiber_count)]
 
-    def fiber_family_at(self, point):
-        """The fiber over a base point as a family over kappa(point)."""
-        field = self.base.field
-        kappa = PolyRing(field, (), self.base.order)
-        fiber_ring_plain = PolyRing(field, self.fiber_variables, self.base.order)
-        images = [fiber_ring_plain.const(c) for c in point.coords] + [
-            fiber_ring_plain.var(i) for i in range(self.fiber_count)
-        ]
-        rels = []
-        for r in self.relations:
-            img = r.substitute(images, target=fiber_ring_plain)
-            if not img.is_zero:
-                rels.append(img)
-        fam = ProjectiveFamily(kappa, self.fiber_variables, rels, name=f"{self.name}|{point}")
-        restriction = RingMap(
-            self.total, fam.total, [fam.total.const(c) for c in point.coords] + fam.total.gens()
-        )
-        return fam, restriction
+    def fiber_ring(self, point):
+        """k(y)[x]/I(y), the homogeneous coordinate ring of the fiber X_y
+        over a base point y: the relations with y substituted
+        (Hartshorne III.9).  Relations that vanish at y are dropped."""
+        plain = PolyRing(self.base.field, self.fiber_variables, self.base.order)
+        images = [plain.const(c) for c in point.coords] + plain.gens()
+        rels = [r.substitute(images, target=plain) for r in self.relations]
+        return plain.quotient_by([r for r in rels if not r.is_zero])
 
     def __repr__(self):
         rels = ", ".join(str(r) for r in self.relations)
@@ -281,6 +278,9 @@ def pushforward_projective(fam, e, minimal=True):
     same fiber dims and Euler characteristic, but its differentials may
     still have unit entries.
     """
+    if not isinstance(e, FreeComplex):
+        raise ValueError(f"projective pushforward needs a free complex, not a {type(e).__name__}")
+    _check_ring(e, fam.total)
     if not e.ranks:
         return FreeComplex.zero_complex(fam.base), {
             "stage_used": 0,
@@ -363,11 +363,13 @@ def nice_fiber(f_or_fam, e, point):
 
 
 def classical_fiber(f_or_fam, e, point):
-    """Termwise restriction of (a free model of) E to the fiber ring."""
+    """Termwise restriction of (a free model of) E to the fiber ring:
+    `fiber_ring(point)` of a family, the target modulo f(y) - point of a map."""
     e_free = free_resolution(e, 8)
     if isinstance(f_or_fam, ProjectiveFamily):
         fam = f_or_fam
-        _fiber_fam, restriction = fam.fiber_family_at(point)
+        ring = fam.fiber_ring(point)
+        restriction = RingMap(fam.total, ring, [ring.const(c) for c in point.coords] + ring.gens())
         return restriction.apply_complex(e_free, keep_degrees=True)
     f = f_or_fam
     target = f.target
@@ -401,32 +403,33 @@ def chi(f_or_fam, e, point, pushed=None):
 def classical_chi(fam, e, point):
     """Euler characteristic of the classical fiber (projective case).
 
-    The restricted complex lives on the fiber X = Proj k[x_1..x_n]/I.  A
-    generator of degree a in its term i is O_X(-a); chi is additive on a
-    bounded complex, and chi(O_X(d)) = P(d), the Hilbert polynomial of
-    k[x]/I.  So chi is the sum over i of (-1)^i P(-a_ij) over the
-    generator degrees a_ij of term i.  I and its initial ideal share a
-    Hilbert series, so P comes from the leading monomials of the fiber
-    ring's Gröbner basis: P(d) = sum_k q_k C(d - k + n - 1, n - 1), q the
-    Hilbert numerator (`hilbert_numerator`), read as a polynomial in d
-    (`hilbert_value`).
+    The fiber is X = Proj k[x_1..x_n]/I, I the relations at the point
+    (`ProjectiveFamily.fiber_ring`).  Restriction to X keeps a free
+    model's generator degrees, so none is built: a generator of degree
+    a in term i is O_X(-a), chi is additive on a bounded complex, and
+    chi(O_X(d)) = P(d), the Hilbert polynomial of k[x]/I.  So chi is the
+    sum over i of (-1)^i P(-a_ij) over the generator degrees a_ij of
+    term i.  I and its initial ideal share a Hilbert series, so P comes
+    from the leading monomials of the fiber ring's Gröbner basis: P(d) =
+    sum_k q_k C(d - k + n - 1, n - 1), q the Hilbert numerator
+    (`hilbert_numerator`), read as a polynomial in d (`hilbert_value`).
     """
     if not isinstance(fam, ProjectiveFamily):
         raise ValueError("classical chi is only defined here for projective families")
-    fiber_fam, restriction = fam.fiber_family_at(point)
-    restricted = restriction.apply_complex(free_resolution(e, 8), True)
-    if not restricted.is_bounded:
+    _check_ring(e, fam.total)
+    e_free = free_resolution(e, 8)
+    if not e_free.is_bounded:
         raise ValueError("chi needs a bounded complex")
-    if restricted.ranks and restricted.degrees is None:
+    if e_free.ranks and e_free.degrees is None:
         raise ValueError("classical chi needs a graded complex")
-    ring = fiber_fam.total
-    n = fiber_fam.fiber_count
+    ring = fam.fiber_ring(point)
+    n = fam.fiber_count
     leading = [ring.exponents(g.leading_monomial()) for g in ring.quotient_gb]
     q = hilbert_numerator(leading, n)
     return sum(
         (-1 if i % 2 else 1)
-        * sum(hilbert_value(q, n, -a, polynomial=True) for a in restricted.degrees[i])
-        for i in restricted.ranks
+        * sum(hilbert_value(q, n, -a, polynomial=True) for a in e_free.degrees[i])
+        for i in e_free.ranks
     )
 
 

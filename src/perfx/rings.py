@@ -872,15 +872,14 @@ def _entry(ring, x):
 
 
 class RationalPoint:
-    """A k-rational point of Spec(ring): one coordinate per variable."""
+    """A k-rational point of Spec(ring): one coordinate per variable,
+    each an int or a Fraction mapped into the field (`Field.coerce`)."""
 
     __slots__ = ("ring", "coords")
 
     def __init__(self, ring, coords):
         field = ring.field
-        coords = tuple(
-            field.from_int(c) if isinstance(c, int) else c for c in coords
-        )
+        coords = tuple(map(field.coerce, coords))
         if len(coords) != ring.nvars:
             raise ValueError(
                 f"expected {ring.nvars} coordinates, got {len(coords)}"

@@ -325,6 +325,42 @@ def test_cli_truncated_session_line_is_a_parse_error(tmp_path, capsys, line):
     assert "internal error" not in err
 
 
+BAD_INPUT_SESSION = SESSION + """ring G = GF(5)[s]
+module MG on G = free(1)
+family X = blowup(QQ, 2)
+module MX on X = free(1)
+"""
+
+
+@pytest.mark.parametrize("extra, tokens, message", [
+    # a zero denominator, in a session line or in points=
+    ("point z on A = (1/0)", ["roundtrip"], "parse error: line 14: zero denominator in '1/0'"),
+    ("point z on G = (1/5)", ["roundtrip"], "parse error: line 14: denominator of '1/5' is 0"),
+    ("", ["hp-scan", "map=f", "sheaf=OB", "points={(1/0)}"], "zero denominator in '1/0'"),
+    ("", ["hp-scan", "ring=G", "module=MG", "points={(1/5)}"], "denominator of '1/5' is 0"),
+    # a sheaf that is a module, or lives on another ring
+    ("", ["hp-scan", "family=X", "sheaf=MX", "points={(0,0)}"], "needs a free complex"),
+    ("", ["grauert", "family=X", "sheaf=MX", "points={(0,0)}"], "needs a free complex"),
+    ("", ["chi-scan", "family=X", "sheaf=MX", "points={(0,0)}"], "needs a free complex"),
+    ("", ["hp-scan", "family=X", "sheaf=K", "points={(0,0)}"],
+     "input is over QQ[t], not over QQ[y1,y2,x1,x2]/(y2*x1 - y1*x2)"),
+    ("", ["chi-scan", "map=f", "sheaf=M", "points={(0)}"],
+     "input is over QQ[t], not over QQ[t,x]/(x^2 - t)"),
+], ids=[
+    "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
+    "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
+])
+def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
+    """A zero denominator or a sheaf on the wrong ring: exit 2 with one
+    `perfx:` line, never an internal error."""
+    path = tmp_path / "s.pfx"
+    path.write_text(BAD_INPUT_SESSION + extra)
+    code, out, err = run_cli(capsys, *tokens, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("perfx: ") and message in err and err.count("\n") == 1
+    assert "internal error" not in err and "Traceback" not in err
+
+
 # Session edits: 1-4 inserts, deletes or replacements of characters or of
 # tokens (words, numbers, runs of blanks, single symbols), drawing new
 # units from the session's own characters and tokens.

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -78,7 +79,37 @@ def tx_family(line):
 
 
 def base_points(ring, values):
-    return [RationalPoint(ring, (v,) if ring.nvars == 1 else v) for v in values]
+    """A point per value: a coordinate tuple, or a bare coordinate of a line."""
+    return [RationalPoint(ring, v if isinstance(v, tuple) else (v,)) for v in values]
+
+
+def test_rational_point_maps_coordinates_into_the_field():
+    assert RationalPoint(PolyRing(QQ, ["y", "z"]), (Fraction(1, 2), 3)).coords == (
+        Fraction(1, 2), Fraction(3)
+    )
+    # over GF(5), 1/2 is 3 and 7 is 2
+    assert RationalPoint(PolyRing(GF(5), ["y", "z"]), (Fraction(1, 2), 7)).coords == (3, 2)
+
+
+@pytest.mark.parametrize("field, coord, message", [
+    (QQ, (0,), r"not a rational number: \(0,\)"),
+    (QQ, "a", "not a rational number: 'a'"),
+    (QQ, 0.5, "not a rational number: 0.5"),
+    (GF(5), Fraction(1, 5), r"denominator of '1/5' is 0 in GF\(5\)"),
+    (GF(5), "a", r"not an element of GF\(5\)"),
+])
+def test_rational_point_rejects_what_is_not_in_the_field(field, coord, message):
+    with pytest.raises(ValueError, match=message):
+        RationalPoint(PolyRing(field, ["y"]), (coord,))
+
+
+def test_field_parse_rejects_a_zero_denominator():
+    assert GF(5).parse("3/2") == 4
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        QQ.parse("1/0")
+    for text in ("1/0", "1/5", "2/10"):
+        with pytest.raises(ValueError, match=f"denominator of '{text}' is 0 in GF"):
+            GF(5).parse(text)
 
 
 # -- derived pullback ---------------------------------------------------------
@@ -225,11 +256,26 @@ def test_blowup_chi_table_n2():
     assert classical == [2, 1, 1, 1, 1]
 
 
+def kappa_family(fam, point):
+    """The fiber over a base point as a family over kappa(point): its
+    relations are the family's under y -> point, nonzero ones kept.
+    Returns the family and the restriction from fam.total to its total
+    ring."""
+    kappa = PolyRing(fam.base.field, (), fam.base.order)
+    plain = PolyRing(fam.base.field, fam.fiber_variables, fam.base.order)
+    at_point = RingMap(fam.ambient, plain, [plain.const(c) for c in point.coords] + plain.gens())
+    rels = [r for r in map(at_point.apply, fam.relations) if not r.is_zero]
+    fiber_fam = ProjectiveFamily(kappa, fam.fiber_variables, rels)
+    total = fiber_fam.total
+    restriction = RingMap(fam.total, total, [total.const(c) for c in point.coords] + total.gens())
+    return fiber_fam, restriction
+
+
 def classical_chi_by_strand(fam, e, point, minimal=False):
     """classical_chi by its former route: the Euler characteristic of the
     pushforward of the restricted complex over the residue field, read
     from the degree-0 strand (minimized or not)."""
-    fiber_fam, restriction = fam.fiber_family_at(point)
+    fiber_fam, restriction = kappa_family(fam, point)
     restricted = restriction.apply_complex(free_resolution(e, 8), True)
     pushed, _ = pushforward_projective(fiber_fam, restricted, minimal=minimal)
     return pushed.fiber_euler_characteristic(RationalPoint(fiber_fam.base, ()))
@@ -248,6 +294,24 @@ def test_classical_chi_blowup_closed_form(field, n, d):
     at_origin = prod(d + k for k in range(1, n)) // factorial(n - 1)
     assert classical == [at_origin, 1, 1]
     assert classical == [classical_chi_by_strand(fam, sheaf, p, minimal=True) for p in pts]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_fiber_of_a_family_is_the_kappa_family_restriction(field, n):
+    """fiber_ring is the kappa-family's total ring, and classical_fiber
+    is the kappa-family's restriction of the free model, degrees kept."""
+    fam = blowup_family(field, n)
+    pts = base_points(fam.base, [(0,) * n, (1,) * n, tuple(range(2, n + 2))])
+    for e in (fam.twist(1), koszul(fam.total, ["x1", "x2"]), _line_map(fam.total, "y1*x1 + x2")):
+        for p in pts:
+            fiber_fam, restriction = kappa_family(fam, p)
+            assert fam.fiber_ring(p) == fiber_fam.total
+            got = classical_fiber(fam, e, p)
+            want = restriction.apply_complex(free_resolution(e, 8), keep_degrees=True)
+            assert got.ring == want.ring == fiber_fam.total
+            assert (got.ranks, got.degrees, got.tail) == (want.ranks, want.degrees, want.tail)
+            assert got.diffs == want.diffs
 
 
 def _line_map(ring, element):
@@ -295,11 +359,33 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
+def _count_method_calls(monkeypatch, methods):
+    """Wrap each (class, method name); return the {"Class.name": call
+    count} dict the wrappers fill."""
+    counts = {}
+    for cls, name in methods:
+        key = f"{cls.__name__}.{name}"
+        counts[key] = 0
+
+        def counted(*args, _key=key, _original=getattr(cls, name), **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
 def test_classical_chi_skips_minimize(monkeypatch):
     """classical_chi reads the Hilbert polynomial of the fiber ring: it
-    builds no pushforward, strand, free replacement or minimization.  The
-    pushforward itself meets every counter, and minimizes once more when
-    minimal=True."""
+    builds no pushforward, strand, free replacement, minimization, ring
+    map, restricted complex or family.  The pushforward itself meets
+    every function counter, and minimizes once more when minimal=True;
+    classical_fiber and blowup_family meet the build counters."""
+    fam = blowup_family(QQ, 2)
+    builds = _count_method_calls(
+        monkeypatch,
+        [(RingMap, "__init__"), (RingMap, "apply_complex"), (ProjectiveFamily, "__init__")],
+    )
     counts = _count_calls(
         monkeypatch,
         {
@@ -309,11 +395,16 @@ def test_classical_chi_skips_minimize(monkeypatch):
             "minimize": complexes.minimize,
         },
     )
-    fam = blowup_family(QQ, 2)
     pts = base_points(fam.base, [(0, 0), (1, 2)])
     assert [classical_chi(fam, fam.twist(1), p) for p in pts] == [2, 1]
     assert [classical_chi(fam, koszul(fam.total, ["x1", "x2"]), p) for p in pts] == [0, 0]
     assert counts == dict.fromkeys(counts, 0)
+    assert builds == dict.fromkeys(builds, 0)
+    classical_fiber(fam, fam.twist(1), pts[1])
+    blowup_family(QQ, 2)  # its structure map is a RingMap
+    assert builds == {
+        "RingMap.__init__": 2, "RingMap.apply_complex": 1, "ProjectiveFamily.__init__": 1
+    }
     # one minimization inside free_replacement, one for minimal=True
     geometry.pushforward_projective(fam, fam.twist(1), minimal=True)
     assert counts == {
@@ -338,6 +429,23 @@ def test_classical_chi_needs_a_graded_complex():
     e = FreeComplex(fam.total, {0: 1}, {})
     with pytest.raises(ValueError, match="graded"):
         classical_chi(fam, e, RationalPoint(fam.base, (0, 0)))
+
+
+def test_pushforwards_and_classical_chi_check_the_ring_of_their_input(double_cover, line):
+    """A module or complex on another ring is refused with both rings
+    named; an equal ring built apart is accepted."""
+    with pytest.raises(ValueError, match=r"input is over QQ\[t\], not over QQ\[t,x\]/"):
+        pushforward_affine(double_cover, ModulePresentation.free(line, 1))
+    twin = PolyRing(QQ, ["t", "x"], quotient=["x^2 - t"])
+    assert dict(pushforward_affine(double_cover, ModulePresentation.free(twin, 1)).ranks) == {0: 2}
+    fam = blowup_family(QQ, 2)
+    with pytest.raises(ValueError, match="needs a free complex, not a ModulePresentation"):
+        pushforward_projective(fam, ModulePresentation.free(fam.total, 1))
+    on_base = FreeComplex.single(fam.base, 1, degrees=(0,))
+    with pytest.raises(ValueError, match=r"input is over QQ\[y1,y2\], not over QQ\[y1,y2,x1,x2\]/"):
+        pushforward_projective(fam, on_base)
+    with pytest.raises(ValueError, match=r"input is over QQ\[y1,y2\], not over QQ\[y1,y2,x1,x2\]/"):
+        classical_chi(fam, on_base, RationalPoint(fam.base, (0, 0)))
 
 
 def test_chi_two_paths_agree(double_cover, line):
