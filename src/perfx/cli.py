@@ -33,7 +33,7 @@ from .geometry import (
     push,
     pushforward_projective,
 )
-from .ktheory import regression_suite, run_axiom_battery
+from .ktheory import regression_entry, run_axiom_battery
 from .maps import RingMap
 from .modules import ModulePresentation
 from .rings import Mat, PolyRing, RationalPoint
@@ -312,7 +312,9 @@ def parse_session(text):
                 )
                 seed = int(kv.get("seed", 0))
                 index = int(kv.get("index", 0))
-                entry = regression_suite(seed=seed, count=index + 1)[index]
+                if index < 0:
+                    raise ParseError(f"diagram index must be 0 or more, not {index}", line_no)
+                entry = regression_entry(seed, index)
                 session.declare("diagram", fields[1], entry, source=line)
             else:
                 raise ParseError(f"unknown declaration kind {kind!r}", line_no)

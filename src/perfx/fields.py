@@ -40,9 +40,23 @@ class Field:
         raise NotImplementedError
 
     def parse(self, text):
-        """The element an integer or a fraction a/b spells; ValueError
-        for a malformed text or a zero denominator."""
-        raise NotImplementedError
+        """The element an integer, a fraction a/b or a decimal spells,
+        read as `Fraction` reads it and mapped in by `coerce`, so every
+        field accepts the same texts.  ValueError naming the text for a
+        malformed one or a denominator that is 0 in the field."""
+        try:
+            value = Fraction(text)
+        except ValueError:
+            raise ValueError(f"not an integer, fraction or decimal: {text!r}") from None
+        except ZeroDivisionError:
+            raise ValueError(self._zero_denominator(text)) from None
+        try:
+            return self.coerce(value)
+        except ValueError:
+            raise ValueError(self._zero_denominator(text)) from None
+
+    def _zero_denominator(self, shown):
+        return f"denominator of {shown!r} is 0 in {self.name}"
 
     def random(self, rng):
         raise NotImplementedError
@@ -81,11 +95,8 @@ class RationalField(Field):
             return Fraction(c)
         raise ValueError(f"not a rational number: {c!r}")
 
-    def parse(self, text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+    def _zero_denominator(self, shown):
+        return f"zero denominator in {shown!r}"
 
     def random(self, rng):
         num = rng.randint(-5, 5)
@@ -144,19 +155,10 @@ class PrimeField(Field):
         if isinstance(c, int):
             return c % self.p
         if isinstance(c, Fraction):
-            return self._quotient(c.numerator, c.denominator, str(c))
+            if c.denominator % self.p == 0:
+                raise ValueError(self._zero_denominator(str(c)))
+            return self.div(self.from_int(c.numerator), self.from_int(c.denominator))
         raise ValueError(f"not an element of {self.name}: {c!r}")
-
-    def parse(self, text):
-        if "/" in text:
-            num, den = text.split("/")
-            return self._quotient(int(num), int(den), text)
-        return self.from_int(int(text))
-
-    def _quotient(self, num, den, shown):
-        if den % self.p == 0:
-            raise ValueError(f"denominator of {shown!r} is 0 in {self.name}")
-        return self.div(self.from_int(num), self.from_int(den))
 
     def random(self, rng):
         return rng.randrange(self.p)

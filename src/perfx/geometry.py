@@ -43,6 +43,7 @@ from .rings import (
     hilbert_numerator,
     hilbert_value,
     monomials_of_degree,
+    point_of,
     recast,
 )
 
@@ -173,7 +174,9 @@ class ProjectiveFamily:
     def fiber_ring(self, point):
         """k(y)[x]/I(y), the homogeneous coordinate ring of the fiber X_y
         over a base point y: the relations with y substituted
-        (Hartshorne III.9).  Relations that vanish at y are dropped."""
+        (Hartshorne III.9).  Relations that vanish at y are dropped; a
+        point of another ring is refused (`rings.point_of`)."""
+        point = point_of(self.base, point)
         plain = PolyRing(self.base.field, self.fiber_variables, self.base.order)
         images = [plain.const(c) for c in point.coords] + plain.gens()
         rels = [r.substitute(images, target=plain) for r in self.relations]
@@ -537,6 +540,14 @@ def pushout_ring(f, g):
     return c, to_c_from_b, to_c_from_a2
 
 
+def check_common_base_points(f, g, points):
+    """Raise unless each (point of B, point of A') pair of a square on
+    f: A -> B and g: A -> A' lies over one point of Spec A."""
+    for x_pt, s_pt in points:
+        if f.apply_point(x_pt) != g.apply_point(s_pt):
+            raise ValueError(f"points {x_pt}, {s_pt} do not lie over a common base point")
+
+
 def tor_independent(f, g, points, depth=4, test_complex=None):
     """Transversality of the square on sampled compatible point pairs.
 
@@ -548,7 +559,7 @@ def tor_independent(f, g, points, depth=4, test_complex=None):
     the base-change comparison of the two pushforwards is verified on
     fiber dimensions.
     """
-    a = f.source
+    check_common_base_points(f, g, points)
     if not g.is_module_finite():
         raise ValueError(
             "tor_independent needs the base-change leg to be module-finite "
@@ -562,8 +573,6 @@ def tor_independent(f, g, points, depth=4, test_complex=None):
     verdicts = []
     all_ok = True
     for x_pt, s_pt in points:
-        if f.apply_point(x_pt) != g.apply_point(s_pt):
-            raise ValueError(f"points {x_pt}, {s_pt} do not lie over a common base point")
         bad = {}
         for i, h in homologies.items():
             if h.ambient_rank == 0:

@@ -20,6 +20,7 @@ from .derived import is_relatively_perfect
 from .fields import GF, QQ
 from .geometry import (
     ProjectiveFamily,
+    check_common_base_points,
     derived_pullback,
     pushforward_affine,
     pushforward_projective,
@@ -205,16 +206,30 @@ def pushforward(alpha, f, g, depth=6):
 
 
 class IndependentSquare:
-    """A base-change square with its transversality evidence."""
+    """A base-change square with its transversality evidence.
 
-    __slots__ = ("f", "g", "f_prime", "g_prime", "report")
+    Construction only checks that each point pair lies over a common
+    base point.  The evidence (`tor_independent`, which also needs the
+    g leg module-finite) is computed when `report` or `independent` is
+    first read, and kept.
+    """
+
+    __slots__ = ("f", "g", "f_prime", "g_prime", "points", "_report")
 
     def __init__(self, f, g, f_prime, g_prime, points):
+        check_common_base_points(f, g, points)
         self.f = f
         self.g = g
         self.f_prime = f_prime
         self.g_prime = g_prime
-        self.report = tor_independent(f, g, points)
+        self.points = points
+        self._report = None
+
+    @property
+    def report(self):
+        if self._report is None:
+            self._report = tor_independent(self.f, self.g, self.points)
+        return self._report
 
     @property
     def independent(self):
@@ -355,116 +370,118 @@ def _random_bounded_class(ring, morphism, rng, sample_points=()):
 
 
 def regression_suite(seed=0, count=10):
-    """Fixed battery of small diagrams with finite flat double covers.
+    """The first `count` diagrams of the seeded battery (`regression_entry`)."""
+    return [regression_entry(seed, index) for index in range(count)]
 
-    Each entry: chain of scheme maps X -f-> Y -g-> Z -h-> W with f, g
+
+def regression_entry(seed, index):
+    """Diagram `index` of a fixed battery of small diagrams with finite
+    flat double covers, built from its own seeded random stream.
+
+    The entry: chain of scheme maps X -f-> Y -g-> Z -h-> W with f, g
     finite flat (adjoined square roots), classes for the axioms, five
-    sample points per ring, and an independent square for A123.
-    Alternates between QQ and GF(5) coefficients.
+    sample points per ring, and an independent square for A123 (its
+    evidence is computed when `pullback` first reads it).  Even indices
+    are over QQ, odd ones over GF(5).
     """
-    suite = []
-    for index in range(count):
-        rng = random.Random(seed * 1_000_003 + index)
-        field = QQ if index % 2 == 0 else GF(5)
-        c = rng.randint(-2, 2)
-        d = rng.randint(-2, 2)
-        w_ring = PolyRing(field, ["s"])
-        z_ring = PolyRing(field, ["t"])
-        y_ring = PolyRing(field, ["t", "u"], quotient=[f"u^2 - t - {c}".replace("- -", "+ ")])
-        x_ring = PolyRing(
-            field,
-            ["t", "u", "v"],
-            quotient=[
-                f"u^2 - t - {c}".replace("- -", "+ "),
-                f"v^2 - u - {d}".replace("- -", "+ "),
-            ],
-        )
-        h = RingMap(w_ring, z_ring, [z_ring.parse("t^2")])
-        g = RingMap(z_ring, y_ring, [y_ring.var("t")])
-        f = RingMap(y_ring, x_ring, [x_ring.var("t"), x_ring.var("u")])
+    rng = random.Random(seed * 1_000_003 + index)
+    field = QQ if index % 2 == 0 else GF(5)
+    c = rng.randint(-2, 2)
+    d = rng.randint(-2, 2)
+    w_ring = PolyRing(field, ["s"])
+    z_ring = PolyRing(field, ["t"])
+    y_ring = PolyRing(field, ["t", "u"], quotient=[f"u^2 - t - {c}".replace("- -", "+ ")])
+    x_ring = PolyRing(
+        field,
+        ["t", "u", "v"],
+        quotient=[
+            f"u^2 - t - {c}".replace("- -", "+ "),
+            f"v^2 - u - {d}".replace("- -", "+ "),
+        ],
+    )
+    h = RingMap(w_ring, z_ring, [z_ring.parse("t^2")])
+    g = RingMap(z_ring, y_ring, [y_ring.var("t")])
+    f = RingMap(y_ring, x_ring, [x_ring.var("t"), x_ring.var("u")])
 
-        # rational points: v free, u = v^2 - d, t = u^2 - c
-        x_points = []
-        vs = list(range(-3, 7))
-        rng.shuffle(vs)
-        for v in vs:
-            vv = field.from_int(v)
-            uu = field.sub(field.mul(vv, vv), field.from_int(d))
-            tt = field.sub(field.mul(uu, uu), field.from_int(c))
+    # rational points: v free, u = v^2 - d, t = u^2 - c
+    x_points = []
+    vs = list(range(-3, 7))
+    rng.shuffle(vs)
+    for v in vs:
+        vv = field.from_int(v)
+        uu = field.sub(field.mul(vv, vv), field.from_int(d))
+        tt = field.sub(field.mul(uu, uu), field.from_int(c))
+        try:
+            pt = RationalPoint(x_ring, (tt, uu, vv))
+        except ValueError:
+            continue
+        if pt not in x_points:
+            x_points.append(pt)
+        if len(x_points) == 5:
+            break
+    y_points = []
+    z_points = []
+    for pt in x_points:
+        yp = RationalPoint(y_ring, pt.coords[:2])
+        zp = RationalPoint(z_ring, pt.coords[:1])
+        if yp not in y_points:
+            y_points.append(yp)
+        if zp not in z_points:
+            z_points.append(zp)
+
+    alpha_f = _random_bounded_class(x_ring, f, rng, x_points)
+    beta_g = _random_bounded_class(y_ring, g, rng, y_points)
+    gamma_h = _random_bounded_class(z_ring, h, rng, z_points)
+    alpha_gf = _random_bounded_class(x_ring, f.compose(g), rng, x_points)
+    alpha_hgf = _random_bounded_class(x_ring, f.compose(g).compose(h), rng, x_points)
+    beta_h = _random_bounded_class(z_ring, h, rng, z_points)
+
+    # independent square for A123: base change of f along a point of Y
+    u0 = y_points[0].coords[1]
+    y_prime = y_ring.quotient_by([y_ring.var("u") - y_ring.const(u0)])
+    x_prime = x_ring.quotient_by([x_ring.var("u") - x_ring.const(u0)])
+    g_leg = RingMap(y_ring, y_prime, y_prime.gens())
+    g_prime = RingMap(x_ring, x_prime, x_prime.gens())
+    f_prime = RingMap(y_prime, x_prime, [x_prime.var("t"), x_prime.var("u")])
+    sq_points = []
+    for pt in x_points:
+        if pt.coords[1] == u0:
+            xq = RationalPoint(x_prime, pt.coords)
+            yq = RationalPoint(y_prime, pt.coords[:2])
+            sq_points.append((xq, yq))
+    if not sq_points:
+        yq = RationalPoint(y_prime, y_points[0].coords)
+        vv_candidates = [field.from_int(v) for v in range(-4, 9)]
+        for vv in vv_candidates:
             try:
-                pt = RationalPoint(x_ring, (tt, uu, vv))
+                xq = RationalPoint(x_prime, (y_points[0].coords[0], u0, vv))
             except ValueError:
                 continue
-            if pt not in x_points:
-                x_points.append(pt)
-            if len(x_points) == 5:
-                break
-        y_points = []
-        z_points = []
-        for pt in x_points:
-            yp = RationalPoint(y_ring, pt.coords[:2])
-            zp = RationalPoint(z_ring, pt.coords[:1])
-            if yp not in y_points:
-                y_points.append(yp)
-            if zp not in z_points:
-                z_points.append(zp)
+            sq_points.append((xq, yq))
+            break
+    square = IndependentSquare(f, g_leg, f_prime, g_prime, sq_points)
+    yp_points = [q for _x, q in sq_points]
+    beta_hg = _random_bounded_class(
+        y_prime, g_leg.compose(g.compose(h)), rng, yp_points
+    )
 
-        alpha_f = _random_bounded_class(x_ring, f, rng, x_points)
-        beta_g = _random_bounded_class(y_ring, g, rng, y_points)
-        gamma_h = _random_bounded_class(z_ring, h, rng, z_points)
-        alpha_gf = _random_bounded_class(x_ring, f.compose(g), rng, x_points)
-        alpha_hgf = _random_bounded_class(x_ring, f.compose(g).compose(h), rng, x_points)
-        beta_h = _random_bounded_class(z_ring, h, rng, z_points)
-
-        # independent square for A123: base change of f along a point of Y
-        u0 = y_points[0].coords[1]
-        y_prime = y_ring.quotient_by([y_ring.var("u") - y_ring.const(u0)])
-        x_prime = x_ring.quotient_by([x_ring.var("u") - x_ring.const(u0)])
-        g_leg = RingMap(y_ring, y_prime, y_prime.gens())
-        g_prime = RingMap(x_ring, x_prime, x_prime.gens())
-        f_prime = RingMap(y_prime, x_prime, [x_prime.var("t"), x_prime.var("u")])
-        sq_points = []
-        for pt in x_points:
-            if pt.coords[1] == u0:
-                xq = RationalPoint(x_prime, pt.coords)
-                yq = RationalPoint(y_prime, pt.coords[:2])
-                sq_points.append((xq, yq))
-        if not sq_points:
-            yq = RationalPoint(y_prime, y_points[0].coords)
-            vv_candidates = [field.from_int(v) for v in range(-4, 9)]
-            for vv in vv_candidates:
-                try:
-                    xq = RationalPoint(x_prime, (y_points[0].coords[0], u0, vv))
-                except ValueError:
-                    continue
-                sq_points.append((xq, yq))
-                break
-        square = IndependentSquare(f, g_leg, f_prime, g_prime, sq_points)
-        yp_points = [q for _x, q in sq_points]
-        beta_hg = _random_bounded_class(
-            y_prime, g_leg.compose(g.compose(h)), rng, yp_points
-        )
-
-        suite.append(
-            {
-                "index": index,
-                "field": field,
-                "maps": {"f": f, "g": g, "h": h},
-                "rings": {"X": x_ring, "Y": y_ring, "Z": z_ring, "W": w_ring},
-                "points": {"X": x_points, "Y": y_points, "Z": z_points},
-                "classes": {
-                    "alpha_f": alpha_f,
-                    "beta_g": beta_g,
-                    "gamma_h": gamma_h,
-                    "alpha_gf": alpha_gf,
-                    "alpha_hgf": alpha_hgf,
-                    "beta_h": beta_h,
-                    "beta_hg": beta_hg,
-                },
-                "square": square,
-            }
-        )
-    return suite
+    return {
+        "index": index,
+        "field": field,
+        "maps": {"f": f, "g": g, "h": h},
+        "rings": {"X": x_ring, "Y": y_ring, "Z": z_ring, "W": w_ring},
+        "points": {"X": x_points, "Y": y_points, "Z": z_points},
+        "classes": {
+            "alpha_f": alpha_f,
+            "beta_g": beta_g,
+            "gamma_h": gamma_h,
+            "alpha_gf": alpha_gf,
+            "alpha_hgf": alpha_hgf,
+            "beta_h": beta_h,
+            "beta_hg": beta_hg,
+        },
+        "square": square,
+    }
 
 
 # -- axiom verification -------------------------------------------------------

@@ -16,6 +16,7 @@ layout; a column becomes an engine vector, its row index the position.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from math import comb, prod
 from operator import le, mul
 
@@ -159,21 +160,35 @@ class PolyRing:
         """Quotient ideal times each basis vector, as engine vectors."""
         return [self.vector([(i, q)]) for q in self.quotient_gb for i in range(rank)]
 
+    # A ring does not change after construction, so what equality
+    # compares, its hash and its text are each computed once.
+
+    @cached_property
     def _signature(self):
         quot = tuple(tuple(sorted(q.terms.items())) for q in self.quotient_gb)
         return (self.field, self.variables, self.order, quot, self.weights)
 
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self._signature() == other._signature()
+    @cached_property
+    def _hash(self):
+        return hash(self._signature)
 
-    def __hash__(self):
-        return hash(self._signature())
-
-    def __repr__(self):
+    @cached_property
+    def _text(self):
         base = f"{self.field}[{','.join(self.variables)}]"
         if self.is_quotient:
             return base + "/(" + ", ".join(str(q) for q in self.quotient_gb) + ")"
         return base
+
+    def __eq__(self, other):
+        return other is self or (
+            isinstance(other, PolyRing) and self._signature == other._signature
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return self._text
 
     def monomials_of_degree(self, d):
         """All exponent tuples of (weighted) degree d.

@@ -346,9 +346,13 @@ module MX on X = free(1)
      "input is over QQ[t], not over QQ[y1,y2,x1,x2]/(y2*x1 - y1*x2)"),
     ("", ["chi-scan", "map=f", "sheaf=M", "points={(0)}"],
      "input is over QQ[t], not over QQ[t,x]/(x^2 - t)"),
+    # a diagram index before the first
+    ("diagram D = regression(seed=1, index=-1)", ["roundtrip"],
+     "parse error: line 14: diagram index must be 0 or more, not -1"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
+    "diagram-index--1",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
     """A zero denominator or a sheaf on the wrong ring: exit 2 with one
@@ -613,6 +617,28 @@ def test_cli_verify_axiom(tmp_path, capsys):
     )
     assert code == 0
     assert "equal_evidence" in out
+
+
+def test_cli_diagram_builds_only_its_index(tmp_path, capsys, monkeypatch):
+    """`regression(seed, index)` builds that one diagram (one square) each
+    time roundtrip parses it: the session and its printed text."""
+    import perfx.ktheory
+
+    built = []
+
+    class CountingSquare(perfx.ktheory.IndependentSquare):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(perfx.ktheory, "IndependentSquare", CountingSquare)
+    path = tmp_path / "d.pfx"
+    path.write_text("diagram D = regression(seed=0, index=40)\n")
+    code, out, _ = run_cli(capsys, "roundtrip", "--input", str(path))
+    assert (code, out) == (0, "roundtrip: True\ndeclarations: 1\n")
+    assert len(built) == 2
 
 
 def test_cli_transfer_check(tmp_path, capsys):

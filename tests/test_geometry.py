@@ -112,6 +112,23 @@ def test_field_parse_rejects_a_zero_denominator():
             GF(5).parse(text)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-3", -3), (" 7 ", 7), ("1/2", Fraction(1, 2)), ("-4/6", Fraction(-2, 3)),
+    ("0.5", Fraction(1, 2)), ("1e3", 1000), ("10/5", 2),
+    ("1/2/3", None), ("abc", None), ("", None), ("1 / 2", None), ("1/0.5", None),
+])
+def test_field_parse_reads_the_same_texts_in_every_field(field, text, value):
+    """Each field reads a text as Fraction does and maps it in; a
+    malformed text is one ValueError that names it."""
+    if value is None:
+        with pytest.raises(ValueError) as info:
+            field.parse(text)
+        assert str(info.value) == f"not an integer, fraction or decimal: {text!r}"
+    else:
+        assert field.parse(text) == field.coerce(value)
+
+
 # -- derived pullback ---------------------------------------------------------
 
 
@@ -422,6 +439,20 @@ def test_classical_chi_rejects_an_unbounded_complex():
     e = FreeComplex(fam.total, {0: 1}, {}, {0: (0,)}, tail=EXACT_BELOW)
     with pytest.raises(ValueError, match="chi needs a bounded complex"):
         classical_chi(fam, e, RationalPoint(fam.base, (0, 0)))
+
+
+def test_fiber_ring_refuses_a_point_of_another_ring():
+    """A point of QQ[t] or of QQ[a,b] is not a point of Bl0(A^2)'s base,
+    whatever its number of coordinates."""
+    fam = blowup_family(QQ, 2)
+    for point in (RationalPoint(PolyRing(QQ, ["t"]), (1,)),
+                  RationalPoint(PolyRing(QQ, ["a", "b"]), (0, 0))):
+        with pytest.raises(ValueError, match="from a different ring"):
+            fam.fiber_ring(point)
+        with pytest.raises(ValueError, match="from a different ring"):
+            classical_chi(fam, fam.twist(0), point)
+        with pytest.raises(ValueError, match="from a different ring"):
+            classical_fiber(fam, fam.twist(0), point)
 
 
 def test_classical_chi_needs_a_graded_complex():

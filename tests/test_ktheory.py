@@ -13,6 +13,7 @@ from perfx.ktheory import (
     product,
     pullback,
     pushforward,
+    regression_entry,
     regression_suite,
     run_axiom_battery,
 )
@@ -154,6 +155,73 @@ def test_regression_points_exist():
     for entry in regression_suite(seed=1, count=4):
         assert len(entry["points"]["X"]) == 5
         assert entry["square"].independent
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_regression_entry_is_the_suite_entry(seed):
+    """Each diagram comes from its own random stream, so building one
+    alone gives the same rings, points, maps and classes."""
+    suite = regression_suite(seed=seed, count=4)
+    for index, expected in enumerate(suite):
+        entry = regression_entry(seed, index)
+        assert (entry["index"], entry["field"]) == (index, expected["field"])
+        assert entry["rings"] == expected["rings"]
+        assert entry["points"] == expected["points"]
+        for name, f in entry["maps"].items():
+            assert f.images == expected["maps"][name].images
+        for name, cls in entry["classes"].items():
+            assert cls.terms == expected["classes"][name].terms
+        assert entry["square"].points == expected["square"].points
+
+
+def _count_tor_independent(monkeypatch):
+    import perfx.ktheory
+
+    calls = []
+    real = perfx.ktheory.tor_independent
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perfx.ktheory, "tor_independent", counting)
+    return calls
+
+
+def test_square_evidence_is_computed_on_first_read(monkeypatch):
+    calls = _count_tor_independent(monkeypatch)
+    suite = regression_suite(seed=0, count=4)
+    assert calls == []
+    square = suite[0]["square"]
+    assert square.independent and square.independent
+    assert len(calls) == 1
+    assert square.report["transverse"] and len(calls) == 1
+
+
+def test_square_with_points_over_different_base_points_fails_at_construction(
+    line, monkeypatch
+):
+    calls = _count_tor_independent(monkeypatch)
+    b, f, a1, b1, g_leg, g_prime, f_prime, _square = _specialization_diagram(line)
+    with pytest.raises(ValueError, match="do not lie over a common base point"):
+        IndependentSquare(
+            f, g_leg, f_prime, g_prime,
+            [(RationalPoint(b, (4, 2)), RationalPoint(a1, (1,)))],
+        )
+    assert calls == []
+
+
+def test_square_leg_finiteness_is_checked_on_first_read(line):
+    """A leg that is not module-finite is refused when the evidence is
+    read, with tor_independent's message."""
+    b = PolyRing(QQ, ["t", "x"], quotient=["t*x"])
+    f = RingMap(line, b, ["t"])
+    square = IndependentSquare(
+        RingMap.identity(line), f, RingMap.identity(b), RingMap.identity(b),
+        [(RationalPoint(line, (0,)), RationalPoint(b, (0, 1)))],
+    )
+    with pytest.raises(ValueError, match="module-finite"):
+        square.independent
 
 
 def _specialization_diagram(line):

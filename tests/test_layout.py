@@ -196,6 +196,7 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 UNREFERENCED_ALLOWED = {
     "total_rank": "perfbench's minimize counter reads it",
     "orientation_multiplicativity": "a perfbench workload checks it",
+    "regression_suite": "a perfbench workload builds its diagrams with it",
     "cyclic": "the README's library quick start builds modules with it",
     "of_complex": "K0 API: the class of a free complex",
     "negate": "K0 API: the additive inverse of a class",
