@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .complexes import FreeComplex, koszul, unit_complex
@@ -543,11 +544,7 @@ def cmd_chi_scan(session, options, args, fmt):
     usage = "chi-scan family=X|map=f|ring=A [sheaf=O(1)] points=..."
     kind, carrier = _scan_carrier(session, options, usage)
     base = carrier.base if kind == "family" else carrier.source
-    sheaf_txt = options.get("sheaf", "O(1)")
-    if isinstance(carrier, ProjectiveFamily) and sheaf_txt.startswith("O("):
-        sheaf = carrier.twist(int(sheaf_txt[2:-1]))
-    else:
-        _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
+    sheaf = _sheaf(session, kind, carrier, options.get("sheaf", "O(1)"))
     points = _points_from_arg(session, options, usage, base)
     pushed, _rep = push(carrier, sheaf)
     rows = []
@@ -570,15 +567,22 @@ def _scan_carrier(session, options, usage):
     return session.lookup(carrier_name, ("family", "map"))
 
 
+def _sheaf(session, kind, carrier, text):
+    """The sheaf a `sheaf=` option names: O(n) on a family, otherwise a
+    declared complex or module."""
+    if kind == "family" and text.startswith("O("):
+        twist = re.fullmatch(r"O\(([-+]?\d+)\)", text)
+        if twist is None:
+            raise ParseError(f"usage: sheaf=O(n): n must be an integer, got {text!r}")
+        return carrier.twist(int(twist[1]))
+    return session.lookup(text, ("complex", "module"))[1]
+
+
 def _scan_inputs(session, options, usage):
     """(carrier, sheaf, p, points) of an hp-scan or grauert command."""
     kind, carrier = _scan_carrier(session, options, usage)
     base = carrier.base if kind == "family" else carrier.source
-    sheaf_txt = _required(options, usage, "sheaf", "module")
-    if kind == "family" and sheaf_txt.startswith("O("):
-        sheaf = carrier.twist(int(sheaf_txt[2:-1]))
-    else:
-        _, sheaf = session.lookup(sheaf_txt, ("complex", "module"))
+    sheaf = _sheaf(session, kind, carrier, _required(options, usage, "sheaf", "module"))
     p_txt = options.get("p", "0")
     try:
         p = int(p_txt)

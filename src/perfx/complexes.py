@@ -44,7 +44,7 @@ def check_total_rank(ranks):
 
 
 class FreeComplex:
-    __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "degrees", "tail")
+    __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "degrees", "tail", "_fiber_ranks")
 
     def __init__(self, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW):
         self._init(ring, ranks, diffs, degrees, tail)
@@ -79,6 +79,7 @@ class FreeComplex:
             if set(self.degrees) != set(self.ranks):
                 raise ValueError("graded complex needs degrees for every term")
         self.tail = tail
+        self._fiber_ranks = None  # {point: {i: rank}}, made by the first fiber_ranks
 
     def _validate(self):
         for i, m in self.diffs.items():
@@ -178,36 +179,45 @@ class FreeComplex:
 
         return homology_data(self, i)[2]
 
-    def fiber_ranks(self, point, lo, hi):
-        """Exact ranks of the differentials d^lo .. d^hi evaluated at a
-        point, as {i: rank}.
+    def fiber_ranks(self, point):
+        """Exact ranks of the differentials evaluated at a point, as
+        {i: rank of d^i}; a degree without a differential is absent, and
+        its rank is 0.  A point of another ring, or off the ring's locus,
+        raises ValueError (`rings.point_of`).
 
-        Every differential is evaluated modulo a prime (see
-        linalg.complex_ranks).  Over QQ, d^(lo-1) and d^(hi+1) are
-        evaluated and ranked too: their modular ranks bound the window's
-        ranks from above, so the window is rarely evaluated over the
-        rationals.  Over GF(p) every rank is exact as it is.
+        Every differential is ranked modulo a prime, and d o d = 0
+        certifies what it can across the whole complex (see
+        linalg.complex_ranks); over QQ only the rest are evaluated
+        exactly.  The ranks are kept on the complex, one table per
+        point: a complex never changes once built, and a rank at a point
+        depends on nothing else.
         """
-        field = self.ring.field
-        pad = 0 if field.char else 1
-        p = linalg.modulus(field)
-        residues = {i: self.diff(i).residues(point, p) for i in range(lo - pad, hi + 1 + pad)}
-        return linalg.complex_ranks(
-            residues, lambda i: self.diff(i).evaluate(point), self.ranks, field)
+        point = rings.point_of(self.ring, point)
+        if self._fiber_ranks is None:
+            self._fiber_ranks = {}
+        ranks = self._fiber_ranks.get(point)
+        if ranks is None:
+            field = self.ring.field
+            p = linalg.modulus(field)
+            residues = {i: m.residues(point, p) for i, m in self.diffs.items()}
+            ranks = self._fiber_ranks[point] = linalg.complex_ranks(
+                residues, lambda i: self.diffs[i].evaluate(point), self.ranks, field)
+        return dict(ranks)
 
     def fiber_dims(self, point, lo=None, hi=None):
         """Homology dimensions of the complex evaluated at a point.
 
         Returns {degree: dim over kappa(point)} on the trustworthy
-        window (degrees >= homology floor).
+        window (degrees >= homology floor), read from `fiber_ranks`.
         """
+        point = rings.point_of(self.ring, point)
         floor = self.homology_floor()
         lo = floor if lo is None else max(lo, floor)
         hi = self.hi if hi is None else hi
         if lo > hi:
             return {}
-        ranks = self.fiber_ranks(point, lo - 1, hi)
-        return {i: self.rank(i) - ranks[i] - ranks[i - 1] for i in range(lo, hi + 1)}
+        ranks = self.fiber_ranks(point)
+        return {i: self.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(lo, hi + 1)}
 
     def generic_dim(self, probe, i):
         """(h^i over the fraction field of the ring, certified).

@@ -95,8 +95,8 @@ def ext_to_point(module, point, depth):
     """
     resolution = free_resolution(module, depth + 3)
     d = hom_complex(resolution, unit_complex(resolution.ring))
-    ranks = d.fiber_ranks(point, -1, depth)
-    return [d.rank(i) - ranks[i] - ranks[i - 1] for i in range(depth + 1)]
+    ranks = d.fiber_ranks(point)
+    return [d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(depth + 1)]
 
 
 # -- local cohomology tower -----------------------------------------------
@@ -532,7 +532,7 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
             return tor_dims.get(degree, 0)
     elif criterion == "ext":
         d = hom_complex(resolution, unit_complex(ring))
-        ranks = d.fiber_ranks(point, d.lo, d.hi)
+        ranks = d.fiber_ranks(point)
         def probe(degree):
             i = -degree  # dim H^{-j}(Hom(V)) = dim H^{j}(V) for field coefficients
             return d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)

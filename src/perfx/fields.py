@@ -7,7 +7,12 @@ division by a nonzero element always succeeds.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+
+# The exponent of a decimal such as 1e-5, as Fraction reads it.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class Field:
@@ -43,7 +48,18 @@ class Field:
         """The element an integer, a fraction a/b or a decimal spells,
         read as `Fraction` reads it and mapped in by `coerce`, so every
         field accepts the same texts.  ValueError naming the text for a
-        malformed one or a denominator that is 0 in the field."""
+        malformed one or a denominator that is 0 in the field.
+
+        A decimal exponent may be at most the interpreter's limit on the
+        digits of an int (`sys.get_int_max_str_digits`, the default limit
+        if that is off) in magnitude, as the digits of a mantissa are:
+        Fraction would build 10^exponent in full.  ValueError naming the
+        text otherwise."""
+        if m := _EXPONENT.search(text):
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+                raise ValueError(f"decimal exponent of {text!r} is past {limit} in magnitude")
         try:
             value = Fraction(text)
         except ValueError:

@@ -486,9 +486,9 @@ def grauert_check(f_or_fam, e, p, points, reduced=True):
     rank_p = {}
     rank_prev = {}
     for y in points:
-        ranks = pushed.fiber_ranks(y, p - 1, p)
-        values[y] = pushed.rank(p) - ranks[p] - ranks[p - 1] if in_window else 0
-        rank_p[y], rank_prev[y] = ranks[p], ranks[p - 1]
+        ranks = pushed.fiber_ranks(y)
+        rank_p[y], rank_prev[y] = ranks.get(p, 0), ranks.get(p - 1, 0)
+        values[y] = pushed.rank(p) - rank_p[y] - rank_prev[y] if in_window else 0
     vals = set(values.values())
     if len(vals) > 1:
         breakers = sorted(

@@ -349,14 +349,25 @@ module MX on X = free(1)
     # a diagram index before the first
     ("diagram D = regression(seed=1, index=-1)", ["roundtrip"],
      "parse error: line 14: diagram index must be 0 or more, not -1"),
+    # a twist that is not an integer
+    ("", ["chi-scan", "family=X", "sheaf=O(x)", "points={(0,0)}"],
+     "usage: sheaf=O(n): n must be an integer, got 'O(x)'"),
+    ("", ["hp-scan", "family=X", "sheaf=O(1", "points={(0,0)}"],
+     "usage: sheaf=O(n): n must be an integer, got 'O(1'"),
+    ("", ["grauert", "family=X", "sheaf=O()", "points={(0,0)}"],
+     "usage: sheaf=O(n): n must be an integer, got 'O()'"),
+    # a decimal exponent past the int-string limit
+    ("point z on A = (1e999999999)", ["roundtrip"],
+     "parse error: line 14: decimal exponent of '1e999999999' is past 4300"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
-    "diagram-index--1",
+    "diagram-index--1", "chi-scan-O(x)", "hp-scan-O(1", "grauert-O()", "session-1e999999999",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
-    """A zero denominator or a sheaf on the wrong ring: exit 2 with one
-    `perfx:` line, never an internal error."""
+    """A zero denominator, a sheaf on the wrong ring, a twist that is not
+    an integer or an outsized exponent: exit 2 with one `perfx:` line,
+    never an internal error."""
     path = tmp_path / "s.pfx"
     path.write_text(BAD_INPUT_SESSION + extra)
     code, out, err = run_cli(capsys, *tokens, "--input", str(path))

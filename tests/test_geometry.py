@@ -129,6 +129,16 @@ def test_field_parse_reads_the_same_texts_in_every_field(field, text, value):
         assert field.parse(text) == field.coerce(value)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_field_parse_bounds_the_decimal_exponent(field):
+    """A decimal exponent up to the int-string limit (4300 digits) in
+    magnitude parses; a larger one raises before 10^exponent is built."""
+    assert field.parse("1e4300") == field.coerce(10**4300)
+    for text in ("1e4301", "1e-5000", "1e999999999"):
+        with pytest.raises(ValueError, match=f"decimal exponent of '{text}' is past 4300"):
+            field.parse(text)
+
+
 # -- derived pullback ---------------------------------------------------------
 
 
@@ -591,6 +601,106 @@ def test_generic_value_under_lex_is_certified():
     result = hp_scan(RingMap.identity(ring), c, 0, base_points(ring, [(0, 0), (1, 0)]))
     assert (result["generic_value"], result["generic_certified"]) == (1, True)
     assert result["audit_pass"]
+
+
+# -- the fiber rank table ----------------------------------------------------------
+
+
+def blowup_pushforward(field, n):
+    fam = blowup_family(field, n)
+    return fam, pushforward_projective(fam, fam.twist(1), minimal=False)[0]
+
+
+def table_case(name):
+    """(complex, points) for the fiber rank oracle."""
+    if name.startswith("blowup"):
+        _, field, n = name.split("-")
+        _fam, c = blowup_pushforward(QQ if field == "QQ" else GF(32003), int(n))
+        points = [(0,) * c.ring.nvars, (1,) + (0,) * (c.ring.nvars - 1),
+                  tuple(QQ.parse(f"{10**5 + 7 * i}/{89 + i}") for i in range(c.ring.nvars))]
+        if field == "QQ":  # CERT_PRIME divides a denominator: no residues
+            points.append((Fraction(1, linalg.CERT_PRIME),) + (0,) * (c.ring.nvars - 1))
+        return c, points
+    if name == "quotient":
+        ring = PolyRing(QQ, ["t", "x"], quotient=["x^2 - t*x"])
+        c = free_resolution(ModulePresentation.cyclic(ring, ["x"]), 4)
+        return c, [(0, 0), (1, 1), (Fraction(-4, 3), 0)]
+    _fam, c = blowup_pushforward(QQ, 2)
+    return resolutions.truncate_below(c, c.lo + 1), [(0, 0), (2, 3)]
+
+
+@pytest.mark.parametrize("name", [
+    "blowup-QQ-2", "blowup-QQ-3", "blowup-GF-2", "blowup-GF-3", "quotient", "truncated",
+])
+def test_fiber_ranks_match_the_rank_of_each_evaluated_differential(name):
+    """Every rank in the table is the rank of the differential evaluated
+    at the point, over a quotient ring and below an exact tail too."""
+    c, points = table_case(name)
+    assert (c.ring.is_quotient, c.tail != complexes.ZERO_BELOW) == (
+        name == "quotient", name in ("quotient", "truncated"))
+    for point in points:
+        ranks = c.fiber_ranks(point)
+        assert set(ranks) <= set(c.diffs)
+        for i in range(c.lo - 1, c.hi + 1):
+            rows = c.diff(i).evaluate(RationalPoint(c.ring, point))
+            assert ranks.get(i, 0) == linalg.rank(rows, c.ring.field), (point, i)
+
+
+def test_fiber_ranks_refuse_a_point_of_another_ring():
+    """Bl0(A^2)'s pushforward lives on QQ[y1,y2]: a point of QQ[t] or of
+    QQ[a,b,c], or one coordinate, is refused by every fiber rank."""
+    _fam, pushed = blowup_pushforward(QQ, 2)
+    for point, message in [
+        (RationalPoint(PolyRing(QQ, ["t"]), (1,)), "from a different ring"),
+        (RationalPoint(PolyRing(QQ, ["a", "b", "c"]), (0, 0, 0)), "from a different ring"),
+        ((1,), "expected 2 coordinates, got 1"),
+    ]:
+        for read in (pushed.fiber_dims, pushed.fiber_ranks):
+            with pytest.raises(ValueError, match=message):
+                read(point)
+    assert pushed._fiber_ranks is None
+
+
+@pytest.fixture
+def residue_calls(monkeypatch):
+    """The (matrix, point) of every Mat.residues call."""
+    calls = []
+    real = Mat.residues
+
+    def counted(self, point, p):
+        calls.append((self, point))
+        return real(self, point, p)
+
+    monkeypatch.setattr(Mat, "residues", counted)
+    return calls
+
+
+def test_fiber_dims_and_scan_rank_each_differential_once_per_point(residue_calls):
+    """A fiber table, a window of it and a scan at the same point take
+    one residue matrix per differential there; the scan's probe is ranked
+    apart and never enters the table."""
+    fam, pushed = blowup_pushforward(QQ, 3)
+    point = RationalPoint(fam.base, (Fraction(123457, 89), Fraction(-98761, 3), 5))
+    assert pushed.fiber_dims(point) == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+    assert pushed.fiber_dims(point, lo=0, hi=0) == {0: 1}
+    scan = hp_scan(fam, None, 0, [point], pushed=pushed)
+    assert scan["values"] == [(point, 1)] and scan["audit_pass"]
+    at_point = [mat for mat, q in residue_calls if q == point]
+    assert len(at_point) == len(pushed.diffs) == 5
+    assert {id(mat) for mat in at_point} == {id(m) for m in pushed.diffs.values()}
+    assert list(pushed._fiber_ranks) == [point]
+
+
+def test_a_coordinate_tuple_and_its_point_share_one_table_entry(residue_calls):
+    _fam, pushed = blowup_pushforward(QQ, 2)
+    assert pushed._fiber_ranks is None
+    assert pushed.fiber_euler_characteristic((1, 0)) == 1
+    assert pushed._fiber_ranks is None  # chi reads only the term ranks
+    ranks = pushed.fiber_ranks((1, 0))
+    calls = len(residue_calls)
+    assert pushed.fiber_ranks(RationalPoint(pushed.ring, (1, 0))) == ranks
+    assert len(residue_calls) == calls == len(pushed.diffs)
+    assert list(pushed._fiber_ranks) == [RationalPoint(pushed.ring, (1, 0))]
 
 
 def gb_rank(mat):
