@@ -174,7 +174,9 @@ class FreeComplex:
     # -- homology and fibers ----------------------------------------------
 
     def homology(self, i):
-        """H^i as a ModulePresentation (quotient-ring aware)."""
+        """H^i as a ModulePresentation (quotient-ring aware).  Its
+        relations are a generating set of the relation module; `reduced()`
+        gives its reduced Gröbner basis."""
         from .resolutions import homology_data
 
         return homology_data(self, i)[2]

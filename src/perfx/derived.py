@@ -736,6 +736,7 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
         for i, h in sorted(homologies.items()):
             if h.ambient_rank == 0 or h.is_zero():
                 continue
+            h = h.reduced()  # the certificate resolves the relations it is given
             cert = is_perfect_at(h, x, max_depth)
             tower = tor_profile(h, x, max_depth)
             entry["homology"][i] = {"certificate": cert, "tor_tower": tower}

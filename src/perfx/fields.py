@@ -53,8 +53,11 @@ class Field:
         A decimal exponent may be at most the interpreter's limit on the
         digits of an int (`sys.get_int_max_str_digits`, the default limit
         if that is off) in magnitude, as the digits of a mantissa are:
-        Fraction would build 10^exponent in full.  ValueError naming the
-        text otherwise."""
+        Fraction would build 10^exponent in full.  The numerator and the
+        denominator of the value a decimal with an exponent spells must
+        also keep within that limit, so that the value can be printed.
+        ValueError naming the text otherwise."""
+        limit = None
         if m := _EXPONENT.search(text):
             limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
             digits = m.group(1).replace("_", "").lstrip("0")
@@ -66,6 +69,9 @@ class Field:
             raise ValueError(f"not an integer, fraction or decimal: {text!r}") from None
         except ZeroDivisionError:
             raise ValueError(self._zero_denominator(text)) from None
+        if limit is not None and max(abs(value.numerator), value.denominator) >= 10**limit:
+            raise ValueError(f"{text!r} has a numerator or denominator of more than "
+                             f"{limit} digits")
         try:
             return self.coerce(value)
         except ValueError:

@@ -17,10 +17,12 @@ Inside `buchberger` and `interreduce` the vectors over QQ are primitive
 integer vectors: an S-pair scales each tail by the cofactor of the other
 leading coefficient, a reduction step scales the work vector by an
 integer instead of dividing by a leading coefficient, and a remainder
-loses its content when it joins the basis.  `interreduce` returns monic
-Fraction vectors, and `reduce_vector` returns exact normal forms, so the
-reduced basis (which is unique) and every normal form are the same as
-with Fraction arithmetic throughout.
+loses its content when it joins the basis.  `_reduce` is the one
+reduction: it returns an integer remainder and the integer it was scaled
+by, and those callers keep the integers.  `interreduce` returns monic
+Fraction vectors, and `reduce_vector` divides by the scale to return
+exact normal forms, so the reduced basis (which is unique) and every
+normal form are the same as with Fraction arithmetic throughout.
 
 A `_Basis` holds the reduction data of a list of vectors and is built
 once by whoever owns the list; `reduce_vector` takes normal forms
@@ -39,6 +41,12 @@ off the basis elements supported entirely in the trailing block.  Only
 those are interreduced: every term of such an element lies in the
 trailing block, so reducing it against the rest of the basis changes
 nothing.
+When the generators already form a Gröbner basis, `schreyer_relations`
+needs no new one.  Tagged the same way, they are one `_Basis`, and the
+tag parts of remainders are relations: the S-vector of each pair with
+one leading position gives a Schreyer syzygy, and these generate all
+syzygies (Schreyer's theorem; La Scala & Stillman, JSC 1998), while
+each vector to work modulo gives its lift.
 `ModuleGB` answers membership and normal forms from the plain
 term-over-position basis of the generators and builds the tagged basis
 only when `lift` first needs it.
@@ -125,8 +133,9 @@ class _Basis:
         return idx
 
 
-def reduce_vector(vec, basis):
-    """Full normal form of vec against basis; deterministic.
+def _reduce(vec, basis):
+    """Full normal form of vec against basis, as (remainder, scale);
+    deterministic.
 
     Terms are taken largest first from a heap of negated terms.  A term
     that cancels leaves its heap entry behind, and that stale entry is
@@ -137,8 +146,9 @@ def reduce_vector(vec, basis):
     Against an element with leading coefficient lc != 1 (an integral
     basis over QQ), the step for a term with coefficient c is
     w <- (lc/g)·w - (c/g)·x^s·tail with g = gcd(lc, c): the remainder
-    collected so far is scaled with w.  The scales multiply to M, and the
-    remainder is divided by M at the end, so the result is exact.  A
+    collected so far is scaled with w.  `scale` is the product of those
+    scales, so the normal form is remainder / scale; it is 1 over GF(p),
+    and the remainder of an integer vector is an integer vector.  A
     term whose packed fields left the cap raises ValueError.
     """
     p = basis.field.char
@@ -188,6 +198,13 @@ def reduce_vector(vec, basis):
                 work[t] = new
             else:
                 del work[t]
+    return remainder, scale
+
+
+def reduce_vector(vec, basis):
+    """Full normal form of vec against basis: `_reduce`'s remainder
+    divided by its scale, so the result is exact."""
+    remainder, scale = _reduce(vec, basis)
     if scale != 1:
         return {t: Fraction(c, scale) for t, c in remainder.items()}
     return remainder
@@ -252,7 +269,7 @@ def buchberger(gens, field, order, drop_below=0):
         sugar, lcm_term, i, j = heapq.heappop(heap)
         if pending[lcm_term & posmask].pop((i, j), None) is None:
             continue
-        r = reduce_vector(_spair(basis, i, j, lcm_term), basis)
+        r = _reduce(_spair(basis, i, j, lcm_term), basis)[0]
         if r:
             pairs.add(r, next(iter(r)), sugar)
     kept = [
@@ -387,9 +404,9 @@ def interreduce(elements, field, order):
     out = []
     for lt, lc, tail in zip(basis.lts, basis.lcs, basis.tails):
         vec = {lt: field.one}
-        nf = reduce_vector(tail, basis)
+        nf, scale = _reduce(tail, basis)
         if basis.integral:
-            nf = {t: Fraction(c, lc) for t, c in nf.items()}
+            nf = {t: Fraction(c, lc * scale) for t, c in nf.items()}
         vec.update(nf)
         out.append(vec)
     return out
@@ -422,6 +439,65 @@ def syzygy_basis(gens, rank, field, order, extra=()):
     tagged = _tagged(gens, rank, order, field, extra)
     gb = buchberger(tagged, field, eliminate, drop_below=rank)
     return [order.repack(g, eliminate, -rank) for g in gb]
+
+
+def schreyer_relations(gens, rank, field, order, modulo=(), extra=()):
+    """Generators of the relations of gens inside R^rank modulo the span
+    of `modulo` and `extra`, with no new Gröbner basis.
+
+    gens (nonzero) and `extra` must together be a Gröbner basis of the
+    submodule they span under `order`, and every `modulo` vector must lie
+    in that submodule.  Each generator is tagged with e_(rank + j) in one
+    basis, and the tag part of a remainder against it is a relation:
+
+    - each modulo vector reduces to a relation that lifts it;
+    - for each pair of basis elements with one leading position, their
+      S-vector reduces to a Schreyer syzygy, and these syzygies of gens
+      and extra, cut to the tags, generate the relations of gens modulo
+      extra (Schreyer's theorem, as in La Scala & Stillman, JSC 1998).
+
+    A pair whose lcm is divisible by a third leading monomial, with both
+    of its pairs' lcms proper divisors, is skipped: its syzygy is a
+    combination of theirs (Buchberger's chain criterion).  The product
+    criterion skips nothing: its Koszul syzygies are relations too.
+    A remainder with a term in R^rank raises ValueError, so neither an
+    input that is not a Gröbner basis nor a modulo vector outside its
+    span gives an answer.  The result is a list of nonzero vectors of
+    `order` in R^len(gens): a generating set, not a reduced basis.
+    """
+    if not all(gens):
+        raise ValueError("a generator is zero")
+    eliminate = order.elimination(rank)
+    basis = _Basis(field, eliminate, _tagged(gens, rank, order, field, extra), integral=True)
+    posmask, divmask = eliminate.posmask, eliminate.divmask
+    lts = basis.lts
+    vecs = [eliminate.repack(b, order) for b in modulo if b]
+    if basis.integral:
+        vecs = [_primitive(b, max(b)) for b in vecs]
+    for pos, idxs in basis.by_pos.items():
+        base, monos = eliminate.base(pos), {i: eliminate.unpack(lts[i])[1] for i in idxs}
+        lcms = {
+            (i, j): base + eliminate.monomial(tuple(map(max, monos[i], monos[j])))
+            for a, i in enumerate(idxs) for j in idxs[a + 1:]
+        }
+        for (i, j), l in lcms.items():
+            if not any(
+                k != i and k != j and not (l - lts[k]) & divmask
+                and lcms[min(i, k), max(i, k)] != l and lcms[min(j, k), max(j, k)] != l
+                for k in idxs
+            ):
+                vecs.append(_spair(basis, i, j, l))
+    relations = []
+    for vec in vecs:
+        remainder, scale = _reduce(vec, basis)
+        if any(t & posmask < rank for t in remainder):
+            raise ValueError("a remainder leaves the tags: the generators are not a "
+                             "Gröbner basis, or a modulo vector is outside their span")
+        if basis.integral:
+            remainder = {t: Fraction(c, scale) for t, c in remainder.items()}
+        if remainder:
+            relations.append(order.repack(remainder, eliminate, -rank))
+    return relations
 
 
 class ModuleGB:

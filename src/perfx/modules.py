@@ -73,6 +73,15 @@ class ModulePresentation:
             self._gb = MatrixGB(self.relations)
         return self._gb
 
+    def reduced(self):
+        """The same module presented by the reduced Gröbner basis of its
+        relations (`MatrixGB.reduced_basis`), which depends only on the
+        relation module, not on the generating set given.  Built from
+        `gb`, so a presentation whose `gb` is already built pays no new
+        Gröbner basis."""
+        relations = self.gb.reduced_basis()
+        return ModulePresentation(self.ring, self.ambient_rank, relations, self.degrees)
+
     def is_zero(self):
         if self.ambient_rank == 0:
             return True

@@ -24,7 +24,7 @@ from .complexes import (
     tensor,
 )
 from .modules import ModulePresentation, _column_degrees, prune_redundant_columns
-from .rings import Mat, MatrixGB, syzygy_matrix
+from .rings import Mat, MatrixGB, relations_modulo, syzygy_matrix
 
 
 class FPComplex:
@@ -191,6 +191,13 @@ def homology_data(obj, i):
     generate the cycles, and the boundaries' columns (the incoming
     differential followed by the term's relations) span what counts as
     zero there.  Induced-map computations on towers consume them.
+
+    At a top degree, where d_i has no rows, the kernel is the identity
+    and the relations are the nonzero boundaries.  Elsewhere the kernel
+    is the reduced Gröbner basis `syzygy_matrix` returns, and the
+    relations are read off it by `relations_modulo`.  Either way they
+    are a generating set of the relation module, not its reduced basis;
+    `ModulePresentation.reduced()` gives that.
     """
     ring = obj.ring
     if isinstance(obj, FreeComplex):
@@ -215,11 +222,12 @@ def homology_data(obj, i):
         return z, z, zero_h
     if d_i.nrows == 0:
         kernel = Mat.identity(ring, g)
+        relations = boundaries.drop_zero_columns()
     else:
         kernel = syzygy_matrix(d_i, modulo=up_rel)
-    if kernel.ncols == 0:
-        return kernel, boundaries, zero_h
-    relations = syzygy_matrix(kernel, modulo=boundaries)
+        if kernel.ncols == 0:
+            return kernel, boundaries, zero_h
+        relations = relations_modulo(kernel, boundaries)
     degrees = None
     if term_degs is not None:
         degrees = _column_degrees(kernel, term_degs)

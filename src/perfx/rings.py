@@ -1022,6 +1022,14 @@ class MatrixGB:
         """Leading (position, monomial) pairs of the module GB."""
         return self._gb.leading_terms()
 
+    def reduced_basis(self):
+        """The reduced Gröbner basis of the column span and the quotient
+        block as a matrix, each entry reduced modulo the quotient and the
+        zero columns dropped: one matrix for every generating set of the
+        same span."""
+        basis = Mat.from_column_vecs(self.ring, self._gb.plain_gb, self.mat.nrows)
+        return basis.drop_zero_columns()
+
 
 def syzygy_matrix(mat, modulo=None):
     """Matrix whose columns generate {x : mat·x ∈ span(modulo) + quotient}.
@@ -1037,3 +1045,23 @@ def syzygy_matrix(mat, modulo=None):
         extra = modulo.column_vecs() + extra
     syz = gb.syzygy_basis(mat.column_vecs(), mat.nrows, ring.field, ring.module_order, extra=extra)
     return Mat.from_column_vecs(ring, syz, mat.ncols).drop_zero_columns()
+
+
+def relations_modulo(mat, modulo):
+    """Matrix whose columns generate {x : mat·x ∈ span(modulo) + quotient},
+    read off mat's columns (`groebner.schreyer_relations`) with no new
+    Gröbner basis.
+
+    mat's columns with the quotient block must be a Gröbner basis of the
+    ring's module order, as `syzygy_matrix`'s columns are, and each column
+    of modulo must lie in their span; ValueError otherwise.  The columns
+    are a generating set, where `syzygy_matrix` gives the reduced basis.
+    """
+    ring = mat.ring
+    if modulo.nrows != mat.nrows:
+        raise ValueError("row mismatch")
+    rel = gb.schreyer_relations(
+        mat.column_vecs(), mat.nrows, ring.field, ring.module_order,
+        modulo=modulo.column_vecs(), extra=ring.quotient_extra_vectors(mat.nrows),
+    )
+    return Mat.from_column_vecs(ring, rel, mat.ncols).drop_zero_columns()

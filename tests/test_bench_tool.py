@@ -2,6 +2,8 @@
 its exit codes, with no benchmark run."""
 
 import importlib.util
+import json
+import platform
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,7 @@ def test_a_failed_run_exits_1_and_removes_the_trees(monkeypatch, tmp_path, capsy
 
     class Verified:
         returncode = 0
+        stdout = "0" * 40 + "\n"
 
     def export(rev, dest):
         Path(dest).mkdir(parents=True)
@@ -90,3 +93,50 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
     results = bench.measure({"parent": "P", "change": "C"}, "fiber-scan", 7, 15, 3)
     assert order == ["P", "C", "C", "P", "P", "C"]
     assert [r["tree"] for r in results["parent"]] == ["P"] * 3
+
+
+def test_json_records_every_comparison(monkeypatch, tmp_path):
+    """--json on fixed numbers: exporting and running are stubbed, and each
+    side's runs read wall_s from PARENT and from the change's list."""
+    change = [0.29, 0.30, 0.28, 0.31, 0.29, 0.47, 0.30, 0.29, 0.28, 0.30]
+    values = {"parent": iter(PARENT), "change": iter(change)}
+    revs = iter(["a" * 40, "b" * 40])
+
+    class Verified:
+        returncode = 0
+
+        def __init__(self):
+            self.stdout = next(revs) + "\n"
+
+    def run_once(tree, workload, seed, seconds):
+        wall = next(values[Path(tree).name])
+        return {"metrics": {m["name"]: {"value": wall if m["name"] == "wall_s" else 1.0}
+                            for m in bench_metrics()}}
+
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: Verified())
+    monkeypatch.setattr(bench.tempfile, "mkdtemp", lambda prefix: str(tmp_path / "t"))
+    monkeypatch.setattr(bench, "export", lambda rev, dest: Path(dest).mkdir(parents=True))
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--against", "HEAD~1", "--workload", "fiber-scan", "--seed", "7", "--json", str(out)]
+    assert bench.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["parent"], doc["change"], doc["pairs"]) == ("a" * 40, "b" * 40, 10)
+    assert doc["python"] == platform.python_version()
+    metrics = doc["workloads"]["fiber-scan"]["7"]
+    assert set(metrics) == {m["name"] for m in bench_metrics()}
+    wall = metrics["wall_s"]
+    assert (wall["unit"], wall["better"], wall["bound"]) == ("s", "lower", 0.25)
+    assert wall["parent"] == pytest.approx([0.4625, 0.47, 0.48])
+    assert wall["change"][1] == pytest.approx(0.295)
+    assert wall["delta_pct"] == pytest.approx(-37.234, abs=1e-3)
+    assert (wall["wins"], wall["pairs"]) == (9, 10)
+    assert wall["parent_iqr"] == pytest.approx(0.0175)
+    assert wall["within_bound"] and wall["gain"]
+    flat = metrics["setup_s"]
+    assert (flat["wins"], flat["delta_pct"], flat["gain"]) == (0, 0.0, False)
+    assert flat["within_bound"]
+
+
+def bench_metrics():
+    return json.loads(Path(bench.BENCHMARK).read_text())["end_to_end"]

@@ -359,10 +359,16 @@ module MX on X = free(1)
     # a decimal exponent past the int-string limit
     ("point z on A = (1e999999999)", ["roundtrip"],
      "parse error: line 14: decimal exponent of '1e999999999' is past 4300"),
+    # a value whose numerator would pass the int-string limit
+    ("point z on A = (1e4300)", ["roundtrip"],
+     "parse error: line 14: '1e4300' has a numerator or denominator of more than 4300 digits"),
+    ("point z on A = (12345e4299)", ["roundtrip"],
+     "parse error: line 14: '12345e4299' has a numerator or denominator of more than 4300"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
     "diagram-index--1", "chi-scan-O(x)", "hp-scan-O(1", "grauert-O()", "session-1e999999999",
+    "session-1e4300", "session-12345e4299",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
     """A zero denominator, a sheaf on the wrong ring, a twist that is not

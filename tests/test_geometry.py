@@ -132,10 +132,17 @@ def test_field_parse_reads_the_same_texts_in_every_field(field, text, value):
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
 def test_field_parse_bounds_the_decimal_exponent(field):
     """A decimal exponent up to the int-string limit (4300 digits) in
-    magnitude parses; a larger one raises before 10^exponent is built."""
-    assert field.parse("1e4300") == field.coerce(10**4300)
+    magnitude parses; a larger one raises before 10^exponent is built.
+    So does a value whose numerator or denominator has more digits than
+    the limit, which could not be printed."""
+    assert field.parse("1e4299") == field.coerce(10**4299)
+    assert field.parse("1.0000e4299") == field.coerce(10**4299)
     for text in ("1e4301", "1e-5000", "1e999999999"):
         with pytest.raises(ValueError, match=f"decimal exponent of '{text}' is past 4300"):
+            field.parse(text)
+    for text in ("1e4300", "12345e4299", "1e-4300"):
+        with pytest.raises(ValueError, match=f"'{text}' has a numerator or denominator of more "
+                                             "than 4300 digits"):
             field.parse(text)
 
 

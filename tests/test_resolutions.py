@@ -1,10 +1,13 @@
 """Resolutions, free replacements, derived tensor and truncation."""
 
+import random
+
 import pytest
 
-from perfx import geometry, groebner
-from perfx.fields import QQ
+from perfx import derived, geometry, groebner, resolutions
+from perfx.fields import GF, QQ
 from perfx.complexes import koszul, koszul_resolution_of_point
+from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import (
     FPComplex,
@@ -16,7 +19,7 @@ from perfx.resolutions import (
     module_tensor_complex,
     truncate_le,
 )
-from perfx.rings import Mat, PolyRing, RationalPoint
+from perfx.rings import Mat, PolyRing, RationalPoint, relations_modulo, syzygy_matrix
 
 
 @pytest.fixture
@@ -195,21 +198,27 @@ def syzygy_calls(monkeypatch):
     return calls
 
 
-def test_homology_data_tags_only_kernel_and_cycles(rxy, syzygy_calls):
-    """The kernel takes the next term's relations, and the relations of H^i
-    the boundaries, as untagged vectors."""
+def test_homology_data_tags_only_the_kernel(rxy, syzygy_calls):
+    """A top degree takes no syzygy_basis call; every other degree takes
+    one, for the kernel, with the next term's relations untagged.  So the
+    boundaries never reach syzygy_basis: the relations of H^i are read
+    off the kernel's basis."""
     module = ModulePresentation(rxy, 2, Mat(rxy, [["x", "y", "0"], ["0", "x", "y^2"]]))
     origin = RationalPoint(rxy, (0, 0))
     fpc = module_tensor_complex(module, koszul_resolution_of_point(rxy, origin))
+    tops = 0
     for i in (0, -1, -2):
         syzygy_calls.clear()
         kernel, boundaries, _pres = homology_data(fpc, i)
         assert kernel.ncols and boundaries.ncols
-        want = [(kernel.column_vecs(), boundaries.column_vecs())]
         d_i = fpc.map(i)
         if d_i.nrows:
-            want.insert(0, (d_i.column_vecs(), fpc.term(i + 1).relations.column_vecs()))
+            want = [(d_i.column_vecs(), fpc.term(i + 1).relations.column_vecs())]
+        else:
+            want = []
+            tops += 1
         assert syzygy_calls == want
+    assert tops == 1
 
 
 def test_free_replacement_keeps_relations_untagged(syzygy_calls):
@@ -223,3 +232,100 @@ def test_free_replacement_keeps_relations_untagged(syzygy_calls):
     assert [(len(gens), len(extra)) for gens, extra in syzygy_calls] == [(1, 1), (1, 0)]
     assert syzygy_calls[0][1] == relations
     assert not any(v in gens for v in relations for gens, _extra in syzygy_calls)
+
+
+# -- the relations of H^i against the tagged route ------------------------------
+
+ORACLE_RINGS = [
+    (field, quotient)
+    for field in (QQ, GF(32003))
+    for quotient in ((), ("x^2 - y^3",), ("x*y", "y^2 - x"))
+]
+
+
+def seeded_module(ring, rng):
+    gens, rels = rng.randint(1, 2), rng.randint(1, 3)
+    rows = [[ring.random_poly(rng, max_degree=2, nterms=2) for _ in range(rels)]
+            for _ in range(gens)]
+    return ModulePresentation(ring, gens, Mat(ring, rows, ncols=rels))
+
+
+def tagged_homology_data(real):
+    """homology_data with the relations of H^i from the tagged route,
+    `syzygy_matrix(kernel, modulo=boundaries)`, as they were computed
+    before they were read off the kernel's basis."""
+
+    def reference(obj, i):
+        kernel, boundaries, pres = real(obj, i)
+        if not kernel.ncols:
+            return kernel, boundaries, pres
+        rel = syzygy_matrix(kernel, modulo=boundaries)
+        return kernel, boundaries, ModulePresentation(obj.ring, kernel.ncols, rel, pres.degrees)
+
+    return reference
+
+
+@pytest.mark.parametrize("field, quotient", ORACLE_RINGS,
+                         ids=[f"{f.name}-{'/'.join(q) or 'plain'}" for f, q in ORACLE_RINGS])
+def test_reduced_homology_relations_match_the_tagged_route(field, quotient):
+    """At every degree of seeded resolutions and module tensor complexes,
+    the reduced relations of H^i equal the tagged route's bit for bit."""
+    ring = PolyRing(field, ["x", "y"], quotient=list(quotient))
+    rng = random.Random(25)
+    reference = tagged_homology_data(homology_data)
+    checked = 0
+    for _ in range(8):
+        module = seeded_module(ring, rng)
+        elements = [ring.random_poly(rng, max_degree=1, nterms=2) for _ in range(2)]
+        tensored = module_tensor_complex(module, koszul(ring, elements))
+        for obj in (free_resolution(module, 3), tensored):
+            lo = obj.homology_floor() if hasattr(obj, "homology_floor") else obj.lo
+            for i in range(lo, obj.hi + 1):
+                _k, _b, pres = homology_data(obj, i)
+                _k, _b, ref = reference(obj, i)
+                assert pres.reduced().relations == ref.relations
+                checked += bool(ref.relations.ncols)
+    assert checked >= 25
+
+
+def certificate_fields(cert):
+    return tuple(getattr(cert, name) for name in cert.__slots__)
+
+
+def pointwise_reports(seed):
+    a = PolyRing(QQ, ["t"])
+    points = [RationalPoint(a, (c,)) for c in (0, 1)]
+    rng = random.Random(seed)
+    out = []
+    for quotient in ("t*x", "x^2 - t*y", "x*y - t"):
+        b = PolyRing(QQ, ["t", "x", "y"], quotient=[quotient])
+        f = RingMap(a, b, ["t"])
+        e = seeded_module(b, rng)
+        report = derived.is_relatively_perfect(e, f, points, mode="pointwise", max_depth=3)
+        out.append([
+            (i, certificate_fields(data["certificate"]), data["tor_tower"])
+            for _y, entry in report.per_point
+            for i, data in sorted(entry["homology"].items())
+        ])
+    return out
+
+
+def test_pointwise_certificates_match_the_tagged_route(monkeypatch):
+    """is_relatively_perfect in pointwise mode gives the certificates and
+    Tor towers it gave when H^i came from the tagged route, unreduced."""
+    got = [pointwise_reports(seed) for seed in range(7, 13)]
+    assert sum(map(len, sum(got, []))) >= 20
+    monkeypatch.setattr(resolutions, "homology_data",
+                        tagged_homology_data(resolutions.homology_data))
+    monkeypatch.setattr(ModulePresentation, "reduced", lambda self: self)
+    assert got == [pointwise_reports(seed) for seed in range(7, 13)]
+
+
+def test_relations_modulo_refuses_what_is_not_a_basis_and_its_span(rxy):
+    """A remainder outside the tags raises instead of returning."""
+    zero = Mat.zero(rxy, 1, 0)
+    with pytest.raises(ValueError, match="not a Gröbner basis"):
+        relations_modulo(Mat(rxy, [["x + y", "x"]]), zero)
+    with pytest.raises(ValueError, match="outside their span"):
+        relations_modulo(Mat(rxy, [["x"]]), Mat(rxy, [["y"]]))
+    assert relations_modulo(Mat(rxy, [["x", "y"]]), Mat(rxy, [["x*y"]])).ncols

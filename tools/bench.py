@@ -2,6 +2,7 @@
 """Compare the benchmark of HEAD with that of another revision.
 
     python3 tools/bench.py --against REV [--workload W]... [--seed S]... [--pairs N]
+                           [--json PATH]
 
 REV and HEAD are exported with `git archive` into a temporary directory,
 so both sides run from fresh trees with no `__pycache__` and neither
@@ -21,6 +22,12 @@ bound, and whether it shows a gain: at least nine tenths of the pairs
 won and the medians further apart than the parent's interquartile
 range.  Quartiles are `statistics.quantiles(..., method="inclusive")`.
 
+With --json PATH the same comparison is also written to PATH: both
+revisions, the Python version and the machine, and per workload, seed
+and metric each side's quartiles, the change in %, the wins, the
+parent's interquartile range, the bound and whether the bound and the
+gain rule hold.  The file is written only when every run is correct.
+
 Exit 0 when every run is correct, 1 when a run fails or answers wrong,
 2 on a usage error.  The temporary trees are removed in every case.
 """
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -107,13 +115,22 @@ def measure(trees, workload, seed, seconds, pairs):
     return results
 
 
-def rows(workload, seed, results, metrics):
-    """Table rows of one workload and seed."""
-    out = []
+def comparisons(results, metrics):
+    """{metric name: `compare` of the metric over the pairs} of one
+    workload and seed."""
+    out = {}
     for m in metrics:
         values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
                   for side, rs in results.items()}
-        cmp = compare(values["parent"], values["change"], m["better"], m["bound"])
+        out[m["name"]] = compare(values["parent"], values["change"], m["better"], m["bound"])
+    return out
+
+
+def rows(workload, seed, cmps, metrics):
+    """Table rows of one workload and seed."""
+    out = []
+    for m in metrics:
+        cmp = cmps[m["name"]]
         p, c = cmp["parent"], cmp["change"]
         out.append([
             workload, str(seed), f"{m['name']} [{m['unit']}]",
@@ -124,6 +141,30 @@ def rows(workload, seed, results, metrics):
             "yes" if cmp["gain"] else "no",
         ])
     return out
+
+
+def record(revisions, pairs, tables, metrics):
+    """The --json document: tables is {workload: {seed: comparisons}}."""
+    spec = {m["name"]: m for m in metrics}
+    return {
+        "parent": revisions["parent"],
+        "change": revisions["change"],
+        "python": platform.python_version(),
+        "machine": {"system": platform.system(), "machine": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "pairs": pairs,
+        "workloads": {
+            workload: {
+                str(seed): {
+                    name: {"unit": spec[name]["unit"], "better": spec[name]["better"],
+                           "bound": spec[name]["bound"], **cmp}
+                    for name, cmp in cmps.items()
+                }
+                for seed, cmps in by_seed.items()
+            }
+            for workload, by_seed in tables.items()
+        },
+    }
 
 
 HEADER = ["workload", "seed", "metric", "parent median [q1, q3]", "change median [q1, q3]",
@@ -145,6 +186,8 @@ def parse_args(argv, workloads):
     parser.add_argument("--seed", action="append", type=int,
                         help="a workload seed (repeatable; default: 0)")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the comparison to PATH as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -155,20 +198,30 @@ def main(argv=None):
     with open(BENCHMARK) as handle:
         bench = json.load(handle)
     args = parse_args(argv, [w["name"] for w in bench["workloads"]])
-    for rev in (args.against, "HEAD"):
-        if subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
-                           f"{rev}^{{commit}}"], stdout=subprocess.DEVNULL).returncode:
+    revisions = {}
+    for side, rev in (("parent", args.against), ("change", "HEAD")):
+        proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+                               f"{rev}^{{commit}}"], stdout=subprocess.PIPE, text=True)
+        if proc.returncode:
             print(f"bench: not a revision: {rev}", file=sys.stderr)
             return 2
+        revisions[side] = proc.stdout.strip()
+    metrics = bench["end_to_end"]
     tmp = tempfile.mkdtemp(prefix="perfx-bench-")
     try:
         trees = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
-        export(args.against, trees["parent"])
-        export("HEAD", trees["change"])
+        export(revisions["parent"], trees["parent"])
+        export(revisions["change"], trees["change"])
+        tables = {}
         for workload in args.workload or [w["name"] for w in bench["workloads"]]:
             for seed in args.seed or [0]:
                 results = measure(trees, workload, seed, bench["run_seconds"], args.pairs)
-                print_table([HEADER] + rows(workload, seed, results, bench["end_to_end"]))
+                cmps = tables.setdefault(workload, {})[seed] = comparisons(results, metrics)
+                print_table([HEADER] + rows(workload, seed, cmps, metrics))
+        if args.json:
+            with open(args.json, "w") as handle:
+                json.dump(record(revisions, args.pairs, tables, metrics), handle, indent=1)
+                handle.write("\n")
         return 0
     except RunFailed as exc:
         print(f"bench: {exc}", file=sys.stderr)
