@@ -91,12 +91,20 @@ class Session:
         raise ParseError(f"{name!r} is not a ring or family")
 
 
+def _int(text, usage, name):
+    """text as an int, or a ParseError naming the field `name` of `usage`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{usage}: {name} must be an integer, got {text!r}") from None
+
+
 def _parse_field(token):
     token = token.strip()
     if token == "QQ":
         return QQ
     if token.startswith("GF(") and token.endswith(")"):
-        return GF(int(token[3:-1]))
+        return GF(_int(token[3:-1], "GF(p)", "p"))
     raise ParseError(f"unknown field {token!r} (use QQ or GF(p))")
 
 
@@ -175,7 +183,7 @@ def _parse_module(session, rhs, line_no, ring):
         mat = _parse_matrix(ring, rhs[len("coker"):].strip(), line_no)
         return ModulePresentation(ring, mat.nrows, mat)
     if rhs.startswith("free(") and rhs.endswith(")"):
-        return ModulePresentation.free(ring, int(rhs[5:-1]))
+        return ModulePresentation.free(ring, _int(rhs[5:-1], "free(n)", "n"))
     if rhs == "residue_field" or rhs.startswith("residue_field("):
         if rhs == "residue_field":
             return ModulePresentation.residue_field(ring)
@@ -199,7 +207,7 @@ def _parse_complex(session, rhs, line_no, carrier, carrier_name):
         except ValueError as exc:
             raise ParseError(str(exc), line_no)
     if rhs.startswith("free(") and rhs.endswith(")"):
-        return FreeComplex.single(ring, int(rhs[5:-1]), at=0)
+        return FreeComplex.single(ring, _int(rhs[5:-1], "free(n)", "n"), at=0)
     if rhs == "unit":
         return unit_complex(ring)
     if rhs.startswith("matrix"):
@@ -207,7 +215,7 @@ def _parse_complex(session, rhs, line_no, carrier, carrier_name):
         at = 0
         if " at " in rest:
             rest, _, at_txt = rest.rpartition(" at ")
-            at = int(at_txt)
+            at = _int(at_txt, "matrix [[..]] at N", "N")
         mat = _parse_matrix(ring, rest.strip(), line_no)
         return FreeComplex.from_matrix(ring, mat, at=at)
     raise ParseError(f"unknown complex expression {rhs!r}", line_no)
@@ -219,7 +227,7 @@ def _parse_family(session, rhs, line_no):
         args = _split_top(rhs[len("blowup("):-1])
         if len(args) != 2:
             raise ParseError("blowup(FIELD, n)", line_no)
-        return blowup_family(_parse_field(args[0]), int(args[1]))
+        return blowup_family(_parse_field(args[0]), _int(args[1], "blowup(FIELD, n)", "n"))
     if rhs.startswith("proj(") and rhs.endswith(")"):
         sections = rhs[len("proj("):-1].split(";")
         if len(sections) not in (2, 3):
@@ -311,8 +319,9 @@ def parse_session(text):
                     for item in _split_top(rhs[len("regression("):-1])
                     if "=" in item
                 )
-                seed = int(kv.get("seed", 0))
-                index = int(kv.get("index", 0))
+                usage = "regression(seed=N, index=K)"
+                seed = _int(kv.get("seed", "0"), usage, "N")
+                index = _int(kv.get("index", "0"), usage, "K")
                 if index < 0:
                     raise ParseError(f"diagram index must be 0 or more, not {index}", line_no)
                 entry = regression_entry(seed, index)
@@ -583,11 +592,7 @@ def _scan_inputs(session, options, usage):
     kind, carrier = _scan_carrier(session, options, usage)
     base = carrier.base if kind == "family" else carrier.source
     sheaf = _sheaf(session, kind, carrier, _required(options, usage, "sheaf", "module"))
-    p_txt = options.get("p", "0")
-    try:
-        p = int(p_txt)
-    except ValueError:
-        raise ParseError(f"usage: p=N: N must be an integer, got {p_txt!r}") from None
+    p = _int(options.get("p", "0"), "usage: p=N", "N")
     points = _points_from_arg(session, options, usage, base)
     return carrier, sheaf, p, points
 
@@ -708,7 +713,7 @@ def cmd_transfer(session, options, args, fmt):
     ring = session.ring_of(_required(options, usage, "ring"))
     elements = _split_top(_required(options, usage, "t").strip("()"))
     _, target = session.lookup(_required(options, usage, "n"), ("module", "complex"))
-    index = int(options.get("i", 0))
+    index = _int(options.get("i", "0"), "usage: i=N", "N")
     result = boundedness_transfer_check(ring, elements, target, index, max_stage=args.max_stage)
     _emit(result, fmt)
     return 0 if result["pass"] else 1

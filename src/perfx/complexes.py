@@ -82,6 +82,9 @@ class FreeComplex:
         self._fiber_ranks = None  # {point: {i: rank}}, made by the first fiber_ranks
 
     def _validate(self):
+        for i, r in self.ranks.items():
+            if r < 0:
+                raise ValueError(f"rank at degree {i} must be at least 0, got {r}")
         for i, m in self.diffs.items():
             if m.nrows != self.rank(i + 1) or m.ncols != self.rank(i):
                 raise ValueError(f"differential at {i} has wrong shape")
@@ -206,20 +209,18 @@ class FreeComplex:
                 residues, lambda i: self.diffs[i].evaluate(point), self.ranks, field)
         return dict(ranks)
 
-    def fiber_dims(self, point, lo=None, hi=None):
+    def fiber_dims(self, point):
         """Homology dimensions of the complex evaluated at a point.
 
         Returns {degree: dim over kappa(point)} on the trustworthy
-        window (degrees >= homology floor), read from `fiber_ranks`.
+        window (homology floor to top degree), read from `fiber_ranks`;
+        callers read a degree outside it as 0.
         """
-        point = rings.point_of(self.ring, point)
-        floor = self.homology_floor()
-        lo = floor if lo is None else max(lo, floor)
-        hi = self.hi if hi is None else hi
-        if lo > hi:
-            return {}
         ranks = self.fiber_ranks(point)
-        return {i: self.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(lo, hi + 1)}
+        return {
+            i: self.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
+            for i in range(self.homology_floor(), self.hi + 1)
+        }
 
     def generic_dim(self, probe, i):
         """(h^i over the fraction field of the ring, certified).
@@ -250,7 +251,7 @@ class FreeComplex:
         if i < self.homology_floor():
             return 0, True
         if self.ring.is_quotient:
-            return self.fiber_dims(probe, lo=i, hi=i)[i], False
+            return self.fiber_dims(probe).get(i, 0), False
         p = linalg.modulus(self.ring.field)
         low = linalg.residue_ranks(
             {j: self.diff(j).residues(probe, p) for j in range(i - 2, i + 2)}, p)

@@ -54,49 +54,48 @@ def tor_profile(module, point, depth, method="resolve"):
     method 'resolve' resolves the module and evaluates; 'koszul'
     tensors the module presentation with the Koszul resolution of the
     point (plain rings only) and measures the homology presentations.
-    'both' computes the two and insists they agree.  A point of
-    another ring raises ValueError before anything is computed.
+    Another method, or a point of another ring, raises ValueError
+    before anything is computed.
     """
     point = point_of(module.ring, point)
-    if method == "both":
-        a = tor_profile(module, point, depth, "resolve")
-        b = tor_profile(module, point, depth, "koszul")
-        if a != b:
-            raise AssertionError(f"tor profile mismatch: {a} vs {b}")
-        return a
+    if method == "resolve":
+        dims = free_resolution(module, depth + 3).fiber_dims(point)
+        return [dims.get(-i, 0) for i in range(depth + 1)]
+    if method != "koszul":
+        raise ValueError(f"unknown method {method!r}")
     ring = module.ring
-    if method == "koszul":
-        if ring.is_quotient:
-            raise ValueError(
-                "the Koszul route needs the sequence x-a to resolve the point; "
-                "use 'resolve' over quotient rings"
-            )
-        k = koszul_resolution_of_point(ring, point)
-        if isinstance(module, ModulePresentation):
-            fpc = module_tensor_complex(module, k)
-        else:
-            fpc = FPComplex.from_free(tensor(module, k))
-        out = []
-        for i in range(depth + 1):
-            h = fp_homology(fpc, -i)
-            out.append(h.fiber_dim(point) if h.ambient_rank else 0)
-        return out
-    resolution = free_resolution(module, depth + 3)
-    dims = resolution.fiber_dims(point, lo=-depth, hi=0)
-    return [dims.get(-i, 0) for i in range(depth + 1)]
+    if ring.is_quotient:
+        raise ValueError(
+            "the Koszul route needs the sequence x-a to resolve the point; "
+            "use 'resolve' over quotient rings"
+        )
+    k = koszul_resolution_of_point(ring, point)
+    if isinstance(module, ModulePresentation):
+        fpc = module_tensor_complex(module, k)
+    else:
+        fpc = FPComplex.from_free(tensor(module, k))
+    out = []
+    for i in range(depth + 1):
+        h = fp_homology(fpc, -i)
+        out.append(h.fiber_dim(point) if h.ambient_rank else 0)
+    return out
+
+
+def _ext_dims(resolution, point):
+    """{i: dim H^i(Hom(resolution, R)) at a point} over the Hom complex's
+    terms; a degree outside them has dimension 0.  This is dim Ext^i(E,
+    kappa(point)) away from the top, where Hom moves the resolution's
+    truncation, so no homology floor applies."""
+    d = hom_complex(resolution, unit_complex(resolution.ring))
+    ranks = d.fiber_ranks(point)
+    return {i: d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(d.lo, d.hi + 1)}
 
 
 def ext_to_point(module, point, depth):
-    """[dim Ext^i(E, kappa(point)) for i in 0..depth].
-
-    Dual route: Hom of the resolution into the ring, evaluated at the
-    point; the validity window is handled directly since Hom flips the
-    truncation to the top.
-    """
-    resolution = free_resolution(module, depth + 3)
-    d = hom_complex(resolution, unit_complex(resolution.ring))
-    ranks = d.fiber_ranks(point)
-    return [d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(depth + 1)]
+    """[dim Ext^i(E, kappa(point)) for i in 0..depth], by Hom of the
+    resolution into the ring, evaluated at the point."""
+    ext = _ext_dims(free_resolution(module, depth + 3), point)
+    return [ext.get(i, 0) for i in range(depth + 1)]
 
 
 # -- local cohomology tower -----------------------------------------------
@@ -528,14 +527,10 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
 
     tor_dims = resolution.fiber_dims(point)
     if criterion == "tor":
-        def probe(degree):
-            return tor_dims.get(degree, 0)
+        dims = tor_dims
     elif criterion == "ext":
-        d = hom_complex(resolution, unit_complex(ring))
-        ranks = d.fiber_ranks(point)
-        def probe(degree):
-            i = -degree  # dim H^{-j}(Hom(V)) = dim H^{j}(V) for field coefficients
-            return d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
+        # dim H^{-j}(Hom(V)) = dim H^{j}(V) for field coefficients
+        dims = {-i: v for i, v in _ext_dims(resolution, point).items()}
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
 
@@ -548,7 +543,7 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
     steps = 0
     last_rank = None
     while steps < max_depth and n - 1 >= floor_valid:
-        t1 = probe(n - 1)
+        t1 = dims.get(n - 1, 0)
         profile.append((n, t1))
         if t1 == 0:
             return PerfectionCertificate(

@@ -449,7 +449,7 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
     if pushed is None:
         pushed, _ = push(f_or_fam, e)
     base = pushed.ring
-    values = [(y, pushed.fiber_dims(y, lo=p, hi=p).get(p, 0)) for y in points]
+    values = [(y, pushed.fiber_dims(y).get(p, 0)) for y in points]
     rng = random.Random(seed)
     coords = tuple(
         base.field.parse(f"{rng.randint(10**4, 10**6)}/{rng.randint(1, 97)}")

@@ -6,9 +6,10 @@ module-finiteness test, rewriting and the A-module presentation of a
 module-finite target all run in one combined quotient ring k[target
 vars, source vars], built once per map, with a block elimination
 order: a pure power of every target variable among the leading terms
-certifies finiteness, and the kernel of A^(basis) -> B is read off
-from basis elements free of both the tag component and the target
-block.
+certifies finiteness, and the kernel of A^(basis) -> B is the part free
+of target variables of the syzygies of the basis monomials modulo the
+combined ideal, one `syzygy_basis` call under
+`orders.restriction_order`.
 
 Rewriting a target element over the source basis is linear, so a map
 keeps one table, filled as monomials come up and kept for the map's
@@ -26,7 +27,7 @@ Using Algebraic Geometry, ch. 2.)
 
 from __future__ import annotations
 
-from .groebner import buchberger, mono_divides
+from .groebner import mono_divides, syzygy_basis
 from .modules import ModulePresentation, prune_redundant_columns
 from .orders import BlockOrder, restriction_order
 from .rings import Mat, PolyRing, RationalPoint, embed_poly, recast
@@ -230,7 +231,9 @@ class RingMap:
         """The target as a finitely presented module over the source.
 
         Returns (basis monomials, ModulePresentation over the source),
-        built once per map.
+        built once per map.  The relations are the syzygies of the basis
+        monomials modulo the combined ideal, under `restriction_order`'s
+        elimination at 1, that involve no target variable.
         """
         if self._presentation is not None:
             return self._presentation
@@ -238,23 +241,17 @@ class RingMap:
         ring, ntv = self._ring, self.target.nvars
         nb = len(basis)
         order = restriction_order(ntv, ring.nvars)
-        one, minus_one = ring.field.one, ring.field.neg(ring.field.one)
-        pad, unit = (0,) * (ring.nvars - ntv), (0,) * ring.nvars
-        # component 0 carries B; components 1..nb tag the basis monomials.
-        aug = [
-            {order.pack(0, m + pad): one, order.pack(1 + j, unit): minus_one}
-            for j, m in enumerate(basis)
-        ]
-        exps = ring.exponents
-        aug += [{order.pack(0, exps(t)): c for t, c in q.terms.items()} for q in ring.quotient_gb]
+        pad, exps = (0,) * (ring.nvars - ntv), ring.exponents
+        gens = [{order.pack(0, m + pad): ring.field.one} for m in basis]
+        extra = [{order.pack(0, exps(t)): c for t, c in q.terms.items()} for q in ring.quotient_gb]
         rel_entries = []
         ncols = 0
-        for v in buchberger(aug, ring.field, order):
+        for v in syzygy_basis(gens, 1, ring.field, order, extra):
             terms = [(order.unpack(t), c) for t, c in v.items()]
-            if any(pos == 0 or any(m[:ntv]) for (pos, m), _c in terms):
+            if any(any(m[:ntv]) for (_pos, m), _c in terms):
                 continue
             rel_entries += [
-                (pos - 1, ncols, self.source.from_exponents({m[ntv:]: c}))
+                (pos, ncols, self.source.from_exponents({m[ntv:]: c}))
                 for (pos, m), c in terms
             ]
             ncols += 1

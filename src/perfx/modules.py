@@ -25,6 +25,8 @@ class ModulePresentation:
     __slots__ = ("ring", "ambient_rank", "relations", "degrees", "_gb")
 
     def __init__(self, ring, ambient_rank, relations=None, degrees=None):
+        if ambient_rank < 0:
+            raise ValueError(f"rank must be at least 0, got {ambient_rank}")
         self.ring = ring
         self.ambient_rank = ambient_rank
         if relations is None:

@@ -23,8 +23,9 @@ positions win ties) and `Below(r)` (1 for pos < r, else 0):
 - term over position, `order.module(nvars)`: the ring's fields, POSITION
 - elimination, `module.elimination(rank)` of a module order: Below(rank),
   the ring's fields, POSITION
-- restriction, `restriction_order(ntv, nvars)`: Below(1), grevlex of the
-  first ntv variables, POSITION, grevlex of the others
+- restriction, `restriction_order(ntv, nvars)`: grevlex of the first
+  ntv variables, POSITION, grevlex of the others; its `elimination(1)`
+  (Below(1) in front) presents k[t, s]/I over k[s]
 
 A `TermOrder` packs a term into one int whose int order is the term
 order, so the largest term of a vector is `max(vec)`.  From the most
@@ -49,6 +50,7 @@ adding to each term an int that depends only on its position, and
 
 from __future__ import annotations
 
+from functools import cache
 from operator import mul
 
 FIELD_BITS = 20
@@ -158,13 +160,14 @@ LEX = Lex()
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
 
+@cache
 def restriction_order(ntv, nvars):
-    """Order for presenting k[t, s]/I over k[s]: position 0 dominates,
-    then grevlex of the first ntv variables, then low positions, then
-    grevlex of the other variables."""
+    """Grevlex of the first ntv variables, then low positions, then
+    grevlex of the other variables: the base order for presenting
+    k[t, s]/I over k[s].  One order, with its monomial tables, per
+    (ntv, nvars)."""
     return TermOrder(nvars, [
-        Below(1), *_grevlex_forms(nvars, 0, ntv), POSITION,
-        *_grevlex_forms(nvars, ntv, nvars - ntv),
+        *_grevlex_forms(nvars, 0, ntv), POSITION, *_grevlex_forms(nvars, ntv, nvars - ntv),
     ])
 
 

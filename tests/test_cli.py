@@ -364,16 +364,40 @@ module MX on X = free(1)
      "parse error: line 14: '1e4300' has a numerator or denominator of more than 4300 digits"),
     ("point z on A = (12345e4299)", ["roundtrip"],
      "parse error: line 14: '12345e4299' has a numerator or denominator of more than 4300"),
+    # a negative rank
+    ("module Y on A = free(-1)", ["roundtrip"],
+     "parse error: line 14: rank must be at least 0, got -1"),
+    ("complex C on A = free(-2)", ["perfect", "C", "at", "p0"],
+     "parse error: line 14: rank at degree 0 must be at least 0, got -2"),
+    # an integer field that is not an integer
+    ("module Y on A = free(abc)", ["roundtrip"],
+     "parse error: line 14: free(n): n must be an integer, got 'abc'"),
+    ("complex C on A = free(abc)", ["roundtrip"],
+     "parse error: line 14: free(n): n must be an integer, got 'abc'"),
+    ("ring H = GF(x)[s]", ["roundtrip"],
+     "parse error: line 14: GF(p): p must be an integer, got 'x'"),
+    ("family Z = blowup(QQ, x)", ["roundtrip"],
+     "parse error: line 14: blowup(FIELD, n): n must be an integer, got 'x'"),
+    ("diagram D = regression(seed=x, index=1)", ["roundtrip"],
+     "parse error: line 14: regression(seed=N, index=K): N must be an integer, got 'x'"),
+    ("diagram D = regression(seed=1, index=y)", ["roundtrip"],
+     "parse error: line 14: regression(seed=N, index=K): K must be an integer, got 'y'"),
+    ("complex C on A = matrix [[t]] at y", ["roundtrip"],
+     "parse error: line 14: matrix [[..]] at N: N must be an integer, got 'y'"),
+    ("", ["transfer-check", "ring=A", "t=(t)", "n=M", "i=abc"],
+     "usage: i=N: N must be an integer, got 'abc'"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
     "diagram-index--1", "chi-scan-O(x)", "hp-scan-O(1", "grauert-O()", "session-1e999999999",
-    "session-1e4300", "session-12345e4299",
+    "session-1e4300", "session-12345e4299", "module-free(-1)", "complex-free(-2)",
+    "module-free(abc)", "complex-free(abc)", "GF(x)", "blowup(QQ,x)", "regression-seed=x",
+    "regression-index=y", "matrix-at-y", "transfer-check-i=abc",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
-    """A zero denominator, a sheaf on the wrong ring, a twist that is not
-    an integer or an outsized exponent: exit 2 with one `perfx:` line,
-    never an internal error."""
+    """A zero denominator, a sheaf on the wrong ring, a twist or another
+    integer field that is not an integer, a negative rank or an outsized
+    exponent: exit 2 with one `perfx:` line, never an internal error."""
     path = tmp_path / "s.pfx"
     path.write_text(BAD_INPUT_SESSION + extra)
     code, out, err = run_cli(capsys, *tokens, "--input", str(path))

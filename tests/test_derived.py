@@ -42,8 +42,16 @@ def quotient_xy():
 
 def test_tor_profile_examples(r1):
     m = ModulePresentation.cyclic(r1, ["x"])
-    assert tor_profile(m, RationalPoint(r1, (0,)), 4, "both") == [1, 1, 0, 0, 0]
-    assert tor_profile(m, RationalPoint(r1, (1,)), 4, "both") == [0, 0, 0, 0, 0]
+    for coords, expected in (((0,), [1, 1, 0, 0, 0]), ((1,), [0, 0, 0, 0, 0])):
+        point = RationalPoint(r1, coords)
+        assert tor_profile(m, point, 4, "resolve") == tor_profile(m, point, 4, "koszul") == expected
+
+
+def test_tor_profile_refuses_an_unknown_method(r1):
+    m = ModulePresentation.cyclic(r1, ["x"])
+    for method in ("bogus", "both"):
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            tor_profile(m, RationalPoint(r1, (0,)), 4, method)
 
 
 def test_tor_profile_quotient(quotient_xy):
@@ -67,7 +75,7 @@ def test_tor_two_path_random(rxy):
             ncols=rels,
         )
         m = ModulePresentation(rxy, gens, mat)
-        tor_profile(m, origin, 5, "both")  # raises on mismatch
+        assert tor_profile(m, origin, 5, "resolve") == tor_profile(m, origin, 5, "koszul")
 
 
 def test_ext_examples(r1, quotient_xy):

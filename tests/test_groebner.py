@@ -905,7 +905,7 @@ CERTIFY_ORDERS = {
     "elimination": (
         GREVLEX.module(3).elimination(1), reference_elimination_key(1, grevlex_key), 3
     ),
-    "restriction": (restriction_order(1, 3), reference_restriction_key(1), 3),
+    "restriction": (restriction_order(1, 3).elimination(1), reference_restriction_key(1), 3),
 }
 
 exponents = st.tuples(*[st.integers(0, 12)] * 3)

@@ -27,6 +27,17 @@ def _modules():
         yield path.name, text, ast.parse(text)
 
 
+def _identifiers(tree):
+    """(node, identifier) for every name, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node, node.attr
+        elif isinstance(node, ast.alias):
+            yield node, node.name
+
+
 def _imported_names(node):
     """The names an import statement binds."""
     for alias in node.names:
@@ -64,15 +75,7 @@ def test_only_engine_and_rings_use_reduction_internals():
     for name, _text, tree in _modules():
         if name in ENGINE_MODULES:
             continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named = node.id
-            elif isinstance(node, ast.Attribute):
-                named = node.attr
-            elif isinstance(node, ast.alias):
-                named = node.name
-            else:
-                continue
+        for node, named in _identifiers(tree):
             if named in ENGINE_NAMES:
                 hits.append(f"{name}:{node.lineno}: {named}")
     listing = "\n".join(hits)
@@ -217,16 +220,7 @@ def test_no_unreferenced_definitions():
                     d.name.startswith("__") and d.name.endswith("__")
                 ):
                     defined.append((name, d.lineno, d.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                ident = node.id
-            elif isinstance(node, ast.Attribute):
-                ident = node.attr
-            elif isinstance(node, ast.alias):
-                ident = node.name
-            else:
-                continue
-            named.add(ident)
+        named.update(ident for _node, ident in _identifiers(tree))
     unused = [
         f"{module}:{line}: {ident}"
         for module, line, ident in defined
@@ -238,6 +232,19 @@ def test_no_unreferenced_definitions():
 def _called_name(call):
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_engine_and_rings_call_buchberger():
+    """Gröbner bases come from the engine's entry points: only groebner.py
+    and rings.py name `buchberger`; the other modules reach it through
+    `syzygy_basis`, `ModuleGB` and the ring layer."""
+    hits = []
+    for name, _text, tree in _modules():
+        if name in ("groebner.py", "rings.py"):
+            continue
+        hits += [f"{name}:{node.lineno}" for node, named in _identifiers(tree)
+                 if named == "buchberger"]
+    assert not hits, "buchberger named outside groebner.py and rings.py:\n" + "\n".join(hits)
 
 
 def test_no_projected_syzygies():

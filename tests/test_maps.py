@@ -8,9 +8,11 @@ import pytest
 from perfx.complexes import FreeComplex, koszul
 from perfx.fields import GF, QQ
 from perfx.geometry import restrict_scalars
-from perfx.groebner import mono_divides
-from perfx.ktheory import regression_suite
+from perfx.groebner import buchberger, mono_divides
+from perfx.ktheory import regression_entry, regression_suite
 from perfx.maps import RingMap
+from perfx.modules import prune_redundant_columns
+from perfx.orders import restriction_order
 from perfx.rings import Mat, PolyRing, RationalPoint, embed_poly
 
 
@@ -185,6 +187,89 @@ def test_source_presentation_prunes_redundant_relations(line):
     basis, pres = g.source_module_presentation()
     assert len(basis) == 1
     assert pres.relations.ncols == 1  # (t - 8) and the duplicate are redundant
+
+
+def _tagged_source_relations(f):
+    """The relations of f's source presentation by a tagged elimination
+    built by hand: component 0 carries the target, component 1 + j tags
+    basis monomial j with -1, and one `buchberger` run under the
+    restriction order with position 0 in front keeps the elements with no
+    term at position 0 and no target variable, row pos - 1 for a term at
+    pos."""
+    basis = f.module_basis()
+    ring, ntv = f._ring, f.target.nvars
+    order = restriction_order(ntv, ring.nvars).elimination(1)
+    one, minus_one = ring.field.one, ring.field.neg(ring.field.one)
+    pad, unit = (0,) * (ring.nvars - ntv), (0,) * ring.nvars
+    aug = [
+        {order.pack(0, m + pad): one, order.pack(1 + j, unit): minus_one}
+        for j, m in enumerate(basis)
+    ]
+    aug += [{order.pack(0, ring.exponents(t)): c for t, c in q.terms.items()}
+            for q in ring.quotient_gb]
+    entries, ncols = [], 0
+    for v in buchberger(aug, ring.field, order):
+        terms = [(order.unpack(t), c) for t, c in v.items()]
+        if any(pos == 0 or any(m[:ntv]) for (pos, m), _c in terms):
+            continue
+        entries += [(pos - 1, ncols, f.source.from_exponents({m[ntv:]: c}))
+                    for (pos, m), c in terms]
+        ncols += 1
+    rel = Mat.from_entries(f.source, len(basis), ncols, entries).drop_zero_columns()
+    return prune_redundant_columns(rel) if rel.ncols else rel
+
+
+def _exact_entries(mat):
+    """Every entry with its terms in order and each coefficient's type."""
+    return [
+        (r, c, [(t, type(a), a) for t, a in p.terms.items()]) for r, c, p in mat.entries()
+    ]
+
+
+def _torsion_maps(field, rng):
+    """Module-finite maps whose targets are not free over the source: their
+    source presentations have relations across several rows."""
+    a, b, c = (rng.randint(-3, 3) for _ in range(3))
+    line, plane = PolyRing(field, ["t"]), PolyRing(field, ["s", "t"])
+    over_line = PolyRing(field, ["t", "x", "y"], quotient=[
+        f"x^2 - ({a})*t*y", f"y^2 - t*x - ({b})", f"t*x*y - ({c})*t^2"])
+    yield RingMap(line, over_line, ["t"])
+    over_plane = PolyRing(field, ["s", "t", "x"], quotient=[
+        f"x^3 - s*x - ({a})*t", f"s*t*x - ({b})*s^2*x^2", f"t^2*x^2 - ({c})*s"])
+    yield RingMap(plane, over_plane, ["s", "t"])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_source_presentation_matches_the_tagged_elimination(seed):
+    """`source_module_presentation`, one `syzygy_basis` call, gives the
+    relations of the hand-built tagged elimination bit for bit, over QQ
+    and GF(5): for the maps of regression entries (even indices over QQ,
+    odd ones over GF(5)), their composites and the legs of their squares,
+    and for targets that are not free over the source."""
+    maps = []
+    for index in range(8):
+        entry = regression_entry(seed, index)
+        f, g, h = entry["maps"]["f"], entry["maps"]["g"], entry["maps"]["h"]
+        square = entry["square"]
+        maps += [f, g, h, f.compose(g), g.compose(h), f.compose(g).compose(h),
+                 square.g, square.g_prime, square.f_prime]
+    rng = random.Random(seed)
+    for field in (QQ, GF(5)):
+        maps += _torsion_maps(field, rng)
+    rows = set()
+    for m in maps:
+        basis, pres = m.source_module_presentation()
+        want = _tagged_source_relations(m)
+        assert pres.ambient_rank == len(basis) == want.nrows
+        assert _exact_entries(pres.relations) == _exact_entries(want)
+        rows.update((m.source.field, r) for r, _c, _p in want.entries())
+    assert {(QQ, 0), (QQ, 1), (GF(5), 0), (GF(5), 1)} <= rows
+
+
+def test_restriction_order_is_built_once_per_shape():
+    assert restriction_order(2, 5) is restriction_order(2, 5)
+    assert restriction_order(2, 5) is not restriction_order(1, 5)
+    assert restriction_order(2, 5).elimination(1) is restriction_order(2, 5).elimination(1)
 
 
 def test_apply_point_and_identity(line):

@@ -179,6 +179,14 @@ def test_homogeneity_validation(rxy):
         )
 
 
+def test_negative_rank_is_refused(rxy):
+    with pytest.raises(ValueError, match="rank must be at least 0, got -1"):
+        ModulePresentation.free(rxy, -1)
+    with pytest.raises(ValueError, match="rank must be at least 0, got -2"):
+        ModulePresentation(rxy, -2)
+    assert ModulePresentation.free(rxy, 0).is_zero()
+
+
 def test_fiber_dim_and_zero(rxy):
     m = ModulePresentation.cyclic(rxy, ["x", "y"])
     assert m.fiber_dim(RationalPoint(rxy, (0, 0))) == 1
