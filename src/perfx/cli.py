@@ -34,7 +34,7 @@ from .geometry import (
     push,
     pushforward_projective,
 )
-from .ktheory import regression_entry, run_axiom_battery
+from .ktheory import AXIOMS, regression_entry, run_axiom_battery
 from .maps import RingMap
 from .modules import ModulePresentation
 from .rings import Mat, PolyRing, RationalPoint
@@ -80,6 +80,9 @@ class Session:
         for kind in kinds or _STORES:
             if name in getattr(self, _STORES[kind]):
                 return kind, getattr(self, _STORES[kind])[name]
+        for kind, store in _STORES.items():
+            if name in getattr(self, store):
+                raise ParseError(f"{name!r} is a {kind}, not a {' or '.join(kinds)}")
         raise ParseError(f"unknown identifier {name!r}")
 
     def ring_of(self, name):
@@ -310,16 +313,20 @@ def parse_session(text):
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no)
             elif kind == "diagram":
-                if len(fields) != 2:
-                    raise ParseError("diagram NAME = regression(seed=N, index=K)", line_no)
-                if not rhs.startswith("regression("):
-                    raise ParseError(f"unknown diagram expression {rhs!r}", line_no)
-                kv = dict(
-                    item.split("=")
-                    for item in _split_top(rhs[len("regression("):-1])
-                    if "=" in item
-                )
                 usage = "regression(seed=N, index=K)"
+                if len(fields) != 2:
+                    raise ParseError(f"diagram NAME = {usage}", line_no)
+                if not (rhs.startswith("regression(") and rhs.endswith(")")):
+                    raise ParseError(f"unknown diagram expression {rhs!r}", line_no)
+                kv = {}
+                for item in _split_top(rhs[len("regression("):-1]):
+                    key, eq, value = item.partition("=")
+                    key = key.strip()
+                    if not eq or key not in ("seed", "index"):
+                        raise ParseError(f"{usage}: unknown argument {item!r}", line_no)
+                    if key in kv:
+                        raise ParseError(f"{usage}: {key}= given twice", line_no)
+                    kv[key] = value.strip()
                 seed = _int(kv.get("seed", "0"), usage, "N")
                 index = _int(kv.get("index", "0"), usage, "K")
                 if index < 0:
@@ -620,7 +627,10 @@ def cmd_grauert(session, options, args, fmt):
     carrier, sheaf, p, points = _scan_inputs(
         session, options, "grauert family=X|map=f|ring=A sheaf=M [p=N] points=..."
     )
-    reduced = options.get("reduced", "yes") != "no"
+    reduced = options.get("reduced", "yes")
+    if reduced not in ("yes", "no"):
+        raise ParseError(f"usage: reduced=yes|no, got {reduced!r}")
+    reduced = reduced == "yes"
     result = grauert_check(carrier, sheaf, p, points, reduced=reduced)
     report = {k: str(v) for k, v in result.items() if k != "locally_free_witness"}
     _emit(report, fmt)
@@ -693,12 +703,14 @@ def cmd_verify_axiom(session, tokens, options, args, fmt):
     usage = "verify-axiom AXIOM diagram=D"
     if not tokens:
         raise ParseError(f"usage: {usage}")
-    which = tokens[0]
+    which = tokens[0].upper()
+    if which not in AXIOMS:
+        raise ParseError(f"usage: {usage}: AXIOM is one of {', '.join(AXIOMS)}, got {tokens[0]!r}")
     _, entry = session.lookup(_required(options, usage, "diagram"), ("diagram",))
-    results = run_axiom_battery(entry, axioms=(which.upper(),), depth=args.depth)
-    report = results[which.upper()]
+    results = run_axiom_battery(entry, axioms=(which,), depth=args.depth)
+    report = results[which]
     payload = {
-        "axiom": which.upper(),
+        "axiom": which,
         "verdict": report["verdict"],
         "tier": report["tier"],
         "witness": str(report.get("witness")),

@@ -28,6 +28,7 @@ from .complexes import (
     minimize,
     tensor,
 )
+from .derived import default_depth
 from .maps import RingMap
 from .modules import ModulePresentation
 from .resolutions import (
@@ -62,36 +63,49 @@ def derived_pullback(f, e, depth=6):
 
 
 def restrict_scalars(f, e):
-    """A free complex (or module) over the target as an FPComplex over
-    the source, through the module-finite basis m_0..m_(nb-1).
+    """A module, free complex or FPComplex over the target as an
+    FPComplex over the source, through the module-finite basis
+    m_0..m_(nb-1).
 
-    An entry at (s, c) becomes the nb x nb block whose entry (k, j) is
-    the coefficient of m_k in entry * m_j.  That block comes from the
-    map's rewrite table (`RingMap.basis_products`): each term t of the
-    entry contributes its coefficient times the row of the monomial
-    t * m_j, with no product formed or reduced in the target.  The rows
-    are exact for monomials outside the target's normal form, since the
-    combined ring's ideal contains the target quotient."""
+    A module is its one-term complex at degree 0 and a free complex its
+    complex of free modules, so a module's relations stay relations:
+    its homology is the module whether or not they are injective.  An
+    entry at (s, c) of a map or of a term's relations becomes the
+    nb x nb block whose entry (k, j) is the coefficient of m_k in
+    entry * m_j.  That block comes from the map's rewrite table
+    (`RingMap.basis_products`): each term t of the entry contributes its
+    coefficient times the row of the monomial t * m_j, with no product
+    formed or reduced in the target.  The rows are exact for monomials
+    outside the target's normal form, since the combined ring's ideal
+    contains the target quotient.  A term of rank r is presented by r
+    copies of the target's presentation beside its restricted
+    relations."""
     basis, presentation = f.source_module_presentation()
     nb = len(basis)
     source = f.source
-    if isinstance(e, ModulePresentation):
-        # the presentation as a two-term complex
-        e = FreeComplex.from_matrix(e.ring, e.relations)
-    terms = {}
-    maps = {}
-    for i, r in e.ranks.items():
-        # rank 1 shares the presentation, and the Gröbner basis it caches
-        terms[i] = presentation if r == 1 else ModulePresentation(
-            source, r * nb, Mat.identity(source, r).kron(presentation.relations)
-        )
-    for i, m in e.diffs.items():
+
+    def blocks(m):
         entries = []
         for s, c, entry in m.entries():
             entries += [
                 (s * nb + k, c * nb + j, a) for (k, j), a in f.basis_products(entry).items()
             ]
-        maps[i] = Mat.from_entries(source, e.rank(i + 1) * nb, e.rank(i) * nb, entries)
+        return Mat.from_entries(source, m.nrows * nb, m.ncols * nb, entries)
+
+    if isinstance(e, ModulePresentation):
+        e = FPComplex(e.ring, {0: e}, {})
+    elif isinstance(e, FreeComplex):
+        e = FPComplex.from_free(e)
+    terms = {}
+    for i, t in e.terms.items():
+        r, rels = t.ambient_rank, t.relations
+        if r == 1 and not rels.ncols:
+            # shares the presentation, and the Gröbner basis it caches
+            terms[i] = presentation
+            continue
+        own = Mat.identity(source, r).kron(presentation.relations)
+        terms[i] = ModulePresentation(source, r * nb, own.hstack(blocks(rels)))
+    maps = {i: blocks(m) for i, m in e.maps.items()}
     return FPComplex(source, terms, maps)
 
 
@@ -101,11 +115,15 @@ def _check_ring(e, ring):
         raise ValueError(f"input is over {e.ring}, not over {ring}")
 
 
-def pushforward_affine(f, e, depth=1):
+def pushforward_affine(f, e, depth=None):
     """Direct image along a module-finite map: restriction of scalars,
     then a free replacement over the source.  depth controls how far
-    below the window the replacement is materialized."""
+    below the window the replacement is materialized; by default it is
+    `derived.default_depth` of the source, so a finite resolution over
+    a regular base ends by itself (tail 'zero')."""
     _check_ring(e, f.target)
+    if depth is None:
+        depth = default_depth(f.source)
     if f.is_identity():
         return free_resolution(e, 8)
     if not f.is_module_finite():

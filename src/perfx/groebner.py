@@ -24,9 +24,9 @@ Fraction vectors, and `reduce_vector` divides by the scale to return
 exact normal forms, so the reduced basis (which is unique) and every
 normal form are the same as with Fraction arithmetic throughout.
 
-A `_Basis` holds the reduction data of a list of vectors and is built
-once by whoever owns the list; `reduce_vector` takes normal forms
-against it.
+A `_Basis` holds the reduction data of a list of vectors, and
+`reduce_vector` takes normal forms against it.  Only this module builds
+one; other modules read normal forms through `ModuleGB.normal_form`.
 
 `buchberger` treats S-pairs by sugar degree (Giovini, Mora, Niesi,
 Robbiano & Traverso, ISSAC 1991), and as each element joins, `_Pairs`
@@ -51,8 +51,9 @@ each vector to work modulo gives its lift.
 term-over-position basis of the generators and builds the tagged basis
 only when `lift` first needs it.
 
-Quotient rings never appear here; rings.py appends the quotient ideal
-times each basis vector before calling in.
+Quotient rings never appear here; rings.py keeps a quotient ideal as a
+rank-1 `ModuleGB` and appends the ideal times each basis vector before
+calling in.
 """
 
 from __future__ import annotations
@@ -509,8 +510,11 @@ class ModuleGB:
     vectors to coefficients over the generators needs the tagged
     elimination basis, which the first `lift` call builds.  Both bases
     are reduced, so `plain_gb` is exactly the projection of the tagged
-    one to R^rank, interreduced.
+    one to R^rank, interreduced.  Every quotient ring keeps one, so the
+    reduced basis, being monic, is held once: as the `_Basis` elements.
     """
+
+    __slots__ = ("gens", "extra", "rank", "field", "order", "basis", "_tagged_basis")
 
     def __init__(self, gens, rank, field, order, extra=()):
         self.gens = gens
@@ -518,9 +522,13 @@ class ModuleGB:
         self.rank = rank
         self.field = field
         self.order = order
-        self.plain_gb = buchberger([*gens, *extra], field, order)
-        self.basis = _Basis(field, order, self.plain_gb)
+        self.basis = _Basis(field, order, buchberger([*gens, *extra], field, order))
         self._tagged_basis = None
+
+    @property
+    def plain_gb(self):
+        """The reduced basis, ascending by leading term."""
+        return self.basis.elements
 
     def normal_form(self, vec):
         return reduce_vector(vec, self.basis)

@@ -487,7 +487,11 @@ def regression_entry(seed, index):
 # -- axiom verification -------------------------------------------------------
 
 
-def run_axiom_battery(entry, axioms=("A1", "A2", "A12", "A123"), depth=6):
+# The bivariant axioms the battery checks.
+AXIOMS = ("A1", "A2", "A12", "A123")
+
+
+def run_axiom_battery(entry, axioms=AXIOMS, depth=6):
     """Verify the requested axioms on one regression entry."""
     f, g, h = entry["maps"]["f"], entry["maps"]["g"], entry["maps"]["h"]
     cls = entry["classes"]

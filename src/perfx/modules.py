@@ -14,6 +14,7 @@ from .rings import (
     Mat,
     MatrixGB,
     RationalPoint,
+    column_matrix,
     hilbert_numerator,
     hilbert_value,
     point_of,
@@ -226,14 +227,9 @@ def syzygies(gens, ring):
     Returns the ModulePresentation whose ambient generators correspond
     to the input generators and whose relations generate all syzygies.
     """
-    from .rings import Polynomial
-
     gens = list(gens)
     if not gens:
         return ModulePresentation.zero(ring)
-    if isinstance(gens[0], Polynomial):
-        mat = Mat(ring, [gens], ncols=len(gens))
-    else:
-        mat = Mat.from_columns(ring, gens, len(gens[0]))
+    mat = column_matrix(gens, ring)
     # relations field = the syzygy matrix, so gens-matrix . relations = 0
     return ModulePresentation(ring, mat.ncols, syzygy_matrix(mat))

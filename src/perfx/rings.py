@@ -1,10 +1,11 @@
 """Polynomial rings k[x1..xn]/I with exact arithmetic.
 
 Elements of a quotient ring are stored as canonical normal forms in
-the ambient polynomial ring (reduction against the interreduced
-Gröbner basis of the quotient ideal, whose reduction data the ring
-builds once, happens on construction and after every product), so
-equality is plain dict comparison.  A polynomial's terms are the
+the ambient polynomial ring (reduction through the quotient ideal's
+rank-1 `groebner.ModuleGB`, which the ring builds once, happens on
+construction and after every product), so equality is plain dict
+comparison.  The engine is reached only through `ModuleGB`,
+`syzygy_basis` and `schreyer_relations`.  A polynomial's terms are the
 engine's: packed ints of the ring's `module_order` at position 0, so a
 product term and a move to position i of an engine vector are int adds.
 Exponent tuples appear only at `PolyRing.exponents` and
@@ -44,9 +45,10 @@ class PolyRing:
         if quotient:
             self.ambient = PolyRing(field, self.variables, order, weights=self.weights)
             raw = [q.terms for q in map(self.ambient_coerce, quotient) if q.terms]
-            basis = gb.buchberger(raw, field, self.module_order)
-            self._quotient_basis = gb._Basis(field, self.module_order, basis)
-            self.quotient_gb = tuple(Polynomial(self.ambient, v) for v in basis)
+            self._quotient = gb.ModuleGB(raw, 1, field, self.module_order)
+            # a ring never lifts, so it holds the basis, not the raw input, as generators
+            self._quotient.gens = self._quotient.plain_gb
+            self.quotient_gb = tuple(Polynomial(self.ambient, v) for v in self._quotient.plain_gb)
 
     @property
     def is_quotient(self):
@@ -88,10 +90,14 @@ class PolyRing:
 
     def reduce_terms(self, terms):
         """Canonical representative of a term dict modulo the quotient."""
-        terms = {t: c for t, c in terms.items() if c}
-        if not self.quotient_gb or not terms:
-            return Polynomial(self, terms)
-        return Polynomial(self, gb.reduce_vector(terms, self._quotient_basis))
+        return self._reduced({t: c for t, c in terms.items() if c})
+
+    def _reduced(self, terms):
+        """The element of nonzero terms `terms`, in normal form modulo the
+        quotient: the one place a ring reduces."""
+        if self.quotient_gb and terms:
+            terms = self._quotient.normal_form(terms)
+        return Polynomial(self, terms)
 
     def combine(self, triples):
         """{key: sum of c * terms} over (key, c, terms) triples, each
@@ -369,9 +375,7 @@ class Polynomial:
                 else:
                     terms[t] = s
         ring.module_order.check_products(terms)
-        if ring.quotient_gb and terms:
-            terms = gb.reduce_vector(terms, ring._quotient_basis)
-        return Polynomial(ring, terms)
+        return ring._reduced(terms)
 
     __rmul__ = __mul__
 
@@ -937,52 +941,35 @@ def point_of(ring, point):
 # -- ring-level Gröbner API --------------------------------------------
 
 
-def _as_vectors(gens, ring):
-    """Accept Polynomials (rank 1) or lists of Polynomials (vectors)."""
-    vecs = []
-    rank = 1
-    for g in gens:
-        if isinstance(g, Polynomial):
-            g = [g]
-        rank = max(rank, len(g))
-        vecs.append(ring.vector(enumerate(g)))
-    return vecs, rank
+def column_matrix(gens, ring):
+    """Ring elements, or equal-length lists of ring elements, as the
+    columns of a matrix; an element is a column of one row."""
+    cols = [[g] if isinstance(g, Polynomial) else list(g) for g in gens]
+    return Mat.from_columns(ring, cols, len(cols[0]))
 
 
 def groebner_basis(gens, ring):
-    """Interreduced deterministic Gröbner basis; quotient-aware.
+    """The reduced Gröbner basis of the span of gens modulo the quotient
+    (`MatrixGB.reduced_basis`); deterministic.
 
     Input: ring elements, or equal-length lists of ring elements for
-    free-module columns.  Output mirrors the input shape.
+    free-module columns.  Output: ring elements at rank 1, else lists.
     """
     gens = list(gens)
     if not gens:
         return []
-    vecs, rank = _as_vectors(gens, ring)
-    extra = ring.quotient_extra_vectors(rank)
-    order = ring.module_order
-    basis = gb.buchberger(vecs + extra, ring.field, order)
-    # The interreduced combined basis is already entrywise reduced mod
-    # the quotient; reduce_terms only zeroes out the pure quotient part.
-    out = []
-    for v in basis:
-        parts = order.split(v)
-        polys = [ring.reduce_terms(parts.get(i, {})) for i in range(rank)]
-        if all(p.is_zero for p in polys):
-            continue
-        out.append(polys[0] if rank == 1 else polys)
-    return out
+    basis = MatrixGB(column_matrix(gens, ring)).reduced_basis()
+    cols = [basis.column(j) for j in range(basis.ncols)]
+    return [col[0] for col in cols] if basis.nrows == 1 else cols
 
 
 def normal_form(element, basis, ring):
-    """Unique remainder of element against a Gröbner basis."""
-    vecs, rank = _as_vectors(list(basis) + [element], ring)
-    vec = vecs.pop()
-    extra = ring.quotient_extra_vectors(rank)
-    order = ring.module_order
-    basis = gb._Basis(ring.field, order, vecs + extra)
-    parts = order.split(gb.reduce_vector(vec, basis))
-    polys = [Polynomial(ring, parts.get(i, {})) for i in range(rank)]
+    """Remainder of element modulo the span of basis and the quotient:
+    the unique remainder against a Gröbner basis, and canonical for any
+    generating set of the same span."""
+    mat = column_matrix([*basis, element], ring)
+    n = mat.ncols - 1
+    polys = MatrixGB(mat.select_columns(range(n))).normal_form(mat.column(n))
     return polys[0] if isinstance(element, Polynomial) else polys
 
 
@@ -999,6 +986,13 @@ class MatrixGB:
 
     def contains_column(self, col):
         return self._gb.contains(self.ring.vector(enumerate(col)))
+
+    def normal_form(self, col):
+        """The canonical remainder of a column modulo the span and the
+        quotient, as a list of ring elements."""
+        ring = self.ring
+        parts = ring.module_order.split(self._gb.normal_form(ring.vector(enumerate(col))))
+        return [Polynomial(ring, parts.get(i, {})) for i in range(self.mat.nrows)]
 
     def lift_column(self, col):
         """x with mat·x = col (mod quotient), or None."""

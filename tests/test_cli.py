@@ -10,7 +10,7 @@ from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from perfx.cli import ParseError, main, parse_session, print_session
 
@@ -386,13 +386,33 @@ module MX on X = free(1)
      "parse error: line 14: matrix [[..]] at N: N must be an integer, got 'y'"),
     ("", ["transfer-check", "ring=A", "t=(t)", "n=M", "i=abc"],
      "usage: i=N: N must be an integer, got 'abc'"),
+    # regression(...) takes seed= and index=, each at most once
+    ("diagram D = regression(seed=1=2, index=1)", ["roundtrip"],
+     "parse error: line 14: regression(seed=N, index=K): N must be an integer, got '1=2'"),
+    ("diagram D = regression(sed=3, index=1)", ["roundtrip"],
+     "parse error: line 14: regression(seed=N, index=K): unknown argument 'sed=3'"),
+    ("diagram D = regression(junk, index=1)", ["roundtrip"],
+     "parse error: line 14: regression(seed=N, index=K): unknown argument 'junk'"),
+    ("diagram D = regression(seed=1, seed=2)", ["roundtrip"],
+     "parse error: line 14: regression(seed=N, index=K): seed= given twice"),
+    # a name declared as another kind
+    ("", ["tor", "K", "at", "p0"], "'K' is a complex, not a module"),
+    ("", ["perfect", "p0", "at", "p0"], "'p0' is a point, not a module or complex"),
+    # an axiom the battery does not run
+    ("diagram D = regression(seed=1, index=0)", ["verify-axiom", "A3", "diagram=D"],
+     "usage: verify-axiom AXIOM diagram=D: AXIOM is one of A1, A2, A12, A123, got 'A3'"),
+    # reduced= other than yes or no
+    ("", ["grauert", "map=f", "sheaf=OB", "points={(0)}", "reduced=maybe"],
+     "usage: reduced=yes|no, got 'maybe'"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
     "diagram-index--1", "chi-scan-O(x)", "hp-scan-O(1", "grauert-O()", "session-1e999999999",
     "session-1e4300", "session-12345e4299", "module-free(-1)", "complex-free(-2)",
     "module-free(abc)", "complex-free(abc)", "GF(x)", "blowup(QQ,x)", "regression-seed=x",
-    "regression-index=y", "matrix-at-y", "transfer-check-i=abc",
+    "regression-index=y", "matrix-at-y", "transfer-check-i=abc", "regression-seed=1=2",
+    "regression-sed=3", "regression-junk", "regression-seed-twice", "tor-of-a-complex",
+    "perfect-of-a-point", "verify-axiom-A3", "grauert-reduced=maybe",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
     """A zero denominator, a sheaf on the wrong ring, a twist or another
@@ -629,6 +649,43 @@ def test_cli_relperf_failure_exit(tmp_path, capsys):
     assert "not_relatively_perfect" in out
 
 
+PUSHFORWARD_SESSION = """
+ring A = QQ[t]
+ring B = QQ[t,u] / (u^2 - t)
+map f : A -> B = (t)
+module M on B = coker [[u, u]]
+ring A2 = QQ[t] / (t^2)
+ring B2 = QQ[t,u] / (t^2, u^2 - t)
+map g : A2 -> B2 = (t)
+module Q on B2 = coker [[u]]
+ring C = QQ[t,u] / (u^2)
+map h : A -> C = (t)
+module P on C = coker [[u]]
+"""
+
+
+@pytest.mark.parametrize("command, code, lines", [
+    (["chi-scan", "map=f", "sheaf=M", "points={(0),(1)}"], 0,
+     ["values: [0, 0]", "(0),chi,0,constant", "(1),chi,0,constant"]),
+    (["hp-scan", "map=f", "sheaf=M", "p=-1", "points={(0),(1)}"], 0,
+     ["generic_value: 0", "(0),-1,1,pass", "(1),-1,0,pass"]),
+    (["relperf", "Q", "over", "g", "points={(0)}"], 1,
+     ["verdict: not_relatively_perfect_within_depth", "witness_points: ['(0)']"]),
+    (["relperf", "P", "over", "h", "points={(0)}"], 0,
+     ["verdict: relatively_perfect", "global: True"]),
+], ids=["chi-scan", "hp-scan", "relperf-Q-over-g", "relperf-P-over-h"])
+def test_cli_affine_pushforward_restricts_presented_modules(tmp_path, capsys, command, code,
+                                                           lines):
+    """M = B/(u) pushes forward to A/(t); Q is A2/(t) over A2, which is not
+    perfect; P is A itself over A.  The relations of M and of Q are not
+    injective, so neither module is its two-term relation complex."""
+    path = tmp_path / "s.pfx"
+    path.write_text(PUSHFORWARD_SESSION)
+    got, out, _err = run_cli(capsys, *command, "--input", str(path))
+    assert got == code
+    assert all(line in out.splitlines() for line in lines), out
+
+
 def test_cli_usage_error(capsys):
     code, _out, err = run_cli(capsys, "frobnicate")
     assert code == 2
@@ -828,3 +885,154 @@ def test_cli_roundtrip_past_the_cap_exits_2(tmp_path, capsys):
         "perfx: parse error: line 3: malformed polynomial: "
         "degree 1048576 of monomial (1048576,) exceeds the packed-term cap 1048575\n"
     )
+
+
+# Command tokens for the README session: names, numbers in every literal
+# form the fields read, and malformed values.  Each field is well formed
+# four times in five, so most commands get past parsing.  Sizes are
+# bounded so that one example runs in well under a second: blow-up
+# n <= 3, twists and window ends within 8, --depth and `depth N` <= 8,
+# --max-stage <= 4.
+def mostly(valid, other):
+    """valid four times in five, else other."""
+    return st.integers(0, 4).flatmap(lambda k: other if k == 0 else valid)
+
+
+ANY_NAME = st.one_of(
+    st.sampled_from(["A", "B", "f", "M", "OB", "K", "X", "p0", "D", "R", "U", "Z", ""]),
+    st.text("ABDKMORUXZfp0_,=", min_size=1, max_size=3),
+)
+
+
+def name(*valid):
+    return mostly(st.sampled_from(valid), ANY_NAME)
+
+
+NUMBER = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(-9, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(-99, 99), st.integers(0, 99), st.integers(-400, 400)).map(
+        lambda t: f"{t[0]}.{t[1]}e{t[2]}"),
+    st.sampled_from(["", "x", "1/", "/2", "1//2", "--1", "1e", "0x10", "1_000", "nan",
+                     "inf", "1e99999", "(0)", "1,2", " 3 "]),
+)
+COORD = mostly(st.integers(-3, 3).map(str), NUMBER)
+SMALL = mostly(st.integers(0, 8).map(str),
+               st.one_of(st.integers(-2, -1).map(str), st.sampled_from(["", "x", "1.5", "1/2"])))
+
+
+def points(arity):
+    coords = st.lists(COORD, min_size=arity, max_size=arity).map(lambda cs: "(" + ",".join(cs) + ")")
+    well_formed = st.lists(coords, min_size=1, max_size=3).map(lambda ps: "{" + ",".join(ps) + "}")
+    line = "line(t=s; s={{{}}})" if arity == 1 else "line(y1=s,y2=0; s={{{}}})"
+    return mostly(st.one_of(well_formed, st.lists(COORD, min_size=1, max_size=3).map(
+        lambda vs: line.format(",".join(vs)))), st.one_of(
+        st.lists(st.lists(COORD, max_size=3).map(lambda cs: "(" + ",".join(cs) + ")"),
+                 max_size=3).map(lambda ps: "{" + ",".join(ps) + "}"),
+        st.sampled_from(["", "{", "{(0)", "(0)", "{(0),}", "line(", "line(; s={1})",
+                         "line(t=s; s=)", "line(t=s)", "line(u=s; s={1})", "{()}"])))
+
+
+ELEMENTS = mostly(
+    st.lists(st.sampled_from(["t", "x", "y", "x^2", "y^3", "t^2", "x*y"]), min_size=1,
+             max_size=3).map(lambda es: "(" + ",".join(es) + ")"),
+    st.one_of(st.lists(st.sampled_from(["1", "0", "1/2", "z", "x^", "(x)", ""]), max_size=2).map(
+        lambda es: "(" + ",".join(es) + ")"), st.sampled_from(["", "(", ")", "((x)", "x,y"])),
+)
+WINDOW = mostly(
+    st.tuples(st.integers(-8, 0), st.integers(0, 8)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.one_of(st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda t: f"{t[0]}..{t[1]}"),
+              st.sampled_from(["", "..", "1..", "..1", "a..b", "1...2", "1.5..2", "0"])),
+)
+TWIST = mostly(st.integers(-3, 3).map(lambda n: f"O({n})"),
+               st.sampled_from(["O(", "O()", "O(x)", "O(1/2)", "O(1)(2)", "M"]))
+# a carrier with its sheaf and the arity of its base points
+SCANS = st.one_of(
+    st.tuples(st.just("family=X"), TWIST, st.just(2)),
+    st.tuples(st.just("map=f"), name("OB"), st.just(1)),
+    st.tuples(st.just("ring=A"), name("M", "K", "U"), st.just(1)),
+    st.tuples(st.sampled_from(["family", "map", "ring", "fam"]).flatmap(
+        lambda key: ANY_NAME.map(lambda n: f"{key}={n}")), ANY_NAME, st.integers(0, 2)),
+)
+
+
+def scan(d, command):
+    carrier, sheaf, arity = d(SCANS)
+    tokens = [command, carrier, "sheaf=" + sheaf, "points=" + d(points(arity))]
+    if command != "chi-scan":
+        tokens.append("p=" + d(mostly(st.integers(-3, 3).map(str), NUMBER)))
+    if command == "grauert":
+        tokens.append("reduced=" + d(mostly(st.sampled_from(["yes", "no"]),
+                                            st.sampled_from(["maybe", ""]))))
+    return tokens
+
+
+# local cohomology over R of the unit complex, or over A of a module or complex
+COHOMOLOGY = st.one_of(
+    st.tuples(st.just("ring=R"), ELEMENTS, st.just([])),
+    st.tuples(name("A"), mostly(st.just("(t)"), ELEMENTS),
+              name("U", "K", "M").map(lambda n: [f"n={n}"])),
+)
+
+
+def cohomology(d):
+    ring, elements, target = d(COHOMOLOGY)
+    if not ring.startswith("ring="):
+        ring = "ring=" + ring
+    return ["local-cohomology", ring, "t=" + elements, *target, "--window=" + d(WINDOW)]
+
+
+COMMAND_TOKENS = {
+    "perfect": lambda d: ["perfect", d(name("M", "K", "U")), "at", d(name("p0")),
+                          "depth", d(SMALL)],
+    "tor": lambda d: ["tor", d(name("M")), "at", d(name("p0")), "depth", d(SMALL)],
+    "hp-scan": lambda d: scan(d, "hp-scan"),
+    "chi-scan": lambda d: scan(d, "chi-scan"),
+    "grauert": lambda d: scan(d, "grauert"),
+    "local-cohomology": cohomology,
+    "relperf": lambda d: ["relperf", d(name("OB")), "over", d(name("f")),
+                          "points=" + d(points(1)),
+                          "mode=" + d(st.sampled_from(["auto", "finite", "pointwise", "x"]))],
+    "verify-axiom": lambda d: ["verify-axiom", d(st.sampled_from(["A1", "a2", "A12", "A123",
+                                                                  "A3", ""])),
+                               "diagram=" + d(name("D"))],
+    "transfer-check": lambda d: ["transfer-check", "ring=" + d(name("A")),
+                                 "t=" + d(mostly(st.just("(t)"), ELEMENTS)),
+                                 "n=" + d(name("U", "M", "K")), "i=" + d(SMALL)],
+    "example": lambda d: ["example", "blowup-chi", "n=" + d(mostly(
+        st.integers(1, 3).map(str), st.sampled_from(["", "x", "0", "-1", "1.0", "2/1"])))],
+    "roundtrip": lambda d: ["roundtrip"],
+}
+OPTIONS = {
+    "--depth": SMALL,
+    "--max-stage": mostly(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "x"])),
+    "--format": mostly(st.sampled_from(["text", "csv", "json"]), st.just("xml")),
+    "--seed": mostly(st.integers(0, 10**6).map(str), NUMBER),
+}
+
+
+@st.composite
+def command_lines(draw):
+    tokens = COMMAND_TOKENS[draw(st.sampled_from(sorted(COMMAND_TOKENS)))](draw)
+    if draw(st.integers(0, 9)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    for option in draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=3, unique=True)):
+        tokens.append(f"{option}={draw(OPTIONS[option])}")
+    return tokens
+
+
+@settings(max_examples=1500, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_cli_command_tokens_keep_the_exit_code_contract(tmp_path, capsys, tokens):
+    """Any command tokens on the README session exit 0, 1 or 2, and none
+    ends in a traceback or reads as an internal error.  The size bounds
+    above leave out the hangs that no cap stops yet: `example blowup-chi`
+    from n=8 on (CHANGES.md FOUND line 38) and a lex `syzygy_basis` over
+    QQ that does not end (FOUND line 43)."""
+    path = tmp_path / "s.pfx"
+    path.write_text(README_FULL_SESSION)
+    code, out, err = run_cli(capsys, *tokens, "--input", str(path))
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "internal error" not in err

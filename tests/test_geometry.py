@@ -194,6 +194,41 @@ def test_pushforward_structure_quotient(double_cover, line):
     assert pushed.homology(-1).is_zero()
 
 
+def test_pushforward_of_a_module_with_dependent_relations(line):
+    """M = coker [[u, u]] over B = QQ[t,u]/(u^2 - t) is B/(u), so f_*M is
+    A/(t): chi 0 everywhere, h^-1 = 0 and h^0 = 1 at the origin.  Its
+    relations are not injective, so they are not a two-term resolution."""
+    b = PolyRing(QQ, ["t", "u"], quotient=["u^2 - t"])
+    f = RingMap(line, b, ["t"])
+    m = ModulePresentation(b, 1, Mat(b, [["u", "u"]]))
+    points = [RationalPoint(line, (0,)), RationalPoint(line, (1,))]
+    pushed = pushforward_affine(f, m)
+    assert pushed.tail == "zero"
+    assert [chi(f, m, y) for y in points] == [0, 0]
+    assert [pushed.fiber_dims(y).get(0, 0) for y in points] == [1, 0]
+    scan = hp_scan(f, m, -1, points)
+    assert scan["values"] == [(points[0], 1), (points[1], 0)]
+    assert scan["generic_value"] == 0
+
+
+def test_finite_relative_perfection_decides_over_the_base(line):
+    """Q = coker [[u]] over B2 = QQ[t,u]/(t^2, u^2 - t) is A2/(t) over
+    A2 = QQ[t]/(t^2), which has no finite resolution; P = coker [[u]] over
+    C = QQ[t,u]/(u^2) is A itself over A = QQ[t], although its resolution
+    over C is infinite."""
+    a2 = PolyRing(QQ, ["t"], quotient=["t^2"])
+    b2 = PolyRing(QQ, ["t", "u"], quotient=["t^2", "u^2 - t"])
+    q = ModulePresentation(b2, 1, Mat(b2, [["u"]]))
+    origin = RationalPoint(a2, (0,))
+    report = is_relatively_perfect(q, RingMap(a2, b2, ["t"]), [origin])
+    assert report.verdict == "not_relatively_perfect_within_depth"
+    assert report.witness_points() == [origin]
+    c = PolyRing(QQ, ["t", "u"], quotient=["u^2"])
+    p = ModulePresentation(c, 1, Mat(c, [["u"]]))
+    report = is_relatively_perfect(p, RingMap(line, c, ["t"]), [RationalPoint(line, (0,))])
+    assert report.verdict == "relatively_perfect" and report.global_scope
+
+
 def test_pushforward_identity(line):
     f = RingMap.identity(line)
     e = koszul(line, ["t"])

@@ -5,12 +5,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "perfx"
 
-# Gröbner reduction and term-packing internals: only the engine, the ring
-# layer and the orders that define the packing use them.
+# Gröbner reduction and term-packing internals: only the engine and the
+# orders that define the packing use them.
 ENGINE_NAMES = {"_Basis", "reduce_vector", "leading_term", "posmask", "divmask", "guardmask"}
-ENGINE_MODULES = {"groebner.py", "rings.py", "orders.py"}
+ENGINE_MODULES = {"groebner.py", "orders.py"}
 # Engine entry points take a packed order object, never a key callable.
-ENGINE_ENTRY_POINTS = {"buchberger", "_Basis", "syzygy_basis", "ModuleGB"}
+ENGINE_ENTRY_POINTS = {"buchberger", "_Basis", "syzygy_basis", "ModuleGB", "schreyer_relations"}
+# What each module outside groebner.py takes from it; the others take nothing.
+ENGINE_IMPORTS = {
+    "rings.py": {"ModuleGB", "syzygy_basis", "schreyer_relations"},
+    "maps.py": {"syzygy_basis", "mono_divides"},
+}
 # The term-key callables and heap wrapper that packed terms replaced, the
 # tuple-term vector converters that packed engine vectors replaced, and the
 # polynomial term converters that packed polynomial terms replaced.
@@ -70,7 +75,7 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def test_only_engine_and_rings_use_reduction_internals():
+def test_only_the_engine_uses_reduction_internals():
     hits = []
     for name, _text, tree in _modules():
         if name in ENGINE_MODULES:
@@ -234,17 +239,45 @@ def _called_name(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_only_engine_and_rings_call_buchberger():
+def test_only_the_engine_calls_buchberger():
     """Gröbner bases come from the engine's entry points: only groebner.py
-    and rings.py name `buchberger`; the other modules reach it through
-    `syzygy_basis`, `ModuleGB` and the ring layer."""
+    names `buchberger`, `interreduce`, `_Basis` or `reduce_vector`; the
+    other modules reach them through `ModuleGB`, `syzygy_basis`,
+    `schreyer_relations` and the ring layer."""
+    internals = {"buchberger", "interreduce", "_Basis", "reduce_vector"}
     hits = []
     for name, _text, tree in _modules():
-        if name in ("groebner.py", "rings.py"):
+        if name == "groebner.py":
             continue
-        hits += [f"{name}:{node.lineno}" for node, named in _identifiers(tree)
-                 if named == "buchberger"]
-    assert not hits, "buchberger named outside groebner.py and rings.py:\n" + "\n".join(hits)
+        hits += [f"{name}:{node.lineno}: {named}" for node, named in _identifiers(tree)
+                 if named in internals]
+    assert not hits, "engine internals named outside groebner.py:\n" + "\n".join(hits)
+
+
+def _engine_names(tree):
+    """The names a module takes from groebner.py: imported from it, or read
+    as attributes of the module bound by `from . import groebner`."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "groebner":
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases.update(a.asname or a.name for a in node.names if a.name == "groebner")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_engine_imports_are_the_entry_points():
+    """rings.py takes only `ModuleGB`, `syzygy_basis` and
+    `schreyer_relations` from the engine, maps.py only `syzygy_basis` and
+    `mono_divides`, and no other module outside groebner.py takes any."""
+    got = {name: _engine_names(tree) for name, _text, tree in _modules()
+           if name != "groebner.py"}
+    got = {name: names for name, names in got.items() if names}
+    assert got == ENGINE_IMPORTS
 
 
 def test_no_projected_syzygies():
