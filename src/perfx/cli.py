@@ -200,7 +200,7 @@ def _parse_complex(session, rhs, line_no, carrier, carrier_name):
     if isinstance(carrier, ProjectiveFamily):
         ring = carrier.total
         if rhs.startswith("O(") and rhs.endswith(")"):
-            return carrier.twist(int(rhs[2:-1]))
+            return carrier.twist(_int(rhs[2:-1], "O(n)", "n"))
     else:
         ring = carrier
     if rhs.startswith("koszul(") and rhs.endswith(")"):
@@ -441,6 +441,11 @@ def _points_from_arg(session, options, usage, ring):
         range_part = range_part.strip()
         param, _, values_txt = range_part.partition("=")
         param = param.replace("in", "").strip()
+        for var in assignments:
+            if var not in ring.variables:
+                raise ParseError(f"points=line(..): {var}= names no variable of {ring}")
+        if param not in assignments.values():
+            raise ParseError(f"points=line(..): the parameter {param!r} binds no coordinate")
         values_txt = values_txt.strip()
         if not (values_txt.startswith("{") and values_txt.endswith("}")):
             raise ParseError("parameter values must be braced, s={0,1,2}")

@@ -9,6 +9,8 @@ an identity on complexes and maps already built (tensor, hom_complex,
 cone, shift, direct_sum, minimize, tensor_map, identity maps,
 geometry.relative_strand, resolutions.truncate_below) use the trusted
 `_make` constructors instead, which still enforce RANK_CAP.
+geometry.pushforward_projective does too for its input recast to the
+ambient ring, a complex only modulo the family's relations.
 RingMap.apply_complex does too, and then checks only the grading it
 keeps, the one claim a ring map can break.
 
@@ -135,6 +137,15 @@ class FreeComplex:
         """Lowest degree where homology is determined by the window."""
         return self.lo if self.tail == ZERO_BELOW else self.lo + 1
 
+    def check_determined(self, i):
+        """Raise ValueError at a degree below a truncated complex's
+        homology floor, where no homology can be read."""
+        if self.tail != ZERO_BELOW and i < self.homology_floor():
+            raise ValueError(
+                f"homology at {i} not determined: below the homology floor "
+                f"{self.homology_floor()} of a truncated complex (tail {self.tail})"
+            )
+
     def total_rank(self):
         return sum(self.ranks.values())
 
@@ -246,9 +257,11 @@ class FreeComplex:
         A quotient ring need not have one generic point: there the value
         is the fiber dimension at the probe, which by semicontinuity
         bounds the generic value from above, reported as not certified.
-        Below the homology floor it is 0, as in `fiber_dims`.
+        Below a bounded complex it is 0; below the floor of a truncated
+        one it raises ValueError (`check_determined`).
         """
-        if i < self.homology_floor():
+        self.check_determined(i)
+        if i < self.lo:
             return 0, True
         if self.ring.is_quotient:
             return self.fiber_dims(probe).get(i, 0), False

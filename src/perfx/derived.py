@@ -22,7 +22,6 @@ from .complexes import (
     koszul_dual_stage,
     koszul_dual_transition,
     koszul_resolution_of_point,
-    tensor,
     tensor_map,
     unit_complex,
 )
@@ -31,11 +30,11 @@ from .rings import Mat, MatrixGB, syzygy_matrix
 from .linalg import rank as field_rank  # noqa: F401
 from .modules import ModulePresentation
 from .resolutions import (
-    FPComplex,
     fp_homology,
     free_resolution,
     homology_data,
     module_tensor_complex,
+    presented,
 )
 from .rings import RationalPoint, point_of
 
@@ -52,7 +51,7 @@ def tor_profile(module, point, depth, method="resolve"):
     """[dim Tor_i(M, kappa(point)) for i in 0..depth].
 
     method 'resolve' resolves the module and evaluates; 'koszul'
-    tensors the module presentation with the Koszul resolution of the
+    tensors the module or complex with the Koszul resolution of the
     point (plain rings only) and measures the homology presentations.
     Another method, or a point of another ring, raises ValueError
     before anything is computed.
@@ -69,11 +68,7 @@ def tor_profile(module, point, depth, method="resolve"):
             "the Koszul route needs the sequence x-a to resolve the point; "
             "use 'resolve' over quotient rings"
         )
-    k = koszul_resolution_of_point(ring, point)
-    if isinstance(module, ModulePresentation):
-        fpc = module_tensor_complex(module, k)
-    else:
-        fpc = FPComplex.from_free(tensor(module, k))
+    fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
     out = []
     for i in range(depth + 1):
         h = fp_homology(fpc, -i)
@@ -140,23 +135,9 @@ class LocalCohomologyReport:
         return f"LocalCohomology({status})"
 
 
-def _with_coefficients(n, cplx):
-    """cplx with coefficients in n: M (x) cplx for a presented module M,
-    the total tensor complex for a free complex."""
-    if isinstance(n, ModulePresentation):
-        return module_tensor_complex(n, cplx)
-    return tensor(cplx, n)
-
-
 def _homology(carrier, indices):
-    """{i: homology_data(carrier, i)} for the indices where it is determined."""
-    datas = {}
-    for i in indices:
-        try:
-            datas[i] = homology_data(carrier, i)
-        except ValueError:
-            continue
-    return datas
+    """{i: homology_data(carrier, i)} over the indices."""
+    return {i: homology_data(carrier, i) for i in indices}
 
 
 def _presentations(datas):
@@ -271,12 +252,13 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
     if not isinstance(n, (ModulePresentation, FreeComplex)):
         raise TypeError("n must be a ModulePresentation or FreeComplex")
     r = len(elements)
-    indices = range(n.lo, n.hi + r + 1) if isinstance(n, FreeComplex) else range(r + 1)
+    coefficients = presented(n)
+    indices = range(coefficients.lo, coefficients.hi + r + 1)
     report = LocalCohomologyReport([str(t) for t in elements], max_stage)
 
     def stage_at(s):
         stage = koszul_dual_stage(ring, elements, s)
-        return stage, _homology(_with_coefficients(n, stage), indices)
+        return stage, _homology(module_tensor_complex(n, stage), indices)
 
     bound = _exact_bound(ring, elements, n, degree_window)
     if bound is not None:
@@ -333,7 +315,7 @@ def local_cohomology(ring, elements, n, max_stage=8, degree_window=None):
             for i, pres in report.presentations.items()
             for d in degree_window
         }
-    cech = _homology(_with_coefficients(n, cech_cone(stage)), indices)
+    cech = _homology(module_tensor_complex(n, cech_cone(stage)), indices)
     report.audit = _triangle_audit(
         _presentations(datas), _presentations(cech), n, indices, degree_window,
         _default_sample_points(ring),
@@ -402,7 +384,7 @@ def _triangle_audit(local, cech, n, indices, degree_window, points):
 
     local and cech are the stage's homology presentations by index; the
     middle term is the homology of n itself."""
-    coeff = _presentations(_homology(_with_coefficients(n, unit_complex(n.ring)), indices))
+    coeff = _presentations(_homology(module_tensor_complex(n, unit_complex(n.ring)), indices))
     checks = []
 
     def run_one(weigher, tag):
@@ -432,7 +414,7 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
     if max_stage < 1:
         raise ValueError("max_stage must be at least 1")
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
-    hom = _with_coefficients(n, dual(koszul(ring, elements)))
+    hom = module_tensor_complex(n, dual(koszul(ring, elements)))
     if not homology_data(hom, index)[2].is_zero():
         return {
             "hypothesis_holds": False,
@@ -443,7 +425,7 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
         }
     verified = []
     for s in range(1, max_stage + 1):
-        stage = _with_coefficients(n, koszul_dual_stage(ring, elements, s))
+        stage = module_tensor_complex(n, koszul_dual_stage(ring, elements, s))
         verified.append({"stage": s, "vanishes": homology_data(stage, index)[2].is_zero()})
     return {
         "hypothesis_holds": True,
@@ -501,12 +483,6 @@ class PerfectionCertificate:
         )
 
 
-def _min_homology_degree(e):
-    if isinstance(e, ModulePresentation):
-        return 0
-    return e.lo
-
-
 def is_perfect_at(e, point, max_depth=None, criterion="tor"):
     """Perfection of a module or bounded free complex near a point.
 
@@ -523,7 +499,7 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
         max_depth = default_depth(ring)
     resolution = free_resolution(e, max_depth + 3)
     floor_valid = resolution.homology_floor()
-    n_start = _min_homology_degree(e) - 2
+    n_start = presented(e).lo - 2
 
     tor_dims = resolution.fiber_dims(point)
     if criterion == "tor":
@@ -710,17 +686,10 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
     for y in points:
         res_y = free_resolution(ModulePresentation.residue_field(f.source, y), max_depth + 2)
         pulled = f.apply_complex(res_y)
-        if isinstance(e, ModulePresentation):
-            fiber = module_tensor_complex(e, pulled)
-            homologies = {
-                i: fp_homology(fiber, i)
-                for i in range(pulled.homology_floor(), pulled.hi + 1)
-            }
-        else:
-            tens = tensor(e, pulled)
-            homologies = {}
-            for i in range(tens.homology_floor(), tens.hi + 1):
-                homologies[i] = tens.homology(i)
+        fiber = module_tensor_complex(e, pulled)
+        # a truncated resolution of kappa(y) is trusted from its floor up
+        floor = fiber.lo + pulled.homology_floor() - pulled.lo
+        homologies = {i: fp_homology(fiber, i) for i in range(floor, fiber.hi + 1)}
         x = _fiber_point(f, y)
         entry = {"pass": True, "homology": {}, "fiber_point": x}
         if x is None:

@@ -35,6 +35,8 @@ from .resolutions import (
     FPComplex,
     free_replacement,
     free_resolution,
+    module_tensor_complex,
+    presented,
 )
 from .rings import (
     Mat,
@@ -67,8 +69,8 @@ def restrict_scalars(f, e):
     FPComplex over the source, through the module-finite basis
     m_0..m_(nb-1).
 
-    A module is its one-term complex at degree 0 and a free complex its
-    complex of free modules, so a module's relations stay relations:
+    The input is read by `resolutions.presented`: a module is its
+    one-term complex at degree 0, so its relations stay relations:
     its homology is the module whether or not they are injective.  An
     entry at (s, c) of a map or of a term's relations becomes the
     nb x nb block whose entry (k, j) is the coefficient of m_k in
@@ -92,10 +94,7 @@ def restrict_scalars(f, e):
             ]
         return Mat.from_entries(source, m.nrows * nb, m.ncols * nb, entries)
 
-    if isinstance(e, ModulePresentation):
-        e = FPComplex(e.ring, {0: e}, {})
-    elif isinstance(e, FreeComplex):
-        e = FPComplex.from_free(e)
+    e = presented(e)
     terms = {}
     for i, t in e.terms.items():
         r, rels = t.ambient_rank, t.relations
@@ -219,23 +218,6 @@ def blowup_family(base_field, n):
 # -- projective pushforward -------------------------------------------------
 
 
-def _as_ambient_fp(fam, e):
-    """A free complex over the total ring as an FPComplex over T."""
-    t = fam.ambient
-    rels = Mat(t, [list(fam.relations)])
-    terms = {}
-    maps = {}
-    for i, r in e.ranks.items():
-        degs = e.degrees[i] if e.degrees is not None else None
-        if not rels.ncols:
-            terms[i] = ModulePresentation.free(t, r, degs)
-            continue
-        terms[i] = ModulePresentation(t, r, Mat.identity(t, r).kron(rels), degs)
-    for i, m in e.diffs.items():
-        maps[i] = m.map(lambda x: recast(x, t), t)
-    return FPComplex(t, terms, maps)
-
-
 def relative_strand(complex_, base, fiber_count):
     """Degree-0 strand in the fiber variables, as a complex over the base.
 
@@ -313,7 +295,12 @@ def pushforward_projective(fam, e, minimal=True):
     if e.degrees is None:
         raise ValueError("projective pushforward needs a graded complex")
     t = fam.ambient
-    fpc = _as_ambient_fp(fam, e)
+    # over T the recast differentials compose to zero only modulo the
+    # relations, which is all the tensor with T/(relations) needs
+    diffs = {i: m.map(lambda x: recast(x, t), t) for i, m in e.diffs.items()}
+    e_t = FreeComplex._make(t, e.ranks, diffs, e.degrees, e.tail)
+    total = ModulePresentation(t, 1, Mat(t, [list(fam.relations)]), (0,))
+    fpc = module_tensor_complex(total, e_t)
     floor = fpc.lo - fam.fiber_count - 2
     lifted = free_replacement(fpc, floor)
     m = fam.fiber_count - 1
@@ -462,10 +449,12 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
     from one random large-height probe (`FreeComplex.generic_dim`), and
     "generic_certified" says whether it is exact.  It is exact on every
     plain base.  On a quotient base it is h^p at the probe.  A probe off
-    the base's locus gives no generic value, and the audit fails.
+    the base's locus gives no generic value, and the audit fails.  A p
+    below a truncated pushforward's homology floor raises ValueError.
     """
     if pushed is None:
         pushed, _ = push(f_or_fam, e)
+    pushed.check_determined(p)
     base = pushed.ring
     values = [(y, pushed.fiber_dims(y).get(p, 0)) for y in points]
     rng = random.Random(seed)
@@ -496,17 +485,18 @@ def grauert_check(f_or_fam, e, p, points, reduced=True):
     Requires the base to be reduced (a caller assertion, surfaced in
     the report, not computed).  On constant sampled values the check
     verifies constant ranks of the two neighbouring differentials and
-    that H^p of the pushforward has matching fiber dimensions.
+    that H^p of the pushforward has matching fiber dimensions.  A p
+    below a truncated pushforward's homology floor raises ValueError.
     """
     pushed, _ = push(f_or_fam, e)
-    in_window = p >= pushed.homology_floor()
+    pushed.check_determined(p)
     values = {}
     rank_p = {}
     rank_prev = {}
     for y in points:
         ranks = pushed.fiber_ranks(y)
         rank_p[y], rank_prev[y] = ranks.get(p, 0), ranks.get(p - 1, 0)
-        values[y] = pushed.rank(p) - rank_p[y] - rank_prev[y] if in_window else 0
+        values[y] = pushed.rank(p) - rank_p[y] - rank_prev[y]
     vals = set(values.values())
     if len(vals) > 1:
         breakers = sorted(

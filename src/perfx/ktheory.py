@@ -443,22 +443,12 @@ def regression_entry(seed, index):
     g_leg = RingMap(y_ring, y_prime, y_prime.gens())
     g_prime = RingMap(x_ring, x_prime, x_prime.gens())
     f_prime = RingMap(y_prime, x_prime, [x_prime.var("t"), x_prime.var("u")])
-    sq_points = []
+    sq_points = []  # never empty: u0 is the u of x_points[0]
     for pt in x_points:
         if pt.coords[1] == u0:
             xq = RationalPoint(x_prime, pt.coords)
             yq = RationalPoint(y_prime, pt.coords[:2])
             sq_points.append((xq, yq))
-    if not sq_points:
-        yq = RationalPoint(y_prime, y_points[0].coords)
-        vv_candidates = [field.from_int(v) for v in range(-4, 9)]
-        for vv in vv_candidates:
-            try:
-                xq = RationalPoint(x_prime, (y_points[0].coords[0], u0, vv))
-            except ValueError:
-                continue
-            sq_points.append((xq, yq))
-            break
     square = IndependentSquare(f, g_leg, f_prime, g_prime, sq_points)
     yp_points = [q for _x, q in sq_points]
     beta_hg = _random_bounded_class(

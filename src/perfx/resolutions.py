@@ -16,6 +16,8 @@ window).
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .complexes import (
     EXACT_BELOW,
     ZERO_BELOW,
@@ -32,8 +34,8 @@ class FPComplex:
 
     maps[i] sends generators of terms[i] to columns over generators of
     terms[i+1].  The constructor checks nothing: in every FPComplex
-    perfx builds (from_free, module_tensor_complex, truncate_le and the
-    pushforwards in geometry.py) the maps respect the relations and
+    perfx builds (presented, module_tensor_complex, truncate_le and
+    geometry.restrict_scalars) the maps respect the relations and
     compose to zero by construction.
     """
 
@@ -59,16 +61,20 @@ class FPComplex:
             return self.maps[i]
         return Mat.zero(self.ring, self.term(i + 1).ambient_rank, self.term(i).ambient_rank)
 
-    @classmethod
-    def from_free(cls, complex_):
-        terms = {}
-        maps = {}
-        for i, r in complex_.ranks.items():
-            degs = complex_.degrees[i] if complex_.degrees is not None else None
-            terms[i] = ModulePresentation.free(complex_.ring, r, degs)
-        for i, m in complex_.diffs.items():
-            maps[i] = m
-        return cls(complex_.ring, terms, maps)
+
+def presented(obj):
+    """A module, free complex or FPComplex read as an FPComplex: a module
+    is its one-term complex at degree 0, a free complex its complex of
+    free modules (a truncated one's tail is not kept)."""
+    if isinstance(obj, FPComplex):
+        return obj
+    if isinstance(obj, FreeComplex):
+        terms = {
+            i: ModulePresentation.free(obj.ring, r, obj.term_degrees(i))
+            for i, r in obj.ranks.items()
+        }
+        return FPComplex(obj.ring, terms, obj.diffs)
+    return FPComplex(obj.ring, {0: obj}, {})
 
 
 def _kernel_of(mat):
@@ -201,9 +207,7 @@ def homology_data(obj, i):
     """
     ring = obj.ring
     if isinstance(obj, FreeComplex):
-        floor = obj.homology_floor()
-        if i < floor and obj.tail != ZERO_BELOW:
-            raise ValueError(f"homology at {i} not determined (tail {obj.tail})")
+        obj.check_determined(i)
         g = obj.rank(i)
         term_degs = obj.degrees[i] if (obj.degrees is not None and g) else None
         d_i = obj.diff(i)
@@ -245,31 +249,52 @@ def fp_homology(fpc, i):
     return homology_data(fpc, i)[2]
 
 
-def module_tensor_complex(module, complex_):
-    """M (x) C for a presented module and a free complex, as FPComplex.
-
-    Term i is M^(rank i) with generator degrees shifted by the
-    complex's; the maps are the complex differentials acting blockwise.
+def module_tensor_complex(coefficients, complex_):
+    """C (x) E for a free complex C and a module, free complex or
+    FPComplex E (read by `presented`), as an FPComplex with the layout
+    and signs of `complexes.tensor`: p ascending, then C^p's basis, then
+    E^q's generators, and d_C (x) 1 + (-1)^p 1 (x) d_E.  Block C^p (x)
+    E^q is rank(p) copies of E^q, so a module E gives E^(rank p) in term
+    p, with C's maps acting blockwise.
     """
-    ring = module.ring
+    e = presented(coefficients)
+    ring = e.ring
     if complex_.ring != ring:
         raise ValueError("module and complex over different rings")
-    amb = module.ambient_rank
+    layout = {}  # n -> the blocks (p, q) with p + q = n, p ascending
+    for p in sorted(complex_.ranks):
+        for q in e.terms:
+            layout.setdefault(p + q, []).append((p, q))
+
+    def size(p, q):
+        return complex_.rank(p) * e.terms[q].ambient_rank
+
     terms = {}
-    maps = {}
-    for i, r in complex_.ranks.items():
+    for n, blocks in layout.items():
+        parts = [(complex_.rank(p), complex_.term_degrees(p), e.terms[q]) for p, q in blocks]
+        copies = [Mat.identity(ring, r).kron(t.relations) for r, _d, t in parts]
+        rels = reduce(Mat.direct_sum, copies)
         degs = None
-        if module.degrees is not None and complex_.degrees is not None:
-            degs = tuple(
-                module.degrees[j] + complex_.degrees[i][b]
-                for b in range(r)
-                for j in range(amb)
-            )
-        rel = Mat.identity(ring, r).kron(module.relations)
-        terms[i] = ModulePresentation(ring, r * amb, rel, degs)
-    ident = Mat.identity(ring, amb)
-    for i, m in complex_.diffs.items():
-        maps[i] = m.kron(ident)
+        if all(d is not None and t.degrees is not None for _r, d, t in parts):
+            degs = [a + b for _r, d, t in parts for a in d for b in t.degrees]
+        terms[n] = ModulePresentation(ring, rels.nrows, rels, degs)
+
+    def piece(p, q, tp, tq):
+        if (tp, tq) == (p + 1, q) and p in complex_.diffs:
+            return complex_.diffs[p].kron(Mat.identity(ring, e.terms[q].ambient_rank))
+        if (tp, tq) == (p, q + 1) and q in e.maps:
+            m = Mat.identity(ring, complex_.rank(p)).kron(e.maps[q])
+            return -m if p % 2 else m
+        return Mat.zero(ring, size(tp, tq), size(p, q))
+
+    maps = {
+        n: reduce(Mat.hstack, [
+            reduce(Mat.vstack, [piece(*block, *target) for target in layout[n + 1]])
+            for block in blocks
+        ])
+        for n, blocks in layout.items()
+        if n + 1 in layout
+    }
     return FPComplex(ring, terms, maps)
 
 
@@ -337,10 +362,8 @@ def derived_tensor(e, f, depth=6):
     the degrees where its homology provably agrees with the derived
     tensor and flagged 'exact' below.
     """
-    e_top = e.hi if isinstance(e, (FreeComplex, FPComplex)) else 0
-    f_top = f.hi if isinstance(f, (FreeComplex, FPComplex)) else 0
-    re = free_resolution(e, depth + max(0, f_top) + 2)
-    rf = free_resolution(f, depth + max(0, e_top) + 2)
+    re = free_resolution(e, depth + max(0, presented(f).hi) + 2)
+    rf = free_resolution(f, depth + max(0, presented(e).hi) + 2)
     t = tensor(re, rf)
     bounds = []
     if re.tail != ZERO_BELOW:

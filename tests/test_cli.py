@@ -330,6 +330,7 @@ module MG on G = free(1)
 family X = blowup(QQ, 2)
 module MX on X = free(1)
 """
+TRUNCATED = "ring A2 = QQ[t] / (t^2)\nmodule Q2 on A2 = coker [[t]]"
 
 
 @pytest.mark.parametrize("extra, tokens, message", [
@@ -404,6 +405,19 @@ module MX on X = free(1)
     # reduced= other than yes or no
     ("", ["grauert", "map=f", "sheaf=OB", "points={(0)}", "reduced=maybe"],
      "usage: reduced=yes|no, got 'maybe'"),
+    # a twist in a complex declaration that is not an integer
+    ("complex KX on X = O(x)", ["roundtrip"],
+     "parse error: line 14: O(n): n must be an integer, got 'x'"),
+    # a line whose parameter binds no coordinate, or that names no variable
+    ("", ["hp-scan", "ring=A", "sheaf=M", "points=line(; s={1})"],
+     "points=line(..): the parameter 's' binds no coordinate"),
+    ("", ["hp-scan", "ring=A", "sheaf=M", "points=line(q=s; s={1})"],
+     "points=line(..): q= names no variable of QQ[t]"),
+    # h^p below the floor of a truncated pushforward (here free_resolution(Q2, 8))
+    (TRUNCATED, ["hp-scan", "ring=A2", "sheaf=Q2", "p=-9", "points={(0)}"],
+     "homology at -9 not determined: below the homology floor -7 of a truncated complex"),
+    (TRUNCATED, ["grauert", "ring=A2", "sheaf=Q2", "p=-8", "points={(0)}"],
+     "homology at -8 not determined: below the homology floor -7 of a truncated complex"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
@@ -412,7 +426,9 @@ module MX on X = free(1)
     "module-free(abc)", "complex-free(abc)", "GF(x)", "blowup(QQ,x)", "regression-seed=x",
     "regression-index=y", "matrix-at-y", "transfer-check-i=abc", "regression-seed=1=2",
     "regression-sed=3", "regression-junk", "regression-seed-twice", "tor-of-a-complex",
-    "perfect-of-a-point", "verify-axiom-A3", "grauert-reduced=maybe",
+    "perfect-of-a-point", "verify-axiom-A3", "grauert-reduced=maybe", "complex-O(x)",
+    "line-binds-nothing", "line-binds-no-variable", "hp-scan-below-floor",
+    "grauert-below-floor",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
     """A zero denominator, a sheaf on the wrong ring, a twist or another
@@ -684,6 +700,33 @@ def test_cli_affine_pushforward_restricts_presented_modules(tmp_path, capsys, co
     got, out, _err = run_cli(capsys, *command, "--input", str(path))
     assert got == code
     assert all(line in out.splitlines() for line in lines), out
+
+
+DECLARATION_FORMS_SESSION = """
+ring A = QQ[t]
+ring B = QQ[s]
+point p0 on A = (0)
+point p1 on A = (1)
+"""
+
+
+@pytest.mark.parametrize("line, command, expected", [
+    ("family P = proj(B; x0, x1; s*x0 - x1)",
+     ["chi-scan", "family=P", "sheaf=O(1)", "points={(0),(1)}"], "values: [1, 1]"),
+    ("module R on A = residue_field(1)", ["tor", "R", "at", "p1", "depth", "2"],
+     "tor_dims: [1, 1, 0]"),
+    ("ring L = QQ[t,u] lex\nmodule N on L = coker [[t, u^2]]\npoint q on L = (0,0)",
+     ["tor", "N", "at", "q", "depth", "2"], "tor_dims: [1, 2, 1]"),
+    ("complex C on A = matrix [[t]] at 2",
+     ["hp-scan", "ring=A", "sheaf=C", "p=3", "points={(0),(1)}"], "(0),3,1,pass\n(1),3,0,pass"),
+], ids=["proj-with-relations", "residue_field(1)", "lex-ring", "matrix-at-2"])
+def test_cli_declaration_forms_roundtrip_and_run(tmp_path, capsys, line, command, expected):
+    path = tmp_path / "s.pfx"
+    path.write_text(DECLARATION_FORMS_SESSION + line + "\n")
+    code, out, _err = run_cli(capsys, "roundtrip", "--input", str(path))
+    assert (code, out) == (0, "roundtrip: True\ndeclarations: " + str(5 + line.count("\n")) + "\n")
+    code, out, _err = run_cli(capsys, *command, "--input", str(path))
+    assert code == 0 and expected in out
 
 
 def test_cli_usage_error(capsys):

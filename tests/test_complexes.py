@@ -554,3 +554,6 @@ def test_homology_guard_below_window(rxy):
     with pytest.raises(ValueError, match="not determined"):
         res_like.homology(-1)
     res_like.homology(0)
+    with pytest.raises(ValueError, match="below the homology floor 0 of a truncated complex"):
+        res_like.generic_dim((2, 3), -1)
+    assert res_like.generic_dim((2, 3), 0) == (0, True)

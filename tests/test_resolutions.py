@@ -6,20 +6,27 @@ import pytest
 
 from perfx import derived, geometry, groebner, resolutions
 from perfx.fields import GF, QQ
-from perfx.complexes import koszul, koszul_resolution_of_point
+from perfx.complexes import FreeComplex, koszul, koszul_resolution_of_point
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import (
-    FPComplex,
     derived_tensor,
     fp_homology,
     free_replacement,
     free_resolution,
     homology_data,
     module_tensor_complex,
+    presented,
     truncate_le,
 )
-from perfx.rings import Mat, PolyRing, RationalPoint, relations_modulo, syzygy_matrix
+from perfx.rings import (
+    Mat,
+    PolyRing,
+    RationalPoint,
+    recast,
+    relations_modulo,
+    syzygy_matrix,
+)
 
 
 @pytest.fixture
@@ -110,10 +117,22 @@ def test_free_replacement_matches_fp_homology(quotient_xy):
 
 
 def test_free_replacement_shortcuts_free_input(rxy):
-    fpc = FPComplex.from_free(koszul(rxy, ["x", "y"]))
+    fpc = presented(koszul(rxy, ["x", "y"]))
     rep = free_replacement(fpc, -5)
     assert rep.tail == "zero"
     assert dict(rep.ranks) == {0: 1, -1: 2, -2: 1}
+
+
+def test_graded_input_drops_its_grading_at_an_inhomogeneous_syzygy():
+    """t^2 - t is not homogeneous, so the syzygy t - 1 of coker [t] has no
+    degree: the module route and the complex route both resolve it
+    ungraded, and Tor is k at (0) and 0 at (1)."""
+    ring = PolyRing(QQ, ["t"], quotient=["t^2 - t"])
+    module = ModulePresentation(ring, 1, Mat(ring, [["t"]]), (0,))
+    for res in (free_resolution(module, 4), free_replacement(presented(module), -4)):
+        assert res.degrees is None
+        assert [res.fiber_dims((0,)).get(-i, 0) for i in range(4)] == [1, 0, 0, 0]
+        assert [res.fiber_dims((1,)).get(-i, 0) for i in range(4)] == [0, 0, 0, 0]
 
 
 def test_free_resolution_of_complexes(quotient_xy):
@@ -221,11 +240,46 @@ def test_homology_data_tags_only_the_kernel(rxy, syzygy_calls):
     assert tops == 1
 
 
+class Captured(Exception):
+    pass
+
+
+def hand_built_ambient_complex(fam, e):
+    """The presented T-complex of a free complex over the total ring, built
+    term by term: rank(i) copies of T/(relations), the maps recast to T."""
+    t = fam.ambient
+    rels = Mat(t, [list(fam.relations)])
+    terms = {i: (r, Mat.identity(t, r).kron(rels), e.degrees[i]) for i, r in e.ranks.items()}
+    return terms, {i: m.map(lambda x: recast(x, t), t) for i, m in e.diffs.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_projective_pushforward_presents_its_input_as_by_hand(monkeypatch, field, n):
+    """pushforward_projective hands free_replacement T/(relations) (x) E
+    with the terms and maps of the hand-built route."""
+    fam = geometry.blowup_family(field, n)
+
+    def capture(fpc, _floor):
+        raise Captured(fpc)
+
+    monkeypatch.setattr(geometry, "free_replacement", capture)
+    fiber_vars = [f"x{i + 1}" for i in range(n)]
+    for e in [fam.twist(d) for d in range(3)] + [koszul(fam.total, fiber_vars)]:
+        with pytest.raises(Captured) as got:
+            geometry.pushforward_projective(fam, e)
+        fpc = got.value.args[0]
+        terms = {i: (t.ambient_rank, t.relations, t.degrees) for i, t in fpc.terms.items()}
+        assert (terms, fpc.maps) == hand_built_ambient_complex(fam, e)
+
+
 def test_free_replacement_keeps_relations_untagged(syzygy_calls):
     """Free replacement of the n=2 blow-up: the relation of the term above
     is an untagged vector, never a generator."""
     fam = geometry.blowup_family(QQ, 2)
-    fpc = geometry._as_ambient_fp(fam, fam.twist(1))
+    ambient = fam.ambient
+    total = ModulePresentation(ambient, 1, Mat(ambient, [list(fam.relations)]), (0,))
+    fpc = module_tensor_complex(total, FreeComplex.single(ambient, 1, degrees=(-1,)))
     relations = [v for t in fpc.terms.values() for v in t.relations.column_vecs()]
     assert relations
     free_replacement(fpc, fpc.lo - fam.fiber_count - 2)
@@ -292,6 +346,15 @@ def certificate_fields(cert):
     return tuple(getattr(cert, name) for name in cert.__slots__)
 
 
+def pointwise_report(e, f, points):
+    report = derived.is_relatively_perfect(e, f, points, mode="pointwise", max_depth=3)
+    return [
+        (i, certificate_fields(data["certificate"]), data["tor_tower"])
+        for _y, entry in report.per_point
+        for i, data in sorted(entry["homology"].items())
+    ]
+
+
 def pointwise_reports(seed):
     a = PolyRing(QQ, ["t"])
     points = [RationalPoint(a, (c,)) for c in (0, 1)]
@@ -299,15 +362,35 @@ def pointwise_reports(seed):
     out = []
     for quotient in ("t*x", "x^2 - t*y", "x*y - t"):
         b = PolyRing(QQ, ["t", "x", "y"], quotient=[quotient])
-        f = RingMap(a, b, ["t"])
-        e = seeded_module(b, rng)
-        report = derived.is_relatively_perfect(e, f, points, mode="pointwise", max_depth=3)
-        out.append([
-            (i, certificate_fields(data["certificate"]), data["tor_tower"])
-            for _y, entry in report.per_point
-            for i, data in sorted(entry["homology"].items())
-        ])
+        out.append(pointwise_report(seeded_module(b, rng), RingMap(a, b, ["t"]), points))
     return out
+
+
+def test_a_module_and_its_resolution_read_alike():
+    """A module and its free resolution have isomorphic derived fibers:
+    pointwise mode gives the same certificates and Tor towers, and both
+    Tor routes the same towers."""
+    a = PolyRing(QQ, ["t"])
+    b = PolyRing(QQ, ["t", "x"])
+    f = RingMap(a, b, ["t"])
+    points = [RationalPoint(a, (c,)) for c in (0, 1)]
+    origin = RationalPoint(b, (0, 0))
+    rng = random.Random(3)
+    homologies = 0
+    for _ in range(6):
+        module = seeded_module(b, rng)
+        resolution = free_resolution(module, 6)
+        assert resolution.tail == "zero"
+        report = pointwise_report(module, f, points)
+        assert pointwise_report(resolution, f, points) == report
+        homologies += len(report)
+        towers = {
+            tuple(derived.tor_profile(e, origin, 3, method))
+            for e in (module, resolution)
+            for method in ("resolve", "koszul")
+        }
+        assert len(towers) == 1
+    assert homologies >= 8
 
 
 def test_pointwise_certificates_match_the_tagged_route(monkeypatch):
