@@ -440,7 +440,7 @@ def _points_from_arg(session, options, usage, ring):
             assignments[var.strip()] = expr.strip()
         range_part = range_part.strip()
         param, _, values_txt = range_part.partition("=")
-        param = param.replace("in", "").strip()
+        param = param.strip()
         for var in assignments:
             if var not in ring.variables:
                 raise ParseError(f"points=line(..): {var}= names no variable of {ring}")

@@ -729,6 +729,15 @@ def test_cli_declaration_forms_roundtrip_and_run(tmp_path, capsys, line, command
     assert code == 0 and expected in out
 
 
+def test_cli_line_parameter_is_taken_as_written(tmp_path, capsys):
+    """A parameter name that contains "in" binds as it is written."""
+    path = tmp_path / "s.pfx"
+    path.write_text(SESSION)
+    code, out, _err = run_cli(capsys, "hp-scan", "ring=A", "sheaf=M",
+                              "points=line(t=pin; pin={0,1})", "--input", str(path))
+    assert code == 0 and "(0),0,1,pass\n(1),0,0,pass" in out
+
+
 def test_cli_usage_error(capsys):
     code, _out, err = run_cli(capsys, "frobnicate")
     assert code == 2
