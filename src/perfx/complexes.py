@@ -137,10 +137,14 @@ class FreeComplex:
         """Lowest degree where homology is determined by the window."""
         return self.lo if self.tail == ZERO_BELOW else self.lo + 1
 
+    def is_determined(self, i):
+        """Whether the window determines the homology at degree i: a
+        truncated complex's is not determined below its floor."""
+        return self.tail == ZERO_BELOW or i >= self.homology_floor()
+
     def check_determined(self, i):
-        """Raise ValueError at a degree below a truncated complex's
-        homology floor, where no homology can be read."""
-        if self.tail != ZERO_BELOW and i < self.homology_floor():
+        """Raise ValueError where `is_determined` is false."""
+        if not self.is_determined(i):
             raise ValueError(
                 f"homology at {i} not determined: below the homology floor "
                 f"{self.homology_floor()} of a truncated complex (tail {self.tail})"

@@ -136,8 +136,9 @@ class LocalCohomologyReport:
 
 
 def _homology(carrier, indices):
-    """{i: homology_data(carrier, i)} over the indices."""
-    return {i: homology_data(carrier, i) for i in indices}
+    """{i: homology_data(carrier, i)} for the indices where it is
+    determined: a truncated free carrier has none below its floor."""
+    return {i: homology_data(carrier, i) for i in indices if carrier.is_determined(i)}
 
 
 def _presentations(datas):
@@ -687,9 +688,12 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
         res_y = free_resolution(ModulePresentation.residue_field(f.source, y), max_depth + 2)
         pulled = f.apply_complex(res_y)
         fiber = module_tensor_complex(e, pulled)
-        # a truncated resolution of kappa(y) is trusted from its floor up
+        # trusted from the floor of a truncated resolution of kappa(y) up,
+        # where a truncated e leaves the fiber determined
         floor = fiber.lo + pulled.homology_floor() - pulled.lo
-        homologies = {i: fp_homology(fiber, i) for i in range(floor, fiber.hi + 1)}
+        homologies = {
+            i: fp_homology(fiber, i) for i in range(floor, fiber.hi + 1) if fiber.is_determined(i)
+        }
         x = _fiber_point(f, y)
         entry = {"pass": True, "homology": {}, "fiber_point": x}
         if x is None:

@@ -16,8 +16,6 @@ window).
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .complexes import (
     EXACT_BELOW,
     ZERO_BELOW,
@@ -52,6 +50,10 @@ class FPComplex:
             self.hi = max(self.terms)
         else:
             self.lo, self.hi = 0, -1
+
+    def is_determined(self, i):
+        """A bounded complex's homology is determined in every degree."""
+        return True
 
     def term(self, i):
         return self.terms.get(i) or ModulePresentation.zero(self.ring)
@@ -250,51 +252,36 @@ def fp_homology(fpc, i):
 
 
 def module_tensor_complex(coefficients, complex_):
-    """C (x) E for a free complex C and a module, free complex or
-    FPComplex E (read by `presented`), as an FPComplex with the layout
-    and signs of `complexes.tensor`: p ascending, then C^p's basis, then
-    E^q's generators, and d_C (x) 1 + (-1)^p 1 (x) d_E.  Block C^p (x)
-    E^q is rank(p) copies of E^q, so a module E gives E^(rank p) in term
-    p, with C's maps acting blockwise.
+    """C (x) E for a free complex C and a module or free complex E, in
+    the layout of `complexes.tensor`.
+
+    A free E gives tensor(C, E), with its combined tail.  A presented
+    module is the one-term complex E at degree 0: term i is E^(rank i)
+    with generator degrees shifted by C's, and C's differentials act
+    blockwise, as an FPComplex.
     """
-    e = presented(coefficients)
-    ring = e.ring
+    if isinstance(coefficients, FreeComplex):
+        return tensor(complex_, coefficients)
+    module = coefficients
+    ring = module.ring
     if complex_.ring != ring:
         raise ValueError("module and complex over different rings")
-    layout = {}  # n -> the blocks (p, q) with p + q = n, p ascending
-    for p in sorted(complex_.ranks):
-        for q in e.terms:
-            layout.setdefault(p + q, []).append((p, q))
-
-    def size(p, q):
-        return complex_.rank(p) * e.terms[q].ambient_rank
-
+    amb = module.ambient_rank
     terms = {}
-    for n, blocks in layout.items():
-        parts = [(complex_.rank(p), complex_.term_degrees(p), e.terms[q]) for p, q in blocks]
-        copies = [Mat.identity(ring, r).kron(t.relations) for r, _d, t in parts]
-        rels = reduce(Mat.direct_sum, copies)
+    maps = {}
+    for i, r in complex_.ranks.items():
         degs = None
-        if all(d is not None and t.degrees is not None for _r, d, t in parts):
-            degs = [a + b for _r, d, t in parts for a in d for b in t.degrees]
-        terms[n] = ModulePresentation(ring, rels.nrows, rels, degs)
-
-    def piece(p, q, tp, tq):
-        if (tp, tq) == (p + 1, q) and p in complex_.diffs:
-            return complex_.diffs[p].kron(Mat.identity(ring, e.terms[q].ambient_rank))
-        if (tp, tq) == (p, q + 1) and q in e.maps:
-            m = Mat.identity(ring, complex_.rank(p)).kron(e.maps[q])
-            return -m if p % 2 else m
-        return Mat.zero(ring, size(tp, tq), size(p, q))
-
-    maps = {
-        n: reduce(Mat.hstack, [
-            reduce(Mat.vstack, [piece(*block, *target) for target in layout[n + 1]])
-            for block in blocks
-        ])
-        for n, blocks in layout.items()
-        if n + 1 in layout
-    }
+        if module.degrees is not None and complex_.degrees is not None:
+            degs = tuple(
+                module.degrees[j] + complex_.degrees[i][b]
+                for b in range(r)
+                for j in range(amb)
+            )
+        rel = Mat.identity(ring, r).kron(module.relations)
+        terms[i] = ModulePresentation(ring, r * amb, rel, degs)
+    ident = Mat.identity(ring, amb)
+    for i, m in complex_.diffs.items():
+        maps[i] = m.kron(ident)
     return FPComplex(ring, terms, maps)
 
 

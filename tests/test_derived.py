@@ -170,6 +170,28 @@ def test_local_cohomology_complex_coefficient_indices(r1, elements, window, stag
     assert report.audit["pass"]
 
 
+def test_truncated_coefficient_reads_nothing_below_its_floor():
+    """A truncated resolution of coker [x] over QQ[x,y]/(x*y) keeps its
+    tail through the tensor with each stage: the index below the floor
+    is left out of the report, and the transfer check refuses it."""
+    ring = PolyRing(QQ, ["x", "y"], quotient=["x*y"])
+    n = derived.free_resolution(ModulePresentation(ring, 1, Mat(ring, [["x"]]), (0,)), 3)
+    assert (n.lo, n.tail, n.homology_floor()) == (-3, "exact", -2)
+    report = local_cohomology(ring, ["x"], n)
+    assert sorted(report.presentations) == [-2, -1, 0, 1]
+    with pytest.raises(ValueError, match="homology floor -2"):
+        boundedness_transfer_check(ring, ["x"], n, -3)
+
+
+def test_zero_module_reads_as_the_zero_complex(rxy):
+    """free(0) as a module is the empty complex, as free(0) as a complex
+    is: local cohomology reads the same indices for both."""
+    as_module = local_cohomology(rxy, ["x"], ModulePresentation.free(rxy, 0))
+    as_complex = local_cohomology(rxy, ["x"], FreeComplex.zero_complex(rxy))
+    assert sorted(as_module.presentations) == sorted(as_complex.presentations) == [0]
+    assert all(p.is_zero() for p in as_module.presentations.values())
+
+
 def test_no_window_tower_tensors_each_transition_once(rxy, monkeypatch):
     counts = {"tensor_map": 0, "koszul_dual_transition": 0}
     for name in counts:

@@ -6,7 +6,7 @@ import pytest
 
 from perfx import derived, geometry, groebner, resolutions
 from perfx.fields import GF, QQ
-from perfx.complexes import FreeComplex, koszul, koszul_resolution_of_point
+from perfx.complexes import FreeComplex, koszul, koszul_resolution_of_point, tensor
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import (
@@ -163,6 +163,17 @@ def test_truncation_of_exact_spot(rxy):
     # regular sequence: nothing survives below degree 0
     for i in range(tr.lo, tr.hi + 1):
         assert tr.homology(i).is_zero()
+
+
+def test_module_tensor_complex_of_a_free_complex_is_tensor(quotient_xy):
+    """A free coefficient complex E gives tensor(C, E), truncated tail
+    and homology floor included."""
+    e = free_resolution(ModulePresentation.cyclic(quotient_xy, ["x"]), 2)
+    k = koszul(quotient_xy, ["y"])
+    assert e.tail == "exact"
+    got = module_tensor_complex(e, k)
+    assert got == tensor(k, e)
+    assert (got.lo, got.tail, got.homology_floor()) == (e.lo - 1, "exact", e.lo)
 
 
 def test_module_tensor_complex_dims(rxy):
