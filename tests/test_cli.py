@@ -651,6 +651,21 @@ def test_cli_local_cohomology(tmp_path, capsys):
     assert rows[("2", "-2")] == "1"
 
 
+def test_cli_local_cohomology_of_the_zero_module(tmp_path, capsys):
+    """free(0) is the empty complex: indices 0..r-1, every dim 0."""
+    path = tmp_path / "s.pfx"
+    path.write_text("ring R = QQ[x,y]\nmodule Z on R = free(0)\n")
+    code, out, _ = run_cli(
+        capsys,
+        "local-cohomology", "ring=R", "t=(x,y)", "n=Z", "--window=-1..0",
+        "--format", "csv", "--input", str(path),
+    )
+    assert code == 0
+    assert out.strip().splitlines()[1:] == [
+        f"{i},{d},0,pass" for i in (0, 1) for d in (-1, 0)
+    ]
+
+
 def test_cli_relperf_failure_exit(tmp_path, capsys):
     path = tmp_path / "s.pfx"
     path.write_text(
