@@ -46,7 +46,9 @@ def check_total_rank(ranks):
 
 
 class FreeComplex:
-    __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "degrees", "tail", "_fiber_ranks")
+    __slots__ = (
+        "ring", "lo", "hi", "ranks", "diffs", "degrees", "tail", "_fiber_ranks", "_generic_ranks",
+    )
 
     def __init__(self, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW):
         self._init(ring, ranks, diffs, degrees, tail)
@@ -82,6 +84,7 @@ class FreeComplex:
                 raise ValueError("graded complex needs degrees for every term")
         self.tail = tail
         self._fiber_ranks = None  # {point: {i: rank}}, made by the first fiber_ranks
+        self._generic_ranks = None  # {i: rank over Frac(ring)}, made by the first generic_dim
 
     def _validate(self):
         for i, r in self.ranks.items():
@@ -205,7 +208,10 @@ class FreeComplex:
         its rank is 0.  A point of another ring, or off the ring's locus,
         raises ValueError (`rings.point_of`).
 
-        Every differential is ranked modulo a prime, and d o d = 0
+        Every differential is ranked modulo a prime.  A rank that reaches
+        the differential's rank over the fraction field, where
+        `generic_dim` has kept it, is exact, and its elimination stops
+        there: by semicontinuity no point exceeds it.  d o d = 0
         certifies what it can across the whole complex (see
         linalg.complex_ranks); over QQ only the rest are evaluated
         exactly.  The ranks are kept on the complex, one table per
@@ -221,7 +227,8 @@ class FreeComplex:
             p = linalg.modulus(field)
             residues = {i: m.residues(point, p) for i, m in self.diffs.items()}
             ranks = self._fiber_ranks[point] = linalg.complex_ranks(
-                residues, lambda i: self.diffs[i].evaluate(point), self.ranks, field)
+                residues, lambda i: self.diffs[i].evaluate(point), self.ranks, field,
+                self._generic_ranks)
         return dict(ranks)
 
     def fiber_dims(self, point):
@@ -258,25 +265,42 @@ class FreeComplex:
         product of leading terms sits at its own position and cannot
         cancel.
 
+        A rank over the fraction field depends on the complex alone, so
+        the exact ones are kept on it: both ranks read, and d^(i-2) and
+        d^(i+1) where `linalg.certified` proves them.  A later call that
+        finds d^(i-1) and d^i there ranks nothing, whatever its probe.
+        `fiber_ranks` takes the kept ranks as caps, a third certificate
+        after d o d = 0 and the Gröbner basis: no point's rank exceeds
+        the generic one, so an elimination that reaches it is exact.
+
         A quotient ring need not have one generic point: there the value
         is the fiber dimension at the probe, which by semicontinuity
-        bounds the generic value from above, reported as not certified.
-        Below a bounded complex it is 0; below the floor of a truncated
-        one it raises ValueError (`check_determined`).
+        bounds the generic value from above, reported as not certified,
+        and nothing is kept.  Below a bounded complex it is 0; below the
+        floor of a truncated one it raises ValueError
+        (`check_determined`).
         """
         self.check_determined(i)
         if i < self.lo:
             return 0, True
         if self.ring.is_quotient:
             return self.fiber_dims(probe).get(i, 0), False
-        p = linalg.modulus(self.ring.field)
-        low = linalg.residue_ranks(
-            {j: self.diff(j).residues(probe, p) for j in range(i - 2, i + 2)}, p)
-        for j in (i - 1, i):
-            if not linalg.certified(low, self.ranks, j):
-                leading = rings.MatrixGB(self.diff(j)).leading_terms()
-                low[j] = len({pos for pos, _mono in leading})
-        return self.rank(i) - low[i] - low[i - 1], True
+        if self._generic_ranks is None:
+            self._generic_ranks = {}
+        table = self._generic_ranks
+        if i - 1 not in table or i not in table:
+            p = linalg.modulus(self.ring.field)
+            low = linalg.residue_ranks(
+                {j: self.diff(j).residues(probe, p) for j in range(i - 2, i + 2)}, p)
+            for j in (i - 1, i):
+                if not linalg.certified(low, self.ranks, j):
+                    leading = rings.MatrixGB(self.diff(j)).leading_terms()
+                    low[j] = len({pos for pos, _mono in leading})
+            for j in (i - 2, i + 1):
+                if linalg.certified(low, self.ranks, j):
+                    table[j] = low[j]
+            table[i - 1], table[i] = low[i - 1], low[i]
+        return self.rank(i) - table[i] - table[i - 1], True
 
     def fiber_euler_characteristic(self, point):
         """Alternating sum of the fiber dims at point: over the whole of a

@@ -54,11 +54,16 @@ def tor_profile(module, point, depth, method="resolve"):
     tensors the module or complex with the Koszul resolution of the
     point (plain rings only) and measures the homology presentations.
     Another method, or a point of another ring, raises ValueError
-    before anything is computed.
+    before anything is computed.  'resolve' raises ValueError at a
+    depth below a truncated complex's homology floor
+    (`FreeComplex.check_determined`), as 'koszul' does below the floor
+    of its tensor.
     """
     point = point_of(module.ring, point)
     if method == "resolve":
-        dims = free_resolution(module, depth + 3).fiber_dims(point)
+        resolution = free_resolution(module, depth + 3)
+        resolution.check_determined(-depth)
+        dims = resolution.fiber_dims(point)
         return [dims.get(-i, 0) for i in range(depth + 1)]
     if method != "koszul":
         raise ValueError(f"unknown method {method!r}")

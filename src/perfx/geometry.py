@@ -448,9 +448,12 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
     The generic value, h^p over the fraction field of the base, comes
     from one random large-height probe (`FreeComplex.generic_dim`), and
     "generic_certified" says whether it is exact.  It is exact on every
-    plain base.  On a quotient base it is h^p at the probe.  A probe off
-    the base's locus gives no generic value, and the audit fails.  A p
-    below a truncated pushforward's homology floor raises ValueError.
+    plain base, where the generic ranks are kept on the pushforward: a
+    later scan of the same p ranks nothing at its probe, and the kept
+    ranks cap the fiber ranks of every later point.  On a quotient base
+    it is h^p at the probe.  A probe off the base's locus gives no
+    generic value, and the audit fails.  A p below a truncated
+    pushforward's homology floor raises ValueError.
     """
     if pushed is None:
         pushed, _ = push(f_or_fam, e)

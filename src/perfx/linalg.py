@@ -10,10 +10,15 @@ entries are ints, QQ entries Fractions or ints.  One elimination,
 residues modulo one prime.  Over QQ such a rank is a lower bound
 (reduction mod p is a specialization, and rank can only drop under it),
 and d o d = 0 turns the neighbouring lower bounds into upper bounds.
-Where they meet (`certified`), the modular rank is exact; only the rest
-are evaluated over QQ and ranked on primitive integer rows, so nothing
-is rounded.  `FreeComplex.generic_dim` applies the same certificate to
-the ranks over the fraction field of a polynomial ring.
+Where they meet (`certified`), the modular rank is exact.  A third
+certificate is a cap: the rank of a differential at any point is at
+most its rank over the fraction field of the ring (evaluation is a
+specialization too), so once an elimination holds that many pivots the
+rank is exact and it stops.  Only the degrees left open are evaluated
+over QQ and ranked on primitive integer rows, so nothing is rounded.
+`FreeComplex.generic_dim` applies the d o d = 0 certificate to the
+ranks over the fraction field of a polynomial ring, and
+`FreeComplex.fiber_ranks` passes those ranks as the caps.
 """
 
 from __future__ import annotations
@@ -42,10 +47,12 @@ def _primitive(row):
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _eliminate(rows, p):
+def _eliminate(rows, p, cap=None):
     """Rank of sparse integer rows: modulo the prime p, or over QQ if p
     is 0.  The rows are consumed, sparsest first: the rank does not
-    depend on their order, and sparse pivots cause less fill-in.
+    depend on their order, and sparse pivots cause less fill-in.  With a
+    cap, known to bound the rank from above, it returns as soon as it
+    holds cap pivots.
 
     Each row is reduced against the pivot rows kept so far.  While its
     first nonzero column c is a pivot's, the row becomes a*row - b*pivot,
@@ -58,6 +65,8 @@ def _eliminate(rows, p):
     """
     pivots = {}
     for row in sorted(rows, key=len):
+        if len(pivots) == cap:
+            break
         while row:
             c = min(row)
             pivot = pivots.get(c)
@@ -104,10 +113,13 @@ def modulus(field):
     return field.char or CERT_PRIME
 
 
-def residue_ranks(residues, p):
+def residue_ranks(residues, p, caps=None):
     """{i: rank of residues[i] modulo the prime p} (the rows are
-    consumed); 0 where residues[i] is None."""
-    return {i: 0 if rows is None else _eliminate(rows, p) for i, rows in residues.items()}
+    consumed); 0 where residues[i] is None.  caps[i], where given,
+    bounds the rank of residues[i] from above (see `_eliminate`)."""
+    caps = caps or {}
+    return {i: 0 if rows is None else _eliminate(rows, p, caps.get(i))
+            for i, rows in residues.items()}
 
 
 def certified(low, dims, i):
@@ -126,25 +138,29 @@ def certified(low, dims, i):
             or low.get(i - 1, 0) + ell == dims.get(i, 0))
 
 
-def complex_ranks(residues, exact, dims, field):
+def complex_ranks(residues, exact, dims, field, caps=None):
     """Exact ranks of the differentials of a complex of vector spaces.
 
     residues[i] holds the sparse rows of d_i : k^dims[i] -> k^dims[i+1]
     modulo `modulus(field)` (consumed), or None if that prime divides a
-    denominator; a degree missing from dims has dimension 0.  Returns
-    {i: rank d_i} for every i in residues.  Over GF(p) the residues are
-    the matrices themselves.  Over QQ, exact(i) returns the rows of d_i
-    over QQ, and is called only for the degrees the residues leave open.
+    denominator; a degree missing from dims has dimension 0.  caps[i],
+    where given, bounds rank d_i from above: the complex is the fiber of
+    a complex over a polynomial ring, and caps[i] is the rank of its
+    differential over the fraction field.  Returns {i: rank d_i} for
+    every i in residues.  Over GF(p) the residues are the matrices
+    themselves.  Over QQ, exact(i) returns the rows of d_i over QQ, and
+    is called only for the degrees the residues leave open.
 
     Over QQ each rank modulo CERT_PRIME is a lower bound (0 where the
-    residues are None), and `certified` says where d o d = 0 makes it
-    exact.  The remaining matrices go through `rank` over QQ, in
-    increasing degree, and each exact rank found that way is a bound for
-    the next.
+    residues are None).  It is exact where it reaches caps[i], or where
+    `certified` says that d o d = 0 makes it so.  The remaining matrices
+    go through `rank` over QQ, in increasing degree, and each exact rank
+    found that way is a bound for the next.
     """
-    low = residue_ranks(residues, modulus(field))
+    caps = caps or {}
+    low = residue_ranks(residues, modulus(field), caps)
     if not field.char:
         for i in sorted(low):
-            if not certified(low, dims, i):
+            if low[i] != caps.get(i) and not certified(low, dims, i):
                 low[i] = rank(exact(i), field)
     return low

@@ -54,6 +54,20 @@ def test_tor_profile_refuses_an_unknown_method(r1):
             tor_profile(m, RationalPoint(r1, (0,)), 4, method)
 
 
+def test_tor_profile_refuses_a_depth_below_a_truncated_floor():
+    """kappa(0) over QQ[x,y,z] resolved one step has homology floor 0:
+    Tor_1 and beyond live in the missing tail, so 'resolve' refuses to
+    read them as 0 (Tor of kappa(0) with itself is [1, 3, 3, 1, 0])."""
+    ring = PolyRing(QQ, ["x", "y", "z"])
+    truncated = derived.free_resolution(ModulePresentation.cyclic(ring, ["x", "y", "z"]), 1)
+    origin = RationalPoint(ring, (0, 0, 0))
+    assert (truncated.tail, truncated.homology_floor()) == ("exact", 0)
+    assert tor_profile(truncated, origin, 0, "resolve") == [1]
+    for depth in (1, 4):
+        with pytest.raises(ValueError, match="below the homology floor 0"):
+            tor_profile(truncated, origin, depth, "resolve")
+
+
 def test_tor_profile_quotient(quotient_xy):
     k = ModulePresentation.cyclic(quotient_xy, ["x", "y"])
     profile = tor_profile(k, RationalPoint(quotient_xy, (0, 0)), 5)

@@ -630,9 +630,12 @@ def test_generic_value_from_the_gb_fallback(monkeypatch, field, variables, d, po
         assert [v for _, v in result["values"]] == [2, 1, 1]
         assert result["generic_value"] == 1 and result["generic_certified"]
         assert result["audit_pass"]
-        # The origin, where d vanishes, still gives the generic value.
-        assert c.generic_dim(base_points(ring, points[:1])[0], p) == (1, True)
-    assert builds
+        # The origin, where d vanishes, still gives the generic value; a
+        # fresh complex has no generic ranks kept, so it ranks there.
+        fresh = FreeComplex(ring, {0: 2, 1: 2}, {0: Mat(ring, d)})
+        calls = len(builds)
+        assert fresh.generic_dim(base_points(ring, points[:1])[0], p) == (1, True)
+        assert len(builds) == calls + 1
 
 
 def test_generic_value_under_lex_is_certified():
@@ -750,13 +753,13 @@ def gb_rank(mat):
     return len({pos for pos, _mono in rings.MatrixGB(mat).leading_terms()})
 
 
-def oracle_complex(kind, k):
+def oracle_complex(kind, k, field=QQ):
     """The n=2 blow-up pushforward of O(k), or the free resolution of the
-    k-th seeded random module over QQ[x,y]."""
+    k-th seeded random module over field[x,y]."""
     if kind == "blowup":
-        fam = blowup_family(QQ, 2)
+        fam = blowup_family(field, 2)
         return pushforward_projective(fam, fam.twist(k), minimal=False)[0]
-    ring = PolyRing(QQ, ["x", "y"])
+    ring = PolyRing(field, ["x", "y"])
     rng = random.Random(11 + k)
     rels = Mat(
         ring, [[ring.random_poly(rng, 2, 2, homogeneous=2) for _ in range(3)] for _ in range(2)],
@@ -773,6 +776,108 @@ def test_generic_dims_match_leading_positions(kind, k):
     ranks = {i: gb_rank(c.diff(i)) for i in range(c.lo - 1, c.hi + 1)}
     for i in range(c.homology_floor(), c.hi + 1):
         assert c.generic_dim(probe, i) == (c.rank(i) - ranks[i] - ranks[i - 1], True)
+
+
+def fresh(c):
+    """The same complex with no ranks kept on it."""
+    return FreeComplex._make(c.ring, c.ranks, c.diffs, c.degrees, c.tail)
+
+
+def probes(ring):
+    """The origin, where ranks fall, then two probes of large height."""
+    return [RationalPoint(ring, (0,) * ring.nvars)] + [
+        RationalPoint(ring, tuple(ring.field.parse(f"{a + 17 * i}/{b + i}")
+                                  for i in range(ring.nvars)))
+        for a, b in ((9973, 31), (-60013, 7))
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in ("blowup", "module") for k in range(3)])
+def test_generic_dims_from_the_kept_ranks_match_a_fresh_complex(field, kind, k):
+    """generic_dim at one probe and then at others answers as a complex
+    with nothing kept does at each, and every kept rank is the rank of
+    its differential over the fraction field, also where the first probe
+    is the origin and its ranks fall below the generic ones."""
+    c = oracle_complex(kind, k, field)
+    for i in range(c.homology_floor(), c.hi + 1):
+        for probe in probes(c.ring):
+            assert c.generic_dim(probe, i) == fresh(c).generic_dim(probe, i), (probe, i)
+    assert set(c._generic_ranks) >= set(range(c.homology_floor() - 1, c.hi + 1))
+    assert c._generic_ranks == {j: gb_rank(c.diff(j)) for j in c._generic_ranks}
+
+
+@pytest.mark.parametrize("name", ["blowup", "gb-fallback"])
+def test_a_second_scan_ranks_nothing_at_its_probe(monkeypatch, residue_calls, name):
+    """The first scan keeps the generic ranks on the pushforward; a second
+    scan at another seed reads them, with no residue matrix at its probe
+    and no Gröbner basis, and gives the same report."""
+    if name == "blowup":
+        fam, pushed = blowup_pushforward(QQ, 3)
+        ring = fam.base
+    else:  # rank 1 at every probe, left open by d o d = 0
+        ring = PolyRing(QQ, ["x", "y"])
+        fam = RingMap.identity(ring)
+        pushed = FreeComplex(ring, {0: 2, 1: 2}, {0: Mat(ring, [["x", "y"], [0, 0]])})
+    points = base_points(ring, [(0,) * ring.nvars, (1,) * ring.nvars])
+    builds = []
+    build = rings.MatrixGB.__init__
+
+    def counted(self, mat):
+        builds.append(mat)
+        build(self, mat)
+
+    monkeypatch.setattr(rings.MatrixGB, "__init__", counted)
+    first = hp_scan(fam, None, 0, points, seed=1, pushed=pushed)
+    assert bool(builds) == (name == "gb-fallback")
+    calls, gbs = len(residue_calls), len(builds)
+    assert hp_scan(fam, None, 0, points, seed=2, pushed=pushed) == first
+    assert (len(residue_calls), len(builds)) == (calls, gbs)
+    assert first["generic_certified"] and first["audit_pass"]
+
+
+@pytest.mark.parametrize("name", ["blowup-QQ-2", "blowup-QQ-3", "blowup-GF-2", "blowup-GF-3"])
+def test_capped_fiber_ranks_match_the_rank_of_each_evaluated_differential(monkeypatch, name):
+    """With every generic rank kept, a fiber rank stops at its cap: at the
+    origin, where ranks fall below it, and at generic points, where it
+    certifies each rank over QQ with no exact evaluation."""
+    c, points = table_case(name)
+    for i in range(c.homology_floor(), c.hi + 1):
+        c.generic_dim(probes(c.ring)[1], i)
+    caps = c._generic_ranks
+    assert set(caps) >= set(c.diffs)
+    evaluated = []
+    evaluate = Mat.evaluate
+
+    def counted(self, point):
+        evaluated.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Mat, "evaluate", counted)
+    generic = [tuple(QQ.parse(f"{10**5 + 7 * i}/{89 + i}") for i in range(c.ring.nvars)),
+               tuple(QQ.parse(f"{-3 * 10**4 - i}/{13 + 2 * i}") for i in range(c.ring.nvars))]
+    for point in [(0,) * c.ring.nvars] + generic:
+        ranks = c.fiber_ranks(point)
+        if point in generic:
+            assert ranks == {i: caps[i] for i in c.diffs}
+            assert not evaluated
+        else:
+            assert any(ranks[i] < caps[i] for i in c.diffs)
+        for i in range(c.lo - 1, c.hi + 1):
+            rows = evaluate(c.diff(i), RationalPoint(c.ring, point))
+            assert ranks.get(i, 0) == linalg.rank(rows, c.ring.field), (point, i)
+        evaluated.clear()
+
+
+def test_a_quotient_base_keeps_no_generic_ranks():
+    """On a quotient base generic_dim reads the fiber at its probe, which
+    depends on the probe: nothing enters the table."""
+    c, points = table_case("quotient")
+    for point in points:
+        for i in range(c.homology_floor(), c.hi + 1):
+            assert c.generic_dim(point, i)[1] is False
+    assert not c._generic_ranks
+    assert len(c._fiber_ranks) == len(points)
 
 
 @pytest.mark.parametrize("n, twist, minimal", [
