@@ -7,8 +7,8 @@ FreeComplex(...) and ComplexMap(...) check shapes, rings, grading,
 d o d = 0 and commuting squares.  Builders whose output is a complex by
 an identity on complexes and maps already built (tensor, hom_complex,
 cone, shift, direct_sum, minimize, tensor_map, identity maps,
-geometry.relative_strand, resolutions.truncate_below) use the trusted
-`_make` constructors instead, which still enforce RANK_CAP.
+geometry.relative_strand) use the trusted `_make` constructors
+instead, which still enforce RANK_CAP.
 geometry.pushforward_projective does too for its input recast to the
 ambient ring, a complex only modulo the family's relations.
 RingMap.apply_complex does too, and then checks only the grading it
@@ -19,9 +19,12 @@ d(e_S) contracts with alternating signs, tensor differentials carry
 (-1)^p on the right factor, Hom uses d(f) = d o f - (-1)^n f o d,
 shifts negate odd differentials.
 
-The tail flag describes degrees below the window: 'zero' (the complex
-really stops), 'exact' (a truncated resolution: homology below and at
-the floor is not represented) or 'unknown'.
+A complex carries its homology floor as a number, `floor`: None when the
+complex is zero below its window, else the lowest degree whose homology
+the window determines.  The invariant is that the window differs from
+the untruncated complex by a complex in degrees <= floor - 2, so the two
+have the same homology from the floor up.  Every builder carries the
+number by one rule, `floor_of` (see docs/conventions.md).
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ from itertools import combinations
 
 from . import linalg, rings
 from .rings import Mat
-
-ZERO_BELOW = "zero"
-EXACT_BELOW = "exact"
-UNKNOWN_BELOW = "unknown"
 
 RANK_CAP = 20000
 
@@ -45,24 +44,59 @@ def check_total_rank(ranks):
         raise ValueError(f"complex too large: total rank {total} exceeds cap {RANK_CAP}")
 
 
-class FreeComplex:
+def floor_of(*parts):
+    """The floor of a complex built from parts, given as (floor, offset)
+    pairs: the largest floor + offset over the truncated parts, None when
+    no part is truncated."""
+    return max((f + n for f, n in parts if f is not None), default=None)
+
+
+class HomologyFloor:
+    """What a complex with terms in lo..hi and a `floor` says about its
+    homology; FreeComplex and resolutions.FPComplex share it."""
+
+    __slots__ = ()
+
+    @property
+    def is_bounded(self):
+        return self.floor is None
+
+    def homology_floor(self):
+        """Lowest degree of the window whose homology is read: lo, or the
+        floor of a truncated complex where that is higher."""
+        return self.lo if self.floor is None else max(self.lo, self.floor)
+
+    def is_determined(self, i):
+        """Whether the window determines the homology at degree i."""
+        return self.floor is None or i >= self.floor
+
+    def check_determined(self, i):
+        """Raise ValueError where `is_determined` is false."""
+        if not self.is_determined(i):
+            raise ValueError(
+                f"homology at {i} not determined: below the homology floor "
+                f"{self.floor} of a truncated complex"
+            )
+
+
+class FreeComplex(HomologyFloor):
     __slots__ = (
-        "ring", "lo", "hi", "ranks", "diffs", "degrees", "tail", "_fiber_ranks", "_generic_ranks",
+        "ring", "lo", "hi", "ranks", "diffs", "degrees", "floor", "_fiber_ranks", "_generic_ranks",
     )
 
-    def __init__(self, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW):
-        self._init(ring, ranks, diffs, degrees, tail)
+    def __init__(self, ring, ranks, diffs, degrees=None, floor=None):
+        self._init(ring, ranks, diffs, degrees, floor)
         self._validate()
 
     @classmethod
-    def _make(cls, ring, ranks, diffs, degrees=None, tail=ZERO_BELOW):
+    def _make(cls, ring, ranks, diffs, degrees=None, floor=None):
         """Trusted constructor: normalises and enforces RANK_CAP, skips
         _validate."""
         c = cls.__new__(cls)
-        c._init(ring, ranks, diffs, degrees, tail)
+        c._init(ring, ranks, diffs, degrees, floor)
         return c
 
-    def _init(self, ring, ranks, diffs, degrees, tail):
+    def _init(self, ring, ranks, diffs, degrees, floor):
         self.ring = ring
         self.ranks = {i: r for i, r in ranks.items() if r}
         if self.ranks:
@@ -82,7 +116,7 @@ class FreeComplex:
             }
             if set(self.degrees) != set(self.ranks):
                 raise ValueError("graded complex needs degrees for every term")
-        self.tail = tail
+        self.floor = floor
         self._fiber_ranks = None  # {point: {i: rank}}, made by the first fiber_ranks
         self._generic_ranks = None  # {i: rank over Frac(ring)}, made by the first generic_dim
 
@@ -132,27 +166,6 @@ class FreeComplex:
             return None
         return self.degrees.get(i, ())
 
-    @property
-    def is_bounded(self):
-        return self.tail == ZERO_BELOW
-
-    def homology_floor(self):
-        """Lowest degree where homology is determined by the window."""
-        return self.lo if self.tail == ZERO_BELOW else self.lo + 1
-
-    def is_determined(self, i):
-        """Whether the window determines the homology at degree i: a
-        truncated complex's is not determined below its floor."""
-        return self.tail == ZERO_BELOW or i >= self.homology_floor()
-
-    def check_determined(self, i):
-        """Raise ValueError where `is_determined` is false."""
-        if not self.is_determined(i):
-            raise ValueError(
-                f"homology at {i} not determined: below the homology floor "
-                f"{self.homology_floor()} of a truncated complex (tail {self.tail})"
-            )
-
     def total_rank(self):
         return sum(self.ranks.values())
 
@@ -175,8 +188,8 @@ class FreeComplex:
         if not self.ranks:
             return "FreeComplex(0)"
         parts = [f"{i}:{self.rank(i)}" for i in range(self.lo, self.hi + 1)]
-        tail = "" if self.tail == ZERO_BELOW else f", tail={self.tail}"
-        return f"FreeComplex({', '.join(parts)}{tail} over {self.ring})"
+        floor = "" if self.floor is None else f", floor={self.floor}"
+        return f"FreeComplex({', '.join(parts)}{floor} over {self.ring})"
 
     def __eq__(self, other):
         """Structural identity: same ranks, differentials and grading."""
@@ -186,11 +199,11 @@ class FreeComplex:
             and self.ranks == other.ranks
             and self.diffs == other.diffs
             and self.degrees == other.degrees
-            and self.tail == other.tail
+            and self.floor == other.floor
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.ranks.items())), self.tail))
+        return hash((self.ring, tuple(sorted(self.ranks.items())), self.floor))
 
     # -- homology and fibers ----------------------------------------------
 
@@ -323,7 +336,7 @@ class FreeComplex:
         degrees = None
         if self.degrees is not None:
             degrees = {i - n: d for i, d in self.degrees.items()}
-        return FreeComplex._make(self.ring, ranks, diffs, degrees, self.tail)
+        return FreeComplex._make(self.ring, ranks, diffs, degrees, floor_of((self.floor, -n)))
 
     def direct_sum(self, other):
         _same_ring(self, other)
@@ -339,20 +352,13 @@ class FreeComplex:
                 i: tuple(self.term_degrees(i) or ()) + tuple(other.term_degrees(i) or ())
                 for i in ranks
             }
-        tail = _combine_tails(self.tail, other.tail)
-        return FreeComplex._make(self.ring, ranks, diffs, degrees, tail)
+        floor = floor_of((self.floor, 0), (other.floor, 0))
+        return FreeComplex._make(self.ring, ranks, diffs, degrees, floor)
 
 
 def _same_ring(c, d):
     if c.ring != d.ring:
         raise ValueError("complexes over different rings")
-
-
-def _combine_tails(a, b):
-    for t in (UNKNOWN_BELOW, EXACT_BELOW):
-        if a == t or b == t:
-            return t
-    return ZERO_BELOW
 
 
 def unit_complex(ring):
@@ -432,7 +438,11 @@ def _basis_layout(c, d, n):
 
 
 def tensor(c, d):
-    """Total complex of the double complex C (x) D, standard signs."""
+    """Total complex of the double complex C (x) D, standard signs.
+
+    The part a truncated C leaves out, in degrees <= floor - 2, meets D
+    in degrees <= floor - 2 + D.hi, so the floor is floor + D.hi, and
+    the same with C and D exchanged."""
     _same_ring(c, d)
     ring = c.ring
     if not c.ranks or not d.ranks:
@@ -472,8 +482,8 @@ def tensor(c, d):
             )
             for n in ranks
         }
-    tail = _combine_tails(c.tail, d.tail)
-    return FreeComplex._make(ring, ranks, diffs, degrees, tail)
+    floor = floor_of((c.floor, d.hi), (d.floor, c.hi))
+    return FreeComplex._make(ring, ranks, diffs, degrees, floor)
 
 
 def _hom_layout(c, d, n):
@@ -534,8 +544,11 @@ def hom_complex(c, d):
             )
             for n in ranks
         }
-    tail = UNKNOWN_BELOW if (c.tail != ZERO_BELOW or d.tail != ZERO_BELOW) else ZERO_BELOW
-    return FreeComplex._make(ring, ranks, diffs, degrees, tail)
+    # Hom(C, the part D leaves out) lies in degrees <= f_D - 2 - C.lo; what a
+    # truncated C leaves out lands at the top of Hom, which no floor can say,
+    # so for it only lo + 1 is claimed
+    floor = floor_of((d.floor, -c.lo), (None if c.floor is None else lo, 1))
+    return FreeComplex._make(ring, ranks, diffs, degrees, floor)
 
 
 def dual(c):
@@ -630,8 +643,8 @@ def cone(phi):
             i: tuple(c.term_degrees(i + 1) or ()) + tuple(d.term_degrees(i) or ())
             for i in ranks
         }
-    tail = _combine_tails(c.tail, d.tail)
-    return FreeComplex._make(ring, ranks, diffs, degrees, tail)
+    floor = floor_of((c.floor, -1), (d.floor, 0))
+    return FreeComplex._make(ring, ranks, diffs, degrees, floor)
 
 
 def tensor_map(phi, psi):
@@ -790,7 +803,7 @@ def minimize(complex_):
         final_degrees = {
             i: tuple(complex_.degrees[i][j] for j in kept[i]) for i in final_ranks
         }
-    return FreeComplex._make(ring, final_ranks, mat_diffs, final_degrees, complex_.tail)
+    return FreeComplex._make(ring, final_ranks, mat_diffs, final_degrees, complex_.floor)
 
 
 def _is_unit(p, field):

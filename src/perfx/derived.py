@@ -14,7 +14,6 @@ from __future__ import annotations
 from .complexes import (
     ComplexMap,
     FreeComplex,
-    ZERO_BELOW,
     cech_cone,
     dual,
     hom_complex,
@@ -54,10 +53,10 @@ def tor_profile(module, point, depth, method="resolve"):
     tensors the module or complex with the Koszul resolution of the
     point (plain rings only) and measures the homology presentations.
     Another method, or a point of another ring, raises ValueError
-    before anything is computed.  'resolve' raises ValueError at a
-    depth below a truncated complex's homology floor
-    (`FreeComplex.check_determined`), as 'koszul' does below the floor
-    of its tensor.
+    before anything is computed.  Both routes raise ValueError, before
+    any homology is computed, at a depth below the homology floor of
+    what they read: the resolution, or its tensor with the Koszul
+    complex (`check_determined`).
     """
     point = point_of(module.ring, point)
     if method == "resolve":
@@ -74,6 +73,7 @@ def tor_profile(module, point, depth, method="resolve"):
             "use 'resolve' over quotient rings"
         )
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
+    fpc.check_determined(-depth)
     out = []
     for i in range(depth + 1):
         h = fp_homology(fpc, -i)
@@ -142,7 +142,7 @@ class LocalCohomologyReport:
 
 def _homology(carrier, indices):
     """{i: homology_data(carrier, i)} for the indices where it is
-    determined: a truncated free carrier has none below its floor."""
+    determined: a truncated carrier has none below its floor."""
     return {i: homology_data(carrier, i) for i in indices if carrier.is_determined(i)}
 
 
@@ -518,7 +518,7 @@ def is_perfect_at(e, point, max_depth=None, criterion="tor"):
 
     nonzero = [i for i, v in tor_dims.items() if v]
     amplitude = (min(nonzero), max(nonzero)) if nonzero else None
-    global_scope = resolution.tail == ZERO_BELOW
+    global_scope = resolution.is_bounded
 
     profile = []
     n = n_start
@@ -693,11 +693,8 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
         res_y = free_resolution(ModulePresentation.residue_field(f.source, y), max_depth + 2)
         pulled = f.apply_complex(res_y)
         fiber = module_tensor_complex(e, pulled)
-        # trusted from the floor of a truncated resolution of kappa(y) up,
-        # where a truncated e leaves the fiber determined
-        floor = fiber.lo + pulled.homology_floor() - pulled.lo
         homologies = {
-            i: fp_homology(fiber, i) for i in range(floor, fiber.hi + 1) if fiber.is_determined(i)
+            i: fp_homology(fiber, i) for i in range(fiber.homology_floor(), fiber.hi + 1)
         }
         x = _fiber_point(f, y)
         entry = {"pass": True, "homology": {}, "fiber_point": x}

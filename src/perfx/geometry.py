@@ -20,7 +20,6 @@ from operator import add
 
 from .complexes import (
     FreeComplex,
-    ZERO_BELOW,
     cech_cone,
     check_total_rank,
     koszul_dual_stage,
@@ -81,7 +80,7 @@ def restrict_scalars(f, e):
     outside the target's normal form, since the combined ring's ideal
     contains the target quotient.  A term of rank r is presented by r
     copies of the target's presentation beside its restricted
-    relations."""
+    relations.  Restriction is exact, so the floor is kept."""
     basis, presentation = f.source_module_presentation()
     nb = len(basis)
     source = f.source
@@ -105,7 +104,7 @@ def restrict_scalars(f, e):
         own = Mat.identity(source, r).kron(presentation.relations)
         terms[i] = ModulePresentation(source, r * nb, own.hstack(blocks(rels)))
     maps = {i: blocks(m) for i, m in e.maps.items()}
-    return FPComplex(source, terms, maps)
+    return FPComplex(source, terms, maps, e.floor)
 
 
 def _check_ring(e, ring):
@@ -119,7 +118,7 @@ def pushforward_affine(f, e, depth=None):
     then a free replacement over the source.  depth controls how far
     below the window the replacement is materialized; by default it is
     `derived.default_depth` of the source, so a finite resolution over
-    a regular base ends by itself (tail 'zero')."""
+    a regular base ends by itself (floor None)."""
     _check_ring(e, f.target)
     if depth is None:
         depth = default_depth(f.source)
@@ -267,7 +266,7 @@ def relative_strand(complex_, base, fiber_count):
                 for row, terms in acc.items():
                     entries.append((row, col, base.reduce_terms(terms)))
         diffs[i] = Mat.from_entries(base, len(tgt), len(src), entries)
-    return FreeComplex._make(base, ranks, diffs, None, complex_.tail)
+    return FreeComplex._make(base, ranks, diffs, None, complex_.floor)
 
 
 def pushforward_projective(fam, e, minimal=True):
@@ -298,7 +297,7 @@ def pushforward_projective(fam, e, minimal=True):
     # over T the recast differentials compose to zero only modulo the
     # relations, which is all the tensor with T/(relations) needs
     diffs = {i: m.map(lambda x: recast(x, t), t) for i, m in e.diffs.items()}
-    e_t = FreeComplex._make(t, e.ranks, diffs, e.degrees, e.tail)
+    e_t = FreeComplex._make(t, e.ranks, diffs, e.degrees, e.floor)
     total = ModulePresentation(t, 1, Mat(t, [list(fam.relations)]), (0,))
     fpc = module_tensor_complex(total, e_t)
     floor = fpc.lo - fam.fiber_count - 2
@@ -317,7 +316,7 @@ def pushforward_projective(fam, e, minimal=True):
         "exact_bound": True,
         "stages_agree": None,
         "floor": floor,
-        "bounded": result.tail == ZERO_BELOW,
+        "bounded": result.is_bounded,
     }
     return result, report
 
@@ -341,7 +340,7 @@ class FiberData:
 def _regrade_zero(complex_):
     degrees = {i: (0,) * r for i, r in complex_.ranks.items()}
     return FreeComplex(
-        complex_.ring, dict(complex_.ranks), dict(complex_.diffs), degrees, complex_.tail
+        complex_.ring, dict(complex_.ranks), dict(complex_.diffs), degrees, complex_.floor
     )
 
 

@@ -79,7 +79,7 @@ class RingMap:
             if keep_degrees:
                 degrees = dict(complex_.degrees)
         image = FreeComplex._make(
-            self.target, dict(complex_.ranks), diffs, degrees, complex_.tail
+            self.target, dict(complex_.ranks), diffs, degrees, complex_.floor
         )
         image._check_grading()
         return image

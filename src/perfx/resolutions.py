@@ -9,36 +9,34 @@ differential one step up, which keeps the comparison map termwise
 surjective with exact kernel.  Every resolution of a module and every
 free replacement is minimal: redundant generators are pruned as they
 appear and the result is minimized, so no differential has a unit
-entry.  Truncated tails are recorded honestly via the tail flag
-(homology is only trusted strictly above the floor of a truncated
-window).
+entry.  A truncated window carries its homology floor (see complexes.py):
+a resolution cut after depth steps, and a free replacement that stops at
+the requested degree, have homology determined from one degree above
+their lowest term, and a presented complex keeps the floor of what it
+was built from.
 """
 
 from __future__ import annotations
 
-from .complexes import (
-    EXACT_BELOW,
-    ZERO_BELOW,
-    FreeComplex,
-    minimize,
-    tensor,
-)
+from .complexes import FreeComplex, HomologyFloor, floor_of, minimize, tensor
 from .modules import ModulePresentation, _column_degrees, prune_redundant_columns
 from .rings import Mat, MatrixGB, relations_modulo, syzygy_matrix
 
 
-class FPComplex:
+class FPComplex(HomologyFloor):
     """Bounded complex of finitely presented modules.
 
     maps[i] sends generators of terms[i] to columns over generators of
     terms[i+1].  The constructor checks nothing: in every FPComplex
     perfx builds (presented, module_tensor_complex, truncate_le and
     geometry.restrict_scalars) the maps respect the relations and
-    compose to zero by construction.
+    compose to zero by construction.  `floor` is a homology floor, as on
+    a FreeComplex: a window of a truncated free complex keeps its floor.
     """
 
-    def __init__(self, ring, terms, maps):
+    def __init__(self, ring, terms, maps, floor=None):
         self.ring = ring
+        self.floor = floor
         self.terms = {i: t for i, t in terms.items() if t.ambient_rank}
         self.maps = {
             i: m
@@ -50,10 +48,6 @@ class FPComplex:
             self.hi = max(self.terms)
         else:
             self.lo, self.hi = 0, -1
-
-    def is_determined(self, i):
-        """A bounded complex's homology is determined in every degree."""
-        return True
 
     def term(self, i):
         return self.terms.get(i) or ModulePresentation.zero(self.ring)
@@ -67,7 +61,7 @@ class FPComplex:
 def presented(obj):
     """A module, free complex or FPComplex read as an FPComplex: a module
     is its one-term complex at degree 0, a free complex its complex of
-    free modules (a truncated one's tail is not kept)."""
+    free modules with the same floor."""
     if isinstance(obj, FPComplex):
         return obj
     if isinstance(obj, FreeComplex):
@@ -75,7 +69,7 @@ def presented(obj):
             i: ModulePresentation.free(obj.ring, r, obj.term_degrees(i))
             for i, r in obj.ranks.items()
         }
-        return FPComplex(obj.ring, terms, obj.diffs)
+        return FPComplex(obj.ring, terms, obj.diffs, obj.floor)
     return FPComplex(obj.ring, {0: obj}, {})
 
 
@@ -91,9 +85,10 @@ def free_replacement(fpc, floor):
     """Free complex quasi-isomorphic to fpc in degrees > floor.
 
     Returns a FreeComplex with window [floor, hi] whose homology agrees
-    with fpc in degrees >= floor + 1 (and everywhere when the
-    construction terminates by itself, tail 'zero').  A complex whose
-    terms are all free short-circuits to its minimization.
+    with fpc in degrees >= floor + 1, and everywhere when the
+    construction terminates by itself.  Its floor is the larger of
+    fpc's and that floor + 1.  A complex whose terms are all free
+    short-circuits to its minimization.
     """
     ring = fpc.ring
     if not fpc.terms:
@@ -103,7 +98,7 @@ def free_replacement(fpc, floor):
         degrees = None
         if all(t.degrees is not None for t in fpc.terms.values()):
             degrees = {i: t.degrees for i, t in fpc.terms.items()}
-        out = FreeComplex(ring, ranks, dict(fpc.maps), degrees, ZERO_BELOW)
+        out = FreeComplex(ring, ranks, dict(fpc.maps), degrees, fpc.floor)
         return minimize(out)
     hi = fpc.hi
     graded = all(t.degrees is not None for t in fpc.terms.values())
@@ -116,7 +111,7 @@ def free_replacement(fpc, floor):
     phi_up = None  # Mat: gens(C^{k+1}) x rank_up
     diff_up = None  # Mat: rank(k+2) x rank_up
     degs_up = ()
-    tail = ZERO_BELOW
+    cut = None  # floor, once the window stops there with a term left
 
     k = hi
     while k >= floor:
@@ -175,7 +170,6 @@ def free_replacement(fpc, floor):
             if degrees is not None:
                 degrees[k] = tuple(new_degs)
         if new_rank == 0 and all(fpc.term(j).ambient_rank == 0 for j in range(floor, k)):
-            tail = ZERO_BELOW
             break
         rank_up = new_rank
         phi_up = phi
@@ -183,12 +177,10 @@ def free_replacement(fpc, floor):
         degs_up = new_degs if graded else ()
         k -= 1
     else:
-        tail = (
-            ZERO_BELOW
-            if rank_up == 0
-            else EXACT_BELOW
-        )
-    return minimize(FreeComplex(ring, ranks, diffs, degrees, tail))
+        if rank_up:
+            cut = floor
+    out = FreeComplex(ring, ranks, diffs, degrees, floor_of((fpc.floor, 0), (cut, 1)))
+    return minimize(out)
 
 
 def homology_data(obj, i):
@@ -205,11 +197,12 @@ def homology_data(obj, i):
     is the reduced Gröbner basis `syzygy_matrix` returns, and the
     relations are read off it by `relations_modulo`.  Either way they
     are a generating set of the relation module, not its reduced basis;
-    `ModulePresentation.reduced()` gives that.
+    `ModulePresentation.reduced()` gives that.  Below the floor of a
+    truncated complex it raises ValueError (`check_determined`).
     """
     ring = obj.ring
+    obj.check_determined(i)
     if isinstance(obj, FreeComplex):
-        obj.check_determined(i)
         g = obj.rank(i)
         term_degs = obj.degrees[i] if (obj.degrees is not None and g) else None
         d_i = obj.diff(i)
@@ -255,10 +248,10 @@ def module_tensor_complex(coefficients, complex_):
     """C (x) E for a free complex C and a module or free complex E, in
     the layout of `complexes.tensor`.
 
-    A free E gives tensor(C, E), with its combined tail.  A presented
-    module is the one-term complex E at degree 0: term i is E^(rank i)
-    with generator degrees shifted by C's, and C's differentials act
-    blockwise, as an FPComplex.
+    A free E gives tensor(C, E), with its floor.  A presented module is
+    the one-term complex E at degree 0: term i is E^(rank i) with
+    generator degrees shifted by C's, and C's differentials act
+    blockwise, as an FPComplex with C's floor (E's top degree is 0).
     """
     if isinstance(coefficients, FreeComplex):
         return tensor(complex_, coefficients)
@@ -282,7 +275,7 @@ def module_tensor_complex(coefficients, complex_):
     ident = Mat.identity(ring, amb)
     for i, m in complex_.diffs.items():
         maps[i] = m.kron(ident)
-    return FPComplex(ring, terms, maps)
+    return FPComplex(ring, terms, maps, complex_.floor)
 
 
 def free_resolution(target, depth):
@@ -290,11 +283,12 @@ def free_resolution(target, depth):
 
     Free complexes are returned as they are; complexes of presented
     modules go through the free replacement down to depth below their
-    lowest term.  Modules: iterated syzygies, with early stop (tail
-    'zero') when a syzygy module vanishes -- over a plain polynomial
-    ring with graded input this always happens within the number of
-    variables -- and tail 'exact' after depth steps.  The resolution is
-    minimized.
+    lowest term.  Modules: iterated syzygies, with early stop (floor
+    None) when a syzygy module vanishes -- over a plain polynomial ring
+    with graded input this always happens within the number of
+    variables -- and a cut after depth steps, which leaves homology
+    determined from one degree above the lowest term.  The resolution
+    is minimized.
     """
     if isinstance(target, FreeComplex):
         return target
@@ -306,7 +300,7 @@ def free_resolution(target, depth):
     diffs = {}
     degrees = {0: module.degrees} if module.degrees is not None else None
     graded = degrees is not None
-    tail = ZERO_BELOW
+    floor = None
     current = module.relations
     cur_degs = module.degrees
     k = 0
@@ -323,44 +317,19 @@ def free_resolution(target, depth):
                 cur_degs = cd
         k -= 1
         if -k >= depth:
-            tail = EXACT_BELOW
+            floor = k + 1
             break
         current = syzygy_matrix(current)
-    return minimize(FreeComplex(ring, ranks, diffs, degrees, tail))
-
-
-def truncate_below(complex_, new_lo):
-    """Forget terms in degrees < new_lo; homology valid from new_lo + 1."""
-    if new_lo <= complex_.lo:
-        return complex_
-    ranks = {i: r for i, r in complex_.ranks.items() if i >= new_lo}
-    diffs = {i: m for i, m in complex_.diffs.items() if i >= new_lo}
-    degrees = None
-    if complex_.degrees is not None:
-        degrees = {i: d for i, d in complex_.degrees.items() if i >= new_lo}
-    return FreeComplex._make(complex_.ring, ranks, diffs, degrees, EXACT_BELOW)
+    return minimize(FreeComplex(ring, ranks, diffs, degrees, floor))
 
 
 def derived_tensor(e, f, depth=6):
-    """E (x)^L F as a free complex with an honest validity window.
-
-    Module inputs are resolved to a depth sufficient for the requested
-    one; if a truncated resolution enters, the output is truncated to
-    the degrees where its homology provably agrees with the derived
-    tensor and flagged 'exact' below.
-    """
+    """E (x)^L F as a free complex: the tensor of the two resolutions,
+    each resolved deep enough for the requested depth, with the floor
+    `tensor` gives it."""
     re = free_resolution(e, depth + max(0, presented(f).hi) + 2)
     rf = free_resolution(f, depth + max(0, presented(e).hi) + 2)
-    t = tensor(re, rf)
-    bounds = []
-    if re.tail != ZERO_BELOW:
-        bounds.append(re.lo + rf.hi + 2)
-    if rf.tail != ZERO_BELOW:
-        bounds.append(rf.lo + re.hi + 2)
-    if not bounds:
-        return t
-    valid_from = max(bounds)
-    return truncate_below(t, valid_from - 1)
+    return tensor(re, rf)
 
 
 def truncate_le(complex_, k):
@@ -369,8 +338,7 @@ def truncate_le(complex_, k):
     ring = complex_.ring
     if k >= complex_.hi:
         return complex_
-    floor = complex_.homology_floor()
-    if k + 1 < floor:
+    if not complex_.is_determined(k + 1):
         raise ValueError("truncation level below the trustworthy window")
     kernel = _kernel_of(complex_.diff(k))
     terms = {}
@@ -391,6 +359,6 @@ def truncate_le(complex_, k):
             if lift is None:
                 raise ValueError("image does not land in the kernel")
             maps[k - 1] = lift
-    fpc = FPComplex(ring, terms, maps)
+    fpc = FPComplex(ring, terms, maps, complex_.floor)
     lo_out = min(complex_.lo, k) - 1
     return free_replacement(fpc, lo_out)

@@ -28,7 +28,14 @@ from perfx.complexes import (
 from perfx.ktheory import regression_suite
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
-from perfx.resolutions import free_resolution, truncate_below
+from perfx.resolutions import (
+    derived_tensor,
+    fp_homology,
+    free_resolution,
+    homology_data,
+    module_tensor_complex,
+    truncate_le,
+)
 from perfx.rings import Mat, PolyRing, RationalPoint
 
 
@@ -492,7 +499,7 @@ def revalidate(built):
         revalidate(built.target)
         ComplexMap(built.source, built.target, built.components)
     else:
-        FreeComplex(built.ring, built.ranks, built.diffs, built.degrees, built.tail)
+        FreeComplex(built.ring, built.ranks, built.diffs, built.degrees, built.floor)
 
 
 def scalar_map(c, p):
@@ -528,7 +535,7 @@ def test_trusted_builders_pass_the_public_checks(name, seed):
         k3.shift(1),
         k2.direct_sum(t.shift(-1)),
         minimize(tensor(k2, k3)),
-        truncate_below(tensor(k2, k3), -3),
+        tensor(k2, FreeComplex(ring, k3.ranks, k3.diffs, k3.degrees, floor=-2)),
         koszul_dual_transition(ring, ["x", "y"], 1 + seed),
         cech_cone(koszul_dual_stage(ring, ["x", "y"], 1 + seed)),
         RingMap(ring, ring, ["2*x", "4*y"]).apply_complex(koszul(ring, ["x", "y"])),
@@ -549,7 +556,7 @@ def test_relative_strand_passes_the_public_checks(n):
 
 def test_homology_guard_below_window(rxy):
     res_like = FreeComplex(
-        rxy, {-1: 1, 0: 1}, {-1: Mat(rxy, [["x"]], ncols=1)}, tail="exact"
+        rxy, {-1: 1, 0: 1}, {-1: Mat(rxy, [["x"]], ncols=1)}, floor=0
     )
     with pytest.raises(ValueError, match="not determined"):
         res_like.homology(-1)
@@ -557,3 +564,66 @@ def test_homology_guard_below_window(rxy):
     with pytest.raises(ValueError, match="below the homology floor 0 of a truncated complex"):
         res_like.generic_dim((2, 3), -1)
     assert res_like.generic_dim((2, 3), 0) == (0, True)
+
+
+# -- the homology floor rule ------------------------------------------------------
+
+
+def _floor_builds():
+    """Each builder applied to a resolution C of coker [x] over
+    QQ[x,y]/(x*y), with its floor as an offset from C's: the rule of
+    complexes.floor_of, carried by shift, direct_sum, cone, tensor, Hom
+    into C, minimize, module_tensor_complex, truncate_le, derived_tensor
+    and restriction of scalars."""
+    def unit_at_4(c):
+        return unit_complex(c.ring).shift(4)
+
+    def koszul_xy(c):
+        return koszul(c.ring, ["x", "y"])
+
+    def coker_y(c):
+        return ModulePresentation(c.ring, 1, Mat(c.ring, [["y"]]), (0,))
+
+    return {
+        "shift": (lambda c, d: c.shift(1), -1),
+        "direct_sum": (lambda c, d: c.direct_sum(unit_at_4(c)), 0),
+        "cone": (lambda c, d: cone(ComplexMap(c, unit_at_4(c), {})), -1),
+        "tensor": (lambda c, d: tensor(c, koszul_xy(c)), 0),
+        "hom_complex": (lambda c, d: hom_complex(koszul_xy(c), c), 2),
+        "minimize": (lambda c, d: minimize(tensor(koszul_xy(c), c)), 0),
+        "module_tensor_complex": (lambda c, d: module_tensor_complex(coker_y(c), c), 0),
+        "truncate_le": (lambda c, d: truncate_le(c, -1), 0),
+        "derived_tensor": (lambda c, d: derived_tensor(c, coker_y(c), depth=d), 0),
+        "restrict_scalars": (
+            lambda c, d: geometry.restrict_scalars(RingMap.identity(c.ring), c), 0),
+    }
+
+
+def _origin_dims(obj, lo, hi):
+    """dim H^i(obj (x) kappa(0)) for a free complex, dim H^i(obj) (x)
+    kappa(0) for a presented one, over lo..hi."""
+    origin = RationalPoint(obj.ring, (0, 0))
+    if isinstance(obj, FreeComplex):
+        dims = obj.fiber_dims(origin)
+        return [dims.get(i, 0) for i in range(lo, hi + 1)]
+    return [h.fiber_dim(origin) if h.ambient_rank else 0
+            for h in (fp_homology(obj, i) for i in range(lo, hi + 1))]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("name", list(_floor_builds()))
+def test_the_floor_rule_against_a_deep_resolution(quotient_xy, name, depth):
+    """From the claimed floor up, a build from a truncated resolution reads
+    the fiber dims the same build reads from a depth-9 resolution, and one
+    degree below the floor its homology is refused."""
+    build, offset = _floor_builds()[name]
+    coker_x = ModulePresentation(quotient_xy, 1, Mat(quotient_xy, [["x"]]), (0,))
+    c = free_resolution(coker_x, depth)
+    got = build(c, depth)
+    deep = build(free_resolution(coker_x, 9), 9)
+    assert c.floor == 1 - depth and got.floor == c.floor + offset
+    assert deep.is_determined(got.floor)
+    hi = max(got.hi, deep.hi) + 1
+    assert _origin_dims(got, got.floor, hi) == _origin_dims(deep, got.floor, hi)
+    with pytest.raises(ValueError, match="below the homology floor"):
+        homology_data(got, got.floor - 1)

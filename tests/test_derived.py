@@ -54,18 +54,20 @@ def test_tor_profile_refuses_an_unknown_method(r1):
             tor_profile(m, RationalPoint(r1, (0,)), 4, method)
 
 
-def test_tor_profile_refuses_a_depth_below_a_truncated_floor():
+@pytest.mark.parametrize("method", ["resolve", "koszul"])
+def test_tor_profile_refuses_a_depth_below_a_truncated_floor(method):
     """kappa(0) over QQ[x,y,z] resolved one step has homology floor 0:
-    Tor_1 and beyond live in the missing tail, so 'resolve' refuses to
-    read them as 0 (Tor of kappa(0) with itself is [1, 3, 3, 1, 0])."""
+    Tor_1 and beyond live in the missing part, so neither route reads
+    them (Tor of kappa(0) with itself is [1, 3, 3, 1, 0]); the Koszul
+    route's tensor keeps the floor, the Koszul complex's top being 0."""
     ring = PolyRing(QQ, ["x", "y", "z"])
     truncated = derived.free_resolution(ModulePresentation.cyclic(ring, ["x", "y", "z"]), 1)
     origin = RationalPoint(ring, (0, 0, 0))
-    assert (truncated.tail, truncated.homology_floor()) == ("exact", 0)
-    assert tor_profile(truncated, origin, 0, "resolve") == [1]
-    for depth in (1, 4):
+    assert truncated.floor == 0
+    assert tor_profile(truncated, origin, 0, method) == [1]
+    for depth in (1, 3, 4):
         with pytest.raises(ValueError, match="below the homology floor 0"):
-            tor_profile(truncated, origin, depth, "resolve")
+            tor_profile(truncated, origin, depth, method)
 
 
 def test_tor_profile_quotient(quotient_xy):
@@ -186,15 +188,17 @@ def test_local_cohomology_complex_coefficient_indices(r1, elements, window, stag
 
 def test_truncated_coefficient_reads_nothing_below_its_floor():
     """A truncated resolution of coker [x] over QQ[x,y]/(x*y) keeps its
-    tail through the tensor with each stage: the index below the floor
-    is left out of the report, and the transfer check refuses it."""
+    floor through the tensor with each stage, raised by the stage's top
+    degree 1: the indices below it are left out of the report, and the
+    transfer check refuses them."""
     ring = PolyRing(QQ, ["x", "y"], quotient=["x*y"])
     n = derived.free_resolution(ModulePresentation(ring, 1, Mat(ring, [["x"]]), (0,)), 3)
-    assert (n.lo, n.tail, n.homology_floor()) == (-3, "exact", -2)
+    assert (n.lo, n.floor) == (-3, -2)
     report = local_cohomology(ring, ["x"], n)
-    assert sorted(report.presentations) == [-2, -1, 0, 1]
-    with pytest.raises(ValueError, match="homology floor -2"):
-        boundedness_transfer_check(ring, ["x"], n, -3)
+    assert sorted(report.presentations) == [-1, 0, 1]
+    for index in (-3, -2):
+        with pytest.raises(ValueError, match="homology floor -1"):
+            boundedness_transfer_check(ring, ["x"], n, index)
 
 
 def test_zero_module_reads_as_the_zero_complex(rxy):
@@ -384,6 +388,32 @@ def test_relative_perfection_tensor_closure():
     )
     report = is_relatively_perfect(tensored, f, points)
     assert report.is_relatively_perfect
+
+
+def test_pointwise_homology_starts_at_the_tensor_floor():
+    """Over the quotient base A = QQ[t]/(t^2) the resolution of kappa(0)
+    is cut after max_depth + 2 steps, so the derived fiber of the
+    two-term E = [B -x-> B] in degrees 0, 1 has floor lo + 2: the cut
+    resolution's floor lo + 1 plus E's top degree 1.  E is B/(x) in
+    degree 1, and B is free over A, so the fiber's only homology is H^1;
+    the cut leaves a spurious module one degree below the floor, which
+    the report leaves out."""
+    a = PolyRing(QQ, ["t"], quotient=["t^2"])
+    b = PolyRing(QQ, ["t", "x"], quotient=["t^2"])
+    f = RingMap(a, b, ["t"])
+    e = two_term(b, "x")
+    for max_depth in (2, 3):
+        pulled = f.apply_complex(derived.free_resolution(
+            ModulePresentation.residue_field(a, RationalPoint(a, (0,))), max_depth + 2))
+        fiber = derived.module_tensor_complex(e, pulled)
+        assert fiber.floor == pulled.floor + 1 == pulled.lo + 2
+        window = FreeComplex._make(fiber.ring, fiber.ranks, fiber.diffs, fiber.degrees)
+        assert not window.homology(fiber.floor - 1).is_zero()
+        with pytest.raises(ValueError, match="below the homology floor"):
+            fiber.homology(fiber.floor - 1)
+        report = is_relatively_perfect(e, f, [RationalPoint(a, (0,))], "pointwise", max_depth)
+        ((_y, entry),) = report.per_point
+        assert sorted(entry["homology"]) == [1]
 
 
 def test_finite_mode_rejects_non_finite():

@@ -9,7 +9,7 @@ import pytest
 
 from perfx import complexes, geometry, linalg, resolutions, rings
 from perfx.fields import GF, QQ
-from perfx.complexes import EXACT_BELOW, FreeComplex, koszul, two_term
+from perfx.complexes import FreeComplex, koszul, two_term
 from perfx.derived import is_relatively_perfect
 from perfx.geometry import (
     ProjectiveFamily,
@@ -179,7 +179,7 @@ def test_flat_pullback_no_higher_homology(line):
 def test_pushforward_free_cover(double_cover):
     pushed = pushforward_affine(double_cover, ModulePresentation.free(double_cover.target, 1))
     assert dict(pushed.ranks) == {0: 2}
-    assert pushed.tail == "zero"
+    assert pushed.floor is None
 
 
 def test_pushforward_structure_quotient(double_cover, line):
@@ -203,7 +203,7 @@ def test_pushforward_of_a_module_with_dependent_relations(line):
     m = ModulePresentation(b, 1, Mat(b, [["u", "u"]]))
     points = [RationalPoint(line, (0,)), RationalPoint(line, (1,))]
     pushed = pushforward_affine(f, m)
-    assert pushed.tail == "zero"
+    assert pushed.floor is None
     assert [chi(f, m, y) for y in points] == [0, 0]
     assert [pushed.fiber_dims(y).get(0, 0) for y in points] == [1, 0]
     scan = hp_scan(f, m, -1, points)
@@ -379,7 +379,7 @@ def test_classical_fiber_of_a_family_is_the_kappa_family_restriction(field, n):
             got = classical_fiber(fam, e, p)
             want = restriction.apply_complex(free_resolution(e, 8), keep_degrees=True)
             assert got.ring == want.ring == fiber_fam.total
-            assert (got.ranks, got.degrees, got.tail) == (want.ranks, want.degrees, want.tail)
+            assert (got.ranks, got.degrees, got.floor) == (want.ranks, want.degrees, want.floor)
             assert got.diffs == want.diffs
 
 
@@ -488,7 +488,7 @@ def test_classical_chi_skips_minimize(monkeypatch):
 def test_classical_chi_rejects_an_unbounded_complex():
     """A restricted complex that does not stop below has no chi."""
     fam = blowup_family(QQ, 2)
-    e = FreeComplex(fam.total, {0: 1}, {}, {0: (0,)}, tail=EXACT_BELOW)
+    e = FreeComplex(fam.total, {0: 1}, {}, {0: (0,)}, floor=1)
     with pytest.raises(ValueError, match="chi needs a bounded complex"):
         classical_chi(fam, e, RationalPoint(fam.base, (0, 0)))
 
@@ -671,7 +671,8 @@ def table_case(name):
         c = free_resolution(ModulePresentation.cyclic(ring, ["x"]), 4)
         return c, [(0, 0), (1, 1), (Fraction(-4, 3), 0)]
     _fam, c = blowup_pushforward(QQ, 2)
-    return resolutions.truncate_below(c, c.lo + 1), [(0, 0), (2, 3)]
+    window = {i: r for i, r in c.ranks.items() if i > c.lo}
+    return FreeComplex(c.ring, window, c.diffs, floor=c.lo + 2), [(0, 0), (2, 3)]
 
 
 @pytest.mark.parametrize("name", [
@@ -681,7 +682,7 @@ def test_fiber_ranks_match_the_rank_of_each_evaluated_differential(name):
     """Every rank in the table is the rank of the differential evaluated
     at the point, over a quotient ring and below an exact tail too."""
     c, points = table_case(name)
-    assert (c.ring.is_quotient, c.tail != complexes.ZERO_BELOW) == (
+    assert (c.ring.is_quotient, c.floor is not None) == (
         name == "quotient", name in ("quotient", "truncated"))
     for point in points:
         ranks = c.fiber_ranks(point)
@@ -780,7 +781,7 @@ def test_generic_dims_match_leading_positions(kind, k):
 
 def fresh(c):
     """The same complex with no ranks kept on it."""
-    return FreeComplex._make(c.ring, c.ranks, c.diffs, c.degrees, c.tail)
+    return FreeComplex._make(c.ring, c.ranks, c.diffs, c.degrees, c.floor)
 
 
 def probes(ring):

@@ -18,11 +18,14 @@ ENGINE_IMPORTS = {
 }
 # The term-key callables and heap wrapper that packed terms replaced, the
 # tuple-term vector converters that packed engine vectors replaced, and the
-# polynomial term converters that packed polynomial terms replaced.
+# polynomial term converters that packed polynomial terms replaced, and the
+# tail strings, their combiner and the truncation helper that a complex's
+# numeric homology floor replaced.
 RETIRED_NAMES = {
     "_Desc", "leading_term", "elimination_key", "term_over_position",
     "pack_vector", "unpack_vector", "_to_vec", "_from_vec",
     "pack_terms", "unpack_poly", "_pack",
+    "ZERO_BELOW", "EXACT_BELOW", "UNKNOWN_BELOW", "_combine_tails", "truncate_below",
 }
 
 
@@ -122,8 +125,9 @@ def test_engine_entry_points_take_no_callables():
 
 
 def test_retired_term_keys_stay_gone():
-    """Terms are packed ints compared as ints; the key callables and the
-    heap wrapper they needed are defined nowhere in src/perfx."""
+    """Terms are packed ints compared as ints, and a complex carries its
+    homology floor as a number; the names these retired are defined
+    nowhere in src/perfx."""
     hits = []
     for name, _text, tree in _modules():
         for node in ast.walk(tree):
@@ -135,7 +139,7 @@ def test_retired_term_keys_stay_gone():
             else:
                 continue
             hits += [f"{name}:{node.lineno}: {b}" for b in bound if b in RETIRED_NAMES]
-    assert not hits, "retired term keys defined again:\n" + "\n".join(hits)
+    assert not hits, "retired names defined again:\n" + "\n".join(hits)
 
 
 def test_only_rings_rebuilds_a_polynomial_from_terms():

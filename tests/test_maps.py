@@ -313,4 +313,4 @@ def test_apply_complex_checks_only_the_kept_grading(monkeypatch):
     assert products == []
     assert images[0].degrees == k.degrees
     for image in images:
-        FreeComplex(image.ring, image.ranks, image.diffs, image.degrees, image.tail)
+        FreeComplex(image.ring, image.ranks, image.diffs, image.degrees, image.floor)

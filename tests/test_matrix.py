@@ -331,7 +331,7 @@ def dense_minimize(complex_):
     final_degrees = None
     if degrees is not None:
         final_degrees = {i: tuple(degrees[i]) for i in final_ranks}
-    return FreeComplex(ring, final_ranks, mat_diffs, final_degrees, complex_.tail)
+    return FreeComplex(ring, final_ranks, mat_diffs, final_degrees, complex_.floor)
 
 
 def assert_minimize_matches(c):
@@ -367,7 +367,7 @@ def scrambled(c, rng):
         c = c.direct_sum(trivial.shift(-1 - rng.randint(c.lo - 1, c.hi)))
     changes = {i: base_change(ring, rng, r) for i, r in c.ranks.items()}
     diffs = {i: changes[i + 1][0] * m * changes[i][1] for i, m in c.diffs.items()}
-    return FreeComplex(ring, c.ranks, diffs, None, c.tail)
+    return FreeComplex(ring, c.ranks, diffs, None, c.floor)
 
 
 @pytest.mark.parametrize("name", list(RINGS))

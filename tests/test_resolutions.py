@@ -42,7 +42,7 @@ def quotient_xy():
 def test_resolution_of_regular_quotient_is_koszul_shaped(rxy):
     m = ModulePresentation.cyclic(rxy, ["x", "y"], degrees=(0,))
     res = free_resolution(m, 5)
-    assert res.tail == "zero"
+    assert res.floor is None
     assert {i: res.rank(i) for i in res.ranks} == {0: 1, -1: 2, -2: 1}
     # minimal: no differential has a unit (nonzero constant) entry
     assert all(
@@ -53,7 +53,7 @@ def test_resolution_of_regular_quotient_is_koszul_shaped(rxy):
 def test_resolution_over_hypersurface_is_periodic(quotient_xy):
     k = ModulePresentation.cyclic(quotient_xy, ["x", "y"], degrees=(0,))
     res = free_resolution(k, 5)
-    assert res.tail == "exact"
+    assert res.floor == -4
     for i in range(-5, 0):
         assert res.rank(i) == 2
     assert res.rank(0) == 1
@@ -63,7 +63,7 @@ def test_resolution_of_free_module_is_itself(rxy):
     f = ModulePresentation.free(rxy, 3)
     res = free_resolution(f, 4)
     assert dict(res.ranks) == {0: 3}
-    assert res.tail == "zero"
+    assert res.floor is None
 
 
 def test_derived_tensor_selfintersection():
@@ -119,7 +119,7 @@ def test_free_replacement_matches_fp_homology(quotient_xy):
 def test_free_replacement_shortcuts_free_input(rxy):
     fpc = presented(koszul(rxy, ["x", "y"]))
     rep = free_replacement(fpc, -5)
-    assert rep.tail == "zero"
+    assert rep.floor is None
     assert dict(rep.ranks) == {0: 1, -1: 2, -2: 1}
 
 
@@ -166,14 +166,14 @@ def test_truncation_of_exact_spot(rxy):
 
 
 def test_module_tensor_complex_of_a_free_complex_is_tensor(quotient_xy):
-    """A free coefficient complex E gives tensor(C, E), truncated tail
-    and homology floor included."""
+    """A free coefficient complex E gives tensor(C, E), homology floor
+    included: E's floor plus the Koszul complex's top degree 0."""
     e = free_resolution(ModulePresentation.cyclic(quotient_xy, ["x"]), 2)
     k = koszul(quotient_xy, ["y"])
-    assert e.tail == "exact"
+    assert e.floor == e.lo + 1
     got = module_tensor_complex(e, k)
     assert got == tensor(k, e)
-    assert (got.lo, got.tail, got.homology_floor()) == (e.lo - 1, "exact", e.lo)
+    assert (got.lo, got.floor) == (e.lo - 1, e.lo + 1)
 
 
 def test_module_tensor_complex_dims(rxy):
@@ -344,8 +344,7 @@ def test_reduced_homology_relations_match_the_tagged_route(field, quotient):
         elements = [ring.random_poly(rng, max_degree=1, nterms=2) for _ in range(2)]
         tensored = module_tensor_complex(module, koszul(ring, elements))
         for obj in (free_resolution(module, 3), tensored):
-            lo = obj.homology_floor() if hasattr(obj, "homology_floor") else obj.lo
-            for i in range(lo, obj.hi + 1):
+            for i in range(obj.homology_floor(), obj.hi + 1):
                 _k, _b, pres = homology_data(obj, i)
                 _k, _b, ref = reference(obj, i)
                 assert pres.reduced().relations == ref.relations
@@ -391,7 +390,7 @@ def test_a_module_and_its_resolution_read_alike():
     for _ in range(6):
         module = seeded_module(b, rng)
         resolution = free_resolution(module, 6)
-        assert resolution.tail == "zero"
+        assert resolution.floor is None
         report = pointwise_report(module, f, points)
         assert pointwise_report(resolution, f, points) == report
         homologies += len(report)
