@@ -34,7 +34,7 @@ from .geometry import (
     push,
     pushforward_projective,
 )
-from .ktheory import AXIOMS, regression_entry, run_axiom_battery
+from .ktheory import AXIOMS, dims_tables, regression_entry, run_axiom_battery
 from .maps import RingMap
 from .modules import ModulePresentation
 from .rings import Mat, PolyRing, RationalPoint
@@ -719,7 +719,7 @@ def cmd_verify_axiom(session, tokens, options, args, fmt):
         "verdict": report["verdict"],
         "tier": report["tier"],
         "witness": str(report.get("witness")),
-        "tables": report.get("tables"),
+        "tables": dims_tables(report),
     }
     _emit(payload, fmt)
     return 0 if report["verdict"] == "equal_evidence" else 1

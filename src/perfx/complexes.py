@@ -317,9 +317,9 @@ class FreeComplex(HomologyFloor):
 
     def fiber_euler_characteristic(self, point):
         """Alternating sum of the fiber dims at point: over the whole of a
-        bounded complex it telescopes to that of the term ranks.
-        `minimize` removes ranks in adjacent pairs, so it leaves this
-        unchanged."""
+        bounded complex it telescopes to that of the term ranks, which
+        `minimize` keeps (it removes ranks in adjacent pairs).  The point
+        does not change the value; the parameter stays for its callers."""
         if not self.is_bounded:
             raise ValueError("chi needs a bounded complex")
         return sum((-1 if i % 2 else 1) * r for i, r in self.ranks.items())

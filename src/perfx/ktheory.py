@@ -3,12 +3,12 @@
 A class over a morphism is a formal integer combination of free-complex
 representatives.  Equality in K0 is not decidable here; comparisons are
 two-tier and always labeled: literal structural identity of simplified
-term lists, else evidence through K0-sound pointwise invariants (Euler
-characteristic at sampled points, and the alternating generator-degree
-polynomial for graded representatives).  Per-degree fiber dimension
-tables are reported as descriptive data but do not decide equality:
-they can separate classes that are equal in K0 (a shift against a
-negated class, for instance).
+term lists, else evidence through K0-sound invariants (the Euler
+characteristic, the alternating sum of the term ranks, read once; and
+the alternating generator-degree polynomial for graded representatives).
+Per-point fiber dimension tables are descriptive output, made on request
+by `dims_tables`, and do not decide equality: they can separate classes
+that are equal in K0 (a shift against a negated class, for instance).
 """
 
 from __future__ import annotations
@@ -81,10 +81,7 @@ class K0Class:
         return K0Class(self.morphism, [(c, x.shift(n)) for c, x in self.terms])
 
     def chi_at(self, point):
-        total = 0
-        for coeff, cplx in self.terms:
-            total += coeff * cplx.fiber_euler_characteristic(point)
-        return total
+        return sum(c * x.fiber_euler_characteristic(point) for c, x in self.terms)
 
     def dims_at(self, point):
         """Signed per-degree fiber dimensions (descriptive data only)."""
@@ -280,43 +277,46 @@ def orientation(f, points, max_depth=None):
 def k0_evidence_equal(alpha, beta, points):
     """Two-tier comparison of classes over the same morphism.
 
-    Tier 1: literal equality of simplified term lists.  Tier 2:
-    equality of K0-sound invariants (chi at each sampled point; the
-    graded alternating degree polynomial when available).  The verdict
-    'equal_evidence' is explicitly evidence, not a proof of equality
-    in K0; 'distinguished' carries a concrete witness.
+    Tier 1: literal equality of simplified term lists.  Tier 2: equality
+    of K0-sound invariants (chi, which does not depend on the point, at
+    points[0] if any; the graded alternating degree polynomial when
+    available).  'equal_evidence' is explicitly evidence, not a proof of
+    equality in K0; 'distinguished' carries a concrete witness.  The
+    report keeps the simplified `sides` and `points` for `dims_tables`.
     """
     _same_morphism(alpha, beta)
     a = alpha.simplify()
     b = beta.simplify()
-    report = {"tier": None, "verdict": None, "witness": None, "tables": {}}
+    report = {"tier": "literal", "verdict": "equal_evidence", "witness": None,
+              "sides": (a, b), "points": points}
     if _term_lists_equal(a.terms, b.terms):
-        report["tier"] = "literal"
-        report["verdict"] = "equal_evidence"
-        report["literal"] = True
         return report
     report["tier"] = "pointwise"
-    for p in points:
-        chi_a, chi_b = a.chi_at(p), b.chi_at(p)
-        report["tables"][str(p)] = {
-            "chi": (chi_a, chi_b),
-            "dims_left": a.dims_at(p),
-            "dims_right": b.dims_at(p),
-        }
-        if chi_a != chi_b:
-            report["verdict"] = "distinguished"
-            report["witness"] = {"point": p, "chi": (chi_a, chi_b)}
+    if points:
+        chi = (a.chi_at(points[0]), b.chi_at(points[0]))
+        if chi[0] != chi[1]:
+            report.update(verdict="distinguished", witness={"point": points[0], "chi": chi})
             return report
     ka, kb = a.k_polynomial(), b.k_polynomial()
     if ka is not None and kb is not None and ka != kb:
-        report["verdict"] = "distinguished"
-        report["witness"] = {"graded_degree_polynomial": (ka, kb)}
-        return report
-    report["verdict"] = "equal_evidence"
-    report["chain_level"] = all(
-        t["dims_left"] == t["dims_right"] for t in report["tables"].values()
-    )
+        report.update(verdict="distinguished", witness={"graded_degree_polynomial": (ka, kb)})
     return report
+
+
+def dims_tables(report):
+    """Chi and signed fiber dims of both sides of a comparison report
+    per str(point), descriptive data no verdict reads: empty for the
+    literal tier, ended at the point of a chi witness."""
+    if report["tier"] == "literal":
+        return {}
+    a, b = report["sides"]
+    witness = report["witness"] or {}
+    points = [witness["point"]] if "chi" in witness else report["points"]
+    return {
+        str(p): {"chi": (a.chi_at(p), b.chi_at(p)),
+                 "dims_left": a.dims_at(p), "dims_right": b.dims_at(p)}
+        for p in points
+    }
 
 
 def _term_lists_equal(t1, t2):

@@ -865,6 +865,55 @@ def test_cli_readme_example_pinned_under_hash_seeds(tmp_path, command, expected)
     assert outputs[0].decode() == expected
 
 
+_A12_DIMS = "{0: 1, 1: 3, 2: 3, 3: 1}"
+_A12_DIMS_JSON = '{\n        "0": 1,\n        "1": 3,\n        "2": 3,\n        "3": 1\n      }'
+_A12_EMPTY_ROW_JSON = (
+    '{\n      "chi": [\n        0,\n        0\n      ],\n'
+    '      "dims_left": {},\n      "dims_right": {}\n    }'
+)
+
+# A pointwise verify-axiom report: its fiber-dim table has three rows.
+POINTWISE_AXIOM_OUTPUTS = [
+    ("text",
+     "axiom: A12\n"
+     "verdict: equal_evidence\n"
+     "tier: pointwise\n"
+     "witness: None\n"
+     f"tables: {{'(14, 4)': {{'chi': (0, 0), 'dims_left': {_A12_DIMS}, "
+     f"'dims_right': {_A12_DIMS}}}, "
+     "'(254, 16)': {'chi': (0, 0), 'dims_left': {}, 'dims_right': {}}, "
+     "'(79, 9)': {'chi': (0, 0), 'dims_left': {}, 'dims_right': {}}}\n"),
+    ("json",
+     "{\n"
+     '  "axiom": "A12",\n'
+     '  "verdict": "equal_evidence",\n'
+     '  "tier": "pointwise",\n'
+     '  "witness": "None",\n'
+     '  "tables": {\n'
+     '    "(14, 4)": {\n'
+     '      "chi": [\n        0,\n        0\n      ],\n'
+     f'      "dims_left": {_A12_DIMS_JSON},\n'
+     f'      "dims_right": {_A12_DIMS_JSON}\n'
+     "    },\n"
+     f'    "(254, 16)": {_A12_EMPTY_ROW_JSON},\n'
+     f'    "(79, 9)": {_A12_EMPTY_ROW_JSON}\n'
+     "  }\n"
+     "}\n"),
+]
+
+
+@pytest.mark.parametrize("fmt, expected", POINTWISE_AXIOM_OUTPUTS,
+                         ids=[f for f, _ in POINTWISE_AXIOM_OUTPUTS])
+def test_cli_pointwise_verify_axiom_pinned_under_hash_seeds(tmp_path, fmt, expected):
+    path = tmp_path / "d.pfx"
+    path.write_text("diagram D = regression(seed=1, index=0)\n")
+    outputs = run_under_hash_seeds(
+        "verify-axiom", "A12", "diagram=D", "--format", fmt, "--input", str(path)
+    )
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == expected
+
+
 def test_cli_local_cohomology_module_pinned_under_hash_seeds(tmp_path):
     # no degree window and a module coefficient: the transition-map regime
     path = tmp_path / "s.pfx"

@@ -7,6 +7,7 @@ from perfx.complexes import FreeComplex, two_term
 from perfx.ktheory import (
     IndependentSquare,
     K0Class,
+    dims_tables,
     k0_evidence_equal,
     orientation,
     orientation_multiplicativity,
@@ -60,7 +61,7 @@ def test_shift_relation(id_line, line):
     e = K0Class.of_complex(id_line, two_term(line, "t"))
     rep = k0_evidence_equal(e.shift(1), e.negate(), pts(line, [0, 2]))
     assert rep["verdict"] == "equal_evidence"
-    assert rep.get("chain_level") is False
+    assert any(row["dims_left"] != row["dims_right"] for row in dims_tables(rep).values())
 
 
 def test_graded_distinguishing(id_line, line):
@@ -77,6 +78,53 @@ def test_chi_witness(id_line, line):
     rep = k0_evidence_equal(e, free, pts(line, [1]))
     assert rep["verdict"] == "distinguished"
     assert rep["witness"]["chi"] == (0, 1)
+
+
+def _count_calls(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(K0Class, name)
+
+        def counting(self, point, real=real, name=name):
+            calls[name] += 1
+            return real(self, point)
+
+        monkeypatch.setattr(K0Class, name, counting)
+    return calls
+
+
+def test_chi_witness_is_the_first_point_and_ends_the_table(id_line, line):
+    e = K0Class.of_complex(id_line, two_term(line, "t"))
+    free = K0Class.of_complex(id_line, FreeComplex.single(line, 1, at=0, degrees=(0,)))
+    points = pts(line, [1, 2, 3])
+    rep = k0_evidence_equal(e, free, points)
+    assert rep["witness"] == {"point": points[0], "chi": (0, 1)}
+    assert list(dims_tables(rep)) == [str(points[0])]
+
+
+def test_graded_witness_tables_every_point(id_line, line, monkeypatch):
+    e1 = K0Class.of_complex(id_line, two_term(line, "t"))
+    e2 = K0Class.of_complex(id_line, two_term(line, "t^2"))
+    points = pts(line, [0, 1, 2])
+    calls = _count_calls(monkeypatch, "chi_at", "dims_at")
+    rep = k0_evidence_equal(e1, e2, points)
+    assert "graded_degree_polynomial" in rep["witness"]
+    # the verdict reads chi once per side and no fiber dims
+    assert calls == {"chi_at": 2, "dims_at": 0}
+    tables = dims_tables(rep)
+    assert list(tables) == [str(p) for p in points]
+    assert all(row["chi"] == (0, 0) for row in tables.values())
+
+
+def test_no_points_leaves_the_verdict_to_the_polynomial(id_line, line, monkeypatch):
+    e = K0Class.of_complex(id_line, two_term(line, "t"))
+    free = K0Class.of_complex(id_line, FreeComplex.single(line, 1, at=0, degrees=(0,)))
+    calls = _count_calls(monkeypatch, "chi_at")
+    rep = k0_evidence_equal(e, free, [])
+    assert (rep["tier"], rep["verdict"]) == ("pointwise", "distinguished")
+    assert rep["witness"] == {"graded_degree_polynomial": ({-1: -1, 0: 1}, {0: 1})}
+    assert calls == {"chi_at": 0}
+    assert dims_tables(rep) == {}
 
 
 def test_orientation_finite_flat(line):
@@ -149,6 +197,27 @@ def test_regression_entry_axioms():
     results = run_axiom_battery(entry, axioms=("A1", "A12"))
     assert all(rep["verdict"] == "equal_evidence" for rep in results.values())
     assert orientation_multiplicativity(entry)
+
+
+# (seed, entry index, axiom) of the pointwise reports among A1, A2 and A12
+# on regression_suite(seed, 8); the other reports are literal.  Every
+# verdict is equal_evidence with no witness.
+POINTWISE_AXIOM_JOBS = {
+    (0, 3, "A12"), (0, 4, "A1"), (0, 5, "A1"), (0, 7, "A2"),
+    (31, 0, "A12"), (31, 2, "A12"), (31, 4, "A12"), (31, 6, "A1"),
+    (31, 6, "A2"), (31, 7, "A12"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 31])
+def test_axiom_verdicts_are_recorded(seed):
+    for entry in regression_suite(seed, 8):
+        results = run_axiom_battery(entry, axioms=("A1", "A2", "A12"))
+        for axiom, rep in results.items():
+            tier = "pointwise" if (seed, entry["index"], axiom) in POINTWISE_AXIOM_JOBS else "literal"
+            assert (rep["tier"], rep["verdict"], str(rep["witness"])) == (
+                tier, "equal_evidence", "None"
+            ), (seed, entry["index"], axiom)
 
 
 def test_regression_points_exist():

@@ -299,3 +299,14 @@ def test_no_projected_syzygies():
             ):
                 hits.append(f"{name}:{node.lineno}")
     assert not hits, "projected syzygies in src/perfx:\n" + "\n".join(hits)
+
+
+def test_k0_verdict_reads_no_fiber_dims():
+    """`k0_evidence_equal` decides on term lists, chi and the K-polynomial;
+    the per-point fiber dims are descriptive output of `dims_tables`, so
+    the verdict's body names neither `dims_at` nor `fiber_dims`."""
+    tree = ast.parse((SRC / "ktheory.py").read_text())
+    (verdict,) = [n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "k0_evidence_equal"]
+    named = {ident for _node, ident in _identifiers(verdict)}
+    assert not named & {"dims_at", "fiber_dims"}
