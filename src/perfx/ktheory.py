@@ -133,6 +133,20 @@ def _morphism_equal(f, g):
     )
 
 
+def _is_composite(m, f, g):
+    """Whether the affine morphism m is g o f (the ring map f.compose(g)),
+    compared through its source, target and f's images of g's images
+    without building the composite map."""
+    if g.target.variables != f.source.variables:
+        raise ValueError("maps do not compose")
+    return (
+        not isinstance(m, ProjectiveFamily)
+        and m.source == g.source
+        and m.target == f.target
+        and all(a == f.apply(b) for a, b in zip(m.images, g.images))
+    )
+
+
 # -- operations ---------------------------------------------------------------
 
 
@@ -194,7 +208,8 @@ def pushforward(alpha, f, g, depth=6):
             "pushforward needs a confined map: module-finite affine or a "
             "projective family (general quasi-proper images are out of reach here)"
         )
-    if not _morphism_equal(alpha.morphism, f.compose(g)):
+    if not _is_composite(alpha.morphism, f, g):
+        f.compose(g)  # raises as before when g o f is not a well-defined map
         raise ValueError("class does not live over the composite g o f")
     terms = []
     for c, e in alpha.terms:

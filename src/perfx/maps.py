@@ -6,7 +6,13 @@ module-finiteness test, rewriting and the A-module presentation of a
 module-finite target all run in one combined quotient ring k[target
 vars, source vars], built once per map, with a block elimination
 order: a pure power of every target variable among the leading terms
-certifies finiteness, and the kernel of A^(basis) -> B is the part free
+certifies finiteness.  The kernel of A^(basis) -> B is read off that
+basis when each of its leading monomials involves only target or only
+source variables: its elements free of target variables then form a
+Gröbner basis G_a of I n k[a], the standard monomials are the basis
+monomials times those of G_a, and so sum c_j * m_j lies in I exactly
+when every c_j lies in I n k[a] (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, 3.1 and 5.3).  Otherwise it is the part free
 of target variables of the syzygies of the basis monomials modulo the
 combined ideal, one `syzygy_basis` call under
 `orders.restriction_order`.
@@ -231,33 +237,63 @@ class RingMap:
         """The target as a finitely presented module over the source.
 
         Returns (basis monomials, ModulePresentation over the source),
-        built once per map.  The relations are the syzygies of the basis
-        monomials modulo the combined ideal, under `restriction_order`'s
-        elimination at 1, that involve no target variable.
+        built once per map.  When every leading monomial of the combined
+        basis G lies in the target or in the source variables alone, G is
+        G_x and G_a, with G_a a Gröbner basis of I n k[a] (under the block
+        order a leading term free of target variables leaves none in its
+        tail).  The standard monomials are then x^alpha * a^beta with
+        x^alpha a basis monomial and a^beta standard for G_a, so
+        sum c_j(a) * m_j lies in I exactly when every c_j lies in I n k[a]:
+        the relations are h * e_j for h in G_a, nonzero modulo the source
+        quotient, in the column order the syzygy route gives (basis index
+        descending, then G_a in basis order).  Otherwise the relations are
+        the syzygies of the basis monomials modulo the combined ideal,
+        under `restriction_order`'s elimination at 1, that involve no
+        target variable.
         """
         if self._presentation is not None:
             return self._presentation
         basis = self.module_basis()
         ring, ntv = self._ring, self.target.nvars
         nb = len(basis)
-        order = restriction_order(ntv, ring.nvars)
-        pad, exps = (0,) * (ring.nvars - ntv), ring.exponents
-        gens = [{order.pack(0, m + pad): ring.field.one} for m in basis]
-        extra = [{order.pack(0, exps(t)): c for t, c in q.terms.items()} for q in ring.quotient_gb]
-        rel_entries = []
-        ncols = 0
-        for v in syzygy_basis(gens, 1, ring.field, order, extra):
-            terms = [(order.unpack(t), c) for t, c in v.items()]
-            if any(any(m[:ntv]) for (_pos, m), _c in terms):
-                continue
-            rel_entries += [
-                (pos, ncols, self.source.from_exponents({m[ntv:]: c}))
-                for (pos, m), c in terms
+        exps = ring.exponents
+        source_part, split = [], True
+        for q in ring.quotient_gb:
+            m = exps(q.leading_monomial())
+            if any(m[ntv:]):
+                if any(m[:ntv]):
+                    split = False
+                    break
+                source_part.append(q)
+        if split:
+            hs = [self.source.from_exponents({exps(t)[ntv:]: c for t, c in q.terms.items()})
+                  for q in source_part]
+            hs = [h for h in hs if not h.is_zero]
+            rel_entries = [
+                (k, i * len(hs) + j, h)
+                for i, k in enumerate(reversed(range(nb)))
+                for j, h in enumerate(hs)
             ]
-            ncols += 1
+            ncols = nb * len(hs)
+        else:
+            order = restriction_order(ntv, ring.nvars)
+            pad = (0,) * (ring.nvars - ntv)
+            gens = [{order.pack(0, m + pad): ring.field.one} for m in basis]
+            extra = [{order.pack(0, exps(t)): c for t, c in q.terms.items()}
+                     for q in ring.quotient_gb]
+            rel_entries = []
+            ncols = 0
+            for v in syzygy_basis(gens, 1, ring.field, order, extra):
+                terms = [(order.unpack(t), c) for t, c in v.items()]
+                if any(any(m[:ntv]) for (_pos, m), _c in terms):
+                    continue
+                rel_entries += [
+                    (pos, ncols, self.source.from_exponents({m[ntv:]: c}))
+                    for (pos, m), c in terms
+                ]
+                ncols += 1
         rel = Mat.from_entries(self.source, nb, ncols, rel_entries).drop_zero_columns()
         if rel.ncols:
             rel = prune_redundant_columns(rel)
         self._presentation = (basis, ModulePresentation(self.source, nb, rel))
         return self._presentation
-

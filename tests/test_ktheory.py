@@ -159,6 +159,31 @@ def test_pushforward_zero_class(line):
     assert pushed.terms == []
 
 
+def test_pushforward_checks_the_composite_without_building_it(line, monkeypatch):
+    """pushforward compares the class's morphism with g o f without a
+    `compose` call, and keeps each error: a class over another map, maps
+    that do not compose, and a composite that is not a well-defined map."""
+    b = PolyRing(QQ, ["t", "x"], quotient=["x^2 - t"])
+    f = RingMap(line, b, ["t"])
+    g = RingMap(line, line, ["t^2"])
+    alpha = K0Class.structure_class(f.compose(g))
+    wrong = K0Class.structure_class(f.compose(RingMap.identity(line)))
+    calls = []
+    real = RingMap.compose
+    monkeypatch.setattr(RingMap, "compose", lambda a, b: calls.append(1) or real(a, b))
+    pushed = pushforward(alpha, f, g)
+    assert calls == []
+    assert pushed.morphism is g
+    assert pushed.chi_at(RationalPoint(line, (1,))) == 2
+    with pytest.raises(ValueError, match="class does not live over the composite g o f"):
+        pushforward(wrong, f, g)
+    with pytest.raises(ValueError, match="maps do not compose"):
+        pushforward(alpha, f, RingMap.identity(PolyRing(QQ, ["u"])))
+    fat = PolyRing(QQ, ["t"], quotient=["t^2"])
+    with pytest.raises(ValueError, match="map not well defined"):
+        pushforward(alpha, f, RingMap(fat, fat, ["t"]))
+
+
 def test_pushforward_requires_confined(line):
     b = PolyRing(QQ, ["t", "x"], quotient=["t*x"])
     f = RingMap(line, b, ["t"])

@@ -10,6 +10,7 @@ from perfx.fields import GF, QQ
 from perfx.geometry import restrict_scalars
 from perfx.groebner import buchberger, mono_divides
 from perfx.ktheory import regression_entry, regression_suite
+from perfx import maps as maps_module
 from perfx.maps import RingMap
 from perfx.modules import prune_redundant_columns
 from perfx.orders import restriction_order
@@ -239,13 +240,36 @@ def _torsion_maps(field, rng):
     yield RingMap(plane, over_plane, ["s", "t"])
 
 
+def _annihilated_maps(field):
+    """Module-finite maps whose combined basis splits, with two or more
+    basis monomials and an annihilator: each relation column is one
+    element of I n k[a] at one basis index, so the column order shows."""
+    line, plane = PolyRing(field, ["t"]), PolyRing(field, ["t", "s"])
+    yield RingMap(plane, PolyRing(field, ["t", "s", "x"],
+                                  quotient=["x^2 - t", "s - 1", "t - 4"]), ["t", "s"])
+    yield RingMap(plane, PolyRing(field, ["t", "s", "x", "y"],
+                                  quotient=["x^2 - t", "y^2 - s", "s*t - 1"]), ["t", "s"])
+    yield RingMap(line, PolyRing(field, ["t", "x", "y"],
+                                 quotient=["x^2 - t", "y^2 - x", "t^2 - 3*t"]), ["t"])
+
+
+def _splits(f):
+    """Whether each leading monomial of f's combined basis involves only
+    target variables or only source variables."""
+    ring, ntv = f._ring, f.target.nvars
+    lms = [ring.exponents(q.leading_monomial()) for q in ring.quotient_gb]
+    return not any(any(m[:ntv]) and any(m[ntv:]) for m in lms)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 31])
 def test_source_presentation_matches_the_tagged_elimination(seed):
-    """`source_module_presentation`, one `syzygy_basis` call, gives the
-    relations of the hand-built tagged elimination bit for bit, over QQ
-    and GF(5): for the maps of regression entries (even indices over QQ,
-    odd ones over GF(5)), their composites and the legs of their squares,
-    and for targets that are not free over the source."""
+    """`source_module_presentation` gives the relations of the hand-built
+    tagged elimination bit for bit, over QQ and GF(5), by both of its
+    routes: read off the split combined basis for the maps of regression
+    entries (even indices over QQ, odd ones over GF(5)), their composites
+    and the legs of their squares, and for split targets with several
+    basis monomials and an annihilator; by one `syzygy_basis` call for
+    targets whose combined basis has mixed leading terms."""
     maps = []
     for index in range(8):
         entry = regression_entry(seed, index)
@@ -256,6 +280,7 @@ def test_source_presentation_matches_the_tagged_elimination(seed):
     rng = random.Random(seed)
     for field in (QQ, GF(5)):
         maps += _torsion_maps(field, rng)
+        maps += _annihilated_maps(field)
     rows = set()
     for m in maps:
         basis, pres = m.source_module_presentation()
@@ -264,6 +289,33 @@ def test_source_presentation_matches_the_tagged_elimination(seed):
         assert _exact_entries(pres.relations) == _exact_entries(want)
         rows.update((m.source.field, r) for r, _c, _p in want.entries())
     assert {(QQ, 0), (QQ, 1), (GF(5), 0), (GF(5), 1)} <= rows
+
+
+def test_source_presentation_route_follows_the_split(monkeypatch):
+    """A split combined basis builds its presentation without
+    `syzygy_basis`; a map with mixed leading terms makes exactly one call."""
+    calls = []
+    real = maps_module.syzygy_basis
+    monkeypatch.setattr(maps_module, "syzygy_basis",
+                        lambda *args: calls.append(1) or real(*args))
+    finite = [f for f in _regression_maps(7, 8) if f.is_module_finite()]
+    assert len(finite) >= 40
+    for f in finite:
+        f.source_module_presentation()
+        assert _splits(f)
+    assert calls == []
+    annihilated = [f for field in (QQ, GF(5)) for f in _annihilated_maps(field)]
+    for f in annihilated:
+        basis, pres = f.source_module_presentation()
+        assert len(basis) >= 2 and pres.relations.ncols >= 2
+    assert calls == []
+    rng = random.Random(7)
+    for field in (QQ, GF(5)):
+        for f in _torsion_maps(field, rng):
+            f.source_module_presentation()
+            assert not _splits(f)
+            assert len(calls) == 1
+            calls.clear()
 
 
 def test_restriction_order_is_built_once_per_shape():
