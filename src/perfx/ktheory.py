@@ -134,9 +134,10 @@ def _morphism_equal(f, g):
 
 
 def _is_composite(m, f, g):
-    """Whether the affine morphism m is g o f (the ring map f.compose(g)),
-    compared through its source, target and f's images of g's images
-    without building the composite map."""
+    """Whether the morphism m is g o f, the ring map f.compose(g): its
+    source, target and images are compared with g's source, f's target
+    and f applied to g's images, so no composite map is built.  Maps
+    that do not compose raise as `compose` does."""
     if g.target.variables != f.source.variables:
         raise ValueError("maps do not compose")
     return (
@@ -209,7 +210,7 @@ def pushforward(alpha, f, g, depth=6):
             "projective family (general quasi-proper images are out of reach here)"
         )
     if not _is_composite(alpha.morphism, f, g):
-        f.compose(g)  # raises as before when g o f is not a well-defined map
+        f.compose(g)  # raises when g o f is not a well-defined map
         raise ValueError("class does not live over the composite g o f")
     terms = []
     for c, e in alpha.terms:

@@ -268,7 +268,6 @@ class RingMap:
         if split:
             hs = [self.source.from_exponents({exps(t)[ntv:]: c for t, c in q.terms.items()})
                   for q in source_part]
-            hs = [h for h in hs if not h.is_zero]
             rel_entries = [
                 (k, i * len(hs) + j, h)
                 for i, k in enumerate(reversed(range(nb)))
