@@ -1,8 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Elements are plain Python objects (Fraction for QQ, int in [0, p) for
-GF(p)); the Field object carries the arithmetic.  Everything is exact,
-division by a nonzero element always succeeds.
+Elements are plain Python objects and the Field object carries the
+arithmetic.  GF(p) holds ints in [0, p).  QQ holds an integral value as
+a plain int and any other value as a Fraction, whose denominator is then
+above 1; `rational` is the one place that form is made.  An int and an
+equal Fraction compare equal, hash equal and print the same, so the rule
+changes no dict key or printed value, only how fast the arithmetic runs.
+Everything is exact, division by a nonzero element always succeeds.
 """
 
 from __future__ import annotations
@@ -13,6 +17,20 @@ from fractions import Fraction
 
 # The exponent of a decimal such as 1e-5, as Fraction reads it.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def rational(num, den=1):
+    """num / den as QQ holds it: a plain int when the quotient is
+    integral, else a Fraction with denominator above 1.  num is an int
+    (a bool too) or a Fraction, den a nonzero int."""
+    if type(num) is int:
+        if den == 1:
+            return num
+        if not num % den:
+            return num // den
+        return Fraction(num, den)
+    q = num if den == 1 else Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Field:
@@ -87,34 +105,36 @@ class Field:
 class RationalField(Field):
     name = "QQ"
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else rational(s)
 
     def sub(self, a, b):
-        return a - b
+        s = a - b
+        return s if type(s) is int else rational(s)
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s if type(s) is int else rational(s)
 
     def neg(self, a):
-        return -a
+        s = -a
+        return s if type(s) is int else rational(s)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in QQ")
-        return 1 / a
+        return rational(a.denominator, a.numerator)
 
     def from_int(self, n):
-        return Fraction(n)
+        return rational(n)
 
     def coerce(self, c):
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
+        if isinstance(c, (int, Fraction)):
+            return rational(c)
         raise ValueError(f"not a rational number: {c!r}")
 
     def _zero_denominator(self, shown):
@@ -123,7 +143,7 @@ class RationalField(Field):
     def random(self, rng):
         num = rng.randint(-5, 5)
         den = rng.randint(1, 5)
-        return Fraction(num, den)
+        return rational(num, den)
 
     def __repr__(self):
         return "QQ"

@@ -12,7 +12,8 @@ take and return vectors of the term-over-position order they are given,
 and move them to and from its elimination order with
 `TermOrder.repack`.  Only `buchberger`'s pair bookkeeping unpacks.
 
-Coefficients are ints in [0, p) over GF(p) and Fractions over QQ.
+Coefficients are ints in [0, p) over GF(p).  Over QQ a coefficient is
+an int when it is integral and a Fraction otherwise (`fields.rational`).
 Inside `buchberger` and `interreduce` the vectors over QQ are primitive
 integer vectors: an S-pair scales each tail by the cofactor of the other
 leading coefficient, a reduction step scales the work vector by an
@@ -20,9 +21,10 @@ integer instead of dividing by a leading coefficient, and a remainder
 loses its content when it joins the basis.  `_reduce` is the one
 reduction: it returns an integer remainder and the integer it was scaled
 by, and those callers keep the integers.  `interreduce` returns monic
-Fraction vectors, and `reduce_vector` divides by the scale to return
-exact normal forms, so the reduced basis (which is unique) and every
-normal form are the same as with Fraction arithmetic throughout.
+vectors, and `reduce_vector` divides by the scale to return exact
+normal forms, each quotient through `fields.rational`, so the reduced
+basis (which is unique) and every normal form are the same as with
+Fraction arithmetic throughout.
 
 A `_Basis` holds the reduction data of a list of vectors, and
 `reduce_vector` takes normal forms against it.  Only this module builds
@@ -59,11 +61,11 @@ calling in.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter, le
 
+from .fields import rational
 from .orders import cap_error
 
 
@@ -204,11 +206,12 @@ def _reduce(vec, basis):
 
 def reduce_vector(vec, basis):
     """Full normal form of vec against basis: `_reduce`'s remainder
-    divided by its scale, so the result is exact."""
+    divided by its scale, so the result is exact; over QQ each
+    coefficient is an int when integral (`fields.rational`)."""
     remainder, scale = _reduce(vec, basis)
-    if scale != 1:
-        return {t: Fraction(c, scale) for t, c in remainder.items()}
-    return remainder
+    if basis.field.char:
+        return remainder
+    return {t: rational(c, scale) for t, c in remainder.items()}
 
 
 def _spair(basis, i, j, lcm_term):
@@ -407,7 +410,7 @@ def interreduce(elements, field, order):
         vec = {lt: field.one}
         nf, scale = _reduce(tail, basis)
         if basis.integral:
-            nf = {t: Fraction(c, lc * scale) for t, c in nf.items()}
+            nf = {t: rational(c, lc * scale) for t, c in nf.items()}
         vec.update(nf)
         out.append(vec)
     return out
@@ -495,7 +498,7 @@ def schreyer_relations(gens, rank, field, order, modulo=(), extra=()):
             raise ValueError("a remainder leaves the tags: the generators are not a "
                              "Gröbner basis, or a modulo vector is outside their span")
         if basis.integral:
-            remainder = {t: Fraction(c, scale) for t, c in remainder.items()}
+            remainder = {t: rational(c, scale) for t, c in remainder.items()}
         if remainder:
             relations.append(order.repack(remainder, eliminate, -rank))
     return relations

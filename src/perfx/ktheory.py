@@ -164,11 +164,8 @@ def product(alpha, beta, depth=6):
     if f.source != g.target:
         raise ValueError("morphisms do not compose: codomain of f is not domain of g")
     composite = f.compose(g)
-    terms = []
-    for c1, e in alpha.terms:
-        for c2, ff in beta.terms:
-            pulled = f.apply_complex(free_resolution(ff, depth))
-            terms.append((c1 * c2, _unit_aware_tensor(e, pulled)))
+    pulled = [(c2, f.apply_complex(free_resolution(ff, depth))) for c2, ff in beta.terms]
+    terms = [(c1 * c2, _unit_aware_tensor(e, p)) for c1, e in alpha.terms for c2, p in pulled]
     return K0Class(composite, terms).simplify()
 
 

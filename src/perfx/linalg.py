@@ -3,8 +3,9 @@
 Every fiber dimension, scan and Grauert check takes its ranks from here.
 A row is a sparse {col: value} dict of its nonzero entries (what
 `Mat.evaluate` and `Mat.residues` return) or a dense list; GF(p)
-entries are ints, QQ entries Fractions or ints.  One elimination,
-`_eliminate`, ranks sparse integer rows modulo a prime or over QQ.
+entries are ints, QQ entries ints when integral and else Fractions.
+One elimination, `_eliminate`, ranks sparse integer rows modulo a prime
+or over QQ.
 
 `complex_ranks` ranks the differentials of a complex from their
 residues modulo one prime.  Over QQ such a rank is a lower bound

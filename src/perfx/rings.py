@@ -22,6 +22,7 @@ from math import comb, prod
 from operator import le, mul
 
 from . import groebner as gb
+from .fields import rational
 from .orders import GREVLEX
 
 
@@ -64,8 +65,7 @@ class PolyRing:
     # -- element constructors ------------------------------------------
 
     def const(self, c):
-        if isinstance(c, int):
-            c = self.field.from_int(c)
+        c = self.field.coerce(c)
         if c == self.field.zero:
             return Polynomial(self, {})
         return Polynomial(self, {self._base0: c})
@@ -116,7 +116,7 @@ class PolyRing:
                 out[t] = v % p if p else v
         result = {}
         for key, out in sums.items():
-            if out := {t: v for t, v in out.items() if v}:
+            if out := {t: v if p else rational(v) for t, v in out.items() if v}:
                 result[key] = Polynomial(self, out)
         return result
 
@@ -800,9 +800,10 @@ class Mat:
     def evaluate(self, point):
         """The entries evaluated at a point, as one sparse row per matrix
         row: a {col: value} dict of the values that are nonzero.  Over
-        GF(p) these are the residues mod p; over QQ the exact Fractions.
-        Each monomial is evaluated once, and the terms of monomials that
-        vanish at the point are skipped."""
+        GF(p) these are the residues mod p; over QQ the exact values, each
+        an int when integral and else a Fraction.  Each monomial is
+        evaluated once, and the terms of monomials that vanish at the
+        point are skipped."""
         if p := self.ring.field.char:
             return self.residues(point, p)
         coords = point.coords if isinstance(point, RationalPoint) else point
@@ -819,7 +820,7 @@ class Mat:
                     if mv:
                         v += c * mv
                 if v:
-                    rows[i][j] = v
+                    rows[i][j] = rational(v)
         return rows
 
     def residues(self, point, p):
@@ -903,13 +904,11 @@ class RationalPoint:
             raise ValueError(
                 f"expected {ring.nvars} coordinates, got {len(coords)}"
             )
-        for q in ring.quotient_gb:
-            if q.evaluate(coords) != field.zero:
-                raise ValueError(
-                    f"point {coords} is not on the vanishing locus: {q} does not vanish"
-                )
         self.ring = ring
         self.coords = coords
+        for q in ring.quotient_gb:
+            if q.evaluate(coords) != field.zero:
+                raise ValueError(f"point {self} is not on the vanishing locus: {q} does not vanish")
 
     def __eq__(self, other):
         return (

@@ -324,6 +324,13 @@ def test_quotient_ring_canonical_forms():
     )  # y annihilates x
 
 
+def qq_form(x):
+    """Whether x is a QQ value in the one form QQ holds: a plain int
+    exactly when it is integral, otherwise a Fraction with denominator
+    above 1 (never a float, a bool or an integral Fraction)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def test_evaluate_examples_and_errors():
     ring = PolyRing(QQ, ["x", "y"])
     mat = Mat(ring, [["x", "y"]], ncols=2)
@@ -337,7 +344,9 @@ def test_evaluate_examples_and_errors():
     m2 = Mat(ring, [["x", "y"], ["y", "x"]], ncols=2)
     rows = m2.evaluate(RationalPoint(ring, (1, 2)))
     assert rows == [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(1)}]
-    assert all(isinstance(x, Fraction) for row in rows for x in row.values())
+    half = m2.evaluate(RationalPoint(ring, (Fraction(1, 2), 2)))
+    assert half == [{0: Fraction(1, 2), 1: 2}, {0: 2, 1: Fraction(1, 2)}]
+    assert all(qq_form(x) for row in rows + half for x in row.values())
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     assert det == -3
     quotient = PolyRing(QQ, ["x", "y"], quotient=["x*y - 1"])
@@ -350,6 +359,43 @@ def test_evaluate_examples_and_errors():
         point_of(r1, RationalPoint(ring, (0, 0)))
     assert point_of(quotient, RationalPoint(ring, (2, Fraction(1, 2)))).ring is quotient
     assert point_of(ring, (1, 2)) == RationalPoint(ring, (1, 2))
+
+
+QQ_INPUTS = st.one_of(
+    st.integers(-9, 9), st.booleans(), st.fractions(-9, 9, max_denominator=6),
+    st.integers(-9, 9).map(Fraction),
+)
+FORM_RINGS = {
+    "plain": PolyRing(QQ, ["x", "y"]),
+    "quotient": PolyRing(QQ, ["x", "y"], quotient=["x^2 - 2*y"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(QQ_INPUTS, QQ_INPUTS, st.sampled_from(sorted(FORM_RINGS)), st.integers(0, 10**6))
+def test_qq_values_are_ints_exactly_when_integral(a, b, name, seed):
+    """Every QQ value the field and the ring layer hand out is in
+    `qq_form`, whatever form (bool, int, integral Fraction) came in."""
+    rng = random.Random(seed)
+    values = [QQ.coerce(a), QQ.coerce(b), QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a),
+              QQ.from_int(a if isinstance(a, int) else a.numerator), QQ.parse(str(Fraction(a))),
+              QQ.random(rng), QQ.zero, QQ.one]
+    if b:
+        values.append(QQ.inv(b))
+    assert all(qq_form(x) for x in values), values
+    ring = FORM_RINGS[name]
+    f, g = ring.random_poly(rng) * a + ring.var(0), ring.random_poly(rng) * b + ring.var(1)
+    h, u, v = (ring.random_poly(rng) for _ in range(3))
+    gens = [f, g]
+    polys = [*groebner_basis(gens, ring), normal_form(h, gens, ring)]
+    lifted = MatrixGB(Mat(ring, [gens])).lift_column([f * u + g * v])
+    assert lifted is not None
+    polys += lifted
+    assert all(qq_form(c) for p in polys for c in p.terms.values())
+    x = QQ.coerce(a)
+    point = RationalPoint(ring, (x, QQ.div(QQ.mul(x, x), 2) if name == "quotient" else b))
+    rows = Mat(ring, [gens, [h, u]]).evaluate(point)
+    assert all(qq_form(c) for row in rows for c in row.values())
 
 
 @settings(max_examples=25, deadline=None)

@@ -157,6 +157,20 @@ def test_only_rings_rebuilds_a_polynomial_from_terms():
     assert not hits, "polynomials rebuilt from terms outside rings.py:\n" + "\n".join(hits)
 
 
+def test_only_fields_builds_a_fraction():
+    """QQ holds an integral value as an int and any other as a Fraction
+    with denominator above 1, and `fields.rational` is where that form is
+    made: no module but fields.py calls `Fraction(`."""
+    hits = []
+    for name, _text, tree in _modules():
+        if name == "fields.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "Fraction":
+                hits.append(f"{name}:{node.lineno}")
+    assert not hits, "Fractions built outside fields.py:\n" + "\n".join(hits)
+
+
 def test_monomial_orders_define_no_key_or_elimination():
     """A ring order sorts monomials by their packed value in its module
     order, and elimination orders come from `TermOrder.elimination`: no
