@@ -5,8 +5,8 @@ and is stored as a matrix with rank(i+1) rows and rank(i) columns.
 
 FreeComplex(...) and ComplexMap(...) check shapes, rings, grading,
 d o d = 0 and commuting squares.  Builders whose output is a complex by
-an identity on complexes and maps already built (tensor, hom_complex,
-cone, shift, direct_sum, minimize, tensor_map, identity maps,
+an identity on complexes and maps already built (tensor, dual, cone,
+shift, direct_sum, minimize, koszul_dual_transition, identity maps,
 geometry.relative_strand) use the trusted `_make` constructors
 instead, which still enforce RANK_CAP.
 geometry.pushforward_projective does too for its input recast to the
@@ -16,8 +16,9 @@ keeps, the one claim a ring map can break.
 
 Sign conventions are fixed once (see docs/conventions.md): Koszul
 d(e_S) contracts with alternating signs, tensor differentials carry
-(-1)^p on the right factor, Hom uses d(f) = d o f - (-1)^n f o d,
-shifts negate odd differentials.
+(-1)^p on the right factor, the dual's d^(-i-1) is (-1)^i times the
+transpose of d^i, Hom(C, D) is dual(C) (x) D, and shifts negate odd
+differentials.
 
 A complex carries its homology floor as a number, `floor`: None when the
 complex is zero below its window, else the lowest degree whose homology
@@ -29,6 +30,7 @@ number by one rule, `floor_of` (see docs/conventions.md).
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 from . import linalg, rings
@@ -422,7 +424,7 @@ def two_term(ring, element):
     )
 
 
-# -- tensor, hom, dual ---------------------------------------------------
+# -- tensor, dual, hom ---------------------------------------------------
 
 
 def _basis_layout(c, d, n):
@@ -486,74 +488,27 @@ def tensor(c, d):
     return FreeComplex._make(ring, ranks, diffs, degrees, floor)
 
 
-def _hom_layout(c, d, n):
-    layout = []
-    for q in range(c.lo, c.hi + 1):
-        if d.rank(q + n) == 0 or c.rank(q) == 0:
-            continue
-        for i in range(c.rank(q)):
-            for j in range(d.rank(q + n)):
-                layout.append((q, i, j))
-    return layout
+def dual(c):
+    """RHom(C, R) for a bounded free complex.  Term n is C^(-n) with its
+    generator degrees negated, and d^(-i-1) is (-1)^i times the transpose
+    of d^i.  What a truncated C leaves out lands at the top of the dual,
+    which no floor can say, so for it only lo + 1 is claimed."""
+    if not c.ranks:
+        return FreeComplex.zero_complex(c.ring)
+    ranks = {-i: r for i, r in c.ranks.items()}
+    diffs = {-i - 1: -m.transpose() if i % 2 else m.transpose() for i, m in c.diffs.items()}
+    degrees = None
+    if c.degrees is not None:
+        degrees = {-i: tuple(-a for a in degs) for i, degs in c.degrees.items()}
+    floor = None if c.floor is None else 1 - c.hi
+    return FreeComplex._make(c.ring, ranks, diffs, degrees, floor)
 
 
 def hom_complex(c, d):
-    """Hom(C, D): term n = products Hom(C^q, D^(q+n)).
-
-    d(f) = d_D o f - (-1)^n f o d_C.  Basis element (q, i, j) is the map
-    sending generator i of C^q to generator j of D^(q+n).
-    """
-    _same_ring(c, d)
-    ring = c.ring
-    if not c.ranks or not d.ranks:
-        return FreeComplex.zero_complex(ring)
-    lo = d.lo - c.hi
-    hi = d.hi - c.lo
-    layouts = {n: _hom_layout(c, d, n) for n in range(lo, hi + 2)}
-    offsets = {
-        n: {key: idx for idx, key in enumerate(layout)}
-        for n, layout in layouts.items()
-    }
-    ranks = {n: len(layouts[n]) for n in layouts if layouts[n]}
-    diffs = {}
-    for n in range(lo, hi + 1):
-        src, tgt = layouts[n], layouts.get(n + 1, [])
-        if not src or not tgt:
-            continue
-        entries = []
-        for col, (q, i, j) in enumerate(src):
-            dd = d.diffs.get(q + n)
-            if dd is not None:
-                for s, entry in dd.column_entries(j):
-                    row = offsets[n + 1].get((q, i, s))
-                    if row is not None:
-                        entries.append((row, col, entry))
-            # precomposition with d_C^{q-1}: lands in Hom(C^{q-1}, D^{q+n})
-            dc = c.diffs.get(q - 1)
-            if dc is not None:
-                for ip, entry in dc.row_entries(i):
-                    row = offsets[n + 1].get((q - 1, ip, j))
-                    if row is not None:
-                        entries.append((row, col, entry if n % 2 else -entry))
-        diffs[n] = Mat.from_entries(ring, len(tgt), len(src), entries)
-    degrees = None
-    if c.degrees is not None and d.degrees is not None:
-        degrees = {
-            n: tuple(
-                d.degrees[q + n][j] - c.degrees[q][i] for (q, i, j) in layouts[n]
-            )
-            for n in ranks
-        }
-    # Hom(C, the part D leaves out) lies in degrees <= f_D - 2 - C.lo; what a
-    # truncated C leaves out lands at the top of Hom, which no floor can say,
-    # so for it only lo + 1 is claimed
-    floor = floor_of((d.floor, -c.lo), (None if c.floor is None else lo, 1))
-    return FreeComplex._make(ring, ranks, diffs, degrees, floor)
-
-
-def dual(c):
-    """RHom(C, R) for a bounded free complex: hom into the unit."""
-    return hom_complex(c, unit_complex(c.ring))
+    """Hom(C, D) = dual(C) (x) D, in the tensor's layout and signs.  Its
+    floor is the tensor's: f_D - lo_C for a truncated D, and for a
+    truncated C the dual's claim carried by the tensor, 1 - hi_C + hi_D."""
+    return tensor(dual(c), d)
 
 
 # -- chain maps ----------------------------------------------------------
@@ -647,66 +602,43 @@ def cone(phi):
     return FreeComplex._make(ring, ranks, diffs, degrees, floor)
 
 
-def tensor_map(phi, psi):
-    """(phi (x) psi) for degree-0 chain maps; no signs involved."""
-    cs, ct = phi.source, phi.target
-    ds, dt = psi.source, psi.target
-    src = tensor(cs, ds)
-    tgt = tensor(ct, dt)
-    ring = cs.ring
-    comps = {}
-    for n in range(src.lo, src.hi + 1):
-        s_layout = _basis_layout(cs, ds, n)
-        t_layout = _basis_layout(ct, dt, n)
-        t_index = {key: idx for idx, key in enumerate(t_layout)}
-        if not s_layout or not t_layout:
-            continue
-        entries = []
-        for col, (p, q, i, j) in enumerate(s_layout):
-            mp = phi.component(p)
-            mq = psi.component(q)
-            if not (mp.nrows and mq.nrows):
-                continue
-            for r, a in mp.column_entries(i):
-                for s, b in mq.column_entries(j):
-                    row = t_index.get((p, q, r, s))
-                    if row is not None:
-                        entries.append((row, col, a * b))
-        comps[n] = Mat.from_entries(ring, len(t_layout), len(s_layout), entries)
-    return ComplexMap._make(src, tgt, comps)
-
-
 # -- Koszul dual stages and their transitions -----------------------------
+
+
+def _tower_sequence(ring, elements, s):
+    """The parsed sequence of stage s of the dual tower."""
+    if s < 1:
+        raise ValueError("stages start at 1")
+    elems = [ring.parse(t) if isinstance(t, str) else t for t in elements]
+    if not elems:
+        raise ValueError("the dual tower needs a nonempty sequence")
+    return elems
 
 
 def koszul_dual_stage(ring, elements, s):
     """Stage s of the dual tower: the tensor over i of [R -> R] with map
     t_i^s.  The map to stage s+1 is koszul_dual_transition."""
-    if s < 1:
-        raise ValueError("stages start at 1")
-    stage = None
-    for t in elements:
-        t = ring.parse(t) if isinstance(t, str) else t
-        factor = two_term(ring, t**s)
-        stage = factor if stage is None else tensor(stage, factor)
-    return stage
+    return reduce(tensor, [two_term(ring, t**s) for t in _tower_sequence(ring, elements, s)])
 
 
 def koszul_dual_transition(ring, elements, s):
     """The map from stage s to stage s+1 of the dual tower: identity in
-    factor-degree 0, multiplication by t_i in factor-degree 1."""
-    if s < 1:
-        raise ValueError("stages start at 1")
-    trans = None
-    for t in elements:
-        t = ring.parse(t) if isinstance(t, str) else t
-        factor = ComplexMap(
-            two_term(ring, t**s),
-            two_term(ring, t ** (s + 1)),
-            {0: Mat.identity(ring, 1), 1: Mat(ring, [[t]], ncols=1)},
-        )
-        trans = factor if trans is None else tensor_map(trans, factor)
-    return trans
+    factor-degree 0, multiplication by t_i in factor-degree 1.  In the
+    tensor's layout term p of a stage with one more factor t is term p-1
+    of the smaller stage, then its term p, so component p is
+    comp[p-1] (x) [t] (+) comp[p]."""
+    elems = _tower_sequence(ring, elements, s)
+    empty = Mat.zero(ring, 0, 0)
+    comps = {0: Mat.identity(ring, 1)}
+    for t in elems:
+        t = Mat(ring, [[t]])
+        comps = {
+            p: comps.get(p - 1, empty).kron(t).direct_sum(comps.get(p, empty))
+            for p in range(len(comps) + 1)
+        }
+    return ComplexMap._make(
+        koszul_dual_stage(ring, elems, s), koszul_dual_stage(ring, elems, s + 1), comps
+    )
 
 
 def cech_cone(stage):

@@ -12,16 +12,13 @@ semi-decision: a negative answer is always qualified by the depth.
 from __future__ import annotations
 
 from .complexes import (
-    ComplexMap,
     FreeComplex,
     cech_cone,
     dual,
-    hom_complex,
     koszul,
     koszul_dual_stage,
     koszul_dual_transition,
     koszul_resolution_of_point,
-    tensor_map,
     unit_complex,
 )
 from .rings import Mat, MatrixGB, syzygy_matrix
@@ -82,11 +79,11 @@ def tor_profile(module, point, depth, method="resolve"):
 
 
 def _ext_dims(resolution, point):
-    """{i: dim H^i(Hom(resolution, R)) at a point} over the Hom complex's
-    terms; a degree outside them has dimension 0.  This is dim Ext^i(E,
-    kappa(point)) away from the top, where Hom moves the resolution's
+    """{i: dim H^i(Hom(resolution, R)) at a point} over the dual's terms;
+    a degree outside them has dimension 0.  This is dim Ext^i(E,
+    kappa(point)) away from the top, where the dual moves the resolution's
     truncation, so no homology floor applies."""
-    d = hom_complex(resolution, unit_complex(resolution.ring))
+    d = dual(resolution)
     ranks = d.fiber_ranks(point)
     return {i: d.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in range(d.lo, d.hi + 1)}
 
@@ -162,20 +159,26 @@ def _default_sample_points(ring):
 
 def _transition_matrices(ring, transition, n, indices):
     """{i: ambient matrix at complex degree i} of a stage transition with
-    coefficients in n, tensored once."""
-    if isinstance(n, ModulePresentation):
-        eye = Mat.identity(ring, n.ambient_rank)
-        return {i: transition.component(i).kron(eye) for i in indices}
-    transition = tensor_map(transition, ComplexMap.identity(n))
-    return {i: transition.component(i) for i in indices}
+    coefficients in n, in the layout of tensor(stage, n): the block sum
+    over the stage's degrees p of component p (x) the identity on n's
+    term i - p.  A module n is its one term at degree 0."""
+    ranks = {0: n.ambient_rank} if isinstance(n, ModulePresentation) else n.ranks
+    stage = transition.source
+    blocks = {}
+    for i in indices:
+        m = Mat.zero(ring, 0, 0)
+        for p in range(stage.lo, stage.hi + 1):
+            eye = Mat.identity(ring, ranks.get(i - p, 0))
+            m = m.direct_sum(transition.component(p).kron(eye))
+        blocks[i] = m
+    return blocks
 
 
 def _transition_status(data_s, data_s1, m_i):
     """'iso', 'vanishing' or 'other' for the induced map on homology."""
     k_s, span0, h_s = data_s
     k_s1, span1, h_s1 = data_s1
-    zero_s = h_s.ambient_rank == 0 or h_s.is_zero()
-    zero_s1 = h_s1.ambient_rank == 0 or h_s1.is_zero()
+    zero_s, zero_s1 = h_s.is_zero(), h_s1.is_zero()
     if zero_s and zero_s1:
         return "iso"
     if zero_s1:
@@ -704,7 +707,7 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
             per_point.append((y, entry))
             continue
         for i, h in sorted(homologies.items()):
-            if h.ambient_rank == 0 or h.is_zero():
+            if h.is_zero():
                 continue
             h = h.reduced()  # the certificate resolves the relations it is given
             cert = is_perfect_at(h, x, max_depth)

@@ -148,6 +148,8 @@ class ProjectiveFamily:
         self.base = base
         self.name = name
         self.fiber_variables = tuple(fiber_variables)
+        if not self.fiber_variables:
+            raise ValueError("a projective family needs at least one fiber variable")
         weights = (0,) * base.nvars + (1,) * len(self.fiber_variables)
         variables = base.variables + self.fiber_variables
         plain = PolyRing(base.field, variables, base.order, (), weights)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import FreeComplex, tensor
+from .complexes import FreeComplex, koszul, tensor, two_term
 from .derived import is_relatively_perfect
 from .fields import GF, QQ
 from .geometry import (
@@ -357,8 +357,6 @@ def _random_bounded_class(ring, morphism, rng, sample_points=()):
     Elements are biased to vanish at a sample point so the fiber
     invariants the axiom battery compares are not identically zero.
     """
-    from .complexes import two_term, koszul
-
     def element():
         if sample_points and rng.random() < 0.7:
             pt = rng.choice(sample_points)

@@ -33,6 +33,7 @@ Using Algebraic Geometry, ch. 2.)
 
 from __future__ import annotations
 
+from .complexes import FreeComplex
 from .groebner import mono_divides, syzygy_basis
 from .modules import ModulePresentation, prune_redundant_columns
 from .orders import BlockOrder, restriction_order
@@ -75,8 +76,6 @@ class RingMap:
     def apply_complex(self, complex_, keep_degrees=None):
         """Entrywise image of a free complex.  A ring map keeps d o d = 0,
         so only the grading, when it is kept, is checked again."""
-        from .complexes import FreeComplex
-
         diffs = {i: m.map(self.apply, self.target) for i, m in complex_.diffs.items()}
         degrees = None
         if complex_.degrees is not None:

@@ -86,15 +86,13 @@ class ModulePresentation:
         return ModulePresentation(self.ring, self.ambient_rank, relations, self.degrees)
 
     def is_zero(self):
+        """M = 0 exactly when every generator e_i is a relation, that is,
+        when every position carries a leading term with monomial 1: only
+        such a leading term divides e_i."""
         if self.ambient_rank == 0:
             return True
-        one = self.ring.one
-        zero = self.ring.zero
-        for i in range(self.ambient_rank):
-            e = [one if j == i else zero for j in range(self.ambient_rank)]
-            if not self.gb.contains_column(e):
-                return False
-        return True
+        units = {pos for pos, mono in self.gb.leading_terms() if not any(mono)}
+        return len(units) == self.ambient_rank
 
     def contains(self, column):
         return self.gb.contains_column(column)

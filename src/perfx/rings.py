@@ -575,9 +575,9 @@ class Mat:
 
     Only nonzero entries are stored: one {row: Polynomial} dict per
     column, its rows ascending.  No other module reads this layout;
-    they go through the constructors, `entries`, `column_entries` and
-    `row_entries`.  Entries are never mutated after construction, so
-    matrices may share column dicts.
+    they go through the constructors, `entries` and `column_entries`.
+    Entries are never mutated after construction, so matrices may share
+    column dicts.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_cols")
@@ -680,10 +680,6 @@ class Mat:
         """(row, entry) pairs of the nonzero entries of column j."""
         return self._cols[j].items()
 
-    def row_entries(self, i):
-        """(col, entry) pairs of the nonzero entries of row i."""
-        return [(j, col[i]) for j, col in enumerate(self._cols) if i in col]
-
     def column_vecs(self):
         """The columns as engine vectors of the ring's module order."""
         return [self.ring.vector(col.items()) for col in self._cols]
@@ -759,6 +755,13 @@ class Mat:
                             col[i * p + k] = v
                 cols.append(col)
         return Mat._make(self.ring, self.nrows * p, cols)
+
+    def transpose(self):
+        cols = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._cols):
+            for i, x in col.items():
+                cols[i][j] = x
+        return Mat._make(self.ring, self.ncols, cols)
 
     def direct_sum(self, other):
         """Block diagonal matrix [[self, 0], [0, other]]."""

@@ -418,6 +418,9 @@ TRUNCATED = "ring A2 = QQ[t] / (t^2)\nmodule Q2 on A2 = coker [[t]]"
      "homology at -9 not determined: below the homology floor -7 of a truncated complex"),
     (TRUNCATED, ["grauert", "ring=A2", "sheaf=Q2", "p=-8", "points={(0)}"],
      "homology at -8 not determined: below the homology floor -7 of a truncated complex"),
+    # a projective family without fiber variables
+    ("family Y = proj(A; )", ["chi-scan", "family=Y", "points={(0)}"],
+     "parse error: line 14: a projective family needs at least one fiber variable"),
 ], ids=[
     "session-1/0", "session-1/5-GF5", "points-1/0", "points-1/5-GF5", "hp-scan-module",
     "grauert-module", "chi-scan-module", "hp-scan-base-complex", "chi-scan-source-module",
@@ -428,12 +431,13 @@ TRUNCATED = "ring A2 = QQ[t] / (t^2)\nmodule Q2 on A2 = coker [[t]]"
     "regression-sed=3", "regression-junk", "regression-seed-twice", "tor-of-a-complex",
     "perfect-of-a-point", "verify-axiom-A3", "grauert-reduced=maybe", "complex-O(x)",
     "line-binds-nothing", "line-binds-no-variable", "hp-scan-below-floor",
-    "grauert-below-floor",
+    "grauert-below-floor", "proj-without-fiber-variables",
 ])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, extra, tokens, message):
     """A zero denominator, a sheaf on the wrong ring, a twist or another
-    integer field that is not an integer, a negative rank or an outsized
-    exponent: exit 2 with one `perfx:` line, never an internal error."""
+    integer field that is not an integer, a negative rank, an outsized
+    exponent or a family without fiber variables: exit 2 with one
+    `perfx:` line, never an internal error."""
     path = tmp_path / "s.pfx"
     path.write_text(BAD_INPUT_SESSION + extra)
     code, out, err = run_cli(capsys, *tokens, "--input", str(path))

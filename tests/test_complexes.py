@@ -14,6 +14,7 @@ from perfx.complexes import (
     cech_cone,
     cone,
     dual,
+    floor_of,
     hom_complex,
     koszul,
     koszul_dual_stage,
@@ -21,10 +22,10 @@ from perfx.complexes import (
     koszul_resolution_of_point,
     minimize,
     tensor,
-    tensor_map,
     two_term,
     unit_complex,
 )
+from perfx.derived import _transition_matrices
 from perfx.ktheory import regression_suite
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
@@ -521,16 +522,12 @@ def test_trusted_builders_pass_the_public_checks(name, seed):
     k3 = koszul(ring, polys(3))
     t = two_term(ring, polys(1)[0])
     phi = scalar_map(k2, polys(1)[0])
-    psi = scalar_map(t, polys(1)[0])
-    phi_t = tensor_map(phi, psi)
     built = [
         tensor(k2, k3),
         tensor(k3, t),
         hom_complex(k2, k3),
         hom_complex(k3, t),
         cone(phi),
-        cone(phi_t),
-        phi_t,
         ComplexMap.identity(k3),
         k3.shift(1),
         k2.direct_sum(t.shift(-1)),
@@ -627,3 +624,193 @@ def test_the_floor_rule_against_a_deep_resolution(quotient_xy, name, depth):
     assert _origin_dims(got, got.floor, hi) == _origin_dims(deep, got.floor, hi)
     with pytest.raises(ValueError, match="below the homology floor"):
         homology_data(got, got.floor - 1)
+
+
+# -- the retired double-complex layouts, kept as references ---------------------
+
+
+def old_hom_complex(c, d):
+    """Hom(C, D) in its own (q, i, j) layout, the builder that `dual` and
+    `hom_complex` replaced: basis element (q, i, j) sends generator i of
+    C^q to generator j of D^(q+n), and d(f) = d_D o f - (-1)^n f o d_C."""
+    ring = c.ring
+    if not c.ranks or not d.ranks:
+        return FreeComplex.zero_complex(ring)
+    lo, hi = d.lo - c.hi, d.hi - c.lo
+    layouts = {
+        n: [(q, i, j) for q in range(c.lo, c.hi + 1)
+            for i in range(c.rank(q)) for j in range(d.rank(q + n))]
+        for n in range(lo, hi + 2)
+    }
+    offsets = {n: {key: k for k, key in enumerate(layout)} for n, layout in layouts.items()}
+    diffs = {}
+    for n in range(lo, hi + 1):
+        entries = []
+        for col, (q, i, j) in enumerate(layouts[n]):
+            for s, x in d.diff(q + n).column_entries(j):
+                entries.append((offsets[n + 1][(q, i, s)], col, x))
+            for ip, x in enumerate(c.diff(q - 1).row(i)):
+                if x.terms:
+                    entries.append((offsets[n + 1][(q - 1, ip, j)], col, x if n % 2 else -x))
+        diffs[n] = Mat.from_entries(ring, len(layouts[n + 1]), len(layouts[n]), entries)
+    degrees = None
+    if c.degrees is not None and d.degrees is not None:
+        degrees = {n: tuple(d.degrees[q + n][j] - c.degrees[q][i] for q, i, j in layout)
+                   for n, layout in layouts.items() if layout}
+    floor = floor_of((d.floor, -c.lo), (None if c.floor is None else lo, 1))
+    ranks = {n: len(layout) for n, layout in layouts.items()}
+    return FreeComplex._make(ring, ranks, diffs, degrees, floor)
+
+
+def old_tensor_map(phi, psi):
+    """phi (x) psi for degree-0 chain maps, folded entry by entry over the
+    tensor's (p, q, i, j) layout: the fold the dual-tower transitions and
+    their coefficients used."""
+    def layout(c, d, n):
+        return [(p, n - p, i, j) for p in range(c.lo, c.hi + 1)
+                for i in range(c.rank(p)) for j in range(d.rank(n - p))]
+
+    cs, ds, ct, dt = phi.source, psi.source, phi.target, psi.target
+    src = tensor(cs, ds)
+    comps = {}
+    for n in range(src.lo, src.hi + 1):
+        rows = {key: k for k, key in enumerate(layout(ct, dt, n))}
+        cols = layout(cs, ds, n)
+        comps[n] = Mat.from_entries(cs.ring, len(rows), len(cols), (
+            (rows[(p, q, r, s)], col, a * b)
+            for col, (p, q, i, j) in enumerate(cols)
+            for r, a in phi.component(p).column_entries(i)
+            for s, b in psi.component(q).column_entries(j)
+        ))
+    return ComplexMap._make(src, tensor(ct, dt), comps)
+
+
+def old_transition(ring, elements, s):
+    trans = None
+    for t in elements:
+        t = ring.parse(t) if isinstance(t, str) else t
+        factor = ComplexMap(two_term(ring, t**s), two_term(ring, t ** (s + 1)),
+                            {0: Mat.identity(ring, 1), 1: Mat(ring, [[t]], ncols=1)})
+        trans = factor if trans is None else old_tensor_map(trans, factor)
+    return trans
+
+
+def old_transition_matrices(ring, transition, n, indices):
+    if isinstance(n, ModulePresentation):
+        eye = Mat.identity(ring, n.ambient_rank)
+        return {i: transition.component(i).kron(eye) for i in indices}
+    transition = old_tensor_map(transition, ComplexMap.identity(n))
+    return {i: transition.component(i) for i in indices}
+
+
+LAYOUT_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y", "z"]),
+    "GF32003": PolyRing(GF(32003), ["x", "y", "z"]),
+    "QQ/(x*y)": PolyRing(QQ, ["x", "y", "z"], quotient=["x*y"]),
+}
+
+
+def random_layout_complex(ring, rng):
+    """Random ranks, sparse random differentials, degrees and floor: the
+    layouts are bookkeeping, so the differentials need not compose to 0."""
+    lo = rng.randint(-3, 2)
+    ranks = {i: rng.randint(0, 3) for i in range(lo, lo + rng.randint(1, 4))}
+    diffs = {
+        i: Mat.from_entries(ring, ranks.get(i + 1, 0), r, [
+            (a, b, ring.random_poly(rng, max_degree=2, nterms=2))
+            for a in range(ranks.get(i + 1, 0)) for b in range(r) if rng.random() < 0.6
+        ])
+        for i, r in ranks.items()
+    }
+    degrees = None
+    if rng.random() < 0.6:
+        degrees = {i: tuple(rng.randint(-3, 3) for _ in range(r)) for i, r in ranks.items()}
+    floor = None if rng.random() < 0.5 else lo + rng.randint(0, 2)
+    return FreeComplex._make(ring, ranks, diffs, degrees, floor)
+
+
+def layout_complexes(ring, rng):
+    """Koszul, tensor and resolution complexes, graded and not, truncated
+    and not, and the zero complex, over the ring."""
+    x, y, z = (ring.var(i) for i in range(3))
+    homogeneous = koszul(ring, [x * x, y - z])
+    plain = koszul(ring, [x + ring.one, y * z - ring.const(2)])
+    resolution = free_resolution(ModulePresentation.cyclic(ring, [x, y * z], degrees=(0,)), 2)
+    return [
+        homogeneous, plain, resolution, tensor(homogeneous, resolution),
+        tensor(plain, two_term(ring, z)), resolution.shift(-1), unit_complex(ring),
+        FreeComplex.zero_complex(ring), FreeComplex._make(ring, {}, {}, {}, 3),
+    ]
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_RINGS))
+def test_dual_is_the_old_hom_into_the_unit(name):
+    """`dual` transposes with signs; it builds exactly the complex the
+    (q, i, j) Hom builder gives with the unit as target."""
+    ring = LAYOUT_RINGS[name]
+    rng = random.Random(41)
+    complexes = layout_complexes(ring, rng) + [random_layout_complex(ring, rng) for _ in range(40)]
+    for c in complexes:
+        assert dual(c) == old_hom_complex(c, unit_complex(ring)), c
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF32003"])
+def test_hom_complex_keeps_the_old_ranks_degrees_floor_and_fibers(name):
+    """Hom(C, D) = dual(C) (x) D is the old Hom up to the order of its
+    basis: the same ranks, degrees and fiber dims, and the same floor for
+    a truncated D.  For a truncated C the tensor carries the dual's claim
+    up by D's top degree, which moves it only for a D spanning more than
+    one degree."""
+    ring = LAYOUT_RINGS[name]
+    rng = random.Random(43)
+    pool = layout_complexes(ring, rng)[:7]
+    points = random_points(ring, rng, 2)
+    for c in pool:
+        for d in pool:
+            new, old = hom_complex(c, d), old_hom_complex(c, d)
+            assert new.ranks == old.ranks
+            if new.degrees is not None or old.degrees is not None:
+                assert {i: sorted(g) for i, g in new.degrees.items()} == {
+                    i: sorted(g) for i, g in old.degrees.items()}
+            claim = None if c.floor is None else 1 - c.hi
+            assert new.floor == floor_of((d.floor, -c.lo), (claim, d.hi))
+            if c.floor is None or d.lo == d.hi:
+                assert new.floor == old.floor
+            else:
+                assert new.floor >= old.floor
+            for pt in points:
+                dims = new.fiber_dims(pt)
+                assert dims == {i: v for i, v in old.fiber_dims(pt).items() if i in dims}
+
+
+TOWER_SEQUENCES = [["x"], ["x", "y"], ["x", "y", "z"], ["x^2 + y", "y*z", "z - 1"]]
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_RINGS))
+@pytest.mark.parametrize("seq", TOWER_SEQUENCES, ids=["x", "xy", "xyz", "mixed"])
+def test_transitions_are_the_old_tensor_map_fold(name, seq):
+    """The diagonal transition components, their source and target, and
+    the transition matrices against unit, Koszul, truncated and module
+    coefficients equal those of the tensor_map fold."""
+    ring = LAYOUT_RINGS[name]
+    coefficients = [
+        unit_complex(ring), koszul(ring, ["x", "y + 1"]),
+        free_resolution(ModulePresentation.cyclic(ring, ["x", "z"]), 1),
+        ModulePresentation(ring, 2, Mat(ring, [["x", "y"], ["z", "0"]])),
+    ]
+    for s in (1, 2, 3):
+        new, old = koszul_dual_transition(ring, seq, s), old_transition(ring, seq, s)
+        assert (new.source, new.target) == (old.source, old.target)
+        assert new.source == koszul_dual_stage(ring, seq, s)
+        assert new.target == koszul_dual_stage(ring, seq, s + 1)
+        assert new.components == old.components
+        for n in coefficients:
+            indices = range(-4, len(seq) + 3)
+            assert _transition_matrices(ring, new, n, indices) == old_transition_matrices(
+                ring, old, n, indices)
+
+
+def test_the_dual_tower_refuses_an_empty_sequence(rxy):
+    for build in (koszul_dual_stage, koszul_dual_transition):
+        with pytest.raises(ValueError, match="nonempty sequence"):
+            build(rxy, [], 1)

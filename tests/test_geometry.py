@@ -251,6 +251,11 @@ def test_projective_line_twists():
     assert all(v == 0 for v in pushed.fiber_dims(empty).values())
 
 
+def test_projective_family_needs_a_fiber_variable():
+    with pytest.raises(ValueError, match="at least one fiber variable"):
+        ProjectiveFamily(PolyRing(QQ, ["s"]), [])
+
+
 def test_projective_pushforward_zero():
     p1 = ProjectiveFamily(PolyRing(QQ, ()), ["x0", "x1"], [], name="P1")
     zero = FreeComplex.zero_complex(p1.total)

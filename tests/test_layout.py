@@ -17,16 +17,21 @@ ENGINE_IMPORTS = {
     "maps.py": {"syzygy_basis", "mono_divides"},
 }
 # The term-key callables and heap wrapper that packed terms replaced, the
-# tuple-term vector converters that packed engine vectors replaced, and the
-# polynomial term converters that packed polynomial terms replaced, and the
+# tuple-term vector converters that packed engine vectors replaced, the
+# polynomial term converters that packed polynomial terms replaced, the
 # tail strings, their combiner and the truncation helper that a complex's
-# numeric homology floor replaced.
+# numeric homology floor replaced, and the Hom layout, the chain-map
+# tensor fold and the row reader that the tensor's one layout replaced.
 RETIRED_NAMES = {
     "_Desc", "leading_term", "elimination_key", "term_over_position",
     "pack_vector", "unpack_vector", "_to_vec", "_from_vec",
     "pack_terms", "unpack_poly", "_pack",
     "ZERO_BELOW", "EXACT_BELOW", "UNKNOWN_BELOW", "_combine_tails", "truncate_below",
+    "tensor_map", "_hom_layout", "row_entries",
 }
+# The function-local `from .x import`s src/perfx keeps, as (module, x):
+# each would close an import cycle at module level.
+LOCAL_IMPORTS = {("complexes.py", "resolutions"), ("derived.py", "geometry")}
 
 
 def _modules():
@@ -76,6 +81,19 @@ def test_no_unused_imports():
                 if bound not in used:
                     unused.append(f"{name}:{node.lineno}: {bound}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_function_local_imports_only_break_cycles():
+    """A module takes perfx names at its top, except where that would
+    close an import cycle: complexes.py -> resolutions and derived.py ->
+    geometry."""
+    local = set()
+    for name, _text, tree in _modules():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local.update((name, node.module) for node in ast.walk(func)
+                             if isinstance(node, ast.ImportFrom) and node.level)
+    assert local == LOCAL_IMPORTS
 
 
 def test_only_the_engine_uses_reduction_internals():

@@ -204,7 +204,7 @@ def test_evaluate_matrix_sparse_rows():
 
 def exact_rows(mat, coords):
     """Entry-wise Polynomial.evaluate, as sparse rows (the reference)."""
-    return [{j: v for j, q in mat.row_entries(i) if (v := q.evaluate(coords))}
+    return [{j: v for j, q in enumerate(mat.row(i)) if (v := q.evaluate(coords))}
             for i in range(mat.nrows)]
 
 

@@ -8,6 +8,7 @@ import pytest
 from perfx.fields import GF, QQ
 from perfx.groebner import mono_divides
 from perfx.modules import ModulePresentation, prune_redundant_columns, syzygies
+from perfx.orders import LEX
 from perfx.rings import (
     Mat,
     PolyRing,
@@ -229,3 +230,40 @@ def test_syzygies_of_vectors(rxy):
     # (x^2 - y^2) kernel: x*(x,y) - y*(y,x) = (x^2-y^2, 0)... the kernel
     # of the 2x2 matrix [[x, y], [y, x]] is zero (determinant nonzero)
     assert pres.relations.ncols == 0
+
+
+IS_ZERO_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y"]),
+    "GF7": PolyRing(GF(7), ["x", "y"]),
+    "QQ/(x*y-1)": PolyRing(QQ, ["x", "y"], quotient=["x*y - 1"]),
+    "GF7/(x^2-y)": PolyRing(GF(7), ["x", "y"], quotient=["x^2 - y"]),
+    "QQ-lex": PolyRing(QQ, ["x", "y"], order=LEX),
+    "GF7-lex": PolyRing(GF(7), ["x", "y"], order=LEX),
+}
+
+
+def is_zero_by_membership(m):
+    """The oracle: M = 0 when every unit vector lies in the relation
+    module."""
+    one, zero = m.ring.one, m.ring.zero
+    return all(m.contains([one if j == i else zero for j in range(m.ambient_rank)])
+               for i in range(m.ambient_rank))
+
+
+@pytest.mark.parametrize("name", list(IS_ZERO_RINGS))
+def test_is_zero_matches_the_membership_oracle(name):
+    """`is_zero` reads a unit leading term at every position; random
+    presentations, about half of them zero, agree with the oracle."""
+    ring = IS_ZERO_RINGS[name]
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(40):
+        rank, ncols = rng.randint(0, 3), rng.randint(0, 4)
+        relations = Mat.from_entries(ring, rank, ncols, [
+            (i, j, ring.random_poly(rng, max_degree=1, nterms=2))
+            for i in range(rank) for j in range(ncols) if rng.random() < 0.6
+        ])
+        m = ModulePresentation(ring, rank, relations)
+        verdicts.append(m.is_zero())
+        assert verdicts[-1] == is_zero_by_membership(m)
+    assert 10 < sum(verdicts) < 30
