@@ -8,7 +8,9 @@ replaced by free T-modules, and the global sections complex is the
 degree-zero strand of the cone over the dual-Koszul stage map.  For a
 free T-complex the stage homology is concentrated in the top spot, so
 the stage index used is the exact bound computed from the generator
-degrees, not a heuristic.  The stage report keeps a `stages_agree`
+degrees, not a heuristic.  Where that cone's part of the strand is
+exact, the strand of the free replacement alone is taken instead
+(`pushforward_projective`).  The stage report keeps a `stages_agree`
 field, always None, so that its printed form stays the same.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 from operator import add
 
 from .complexes import (
@@ -224,34 +227,40 @@ def relative_strand(complex_, base, fiber_count):
 
     Terms of the input are free over T = A[x]; the strand of a free
     T-module with generator degrees a_j has the x-monomials of degree
-    -a_j as an A-basis.  The strand's ranks are checked against the
-    complex size cap before any entry is built.
+    -a_j as an A-basis, comb(m - a_j, m) of them for a_j <= 0, where
+    m = fiber_count - 1.  The strand's ranks are counted that way and
+    checked against the complex size cap before any monomial is listed.
     """
     nb = base.nvars
     field = base.field
-    bases = {}
-    for i in range(complex_.lo, complex_.hi + 1):
-        degs = complex_.degrees[i]
-        bases[i] = [
-            (j, mono)
-            for j in range(complex_.rank(i))
-            for mono in monomials_of_degree(fiber_count, -degs[j])
-        ]
-    ranks = {i: len(b) for i, b in bases.items() if b}
+    m = fiber_count - 1
+    ranks = {
+        i: sum(comb(m - a, m) for a in complex_.degrees[i] if a <= 0)
+        for i in complex_.ranks
+    }
     check_total_rank(ranks)
+    ranks = {i: r for i, r in ranks.items() if r}
+    bases = {
+        i: [
+            (j, mono)
+            for j, a in enumerate(complex_.degrees[i])
+            for mono in monomials_of_degree(fiber_count, -a)
+        ]
+        for i in ranks
+    }
     exps = complex_.ring.exponents
     parts = {}  # term of T -> (the term of its base monomial, its fiber exponents)
     diffs = {}
     for i in sorted(bases):
-        src = bases.get(i, [])
-        tgt = bases.get(i + 1, [])
-        if not src or not tgt:
+        src = bases[i]
+        tgt = bases.get(i + 1)
+        if not tgt:
             continue
         tgt_index = {key: idx for idx, key in enumerate(tgt)}
-        m = complex_.diff(i)
+        d = complex_.diff(i)
         entries = []
         for col, (j, mono) in enumerate(src):
-            for r, entry in m.column_entries(j):
+            for r, entry in d.column_entries(j):
                 acc = {}
                 for t, c in entry.terms.items():
                     split = parts.get(t)
@@ -281,6 +290,14 @@ def pushforward_projective(fam, e, minimal=True):
     output as it is: homotopy equivalent to the minimized one, with the
     same fiber dims and Euler characteristic, but its differentials may
     still have unit entries.
+
+    The Cech cone is built unless `minimal` is true, the free
+    replacement L is bounded and every generator degree of L is at most
+    m = fiber_count - 1.  Then H^(m+1)_x(T(-a))_0 = 0 for every
+    generator degree a (Hartshorne III.5.1), so the Cech part of the
+    strand is exact and the answer is the minimized strand of L alone.
+    A truncated L keeps the Cech route: its strand alone would claim a
+    lower homology floor.
     """
     if not isinstance(e, FreeComplex):
         raise ValueError(f"projective pushforward needs a free complex, not a {type(e).__name__}")
@@ -310,9 +327,12 @@ def pushforward_projective(fam, e, minimal=True):
         for a in lifted.degrees[i]:
             max_gen_degree = max(max_gen_degree, a)
     s_exact = max(1, max_gen_degree - m)
-    stage = koszul_dual_stage(t, fam.fiber_vars_in_ambient(), s_exact)
-    out = relative_strand(tensor(cech_cone(stage), lifted), fam.base, fam.fiber_count)
-    result = minimize(out) if minimal else out
+    if minimal and lifted.floor is None and max_gen_degree <= m:
+        result = minimize(relative_strand(lifted, fam.base, fam.fiber_count))
+    else:
+        stage = koszul_dual_stage(t, fam.fiber_vars_in_ambient(), s_exact)
+        out = relative_strand(tensor(cech_cone(stage), lifted), fam.base, fam.fiber_count)
+        result = minimize(out) if minimal else out
     report = {
         "stage_used": s_exact,
         "exact_bound": True,

@@ -225,14 +225,51 @@ def test_cli_blowup_example_bad_n(capsys, n):
     assert "Traceback" not in err
 
 
-def test_cli_blowup_example_too_large_exits_2_early(capsys):
-    """n=6 asks for a strand of total rank 436519: its ranks are checked
-    before any entry is built, so the size error comes at once."""
+def test_cli_blowup_chi_scan_too_large_exits_2_early(tmp_path, capsys):
+    """O(-4) on the blow-up of 6-space takes the Cech route to a strand of
+    total rank 22436665: its ranks are counted before any monomial is
+    listed, so the size error comes at once."""
+    path = tmp_path / "s.pfx"
+    path.write_text("family X = blowup(QQ, 6)\n")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "example", "blowup-chi", "n=6")
+    code, out, err = run_cli(
+        capsys, "chi-scan", "family=X", "sheaf=O(-4)", "points={(0,0,0,0,0,0)}",
+        "--input", str(path),
+    )
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
-    assert err == "perfx: complex too large: total rank 436519 exceeds cap 20000\n"
+    assert err == "perfx: complex too large: total rank 22436665 exceeds cap 20000\n"
+
+
+# The flagship table past n = 4: classical chi n at the origin and 1 at
+# the four other points, derived chi 1 everywhere.
+BLOWUP_CHI_CSV = {
+    5: (
+        "point,chi_classical,chi_nice\n"
+        "(0;0;0;0;0),5,1\n"
+        "(1;0;0;0;0),1,1\n"
+        "(0;0;0;0;1),1,1\n"
+        "(1;1;1;1;1),1,1\n"
+        "(2;-3;4;-5;6),1,1\n"
+    ),
+    6: (
+        "point,chi_classical,chi_nice\n"
+        "(0;0;0;0;0;0),6,1\n"
+        "(1;0;0;0;0;0),1,1\n"
+        "(0;0;0;0;0;1),1,1\n"
+        "(1;1;1;1;1;1),1,1\n"
+        "(2;-3;4;-5;6;-7),1,1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cli_blowup_example_past_n4(capsys, n):
+    """Past n = 4 the strand of the free replacement alone is the
+    pushforward, so the table comes out below the rank cap."""
+    code, out, err = run_cli(capsys, "example", "blowup-chi", f"n={n}", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == BLOWUP_CHI_CSV[n]
 
 
 OTHER_RING_POINT = """

@@ -284,6 +284,63 @@ def test_blowup_pushforward_is_ideal():
     assert pushed.homology(-1).is_zero()
 
 
+QUOTIENT_BASES = {"ts": (["t", "s"], ["t*s"]), "t2": (["t"], ["t^2"])}
+
+# family name -> (twists, the twists whose minimal pushforward takes the
+# strand of the free replacement alone).  The (t*x1) families have a
+# truncated free replacement; the others go to the Cech cone where a
+# generator degree passes m = fiber_count - 1.
+ROUTES = {
+    **{f"blowup-{field}-{n}": (range(-1, 4), range(0, 4))
+       for field in ("QQ", "GF") for n in (2, 3, 4)},
+    "ts:x0*x1": (range(-2, 3), (1, 2)),
+    "ts:t*x1 - s*x0": (range(-2, 3), (0, 1, 2)),
+    "ts:t*x1": (range(-2, 3), ()),
+    "t2:t*x1": (range(-2, 3), ()),
+    "t2:x0^2 - t*x1^2": (range(-2, 3), (1, 2)),
+}
+
+
+def route_family(name):
+    if name.startswith("blowup"):
+        _, field, n = name.split("-")
+        return blowup_family(QQ if field == "QQ" else GF(32003), int(n))
+    base, relation = name.split(":")
+    variables, quotient = QUOTIENT_BASES[base]
+    return ProjectiveFamily(PolyRing(QQ, variables, quotient=quotient), ["x0", "x1"], [relation])
+
+
+@pytest.mark.parametrize("name, d", [(name, d) for name, (twists, _) in ROUTES.items()
+                                     for d in twists])
+def test_minimal_pushforward_is_the_minimized_cech_route(monkeypatch, name, d):
+    """Where the free replacement is bounded with generator degrees at
+    most m, the Cech part of the strand is exact (Hartshorne III.5.1) and
+    no Cech cone is built; either way the answer is the minimized Cech
+    route, entry for entry, with the same report."""
+    fam = route_family(name)
+    cech, cech_report = pushforward_projective(fam, fam.twist(d), minimal=False)
+    built = _count_calls(monkeypatch, {"cech_cone": complexes.cech_cone})
+    pushed, report = pushforward_projective(fam, fam.twist(d))
+    assert built == {"cech_cone": 0 if d in ROUTES[name][1] else 1}
+    assert report == cech_report
+    assert pushed == complexes.minimize(cech)
+
+
+def test_relative_strand_counts_its_ranks_before_listing_a_monomial(monkeypatch):
+    """O(-4) on the blow-up of 6-space takes the Cech route to a strand of
+    total rank 22436665: relative_strand refuses it from the generator
+    degrees alone."""
+    def refuse(*args):
+        raise AssertionError("monomials listed before the rank cap")
+
+    monkeypatch.setattr(geometry, "monomials_of_degree", refuse)
+    fam = blowup_family(QQ, 6)
+    with pytest.raises(ValueError) as raised:
+        pushforward_projective(fam, fam.twist(-4))
+    assert str(raised.value) == "complex too large: total rank 22436665 exceeds cap 20000"
+    assert raised.traceback[-2].name == "relative_strand"
+
+
 # -- fibers ----------------------------------------------------------------------
 
 
