@@ -27,6 +27,7 @@ from .resolutions import (
     derived_tensor,
     free_replacement,
     free_resolution,
+    homology,
     truncate_le,
 )
 from .derived import (

@@ -354,9 +354,9 @@ def print_session(session):
             lines.append(f"ring {name} = {_ring_literal(value)}")
         elif kind == "module":
             ring_name = _find_ring_name(session, value.ring)
-            lines.append(
-                f"module {name} on {ring_name} = coker {_matrix_literal(value.relations)}"
-            )
+            rel = value.relations
+            body = f"coker {_matrix_literal(rel)}" if rel.ncols else f"free({value.ambient_rank})"
+            lines.append(f"module {name} on {ring_name} = {body}")
         elif kind in ("complex", "family", "diagram"):
             source = session.sources.get((kind, name))
             if source is not None:

@@ -207,15 +207,7 @@ class FreeComplex(HomologyFloor):
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.ranks.items())), self.floor))
 
-    # -- homology and fibers ----------------------------------------------
-
-    def homology(self, i):
-        """H^i as a ModulePresentation (quotient-ring aware).  Its
-        relations are a generating set of the relation module; `reduced()`
-        gives its reduced Gröbner basis."""
-        from .resolutions import homology_data
-
-        return homology_data(self, i)[2]
+    # -- fibers -----------------------------------------------------------
 
     def fiber_ranks(self, point):
         """Exact ranks of the differentials evaluated at a point, as

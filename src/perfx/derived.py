@@ -11,6 +11,8 @@ semi-decision: a negative answer is always qualified by the depth.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .complexes import (
     FreeComplex,
     cech_cone,
@@ -19,25 +21,21 @@ from .complexes import (
     koszul_dual_stage,
     koszul_dual_transition,
     koszul_resolution_of_point,
-    unit_complex,
 )
+from .geometry import pushforward_affine
 from .rings import Mat, MatrixGB, syzygy_matrix
 # Unused here; perfbench/test_perfbench.py checks that tracing rebinds this alias.
 from .linalg import rank as field_rank  # noqa: F401
 from .modules import ModulePresentation
 from .resolutions import (
-    fp_homology,
+    default_depth,
     free_resolution,
+    homology,
     homology_data,
     module_tensor_complex,
     presented,
 )
 from .rings import RationalPoint, point_of
-
-
-def default_depth(ring):
-    """dim of the ambient polynomial ring plus two."""
-    return ring.nvars + 2
 
 
 # -- Tor and Ext towers ---------------------------------------------------
@@ -73,7 +71,7 @@ def tor_profile(module, point, depth, method="resolve"):
     fpc.check_determined(-depth)
     out = []
     for i in range(depth + 1):
-        h = fp_homology(fpc, -i)
+        h = homology(fpc, -i)
         out.append(h.fiber_dim(point) if h.ambient_rank else 0)
     return out
 
@@ -161,14 +159,14 @@ def _transition_matrices(ring, transition, n, indices):
     """{i: ambient matrix at complex degree i} of a stage transition with
     coefficients in n, in the layout of tensor(stage, n): the block sum
     over the stage's degrees p of component p (x) the identity on n's
-    term i - p.  A module n is its one term at degree 0."""
-    ranks = {0: n.ambient_rank} if isinstance(n, ModulePresentation) else n.ranks
+    term i - p, with n's terms read through `presented`."""
+    n = presented(n)
     stage = transition.source
     blocks = {}
     for i in indices:
         m = Mat.zero(ring, 0, 0)
         for p in range(stage.lo, stage.hi + 1):
-            eye = Mat.identity(ring, ranks.get(i - p, 0))
+            eye = Mat.identity(ring, n.term(i - p).ambient_rank)
             m = m.direct_sum(transition.component(p).kron(eye))
         blocks[i] = m
     return blocks
@@ -393,7 +391,7 @@ def _triangle_audit(local, cech, n, indices, degree_window, points):
 
     local and cech are the stage's homology presentations by index; the
     middle term is the homology of n itself."""
-    coeff = _presentations(_homology(module_tensor_complex(n, unit_complex(n.ring)), indices))
+    coeff = _presentations(_homology(presented(n), indices))
     checks = []
 
     def run_one(weigher, tag):
@@ -424,7 +422,7 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
         raise ValueError("max_stage must be at least 1")
     elements = [ring.parse(t) if isinstance(t, str) else t for t in elements]
     hom = module_tensor_complex(n, dual(koszul(ring, elements)))
-    if not homology_data(hom, index)[2].is_zero():
+    if not homology(hom, index).is_zero():
         return {
             "hypothesis_holds": False,
             "hom_cohomology_nonzero": True,
@@ -435,7 +433,7 @@ def boundedness_transfer_check(ring, elements, n, index, max_stage=4):
     verified = []
     for s in range(1, max_stage + 1):
         stage = module_tensor_complex(n, koszul_dual_stage(ring, elements, s))
-        verified.append({"stage": s, "vanishes": homology_data(stage, index)[2].is_zero()})
+        verified.append({"stage": s, "vanishes": homology(stage, index).is_zero()})
     return {
         "hypothesis_holds": True,
         "hom_cohomology_nonzero": False,
@@ -630,8 +628,6 @@ def _fiber_point(f, base_point):
     if not free_idx:
         return attempt(())
     if len(free_idx) <= 3:
-        from itertools import product
-
         for values in product(candidates, repeat=len(free_idx)):
             pt = attempt(values)
             if pt is not None:
@@ -679,8 +675,6 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
             raise ValueError(
                 "finite mode requested but the target is not module-finite over the source"
             )
-        from .geometry import pushforward_affine
-
         return _perfect_at_points("finite", pushforward_affine(f, e), points, max_depth)
     if mode != "pointwise":
         raise ValueError(f"unknown mode {mode!r}")
@@ -697,7 +691,7 @@ def is_relatively_perfect(e, f, points, mode="auto", max_depth=None):
         pulled = f.apply_complex(res_y)
         fiber = module_tensor_complex(e, pulled)
         homologies = {
-            i: fp_homology(fiber, i) for i in range(fiber.homology_floor(), fiber.hi + 1)
+            i: homology(fiber, i) for i in range(fiber.homology_floor(), fiber.hi + 1)
         }
         x = _fiber_point(f, y)
         entry = {"pass": True, "homology": {}, "fiber_point": x}

@@ -30,13 +30,14 @@ from .complexes import (
     minimize,
     tensor,
 )
-from .derived import default_depth
 from .maps import RingMap
 from .modules import ModulePresentation
 from .resolutions import (
     FPComplex,
+    default_depth,
     free_replacement,
     free_resolution,
+    homology,
     module_tensor_complex,
     presented,
 )
@@ -120,7 +121,7 @@ def pushforward_affine(f, e, depth=None):
     """Direct image along a module-finite map: restriction of scalars,
     then a free replacement over the source.  depth controls how far
     below the window the replacement is materialized; by default it is
-    `derived.default_depth` of the source, so a finite resolution over
+    `resolutions.default_depth` of the source, so a finite resolution over
     a regular base ends by itself (floor None)."""
     _check_ring(e, f.target)
     if depth is None:
@@ -532,7 +533,7 @@ def grauert_check(f_or_fam, e, p, points, reduced=True):
             "witnesses": breakers,
             "reduced_assumed": reduced,
         }
-    hp = pushed.homology(p)
+    hp = homology(pushed, p)
     base_change = {y: hp.fiber_dim(y) for y in points}
     iso = all(base_change[y] == values[y] for y in points)
     return {
@@ -601,7 +602,7 @@ def tor_independent(f, g, points, depth=4, test_complex=None):
     pulled = f.apply_complex(pushed)
     homologies = {}
     for i in range(max(pulled.homology_floor(), -depth), 0):
-        homologies[i] = pulled.homology(i)
+        homologies[i] = homology(pulled, i)
     verdicts = []
     all_ok = True
     for x_pt, s_pt in points:

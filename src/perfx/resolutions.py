@@ -184,7 +184,8 @@ def free_replacement(fpc, floor):
 
 
 def homology_data(obj, i):
-    """Raw homology data at degree i of a free or presented complex.
+    """Raw homology data at degree i of a module, free complex or
+    presented complex, read through `presented`.
 
     Returns (kernel, boundaries, presentation of H^i).  Both matrices
     live in the ambient free cover of the term: the kernel's columns
@@ -200,48 +201,40 @@ def homology_data(obj, i):
     `ModulePresentation.reduced()` gives that.  Below the floor of a
     truncated complex it raises ValueError (`check_determined`).
     """
-    ring = obj.ring
-    obj.check_determined(i)
-    if isinstance(obj, FreeComplex):
-        g = obj.rank(i)
-        term_degs = obj.degrees[i] if (obj.degrees is not None and g) else None
-        d_i = obj.diff(i)
-        boundaries = obj.diff(i - 1)
-        up_rel = None
-    else:
-        term = obj.term(i)
-        g = term.ambient_rank
-        term_degs = term.degrees
-        d_i = obj.map(i)
-        boundaries = obj.map(i - 1).hstack(term.relations)
-        up_rel = obj.term(i + 1).relations
+    fpc = presented(obj)
+    ring = fpc.ring
+    fpc.check_determined(i)
+    term = fpc.term(i)
+    g = term.ambient_rank
     zero_h = ModulePresentation.zero(ring)
     if g == 0:
         z = Mat.zero(ring, 0, 0)
         return z, z, zero_h
+    d_i = fpc.map(i)
+    boundaries = fpc.map(i - 1).hstack(term.relations)
     if d_i.nrows == 0:
         kernel = Mat.identity(ring, g)
         relations = boundaries.drop_zero_columns()
     else:
-        kernel = syzygy_matrix(d_i, modulo=up_rel)
+        kernel = syzygy_matrix(d_i, modulo=fpc.term(i + 1).relations)
         if kernel.ncols == 0:
             return kernel, boundaries, zero_h
         relations = relations_modulo(kernel, boundaries)
     degrees = None
-    if term_degs is not None:
-        degrees = _column_degrees(kernel, term_degs)
+    if term.degrees is not None:
+        degrees = _column_degrees(kernel, term.degrees)
     pres = ModulePresentation(ring, kernel.ncols, relations, degrees)
     return kernel, boundaries, pres
 
 
-def fp_homology(fpc, i):
-    """H^i of a complex of presented modules, as a presentation.
-
-    Kernel and image are computed directly with syzygies; no free
-    replacement is involved, so this is an independent route from
-    resolving and taking homology of the free replacement.
-    """
-    return homology_data(fpc, i)[2]
+def homology(obj, i):
+    """H^i of a module, free complex or presented complex, as a
+    presentation (quotient-ring aware).  Its relations are a generating
+    set of the relation module; `reduced()` gives its reduced Gröbner
+    basis.  Kernel and image are computed directly with syzygies, so on
+    a presented complex this is an independent route from resolving and
+    taking homology of the free replacement."""
+    return homology_data(obj, i)[2]
 
 
 def module_tensor_complex(coefficients, complex_):
@@ -276,6 +269,11 @@ def module_tensor_complex(coefficients, complex_):
     for i, m in complex_.diffs.items():
         maps[i] = m.kron(ident)
     return FPComplex(ring, terms, maps, complex_.floor)
+
+
+def default_depth(ring):
+    """dim of the ambient polynomial ring plus two."""
+    return ring.nvars + 2
 
 
 def free_resolution(target, depth):

@@ -56,6 +56,16 @@ def test_roundtrip():
     assert print_session(again) == text
 
 
+def test_cli_roundtrip_rank_zero_module(tmp_path, capsys):
+    """A module with no relation columns prints as free(n), which parses
+    back; `coker []` would not."""
+    path = tmp_path / "s.pfx"
+    path.write_text("ring R = QQ[x,y]\nmodule F0 on R = free(0)\n")
+    code, out, err = run_cli(capsys, "roundtrip", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "roundtrip: True" in out
+
+
 def test_cli_perfect(tmp_path, capsys):
     path = tmp_path / "s.pfx"
     path.write_text(SESSION)

@@ -29,7 +29,7 @@ from perfx.geometry import (
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.orders import LEX
-from perfx.resolutions import free_resolution
+from perfx.resolutions import free_resolution, homology
 from perfx.groebner import mono_divides
 from perfx.rings import Mat, PolyRing, RationalPoint
 
@@ -55,7 +55,7 @@ def chi_direct(fam, e, point):
         pushed = pushforward_affine(fam, fiber.complex)
     total = 0
     for i in range(pushed.homology_floor(), pushed.hi + 1):
-        h = pushed.homology(i)
+        h = homology(pushed, i)
         if h.ambient_rank:
             total += (-1 if i % 2 else 1) * h.fiber_dim(point)
     return total
@@ -159,8 +159,8 @@ def test_pullback_of_free_complex_is_entrywise(double_cover):
 def test_pullback_detects_torsion(tx_family, line):
     m = ModulePresentation.cyclic(line, ["t"])
     pulled = derived_pullback(tx_family, m, 4)
-    assert not pulled.homology(0).is_zero()
-    assert not pulled.homology(-1).is_zero()  # ann of t is (x) != 0
+    assert not homology(pulled, 0).is_zero()
+    assert not homology(pulled, -1).is_zero()  # ann of t is (x) != 0
 
 
 def test_flat_pullback_no_higher_homology(line):
@@ -168,9 +168,9 @@ def test_flat_pullback_no_higher_homology(line):
     f = RingMap(line, flat, ["t"])
     m = ModulePresentation.cyclic(line, ["t"])
     pulled = derived_pullback(f, m, 4)
-    assert not pulled.homology(0).is_zero()
+    assert not homology(pulled, 0).is_zero()
     for i in range(pulled.homology_floor(), 0):
-        assert pulled.homology(i).is_zero()
+        assert homology(pulled, i).is_zero()
 
 
 # -- affine pushforward ---------------------------------------------------------
@@ -190,8 +190,8 @@ def test_pushforward_structure_quotient(double_cover, line):
     away = RationalPoint(line, (1,))
     assert pushed.fiber_dims(origin) == {0: 1, -1: 1}
     assert pushed.fiber_dims(away) == {0: 0, -1: 0}
-    assert not pushed.homology(0).is_zero()
-    assert pushed.homology(-1).is_zero()
+    assert not homology(pushed, 0).is_zero()
+    assert homology(pushed, -1).is_zero()
 
 
 def test_pushforward_of_a_module_with_dependent_relations(line):
@@ -278,10 +278,10 @@ def test_blowup_pushforward_is_ideal():
     assert report["exact_bound"] and report["bounded"]
     a = fam.base
     # H^0 is the ideal (y1, y2): fiber dimension 2 at the origin, 1 away
-    h0 = pushed.homology(0)
+    h0 = homology(pushed, 0)
     assert h0.fiber_dim(RationalPoint(a, (0, 0))) == 2
     assert h0.fiber_dim(RationalPoint(a, (1, 1))) == 1
-    assert pushed.homology(-1).is_zero()
+    assert homology(pushed, -1).is_zero()
 
 
 QUOTIENT_BASES = {"ts": (["t", "s"], ["t*s"]), "t2": (["t"], ["t^2"])}
@@ -351,8 +351,8 @@ def test_nice_fiber_flat_family(double_cover, line):
     assert pushed.fiber_dims(at_one) == {0: 2}
     fiber = nice_fiber(double_cover, e, at_one)
     via_fiber = pushforward_affine(double_cover, fiber.complex)
-    assert via_fiber.homology(0).fiber_dim(at_one) == 2
-    assert via_fiber.homology(-1).is_zero()
+    assert homology(via_fiber, 0).fiber_dim(at_one) == 2
+    assert homology(via_fiber, -1).is_zero()
 
 
 def test_nice_fiber_identity_point(line):
@@ -361,7 +361,7 @@ def test_nice_fiber_identity_point(line):
     fiber = nice_fiber(f, e, RationalPoint(line, (0,)))
     origin = RationalPoint(line, (0,))
     dims = {
-        i: fiber.complex.homology(i).fiber_dim(origin)
+        i: homology(fiber.complex, i).fiber_dim(origin)
         for i in range(fiber.complex.homology_floor(), fiber.complex.hi + 1)
     }
     assert {i: d for i, d in dims.items() if d} == {0: 1, -1: 1}

@@ -4,6 +4,7 @@ import pytest
 
 from perfx.fields import QQ
 from perfx.complexes import FreeComplex, two_term
+from perfx.geometry import blowup_family, pushforward_projective
 from perfx.ktheory import (
     IndependentSquare,
     K0Class,
@@ -140,6 +141,43 @@ def test_orientation_rejected_for_tx(line):
     f = RingMap(line, b, ["t"])
     with pytest.raises(ValueError, match="orientation rejected"):
         orientation(f, pts(line, [0, 1]), max_depth=6)
+
+
+@pytest.fixture
+def blowup():
+    return blowup_family(QQ, 2)
+
+
+def test_pushforward_along_projective_family(blowup):
+    """[O(1)] on the blow-up of the plane, pushed to the base along the
+    identity, is the class of its projective pushforward, with chi 1 at
+    the origin."""
+    base = RingMap.identity(blowup.base)
+    pushed = pushforward(K0Class.of_complex(blowup, blowup.twist(1)), blowup, base)
+    expected, _report = pushforward_projective(blowup, blowup.twist(1))
+    assert pushed.morphism is base
+    assert pushed.terms == [(1, expected)]
+    assert expected.ranks == {-1: 1, 0: 2}
+    assert pushed.chi_at(RationalPoint(blowup.base, (0, 0))) == 1
+
+
+def test_pushforward_along_projective_family_needs_its_class(blowup):
+    """A family is its own morphism: a class over another one, even built
+    the same way, or over a ring map, is refused."""
+    base = RingMap.identity(blowup.base)
+    other = blowup_family(QQ, 2)
+    for morphism in (other, base):
+        alpha = K0Class.of_complex(morphism, blowup.twist(1))
+        with pytest.raises(ValueError, match="class does not live over the projective family"):
+            pushforward(alpha, blowup, base)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="pointwise relative perfection rejects a Rees "
+                   "algebra over a regular base, where every module has finite flat dimension")
+def test_orientation_of_blowup_family(blowup):
+    points = [RationalPoint(blowup.base, p) for p in [(0, 0), (1, 2)]]
+    cls = orientation(blowup, points)
+    assert cls.terms[0][1].ranks == {0: 1}
 
 
 def test_pushforward_finite_flat_rank(line):

@@ -30,8 +30,15 @@ RETIRED_NAMES = {
     "tensor_map", "_hom_layout", "row_entries",
 }
 # The function-local `from .x import`s src/perfx keeps, as (module, x):
-# each would close an import cycle at module level.
-LOCAL_IMPORTS = {("complexes.py", "resolutions"), ("derived.py", "geometry")}
+# none, since the modules import in one order (IMPORT_ORDER).
+LOCAL_IMPORTS = set()
+# Each module of src/perfx imports only modules listed before it, so the
+# module graph has no cycle.  __init__.py, the package's public names,
+# may import any of them.
+IMPORT_ORDER = (
+    "linalg", "fields", "orders", "groebner", "rings", "complexes", "modules",
+    "maps", "resolutions", "geometry", "derived", "ktheory", "cli",
+)
 
 
 def _modules():
@@ -84,9 +91,8 @@ def test_no_unused_imports():
 
 
 def test_function_local_imports_only_break_cycles():
-    """A module takes perfx names at its top, except where that would
-    close an import cycle: complexes.py -> resolutions and derived.py ->
-    geometry."""
+    """A module takes perfx names at its top: no function in src/perfx
+    has a relative import."""
     local = set()
     for name, _text, tree in _modules():
         for func in ast.walk(tree):
@@ -94,6 +100,33 @@ def test_function_local_imports_only_break_cycles():
                 local.update((name, node.module) for node in ast.walk(func)
                              if isinstance(node, ast.ImportFrom) and node.level)
     assert local == LOCAL_IMPORTS
+
+
+def _perfx_imports(tree):
+    """The perfx modules a module imports, anywhere in it: `from .x
+    import ...` names x, and `from . import x, y` names x and y."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (a.name for a in node.names)
+
+
+def test_modules_import_in_one_order():
+    """Every module of src/perfx is in IMPORT_ORDER and imports only
+    modules listed before it, so no import closes a cycle."""
+    rank = {mod: k for k, mod in enumerate(IMPORT_ORDER)}
+    names = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert names == set(rank), f"modules outside IMPORT_ORDER: {sorted(names ^ set(rank))}"
+    late = []
+    for name, _text, tree in _modules():
+        if name == "__init__.py":
+            continue
+        here = name[:-3]
+        late += [f"{here} imports {mod}" for mod in _perfx_imports(tree)
+                 if rank[mod] >= rank[here]]
+    assert not late, "imports against IMPORT_ORDER:\n" + "\n".join(sorted(set(late)))
 
 
 def test_only_the_engine_uses_reduction_internals():
