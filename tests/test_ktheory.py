@@ -172,8 +172,11 @@ def test_pushforward_along_projective_family_needs_its_class(blowup):
             pushforward(alpha, blowup, base)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="pointwise relative perfection rejects a Rees "
-                   "algebra over a regular base, where every module has finite flat dimension")
+@pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="pointwise relative perfection rejects a Rees algebra over a regular base, "
+    "where every module has finite flat dimension",
+)
 def test_orientation_of_blowup_family(blowup):
     points = [RationalPoint(blowup.base, p) for p in [(0, 0), (1, 2)]]
     cls = orientation(blowup, points)
