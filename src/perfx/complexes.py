@@ -8,7 +8,9 @@ d o d = 0 and commuting squares.  Builders whose output is a complex by
 an identity on complexes and maps already built (tensor, dual, cone,
 shift, direct_sum, minimize, koszul_dual_transition, identity maps,
 geometry.relative_strand) use the trusted `_make` constructors
-instead, which still enforce RANK_CAP.
+instead, which still enforce RANK_CAP.  So do `koszul`, a complex by
+the exterior-algebra identity, and resolutions.free_resolution, whose
+d_(k-1) is the syzygy matrix of d_k.
 geometry.pushforward_projective does too for its input recast to the
 ambient ring, a complex only modulo the family's relations.
 RingMap.apply_complex does too, and then checks only the grading it
@@ -394,7 +396,9 @@ def koszul(ring, elements):
             -i: tuple(sum(degs[k] for k in s) for s in subsets[i])
             for i in range(r + 1)
         }
-    return FreeComplex(ring, ranks, diffs, degrees)
+    # a complex by the exterior-algebra identity: contracting twice with
+    # alternating signs cancels
+    return FreeComplex._make(ring, ranks, diffs, degrees)
 
 
 def koszul_resolution_of_point(ring, point):

@@ -28,10 +28,12 @@ from .rings import Mat, MatrixGB, syzygy_matrix
 from .linalg import rank as field_rank  # noqa: F401
 from .modules import ModulePresentation
 from .resolutions import (
+    FPComplex,
     default_depth,
     free_resolution,
     homology,
     homology_data,
+    homology_fiber_dim,
     module_tensor_complex,
     presented,
 )
@@ -44,14 +46,15 @@ from .rings import RationalPoint, point_of
 def tor_profile(module, point, depth, method="resolve"):
     """[dim Tor_i(M, kappa(point)) for i in 0..depth].
 
-    method 'resolve' resolves the module and evaluates; 'koszul'
-    tensors the module or complex with the Koszul resolution of the
-    point (plain rings only) and measures the homology presentations.
-    Another method, or a point of another ring, raises ValueError
-    before anything is computed.  Both routes raise ValueError, before
-    any homology is computed, at a depth below the homology floor of
-    what they read: the resolution, or its tensor with the Koszul
-    complex (`check_determined`).
+    method 'resolve' resolves the module or complex and evaluates;
+    'koszul' tensors a module or free complex with the Koszul
+    resolution of the point (plain rings only) and reads the fiber
+    dimension of each homology (`homology_fiber_dim`).  Another method,
+    a point of another ring, or a presented complex on the Koszul route
+    raises ValueError before anything is computed.  Both routes raise
+    ValueError, before any homology is computed, at a depth below the
+    homology floor of what they read: the resolution, or its tensor with
+    the Koszul complex (`check_determined`).
     """
     point = point_of(module.ring, point)
     if method == "resolve":
@@ -61,6 +64,11 @@ def tor_profile(module, point, depth, method="resolve"):
         return [dims.get(-i, 0) for i in range(depth + 1)]
     if method != "koszul":
         raise ValueError(f"unknown method {method!r}")
+    if isinstance(module, FPComplex):
+        raise ValueError(
+            "the Koszul route takes a module or a free complex, not a presented "
+            "complex; use 'resolve'"
+        )
     ring = module.ring
     if ring.is_quotient:
         raise ValueError(
@@ -69,11 +77,7 @@ def tor_profile(module, point, depth, method="resolve"):
         )
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
     fpc.check_determined(-depth)
-    out = []
-    for i in range(depth + 1):
-        h = homology(fpc, -i)
-        out.append(h.fiber_dim(point) if h.ambient_rank else 0)
-    return out
+    return [homology_fiber_dim(fpc, -i, point) for i in range(depth + 1)]
 
 
 def _ext_dims(resolution, point):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .complexes import FreeComplex, HomologyFloor, floor_of, minimize, tensor
 from .modules import ModulePresentation, _column_degrees, prune_redundant_columns
-from .rings import Mat, MatrixGB, relations_modulo, syzygy_matrix
+from .rings import Mat, MatrixGB, subquotient, subquotient_fiber_dim, syzygy_matrix
 
 
 class FPComplex(HomologyFloor):
@@ -183,6 +183,19 @@ def free_replacement(fpc, floor):
     return minimize(out)
 
 
+def _subquotient_at(fpc, i):
+    """(d_i, the relations of term i+1, boundaries) at degree i of a
+    presented complex, or None where term i is 0: the boundaries are the
+    incoming differential followed by term i's relations.  Below the
+    floor of a truncated complex it raises ValueError
+    (`check_determined`)."""
+    fpc.check_determined(i)
+    term = fpc.term(i)
+    if not term.ambient_rank:
+        return None
+    return fpc.map(i), fpc.term(i + 1).relations, fpc.map(i - 1).hstack(term.relations)
+
+
 def homology_data(obj, i):
     """Raw homology data at degree i of a module, free complex or
     presented complex, read through `presented`.
@@ -193,34 +206,26 @@ def homology_data(obj, i):
     differential followed by the term's relations) span what counts as
     zero there.  Induced-map computations on towers consume them.
 
-    At a top degree, where d_i has no rows, the kernel is the identity
-    and the relations are the nonzero boundaries.  Elsewhere the kernel
-    is the reduced Gröbner basis `syzygy_matrix` returns, and the
-    relations are read off it by `relations_modulo`.  Either way they
+    The kernel and the relations come from `rings.subquotient`: at a top
+    degree, where d_i has no rows, the identity and the nonzero
+    boundaries; elsewhere the reduced Gröbner basis `syzygy_matrix`
+    returns and the relations read off it.  Either way the relations
     are a generating set of the relation module, not its reduced basis;
     `ModulePresentation.reduced()` gives that.  Below the floor of a
     truncated complex it raises ValueError (`check_determined`).
     """
     fpc = presented(obj)
     ring = fpc.ring
-    fpc.check_determined(i)
-    term = fpc.term(i)
-    g = term.ambient_rank
-    zero_h = ModulePresentation.zero(ring)
-    if g == 0:
+    at = _subquotient_at(fpc, i)
+    if at is None:
         z = Mat.zero(ring, 0, 0)
-        return z, z, zero_h
-    d_i = fpc.map(i)
-    boundaries = fpc.map(i - 1).hstack(term.relations)
-    if d_i.nrows == 0:
-        kernel = Mat.identity(ring, g)
-        relations = boundaries.drop_zero_columns()
-    else:
-        kernel = syzygy_matrix(d_i, modulo=fpc.term(i + 1).relations)
-        if kernel.ncols == 0:
-            return kernel, boundaries, zero_h
-        relations = relations_modulo(kernel, boundaries)
+        return z, z, ModulePresentation.zero(ring)
+    d_i, modulo, boundaries = at
+    kernel, relations = subquotient(d_i, modulo, boundaries)
+    if kernel.ncols == 0:
+        return kernel, boundaries, ModulePresentation.zero(ring)
     degrees = None
+    term = fpc.term(i)
     if term.degrees is not None:
         degrees = _column_degrees(kernel, term.degrees)
     pres = ModulePresentation(ring, kernel.ncols, relations, degrees)
@@ -235,6 +240,17 @@ def homology(obj, i):
     a presented complex this is an independent route from resolving and
     taking homology of the free replacement."""
     return homology_data(obj, i)[2]
+
+
+def homology_fiber_dim(obj, i, point):
+    """dim over kappa(point) of H^i (x) kappa(point), for a module, free
+    complex or presented complex read through `presented`: the value of
+    `homology(obj, i).fiber_dim(point)`, from the same kernel and
+    relations (`rings.subquotient_fiber_dim`), with no presentation
+    built.  Below the floor of a truncated complex it raises ValueError
+    (`check_determined`)."""
+    at = _subquotient_at(presented(obj), i)
+    return 0 if at is None else subquotient_fiber_dim(*at, point)
 
 
 def module_tensor_complex(coefficients, complex_):
@@ -318,7 +334,8 @@ def free_resolution(target, depth):
             floor = k + 1
             break
         current = syzygy_matrix(current)
-    return minimize(FreeComplex(ring, ranks, diffs, degrees, floor))
+    # a complex by construction: each d_(k-1) is syzygy_matrix(d_k)
+    return minimize(FreeComplex._make(ring, ranks, diffs, degrees, floor))
 
 
 def derived_tensor(e, f, depth=6):

@@ -522,7 +522,17 @@ def test_trusted_builders_pass_the_public_checks(name, seed):
     k3 = koszul(ring, polys(3))
     t = two_term(ring, polys(1)[0])
     phi = scalar_map(k2, polys(1)[0])
+    gens, rels = rng.randint(1, 2), rng.randint(1, 3)
+    rows = [polys(rels) for _ in range(gens)]
+    seeded = ModulePresentation(ring, gens, Mat(ring, rows, ncols=rels))
+    resolutions = [free_resolution(m, 3)
+                   for m in (seeded, ModulePresentation.cyclic(ring, ["x", "y"]))]
+    # over the quotient ring the residue field's resolution is cut at depth 3
+    assert (resolutions[1].floor is not None) == ring.is_quotient
     built = [
+        k2,
+        k3,
+        *resolutions,
         tensor(k2, k3),
         tensor(k3, t),
         hom_complex(k2, k3),

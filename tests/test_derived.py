@@ -1,12 +1,20 @@
 """Tor/Ext towers, local cohomology stages, perfection procedures."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from perfx.fields import GF, QQ
-from perfx import derived
-from perfx.complexes import FreeComplex, koszul, koszul_dual_stage, two_term, unit_complex
+from perfx import derived, linalg
+from perfx.complexes import (
+    FreeComplex,
+    koszul,
+    koszul_dual_stage,
+    koszul_resolution_of_point,
+    two_term,
+    unit_complex,
+)
 from perfx.derived import (
     boundedness_transfer_check,
     default_depth,
@@ -18,7 +26,7 @@ from perfx.derived import (
 )
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
-from perfx.resolutions import derived_tensor, homology
+from perfx.resolutions import derived_tensor, homology, module_tensor_complex, presented
 from perfx.rings import Mat, PolyRing, RationalPoint
 
 
@@ -92,6 +100,93 @@ def test_tor_two_path_random(rxy):
         )
         m = ModulePresentation(rxy, gens, mat)
         assert tor_profile(m, origin, 5, "resolve") == tor_profile(m, origin, 5, "koszul")
+
+
+def test_the_koszul_route_refuses_a_presented_complex(rxy):
+    """The Koszul route takes a module or a free complex; a presented
+    complex is refused before anything is computed, and 'resolve' reads
+    it."""
+    m = ModulePresentation.cyclic(rxy, ["x", "y"])
+    origin = RationalPoint(rxy, (0, 0))
+    with pytest.raises(ValueError, match="a module or a free complex.*'resolve'"):
+        tor_profile(presented(m), origin, 3, "koszul")
+    assert tor_profile(presented(m), origin, 3, "resolve") == [1, 2, 1, 0]
+
+
+def koszul_tor_reference(obj, point, depth):
+    """The Koszul route as it read Tor before the fiber dimensions came
+    from the homology core's vectors: the fiber dimension of each
+    homology presentation of the tensor with the Koszul complex."""
+    ring = obj.ring
+    fpc = module_tensor_complex(obj, koszul_resolution_of_point(ring, point))
+    out = []
+    for i in range(depth + 1):
+        h = homology(fpc, -i)
+        out.append(h.fiber_dim(point) if h.ambient_rank else 0)
+    return out
+
+
+TOR_FIELDS = [QQ, GF(32003), GF(7)]
+
+
+@pytest.mark.parametrize("field", TOR_FIELDS, ids=[f.name for f in TOR_FIELDS])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_koszul_tor_matches_the_presentation_route(field, nvars):
+    """On seeded modules, at the origin, an integer point and a
+    fractional point, the Koszul route reads the fiber dimensions the
+    homology presentations give."""
+    ring = PolyRing(field, ["x", "y", "z"][:nvars])
+    rng = random.Random(39 + nvars)
+    fractional = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
+    points = [RationalPoint(ring, coords[:nvars])
+              for coords in ((0, 0, 0), (1, -2, 3), fractional)]
+    depth = nvars + 1
+    nonzero = 0
+    for _ in range(8):
+        gens, rels = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[ring.random_poly(rng, max_degree=2, nterms=2) for _ in range(rels)]
+                for _ in range(gens)]
+        module = ModulePresentation(ring, gens, Mat(ring, rows, ncols=rels))
+        for point in points:
+            got = tor_profile(module, point, depth, "koszul")
+            assert got == koszul_tor_reference(module, point, depth)
+            nonzero += any(got)
+    assert nonzero >= 4
+
+
+def test_koszul_tor_of_a_free_complex_matches_the_presentation_route(rxy):
+    """koszul(R, [x, y]) and its shift, at the origin and off it."""
+    k = koszul(rxy, ["x", "y"])
+    for complex_ in (k, k.shift(-1)):
+        for coords in ((0, 0), (1, 0), (Fraction(1, 3), 2)):
+            point = RationalPoint(rxy, coords)
+            assert tor_profile(complex_, point, 3, "koszul") == koszul_tor_reference(
+                complex_, point, 3)
+    assert tor_profile(k, RationalPoint(rxy, (0, 0)), 3, "koszul") == [1, 2, 1, 0]
+
+
+def test_koszul_tor_where_every_residue_is_none(rxy, monkeypatch):
+    """At (1/(2^31 - 1), 0) the certifying prime divides a coordinate's
+    denominator, so every rank is taken over QQ, as the presentation
+    route takes it."""
+    exact = []
+    real = linalg.rank
+
+    def counting(rows, field):
+        exact.append(field)
+        return real(rows, field)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    point = RationalPoint(rxy, (Fraction(1, linalg.CERT_PRIME), 0))
+    rng = random.Random(5)
+    for gens, rels in ((1, 2), (2, 2), (2, 3)):
+        rows = [[rxy.random_poly(rng, max_degree=2, nterms=2) for _ in range(rels)]
+                for _ in range(gens)]
+        module = ModulePresentation(rxy, gens, Mat(rxy, rows, ncols=rels))
+        exact.clear()
+        got = tor_profile(module, point, 3, "koszul")
+        assert exact
+        assert got == koszul_tor_reference(module, point, 3)
 
 
 def test_ext_examples(r1, quotient_xy):
