@@ -85,7 +85,8 @@ class HomologyFloor:
 
 class FreeComplex(HomologyFloor):
     __slots__ = (
-        "ring", "lo", "hi", "ranks", "diffs", "degrees", "floor", "_fiber_ranks", "_generic_ranks",
+        "ring", "lo", "hi", "ranks", "diffs", "degrees", "floor",
+        "_fiber_ranks", "_generic_ranks", "_model",
     )
 
     def __init__(self, ring, ranks, diffs, degrees=None, floor=None):
@@ -123,6 +124,7 @@ class FreeComplex(HomologyFloor):
         self.floor = floor
         self._fiber_ranks = None  # {point: {i: rank}}, made by the first fiber_ranks
         self._generic_ranks = None  # {i: rank over Frac(ring)}, made by the first generic_dim
+        self._model = None  # (minimal model, {i: unit pairs split across d^i}), set by minimize
 
     def _validate(self):
         for i, r in self.ranks.items():
@@ -211,11 +213,27 @@ class FreeComplex(HomologyFloor):
 
     # -- fibers -----------------------------------------------------------
 
+    def _minimal_model(self):
+        """(M, {i: unit pairs split across d^i}): the complex `minimize`
+        makes of this one, and how many split pairs R --1--> R it took
+        from each differential.  Made by the first call and kept; the
+        output of `minimize` is its own model, with no pairs."""
+        if self._model is None:
+            minimize(self)
+        return self._model
+
     def fiber_ranks(self, point):
         """Exact ranks of the differentials evaluated at a point, as
         {i: rank of d^i}; a degree without a differential is absent, and
         its rank is 0.  A point of another ring, or off the ring's locus,
         raises ValueError (`rings.point_of`).
+
+        A complex is its minimal model M plus split unit pairs (see
+        `minimize`), and a unit pair has rank 1 at every point.  So a
+        complex that is not its own model returns M's rank at each
+        degree plus the pairs split across it, and only M, whose
+        differentials carry no unit entry, is ranked and keeps a table.
+        M is made by the first call (`_minimal_model`) and kept.
 
         Every differential is ranked modulo a prime.  A rank that reaches
         the differential's rank over the fraction field, where
@@ -223,11 +241,15 @@ class FreeComplex(HomologyFloor):
         there: by semicontinuity no point exceeds it.  d o d = 0
         certifies what it can across the whole complex (see
         linalg.complex_ranks); over QQ only the rest are evaluated
-        exactly.  The ranks are kept on the complex, one table per
-        point: a complex never changes once built, and a rank at a point
-        depends on nothing else.
+        exactly.  The ranks are kept on M, one table per point: a
+        complex never changes once built, and a rank at a point depends
+        on nothing else.
         """
         point = rings.point_of(self.ring, point)
+        model, pairs = self._minimal_model()
+        if model is not self:
+            ranks = model.fiber_ranks(point)
+            return {i: ranks.get(i, 0) + pairs.get(i, 0) for i in self.diffs}
         if self._fiber_ranks is None:
             self._fiber_ranks = {}
         ranks = self._fiber_ranks.get(point)
@@ -287,13 +309,23 @@ class FreeComplex(HomologyFloor):
         bounds the generic value from above, reported as not certified,
         and nothing is kept.  Below a bounded complex it is 0; below the
         floor of a truncated one it raises ValueError
-        (`check_determined`).
+        (`check_determined`).  A probe of another ring, or off the ring's
+        locus, raises ValueError (`rings.point_of`).
+
+        On a plain ring, a complex that is not its own minimal model
+        (`fiber_ranks`) returns the model's answer: split unit pairs
+        carry no homology, so the model has the same h^i, and it keeps
+        the generic ranks that cap its fiber ranks.
         """
+        probe = rings.point_of(self.ring, probe)
         self.check_determined(i)
         if i < self.lo:
             return 0, True
         if self.ring.is_quotient:
             return self.fiber_dims(probe).get(i, 0), False
+        model, _pairs = self._minimal_model()
+        if model is not self:
+            return model.generic_dim(probe, i)
         if self._generic_ranks is None:
             self._generic_ranks = {}
         table = self._generic_ranks
@@ -656,6 +688,12 @@ def minimize(complex_):
     the first unit in (degree, row, column) order.  Basis elements keep
     their original indices as labels until the end, so removing one
     renumbers nothing and the elimination only visits nonzero entries.
+
+    Each pivot splits off a pair R --1--> R across d^i: the input is
+    isomorphic to the output plus those pairs.  The output, and the
+    number of pairs per degree, are kept on the input as its minimal
+    model (`FreeComplex.fiber_ranks`), and the output is its own model.
+    A complex without unit entries is returned itself.
     """
     ring = complex_.ring
     field = ring.field
@@ -670,6 +708,7 @@ def minimize(complex_):
             if _is_unit(p, field):
                 units[i].add((r, c))
     removed = {i: set() for i in complex_.ranks}
+    pairs = {}  # i -> pivots taken in d^i
 
     def drop_row(i, r):
         for c in rows.get(i, {}).pop(r, ()):
@@ -711,6 +750,10 @@ def minimize(complex_):
         drop_col(i + 1, r)
         removed[i].add(c)
         removed[i + 1].add(r)
+        pairs[i] = pairs.get(i, 0) + 1
+    if not pairs:
+        complex_._model = (complex_, {})
+        return complex_
     kept = {
         i: [j for j in range(n) if j not in removed[i]]
         for i, n in complex_.ranks.items()
@@ -731,7 +774,10 @@ def minimize(complex_):
         final_degrees = {
             i: tuple(complex_.degrees[i][j] for j in kept[i]) for i in final_ranks
         }
-    return FreeComplex._make(ring, final_ranks, mat_diffs, final_degrees, complex_.floor)
+    out = FreeComplex._make(ring, final_ranks, mat_diffs, final_degrees, complex_.floor)
+    out._model = (out, {})
+    complex_._model = (out, pairs)
+    return out
 
 
 def _is_unit(p, field):

@@ -19,7 +19,9 @@ rank is exact and it stops.  Only the degrees left open are evaluated
 over QQ and ranked on primitive integer rows, so nothing is rounded.
 `FreeComplex.generic_dim` applies the d o d = 0 certificate to the
 ranks over the fraction field of a polynomial ring, and
-`FreeComplex.fiber_ranks` passes those ranks as the caps.
+`FreeComplex.fiber_ranks` passes those ranks as the caps.  Both work on
+a complex's minimal model, so the ranks, the caps and the certificates
+are those of the model's differentials.
 """
 
 from __future__ import annotations

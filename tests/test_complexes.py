@@ -337,12 +337,15 @@ def test_fiber_dims_blowup_large_height_points_take_residues_only(
 def test_fiber_dims_blowup_prime_in_denominator_evaluates_exactly(
         blowup3_pushed, exact_evaluations):
     # no residues modulo CERT_PRIME exist at this point: every nonempty
-    # differential is evaluated over QQ, with the same dims as before
+    # differential of the minimal model is evaluated over QQ, with the
+    # same dims as before
     P = linalg.CERT_PRIME
     point = RationalPoint(blowup3_pushed.ring, (Fraction(1, P), 2, Fraction(-3, 7)))
     dims = blowup3_pushed.fiber_dims(point)
-    d = blowup3_pushed.diff
-    assert exact_evaluations == [(d(i).nrows, d(i).ncols) for i in range(-3, 2)]
+    model, _pairs = blowup3_pushed._minimal_model()
+    d = model.diff
+    assert exact_evaluations == [(d(i).nrows, d(i).ncols) for i in sorted(model.diffs)]
+    assert exact_evaluations == [(3, 1), (3, 3)]
     assert dims == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
     assert dims == bareiss_fiber_dims(blowup3_pushed, point)
     assert blowup3_pushed.fiber_euler_characteristic(point) == 1
@@ -351,9 +354,11 @@ def test_fiber_dims_blowup_prime_in_denominator_evaluates_exactly(
 def test_fiber_dims_blowup_origin_falls_back(blowup3_pushed, bareiss_degrees):
     origin = RationalPoint(blowup3_pushed.ring, (0, 0, 0))
     dims = blowup3_pushed.fiber_dims(origin)
-    # only d_-2 (60 x 16) and d_-1 (91 x 60) keep homology on both sides
-    d = blowup3_pushed.diff
-    assert [(d(i).nrows, d(i).ncols) for i in (-2, -1)] == [(60, 16), (91, 60)]
+    # only the minimal model's d_-2 (3 x 1) and d_-1 (3 x 3) are ranked;
+    # both vanish at the origin, where no certificate closes a rank
+    model, _pairs = blowup3_pushed._minimal_model()
+    d = model.diff
+    assert [(d(i).nrows, d(i).ncols) for i in (-2, -1)] == [(3, 1), (3, 3)]
     assert bareiss_degrees == [d(-2).evaluate(origin), d(-1).evaluate(origin)]
     bareiss_degrees.clear()
     assert dims == {-3: 0, -2: 1, -1: 3, 0: 3, 1: 0, 2: 0}

@@ -785,18 +785,20 @@ def residue_calls(monkeypatch):
 
 def test_fiber_dims_and_scan_rank_each_differential_once_per_point(residue_calls):
     """A fiber table, a second read of it and a scan at the same point take
-    one residue matrix per differential there; the scan's probe is ranked
-    apart and never enters the table."""
+    one residue matrix per differential of the minimal model there; the
+    scan's probe is ranked apart and never enters the table."""
     fam, pushed = blowup_pushforward(QQ, 3)
     point = RationalPoint(fam.base, (Fraction(123457, 89), Fraction(-98761, 3), 5))
     assert pushed.fiber_dims(point) == {-3: 0, -2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
     assert pushed.fiber_dims(point)[0] == 1
     scan = hp_scan(fam, None, 0, [point], pushed=pushed)
     assert scan["values"] == [(point, 1)] and scan["audit_pass"]
+    model, _pairs = pushed._minimal_model()
     at_point = [mat for mat, q in residue_calls if q == point]
-    assert len(at_point) == len(pushed.diffs) == 5
-    assert {id(mat) for mat in at_point} == {id(m) for m in pushed.diffs.values()}
-    assert list(pushed._fiber_ranks) == [point]
+    assert len(at_point) == len(model.diffs) == 2
+    assert {id(mat) for mat in at_point} == {id(m) for m in model.diffs.values()}
+    assert list(model._fiber_ranks) == [point]
+    assert pushed._fiber_ranks is None
 
 
 def test_a_coordinate_tuple_and_its_point_share_one_table_entry(residue_calls):
@@ -807,8 +809,10 @@ def test_a_coordinate_tuple_and_its_point_share_one_table_entry(residue_calls):
     ranks = pushed.fiber_ranks((1, 0))
     calls = len(residue_calls)
     assert pushed.fiber_ranks(RationalPoint(pushed.ring, (1, 0))) == ranks
-    assert len(residue_calls) == calls == len(pushed.diffs)
-    assert list(pushed._fiber_ranks) == [RationalPoint(pushed.ring, (1, 0))]
+    model, _pairs = pushed._minimal_model()
+    assert len(residue_calls) == calls == len(model.diffs) == 1
+    assert list(model._fiber_ranks) == [RationalPoint(pushed.ring, (1, 0))]
+    assert pushed._fiber_ranks is None
 
 
 def gb_rank(mat):
@@ -866,8 +870,11 @@ def test_generic_dims_from_the_kept_ranks_match_a_fresh_complex(field, kind, k):
     for i in range(c.homology_floor(), c.hi + 1):
         for probe in probes(c.ring):
             assert c.generic_dim(probe, i) == fresh(c).generic_dim(probe, i), (probe, i)
-    assert set(c._generic_ranks) >= set(range(c.homology_floor() - 1, c.hi + 1))
-    assert c._generic_ranks == {j: gb_rank(c.diff(j)) for j in c._generic_ranks}
+    model, pairs = c._minimal_model()  # the ranks are kept on the model
+    kept = model._generic_ranks
+    assert set(kept) >= set(range(model.homology_floor() - 1, model.hi + 1))
+    assert kept == {j: gb_rank(model.diff(j)) for j in kept}
+    assert {j: kept[j] + pairs.get(j, 0) for j in kept} == {j: gb_rank(c.diff(j)) for j in kept}
 
 
 @pytest.mark.parametrize("name", ["blowup", "gb-fallback"])
@@ -907,8 +914,9 @@ def test_capped_fiber_ranks_match_the_rank_of_each_evaluated_differential(monkey
     c, points = table_case(name)
     for i in range(c.homology_floor(), c.hi + 1):
         c.generic_dim(probes(c.ring)[1], i)
-    caps = c._generic_ranks
-    assert set(caps) >= set(c.diffs)
+    model, pairs = c._minimal_model()  # the caps are kept on the model
+    assert set(model._generic_ranks) >= set(c.diffs) >= set(model.diffs)
+    caps = {i: model._generic_ranks[i] + pairs.get(i, 0) for i in c.diffs}
     evaluated = []
     evaluate = Mat.evaluate
 
@@ -941,6 +949,131 @@ def test_a_quotient_base_keeps_no_generic_ranks():
             assert c.generic_dim(point, i)[1] is False
     assert not c._generic_ranks
     assert len(c._fiber_ranks) == len(points)
+
+
+# -- the minimal model -------------------------------------------------------------
+
+
+def model_points(ring):
+    """The origin, (1, 0, ...), two integer points, two fractional ones, and
+    two with 2^31 - 1 in a denominator, where over QQ every residue is
+    None and every rank takes the exact route."""
+    n = ring.nvars
+    P = linalg.CERT_PRIME
+    return [
+        (0,) * n, (1,) + (0,) * (n - 1), (2, -3, 5)[:n], (-1, 4, 6)[:n],
+        tuple(Fraction(10**5 + 7 * i, 89 + 4 * i) for i in range(n)),
+        tuple(Fraction(-3 * 10**4 - i, 13 + 2 * i) for i in range(n)),
+        (Fraction(1, P),) + (0,) * (n - 1), (Fraction(1, P), 2, Fraction(-3, 5))[:n],
+    ]
+
+
+def direct_fiber_ranks(c, point):
+    """The rank of every differential of c evaluated at the point."""
+    point = RationalPoint(c.ring, point)
+    return {i: linalg.rank(m.evaluate(point), c.ring.field) for i, m in c.diffs.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)], ids=["QQ", "GF32003", "GF7"])
+@pytest.mark.parametrize("n, twist", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_fiber_ranks_through_the_model_match_each_evaluated_differential(field, n, twist):
+    """An unminimized pushforward answers through its minimal model: its
+    fiber ranks and dims are those of its own evaluated differentials,
+    and its generic dims those of its own leading positions, while the
+    tables are kept on the model only."""
+    fam = blowup_family(field, n)
+    c = pushforward_projective(fam, fam.twist(twist), minimal=False)[0]
+    model, pairs = c._minimal_model()
+    assert model is not c
+    assert 2 * sum(pairs.values()) == c.total_rank() - model.total_rank()
+    for point in model_points(c.ring):
+        direct = direct_fiber_ranks(c, point)
+        assert c.fiber_ranks(point) == direct, point
+        assert c.fiber_dims(point) == {
+            i: c.rank(i) - direct.get(i, 0) - direct.get(i - 1, 0)
+            for i in range(c.homology_floor(), c.hi + 1)
+        }, point
+    generic = {i: gb_rank(c.diff(i)) for i in range(c.lo - 1, c.hi + 1)}
+    for i in range(c.homology_floor(), c.hi + 1):
+        assert c.generic_dim(model_points(c.ring)[4], i) == (
+            c.rank(i) - generic[i] - generic[i - 1], True)
+    assert c._fiber_ranks is None and c._generic_ranks is None
+
+
+def test_fiber_ranks_through_the_model_over_a_quotient_ring():
+    """Over QQ[t]/(t^2) a complex with unit entries answers through its
+    model too, and its generic value is the uncertified fiber one."""
+    ring = PolyRing(QQ, ["t"], quotient=["t^2"])
+    split = FreeComplex(ring, {-2: 1, -1: 2, 0: 2}, {
+        -2: Mat(ring, [[1], ["t"]]), -1: Mat(ring, [["t", -1], [0, "t"]]),
+    })
+    c = split.direct_sum(FreeComplex(ring, {-1: 1, 0: 1}, {-1: Mat(ring, [["t"]])}))
+    model, pairs = c._minimal_model()
+    assert (model.ranks, pairs) == ({-1: 1, 0: 2}, {-2: 1, -1: 1})
+    origin = (0,)
+    direct = direct_fiber_ranks(c, origin)
+    assert c.fiber_ranks(origin) == direct == {-2: 1, -1: 1}
+    dims = c.fiber_dims(origin)
+    assert dims == {-2: 0, -1: 1, 0: 2}
+    for i in range(c.lo, c.hi + 1):
+        assert c.generic_dim(origin, i) == (dims[i], False)
+    assert not model._generic_ranks and c._generic_ranks is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)], ids=["QQ", "GF32003", "GF7"])
+def test_a_complex_that_minimizes_to_zero_keeps_its_unit_pair(field):
+    ring = PolyRing(field, ["x", "y"])
+    c = FreeComplex(ring, {-1: 1, 0: 1}, {-1: Mat(ring, [[1]])})
+    model, pairs = c._minimal_model()
+    assert (model.ranks, model.diffs, pairs) == ({}, {}, {-1: 1})
+    for point in model_points(ring):
+        assert c.fiber_ranks(point) == direct_fiber_ranks(c, point) == {-1: 1}
+        assert c.fiber_dims(point) == {-1: 0, 0: 0}
+    for i in (-1, 0):
+        assert c.generic_dim(model_points(ring)[4], i) == (0, True)
+
+
+def test_minimized_complexes_are_their_own_model():
+    """The outputs of minimize, free_resolution, free_replacement and a
+    minimal pushforward carry themselves as their model, so no fiber
+    table minimizes them again; minimize returns a complex without unit
+    entries itself."""
+    fam = blowup_family(QQ, 2)
+    unminimized = pushforward_projective(fam, fam.twist(1), minimal=False)[0]
+    assert unminimized._model is None
+    ring = PolyRing(QQ, ["x", "y"])
+    module = ModulePresentation.cyclic(ring, ["x^2", "x*y"])
+    built = [
+        complexes.minimize(unminimized),
+        free_resolution(module, 4),
+        resolutions.free_replacement(resolutions.presented(module), -4),
+        pushforward_projective(fam, fam.twist(1))[0],
+    ]
+    assert unminimized._model[0] is built[0]
+    for c in built:
+        model, pairs = c._model
+        assert model is c and pairs == {}
+        assert complexes.minimize(c) is c
+    koszul_complex = koszul(ring, ["x", "y"])
+    assert koszul_complex._model is None
+    assert complexes.minimize(koszul_complex) is koszul_complex
+    assert koszul_complex._model[0] is koszul_complex
+
+
+def test_generic_dim_refuses_a_probe_of_another_ring():
+    """A probe is checked as a point of the complex's ring before anything
+    is ranked, as `fiber_ranks` checks its point."""
+    ring = PolyRing(QQ, ["x", "y"])
+    c = FreeComplex(ring, {0: 2, 1: 2}, {0: Mat(ring, [["x", "y"], [0, 0]])})
+    for probe, message in [
+        ((0,), "expected 2 coordinates, got 1"),
+        ((0, 0, 5), "expected 2 coordinates, got 3"),
+        (RationalPoint(PolyRing(QQ, ["t"]), (0,)), "from a different ring"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            c.generic_dim(probe, 1)
+    assert c._generic_ranks is None and c._model is None
+    assert c.generic_dim((3, 1), 1) == (1, True)
 
 
 @pytest.mark.parametrize("n, twist, minimal", [
