@@ -49,7 +49,10 @@ def tor_profile(module, point, depth, method="resolve"):
     method 'resolve' resolves the module or complex and evaluates;
     'koszul' tensors a module or free complex with the Koszul
     resolution of the point (plain rings only) and reads the fiber
-    dimension of each homology (`homology_fiber_dim`).  Another method,
+    dimension of each homology (`homology_fiber_dim`).  Tor at the point
+    depends only on M_p, so a module is first replaced by its
+    `split_at(point)`, and where that has fiber dimension 0, M_p = 0
+    (Nakayama) and every Tor is 0 with no tensor built.  Another method,
     a point of another ring, or a presented complex on the Koszul route
     raises ValueError before anything is computed.  Both routes raise
     ValueError, before any homology is computed, at a depth below the
@@ -75,6 +78,10 @@ def tor_profile(module, point, depth, method="resolve"):
             "the Koszul route needs the sequence x-a to resolve the point; "
             "use 'resolve' over quotient rings"
         )
+    if isinstance(module, ModulePresentation):
+        module = module.split_at(point)
+        if not module.fiber_dim(point):  # M_p = 0 by Nakayama: every Tor vanishes
+            return [0] * (depth + 1)
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
     fpc.check_determined(-depth)
     return [homology_fiber_dim(fpc, -i, point) for i in range(depth + 1)]

@@ -109,6 +109,49 @@ class ModulePresentation:
         rank = linalg.complex_ranks(residues, lambda i: rel.evaluate(point), dims, field)[0]
         return self.ambient_rank - rank
 
+    def split_at(self, point):
+        """A presentation of the same module near the point, by a
+        submatrix of the relations: N with N_p = M_p over the local ring.
+
+        An entry u with u(point) != 0 is a unit there.  If it is the only
+        nonzero entry of its column, its generator e_i is 0 near the
+        point; if it is the only one of its row, its relation expresses
+        e_i through the other generators, and no other relation mentions
+        e_i.  Either way dropping u's row and column keeps M_p.  The
+        first such (row, column) is dropped, the counts are updated, and
+        this repeats until none is left; then zero columns go, and the
+        kept generators keep their degrees.  Each entry is evaluated
+        once, and every kept entry is an input entry.  Returns self when
+        nothing is dropped.  A point of another ring, or off the ring's
+        locus, raises ValueError (`point_of`).
+        """
+        rel = self.relations
+        point = point_of(self.ring, point)
+        units = sorted((i, j) for i, row in enumerate(rel.evaluate(point)) for j in row)
+        row_cols = [set() for _ in range(self.ambient_rank)]
+        col_rows = [set() for _ in range(rel.ncols)]
+        for i, j, _ in rel.entries():
+            row_cols[i].add(j)
+            col_rows[j].add(i)
+        dropped = []
+        while pivot := next(((i, j) for i, j in units if j in row_cols[i]
+                             and (len(row_cols[i]) == 1 or len(col_rows[j]) == 1)), None):
+            i, j = pivot
+            dropped.append(pivot)
+            for k in row_cols[i]:
+                col_rows[k].discard(i)
+            for k in col_rows[j]:
+                row_cols[k].discard(j)
+            row_cols[i] = col_rows[j] = set()
+        if not dropped:
+            return self
+        rows, cols = (set(side) for side in zip(*dropped))
+        keep = [i for i in range(self.ambient_rank) if i not in rows]
+        relations = rel.select_columns([j for j in range(rel.ncols) if j not in cols])
+        degrees = None if self.degrees is None else [self.degrees[i] for i in keep]
+        return ModulePresentation(
+            self.ring, len(keep), relations.select_rows(keep).drop_zero_columns(), degrees)
+
     def graded_dim(self, d):
         """dim over k of the degree-d piece (graded presentations only).
 

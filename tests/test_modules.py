@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -267,3 +268,82 @@ def test_is_zero_matches_the_membership_oracle(name):
         verdicts.append(m.is_zero())
         assert verdicts[-1] == is_zero_by_membership(m)
     assert 10 < sum(verdicts) < 30
+
+
+# -- split_at: the module near a point as a submatrix ------------------------
+
+
+def is_submatrix(small, big):
+    """small is big with some rows and columns left out, order kept, and
+    zero columns dropped."""
+    cols = [j for j in range(big.ncols) if big.column_entries(j)]
+    return any(
+        big.select_rows(rows).select_columns(kept) == small
+        for rows in combinations(range(big.nrows), small.nrows)
+        for kept in combinations(cols, small.ncols)
+    )
+
+
+SPLIT_FIELDS = [QQ, GF(32003), GF(7)]
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=[f.name for f in SPLIT_FIELDS])
+def test_split_at_keeps_input_entries(field):
+    """On seeded sparse presentations every kept entry is the input's
+    entry at its kept row and column, and no kept entry is a unit alone
+    in its row or column."""
+    ring = PolyRing(field, ["x", "y"])
+    rng = random.Random(42)
+    split = 0
+    for _ in range(40):
+        rank, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        relations = Mat.from_entries(ring, rank, ncols, [
+            (i, j, ring.random_poly(rng, max_degree=2, nterms=2))
+            for i in range(rank) for j in range(ncols) if rng.random() < 0.6
+        ])
+        m = ModulePresentation(ring, rank, relations)
+        for coords in ((0, 0), (1, -2)):
+            point = RationalPoint(ring, coords)
+            n = m.split_at(point)
+            if n is m:
+                continue
+            split += 1
+            assert n.ambient_rank < m.ambient_rank
+            assert is_submatrix(n.relations, relations)
+            rel = n.relations
+            values = rel.evaluate(point)
+            for i, j, _ in rel.entries():
+                if j in values[i]:
+                    assert sum(1 for x in rel.row(i) if x.terms) > 1
+                    assert len(rel.column_entries(j)) > 1
+    assert split >= 10
+
+
+def test_split_at_keeps_the_degrees_of_the_kept_generators(rxy):
+    """Generators of degrees (0, 2, 1); the unit 1 of column (x, 0, 1) is
+    alone in row 2, so generator 2 and that column go."""
+    m = ModulePresentation(
+        rxy, 3, Mat(rxy, [["x", "x^2*y"], ["0", "y"], ["1", "0"]]), degrees=(0, 2, 1))
+    n = m.split_at(RationalPoint(rxy, (0, 0)))
+    assert n.degrees == (0, 2)
+    assert n.relations == Mat(rxy, [["x^2*y"], ["y"]])
+    assert ModulePresentation(rxy, 3, m.relations).split_at((0, 0)).degrees is None
+
+
+def test_split_at_refuses_a_foreign_or_off_locus_point(rxy, monkeypatch):
+    """Checked by `point_of` before any entry is evaluated."""
+
+    def boom(*_args):
+        raise AssertionError("evaluated before the point was checked")
+
+    monkeypatch.setattr(Mat, "evaluate", boom)
+    m = ModulePresentation(rxy, 1, Mat(rxy, [["1"]]))
+    other = PolyRing(QQ, ["s", "t"])
+    with pytest.raises(ValueError, match="different ring"):
+        m.split_at(RationalPoint(other, (0, 0)))
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        m.split_at((0,))
+    quotient = PolyRing(QQ, ["x", "y"], quotient=["x*y"])
+    q = ModulePresentation(quotient, 1, Mat(quotient, [["1"]]))
+    with pytest.raises(ValueError, match="not on the vanishing locus"):
+        q.split_at((1, 1))
