@@ -51,10 +51,14 @@ def tor_profile(module, point, depth, method="resolve"):
     resolution of the point (plain rings only) and reads the fiber
     dimension of each homology (`homology_fiber_dim`).  Tor at the point
     depends only on M_p, so a module is first replaced by its
-    `split_at(point)`, and where that has fiber dimension 0, M_p = 0
-    (Nakayama) and every Tor is 0 with no tensor built.  Another method,
-    a point of another ring, or a presented complex on the Koszul route
-    raises ValueError before anything is computed.  Both routes raise
+    `split_at(point)`, whose fiber dimension f is Tor_0.  Where f is 0,
+    M_p = 0 (Nakayama); where f is the generator count minus the number
+    of nonzero relation columns, those columns keep full rank at the
+    point, so a maximal minor is a unit there and M_p is free of rank f.
+    Either way every higher Tor is 0 and no tensor is built.  Otherwise
+    the tensor's homology is read at degrees -1 .. -depth only.  Another
+    method, a point of another ring, or a presented complex on the Koszul
+    route raises ValueError before anything is computed.  Both routes raise
     ValueError, before any homology is computed, at a depth below the
     homology floor of what they read: the resolution, or its tensor with
     the Koszul complex (`check_determined`).
@@ -78,13 +82,17 @@ def tor_profile(module, point, depth, method="resolve"):
             "the Koszul route needs the sequence x-a to resolve the point; "
             "use 'resolve' over quotient rings"
         )
+    dims = []  # Tor_0, ... as far as known without the tensor
     if isinstance(module, ModulePresentation):
         module = module.split_at(point)
-        if not module.fiber_dim(point):  # M_p = 0 by Nakayama: every Tor vanishes
-            return [0] * (depth + 1)
+        dims = [module.fiber_dim(point)]  # M (x) kappa(point) = Tor_0
+        # M_p = 0 (Nakayama), or the nonzero relation columns keep full rank
+        # at the point, so M_p is free of rank Tor_0: no higher Tor either way
+        if dims[0] in (0, module.ambient_rank - module.relations.drop_zero_columns().ncols):
+            return dims + [0] * depth
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
     fpc.check_determined(-depth)
-    return [homology_fiber_dim(fpc, -i, point) for i in range(depth + 1)]
+    return dims + [homology_fiber_dim(fpc, -i, point) for i in range(len(dims), depth + 1)]
 
 
 def _ext_dims(resolution, point):

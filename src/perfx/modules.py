@@ -23,7 +23,7 @@ from .rings import (
 
 
 class ModulePresentation:
-    __slots__ = ("ring", "ambient_rank", "relations", "degrees", "_gb")
+    __slots__ = ("ring", "ambient_rank", "relations", "degrees", "_gb", "_numerators")
 
     def __init__(self, ring, ambient_rank, relations=None, degrees=None):
         if ambient_rank < 0:
@@ -42,6 +42,7 @@ class ModulePresentation:
             _check_homogeneous_columns(relations, degrees)
         self.degrees = degrees
         self._gb = None
+        self._numerators = None  # per-generator Hilbert numerators, made by the first graded_dim
 
     # -- constructors ----------------------------------------------------
 
@@ -159,8 +160,9 @@ class ModulePresentation:
         module of its Gröbner basis's leading terms have the same Hilbert
         function, so generator i contributes HF_i(d - deg_i), HF_i that of
         k[x]/(the leading monomials at position i), read from its Hilbert
-        numerator (`hilbert_numerator`, `hilbert_value`).  Every weight
-        must be 1 unless there are no generators.
+        numerator (`hilbert_numerator`, `hilbert_value`), computed once per
+        presentation.  Every weight must be 1 unless there are no
+        generators.
         """
         if self.degrees is None:
             raise ValueError("presentation is not graded")
@@ -168,13 +170,14 @@ class ModulePresentation:
             return 0
         ring = self.ring
         ring.require_unit_weights()
-        lt_by_pos = {}
-        for pos, mono in self.gb.leading_terms():
-            lt_by_pos.setdefault(pos, []).append(mono)
-        return sum(
-            hilbert_value(hilbert_numerator(lt_by_pos.get(i, ()), ring.nvars), ring.nvars, d - deg)
-            for i, deg in enumerate(self.degrees)
-        )
+        if self._numerators is None:
+            lt_by_pos = {}
+            for pos, mono in self.gb.leading_terms():
+                lt_by_pos.setdefault(pos, []).append(mono)
+            self._numerators = [hilbert_numerator(lt_by_pos.get(i, ()), ring.nvars)
+                                for i in range(self.ambient_rank)]
+        return sum(hilbert_value(num, ring.nvars, d - deg)
+                   for num, deg in zip(self._numerators, self.degrees))
 
     def direct_sum(self, other):
         if other.ring != self.ring:

@@ -98,7 +98,8 @@ def free_replacement(fpc, floor):
         degrees = None
         if all(t.degrees is not None for t in fpc.terms.values()):
             degrees = {i: t.degrees for i, t in fpc.terms.items()}
-        out = FreeComplex(ring, ranks, dict(fpc.maps), degrees, fpc.floor)
+        # d o d = 0 by the FPComplex contract; restriction is a ring map B -> Mat_n(A)
+        out = FreeComplex._make(ring, ranks, dict(fpc.maps), degrees, fpc.floor)
         return minimize(out)
     hi = fpc.hi
     graded = all(t.degrees is not None for t in fpc.terms.values())

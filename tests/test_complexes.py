@@ -31,6 +31,7 @@ from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import (
     derived_tensor,
+    free_replacement,
     free_resolution,
     homology,
     homology_data,
@@ -534,6 +535,15 @@ def test_trusted_builders_pass_the_public_checks(name, seed):
                    for m in (seeded, ModulePresentation.cyclic(ring, ["x", "y"]))]
     # over the quotient ring the residue field's resolution is cut at depth 3
     assert (resolutions[1].floor is not None) == ring.is_quotient
+    # B = A[t]/(t^2 - x - 1) is free over A, so restricting a free complex
+    # gives free terms, and free_replacement takes its all-free short-circuit
+    cover = PolyRing(ring.field, ["x", "y", "t"],
+                     quotient=[str(q) for q in ring.quotient_gb] + ["t^2 - x - 1"])
+    lifted = koszul(cover, [cover.random_poly(rng, max_degree=2, nterms=2) for _ in range(3)])
+    restricted = geometry.restrict_scalars(RingMap(ring, cover, ["x", "y"]), lifted)
+    assert all(not t.relations.ncols for t in restricted.terms.values())
+    FreeComplex(ring, {i: t.ambient_rank for i, t in restricted.terms.items()},
+                restricted.maps, floor=restricted.floor)
     built = [
         k2,
         k3,
@@ -552,6 +562,7 @@ def test_trusted_builders_pass_the_public_checks(name, seed):
         cech_cone(koszul_dual_stage(ring, ["x", "y"], 1 + seed)),
         RingMap(ring, ring, ["2*x", "4*y"]).apply_complex(koszul(ring, ["x", "y"])),
         RingMap(ring, ring, ["2*x", "4*y"]).apply_complex(k3),
+        free_replacement(restricted, restricted.lo - 1),
     ]
     for b in built:
         revalidate(b)

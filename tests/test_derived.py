@@ -265,20 +265,65 @@ def test_koszul_refusals_come_before_the_split(rxy, quotient_xy, monkeypatch):
         tor_profile(q, RationalPoint(quotient_xy, (0, 0)), 3, "koszul")
 
 
-def koszul_branch(module, point):
-    """Which way the Koszul route takes a module at a point."""
-    n = module.split_at(point)
-    if n.fiber_dim(point):
-        return "untouched" if n is module else "split, then Koszul"
-    return "exit, no split" if n is module else "exit after a split"
+@pytest.mark.parametrize("field", TOR_FIELDS, ids=[f.name for f in TOR_FIELDS])
+def test_koszul_tor_stops_where_the_module_is_free(field, monkeypatch):
+    """coker [[1 + x, y], [y, 1 + x], [x, x]] has no unit alone at the
+    origin, so it does not split; its two columns keep rank 2 there, so
+    M_p is free of rank 1 and the route returns before any tensor.  A zero
+    third column relates nothing and changes neither."""
+
+    def boom(*_args):
+        raise AssertionError("tensor built for a module free at the point")
+
+    ring = PolyRing(field, ["x", "y"])
+    origin = RationalPoint(ring, (0, 0))
+    rows = [["1 + x", "y"], ["y", "1 + x"], ["x", "x"]]
+    for relations in (Mat(ring, rows), Mat(ring, [row + ["0"] for row in rows])):
+        module = ModulePresentation(ring, 3, relations)
+        assert module.split_at(origin) is module
+        assert module.fiber_dim(origin) == 1
+        want = tor_profile(module, origin, 3, "resolve")
+        with monkeypatch.context() as patch:
+            patch.setattr(derived, "module_tensor_complex", boom)
+            assert tor_profile(module, origin, 3, "koszul") == want == [1, 0, 0, 0]
 
 
-def test_koszul_tor_routes_agree_on_larger_shapes():
+@pytest.mark.parametrize("field", TOR_FIELDS, ids=[f.name for f in TOR_FIELDS])
+def test_koszul_tor_tensors_where_the_rank_drops(field, monkeypatch):
+    """coker [[1 + x, y], [y, 1 + x]] at (1, 2): every entry is a unit and
+    none is alone, and the determinant (1 + x)^2 - y^2 vanishes there, so
+    the rank drops to 1 and the module reaches the tensor, with Tor_0 its
+    fiber dimension 1."""
+    tensors = []
+    real = derived.module_tensor_complex
+    monkeypatch.setattr(derived, "module_tensor_complex",
+                        lambda *args: tensors.append(args) or real(*args))
+    ring = PolyRing(field, ["x", "y"])
+    point = RationalPoint(ring, (1, 2))
+    module = ModulePresentation(ring, 2, Mat(ring, [["1 + x", "y"], ["y", "1 + x"]]))
+    assert module.split_at(point) is module
+    assert tor_profile(module, point, 3, "koszul") == [1, 1, 0, 0]
+    assert len(tensors) == 1
+    assert tor_profile(module, point, 3, "resolve") == [1, 1, 0, 0]
+
+
+def koszul_branch(module, point, got, tensored):
+    """Which of the Koszul route's six branches a module took at a point:
+    M_p = 0, M_p free, or the tensor, each after a split or without one."""
+    way = "tensor" if tensored else "free" if got[0] else "zero"
+    return way, module.split_at(point) is not module
+
+
+def test_koszul_tor_routes_agree_on_larger_shapes(monkeypatch):
     """Seeded modules up to 4 x 4, of degree up to 3, in 1 to 3 variables
     over three fields, at the origin, an integer point and a fractional
     point: the Koszul route, the resolve route and the unsplit tensor's
-    homology presentations give the same Tor, and each of the four
+    homology presentations give the same Tor, and each of the six
     branches of the Koszul route runs."""
+    tensors = []
+    real = derived.module_tensor_complex
+    monkeypatch.setattr(derived, "module_tensor_complex",
+                        lambda *args: tensors.append(args) or real(*args))
     branches = Counter()
     for field in TOR_FIELDS:
         for nvars in (1, 2, 3):
@@ -287,7 +332,7 @@ def test_koszul_tor_routes_agree_on_larger_shapes():
             points = [RationalPoint(ring, coords[:nvars]) for coords in (
                 (0, 0, 0), (1, -1, 2), (Fraction(1, 2), Fraction(2, 3), -1))]
             depth = nvars + 1
-            for _ in range(6):
+            for _ in range(14):
                 gens, rels = rng.randint(1, 4), rng.randint(1, 4)
                 degree = rng.randint(1, 3)
                 relations = Mat.from_entries(ring, gens, rels, [
@@ -296,11 +341,12 @@ def test_koszul_tor_routes_agree_on_larger_shapes():
                 ])
                 module = ModulePresentation(ring, gens, relations)
                 for point in points:
-                    branches[koszul_branch(module, point)] += 1
+                    tensors.clear()
                     got = tor_profile(module, point, depth, "koszul")
+                    branches[koszul_branch(module, point, got, bool(tensors))] += 1
                     assert got == tor_profile(module, point, depth, "resolve")
                     assert got == koszul_tor_reference(module, point, depth)
-    assert len(branches) == 4 and min(branches.values()) >= 10, branches
+    assert len(branches) == 6 and min(branches.values()) >= 10, branches
 
 
 def test_ext_examples(r1, quotient_xy):

@@ -1201,8 +1201,9 @@ def test_syzygy_block_matches_the_whole_tagged_basis(name):
 # S-pairs `buchberger` reduces over the Koszul-route Tor profiles below.
 # Popping pairs by lcm degree with the chain criterion at pop time took
 # 512, and this loop with criteria B, M and F and the deactivation of
-# divisible elements switched off takes 581.
-KOSZUL_SPAIRS = 355
+# divisible elements switched off takes 581.  Since the route stops where
+# M_p is 0 or free, only the GF(32003) 3 x 3 module reaches the tensor.
+KOSZUL_SPAIRS = 20
 
 
 def test_koszul_route_spair_count(monkeypatch):
@@ -1222,7 +1223,7 @@ def test_koszul_route_spair_count(monkeypatch):
         for gens, rels in [(2, 2), (2, 3), (3, 2), (3, 3)]:
             module = ModulePresentation(ring, gens, seeded_mat(ring, rng, gens, rels))
             tor_profile(module, origin, 5, "koszul")
-    assert count <= KOSZUL_SPAIRS
+    assert 0 < count <= KOSZUL_SPAIRS  # a module still reaches the tensor
 
 
 # -- the Hilbert-function oracle: standard monomials against Macaulay ranks ---
