@@ -614,6 +614,10 @@ def cmd_hp_scan(session, options, args, fmt):
         session, options, "hp-scan family=X|map=f|ring=A sheaf=M [p=N] points=..."
     )
     result = hp_scan(carrier, sheaf, p, points, seed=args.seed)
+    if result["audit_pass"] is None:
+        print("perfx: hp-scan: the probe is off the base's locus, so there is no "
+              "generic value and the audit is undetermined", file=sys.stderr)
+        return 2
     rows = [
         (str(y).replace(", ", ";"), p, v, "pass" if result["audit_pass"] else "fail")
         for (y, v) in result["values"]

@@ -11,6 +11,7 @@ semi-decision: a negative answer is always qualified by the depth.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from .complexes import (
@@ -51,12 +52,16 @@ def tor_profile(module, point, depth, method="resolve"):
     resolution of the point (plain rings only) and reads the fiber
     dimension of each homology (`homology_fiber_dim`).  Tor at the point
     depends only on M_p, so a module is first replaced by its
-    `split_at(point)`, whose fiber dimension f is Tor_0.  Where f is 0,
-    M_p = 0 (Nakayama); where f is the generator count minus the number
-    of nonzero relation columns, those columns keep full rank at the
-    point, so a maximal minor is a unit there and M_p is free of rank f.
-    Either way every higher Tor is 0 and no tensor is built.  Otherwise
-    the tensor's homology is read at degrees -1 .. -depth only.  Another
+    `split_at(point)`, N, with g generators, c nonzero relation columns
+    and fiber dimension f, which is Tor_0.  Where f is 0, M_p = 0
+    (Nakayama) and every higher Tor is 0.  Where the c columns have rank
+    c at the point (f = g - c) or at one fixed large-height probe, a
+    c x c minor is a nonzero polynomial, so over the domain R the columns
+    map R^c into R^g injectively and 0 -> R^c -> R^g -> N -> 0 resolves
+    N: Tor is [f, c - (g - f), 0, ...], and no tensor is built.  A rank
+    at the probe comes from `fiber_dim`, so over QQ a full rank modulo the
+    certifying prime needs no exact rank.  Otherwise the tensor's
+    homology is read at degrees -1 .. -depth only.  Another
     method, a point of another ring, or a presented complex on the Koszul
     route raises ValueError before anything is computed.  Both routes raise
     ValueError, before any homology is computed, at a depth below the
@@ -85,14 +90,26 @@ def tor_profile(module, point, depth, method="resolve"):
     dims = []  # Tor_0, ... as far as known without the tensor
     if isinstance(module, ModulePresentation):
         module = module.split_at(point)
-        dims = [module.fiber_dim(point)]  # M (x) kappa(point) = Tor_0
-        # M_p = 0 (Nakayama), or the nonzero relation columns keep full rank
-        # at the point, so M_p is free of rank Tor_0: no higher Tor either way
-        if dims[0] in (0, module.ambient_rank - module.relations.drop_zero_columns().ncols):
-            return dims + [0] * depth
+        f = module.fiber_dim(point)  # M (x) kappa(point) = Tor_0
+        if f == 0:  # M_p = 0 (Nakayama); M need not be injectively presented
+            return [0] * (depth + 1)
+        g, c = module.ambient_rank, module.relations.drop_zero_columns().ncols
+        # rank c at the point or at the probe: the presentation is a free resolution
+        if f == g - c or (c <= g and module.fiber_dim(_tor_probe(ring)) == g - c):
+            return ([f, c - (g - f)] + [0] * depth)[:depth + 1]
+        dims = [f]
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
     fpc.check_determined(-depth)
     return dims + [homology_fiber_dim(fpc, -i, point) for i in range(len(dims), depth + 1)]
+
+
+def _tor_probe(ring):
+    """The fixed large-height point of a plain ring at which the Koszul
+    route of `tor_profile` asks whether a presentation is injective.  Any
+    point answers correctly; one on the rank-drop locus only sends the
+    module on to the tensor."""
+    rng = random.Random("tor-probe")
+    return RationalPoint(ring, [rng.randint(10**5, 10**6) for _ in range(ring.nvars)])
 
 
 def _ext_dims(resolution, point):

@@ -474,8 +474,9 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
     later scan of the same p ranks nothing at its probe, and the kept
     ranks cap the fiber ranks of every later point.  On a quotient base
     it is h^p at the probe.  A probe off the base's locus gives no
-    generic value, and the audit fails.  A p below a truncated
-    pushforward's homology floor raises ValueError.
+    generic value, and "audit_pass" is None: the audit is undetermined,
+    not failed.  A p below a truncated pushforward's homology floor
+    raises ValueError.
     """
     if pushed is None:
         pushed, _ = push(f_or_fam, e)
@@ -500,7 +501,7 @@ def hp_scan(f_or_fam, e, p, points, seed=0, pushed=None):
         "values": values,
         "generic_value": generic,
         "generic_certified": certified,
-        "audit_pass": generic is not None and all(v >= generic for _, v in values),
+        "audit_pass": None if generic is None else all(v >= generic for _, v in values),
     }
 
 

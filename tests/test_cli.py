@@ -158,16 +158,20 @@ def test_cli_hp_scan_json_pinned_under_hash_seeds(tmp_path):
 
 
 def test_cli_hp_scan_without_a_generic_point_fails(tmp_path, capsys):
-    """A random probe misses the cusp x^2 = t^3, so there is no generic
-    value, and the audit fails."""
+    """A random probe misses the cusp x^2 = t^3 and the axes xy = 0, so
+    there is no generic value: the audit is undetermined, not failed, and
+    the command exits 2 with one line on stderr and nothing on stdout."""
     path = tmp_path / "s.pfx"
-    path.write_text(SESSION + "ring C = QQ[t,x] / (x^2 - t^3)\nmodule N on C = coker [[t]]\n")
-    code, out, _ = run_cli(
-        capsys, "hp-scan", "ring=C", "sheaf=N", "p=0", "points={(0,0),(1,1)}",
-        "--input", str(path),
-    )
-    assert code == 1
-    assert "generic_value: None\ngeneric_certified: False\naudit_pass: False\n" in out
+    path.write_text(SESSION + "ring C = QQ[t,x] / (x^2 - t^3)\nmodule N on C = coker [[t]]\n"
+                    "ring X = QQ[x,y] / (x*y)\nmodule MX on X = coker [[x]]\n")
+    for ring, sheaf, points in (("C", "N", "{(0,0),(1,1)}"), ("X", "MX", "{(0,0),(1,0),(0,1)}")):
+        code, out, err = run_cli(
+            capsys, "hp-scan", f"ring={ring}", f"sheaf={sheaf}", "p=0", f"points={points}",
+            "--input", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == ("perfx: hp-scan: the probe is off the base's locus, so there is no "
+                       "generic value and the audit is undetermined\n")
 
 
 @pytest.mark.parametrize("command", ["hp-scan", "grauert"])

@@ -29,7 +29,7 @@ from perfx.derived import (
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
 from perfx.resolutions import derived_tensor, homology, module_tensor_complex, presented
-from perfx.rings import Mat, PolyRing, RationalPoint
+from perfx.rings import Mat, PolyRing, RationalPoint, syzygy_matrix
 
 
 @pytest.fixture
@@ -294,56 +294,104 @@ def test_koszul_tor_stops_where_the_module_is_free(field, tensors):
 
 
 @pytest.mark.parametrize("field", TOR_FIELDS, ids=[f.name for f in TOR_FIELDS])
-def test_koszul_tor_tensors_where_the_rank_drops(field, tensors):
+def test_koszul_tor_reads_an_injective_presentation_off_two_ranks(field, tensors):
     """coker [[1 + x, y], [y, 1 + x]] at (1, 2): every entry is a unit and
     none is alone, and the determinant (1 + x)^2 - y^2 vanishes there, so
-    the rank drops to 1 and the module reaches the tensor, with Tor_0 its
-    fiber dimension 1."""
+    the rank drops to 1 and the module is not free near the point.  The
+    determinant is a nonzero polynomial, so the presentation is a free
+    resolution 0 -> R^2 -> R^2 -> M -> 0, and Tor is [1, 2 - (2 - 1), 0, 0]
+    with no tensor.  The route sees that at its probe, where the
+    determinant is nonzero except over GF(7): there the probe is (2, 3),
+    on the determinant's zero locus, so the module reaches the tensor."""
     ring = PolyRing(field, ["x", "y"])
     point = RationalPoint(ring, (1, 2))
     module = ModulePresentation(ring, 2, Mat(ring, [["1 + x", "y"], ["y", "1 + x"]]))
     assert module.split_at(point) is module
     assert tor_profile(module, point, 3, "koszul") == [1, 1, 0, 0]
-    assert len(tensors) == 1
+    on_locus = ring.parse("(1 + x)^2 - y^2").evaluate(derived._tor_probe(ring).coords) == 0
+    assert on_locus == (field.char == 7)
+    assert len(tensors) == on_locus
     assert tor_profile(module, point, 3, "resolve") == [1, 1, 0, 0]
+    assert tor_profile(module, point, 0, "koszul") == [1]
+
+
+@pytest.mark.parametrize("field", TOR_FIELDS, ids=[f.name for f in TOR_FIELDS])
+def test_koszul_tor_tensors_where_the_rank_drops(field, tensors):
+    """coker [[x, y]] at the origin has two relations on one generator,
+    so it is not injectively presented, and it reaches the tensor, with
+    Tor_0 its fiber dimension 1.  coker [[x - a]] at (a, 0), with a the
+    first coordinate of the route's large-height probe, is injectively
+    presented, but its one entry vanishes at the point and at the probe
+    alike: it reaches the tensor too, and the tensor still answers."""
+    ring = PolyRing(field, ["x", "y"])
+    a = derived._tor_probe(ring).coords[0]
+    cases = [
+        (ModulePresentation(ring, 1, Mat(ring, [["x", "y"]])), (0, 0), [1, 2, 1, 0]),
+        (ModulePresentation(ring, 1, Mat(ring, [[ring.parse("x") - ring.const(a)]])),
+         (a, 0), [1, 1, 0, 0]),
+    ]
+    for module, coords, expected in cases:
+        point = RationalPoint(ring, coords)
+        assert module.split_at(point) is module
+        tensors.clear()
+        assert tor_profile(module, point, 3, "koszul") == expected
+        assert len(tensors) == 1
+        assert tor_profile(module, point, 3, "resolve") == expected
 
 
 def koszul_branch(module, point, got, tensored):
-    """Which of the Koszul route's six branches a module took at a point:
-    M_p = 0, M_p free, or the tensor, each after a split or without one."""
-    way = "tensor" if tensored else "free" if got[0] else "zero"
+    """Which of the Koszul route's eight branches a module took at a point:
+    M_p = 0, M_p free, an injective presentation or the tensor, each after
+    a split or without one."""
+    way = "tensor" if tensored else "injective" if got[1] else "free" if got[0] else "zero"
     return way, module.split_at(point) is not module
 
 
+def _seeded_module(ring, rng, gens, rels, density, degree):
+    relations = Mat.from_entries(ring, gens, rels, [
+        (i, j, ring.random_poly(rng, max_degree=degree, nterms=2))
+        for i in range(gens) for j in range(rels) if rng.random() < density
+    ])
+    return ModulePresentation(ring, gens, relations)
+
+
 def test_koszul_tor_routes_agree_on_larger_shapes(tensors):
-    """Seeded modules up to 4 x 4, of degree up to 3, in 1 to 3 variables
-    over three fields, at the origin, an integer point and a fractional
-    point: the Koszul route, the resolve route and the unsplit tensor's
-    homology presentations give the same Tor, and each of the six
-    branches of the Koszul route runs."""
+    """Seeded modules up to 4 x 4, of degree up to 3, and wide ones, with
+    one or two relations more than their 2 or 3 generators, in 1 to 3
+    variables over three fields, at the origin, an integer point and a
+    fractional point: the Koszul route, the resolve route and the unsplit
+    tensor's homology presentations give the same Tor, and each of the
+    eight branches of the Koszul route runs.  Where the route reads an
+    injective presentation, the Buchberger engine finds no syzygy of its
+    relation columns."""
     branches = Counter()
     for field in TOR_FIELDS:
         for nvars in (1, 2, 3):
             ring = PolyRing(field, ["x", "y", "z"][:nvars])
             rng = random.Random(42 + nvars)
+            wide = random.Random(f"wide-{nvars}")
             points = [RationalPoint(ring, coords[:nvars]) for coords in (
                 (0, 0, 0), (1, -1, 2), (Fraction(1, 2), Fraction(2, 3), -1))]
             depth = nvars + 1
+            modules = []
             for _ in range(14):
                 gens, rels = rng.randint(1, 4), rng.randint(1, 4)
-                degree = rng.randint(1, 3)
-                relations = Mat.from_entries(ring, gens, rels, [
-                    (i, j, ring.random_poly(rng, max_degree=degree, nterms=2))
-                    for i in range(gens) for j in range(rels) if rng.random() < 0.7
-                ])
-                module = ModulePresentation(ring, gens, relations)
+                modules.append(_seeded_module(ring, rng, gens, rels, 0.7, rng.randint(1, 3)))
+                gens = wide.randint(2, 3)
+                modules.append(_seeded_module(
+                    ring, wide, gens, gens + wide.randint(1, 2), 0.5, wide.randint(1, 2)))
+            for module in modules:
                 for point in points:
                     tensors.clear()
                     got = tor_profile(module, point, depth, "koszul")
-                    branches[koszul_branch(module, point, got, bool(tensors))] += 1
+                    branch = koszul_branch(module, point, got, bool(tensors))
+                    branches[branch] += 1
+                    if branch[0] == "injective":
+                        relations = module.split_at(point).relations.drop_zero_columns()
+                        assert syzygy_matrix(relations).ncols == 0
                     assert got == tor_profile(module, point, depth, "resolve")
                     assert got == koszul_tor_reference(module, point, depth)
-    assert len(branches) == 6 and min(branches.values()) >= 10, branches
+    assert len(branches) == 8 and min(branches.values()) >= 10, branches
 
 
 def test_ext_examples(r1, quotient_xy):

@@ -1199,11 +1199,11 @@ def test_syzygy_block_matches_the_whole_tagged_basis(name):
 
 
 # S-pairs `buchberger` reduces over the Koszul-route Tor profiles below.
-# Popping pairs by lcm degree with the chain criterion at pop time took
-# 512, and this loop with criteria B, M and F and the deactivation of
-# divisible elements switched off takes 581.  Since the route stops where
-# M_p is 0 or free, only the GF(32003) 3 x 3 module reaches the tensor.
-KOSZUL_SPAIRS = 20
+# The route builds no tensor where M_p is 0 or the presentation is
+# injective, so every module here has more relations than generators and
+# homogeneous entries of degree 1 or 2, which vanish at the origin: all
+# eight reach the tensor.
+KOSZUL_SPAIRS = 213
 
 
 def test_koszul_route_spair_count(monkeypatch):
@@ -1220,9 +1220,11 @@ def test_koszul_route_spair_count(monkeypatch):
         ring = PolyRing(field, ["x", "y"])
         origin = RationalPoint(ring, (0, 0))
         rng = random.Random(f"koszul-work-{field!r}")
-        for gens, rels in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-            module = ModulePresentation(ring, gens, seeded_mat(ring, rng, gens, rels))
-            tor_profile(module, origin, 5, "koszul")
+        for gens, rels in [(1, 2), (2, 3), (2, 4), (3, 4)]:
+            rows = [[ring.random_poly(rng, nterms=2, homogeneous=rng.randint(1, 2))
+                     for _ in range(rels)] for _ in range(gens)]
+            tor_profile(ModulePresentation(ring, gens, Mat(ring, rows, ncols=rels)),
+                        origin, 5, "koszul")
     assert 0 < count <= KOSZUL_SPAIRS  # a module still reaches the tensor
 
 
