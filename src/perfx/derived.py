@@ -34,7 +34,6 @@ from .resolutions import (
     free_resolution,
     homology,
     homology_data,
-    homology_fiber_dim,
     module_tensor_complex,
     presented,
 )
@@ -49,8 +48,8 @@ def tor_profile(module, point, depth, method="resolve"):
 
     method 'resolve' resolves the module or complex and evaluates;
     'koszul' tensors a module or free complex with the Koszul
-    resolution of the point (plain rings only) and reads the fiber
-    dimension of each homology (`homology_fiber_dim`).  Tor at the point
+    resolution of the point (plain rings only) and reads each degree as
+    `homology(tensor, -i).fiber_dim(point)`.  Tor at the point
     depends only on M_p, so a module is first replaced by its
     `split_at(point)`, N, with g generators, c nonzero relation columns
     and fiber dimension f, which is Tor_0.  Where f is 0, M_p = 0
@@ -100,7 +99,7 @@ def tor_profile(module, point, depth, method="resolve"):
         dims = [f]
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
     fpc.check_determined(-depth)
-    return dims + [homology_fiber_dim(fpc, -i, point) for i in range(len(dims), depth + 1)]
+    return dims + [homology(fpc, -i).fiber_dim(point) for i in range(len(dims), depth + 1)]
 
 
 def _tor_probe(ring):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .complexes import FreeComplex, HomologyFloor, floor_of, minimize, tensor
 from .modules import ModulePresentation, _column_degrees, prune_redundant_columns
-from .rings import Mat, MatrixGB, subquotient, subquotient_fiber_dim, syzygy_matrix
+from .rings import Mat, MatrixGB, subquotient, syzygy_matrix
 
 
 class FPComplex(HomologyFloor):
@@ -184,19 +184,6 @@ def free_replacement(fpc, floor):
     return minimize(out)
 
 
-def _subquotient_at(fpc, i):
-    """(d_i, the relations of term i+1, boundaries) at degree i of a
-    presented complex, or None where term i is 0: the boundaries are the
-    incoming differential followed by term i's relations.  Below the
-    floor of a truncated complex it raises ValueError
-    (`check_determined`)."""
-    fpc.check_determined(i)
-    term = fpc.term(i)
-    if not term.ambient_rank:
-        return None
-    return fpc.map(i), fpc.term(i + 1).relations, fpc.map(i - 1).hstack(term.relations)
-
-
 def homology_data(obj, i):
     """Raw homology data at degree i of a module, free complex or
     presented complex, read through `presented`.
@@ -217,16 +204,16 @@ def homology_data(obj, i):
     """
     fpc = presented(obj)
     ring = fpc.ring
-    at = _subquotient_at(fpc, i)
-    if at is None:
+    fpc.check_determined(i)
+    term = fpc.term(i)
+    if not term.ambient_rank:
         z = Mat.zero(ring, 0, 0)
         return z, z, ModulePresentation.zero(ring)
-    d_i, modulo, boundaries = at
-    kernel, relations = subquotient(d_i, modulo, boundaries)
+    boundaries = fpc.map(i - 1).hstack(term.relations)
+    kernel, relations = subquotient(fpc.map(i), fpc.term(i + 1).relations, boundaries)
     if kernel.ncols == 0:
         return kernel, boundaries, ModulePresentation.zero(ring)
     degrees = None
-    term = fpc.term(i)
     if term.degrees is not None:
         degrees = _column_degrees(kernel, term.degrees)
     pres = ModulePresentation(ring, kernel.ncols, relations, degrees)
@@ -239,19 +226,10 @@ def homology(obj, i):
     set of the relation module; `reduced()` gives its reduced Gröbner
     basis.  Kernel and image are computed directly with syzygies, so on
     a presented complex this is an independent route from resolving and
-    taking homology of the free replacement."""
+    taking homology of the free replacement.  The Koszul route of
+    `derived.tor_profile` reads Tor as `homology(tensor,
+    -i).fiber_dim(point)`."""
     return homology_data(obj, i)[2]
-
-
-def homology_fiber_dim(obj, i, point):
-    """dim over kappa(point) of H^i (x) kappa(point), for a module, free
-    complex or presented complex read through `presented`: the value of
-    `homology(obj, i).fiber_dim(point)`, from the same kernel and
-    relations (`rings.subquotient_fiber_dim`), with no presentation
-    built.  Below the floor of a truncated complex it raises ValueError
-    (`check_determined`)."""
-    at = _subquotient_at(presented(obj), i)
-    return 0 if at is None else subquotient_fiber_dim(*at, point)
 
 
 def module_tensor_complex(coefficients, complex_):

@@ -12,10 +12,8 @@ Exponent tuples appear only at `PolyRing.exponents` and
 `PolyRing.from_exponents`.  Matrices are sparse: `Mat` keeps only the
 nonzero entries of each column, and this module alone knows that
 layout; a column becomes an engine vector, its row index the position.
-The homology core (`subquotient`, `subquotient_fiber_dim`) hands the
-kernel's engine vectors straight to `schreyer_relations`, and ranks the
-relation vectors at a point with no `Mat` built unless a rank over QQ
-must be taken exactly.
+The homology core, `subquotient`, hands the kernel's engine vectors
+straight to `schreyer_relations`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from math import comb, prod
 from operator import le, mul
 
 from . import groebner as gb
-from . import linalg
 from .fields import rational
 from .orders import GREVLEX
 
@@ -834,9 +831,37 @@ class Mat:
     def residues(self, point, p):
         """The entries at a point modulo the prime p, as one sparse
         {col: residue} row per matrix row, or None if p divides the
-        denominator of a coordinate or of a coefficient
-        (`_residue_rows`)."""
-        return _residue_rows(self.ring, self.nrows, self._cols, point, p)
+        denominator of a coordinate or of a coefficient.
+
+        The coordinates are reduced once, each monomial is evaluated once,
+        and each coefficient is reduced with the inverse of its
+        denominator, computed once per denominator.
+        """
+        coords = point.coords if isinstance(point, RationalPoint) else point
+        if any(a.denominator % p == 0 for a in coords):
+            return None
+        xs = [a.numerator * pow(a.denominator, -1, p) % p for a in coords]
+        inverses = {1: 1}  # denominator -> its inverse mod p
+        exps = self.ring.exponents
+        monos = {}  # term -> the residue of its monomial at the point
+        rows = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._cols):
+            for i, q in col.items():
+                v = 0
+                for t, c in q.terms.items():
+                    mv = monos.get(t)
+                    if mv is None:
+                        mv = monos[t] = prod(pow(x, e, p) for x, e in zip(xs, exps(t))) % p
+                    d = c.denominator
+                    inv = inverses.get(d)
+                    if inv is None:
+                        if d % p == 0:
+                            return None
+                        inv = inverses[d] = pow(d, -1, p)
+                    v += c.numerator * inv * mv
+                if v := v % p:
+                    rows[i][j] = v
+        return rows
 
     def __eq__(self, other):
         return (
@@ -854,44 +879,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"[{body}]"
-
-
-def _residue_rows(ring, nrows, columns, point, p):
-    """Residues modulo the prime p at a point of the entries of a matrix
-    over the ring, given as one {row: element} dict per column (the
-    layout of `Mat`): one sparse {col: residue} row per row, or None if
-    p divides the denominator of a coordinate or of a coefficient.
-
-    The coordinates are reduced once, each monomial is evaluated once,
-    and each coefficient is reduced with the inverse of its denominator,
-    computed once per denominator.  `Mat.residues` and
-    `subquotient_fiber_dim` both evaluate through it.
-    """
-    coords = point.coords if isinstance(point, RationalPoint) else point
-    if any(a.denominator % p == 0 for a in coords):
-        return None
-    xs = [a.numerator * pow(a.denominator, -1, p) % p for a in coords]
-    inverses = {1: 1}  # denominator -> its inverse mod p
-    exps = ring.exponents
-    monos = {}  # term -> the residue of its monomial at the point
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, q in col.items():
-            v = 0
-            for t, c in q.terms.items():
-                mv = monos.get(t)
-                if mv is None:
-                    mv = monos[t] = prod(pow(x, e, p) for x, e in zip(xs, exps(t))) % p
-                d = c.denominator
-                inv = inverses.get(d)
-                if inv is None:
-                    if d % p == 0:
-                        return None
-                    inv = inverses[d] = pow(d, -1, p)
-                v += c.numerator * inv * mv
-            if v := v % p:
-                rows[i][j] = v
-    return rows
 
 
 def _entry(ring, x):
@@ -1064,76 +1051,37 @@ def syzygy_matrix(mat, modulo=None):
     return Mat.from_column_vecs(mat.ring, _syzygy_vecs(mat, modulo), mat.ncols).drop_zero_columns()
 
 
-def _subquotient_vecs(d, modulo, boundaries):
-    """The homology core: (kernel, relations) as engine vectors.
+def subquotient(d, modulo, boundaries):
+    """The homology core: (kernel, relations) as matrices, and H = ker /
+    im is coker(relations) on the kernel's columns.
 
-    The kernel generates the cycles {x : d·x ∈ span(modulo) + quotient}:
-    the reduced basis `syzygy_basis` returns, each position reduced
-    modulo the quotient and zero vectors dropped, as the columns of
-    `syzygy_matrix` are; where d has no rows it is the unit vectors.
-    The relations generate {y : kernel·y ∈ span(boundaries) + quotient},
-    read off the kernel's basis by `groebner.schreyer_relations` with no
-    new Gröbner basis, so every column of boundaries must be a cycle
+    The kernel's columns generate the cycles {x : d·x ∈ span(modulo) +
+    quotient}: where d has rows they are those of `syzygy_matrix(d,
+    modulo)`, and where it has none the unit vectors.  The relations
+    generate {y : kernel·y ∈ span(boundaries) + quotient}, read off the
+    kernel's engine vectors by `groebner.schreyer_relations` with no new
+    Gröbner basis, so every column of boundaries must be a cycle
     (ValueError otherwise); where d has no rows they are the nonzero
-    boundaries themselves.  They are a generating set, not a reduced
-    basis.
+    boundaries themselves.  They are a generating set with no zero
+    column, not a reduced basis.
     """
     ring = d.ring
     g = d.ncols
     if boundaries.nrows != g:
         raise ValueError("row mismatch")
-    order = ring.module_order
     if not d.nrows:
-        return [{order.base(j): ring.field.one} for j in range(g)], [
-            v for v in boundaries.column_vecs() if v]
+        return Mat.identity(ring, g), boundaries.drop_zero_columns()
+    order = ring.module_order
     kernel = _syzygy_vecs(d, modulo)
     if ring.is_quotient:
         kernel = [ring.vector((i, ring.reduce_terms(t)) for i, t in order.split(v).items())
                   for v in kernel]
     kernel = [v for v in kernel if v]
     if not kernel:
-        return kernel, []
+        return Mat.zero(ring, g, 0), Mat.zero(ring, 0, 0)
     relations = gb.schreyer_relations(
         kernel, g, ring.field, order,
         modulo=boundaries.column_vecs(), extra=ring.quotient_extra_vectors(g),
     )
-    return kernel, relations
-
-
-def subquotient(d, modulo, boundaries):
-    """(kernel, relations) of the homology core (`_subquotient_vecs`) as
-    matrices: H = ker / im is coker(relations) on the kernel's columns.
-    Where d has rows the kernel's columns are those of
-    `syzygy_matrix(d, modulo)`; the relations have no zero column."""
-    ring = d.ring
-    kernel, relations = _subquotient_vecs(d, modulo, boundaries)
-    return (Mat.from_column_vecs(ring, kernel, d.ncols),
+    return (Mat.from_column_vecs(ring, kernel, g),
             Mat.from_column_vecs(ring, relations, len(kernel)).drop_zero_columns())
-
-
-def subquotient_fiber_dim(d, modulo, boundaries, point):
-    """dim over kappa(point) of H (x) kappa(point), where H is the
-    subquotient of `subquotient`, without building its presentation.
-
-    The relation vectors are ranked at the point modulo
-    `linalg.modulus(field)` (`_residue_rows`), through
-    `linalg.complex_ranks`; over QQ the relation matrix is built and
-    evaluated exactly only where that rank is left open.  A point of
-    another ring, or off the ring's locus, raises ValueError
-    (`point_of`) before anything is computed.
-    """
-    ring = d.ring
-    point = point_of(ring, point)
-    kernel, relations = _subquotient_vecs(d, modulo, boundaries)
-    k = len(kernel)
-    if not relations:
-        return k
-    field = ring.field
-    # the point lies on the quotient's locus: unreduced entries take the same values
-    split = ring.module_order.split
-    columns = [{i: Polynomial(ring, t) for i, t in split(v).items()} for v in relations]
-    residues = {0: _residue_rows(ring, k, columns, point, linalg.modulus(field))}
-    rank = linalg.complex_ranks(
-        residues, lambda _i: Mat.from_column_vecs(ring, relations, k).evaluate(point),
-        {0: len(relations), 1: k}, field)[0]
-    return k - rank

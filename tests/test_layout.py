@@ -28,6 +28,8 @@ RETIRED_NAMES = {
     "pack_terms", "unpack_poly", "_pack",
     "ZERO_BELOW", "EXACT_BELOW", "UNKNOWN_BELOW", "_combine_tails", "truncate_below",
     "tensor_map", "_hom_layout", "row_entries",
+    # homology(...).fiber_dim, rings.subquotient and Mat.residues replaced these
+    "homology_fiber_dim", "subquotient_fiber_dim", "_subquotient_vecs", "_residue_rows",
 }
 # The function-local `from .x import`s src/perfx keeps, as (module, x):
 # none, since the modules import in one order (IMPORT_ORDER).
