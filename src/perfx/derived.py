@@ -11,7 +11,6 @@ semi-decision: a negative answer is always qualified by the depth.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 from .complexes import (
@@ -30,6 +29,7 @@ from .linalg import rank as field_rank  # noqa: F401
 from .modules import ModulePresentation
 from .resolutions import (
     FPComplex,
+    _injective,
     default_depth,
     free_resolution,
     homology,
@@ -49,52 +49,53 @@ def tor_profile(module, point, depth, method="resolve"):
     method 'resolve' resolves the module or complex and evaluates;
     'koszul' tensors a module or free complex with the Koszul
     resolution of the point (plain rings only) and reads each degree as
-    `homology(tensor, -i).fiber_dim(point)`.  Tor at the point
-    depends only on M_p, so a module is first replaced by its
-    `split_at(point)`, N, with g generators, c nonzero relation columns
-    and fiber dimension f, which is Tor_0.  Where f is 0, M_p = 0
-    (Nakayama) and every higher Tor is 0.  Where the c columns have rank
-    c at the point (f = g - c) or at one fixed large-height probe, a
-    c x c minor is a nonzero polynomial, so over the domain R the columns
-    map R^c into R^g injectively and 0 -> R^c -> R^g -> N -> 0 resolves
-    N: Tor is [f, c - (g - f), 0, ...], and no tensor is built.  A rank
-    at the probe comes from `fiber_dim`, so over QQ a full rank modulo the
-    certifying prime needs no exact rank.  Otherwise the tensor's
-    homology is read at degrees -1 .. -depth only.  Another
-    method, a point of another ring, or a presented complex on the Koszul
-    route raises ValueError before anything is computed.  Both routes raise
-    ValueError, before any homology is computed, at a depth below the
-    homology floor of what they read: the resolution, or its tensor with
-    the Koszul complex (`check_determined`).
+    `homology(tensor, -i).fiber_dim(point)`.  Both routes open with one
+    prelude.  A point of another ring, another method, or, on the Koszul
+    route, a presented complex or a quotient ring raises ValueError
+    before anything is computed.  Then, since Tor_i^R(M, kappa(p)) =
+    Tor_i^(R_p)(M_p, kappa(p)), a module is replaced by its
+    `split_at(point)`, N, whose fiber dimension f is Tor_0; where f is 0,
+    M_p = 0 (Nakayama) and every Tor is 0.  The resolve route then
+    resolves N (`free_resolution`, which stops at a differential
+    `_injective` certifies).  On the Koszul route, with g generators
+    and c nonzero relation columns, where the columns have rank c at the
+    point (f = g - c) or at the probe (`_injective`), a c x c minor is a
+    nonzero polynomial, so over the domain R the columns map R^c into
+    R^g injectively and 0 -> R^c -> R^g -> N -> 0 resolves N: Tor is
+    [f, c - (g - f), 0, ...], and no tensor is built.  Otherwise the
+    tensor's homology is read at degrees -1 .. -depth only.  Both routes
+    raise ValueError, before any homology is computed, at a depth below
+    the homology floor of what they read: the resolution, or its tensor
+    with the Koszul complex (`check_determined`).
     """
-    point = point_of(module.ring, point)
+    ring = module.ring
+    point = point_of(ring, point)
+    if method not in ("resolve", "koszul"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "koszul" and isinstance(module, FPComplex):
+        raise ValueError(
+            "the Koszul route takes a module or a free complex, not a presented "
+            "complex; use 'resolve'"
+        )
+    if method == "koszul" and ring.is_quotient:
+        raise ValueError(
+            "the Koszul route needs the sequence x-a to resolve the point; "
+            "use 'resolve' over quotient rings"
+        )
+    module, f = _near(module, point)
+    if f == 0:
+        return [0] * (depth + 1)
     if method == "resolve":
         resolution = free_resolution(module, depth + 3)
         resolution.check_determined(-depth)
         dims = resolution.fiber_dims(point)
         return [dims.get(-i, 0) for i in range(depth + 1)]
-    if method != "koszul":
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(module, FPComplex):
-        raise ValueError(
-            "the Koszul route takes a module or a free complex, not a presented "
-            "complex; use 'resolve'"
-        )
-    ring = module.ring
-    if ring.is_quotient:
-        raise ValueError(
-            "the Koszul route needs the sequence x-a to resolve the point; "
-            "use 'resolve' over quotient rings"
-        )
     dims = []  # Tor_0, ... as far as known without the tensor
-    if isinstance(module, ModulePresentation):
-        module = module.split_at(point)
-        f = module.fiber_dim(point)  # M (x) kappa(point) = Tor_0
-        if f == 0:  # M_p = 0 (Nakayama); M need not be injectively presented
-            return [0] * (depth + 1)
-        g, c = module.ambient_rank, module.relations.drop_zero_columns().ncols
+    if f is not None:
+        relations = module.relations.drop_zero_columns()
+        g, c = relations.nrows, relations.ncols
         # rank c at the point or at the probe: the presentation is a free resolution
-        if f == g - c or (c <= g and module.fiber_dim(_tor_probe(ring)) == g - c):
+        if f == g - c or _injective(relations):
             return ([f, c - (g - f)] + [0] * depth)[:depth + 1]
         dims = [f]
     fpc = module_tensor_complex(module, koszul_resolution_of_point(ring, point))
@@ -102,13 +103,15 @@ def tor_profile(module, point, depth, method="resolve"):
     return dims + [homology(fpc, -i).fiber_dim(point) for i in range(len(dims), depth + 1)]
 
 
-def _tor_probe(ring):
-    """The fixed large-height point of a plain ring at which the Koszul
-    route of `tor_profile` asks whether a presentation is injective.  Any
-    point answers correctly; one on the rank-drop locus only sends the
-    module on to the tensor."""
-    rng = random.Random("tor-probe")
-    return RationalPoint(ring, [rng.randint(10**5, 10**6) for _ in range(ring.nvars)])
+def _near(obj, point):
+    """(obj near the point, its fiber dimension there).  A module M
+    becomes N = `split_at(point)`, with N_p = M_p, and f = dim N (x)
+    kappa(point); f = 0 means M_p = 0 (Nakayama).  A complex stays as it
+    is, with f None."""
+    if not isinstance(obj, ModulePresentation):
+        return obj, None
+    obj = obj.split_at(point)
+    return obj, obj.fiber_dim(point)
 
 
 def _ext_dims(resolution, point):
@@ -123,7 +126,14 @@ def _ext_dims(resolution, point):
 
 def ext_to_point(module, point, depth):
     """[dim Ext^i(E, kappa(point)) for i in 0..depth], by Hom of the
-    resolution into the ring, evaluated at the point."""
+    resolution into the ring, evaluated at the point.  For a module,
+    Ext^i_R(M, kappa(p)) = Ext^i_(R_p)(M_p, kappa(p)), so the prelude of
+    `tor_profile` applies: M is replaced by its `split_at(point)`, and
+    M_p = 0 gives zeros."""
+    point = point_of(module.ring, point)
+    module, f = _near(module, point)
+    if f == 0:
+        return [0] * (depth + 1)
     ext = _ext_dims(free_resolution(module, depth + 3), point)
     return [ext.get(i, 0) for i in range(depth + 1)]
 

@@ -1,7 +1,8 @@
 """Free resolutions and free replacements of complexes.
 
 `free_resolution` is the one entry point from a module or complex to a
-free complex.  Modules are resolved by iterated syzygies.  A bounded
+free complex.  Modules are resolved by iterated syzygies, up to a
+differential certified injective at one probe point.  A bounded
 complex of finitely presented modules is replaced by a quasi-isomorphic
 complex of free modules built top-down: at each step the new free term
 covers the fiber product of the current term with the kernel of the
@@ -18,9 +19,11 @@ was built from.
 
 from __future__ import annotations
 
+import random
+
 from .complexes import FreeComplex, HomologyFloor, floor_of, minimize, tensor
 from .modules import ModulePresentation, _column_degrees, prune_redundant_columns
-from .rings import Mat, MatrixGB, subquotient, syzygy_matrix
+from .rings import Mat, MatrixGB, RationalPoint, subquotient, syzygy_matrix
 
 
 class FPComplex(HomologyFloor):
@@ -271,6 +274,28 @@ def default_depth(ring):
     return ring.nvars + 2
 
 
+def _tor_probe(ring):
+    """The fixed large-height point of a plain ring at which `_injective`
+    ranks a matrix.  Any point answers correctly; one on the rank-drop
+    locus only costs the caller the work the certificate would have
+    saved."""
+    rng = random.Random("tor-probe")
+    return RationalPoint(ring, [rng.randint(10**5, 10**6) for _ in range(ring.nvars)])
+
+
+def _injective(mat):
+    """True only where mat : R^c -> R^g is injective: over a plain ring,
+    a domain, rank c at `_tor_probe` makes a c x c minor a nonzero
+    polynomial, so no nonzero column vector maps to 0.  The rank comes
+    from `fiber_dim`, so over QQ a full rank modulo the certifying prime
+    needs no exact rank.  False certifies nothing (a quotient ring, more
+    columns than rows, or a probe on the rank-drop locus)."""
+    ring = mat.ring
+    g, c = mat.nrows, mat.ncols
+    return (not ring.is_quotient and c <= g
+            and ModulePresentation(ring, g, mat).fiber_dim(_tor_probe(ring)) == g - c)
+
+
 def free_resolution(target, depth):
     """Free complex quasi-isomorphic to a module or complex.
 
@@ -280,8 +305,11 @@ def free_resolution(target, depth):
     None) when a syzygy module vanishes -- over a plain polynomial ring
     with graded input this always happens within the number of
     variables -- and a cut after depth steps, which leaves homology
-    determined from one degree above the lowest term.  The resolution
-    is minimized.
+    determined from one degree above the lowest term.  Over a plain
+    ring a differential that `_injective` certifies has no syzygies, so
+    the resolution stops there without `syzygy_matrix`, as it would on
+    the empty syzygy matrix; a probe on the rank-drop locus falls back
+    to `syzygy_matrix`.  The resolution is minimized.
     """
     if isinstance(target, FreeComplex):
         return target
@@ -311,6 +339,8 @@ def free_resolution(target, depth):
         k -= 1
         if -k >= depth:
             floor = k + 1
+            break
+        if _injective(current):
             break
         current = syzygy_matrix(current)
     # a complex by construction: each d_(k-1) is syzygy_matrix(d_k)

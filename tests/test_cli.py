@@ -1024,6 +1024,35 @@ def test_cli_tor_of_a_large_power(tmp_path, capsys):
     assert (code, out, err) == (0, "point: (0)\ntor_dims: [1, 1, 0, 0]\n", "")
 
 
+# A dense 2 x 4 module of degree 3 whose unsplit resolution does not finish:
+# `free_resolution` was still in Buchberger after 100 s.  It vanishes near
+# the origin (fiber dimension 0), so Tor there is 0.
+DENSE_SESSION = (
+    "ring G = GF(32003)[x,y,z]\n"
+    "module D on G = coker ["
+    "[11034*x*y*z + 29540, 24257*x*z^2 + 3913*y, 21190*x*y*z + 11602, 11375*y*z^2 + 29679*z], "
+    "[28709*x*z + 11213, 24741*z^3 + 30352*x*y, 5709*x*y + 19023*y, 9323*y^2*z + 27561]]\n"
+    "point o on G = (0, 0, 0)\n"
+)
+
+
+def test_cli_tor_of_a_module_that_vanishes_near_the_point(tmp_path):
+    """`perfx tor` reads Tor of the module near the point, where it is 0,
+    and never resolves the module itself."""
+    path = tmp_path / "s.pfx"
+    path.write_text(DENSE_SESSION)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfx.cli", "tor", "D", "at", "o", "depth", "4",
+         "--format", "json", "--input", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"point": "(0, 0, 0)", "tor_dims": [0, 0, 0, 0, 0]}
+
+
 def test_cli_exponent_past_the_cap_exits_2(tmp_path, capsys):
     """(x^1024)^1025 = x^1049600 is past the cap 2^20 - 1: one message
     line naming the cap, exit 2, no traceback."""

@@ -1,14 +1,16 @@
 """Tor/Ext towers, local cohomology stages, perfection procedures."""
 
+import importlib.util
 import inspect
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from perfx.fields import GF, QQ
-from perfx import derived, linalg
+from perfx import derived, linalg, resolutions
 from perfx.complexes import (
     FreeComplex,
     koszul,
@@ -18,6 +20,7 @@ from perfx.complexes import (
     unit_complex,
 )
 from perfx.derived import (
+    _ext_dims,
     boundedness_transfer_check,
     default_depth,
     ext_to_point,
@@ -28,7 +31,13 @@ from perfx.derived import (
 )
 from perfx.maps import RingMap
 from perfx.modules import ModulePresentation
-from perfx.resolutions import derived_tensor, homology, module_tensor_complex, presented
+from perfx.resolutions import (
+    derived_tensor,
+    free_resolution,
+    homology,
+    module_tensor_complex,
+    presented,
+)
 from perfx.rings import Mat, PolyRing, RationalPoint, syzygy_matrix
 
 
@@ -126,6 +135,29 @@ def koszul_tor_reference(obj, point, depth):
         h = homology(fpc, -i)
         out.append(h.fiber_dim(point) if h.ambient_rank else 0)
     return out
+
+
+def syzygy_complex(module, steps):
+    """The module's relations and their iterated `syzygy_matrix`, with no
+    split and no probe, as a validated `FreeComplex`: cut after `steps`
+    differentials, it has the floor `free_resolution` gives that cut."""
+    ranks, diffs = {0: module.ambient_rank}, {}
+    current, k, floor = module.relations, 0, None
+    while current.ncols:
+        ranks[k - 1], diffs[k - 1] = current.ncols, current
+        k -= 1
+        if -k >= steps:
+            floor = k + 1
+            break
+        current = syzygy_matrix(current)
+    return FreeComplex(module.ring, ranks, diffs, floor=floor)
+
+
+def resolve_tor_reference(module, point, depth):
+    """The resolve route with no shared step: the fiber dimensions of the
+    unsplit module's `syzygy_complex`, with no M_p = 0 exit."""
+    dims = syzygy_complex(module, depth + 3).fiber_dims(point)
+    return [dims.get(-i, 0) for i in range(depth + 1)]
 
 
 TOR_FIELDS = [QQ, GF(32003), GF(7)]
@@ -242,13 +274,15 @@ def test_each_deletion_keeps_tor(name):
             n = m.split_at(point)
             assert n.ambient_rank < 2
             assert tor_profile(n, point, 3) == tor_profile(m, point, 3)
+            assert tor_profile(m, point, 3) == resolve_tor_reference(m, point, 3)
             if not ring.is_quotient:
                 assert tor_profile(m, point, 3, "koszul") == tor_profile(m, point, 3)
 
 
 def test_koszul_refusals_come_before_the_split(rxy, quotient_xy, monkeypatch):
     """A foreign point, an unknown method, a presented complex and a
-    quotient ring are refused, with their messages, before any split."""
+    quotient ring are refused, with their messages, before any split; a
+    foreign point on the resolve route and in `ext_to_point` too."""
 
     def boom(*_args):
         raise AssertionError("split before a refusal")
@@ -257,8 +291,11 @@ def test_koszul_refusals_come_before_the_split(rxy, quotient_xy, monkeypatch):
     m = ModulePresentation.cyclic(rxy, ["x", "y"])
     origin = RationalPoint(rxy, (0, 0))
     other = PolyRing(QQ, ["s", "t"])
+    for method in ("koszul", "resolve"):
+        with pytest.raises(ValueError, match="different ring"):
+            tor_profile(m, RationalPoint(other, (0, 0)), 3, method)
     with pytest.raises(ValueError, match="different ring"):
-        tor_profile(m, RationalPoint(other, (0, 0)), 3, "koszul")
+        ext_to_point(m, RationalPoint(other, (0, 0)), 3)
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         tor_profile(m, origin, 3, "bogus")
     with pytest.raises(ValueError, match="a module or a free complex.*'resolve'"):
@@ -311,7 +348,7 @@ def test_koszul_tor_reads_an_injective_presentation_off_two_ranks(field, tensors
     module = ModulePresentation(ring, 2, Mat(ring, [["1 + x", "y"], ["y", "1 + x"]]))
     assert module.split_at(point) is module
     assert tor_profile(module, point, 3, "koszul") == [1, 1, 0, 0]
-    on_locus = ring.parse("(1 + x)^2 - y^2").evaluate(derived._tor_probe(ring).coords) == 0
+    on_locus = ring.parse("(1 + x)^2 - y^2").evaluate(resolutions._tor_probe(ring).coords) == 0
     assert on_locus == (field.char == 7)
     assert len(tensors) == on_locus
     assert tor_profile(module, point, 3, "resolve") == [1, 1, 0, 0]
@@ -327,7 +364,7 @@ def test_koszul_tor_tensors_where_the_rank_drops(field, tensors):
     presented, but its one entry vanishes at the point and at the probe
     alike: it reaches the tensor too, and the tensor still answers."""
     ring = PolyRing(field, ["x", "y"])
-    a = derived._tor_probe(ring).coords[0]
+    a = resolutions._tor_probe(ring).coords[0]
     cases = [
         (ModulePresentation(ring, 1, Mat(ring, [["x", "y"]])), (0, 0), [1, 2, 1, 0]),
         (ModulePresentation(ring, 1, Mat(ring, [[ring.parse("x") - ring.const(a)]])),
@@ -362,8 +399,9 @@ def test_koszul_tor_routes_agree_on_larger_shapes(tensors):
     """Seeded modules up to 4 x 4, of degree up to 3, and wide ones, with
     one or two relations more than their 2 or 3 generators, in 1 to 3
     variables over three fields, at the origin, an integer point and a
-    fractional point: the Koszul route, the resolve route and the unsplit
-    tensor's homology presentations give the same Tor, and each of the
+    fractional point: the Koszul route, the resolve route, the unsplit
+    tensor's homology presentations and the unsplit `syzygy_complex` give
+    the same Tor, and each of the
     eight branches of the Koszul route runs.  Where the route reads an
     injective presentation, the Buchberger engine finds no syzygy of its
     relation columns."""
@@ -394,7 +432,100 @@ def test_koszul_tor_routes_agree_on_larger_shapes(tensors):
                         assert syzygy_matrix(relations).ncols == 0
                     assert got == tor_profile(module, point, depth, "resolve")
                     assert got == koszul_tor_reference(module, point, depth)
+                    assert got == resolve_tor_reference(module, point, depth)
     assert len(branches) == 8 and min(branches.values()) >= 10, branches
+
+
+# -- the resolve route near the point, and its stop at an injective map -----
+
+_spec = importlib.util.spec_from_file_location(
+    "derived_towers_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+workloads.load_perfx()
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_tor_routes_match_the_unsplit_reference_on_the_benchmark_modules(field, seed):
+    """The two routes share the split and the M_p = 0 exit, so the
+    benchmark's comparison of one route with the other no longer checks
+    those steps.  The unsplit `resolve_tor_reference` does: on every
+    derived-towers Tor module of the seed (22 rounds of
+    `workloads.SHAPES`), both routes give its answer at the origin, where
+    some modules vanish, some split and some are resolved."""
+    ring = PolyRing(field, ["x", "y"])
+    origin = RationalPoint(ring, (0, 0))
+    kinds = Counter()
+    for r in range(22):
+        rng = workloads._rng(seed, "tor", r, field.char)
+        for gens, rels in workloads.SHAPES:
+            module = workloads._random_module(ring, rng, gens, rels)
+            expected = resolve_tor_reference(module, origin, 5)
+            assert tor_profile(module, origin, 5, "resolve") == expected
+            assert tor_profile(module, origin, 5, "koszul") == expected
+            kinds["zero" if not any(expected) else "nonzero"] += 1
+            kinds["split"] += module.split_at(origin) is not module
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.fixture
+def syzygy_calls(monkeypatch):
+    """The matrices `free_resolution` hands to `syzygy_matrix`."""
+    calls = []
+    real = resolutions.syzygy_matrix
+    monkeypatch.setattr(resolutions, "syzygy_matrix",
+                        lambda mat, **kw: calls.append(mat) or real(mat, **kw))
+    return calls
+
+
+def test_free_resolution_stops_at_an_injective_differential(rxy, syzygy_calls):
+    """coker [[x, -y], [y, x]] is injectively presented (its determinant
+    x^2 + y^2 is nonzero at the probe): the resolution stops with no
+    `syzygy_matrix` call.  coker [[x, y]] is not, and its one syzygy
+    column (y, -x) is: one call.  Both are the unsplit `syzygy_complex`,
+    with floor None."""
+    for rows, calls in (([["x", "-y"], ["y", "x"]], 0), ([["x", "y"]], 1)):
+        module = ModulePresentation(rxy, len(rows), Mat(rxy, rows))
+        syzygy_calls.clear()
+        got = free_resolution(module, 6)
+        assert len(syzygy_calls) == calls
+        reference = syzygy_complex(module, 6)
+        assert (got.ranks, got.diffs, got.floor) == (reference.ranks, reference.diffs, None)
+
+
+@pytest.mark.parametrize("field", TOR_FIELDS, ids=[f.name for f in TOR_FIELDS])
+def test_free_resolution_falls_back_where_the_probe_drops_rank(field, syzygy_calls):
+    """coker [[1 + x, y], [y, 1 + x]] is injectively presented, but over
+    GF(7) the probe (2, 3) lies on (1 + x)^2 = y^2, where the rank drops:
+    there the resolution asks `syzygy_matrix`, which finds no syzygy, and
+    elsewhere it stops with no call.  Either way it is the unsplit
+    `syzygy_complex`."""
+    ring = PolyRing(field, ["x", "y"])
+    module = ModulePresentation(ring, 2, Mat(ring, [["1 + x", "y"], ["y", "1 + x"]]))
+    on_locus = ring.parse("(1 + x)^2 - y^2").evaluate(resolutions._tor_probe(ring).coords) == 0
+    assert on_locus == (field.char == 7)
+    got = free_resolution(module, 6)
+    assert len(syzygy_calls) == on_locus
+    reference = syzygy_complex(module, 6)
+    assert (got.ranks, got.diffs, got.floor) == (reference.ranks, reference.diffs, None)
+
+
+def test_free_resolution_probes_nothing_over_a_quotient_ring(quotient_xy, monkeypatch):
+    """QQ[x,y]/(xy) is not a domain, so a full rank at a point certifies
+    no injective map: no probe runs, and coker [[x]] is resolved by x, y,
+    x, ... to the cut, by both the resolution and the resolve route."""
+
+    def boom(*_args):
+        raise AssertionError("probe over a quotient ring")
+
+    monkeypatch.setattr(resolutions, "_tor_probe", boom)
+    module = ModulePresentation.cyclic(quotient_xy, ["x"])
+    got = free_resolution(module, 5)
+    reference = syzygy_complex(module, 5)
+    assert (got.ranks, got.diffs, got.floor) == (reference.ranks, reference.diffs, -4)
+    origin = RationalPoint(quotient_xy, (0, 0))
+    assert tor_profile(module, origin, 4) == resolve_tor_reference(module, origin, 4) == [1] * 5
 
 
 def test_ext_examples(r1, quotient_xy):
@@ -411,6 +542,28 @@ def test_ext_matches_tor_dims(quotient_xy):
     k = ModulePresentation.cyclic(quotient_xy, ["x", "y"])
     origin = RationalPoint(quotient_xy, (0, 0))
     assert ext_to_point(k, origin, 5) == tor_profile(k, origin, 5)
+
+
+@pytest.mark.parametrize("name", ["QQ", "QQ/(xy)"])
+def test_ext_near_the_point_matches_the_unsplit_resolution(name):
+    """Ext^i(M, kappa(p)) = Ext^i(M_p, kappa(p)): on seeded modules, at
+    points on the locus, `ext_to_point` of the split module (with zeros
+    where M_p = 0) gives the Ext that `_ext_dims` reads off the unsplit
+    `syzygy_complex`."""
+    ring = SPLIT_RINGS[name]
+    rng = random.Random(f"ext-{name}")
+    points = [RationalPoint(ring, coords) for coords in ((0, 0), (2, 0), (0, -3))]
+    kinds = Counter()
+    for _ in range(12):
+        gens, rels = rng.randint(1, 3), rng.randint(1, 3)
+        module = _seeded_module(ring, rng, gens, rels, 0.8, 2)
+        for point in points:
+            got = ext_to_point(module, point, 4)
+            ext = _ext_dims(syzygy_complex(module, 4 + 3), point)
+            assert got == [ext.get(i, 0) for i in range(5)]
+            kinds["zero" if not any(got) else "nonzero"] += 1
+            kinds["split"] += module.split_at(point) is not module
+    assert min(kinds.values()) >= 5, kinds
 
 
 # -- local cohomology ---------------------------------------------------------
