@@ -401,10 +401,9 @@ def test_koszul_tor_routes_agree_on_larger_shapes(tensors):
     variables over three fields, at the origin, an integer point and a
     fractional point: the Koszul route, the resolve route, the unsplit
     tensor's homology presentations and the unsplit `syzygy_complex` give
-    the same Tor, and each of the
-    eight branches of the Koszul route runs.  Where the route reads an
-    injective presentation, the Buchberger engine finds no syzygy of its
-    relation columns."""
+    the same Tor, and each of the eight branches of the Koszul route runs.
+    Where the route reads an injective presentation, the Buchberger engine
+    finds no syzygy of its relation columns."""
     branches = Counter()
     for field in TOR_FIELDS:
         for nvars in (1, 2, 3):
